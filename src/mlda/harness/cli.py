@@ -1,19 +1,12 @@
 """Command-line front end: run experiments, write tables, gate on passes."""
 
-import os
-
-# Pin BLAS threading before numpy loads anywhere downstream; reproducibility
-# beats raw speed for a verification harness. Respect explicit user settings.
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("MKL_NUM_THREADS", "1")
-
 import argparse
+import os
 import sys
 
 from ..errors import ConfigError
 from .config import EXPERIMENTS, build_config
-from .experiments import run, run_all, write_report
+from .experiments import all_configs, run, write_report
 
 
 def _build_parser():
@@ -69,6 +62,7 @@ def main(argv=None):
             except ValueError:
                 print(f"mlda: MLDA_THREADS={env!r} is not an integer", file=sys.stderr)
                 return 2
+    all_ok = True
     try:
         config = build_config(
             args.experiment,
@@ -78,16 +72,16 @@ def main(argv=None):
             trials=args.trials,
             threads=threads,
         )
-        reports = run_all(config) if args.experiment == "all" else [run(config)]
+        # each report is written as soon as its experiment finishes, so a
+        # later failure cannot discard the reports of the ones before it
+        for sub in all_configs(config) if args.experiment == "all" else [config]:
+            report = run(sub)
+            csv_path, _ = write_report(report, sub.out_dir)
+            _print_report(report, csv_path)
+            all_ok = all_ok and report.all_passed
     except ConfigError as exc:
         print(f"mlda: {exc}", file=sys.stderr)
         return 2
-
-    all_ok = True
-    for report in reports:
-        csv_path, _ = write_report(report, config.out_dir)
-        _print_report(report, csv_path)
-        all_ok = all_ok and report.all_passed
     return 0 if all_ok else 1
 
 

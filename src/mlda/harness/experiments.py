@@ -425,11 +425,17 @@ def _run_convergence(options, seed, threads):
     ref_vals = sym_eig(2.0 * ss_ref.Sb - ss_ref.St_ml).values
     per_sample_gaps = (ref_vals[:-1] - ref_vals[1:]) / n_ref
     above = np.nonzero(per_sample_gaps > threshold)[0]
+    columns = ["n", "median_sin", "p95_sin", "drift", "trials"]
     if above.size == 0:
-        raise ConfigError(
-            f"convergence: no spectral gap exceeds threshold {threshold} "
-            f"(largest per-sample gap {per_sample_gaps.max():.3g})"
-        )
+        # the drawn instance has no separated target subspace: a property of
+        # the data, so the criterion fails rather than the configuration
+        largest = float(per_sample_gaps.max())
+        failures = [
+            f"no spectral gap exceeds threshold {threshold} "
+            f"(largest per-sample gap {largest:.3g})"
+        ]
+        summary = {"failures": failures, "largest_per_sample_gap": largest}
+        return columns, [], {"criterion_convergence": False}, summary
     r = int(above.max()) + 1
 
     targets = {}
@@ -477,7 +483,6 @@ def _run_convergence(options, seed, threads):
     if not slope_ok:
         failures.append(f"log-log slope {slope:.3f} outside [{lo}, {hi}]")
 
-    columns = ["n", "median_sin", "p95_sin", "drift", "trials"]
     passes = {"criterion_convergence": final_ok and monotone_ok and slope_ok}
     summary = {
         "failures": failures,
@@ -941,18 +946,23 @@ def run(config):
     )
 
 
-def run_all(config):
-    """Run every experiment at its defaults (seed/out/threads shared)."""
+def all_configs(config):
+    """The configs ``run_all`` runs: every experiment at its defaults, with
+    the seed, output directory and threads of ``config``."""
     import copy
 
-    reports = []
-    for name in EXPERIMENTS:
-        sub = ExperimentConfig(
+    return [
+        ExperimentConfig(
             experiment=name,
             seed=config.seed,
             out_dir=config.out_dir,
             threads=config.threads,
             options=copy.deepcopy(DEFAULTS[name]),
         )
-        reports.append(run(sub))
-    return reports
+        for name in EXPERIMENTS
+    ]
+
+
+def run_all(config):
+    """Run every experiment at its defaults (seed/out/threads shared)."""
+    return [run(sub) for sub in all_configs(config)]

@@ -9,7 +9,19 @@ label it carries. The central algebraic facts wired into this module:
 * Sb factorizes as M M^T with M = Xc^T Y D_n^{-1/2},
 * the excess R = St_ml - St = sum_i (k_i - 1)(x_i - mu)(x_i - mu)^T is PSD.
 
-Construction cross-checks both routes and fails loudly on disagreement.
+``build_dataset`` visits each label's member rows once: it gathers them, takes
+their compensated mean and adds their centred block into Sw. ``build_scatter``
+then checks every identity above by two independent routes and fails loudly
+on disagreement:
+
+* St_ml as Sb + Sw (Sb from the label means, Sw from the per-label centred
+  blocks) against Xc^T diag(k) Xc from the globally centred rows;
+* Sb from the label means against M M^T, with M from Xc and the 0/1 label
+  matrix;
+* Sb, Sw and R have no eigenvalue below minus a tolerance (or a rounding-dust
+  floor scaled to St_ml);
+* in ``build_dataset``, the column sums of the centred rows vanish up to
+  rounding (centring drift).
 """
 
 import csv
@@ -45,6 +57,8 @@ class LabelMatrix:
     one_in_colspace : bool
         Whether the all-ones vector lies in the column space of Y
         (always true when every row has the same cardinality).
+    members : tuple of L ndarrays
+        Ascending row indices of the samples carrying each label.
     """
 
     bits: np.ndarray
@@ -53,6 +67,7 @@ class LabelMatrix:
     K: int
     gram: np.ndarray
     one_in_colspace: bool
+    members: tuple
 
     @property
     def n(self):
@@ -91,6 +106,7 @@ def build_labels(bits):
     Y = bits.astype(float)
     ones = np.ones((bits.shape[0], 1))
     one_in = numeric_rank(np.hstack([Y, ones])) == numeric_rank(Y)
+    _, rows = np.nonzero(bits.T)  # row indices grouped by label, ascending
     return LabelMatrix(
         bits=bits,
         n_ell=n_ell,
@@ -98,18 +114,24 @@ def build_labels(bits):
         K=int(k.sum()),
         gram=gram,
         one_in_colspace=bool(one_in),
+        members=tuple(np.split(rows, np.cumsum(n_ell)[:-1])),
     )
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix bound to a validated label matrix, with cached means."""
+    """Feature matrix bound to a validated label matrix, with cached means.
+
+    ``Sw`` is the within-scatter, accumulated from each label's centred
+    member rows in the same pass that forms the label means ``mu_ell``.
+    """
 
     X: np.ndarray
     labels: LabelMatrix
     mu: np.ndarray
     mu_ell: np.ndarray
     X_centered: np.ndarray
+    Sw: np.ndarray
 
     @property
     def n(self):
@@ -120,21 +142,30 @@ class Dataset:
         return self.X.shape[1]
 
 
-def _corrected_mean(X, weights=None):
-    """Two-pass (compensated) mean of rows, optionally 0/1-weighted."""
-    if weights is None:
-        m = X.mean(axis=0)
-        return m + (X - m).mean(axis=0)
-    total = weights.sum()
-    m = (weights @ X) / total
-    return m + (weights @ (X - m)) / total
+def _centre(rows, ones):
+    """Compensated mean of ``rows`` and the rows centred on it.
+
+    A ones-vector product gives a provisional mean; the rows are shifted by
+    it, and a second product over the shifted rows corrects the mean by their
+    residual sum (the two-pass update of Chan, Golub & LeVeque, 1983). Both
+    reductions are contiguous BLAS matrix-vector products. The centred rows
+    are ``rows - mean``, written over the shifted copy.
+    """
+    count = rows.shape[0]
+    m = (ones @ rows) / count
+    centred = rows - m
+    mean = m + (ones @ centred) / count
+    np.subtract(rows, mean, out=centred)
+    return mean, centred
 
 
 def build_dataset(X, labels, max_rows=MAX_ROWS, max_cols=MAX_COLS):
     """Bind features to labels, computing global and per-label means.
 
     Means use a two-pass compensated summation so that centering is accurate
-    for feature dimensions into the hundreds.
+    for feature dimensions into the hundreds. Each label's member rows are
+    gathered once: their mean and their centred block, summed into the
+    within-scatter ``Sw``, come from the same copy.
 
     Parameters
     ----------
@@ -157,14 +188,22 @@ def build_dataset(X, labels, max_rows=MAX_ROWS, max_cols=MAX_COLS):
     if max_cols is not None and X.shape[1] > max_cols:
         raise InvalidInput(f"d={X.shape[1]} exceeds dense cap {max_cols}; pass max_cols=None")
 
-    mu = _corrected_mean(X)
-    Y = labels.bits.astype(float)
-    mu_ell = np.vstack([_corrected_mean(X, Y[:, ell]) for ell in range(labels.L)])
-    Xc = X - mu
-    drift = np.linalg.norm(Xc.sum(axis=0))
-    if drift > 1e-8 * X.shape[0] * max(1.0, np.abs(X).max()):
+    n, d = X.shape
+    ones = np.ones(n)
+    mu, Xc = _centre(X, ones)
+    drift = np.linalg.norm(ones @ Xc)
+    limit = 1e-8 * n
+    # the scale factor max(1, max|X|) can only raise the limit, so it is
+    # needed only when the drift already exceeds the unscaled limit
+    if drift > limit and drift > limit * max(1.0, np.abs(X).max()):
         raise ArithmeticError(f"centering drift {drift:.3e} too large")
-    return Dataset(X=X, labels=labels, mu=mu, mu_ell=mu_ell, X_centered=Xc)
+
+    mu_ell = np.empty((labels.L, d))
+    Sw = np.zeros((d, d))
+    for ell, rows in enumerate(labels.members):
+        mu_ell[ell], D = _centre(X.take(rows, axis=0), ones[: rows.size])
+        Sw += D.T @ D
+    return Dataset(X=X, labels=labels, mu=mu, mu_ell=mu_ell, X_centered=Xc, Sw=Sw)
 
 
 @dataclass(frozen=True)
@@ -207,23 +246,18 @@ def _rel_defect(lhs, rhs, scale=0.0):
 def build_scatter(ds):
     """Compute all scatter matrices of a dataset, cross-checking identities.
 
-    The cardinality-weighted total scatter is computed both as Sb + Sw and as
-    sum_i k_i (x_i - mu)(x_i - mu)^T; the factorization Sb = M M^T is checked
-    as well. Disagreement beyond CROSSCHECK_TOL raises ArithmeticError.
+    The cardinality-weighted total scatter is computed both as Sb + Sw (from
+    the label means and the per-label centred blocks) and as
+    sum_i k_i (x_i - mu)(x_i - mu)^T (from the globally centred rows); the
+    factorization Sb = M M^T is checked as well. Disagreement beyond
+    CROSSCHECK_TOL raises ArithmeticError.
     """
     labels = ds.labels
-    Y = labels.bits.astype(float)
     Xc = ds.X_centered
 
     dev = ds.mu_ell - ds.mu
     Sb = symmetrize((dev.T * labels.n_ell) @ dev)
-
-    Sw = np.zeros((ds.d, ds.d))
-    for ell in range(labels.L):
-        member = labels.bits[:, ell] == 1
-        D = ds.X[member] - ds.mu_ell[ell]
-        Sw += D.T @ D
-    Sw = symmetrize(Sw)
+    Sw = symmetrize(ds.Sw)
 
     St = symmetrize(Xc.T @ Xc)
     St_ml = symmetrize(Sb + Sw)
@@ -234,7 +268,7 @@ def build_scatter(ds):
             f"total-scatter routes disagree (relative defect {defect:.3e})"
         )
 
-    M = Xc.T @ (Y / np.sqrt(labels.n_ell))
+    M = Xc.T @ (labels.bits / np.sqrt(labels.n_ell))
     factor_defect = _rel_defect(Sb, M @ M.T, scale=np.linalg.norm(St_ml))
     if factor_defect > CROSSCHECK_TOL:
         raise ArithmeticError(

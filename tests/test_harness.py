@@ -76,6 +76,16 @@ def test_slope_fit_validation():
         slope_fit([10, 100], [1.0, 0.5, 0.1])
 
 
+def test_package_exports_load_on_access():
+    import mlda
+
+    for name in mlda.__all__:
+        assert getattr(mlda, name) is not None, name
+    assert set(mlda.__all__) <= set(dir(mlda))
+    with pytest.raises(AttributeError):
+        mlda.no_such_name
+
+
 # ---------------------------------------------------------------------------
 # config resolution
 # ---------------------------------------------------------------------------
@@ -165,9 +175,10 @@ def test_dimension_validation(tmp_path):
 
 
 def test_reports_byte_identical_across_threads(tmp_path):
+    # divergence maps its trials through the thread pool (rank never does)
     paths = []
     for threads, sub in ((1, "one"), (2, "two")):
-        cfg = build_config("rank", None, 77, str(tmp_path / sub), None, threads)
+        cfg = build_config("divergence", None, 77, str(tmp_path / sub), 3, threads)
         report = run(cfg)
         csv_path, json_path = write_report(report, cfg.out_dir)
         paths.append((csv_path, json_path))
@@ -267,3 +278,64 @@ def test_cli_threads_env_fallback(tmp_path):
     ).read_bytes()
     bad = _cli(["rank", "--out", str(tmp_path / "c")], env_extra={"MLDA_THREADS": "x"})
     assert bad.returncode == 2
+
+
+def test_cli_gap_below_threshold_is_criterion_failure(tmp_path):
+    # at seed 1 the convergence instance has no spectral gap above the
+    # threshold: a failed criterion with its report, not a usage error
+    proc = _cli(["convergence", "--seed", "1", "--out", str(tmp_path)])
+    assert proc.returncode == 1, proc.stderr
+    assert "FAIL criterion_convergence" in proc.stdout
+    payload = json.loads((tmp_path / "convergence.summary.json").read_text())
+    assert payload["passes"] == {"criterion_convergence": False}
+    assert "no spectral gap exceeds threshold" in payload["details"]["failures"][0]
+    assert (tmp_path / "convergence.csv").read_text().startswith("n,median_sin,")
+
+
+def test_cli_all_writes_every_report(tmp_path):
+    proc = _cli(["all", "--seed", "1", "--out", str(tmp_path)])
+    assert proc.returncode == 1, proc.stderr
+    for name in DEFAULTS:
+        assert (tmp_path / f"{name}.csv").exists(), name
+        assert (tmp_path / f"{name}.summary.json").exists(), name
+
+
+_BLAS_PROBE = """
+import ctypes, json, os
+import mlda.harness.cli
+threads = []
+with open("/proc/self/maps", encoding="utf-8") as fh:
+    paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+for path in paths:
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(lib, symbol, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            threads.append(fn())
+            break
+print(json.dumps({"threads": threads, "env": os.environ["OPENBLAS_NUM_THREADS"]}))
+"""
+
+
+def _blas_probe(**pins):
+    """Import the CLI module in a fresh interpreter whose only BLAS thread
+    settings are ``pins``; report OpenBLAS's own thread count and the
+    variable left in place after the import."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(pins)
+    proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_cli_pins_blas_to_one_thread():
+    probe = _blas_probe()
+    if not probe["threads"]:
+        pytest.skip("numpy does not use OpenBLAS here")
+    assert probe["threads"] == [1] * len(probe["threads"])
+    # an explicit setting wins over the pin
+    assert _blas_probe(OPENBLAS_NUM_THREADS="2")["env"] == "2"

@@ -1,8 +1,12 @@
 """Scatter algebra tests: independent direct-summation oracle, a fully
 hand-computed toy, then the algebraic identities as properties."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mlda import (
     InvalidInput,
@@ -16,6 +20,7 @@ from mlda import (
     residual_bound,
     save_dataset_csv,
 )
+from mlda import scatter
 from mlda.synth import LabelScheme, Seed, gen_labels
 
 
@@ -199,6 +204,138 @@ def test_residual_bound_holds_and_uniform_equality(rng):
     ds = build_dataset(rng.standard_normal((20, 3)), labels)
     out = residual_bound(ds, build_scatter(ds))
     assert out["rhs"] == 0.0 and out["holds"]
+
+
+# ---------------------------------------------------------------------------
+# differential test on hostile shapes, and precision when Sb dominates
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def hostile_datasets(draw):
+    """Feature and label matrices of awkward shape: L = 1, every sample
+    carrying every label, d > n, a label with a single member, or a random
+    overlapping assignment; features with an offset up to 100 x their spread."""
+    n = draw(st.integers(1, 12))
+    L = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(["random", "every", "single-member"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "every":
+        bits = np.ones((n, L), dtype=np.int64)
+    else:
+        bits = (rng.random((n, L)) < 0.4).astype(np.int64)
+        bits[np.arange(n), rng.integers(0, L, size=n)] = 1  # no unlabeled row
+        for ell in np.flatnonzero(bits.sum(axis=0) == 0):
+            bits[rng.integers(n), ell] = 1  # no empty label
+        if kind == "single-member":
+            bits[1:, 0] = 0
+            bits[0, 0] = 1
+            bits[bits.sum(axis=1) == 0, L - 1] = 1
+    spread = 10.0 ** draw(st.integers(-3, 3))
+    offset = spread * draw(st.floats(-100, 100))
+    X = offset + spread * rng.standard_normal((n, d))
+    return X, bits
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(hostile_datasets())
+def test_build_scatter_matches_oracle_on_hostile_shapes(data):
+    X, bits = data
+    ss = build_scatter(make_dataset(X, bits))
+    Sb, Sw, St, St_ml = oracle_scatters(X, bits)
+    # relative to the scatter, plus a floor for scatters that vanish (n = 1,
+    # identical rows): each centred entry carries rounding of eps * max|X|
+    n, L = bits.shape
+    tol = 1e-10 * np.linalg.norm(St_ml) + 16 * n * L * np.finfo(float).eps * np.abs(X).max() ** 2
+    for got, want in ((ss.Sb, Sb), (ss.Sw, Sw), (ss.St, St), (ss.St_ml, St_ml)):
+        assert np.linalg.norm(got - want) <= tol
+    assert np.linalg.norm(ss.Sb - ss.M @ ss.M.T) <= tol
+
+
+def test_within_scatter_precise_when_between_dominates():
+    # well-separated single-label classes, noise 1e-6: ||Sb|| / ||Sw|| ~ 1e14,
+    # so forming Sw as St_ml - Sb would lose every digit; the per-label
+    # centred blocks keep Sw accurate relative to its own size
+    rng = np.random.default_rng(7)
+    n, d, L = 90, 4, 3
+    labels = build_labels(np.eye(L, dtype=np.int64)[np.arange(n) % L])
+    centres = 10.0 * rng.standard_normal((L, d))
+    X = centres[np.arange(n) % L] + 1e-6 * rng.standard_normal((n, d))
+    ss = build_scatter(build_dataset(X, labels))
+    _, Sw, _, _ = oracle_scatters(X, labels.bits)
+    assert np.linalg.norm(ss.Sb) > 1e12 * np.linalg.norm(Sw)
+    assert np.linalg.norm(ss.Sw - Sw) <= 1e-10 * np.linalg.norm(Sw)
+
+
+# ---------------------------------------------------------------------------
+# fault injection: every runtime cross-check is live
+# ---------------------------------------------------------------------------
+
+
+def _single_label_dataset(rng, n=30, d=4, L=3):
+    bits = np.eye(L, dtype=np.int64)[np.arange(n) % L]
+    return make_dataset(rng.standard_normal((n, d)), bits)
+
+
+def test_fault_total_scatter_routes(rng):
+    ds = _random_dataset(rng, n=30, d=5, L=4)
+    build_scatter(ds)
+    with pytest.raises(ArithmeticError, match="total-scatter routes"):
+        build_scatter(dataclasses.replace(ds, Sw=1.01 * ds.Sw))
+    with pytest.raises(ArithmeticError, match="total-scatter routes"):
+        build_scatter(dataclasses.replace(ds, mu_ell=ds.mu_ell + 1e-3))
+    wrong_k = dataclasses.replace(ds.labels, k=ds.labels.k + 1)
+    with pytest.raises(ArithmeticError, match="total-scatter routes"):
+        build_scatter(dataclasses.replace(ds, labels=wrong_k))
+
+
+def test_fault_between_scatter_factorization(rng):
+    ds = _random_dataset(rng, n=30, d=5, L=4)
+    bits = ds.labels.bits.copy()
+    bits[0] = 1 - bits[0]  # M sees other labels than the label means did
+    wrong_bits = dataclasses.replace(ds.labels, bits=bits)
+    with pytest.raises(ArithmeticError, match="factorization"):
+        build_scatter(dataclasses.replace(ds, labels=wrong_bits))
+
+
+def test_fault_psd_excess(rng):
+    # a sample dropped from every label while still counted in St gives it
+    # weight k - 1 = -1 in R = St_ml - St; the other two routes stay
+    # consistent with each other, so only the PSD check can catch it
+    ds = _single_label_dataset(rng)
+    labels = ds.labels
+    bits = labels.bits.copy()
+    bits[0] = 0
+    dropped = dataclasses.replace(
+        labels,
+        bits=bits,
+        n_ell=bits.sum(axis=0),
+        k=bits.sum(axis=1),
+        members=tuple(rows[rows != 0] for rows in labels.members),
+    )
+    with pytest.raises(ArithmeticError, match="R has negative eigenvalue"):
+        build_scatter(build_dataset(ds.X, dropped))
+
+
+def test_fault_centring_drift(rng, monkeypatch):
+    ds = _single_label_dataset(rng)
+    true_centre = scatter._centre
+
+    def off_centre(rows, ones):
+        mean, centred = true_centre(rows, ones)
+        return mean + 1e-3, centred - 1e-3
+
+    monkeypatch.setattr(scatter, "_centre", off_centre)
+    with pytest.raises(ArithmeticError, match="centering drift"):
+        build_dataset(ds.X, ds.labels)
+
+
+def test_members_list_label_rows(rng):
+    labels = _random_dataset(rng).labels
+    assert len(labels.members) == labels.L
+    for ell, rows in enumerate(labels.members):
+        assert np.array_equal(rows, np.flatnonzero(labels.bits[:, ell]))
 
 
 # ---------------------------------------------------------------------------
