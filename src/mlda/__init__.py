@@ -23,6 +23,7 @@ _EXPORTS = {
         "InvalidGap",
         "InvalidInput",
         "InvalidScheme",
+        "InvariantViolation",
         "MissingLabel",
         "MldaError",
         "NotConverged",
@@ -37,6 +38,7 @@ _EXPORTS = {
         "orthonormalize",
         "principal_angle_sin",
         "sym_eig",
+        "sym_eigvals",
         "symmetrize",
     ),
     "scatter": (

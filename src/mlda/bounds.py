@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateNoise, InvalidInput
+from .errors import DegenerateNoise, InvalidInput, InvariantViolation
 from .synth import pair_products
 from .spectral import symmetrize
 
@@ -172,7 +172,7 @@ def jaccard_lower(budget, y_i, y_j):
     exact = (budget.sigma_min ** 2) * union * d_J
     weakened = (budget.sigma_min ** 2) * max(k_i, k_j) * d_J
     if exact < weakened - 1e-12 * max(1.0, abs(weakened)):
-        raise ArithmeticError(
+        raise InvariantViolation(
             f"exact Jaccard bound {exact!r} fell below weakened form {weakened!r}"
         )
     return {"d_J": d_J, "exact": float(exact), "weakened": float(weakened)}
@@ -231,14 +231,14 @@ def tail_params(W, A, y_i, y_j, Sigma_w, pop=None):
         target = (np.eye(r) - Wb) / K_pop
         defect = float(np.linalg.norm(Psi - target))
         if defect > 1e-8 * max(1.0, np.linalg.norm(target)):
-            raise ArithmeticError(
+            raise InvariantViolation(
                 f"Psi identity defect {defect:.3e}: frame is not "
                 "total-scatter-orthogonal for this population"
             )
         theta = np.linalg.eigvalsh(Wb)[::-1].copy()
         theta[(theta < 0) & (theta > -1e-12)] = 0.0
         if theta.min() < 0 or theta.max() >= 1.0:
-            raise ArithmeticError(
+            raise InvariantViolation(
                 f"projected between-scatter spectrum escaped [0, 1): {theta}"
             )
     return TailParams(
@@ -295,7 +295,7 @@ def interaction_bound(W, A, B_inter, y_i, y_j, constraint="none",
     dz = float(np.linalg.norm(z_i - z_j))
     z_bound = float(np.sqrt(d_H * min(max(k_max - 1, 0), L - 1)))
     if dz > z_bound * (1 + 1e-12) + 1e-12:
-        raise ArithmeticError(f"||z_i - z_j|| = {dz!r} exceeded its bound {z_bound!r}")
+        raise InvariantViolation(f"||z_i - z_j|| = {dz!r} exceeded its bound {z_bound!r}")
 
     if B_inter is None:
         sb = 0.0

@@ -18,12 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGap, InvalidInput, NotConverged, SingularTotalScatter
+from .errors import (
+    InvalidGap,
+    InvalidInput,
+    InvariantViolation,
+    NotConverged,
+    SingularTotalScatter,
+)
 from .spectral import (
     Frame,
     numeric_rank,
     principal_angle_sin,
     sym_eig,
+    sym_eigvals,
     symmetrize,
 )
 
@@ -31,6 +38,8 @@ from .spectral import (
 DET_FLOOR_LOG = np.log(1e-300)
 # Absolute eigenvalue-tie threshold for flagging a degenerate cut.
 GAP_TIE_TOL = 1e-12
+# Negative theta down to -THETA_DUST is rounding dust of a zero eigenvalue.
+THETA_DUST = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +116,14 @@ def theta_form(theta):
 
     For a frame with W^T St_ml W = I_r whose projected between-scatter has
     eigenvalues theta (each in [0, 1)), the objectives depend on theta only.
-    Returns a dict with keys j_tr, j_rt, j_dr, j_td.
+    Directions outside range(Sb) have theta = 0 up to rounding, so values in
+    [-THETA_DUST, 0) are read as 0. Returns a dict with keys j_tr, j_rt, j_dr,
+    j_td.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.size == 0 or theta.min() < 0 or theta.max() >= 1:
+    if theta.size == 0 or theta.min() < -THETA_DUST or theta.max() >= 1:
         raise InvalidInput(f"theta must lie in [0, 1), got {theta}")
+    theta = np.where(theta < 0, 0.0, theta)
     r = theta.size
     s = theta.sum()
     return {
@@ -217,7 +229,7 @@ def opt_stml(Sb, St_total, r, gamma=0.0):
     W = T_isqrt @ epP.vectors[:, :r]
     defect = np.linalg.norm(W.T @ St_g @ W - np.eye(r))
     if defect > 1e-8:
-        raise ArithmeticError(f"whitened frame lost St-orthogonality ({defect:.3e})")
+        raise InvariantViolation(f"whitened frame lost St-orthogonality ({defect:.3e})")
     return WhitenedFrame(columns=W, gen_values=epP.values, r=r, gamma=float(gamma))
 
 
@@ -275,7 +287,7 @@ def trace_ratio_stiefel(Sb, Sw, r, tol=1e-10, max_iter=500):
             )
         lam_new = tb / tw
         if lam_new < lam - 1e-10 * max(1.0, abs(lam)):
-            raise ArithmeticError(
+            raise InvariantViolation(
                 f"trace-ratio iteration decreased: {lam!r} -> {lam_new!r}"
             )
         ep = sym_eig(Sb_n - lam_new * Sw_n)
@@ -374,7 +386,7 @@ def regularization_report(ss, gammas, r):
 
     The between-scatter rank never depends on gamma; the trace-difference
     matrix merely shifts by -gamma I, so its gap at any cut is unchanged
-    (each row recomputes it from a fresh eigendecomposition as a check); the
+    (each row recomputes it from a fresh eigenvalue solve as a check); the
     condition number strictly improves as gamma grows (unless Sw is already
     a multiple of the identity).
     """
@@ -398,7 +410,7 @@ def regularization_report(ss, gammas, r):
         top, bot = lam_max + gamma, lam_min + gamma
         infinite = bot <= 1e-12 * max(top, 1e-300)
         kappa = np.inf if infinite else top / bot
-        vals = sym_eig(C - gamma * np.eye(d)).values
+        vals = sym_eigvals(C - gamma * np.eye(d))
         rows.append(
             RegularizationRow(
                 gamma=gamma,
@@ -413,7 +425,7 @@ def regularization_report(ss, gammas, r):
     if not isotropic:
         for a, b in zip(finite, finite[1:]):
             if not b < a:
-                raise ArithmeticError(
+                raise InvariantViolation(
                     f"condition number failed to decrease: {a!r} -> {b!r}"
                 )
     return rows

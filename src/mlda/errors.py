@@ -58,3 +58,11 @@ class NotConverged(MldaError):
 
 class ConfigError(MldaError):
     """An experiment configuration is infeasible or malformed."""
+
+
+class InvariantViolation(MldaError, ArithmeticError):
+    """A runtime cross-check of an algebraic identity failed.
+
+    This means a numerical fault inside the library, not bad input. It stays
+    an ``ArithmeticError`` so that callers catching that still see it.
+    """

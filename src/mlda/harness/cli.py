@@ -4,7 +4,7 @@ import argparse
 import os
 import sys
 
-from ..errors import ConfigError
+from ..errors import ConfigError, InvariantViolation, NotConverged
 from .config import EXPERIMENTS, build_config
 from .experiments import all_configs, run, write_report
 
@@ -82,6 +82,11 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"mlda: {exc}", file=sys.stderr)
         return 2
+    except (InvariantViolation, NotConverged) as exc:
+        # a numerical fault inside the library, not a failed criterion
+        message = " ".join(str(exc).split())
+        print(f"mlda: internal check failed ({type(exc).__name__}): {message}", file=sys.stderr)
+        return 3
     return 0 if all_ok else 1
 
 

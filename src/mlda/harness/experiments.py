@@ -14,6 +14,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,11 +110,29 @@ def _fmt_cell(value):
     return str(value)
 
 
+@contextmanager
+def _atomic_open(path):
+    """Open a temporary file beside ``path`` and rename it over ``path`` on success.
+
+    A failure while writing removes the temporary file and leaves any earlier
+    ``path`` untouched, so a report is never half-written.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_csv(report, path):
     lines = [",".join(report.columns)]
     for row in report.rows:
         lines.append(",".join(_fmt_cell(row.get(col)) for col in report.columns))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -129,7 +148,7 @@ def write_summary(report, path):
         "wall_time_s": round(report.wall_time_s, 3),
         "details": _plain(report.summary),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

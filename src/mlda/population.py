@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidCovariance, InvalidInput, MissingLabel, SingularTotalScatter
+from .errors import (
+    InvalidCovariance,
+    InvalidInput,
+    InvariantViolation,
+    MissingLabel,
+    SingularTotalScatter,
+)
 from .spectral import sym_eig, symmetrize
 
 # Eigenvalue floor for whitening: below this (relative) the matrix is singular.
@@ -264,17 +270,17 @@ def population_scatters(params, dist):
 
     if dist.is_single_label():
         if np.abs(W_pi).max() > 0.0:
-            raise ArithmeticError("single-label distribution produced nonzero W_pi")
+            raise InvariantViolation("single-label distribution produced nonzero W_pi")
         direct = symmetrize(np.diag(pi) - np.outer(pi, pi))
         defect = np.linalg.norm(Q_pi - direct)
         if defect > 1e-13 * max(1.0, np.linalg.norm(direct)):
-            raise ArithmeticError(
+            raise InvariantViolation(
                 f"single-label Q_pi defect {defect:.3e} vs diag(pi) - pi pi^T"
             )
         reduced = symmetrize(M_star - A @ np.outer(pi, pi) @ A.T)
         rdefect = np.linalg.norm(M_star_c - reduced)
         if rdefect > 1e-12 * max(1.0, np.linalg.norm(reduced)):
-            raise ArithmeticError(f"single-label M_star_c defect {rdefect:.3e}")
+            raise InvariantViolation(f"single-label M_star_c defect {rdefect:.3e}")
 
     return PopulationScatters(
         Sb_pop=Sb_pop, Sw_pop=Sw_pop, St_ml_pop=St_ml_pop, M_star=M_star,
@@ -336,7 +342,7 @@ def gaps(pop, r):
     theta = sym_eig(P).values
     theta[(theta < 0) & (theta > -1e-12)] = 0.0
     if theta.min() < 0 or theta.max() >= 1.0:
-        raise ArithmeticError(
+        raise InvariantViolation(
             f"generalized eigenvalues escaped [0, 1): "
             f"[{theta.min():.3e}, {theta.max():.17g}]"
         )

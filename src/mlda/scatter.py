@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, MissingLabel, UnlabeledSample
+from .errors import InvalidInput, InvariantViolation, MissingLabel, UnlabeledSample
 from .spectral import numeric_rank, symmetrize
 
 # Relative tolerance for the internal two-route cross-checks.
@@ -196,7 +196,7 @@ def build_dataset(X, labels, max_rows=MAX_ROWS, max_cols=MAX_COLS):
     # the scale factor max(1, max|X|) can only raise the limit, so it is
     # needed only when the drift already exceeds the unscaled limit
     if drift > limit and drift > limit * max(1.0, np.abs(X).max()):
-        raise ArithmeticError(f"centering drift {drift:.3e} too large")
+        raise InvariantViolation(f"centering drift {drift:.3e} too large")
 
     mu_ell = np.empty((labels.L, d))
     Sw = np.zeros((d, d))
@@ -250,7 +250,7 @@ def build_scatter(ds):
     the label means and the per-label centred blocks) and as
     sum_i k_i (x_i - mu)(x_i - mu)^T (from the globally centred rows); the
     factorization Sb = M M^T is checked as well. Disagreement beyond
-    CROSSCHECK_TOL raises ArithmeticError.
+    CROSSCHECK_TOL raises InvariantViolation.
     """
     labels = ds.labels
     Xc = ds.X_centered
@@ -264,14 +264,14 @@ def build_scatter(ds):
     St_ml_weighted = symmetrize((Xc * labels.k[:, None]).T @ Xc)
     defect = _rel_defect(St_ml, St_ml_weighted)
     if defect > CROSSCHECK_TOL:
-        raise ArithmeticError(
+        raise InvariantViolation(
             f"total-scatter routes disagree (relative defect {defect:.3e})"
         )
 
     M = Xc.T @ (labels.bits / np.sqrt(labels.n_ell))
     factor_defect = _rel_defect(Sb, M @ M.T, scale=np.linalg.norm(St_ml))
     if factor_defect > CROSSCHECK_TOL:
-        raise ArithmeticError(
+        raise InvariantViolation(
             f"between-scatter factorization defect {factor_defect:.3e}"
         )
 
@@ -284,7 +284,7 @@ def build_scatter(ds):
         evals = np.linalg.eigvalsh(S)
         floor = -max(CROSSCHECK_TOL * np.abs(evals).max(), dust)
         if evals.min() < floor:
-            raise ArithmeticError(
+            raise InvariantViolation(
                 f"{name} has negative eigenvalue {evals.min():.3e} beyond tolerance"
             )
 
@@ -329,7 +329,7 @@ def rank_analysis(ds, ss=None):
         ds.X_centered.T @ Y, tol=max(ds.d, labels.L) * eps * sigma_x * sigma_y
     )
     if rank_sb != rank_XtY:
-        raise ArithmeticError(
+        raise InvariantViolation(
             f"rank(Sb)={rank_sb} disagrees with rank(Xc^T Y)={rank_XtY}"
         )
     rank_Y = numeric_rank(Y)

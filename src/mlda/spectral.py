@@ -4,13 +4,19 @@ Thin layer over LAPACK (via numpy.linalg) that pins down the conventions the
 rest of the library relies on: descending eigenvalue order, a reproducible
 sign for every eigenvector, a documented singular-value cutoff for numeric
 rank, and clamped principal angles between subspaces.
+
+Two routes solve a symmetric eigenproblem. ``sym_eig`` returns eigenvectors
+and checks the O(d^3) reconstruction V diag(lambda) V^T = S. ``sym_eigvals``
+is the values-only route for callers that never read eigenvectors: it skips
+them and checks two O(d^2) spectral invariants instead, sum(lambda) = tr S
+and sqrt(sum(lambda^2)) = ||S||_F, against the same RECON_TOL.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, RankDeficient
+from .errors import InvalidInput, InvariantViolation, RankDeficient
 
 # Frobenius tolerance for "these columns are orthonormal" checks.
 ORTHO_TOL = 1e-10
@@ -123,8 +129,26 @@ def sym_eig(S):
     vecs = _fix_signs(vecs[:, ::-1].copy())
     recon = np.linalg.norm((vecs * vals) @ vecs.T - S)
     if recon > RECON_TOL * max(1.0, np.linalg.norm(S)):
-        raise ArithmeticError(f"eigendecomposition reconstruction defect {recon:.3e}")
+        raise InvariantViolation(f"eigendecomposition reconstruction defect {recon:.3e}")
     return EigenPair(values=vals, vectors=vecs)
+
+
+def sym_eigvals(S):
+    """Eigenvalues of a symmetric matrix, descending, without eigenvectors.
+
+    S is symmetrized exactly as in ``sym_eig``. In place of the
+    reconstruction check, the trace and the Frobenius norm of S must match
+    the sum and the root sum of squares of the eigenvalues to
+    ``RECON_TOL * max(1, ||S||_F)``; a larger defect raises
+    InvariantViolation.
+    """
+    S = symmetrize(S)
+    vals = np.linalg.eigvalsh(S)[::-1].copy()
+    norm = np.linalg.norm(S)
+    defect = max(abs(vals.sum() - np.trace(S)), abs(np.linalg.norm(vals) - norm))
+    if defect > RECON_TOL * max(1.0, norm):
+        raise InvariantViolation(f"eigenvalue invariant defect {defect:.3e}")
+    return vals
 
 
 def numeric_rank(M, tol=None):
@@ -213,5 +237,5 @@ def orthonormalize(W):
     Q = Q * signs
     resid = np.linalg.norm(W - Q @ (Q.T @ W))
     if resid > ORTHO_TOL * max(1.0, np.linalg.norm(W)):
-        raise ArithmeticError(f"orthonormalization failed to preserve span ({resid:.3e})")
+        raise InvariantViolation(f"orthonormalization failed to preserve span ({resid:.3e})")
     return Frame(Q)

@@ -13,6 +13,7 @@ import pytest
 from mlda import (
     InvalidGap,
     InvalidInput,
+    InvariantViolation,
     LabelScheme,
     NotConverged,
     Seed,
@@ -27,6 +28,7 @@ from mlda import (
     opt_td,
     ordering_consistent,
     regularization_report,
+    sym_eig,
     theta_form,
     top_eigenspace,
     trace_ratio_stiefel,
@@ -62,6 +64,34 @@ def test_theta_form_validation():
         theta_form(np.array([-0.1]))
     with pytest.raises(InvalidInput):
         theta_form(np.array([]))
+
+
+def test_theta_form_reads_rounding_dust_as_zero():
+    # -1.9e-19 is what opt_stml returned for a zero generalized eigenvalue
+    # in one scatter-core variant; it must not be rejected as negative
+    dust = theta_form(np.array([0.5, 0.25, -1.9e-19]))
+    assert dust == theta_form(np.array([0.5, 0.25, 0.0]))
+    assert theta_form(np.array([-1e-12]))["j_td"] == -1.0
+    with pytest.raises(InvalidInput):
+        theta_form(np.array([0.5, -2e-12]))
+
+
+def test_theta_beyond_rank_sb_is_dust_theta_form_accepts():
+    # single-label with L = 2 gives rank Sb = 1, so at r = 3 two of the
+    # returned generalized eigenvalues are rounding dust of either sign
+    negative = 0
+    for seed in range(10):
+        g = np.random.default_rng(seed)
+        labels = gen_labels(LabelScheme.single(), 40, 2, g)
+        ss = build_scatter(build_dataset(g.standard_normal((40, 4)), labels))
+        opt = opt_stml(ss.Sb, ss.St_ml, 3)
+        assert np.abs(opt.theta[1:]).max() <= 1e-15
+        negative += int(opt.theta.min() < 0)
+        closed = theta_form(opt.theta)
+        vals = eval_objectives(opt.columns, ss.Sb, ss.Sw)
+        assert vals.j_tr == pytest.approx(closed["j_tr"], rel=1e-8)
+        assert vals.j_td == pytest.approx(closed["j_td"], rel=1e-8)
+    assert negative > 0
 
 
 def test_equal_scatters_give_reference_values(rng):
@@ -306,6 +336,20 @@ def test_regularization_report_invariants(rng):
     gaps = [row.gap_td for row in rows]
     assert max(gaps) - min(gaps) <= 1e-10 * max(1.0, abs(gaps[0]))
     assert len({row.rank_sb for row in rows}) == 1
+
+
+def test_regularization_gap_matches_full_eigendecomposition(rng, monkeypatch):
+    ss = _rank_deficient_scatter(rng)
+    gammas = [0.0, 1e-2, 1.0]
+    C = 2.0 * ss.Sb - ss.St_ml
+    for row in regularization_report(ss, gammas, r=2):
+        vals = sym_eig(C - row.gamma * np.eye(C.shape[0])).values
+        assert row.gap_td == pytest.approx(vals[1] - vals[2], abs=1e-12 * np.linalg.norm(C))
+    # each ridge level is a checked values-only solve
+    solve = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: solve(M) + 1e-6)
+    with pytest.raises(InvariantViolation, match="eigenvalue invariant"):
+        regularization_report(ss, gammas, r=2)
 
 
 def test_regularization_report_validation(rng):

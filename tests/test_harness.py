@@ -339,3 +339,97 @@ def test_cli_pins_blas_to_one_thread():
     assert probe["threads"] == [1] * len(probe["threads"])
     # an explicit setting wins over the pin
     assert _blas_probe(OPENBLAS_NUM_THREADS="2")["env"] == "2"
+
+
+# ---------------------------------------------------------------------------
+# failure contract: invariant failures, atomic reports, stream keys
+# ---------------------------------------------------------------------------
+
+
+def test_cli_invariant_violation_exit_three(tmp_path, monkeypatch, capsys):
+    from mlda import scatter
+    from mlda.harness import cli
+
+    # every scatter cross-check now fails, as a numerical fault would
+    monkeypatch.setattr(scatter, "CROSSCHECK_TOL", -1.0)
+    assert cli.main(["rank", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("mlda: internal check failed (InvariantViolation): ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    # a config error is still a usage error, with or without the fault
+    cfgfile = tmp_path / "bad.json"
+    cfgfile.write_text(json.dumps({"experiment": "rank", "unknown_option": 3}))
+    assert cli.main(["rank", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+    assert "unknown option" in capsys.readouterr().err
+
+
+def test_cli_not_converged_exit_three(tmp_path, monkeypatch, capsys):
+    from mlda import NotConverged
+    from mlda.harness import cli
+
+    def stalled(config):
+        raise NotConverged("trace-ratio iteration did not converge\nin 500 steps")
+
+    monkeypatch.setattr(cli, "run", stalled)
+    assert cli.main(["divergence", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "mlda: internal check failed (NotConverged): " \
+        "trace-ratio iteration did not converge in 500 steps\n"
+
+
+def test_failed_summary_write_keeps_previous_report(tmp_path, monkeypatch):
+    from mlda.harness.experiments import ExperimentReport, write_summary
+
+    report = ExperimentReport(
+        experiment="demo", columns=["a"], rows=[{"a": 1}], passes={"ok": True},
+        summary={}, seed=5, config_digest="abc", wall_time_s=0.5,
+    )
+    path = tmp_path / "demo.summary.json"
+    write_summary(report, str(path))
+    before = path.read_bytes()
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("disk gone")
+
+    monkeypatch.setattr(json, "dump", broken)
+    with pytest.raises(RuntimeError, match="disk gone"):
+        write_summary(report, str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["demo.summary.json"]
+
+
+def test_stream_purposes_have_distinct_ids(tmp_path, monkeypatch):
+    import dataclasses
+    import zlib
+
+    from mlda.harness.config import validate_options
+    from mlda.synth import Seed
+
+    # small trial counts, so every runner reaches each of its streams quickly
+    quick = {
+        "convergence": {"trials": 3},
+        "factors": {"trials": 3, "kappa_trials": 2},
+        "regularization": {"trials": 3},
+        "rank": {},
+        "divergence": {"trials": 3},
+        "distance": {"pairs": 10, "draws": 10},
+        "concentration": {"pairs": 5, "draws": 200},
+        "interaction": {"pairs": 10, "draws": 10},
+    }
+    assert set(quick) == set(DEFAULTS)
+    tokens = set()
+    stream = Seed.stream
+
+    def recording(self, experiment, trial, purpose):
+        tokens.update(t for t in (experiment, purpose) if isinstance(t, str))
+        return stream(self, experiment, trial, purpose)
+
+    monkeypatch.setattr(Seed, "stream", recording)
+    for name, counts in quick.items():
+        cfg = build_config(name, None, DEFAULT_SEED, str(tmp_path), None, 1)
+        options = {**cfg.options, **counts}
+        validate_options(name, options)
+        run(dataclasses.replace(cfg, options=options))
+    assert set(DEFAULTS) <= tokens
+    ids = {zlib.crc32(t.encode("utf-8")) for t in tokens}
+    assert len(ids) == len(tokens)

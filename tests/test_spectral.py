@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from mlda import (
     Frame,
     InvalidInput,
+    InvariantViolation,
     RankDeficient,
     numeric_rank,
     orthonormalize,
     principal_angle_sin,
     sym_eig,
+    sym_eigvals,
     symmetrize,
 )
 
@@ -242,3 +244,57 @@ def test_property_eigendecomposition(d, seed):
     assert (np.diff(ep.values) <= 1e-12).all()
     assert np.allclose(ep.vectors.T @ ep.vectors, np.eye(d), atol=1e-10)
     assert np.trace(S) == pytest.approx(ep.values.sum(), abs=1e-9 * max(1, abs(np.trace(S))))
+
+
+# ---------------------------------------------------------------------------
+# values-only route
+# ---------------------------------------------------------------------------
+
+
+def _values_only_cases(rng):
+    v = rng.standard_normal(7)
+    return {
+        "random": random_symmetric(rng, 9, scale=30.0),
+        "rank-one": np.outer(v, v),
+        "indefinite": np.diag([5.0, -3.0, 0.0, 1e-9, -7.5]) + 1e-3 * random_symmetric(rng, 5),
+        "non-symmetric input": rng.standard_normal((6, 6)),
+    }
+
+
+def test_sym_eigvals_matches_sym_eig(rng):
+    for name, S in _values_only_cases(rng).items():
+        vals = sym_eigvals(S)
+        want = sym_eig(S).values
+        tol = 1e-12 * np.linalg.norm(symmetrize(S))
+        assert np.abs(vals - want).max() <= tol, name
+        assert (np.diff(vals) <= 0).all(), name
+
+
+def test_sym_eigvals_validates_input():
+    S = np.eye(3)
+    S[1, 2] = np.nan
+    with pytest.raises(InvalidInput):
+        sym_eigvals(S)
+    with pytest.raises(InvalidInput):
+        sym_eigvals(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("fault", ["shift", "trace-preserving swap"])
+def test_sym_eigvals_invariant_check_catches_faulty_solver(rng, monkeypatch, fault):
+    S = random_symmetric(rng, 8, scale=10.0)
+    delta = 1e-6 * np.linalg.norm(S)
+    solve = np.linalg.eigvalsh
+
+    def faulty(M):
+        vals = solve(M).copy()
+        vals[-1] += delta  # breaks the trace
+        if fault == "trace-preserving swap":
+            vals[0] -= delta  # restores the trace, still breaks the norm
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", faulty)
+    with pytest.raises(InvariantViolation, match="eigenvalue invariant"):
+        sym_eigvals(S)
+    # the same fault a thousand times smaller stays inside RECON_TOL
+    delta *= 1e-3
+    sym_eigvals(S)

@@ -159,6 +159,53 @@ def test_alpha_zero_bit_identical_to_plain_model():
         gen_data(labels, without, Seed(10).stream("a", 0, "n"), alpha=0.5)
 
 
+@pytest.mark.parametrize("noise", ["gaussian", "rademacher"])
+def test_diagonal_covariance_draw_bit_identical_to_factor(noise):
+    from mlda.synth import _covariance_factor
+
+    labels = gen_labels(VAR, 60, 4, Seed(13).stream("dg", 0, "l"))
+    A = Seed(13).stream("dg", 0, "a").standard_normal((7, 4))
+    mu = np.linspace(-1.0, 2.0, 7)
+    for Sigma_w in (
+        np.diag([2.5, 0.0, 1e-6, 3.0, 0.0, 1e6, 0.3]),
+        0.49 * np.eye(7),
+        np.zeros((7, 7)),
+    ):
+        params = ModelParams(mu, A, Sigma_w=Sigma_w)
+        ds = gen_data(labels, params, Seed(13).stream("dg", 0, "n"), noise=noise)
+        rng = Seed(13).stream("dg", 0, "n")
+        if noise == "gaussian":
+            G = rng.standard_normal((60, 7))
+        else:
+            G = rng.integers(0, 2, size=(60, 7)).astype(float) * 2.0 - 1.0
+        X = mu + labels.bits.astype(float) @ A.T
+        expected = X + G @ _covariance_factor(params.Sigma_w).T
+        assert ds.X.tobytes() == expected.tobytes()
+
+
+def test_non_diagonal_covariance_goes_through_factor(monkeypatch):
+    from mlda import synth
+
+    calls = []
+    factor = synth._covariance_factor
+
+    def spy(Sigma_w):
+        calls.append(Sigma_w)
+        return factor(Sigma_w)
+
+    monkeypatch.setattr(synth, "_covariance_factor", spy)
+    labels = gen_labels(VAR, 40, 3, Seed(14).stream("nd", 0, "l"))
+    A = np.ones((3, 3))
+    Sigma_w = np.array([[1.0, 0.3, 0.0], [0.3, 2.0, 0.0], [0.0, 0.0, 0.5]])
+    ds = gen_data(labels, ModelParams(np.zeros(3), A, Sigma_w), Seed(14).stream("nd", 0, "n"))
+    assert len(calls) == 1
+    G = Seed(14).stream("nd", 0, "n").standard_normal((40, 3))
+    expected = labels.bits.astype(float) @ A.T + G @ factor(Sigma_w).T
+    assert ds.X.tobytes() == expected.tobytes()
+    gen_data(labels, isotropic_params(np.zeros(3), A, 0.5), Seed(14).stream("nd", 0, "n"))
+    assert len(calls) == 1  # a diagonal covariance skips the factor
+
+
 def test_interaction_term_enters_linearly():
     labels = gen_labels(LabelScheme.uniform(2), 20, 4, Seed(11).stream("i", 0, "l"))
     A = np.zeros((3, 4))
