@@ -9,7 +9,7 @@ def aggregate(values):
     """Summarize a batch of scalar trial results.
 
     Values are sorted before any statistic is computed, so the summary is
-    independent of trial scheduling. The 95th percentile uses the
+    independent of the order of the trials. The 95th percentile uses the
     nearest-rank convention: for sorted values v_1 <= ... <= v_N it is
     v_ceil(0.95 N), e.g. the values 1..100 give exactly 95.
 

@@ -1,7 +1,6 @@
 """Command-line front end: run experiments, write tables, gate on passes."""
 
 import argparse
-import os
 import sys
 
 from ..errors import ConfigError, InvariantViolation, NotConverged
@@ -31,11 +30,6 @@ def _build_parser():
         type=int,
         help="override the experiment's trial/draw count (smoke runs)",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        help="worker threads for independent trials (default: MLDA_THREADS or 1)",
-    )
     return parser
 
 
@@ -53,15 +47,6 @@ def _print_report(report, csv_path):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("MLDA_THREADS")
-        if env is not None:
-            try:
-                threads = int(env)
-            except ValueError:
-                print(f"mlda: MLDA_THREADS={env!r} is not an integer", file=sys.stderr)
-                return 2
     all_ok = True
     try:
         config = build_config(
@@ -70,7 +55,6 @@ def main(argv=None):
             seed=args.seed,
             out_dir=args.out,
             trials=args.trials,
-            threads=threads,
         )
         # each report is written as soon as its experiment finishes, so a
         # later failure cannot discard the reports of the ones before it

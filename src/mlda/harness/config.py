@@ -210,7 +210,7 @@ DEFAULTS = {
     },
 }
 
-_RESERVED_KEYS = {"experiment", "seed", "out_dir", "threads", "options"}
+_RESERVED_KEYS = {"experiment", "seed", "out_dir", "options"}
 
 
 @dataclass(frozen=True)
@@ -220,11 +220,11 @@ class ExperimentConfig:
     experiment: str
     seed: int
     out_dir: str
-    threads: int
     options: dict = field(default_factory=dict)
 
     def digest(self):
-        """sha256 over everything that affects results (not out_dir/threads)."""
+        """sha256 over everything that affects results (not out_dir): trials
+        run in a fixed order, so experiment, seed and options fix every number."""
         payload = {
             "experiment": self.experiment,
             "seed": self.seed,
@@ -396,6 +396,10 @@ def build_config(
     threads=None,
 ):
     """Resolve defaults <- config file <- CLI overrides into one config."""
+    # ``threads`` is kept only because the benchmark's worker passes
+    # ``threads=1``; trials always run in order, so it stores nothing
+    if threads is not None and (type(threads) is not int or threads != 1):
+        raise ConfigError(f"threads is not a setting; trials run in order (got {threads!r})")
     if experiment not in EXPERIMENTS and experiment != "all":
         raise ConfigError(
             f"unknown experiment {experiment!r}; choose from {', '.join(EXPERIMENTS)} or 'all'"
@@ -408,8 +412,9 @@ def build_config(
         )
 
     if experiment == "all":
-        if any(k not in ("experiment", "seed", "out_dir", "threads") for k in file_data):
-            raise ConfigError("a config file for 'all' may only set seed/out_dir/threads")
+        extra = sorted(k for k in file_data if k not in ("experiment", "seed", "out_dir"))
+        if extra:
+            raise ConfigError(f"a config file for 'all' may only set seed/out_dir, not {extra}")
         options = {}
     else:
         options = copy.deepcopy(DEFAULTS[experiment])
@@ -425,11 +430,8 @@ def build_config(
 
     seed = seed if seed is not None else file_data.get("seed", DEFAULT_SEED)
     out_dir = out_dir if out_dir is not None else file_data.get("out_dir", "results")
-    threads = threads if threads is not None else file_data.get("threads", 1)
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2 ** 64:
         raise ConfigError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
-        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
 
     if trials is not None:
         if trials < 1:
@@ -449,6 +451,5 @@ def build_config(
         experiment=experiment,
         seed=seed,
         out_dir=str(out_dir),
-        threads=threads,
         options=options,
     )

@@ -6,14 +6,14 @@ subspace convergence, difficulty factors, tail concentration, interaction
 robustness, ridge regularization), and returns a table of rows plus a single
 pass flag tied to that experiment's acceptance criterion. Everything is
 deterministic given (config, seed): every random draw comes from a stream
-keyed by (experiment, trial, purpose), so thread count and scheduling cannot
-change any number.
+keyed by (experiment, trial, purpose), never from a shared generator, so the
+order in which trials or experiments run cannot change any number. Trials
+run one after another in index order.
 """
 
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -39,7 +39,8 @@ from ..errors import ConfigError
 from ..population import gamma_norm, gaps, isotropic_params, population_scatters
 from ..scatter import build_dataset, build_scatter, rank_analysis
 from ..spectral import orthonormalize, principal_angle_sin, sym_eig
-from ..synth import LabelScheme, Seed, gen_data, gen_labels, scheme_distribution
+from ..synth import LabelScheme, Seed, gen_data, gen_labels, pair_products, scheme_distribution
+from ..synth import _draw_cardinalities
 from .aggregate import aggregate, slope_fit
 from .config import DEFAULTS, EXPERIMENTS, ExperimentConfig, scheme_from_dict
 
@@ -64,18 +65,6 @@ class ExperimentReport:
     @property
     def all_passed(self):
         return all(self.passes.values())
-
-
-def _pmap(fn, count, threads):
-    """Index-ordered map over range(count), optionally on a thread pool.
-
-    Results come back in index order and every random stream is pre-keyed by
-    index, so the output is identical for any thread count.
-    """
-    if threads <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 def _plain(obj):
@@ -188,17 +177,23 @@ def _gaussian_effects(d, L, scale, rng):
     return float(scale) * rng.standard_normal((d, L))
 
 
+def _instance(seed, experiment, trial, scheme, n, d, L, scale, sigma_w, suffix="", noise="noise"):
+    """One draw of the model with Gaussian effects and isotropic noise.
+
+    Labels, effects and noise come from the streams ``(experiment, trial,
+    purpose + suffix)`` with purposes "labels", "effects" and ``noise``.
+    Returns the model parameters and the noisy dataset (which holds the labels).
+    """
+    labels = gen_labels(scheme, n, L, seed.stream(experiment, trial, "labels" + suffix))
+    A = _gaussian_effects(d, L, scale, seed.stream(experiment, trial, "effects" + suffix))
+    params = isotropic_params(np.zeros(d), A, sigma_w)
+    return params, gen_data(labels, params, seed.stream(experiment, trial, noise + suffix))
+
+
 def _draw_pattern(scheme, L, rng):
-    """One label pattern from a scheme: cardinality from the mix, labels a
-    uniform random subset of that size."""
-    if scheme.kind == "single":
-        card = 1
-    elif scheme.kind == "uniform":
-        card = scheme.k
-    else:
-        cards = np.array([c for c, _ in scheme.mix], dtype=np.int64)
-        fracs = np.array([f for _, f in scheme.mix])
-        card = int(cards[rng.choice(len(cards), p=fracs)])
+    """One label pattern from a scheme: cardinality drawn as ``gen_labels``
+    draws it, labels a uniform random subset of that size."""
+    card = int(_draw_cardinalities(scheme, 1, L, rng)[0])
     bits = np.zeros(L, dtype=np.int64)
     bits[rng.choice(L, size=card, replace=False)] = 1
     return bits
@@ -210,6 +205,14 @@ def _signal_dataset(labels, A):
     return build_dataset(X, labels, max_rows=None, max_cols=None)
 
 
+def _noisy_td_error(signal, sigma_w, rng, r, target):
+    """sin of the largest principal angle between ``target`` and the
+    trace-difference frame of ``signal`` plus isotropic noise from ``rng``."""
+    X = signal.X + sigma_w * rng.standard_normal(signal.X.shape)
+    ss = build_scatter(build_dataset(X, signal.labels, max_rows=None))
+    return principal_angle_sin(opt_td(ss, r).frame, target)
+
+
 def _degrees(sin_value):
     return float(np.degrees(np.arcsin(min(1.0, max(0.0, sin_value)))))
 
@@ -219,15 +222,14 @@ def _degrees(sin_value):
 # ---------------------------------------------------------------------------
 
 
-def _run_rank(options, seed, threads):
+def _run_rank(options, seed):
     rows, failures = [], []
     for idx, row_cfg in enumerate(options["rows"]):
         scheme = scheme_from_dict(row_cfg["scheme"])
         n, d, L = int(row_cfg["n"]), int(row_cfg["d"]), int(row_cfg["L"])
-        labels = gen_labels(scheme, n, L, seed.stream("rank", idx, "labels"))
-        A = _gaussian_effects(d, L, options["effect_scale"], seed.stream("rank", idx, "effects"))
-        params = isotropic_params(np.zeros(d), A, float(options["sigma_w"]))
-        ds = gen_data(labels, params, seed.stream("rank", idx, "noise"))
+        _, ds = _instance(
+            seed, "rank", idx, scheme, n, d, L, options["effect_scale"], float(options["sigma_w"])
+        )
         report = rank_analysis(ds, build_scatter(ds))
         expect_rank = row_cfg.get("expect_rank")
         expect_excess = row_cfg.get("expect_excess")
@@ -264,7 +266,7 @@ def _run_rank(options, seed, threads):
 # ---------------------------------------------------------------------------
 
 
-def _run_divergence(options, seed, threads):
+def _run_divergence(options, seed):
     n, d, L, r = (int(options[k]) for k in ("n", "d", "L", "r"))
     trials = int(options["trials"])
     sigma_w = float(options["sigma_w"])
@@ -276,11 +278,8 @@ def _run_divergence(options, seed, threads):
     for si, entry in enumerate(options["settings"]):
         scheme = scheme_from_dict(entry["scheme"])
 
-        def one(t, si=si, scheme=scheme):
-            labels = gen_labels(scheme, n, L, seed.stream("divergence", t, f"labels:{si}"))
-            A = _gaussian_effects(d, L, scale, seed.stream("divergence", t, f"effects:{si}"))
-            params = isotropic_params(np.zeros(d), A, sigma_w)
-            ds = gen_data(labels, params, seed.stream("divergence", t, f"noise:{si}"))
+        def one(t):
+            _, ds = _instance(seed, "divergence", t, scheme, n, d, L, scale, sigma_w, suffix=f":{si}")
             ss = build_scatter(ds)
             defect = commutativity_defect(ss.Sb, ss.St)
             td = opt_td(ss, r)
@@ -300,29 +299,30 @@ def _run_divergence(options, seed, threads):
             margin = dk.angle / dk.bound if 0.0 < dk.bound < 1.0 else 0.0
             return defect, angle_ref, angle_tr, dk.holds, margin
 
-        out = _pmap(one, trials, threads)
-        defects = [o[0] for o in out]
-        ref_deg = [_degrees(o[1]) for o in out]
-        tr_deg = [_degrees(o[2]) for o in out]
-        holds = all(o[3] for o in out)
-        dk_all = dk_all and holds
-        if not holds:
-            bad = sum(1 for o in out if not o[3])
-            failures.append(f"{entry['setting']}: sin-theta bound violated on {bad}/{trials} instances")
+        defects, ref_sin, tr_sin, holds, margins = zip(*[one(t) for t in range(trials)])
+        med_defect = aggregate(defects)["median"]
+        med_ref = aggregate([_degrees(s) for s in ref_sin])["median"]
+        med_tr = aggregate([_degrees(s) for s in tr_sin])["median"]
+        passed = sum(1 for h in holds if h)
+        dk_all = dk_all and passed == trials
+        if passed < trials:
+            failures.append(
+                f"{entry['setting']}: sin-theta bound violated on {trials - passed}/{trials} instances"
+            )
         rows.append(
             {
                 "Setting": entry["setting"],
-                "Comm_defect": aggregate(defects)["median"],
-                "angle_TD_TD0_deg": aggregate(ref_deg)["median"],
-                "angle_TD_TR_deg": aggregate(tr_deg)["median"],
-                "dk_pass_rate": sum(1 for o in out if o[3]) / trials,
+                "Comm_defect": med_defect,
+                "angle_TD_TD0_deg": med_ref,
+                "angle_TD_TR_deg": med_tr,
+                "dk_pass_rate": passed / trials,
             }
         )
         qualitative[entry["setting"]] = {
-            "median_defect": aggregate(defects)["median"],
-            "median_angle_TD_TD0_deg": aggregate(ref_deg)["median"],
-            "median_angle_TD_TR_deg": aggregate(tr_deg)["median"],
-            "max_dk_margin": max(o[4] for o in out),
+            "median_defect": med_defect,
+            "median_angle_TD_TD0_deg": med_ref,
+            "median_angle_TD_TR_deg": med_tr,
+            "max_dk_margin": max(margins),
             "single_label": scheme.kind == "single",
         }
 
@@ -354,7 +354,7 @@ def _run_divergence(options, seed, threads):
 # ---------------------------------------------------------------------------
 
 
-def _run_distance(options, seed, threads):
+def _run_distance(options, seed):
     n, d, L = (int(options[k]) for k in ("n", "d", "L"))
     pairs, draws = int(options["pairs"]), int(options["draws"])
     sigma_w = float(options["sigma_w"])
@@ -367,17 +367,13 @@ def _run_distance(options, seed, threads):
     ok_all = True
     for si, entry in enumerate(options["settings"]):
         scheme = scheme_from_dict(entry["scheme"])
-        labels = gen_labels(scheme, n, L, seed.stream("distance", si, "labels"))
-        A = _gaussian_effects(d, L, scale, seed.stream("distance", si, "effects"))
-        params = isotropic_params(np.zeros(d), A, sigma_w)
-        ds = gen_data(labels, params, seed.stream("distance", si, "fit-noise"))
-        ss = build_scatter(ds)
-        W = top_eigenspace(ss.Sb, r).frame.columns
-        Sigma_w = params.Sigma_w
+        params, ds = _instance(seed, "distance", si, scheme, n, d, L, scale, sigma_w, noise="fit-noise")
+        labels, A, Sigma_w = ds.labels, params.A, params.Sigma_w
+        W = top_eigenspace(build_scatter(ds).Sb, r).frame.columns
         rng_pairs = seed.stream("distance", si, "pairs")
         pair_idx = [rng_pairs.choice(n, size=2, replace=False) for _ in range(pairs)]
 
-        def one(p, si=si, labels=labels, A=A, W=W, Sigma_w=Sigma_w, pair_idx=pair_idx):
+        def one(p):
             i, j = pair_idx[p]
             y_i, y_j = labels.bits[i], labels.bits[j]
             budget = distance_budget(W, A, y_i, y_j, Sigma_w)
@@ -394,7 +390,7 @@ def _run_distance(options, seed, threads):
             jaccard_ok = mean >= budget.C_w + jac["weakened"] - tol
             return hamming_ok, jaccard_ok
 
-        out = _pmap(one, pairs, threads)
+        out = [one(p) for p in range(pairs)]
         ham_rate = sum(1 for o in out if o[0]) / pairs
         jac_rate = sum(1 for o in out if o[1]) / pairs
         ok = ham_rate >= min_rate and jac_rate >= min_rate
@@ -422,7 +418,7 @@ def _run_distance(options, seed, threads):
 # ---------------------------------------------------------------------------
 
 
-def _run_convergence(options, seed, threads):
+def _run_convergence(options, seed):
     d, L = int(options["d"]), int(options["L"])
     sigma_w = float(options["sigma_w"])
     trials = int(options["trials"])
@@ -432,15 +428,15 @@ def _run_convergence(options, seed, threads):
 
     A = _structured_effects(d, L, options["singular_values"], seed.stream("convergence", 0, "effects"))
 
-    labels_by_n, signal_by_n = {}, {}
-    for n in ns:
-        labels = gen_labels(scheme, n, L, seed.stream("convergence", n, "labels"))
-        labels_by_n[n] = labels
-        signal_by_n[n] = _signal_dataset(labels, A)
+    signal_by_n = {
+        n: _signal_dataset(gen_labels(scheme, n, L, seed.stream("convergence", n, "labels")), A)
+        for n in ns
+    }
+    signal_ss = {n: build_scatter(ds) for n, ds in signal_by_n.items()}
 
     # adaptive target rank from the per-sample spectral gaps at the largest n
     n_ref = ns[-1]
-    ss_ref = build_scatter(signal_by_n[n_ref])
+    ss_ref = signal_ss[n_ref]
     ref_vals = sym_eig(2.0 * ss_ref.Sb - ss_ref.St_ml).values
     per_sample_gaps = (ref_vals[:-1] - ref_vals[1:]) / n_ref
     above = np.nonzero(per_sample_gaps > threshold)[0]
@@ -457,26 +453,13 @@ def _run_convergence(options, seed, threads):
         return columns, [], {"criterion_convergence": False}, summary
     r = int(above.max()) + 1
 
-    targets = {}
-    for n in ns:
-        ss_sig = build_scatter(signal_by_n[n])
-        targets[n] = top_eigenspace(2.0 * ss_sig.Sb - ss_sig.St_ml, r).frame
+    targets = {n: opt_td(ss, r).frame for n, ss in signal_ss.items()}
 
     rows = []
     medians = []
     for n in ns:
-        labels = labels_by_n[n]
-        X_sig = signal_by_n[n].X
-
-        def one(t, n=n, labels=labels, X_sig=X_sig):
-            rng = seed.stream("convergence", t, f"noise:{n}")
-            X = X_sig + sigma_w * rng.standard_normal(X_sig.shape)
-            ss = build_scatter(build_dataset(X, labels, max_rows=None))
-            est = top_eigenspace(2.0 * ss.Sb - ss.St_ml, r).frame
-            return principal_angle_sin(est, targets[n])
-
-        errs = _pmap(one, trials, threads)
-        agg = aggregate(errs)
+        noise = (seed.stream("convergence", t, f"noise:{n}") for t in range(trials))
+        agg = aggregate([_noisy_td_error(signal_by_n[n], sigma_w, rng, r, targets[n]) for rng in noise])
         medians.append(agg["median"])
         rows.append(
             {
@@ -518,7 +501,7 @@ def _run_convergence(options, seed, threads):
 # ---------------------------------------------------------------------------
 
 
-def _run_factors(options, seed, threads):
+def _run_factors(options, seed):
     d, L, n = int(options["d"]), int(options["L"]), int(options["n"])
     sigma_w = float(options["sigma_w"])
     trials = int(options["trials"])
@@ -536,22 +519,18 @@ def _run_factors(options, seed, threads):
         k_max = int(entry["k_max"])
         denom = (sigma_w * norm_A + sigma_w ** 2 * k_max) * rate
 
-        def one(t, si=si, scheme=scheme, denom=denom):
+        def one(t):
             labels = gen_labels(scheme, n, L, seed.stream("factors", t, f"labels:{si}"))
             ds_sig = _signal_dataset(labels, A)
-            ss_sig = build_scatter(ds_sig)
-            target = top_eigenspace(2.0 * ss_sig.Sb - ss_sig.St_ml, r)
+            target = opt_td(build_scatter(ds_sig), r)
             rng = seed.stream("factors", t, f"noise:{si}")
-            X = ds_sig.X + sigma_w * rng.standard_normal((n, d))
-            ss = build_scatter(build_dataset(X, labels, max_rows=None))
-            est = top_eigenspace(2.0 * ss.Sb - ss.St_ml, r).frame
-            err = principal_angle_sin(est, target.frame)
+            err = _noisy_td_error(ds_sig, sigma_w, rng, r, target.frame)
             return err, target.gap, err * target.gap / denom
 
-        out = _pmap(one, trials, threads)
-        med_err = aggregate([o[0] for o in out])["median"]
-        med_gap = aggregate([o[1] for o in out])["median"]
-        med_ratio = aggregate([o[2] for o in out])["median"]
+        errs, gap_vals, ratios = zip(*[one(t) for t in range(trials)])
+        med_err = aggregate(errs)["median"]
+        med_gap = aggregate(gap_vals)["median"]
+        med_ratio = aggregate(ratios)["median"]
         med_errs.append(med_err)
         med_ratios.append(med_ratio)
         rows.append(
@@ -571,7 +550,8 @@ def _run_factors(options, seed, threads):
     # both population scatter matrices by the square of the factor, so the
     # generalized gap is untouched while the absolute gap picks the factor up
     c = float(options["scale_factor"])
-    dist = scheme_distribution(scheme_from_dict(options["kmax_settings"][1]["scheme"]), L)
+    scheme_multi = scheme_from_dict(options["kmax_settings"][1]["scheme"])
+    dist = scheme_distribution(scheme_multi, L)
     pop_1 = population_scatters(isotropic_params(np.zeros(d), A, sigma_w), dist)
     pop_c = population_scatters(isotropic_params(np.zeros(d), c * A, c * sigma_w), dist)
     g_1, g_c = gaps(pop_1, r), gaps(pop_c, r)
@@ -606,16 +586,15 @@ def _run_factors(options, seed, threads):
         pop = population_scatters(params_c, dist)
         kappa_values.append(gaps(pop, r).kappa_St_inf)
         W_pop = orthonormalize(opt_stml(pop.Sb_inf, pop.St_inf, r).columns)
-        scheme_multi = scheme_from_dict(options["kmax_settings"][1]["scheme"])
 
-        def one(t, ci=ci, params_c=params_c, W_pop=W_pop, scheme_multi=scheme_multi):
+        def one(t):
             labels = gen_labels(scheme_multi, n, L, seed.stream("factors", t, f"kappa-labels:{ci}"))
             ds = gen_data(labels, params_c, seed.stream("factors", t, f"kappa-noise:{ci}"), max_rows=None)
             ss = build_scatter(ds)
             est = orthonormalize(opt_stml(ss.Sb, ss.St_ml, r).columns)
             return principal_angle_sin(est, W_pop)
 
-        out = _pmap(one, int(options["kappa_trials"]), threads)
+        out = [one(t) for t in range(int(options["kappa_trials"]))]
         kappa_medians.append(aggregate(out)["median"])
     kappa_co_moves = all(
         (k2 >= k1) == (m2 >= m1)
@@ -666,7 +645,7 @@ def _run_factors(options, seed, threads):
 # ---------------------------------------------------------------------------
 
 
-def _run_concentration(options, seed, threads):
+def _run_concentration(options, seed):
     d, L, r = int(options["d"]), int(options["L"]), int(options["r"])
     pairs, draws = int(options["pairs"]), int(options["draws"])
     sigma_w = float(options["sigma_w"])
@@ -702,10 +681,10 @@ def _run_concentration(options, seed, threads):
         psi_norm = float(np.linalg.norm(params_tail.Psi, 2))
         return covered, lin, quad, Z, lin_var_target, psi_norm
 
-    out = _pmap(one, pairs, threads)
+    covered, lin, quad, Z, lin_var, psi_norms = zip(*[one(p) for p in range(pairs)])
 
     total = pairs * draws
-    coverage = [sum(o[0][k] for o in out) / total for k in range(len(deltas))]
+    coverage = [sum(c[k] for c in covered) / total for k in range(len(deltas))]
     rows = [
         {"delta": deltas[k], "nominal": 1.0 - deltas[k], "coverage": coverage[k]}
         for k in range(len(deltas))
@@ -713,11 +692,9 @@ def _run_concentration(options, seed, threads):
     coverage_ok = all(coverage[k] >= 1.0 - deltas[k] for k in range(len(deltas)))
 
     # pooled component diagnostics on the same draws
-    lin_unit = np.concatenate(
-        [o[1] / math.sqrt(o[4]) for o in out if o[4] > 0.0]
-    )
-    quad_all = np.concatenate([o[2] for o in out])
-    Z_all = np.concatenate([o[3] for o in out])
+    lin_unit = np.concatenate([x / math.sqrt(v) for x, v in zip(lin, lin_var) if v > 0.0])
+    quad_all = np.concatenate(quad)
+    Z_all = np.concatenate(Z)
     var_ratio = float(np.mean(lin_unit ** 2))
     var_ok = abs(var_ratio - 1.0) <= float(options["variance_rel_tol"])
     lin_t = abs(float(lin_unit.mean())) * math.sqrt(lin_unit.size)
@@ -728,7 +705,7 @@ def _run_concentration(options, seed, threads):
     q95, q99 = (float(np.quantile(abs_Z, q)) for q in (0.95, 0.99))
     q_ratio = q99 / q95
     q_ok = q_ratio <= float(options["quantile_ratio_max"])
-    psi_bound_ok = all(o[5] <= (1.0 + 1e-10) / lam_min_st for o in out)
+    psi_bound_ok = all(v <= (1.0 + 1e-10) / lam_min_st for v in psi_norms)
 
     failures = []
     for k, cov in enumerate(coverage):
@@ -765,7 +742,7 @@ def _run_concentration(options, seed, threads):
 # ---------------------------------------------------------------------------
 
 
-def _run_interaction(options, seed, threads):
+def _run_interaction(options, seed):
     n, d, L = (int(options[k]) for k in ("n", "d", "L"))
     pairs, draws = int(options["pairs"]), int(options["draws"])
     sigma_w = float(options["sigma_w"])
@@ -795,13 +772,12 @@ def _run_interaction(options, seed, threads):
 
     rng_pairs = seed.stream("interaction", 0, "pairs")
     pair_idx = [rng_pairs.choice(n, size=2, replace=False) for _ in range(pairs)]
-    from ..synth import pair_products
 
     rows, failures = [], []
     rates = {}
     for ai, alpha in enumerate(alphas):
 
-        def one(p, ai=ai, alpha=alpha):
+        def one(p):
             i, j = pair_idx[p]
             y_i, y_j = labels.bits[i], labels.bits[j]
             z_diff = (pair_products(y_i) - pair_products(y_j)).astype(float)
@@ -819,7 +795,7 @@ def _run_interaction(options, seed, threads):
             corrected_ok = budget.lower - widen - tol <= mean <= budget.upper + widen + tol
             return naive_ok, corrected_ok
 
-        out = _pmap(one, pairs, threads)
+        out = [one(p) for p in range(pairs)]
         naive_rate = sum(1 for o in out if o[0]) / pairs
         corrected_rate = sum(1 for o in out if o[1]) / pairs
         rates[alpha] = (naive_rate, corrected_rate)
@@ -856,7 +832,7 @@ def _run_interaction(options, seed, threads):
 # ---------------------------------------------------------------------------
 
 
-def _run_regularization(options, seed, threads):
+def _run_regularization(options, seed):
     n, d, L = (int(options[k]) for k in ("n", "d", "L"))
     trials = int(options["trials"])
     sigma_w = float(options["sigma_w"])
@@ -866,14 +842,10 @@ def _run_regularization(options, seed, threads):
     gap_tol = float(options["gap_match_tol"])
     r = L
 
-    def one(t):
-        labels = gen_labels(scheme, n, L, seed.stream("regularization", t, "labels"))
-        A = _gaussian_effects(d, L, scale, seed.stream("regularization", t, "effects"))
-        params = isotropic_params(np.zeros(d), A, sigma_w)
-        ds = gen_data(labels, params, seed.stream("regularization", t, "noise"))
-        return regularization_report(build_scatter(ds), gammas, r)
-
-    reports = _pmap(one, trials, threads)
+    reports = []
+    for t in range(trials):
+        _, ds = _instance(seed, "regularization", t, scheme, n, d, L, scale, sigma_w)
+        reports.append(regularization_report(build_scatter(ds), gammas, r))
 
     ranks = {row.rank_sb for rep in reports for row in rep}
     rank_ok = ranks == {L}
@@ -949,9 +921,7 @@ def run(config):
         raise ConfigError(f"unknown experiment {config.experiment!r}")
     start = time.perf_counter()
     seed = Seed(config.seed)
-    columns, rows, passes, summary = _RUNNERS[config.experiment](
-        config.options, seed, config.threads
-    )
+    columns, rows, passes, summary = _RUNNERS[config.experiment](config.options, seed)
     wall = time.perf_counter() - start
     return ExperimentReport(
         experiment=config.experiment,
@@ -966,8 +936,10 @@ def run(config):
 
 
 def all_configs(config):
-    """The configs ``run_all`` runs: every experiment at its defaults, with
-    the seed, output directory and threads of ``config``."""
+    """The configs ``run_all`` runs, in ``EXPERIMENTS`` order: every
+    experiment at its defaults, with the seed and output directory of
+    ``config``. Each experiment draws only from its own streams, so the
+    order changes no number."""
     import copy
 
     return [
@@ -975,7 +947,6 @@ def all_configs(config):
             experiment=name,
             seed=config.seed,
             out_dir=config.out_dir,
-            threads=config.threads,
             options=copy.deepcopy(DEFAULTS[name]),
         )
         for name in EXPERIMENTS
@@ -983,5 +954,6 @@ def all_configs(config):
 
 
 def run_all(config):
-    """Run every experiment at its defaults (seed/out/threads shared)."""
+    """Run every experiment at its defaults, one after another in
+    ``EXPERIMENTS`` order (seed and output directory shared)."""
     return [run(sub) for sub in all_configs(config)]

@@ -2,7 +2,7 @@
 
 Random streams are keyed by (experiment, trial, purpose) through numpy's
 SeedSequence spawn keys, so any draw can be replayed bit-identically no
-matter how trials are scheduled across threads.
+matter in which order the trials run.
 """
 
 import zlib
@@ -89,11 +89,11 @@ def _stream_id(token):
 
 @dataclass(frozen=True)
 class Seed:
-    """Base seed with derived, schedule-independent substreams.
+    """Base seed with derived, order-independent substreams.
 
     ``stream(experiment, trial, purpose)`` returns a fresh Generator whose
     state depends only on (base, experiment, trial, purpose) - identical
-    across runs, platforms, and thread schedules.
+    across runs and platforms, whatever was drawn before it.
     """
 
     base: int

@@ -1,5 +1,5 @@
 """Harness tests: aggregation rules, config resolution, determinism of the
-experiment tables across thread counts, and CLI exit codes."""
+experiment tables and of their random streams, and CLI exit codes."""
 
 import json
 import os
@@ -92,81 +92,92 @@ def test_package_exports_load_on_access():
 
 
 def test_defaults_resolved():
-    cfg = build_config("rank", None, None, None, None, None)
+    cfg = build_config("rank", None, None, None, None)
     assert cfg.experiment == "rank"
     assert cfg.seed == DEFAULT_SEED
-    assert cfg.threads == 1
     assert cfg.options == DEFAULTS["rank"]
 
 
 def test_file_and_cli_precedence(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"experiment": "distance", "seed": 7, "pairs": 11}))
-    cfg = build_config("distance", str(path), None, None, None, None)
+    cfg = build_config("distance", str(path), None, None, None)
     assert cfg.seed == 7
     assert cfg.options["pairs"] == 11
     # CLI seed beats the file's
-    cfg2 = build_config("distance", str(path), 99, None, None, 3)
-    assert cfg2.seed == 99 and cfg2.threads == 3
+    cfg2 = build_config("distance", str(path), 99, None, None)
+    assert cfg2.seed == 99
     # nested options form works too
     path.write_text(json.dumps({"experiment": "distance", "options": {"pairs": 13}}))
-    assert build_config("distance", str(path), None, None, None, None).options["pairs"] == 13
+    assert build_config("distance", str(path), None, None, None).options["pairs"] == 13
 
 
 def test_trials_flag_mapping(tmp_path):
-    cfg = build_config("divergence", None, None, None, 17, None)
+    cfg = build_config("divergence", None, None, None, 17)
     assert cfg.options["trials"] == 17
-    cfg = build_config("concentration", None, None, None, 150, None)
+    cfg = build_config("concentration", None, None, None, 150)
     assert cfg.options["draws"] == 150
     with pytest.raises(ConfigError):
-        build_config("rank", None, None, None, 5, None)  # rank has no trial count
+        build_config("rank", None, None, None, 5)  # rank has no trial count
 
 
 def test_config_errors(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"experiment": "rank", "bogus_key": 1}))
     with pytest.raises(ConfigError):
-        build_config("rank", str(path), None, None, None, None)
+        build_config("rank", str(path), None, None, None)
     path.write_text(json.dumps({"experiment": "distance"}))
     with pytest.raises(ConfigError):
-        build_config("rank", str(path), None, None, None, None)  # wrong experiment
+        build_config("rank", str(path), None, None, None)  # wrong experiment
     path.write_text("{not json")
     with pytest.raises(ConfigError):
-        build_config("rank", str(path), None, None, None, None)
+        build_config("rank", str(path), None, None, None)
     with pytest.raises(ConfigError):
-        build_config("rank", None, -3, None, None, None)  # bad seed
+        build_config("rank", None, -3, None, None)  # bad seed
     with pytest.raises(ConfigError):
-        build_config("rank", None, None, None, None, 0)  # bad threads
-    with pytest.raises(ConfigError):
-        build_config("nonesuch", None, None, None, None, None)
+        build_config("nonesuch", None, None, None, None)
 
 
 def test_all_config_restricted(tmp_path):
     path = tmp_path / "all.json"
     path.write_text(json.dumps({"experiment": "all", "seed": 5}))
-    cfg = build_config("all", str(path), None, None, None, None)
+    cfg = build_config("all", str(path), None, None, None)
     assert cfg.seed == 5
     path.write_text(json.dumps({"experiment": "all", "pairs": 10}))
     with pytest.raises(ConfigError):
-        build_config("all", str(path), None, None, None, None)
+        build_config("all", str(path), None, None, None)
 
 
 def test_digest_covers_results_only(tmp_path):
-    a = build_config("rank", None, 5, str(tmp_path / "x"), None, 1)
-    b = build_config("rank", None, 5, str(tmp_path / "y"), None, 4)
-    assert a.digest() == b.digest()  # out_dir/threads do not affect results
-    c = build_config("rank", None, 6, str(tmp_path / "x"), None, 1)
+    a = build_config("rank", None, 5, str(tmp_path / "x"), None)
+    b = build_config("rank", None, 5, str(tmp_path / "y"), None)
+    assert a.digest() == b.digest()  # out_dir does not affect results
+    c = build_config("rank", None, 6, str(tmp_path / "x"), None)
     assert a.digest() != c.digest()
+
+
+def test_threads_is_not_a_setting(tmp_path):
+    # trials always run in order; build_config takes threads=1 only for the
+    # benchmark's worker, and no config file may set it
+    assert build_config("rank", threads=1).options == DEFAULTS["rank"]
+    for bad in (2, 0, True):
+        with pytest.raises(ConfigError):
+            build_config("rank", threads=bad)
+    path = tmp_path / "c.json"
+    for experiment in ("rank", "all"):
+        path.write_text(json.dumps({"experiment": experiment, "threads": 1}))
+        with pytest.raises(ConfigError, match="threads"):
+            build_config(experiment, str(path))
 
 
 def test_dimension_validation(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"experiment": "divergence", "n": 0}))
     with pytest.raises(ConfigError):
-        build_config("divergence", str(path), None, None, None, None)
+        build_config("divergence", str(path), None, None, None)
     path.write_text(json.dumps({"experiment": "divergence", "n": 3, "L": 8}))
     with pytest.raises(ConfigError):  # n >= L required
-        build_config("divergence", str(path), None, None, None, None)
+        build_config("divergence", str(path), None, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -174,23 +185,8 @@ def test_dimension_validation(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_reports_byte_identical_across_threads(tmp_path):
-    # divergence maps its trials through the thread pool (rank never does)
-    paths = []
-    for threads, sub in ((1, "one"), (2, "two")):
-        cfg = build_config("divergence", None, 77, str(tmp_path / sub), 3, threads)
-        report = run(cfg)
-        csv_path, json_path = write_report(report, cfg.out_dir)
-        paths.append((csv_path, json_path))
-    with open(paths[0][0], "rb") as f:
-        first = f.read()
-    with open(paths[1][0], "rb") as f:
-        second = f.read()
-    assert first == second and len(first) > 0
-
-
 def test_rerun_is_deterministic(tmp_path):
-    cfg = build_config("rank", None, 31, str(tmp_path), None, 1)
+    cfg = build_config("rank", None, 31, str(tmp_path), None)
     r1 = run(cfg)
     r2 = run(cfg)
     assert r1.rows == r2.rows
@@ -198,7 +194,7 @@ def test_rerun_is_deterministic(tmp_path):
 
 
 def test_report_files_and_formatting(tmp_path):
-    cfg = build_config("rank", None, DEFAULT_SEED, str(tmp_path), None, 1)
+    cfg = build_config("rank", None, DEFAULT_SEED, str(tmp_path), None)
     report = run(cfg)
     csv_path, json_path = write_report(report, str(tmp_path))
     assert os.path.basename(csv_path) == "rank.csv"
@@ -269,15 +265,11 @@ def test_cli_config_error_exit_two(tmp_path):
     assert not (tmp_path / "rank.csv").exists()
 
 
-def test_cli_threads_env_fallback(tmp_path):
-    a = _cli(["rank", "--out", str(tmp_path / "a")], env_extra={"MLDA_THREADS": "2"})
-    b = _cli(["rank", "--out", str(tmp_path / "b")])
-    assert a.returncode == 0 and b.returncode == 0
-    assert (tmp_path / "a" / "rank.csv").read_bytes() == (
-        tmp_path / "b" / "rank.csv"
-    ).read_bytes()
-    bad = _cli(["rank", "--out", str(tmp_path / "c")], env_extra={"MLDA_THREADS": "x"})
-    assert bad.returncode == 2
+def test_cli_has_no_threads_flag(tmp_path):
+    proc = _cli(["rank", "--threads", "2", "--out", str(tmp_path)])
+    assert proc.returncode == 2
+    assert "--threads" in proc.stderr
+    assert not (tmp_path / "rank.csv").exists()
 
 
 def test_cli_gap_below_threshold_is_criterion_failure(tmp_path):
@@ -417,19 +409,81 @@ def test_stream_purposes_have_distinct_ids(tmp_path, monkeypatch):
         "interaction": {"pairs": 10, "draws": 10},
     }
     assert set(quick) == set(DEFAULTS)
-    tokens = set()
+    purposes = {}
     stream = Seed.stream
 
     def recording(self, experiment, trial, purpose):
-        tokens.update(t for t in (experiment, purpose) if isinstance(t, str))
+        purposes.setdefault(experiment, set()).add(purpose)
         return stream(self, experiment, trial, purpose)
 
     monkeypatch.setattr(Seed, "stream", recording)
     for name, counts in quick.items():
-        cfg = build_config(name, None, DEFAULT_SEED, str(tmp_path), None, 1)
+        cfg = build_config(name, None, DEFAULT_SEED, str(tmp_path), None)
         options = {**cfg.options, **counts}
         validate_options(name, options)
         run(dataclasses.replace(cfg, options=options))
-    assert set(DEFAULTS) <= tokens
+    # the stream names are part of the output: renaming one changes every
+    # number drawn from it, so they are pinned here one by one
+    assert purposes == {
+        "rank": {"labels", "effects", "noise"},
+        "divergence": {
+            "labels:0", "labels:1", "labels:2", "labels:3", "labels:4",
+            "effects:0", "effects:1", "effects:2", "effects:3", "effects:4",
+            "noise:0", "noise:1", "noise:2", "noise:3", "noise:4",
+        },
+        "distance": {"labels", "effects", "fit-noise", "pairs", "draws:0", "draws:1", "draws:2"},
+        "convergence": {
+            "effects", "labels", "noise:50", "noise:100", "noise:200", "noise:500", "noise:1000",
+            "noise:2000", "noise:5000", "noise:10000", "noise:20000",
+        },
+        "factors": {
+            "effects", "labels:0", "labels:1", "labels:2", "noise:0", "noise:1", "noise:2",
+            "gamma-single", "gamma-multi", "kappa-labels:0", "kappa-labels:1",
+            "kappa-noise:0", "kappa-noise:1",
+        },
+        "concentration": {"effects", "pair", "draws"},
+        "interaction": {
+            "labels", "effects", "inter", "fit-noise", "pairs",
+            "draws:0", "draws:1", "draws:2", "draws:3", "draws:4",
+        },
+        "regularization": {"labels", "effects", "noise"},
+    }
+    tokens = set(purposes).union(*purposes.values())
     ids = {zlib.crc32(t.encode("utf-8")) for t in tokens}
     assert len(ids) == len(tokens)
+
+
+def _draw_pattern_oracle(scheme, L, rng):
+    """The concentration experiment's former inline pattern draw: one scalar
+    ``choice`` for the cardinality, then a uniform subset of that size."""
+    if scheme.kind == "single":
+        card = 1
+    elif scheme.kind == "uniform":
+        card = scheme.k
+    else:
+        cards = np.array([c for c, _ in scheme.mix], dtype=np.int64)
+        fracs = np.array([f for _, f in scheme.mix])
+        card = int(cards[rng.choice(len(cards), p=fracs)])
+    bits = np.zeros(L, dtype=np.int64)
+    bits[rng.choice(L, size=card, replace=False)] = 1
+    return bits
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [{"kind": "single"}, {"kind": "uniform", "k": 3},
+     {"kind": "variable", "mix": [[1, 0.5], [2, 0.3], [4, 0.2]]}],
+)
+def test_draw_pattern_matches_inline_draw(spec):
+    from mlda.harness.config import scheme_from_dict
+    from mlda.harness.experiments import _draw_pattern
+    from mlda.synth import Seed
+
+    scheme, L, seed = scheme_from_dict(spec), 6, Seed(11)
+    for p in range(500):
+        new, old = seed.stream("pattern", p, "a"), seed.stream("pattern", p, "a")
+        # two patterns per stream, as the concentration experiment draws them
+        for _ in range(2):
+            expected = _draw_pattern_oracle(scheme, L, old)
+            np.testing.assert_array_equal(_draw_pattern(scheme, L, new), expected)
+        assert new.random() == old.random()  # both left the stream at the same state

@@ -291,6 +291,37 @@ def test_model_validation():
         population_scatters(singular, label_moments([([1, 0], 0.5), ([0, 1], 0.5)]))
 
 
+def test_model_diagonal_covariance_skips_eigvalsh(monkeypatch):
+    # a diagonal Sigma_w reads its spectrum off the diagonal; the PSD check
+    # and the default sigma must match what the full eigvalsh route gives
+    rng = np.random.default_rng(5)
+    cases = [np.diag(rng.uniform(0.0, 1.0, 7) * 10.0 ** rng.integers(-6, 7, 7)),
+             np.diag([0.0, 2.5, 0.0]), 0.49 * np.eye(4), np.zeros((3, 3))]
+    expected = [ModelParams(np.zeros(S.shape[0]), np.ones((S.shape[0], 2)), S).sigma for S in cases]
+
+    def forbidden(S):
+        raise AssertionError("eigvalsh called on a diagonal covariance")
+
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    for S, sigma in zip(cases, expected):
+        params = ModelParams(np.zeros(S.shape[0]), np.ones((S.shape[0], 2)), S)
+        assert params.sigma == sigma == float(np.sqrt(eigvalsh(S).max()))
+    assert isotropic_params(np.zeros(5), np.ones((5, 2)), 0.7).sigma == float(np.sqrt(0.7 ** 2))
+    with pytest.raises(InvalidCovariance):
+        ModelParams(np.zeros(2), np.eye(2), Sigma_w=np.diag([1.0, -1e-3]))
+
+    # a non-diagonal covariance still goes through eigvalsh and still rejects
+    # a negative eigenvalue that no diagonal entry shows
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda S: calls.append(S) or eigvalsh(S))
+    with pytest.raises(InvalidCovariance):
+        ModelParams(np.zeros(2), np.eye(2), Sigma_w=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert len(calls) == 1
+    params = ModelParams(np.zeros(2), np.eye(2), Sigma_w=np.array([[2.0, 1.0], [1.0, 2.0]]))
+    assert len(calls) == 2 and params.sigma == pytest.approx(np.sqrt(3.0), rel=1e-15)
+
+
 def test_whiten_inverse_sqrt_errors():
     with pytest.raises(SingularTotalScatter):
         whiten_inverse_sqrt(np.diag([1.0, 0.0]))
