@@ -121,7 +121,12 @@ def theta_form(theta):
     j_td.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.size == 0 or theta.min() < -THETA_DUST or theta.max() >= 1:
+    if (
+        theta.size == 0
+        or not np.all(np.isfinite(theta))
+        or theta.min() < -THETA_DUST
+        or theta.max() >= 1
+    ):
         raise InvalidInput(f"theta must lie in [0, 1), got {theta}")
     theta = np.where(theta < 0, 0.0, theta)
     r = theta.size
@@ -353,12 +358,15 @@ def davis_kahan_check(U_hat, U_ref, pert_norm, gap):
     """Check a sin-theta perturbation bound: angle <= pert_norm / gap.
 
     ``holds`` is vacuously true when the bound exceeds one (the sine of any
-    angle is at most one).
+    angle is at most one). An infinite gap (a cut at r = d) is valid; a NaN
+    gap, or a perturbation norm that is NaN, infinite or negative, is not.
     """
+    if np.isnan(gap):
+        raise InvalidInput(f"gap must be a number, got {gap}")
     if gap <= 0:
         raise InvalidGap(f"need a positive gap, got {gap}")
-    if pert_norm < 0:
-        raise InvalidInput(f"perturbation norm must be >= 0, got {pert_norm}")
+    if not (np.isfinite(pert_norm) and pert_norm >= 0):
+        raise InvalidInput(f"perturbation norm must be finite and >= 0, got {pert_norm}")
     angle = principal_angle_sin(U_hat, U_ref)
     bound = pert_norm / gap
     holds = bool(angle <= bound * (1 + 1e-8) or bound >= 1.0)
@@ -384,7 +392,9 @@ class RegularizationRow:
 def regularization_report(ss, gammas, r):
     """Ridge sweep: rank of Sb, condition of Sw + gamma I, TD gap at r.
 
-    The between-scatter rank never depends on gamma; the trace-difference
+    The between-scatter rank never depends on gamma; it is counted from the
+    d x L factor M of Sb = M M^T, whose squared singular values are those of
+    Sb, with the cutoff ``numeric_rank(Sb)`` applies. The trace-difference
     matrix merely shifts by -gamma I, so its gap at any cut is unchanged
     (each row recomputes it from a fresh eigenvalue solve as a check); the
     condition number strictly improves as gamma grows (unless Sw is already
@@ -397,7 +407,8 @@ def regularization_report(ss, gammas, r):
         raise InvalidInput(f"gammas must be >= 0: {gammas}")
     if any(b <= a for a, b in zip(gammas, gammas[1:])):
         raise InvalidInput(f"gammas must be strictly increasing: {gammas}")
-    rank_sb = numeric_rank(ss.Sb)
+    sv2 = np.linalg.svd(ss.M, compute_uv=False) ** 2
+    rank_sb = int(np.count_nonzero(sv2 > ss.M.shape[0] * np.finfo(float).eps * sv2[0]))
     sw_vals = np.linalg.eigvalsh(ss.Sw)
     lam_min, lam_max = float(sw_vals[0]), float(sw_vals[-1])
     C = 2.0 * ss.Sb - ss.St_ml

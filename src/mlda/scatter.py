@@ -18,8 +18,12 @@ on disagreement:
   blocks) against Xc^T diag(k) Xc from the globally centred rows;
 * Sb from the label means against M M^T, with M from Xc and the 0/1 label
   matrix;
-* Sb, Sw and R have no eigenvalue below minus a tolerance (or a rounding-dust
-  floor scaled to St_ml);
+* Sb, Sw and R are positive semidefinite up to a floor: a Cholesky factor of
+  each, shifted just below the floor, certifies that no eigenvalue lies below
+  minus a tolerance (or a rounding-dust floor scaled to ||St_ml||_2, which
+  ``build_scatter`` computes once and carries on the ScatterSet);
+* in ``build_dataset``, the feature magnitude stays below the level at which
+  the scatters' squared Frobenius norms would overflow;
 * in ``build_dataset``, the column sums of the centred rows vanish up to
   rounding (centring drift).
 """
@@ -189,13 +193,21 @@ def build_dataset(X, labels, max_rows=MAX_ROWS, max_cols=MAX_COLS):
         raise InvalidInput(f"d={X.shape[1]} exceeds dense cap {max_cols}; pass max_cols=None")
 
     n, d = X.shape
+    # centred entries are at most 2 max|X|, so a scatter entry is at most
+    # 4 K max|X|^2 and a scatter's squared Frobenius norm at most
+    # (4 K d max|X|^2)^2; this bound keeps that 16 times below the largest
+    # double
+    peak = max(X.max(), -X.min())
+    bound = np.finfo(float).max ** 0.25 / (4.0 * np.sqrt(labels.K * d))
+    if peak > bound:
+        raise InvalidInput(
+            f"feature magnitude {peak:.3e} exceeds {bound:.3e}; the scatters would overflow"
+        )
+
     ones = np.ones(n)
     mu, Xc = _centre(X, ones)
     drift = np.linalg.norm(ones @ Xc)
-    limit = 1e-8 * n
-    # the scale factor max(1, max|X|) can only raise the limit, so it is
-    # needed only when the drift already exceeds the unscaled limit
-    if drift > limit and drift > limit * max(1.0, np.abs(X).max()):
+    if drift > 1e-8 * n * max(1.0, peak):
         raise InvariantViolation(f"centering drift {drift:.3e} too large")
 
     mu_ell = np.empty((labels.L, d))
@@ -224,6 +236,10 @@ class ScatterSet:
         St_ml - St, the PSD cardinality excess (zero for single-label data).
     M : (d, L) ndarray
         Factor with Sb = M M^T, namely Xc^T Y diag(n_ell)^{-1/2}.
+    st_ml_norm : float
+        ||St_ml||_2, the largest eigenvalue of St_ml = B^T B with
+        B = diag(sqrt(k)) Xc. When n < d it is read off the n x n Gram
+        B B^T, which has the same nonzero eigenvalues; otherwise off St_ml.
     """
 
     Sb: np.ndarray
@@ -232,6 +248,7 @@ class ScatterSet:
     St: np.ndarray
     R: np.ndarray
     M: np.ndarray
+    st_ml_norm: float
 
 
 def _rel_defect(lhs, rhs, scale=0.0):
@@ -275,20 +292,74 @@ def build_scatter(ds):
             f"between-scatter factorization defect {factor_defect:.3e}"
         )
 
+    # St_ml = B^T B with B = diag(sqrt(k)) Xc, and B B^T has the same nonzero
+    # eigenvalues, so the smaller Gram gives ||St_ml||_2
+    n, d = Xc.shape
+    if n < d:
+        B = Xc * np.sqrt(labels.k)[:, None]
+        gram = symmetrize(B @ B.T)
+    else:
+        gram = St_ml
+    st_ml_norm = float(np.abs(np.linalg.eigvalsh(gram)).max())
+
     R = St_ml - St
     # R is a difference of two same-scale accumulations, so when it is
     # mathematically zero (all cardinalities 1) its computed eigenvalues are
     # rounding dust proportional to the scatter magnitude, not to ||R||.
-    dust = 128.0 * np.finfo(float).eps * max(np.abs(np.linalg.eigvalsh(St_ml)).max(), 1e-300)
+    dust = 128.0 * np.finfo(float).eps * max(st_ml_norm, 1e-300)
     for name, S in (("Sb", Sb), ("Sw", Sw), ("R", R)):
-        evals = np.linalg.eigvalsh(S)
-        floor = -max(CROSSCHECK_TOL * np.abs(evals).max(), dust)
-        if evals.min() < floor:
-            raise InvariantViolation(
-                f"{name} has negative eigenvalue {evals.min():.3e} beyond tolerance"
-            )
+        _certify_psd(name, S, dust)
 
-    return ScatterSet(Sb=Sb, Sw=Sw, St_ml=St_ml, St=St, R=R, M=M)
+    return ScatterSet(Sb=Sb, Sw=Sw, St_ml=St_ml, St=St, R=R, M=M, st_ml_norm=st_ml_norm)
+
+
+def _certify_psd(name, S, dust):
+    """Raise InvariantViolation unless one Cholesky proves lambda_min(S) >= -tau.
+
+    The floor is tau = max(CROSSCHECK_TOL * l, dust), where
+    l = max(max_i |S_ii|, ||S||_F / sqrt(d)) is a lower bound on ||S||_2:
+    |S_ii| = |e_i^T S e_i| <= ||S||_2 and ||S||_F^2 = sum(lambda^2) <= d ||S||_2^2.
+    So tau never exceeds the eigenvalue floor max(CROSSCHECK_TOL * ||S||_2, dust).
+
+    The certificate factors A = fl(S + c I). If the factorization runs to
+    completion, its computed factor F satisfies F^T F = A + dA with
+    |dA| <= gamma_{d+1} |F^T| |F|, gamma_k = k u / (1 - k u) and u the unit
+    roundoff (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Thm. 10.3; a blocked factorization with conventional matrix products
+    evaluates the same inner products in another order, and the bound holds
+    for any order). Rounding the shifted diagonal adds at most u |a_ii| per
+    entry, so gamma = gamma_{d+2} covers both (gamma_j + gamma_1 +
+    gamma_j gamma_1 <= gamma_{j+1}). Then:
+
+    * ||dA||_2 <= gamma || |F^T| |F| ||_2 <= gamma ||F||_F^2;
+    * ||F||_F^2 = sum_i (F^T F)_ii <= tr(A) + gamma ||F||_F^2, so
+      ||F||_F^2 <= tr(A) / (1 - gamma);
+    * F^T F is PSD, so lambda_min(S) = lambda_min(A) - c >= -c - ||dA||_2
+      >= -c - g tr(A) with g = gamma / (1 - gamma).
+
+    tr(A) is at most sum_i |S_ii| + d c, so the shift
+    c = (tau - g sum_i |S_ii|) / (1 + g d) makes c + g tr(A) <= tau: a
+    completed factorization certifies lambda_min(S) >= -tau. The argument
+    assumes no underflow and ignores the rounding of the few scalar
+    operations that form tau and c, a relative change of order d u in tau,
+    far below the error of a computed eigenvalue.
+    """
+    d = S.shape[0]
+    diag_abs = np.abs(S.diagonal())
+    tau = max(CROSSCHECK_TOL * max(diag_abs.max(), np.linalg.norm(S) / np.sqrt(d)), dust)
+    ku = (d + 2) * np.finfo(float).eps / 2
+    gamma = ku / (1.0 - ku)
+    g = gamma / (1.0 - gamma)
+    shift = (tau - g * diag_abs.sum()) / (1.0 + g * d)
+    A = S.copy()
+    A.flat[:: d + 1] += shift
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        raise InvariantViolation(
+            f"{name} has negative eigenvalue below -{tau:.3e}: "
+            f"{name} + {shift:.3e} I has no Cholesky factor"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -323,7 +394,7 @@ def rank_analysis(ds, ss=None):
     eps = np.finfo(float).eps
     sigma_x = np.linalg.norm(ds.X_centered, 2)
     sigma_y = np.linalg.norm(Y, 2)
-    scale_sb = max(np.abs(np.linalg.eigvalsh(ss.St_ml)).max(), 1e-300)
+    scale_sb = max(ss.st_ml_norm, 1e-300)
     rank_sb = numeric_rank(ss.Sb, tol=ds.d * eps * scale_sb)
     rank_XtY = numeric_rank(
         ds.X_centered.T @ Y, tol=max(ds.d, labels.L) * eps * sigma_x * sigma_y

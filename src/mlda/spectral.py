@@ -160,13 +160,16 @@ def numeric_rank(M, tol=None):
     tol : float, optional
         Cutoff for "numerically nonzero". Defaults to
         ``max(m, n) * machine_eps * sigma_max``, the usual LAPACK-style
-        policy; pass an explicit value to override.
+        policy; pass an explicit value to override. A NaN or negative value
+        raises InvalidInput.
 
     Returns
     -------
     int
     """
     M = _as_float_matrix(M, "M")
+    if tol is not None and not tol >= 0:
+        raise InvalidInput(f"tol must be >= 0, got {tol}")
     svals = np.linalg.svd(M, compute_uv=False)
     if tol is None:
         tol = max(M.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)

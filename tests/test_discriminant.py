@@ -24,6 +24,7 @@ from mlda import (
     davis_kahan_check,
     eval_objectives,
     gen_labels,
+    numeric_rank,
     opt_stml,
     opt_td,
     ordering_consistent,
@@ -64,6 +65,14 @@ def test_theta_form_validation():
         theta_form(np.array([-0.1]))
     with pytest.raises(InvalidInput):
         theta_form(np.array([]))
+
+
+def test_theta_form_rejects_nan():
+    # NaN passes every ordered comparison, so a range check alone let it
+    # through to NaN objectives
+    for theta in ([np.nan, 0.5], [np.nan], [0.25, np.nan, 0.5]):
+        with pytest.raises(InvalidInput):
+            theta_form(np.array(theta))
 
 
 def test_theta_form_reads_rounding_dust_as_zero():
@@ -311,6 +320,18 @@ def test_davis_kahan_cases(rng):
         davis_kahan_check(U, U, pert_norm=-0.1, gap=1.0)
 
 
+def test_davis_kahan_rejects_nan_and_infinite_inputs(rng):
+    U = random_stiefel(rng, 5, 2)
+    for pert_norm, gap in ((0.1, np.nan), (np.nan, 1.0), (np.inf, 1.0), (np.nan, np.nan)):
+        with pytest.raises(InvalidInput):
+            davis_kahan_check(U, U, pert_norm=pert_norm, gap=gap)
+    # top_eigenspace reports gap = inf for a cut at r = d: the bound is 0
+    full = np.eye(5)
+    assert top_eigenspace(np.diag([5.0, 4.0, 3.0, 2.0, 1.0]), 5).gap == np.inf
+    report = davis_kahan_check(full, full, pert_norm=0.1, gap=np.inf)
+    assert report.bound == 0.0 and report.holds
+
+
 # ---------------------------------------------------------------------------
 # ridge sweep
 # ---------------------------------------------------------------------------
@@ -350,6 +371,28 @@ def test_regularization_gap_matches_full_eigendecomposition(rng, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: solve(M) + 1e-6)
     with pytest.raises(InvariantViolation, match="eigenvalue invariant"):
         regularization_report(ss, gammas, r=2)
+
+
+def test_regularization_rank_from_factor_matches_numeric_rank(rng):
+    # the sweep counts sigma(M)^2 > d eps sigma_max(M)^2, which is the
+    # cutoff numeric_rank(Sb) applies to sigma(Sb) = sigma(M)^2
+    cases = []
+    for _ in range(10):
+        n, d, L = int(rng.integers(20, 80)), int(rng.integers(3, 30)), int(rng.integers(2, 7))
+        cases.append((LabelScheme.variable(((1, 0.6), (2, 0.3), (3, 0.1))), n, d, L))
+        cases.append((LabelScheme.single(), n, d, L))
+    for _ in range(5):  # d >> n, as in the regularization experiment
+        n, d = int(rng.integers(10, 60)), int(rng.integers(100, 500))
+        cases.append((LabelScheme.variable(((1, 0.6), (2, 0.4))), n, d, 10))
+        cases.append((LabelScheme.single(), n, d, 10))
+    for scheme, n, d, L in cases:
+        labels = gen_labels(scheme, n, max(L, scheme.max_cardinality() + 1), rng)
+        X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3)
+        ss = build_scatter(build_dataset(X, labels))
+        rank = regularization_report(ss, [0.0], r=1)[0].rank_sb
+        assert rank == numeric_rank(ss.Sb)
+        if scheme.max_cardinality() == 1:
+            assert rank == labels.L - 1
 
 
 def test_regularization_report_validation(rng):

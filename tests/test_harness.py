@@ -199,10 +199,12 @@ def test_report_files_and_formatting(tmp_path):
     csv_path, json_path = write_report(report, str(tmp_path))
     assert os.path.basename(csv_path) == "rank.csv"
     assert os.path.basename(json_path) == "rank.summary.json"
-    header, *rows = open(csv_path).read().strip().split("\n")
+    with open(csv_path) as fh:
+        header, *rows = fh.read().strip().split("\n")
     assert header.split(",") == report.columns
     assert len(rows) == len(report.rows)
-    payload = json.loads(open(json_path).read())
+    with open(json_path) as fh:
+        payload = json.loads(fh.read())
     assert payload["config_hash"] == report.config_digest
     assert payload["all_passed"] is True
     assert payload["seed"] == DEFAULT_SEED

@@ -2,6 +2,7 @@
 hand-computed toy, then the algebraic identities as properties."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from mlda import (
     InvalidInput,
+    InvariantViolation,
     MissingLabel,
     UnlabeledSample,
     build_dataset,
@@ -17,8 +19,10 @@ from mlda import (
     build_scatter,
     load_dataset_csv,
     rank_analysis,
+    regularization_report,
     residual_bound,
     save_dataset_csv,
+    symmetrize,
 )
 from mlda import scatter
 from mlda.synth import LabelScheme, Seed, gen_labels
@@ -329,6 +333,150 @@ def test_fault_centring_drift(rng, monkeypatch):
     monkeypatch.setattr(scatter, "_centre", off_centre)
     with pytest.raises(ArithmeticError, match="centering drift"):
         build_dataset(ds.X, ds.labels)
+
+
+# ---------------------------------------------------------------------------
+# PSD certificate against the eigenvalue floor it replaced
+# ---------------------------------------------------------------------------
+
+
+def eigvalsh_floor_rejects(S, dust):
+    """The eigenvalue floor build_scatter applied before its Cholesky
+    certificate: reject when lambda_min < -max(CROSSCHECK_TOL * ||S||_2, dust)."""
+    evals = np.linalg.eigvalsh(S)
+    return bool(evals.min() < -max(scatter.CROSSCHECK_TOL * np.abs(evals).max(), dust))
+
+
+def certificate_rejects(S, dust):
+    try:
+        scatter._certify_psd("S", S, dust)
+    except InvariantViolation as exc:
+        assert str(exc).startswith("S has negative eigenvalue")
+        return True
+    return False
+
+
+def _scatter_of(kind, rng, d):
+    """A scatter from a real dataset: rank-deficient Sb (d >> L), Sw at
+    d >> n, or the all-dust R of single-label data."""
+    if kind == "Sw":
+        n = int(rng.integers(max(4, d // 8), max(5, d // 2) + 1))
+    else:
+        n = int(rng.integers(8, 60))
+    L = int(rng.integers(2, min(n, 6) + 1))
+    scheme = LabelScheme.single() if kind == "R" else LabelScheme.variable(((1, 0.6), (2, 0.4)))
+    labels = gen_labels(scheme, n, L, rng)
+    X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3)
+    ss = build_scatter(build_dataset(X, labels))
+    return getattr(ss, kind), 128.0 * np.finfo(float).eps * ss.st_ml_norm
+
+
+@st.composite
+def planted_psd_cases(draw):
+    """A symmetric matrix whose smallest eigenvalue is planted at `ratio`
+    times the eigenvalue floor below zero (0 leaves it PSD), with its dust
+    level. The base is a drawn spectrum, possibly rank-deficient and possibly
+    below the dust level, or a real Sb, Sw or R."""
+    kind = draw(st.sampled_from(["spectrum", "Sb", "Sw", "R"]))
+    d = draw(st.integers(1, scatter.MAX_COLS))
+    ratio = draw(st.one_of(st.just(0.0), st.floats(0.5, 2.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "spectrum":
+        scale = 10.0 ** draw(st.integers(-6, 6))
+        evals = np.zeros(d)
+        rank = draw(st.integers(1, d))
+        evals[:rank] = scale * rng.uniform(0.0, 1.0, rank)
+        evals[0] = scale
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        S0 = symmetrize((Q * evals) @ Q.T)
+        dust = 128.0 * np.finfo(float).eps * scale * 10.0 ** draw(st.integers(0, 12))
+    else:
+        S0, dust = _scatter_of(kind, rng, d)
+    vals, vecs = np.linalg.eigh(S0)
+    floor = max(scatter.CROSSCHECK_TOL * np.abs(vals).max(), dust)
+    q = vecs[:, 0]
+    S = symmetrize(S0 - (vals[0] + ratio * floor) * np.outer(q, q))
+    return S, dust, ratio
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(planted_psd_cases())
+def test_psd_certificate_rejects_what_the_eigenvalue_floor_rejects(case):
+    S, dust, ratio = case
+    if eigvalsh_floor_rejects(S, dust):
+        assert certificate_rejects(S, dust)
+    if ratio == 0.0:
+        assert not certificate_rejects(S, dust)
+
+
+@pytest.mark.parametrize("kind", ["Sb", "Sw", "R"])
+@pytest.mark.parametrize("d", [1, 15, 200, scatter.MAX_COLS])
+def test_psd_certificate_accepts_real_scatters(kind, d):
+    # rank-deficient Sb, Sw at d >> n and the all-dust single-label R pass
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        S, dust = _scatter_of(kind, rng, d)
+        assert not certificate_rejects(S, dust)
+        assert not eigvalsh_floor_rejects(S, dust)
+
+
+def test_psd_certificate_reserves_the_cholesky_margin():
+    # S = diag(1, 1/2, ..., 1/2, lam): max|S_ii| = ||S||_2 = 1, so the floor
+    # tau = CROSSCHECK_TOL is the eigenvalue floor itself. A completed
+    # Cholesky of S + c I proves lambda_min >= -c - g tr(S + c I), with g
+    # from the backward-error bound gamma_{d+2}; lam inside that margin above
+    # -tau must be rejected, lam beyond it accepted.
+    d = 6
+    tau = scatter.CROSSCHECK_TOL
+    ku = (d + 2) * np.finfo(float).eps / 2
+    g = ku / (1 - ku) / (1 - ku / (1 - ku))
+    margin = g * (1.0 + 0.5 * (d - 2) + d * tau + tau)
+    for lam, rejected in (
+        (-tau * (1 + 1e-6), True),
+        (-tau + 0.5 * margin, True),
+        (-tau + 2.0 * margin, False),
+        (-0.5 * tau, False),
+        (0.0, False),
+    ):
+        S = np.diag([1.0] + [0.5] * (d - 2) + [lam])
+        assert certificate_rejects(S, 0.0) is rejected, lam
+        assert eigvalsh_floor_rejects(S, 0.0) == (lam < -tau)
+
+
+def test_st_ml_norm_matches_eigvalsh(rng):
+    # n < d reads the norm off the n x n Gram, n >= d off St_ml itself
+    for n, d in ((20, 500), (50, 200), (12, 13), (40, 40), (300, 15), (60, 2)):
+        for scheme in (LabelScheme.single(), LabelScheme.variable(((1, 0.5), (2, 0.3), (3, 0.2)))):
+            labels = gen_labels(scheme, n, 5, rng)
+            X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-50, 50)
+            ss = build_scatter(build_dataset(X, labels))
+            want = np.abs(np.linalg.eigvalsh(ss.St_ml)).max()
+            assert ss.st_ml_norm == pytest.approx(want, rel=1e-12)
+
+
+def test_feature_magnitude_that_would_overflow_is_invalid_input(rng):
+    labels = gen_labels(LabelScheme.variable(((1, 0.6), (2, 0.4))), 30, 4, rng)
+    X = rng.standard_normal((30, 20))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="overflow"):
+            build_dataset(X * 1e200, labels)
+    # just inside the bound every scatter, norm and report stays finite
+    bound = np.finfo(float).max ** 0.25 / (4.0 * np.sqrt(labels.K * X.shape[1]))
+    X_big = X * (0.999 * bound / np.abs(X).max())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = build_dataset(X_big, labels)
+        ss = build_scatter(ds)
+        report = rank_analysis(ds, ss)
+        rows = regularization_report(ss, [0.0, 1e-3 * ss.st_ml_norm], r=2)
+    for S in (ss.Sb, ss.Sw, ss.St_ml, ss.St, ss.R):
+        assert np.isfinite(np.linalg.norm(S))
+    assert np.isfinite(ss.st_ml_norm)
+    assert report.rank_sb == rank_analysis(build_dataset(X, labels)).rank_sb
+    assert all(np.isfinite(row.gap_td) for row in rows)
+    with pytest.raises(InvalidInput, match="overflow"):
+        build_dataset(X_big * 1.01, labels)
 
 
 def test_members_list_label_rows(rng):

@@ -99,6 +99,15 @@ def test_numeric_rank_dependent_columns():
     assert numeric_rank(np.eye(5)) == 5
 
 
+def test_numeric_rank_rejects_nan_and_negative_tol():
+    # a NaN cutoff compared false against every singular value and gave 0
+    M = np.eye(3)
+    for tol in (np.nan, -1e-12, -np.inf):
+        with pytest.raises(InvalidInput):
+            numeric_rank(M, tol=tol)
+    assert numeric_rank(M, tol=0.0) == 3
+
+
 def test_principal_angle_frozen_45_degrees():
     U = np.array([[1.0], [0.0]])
     V = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
