@@ -19,14 +19,14 @@ import numpy as np
 
 from .errors import DegenerateNoise, InvalidInput, InvariantViolation
 from .synth import pair_products
-from .spectral import symmetrize
+from .spectral import _all_binary, symmetrize
 
 
 def _pattern(y, L=None, name="pattern"):
     y = np.asarray(y)
     if y.ndim != 1:
         raise InvalidInput(f"{name} must be 1-D, got shape {y.shape}")
-    if not np.isin(y, (0, 1)).all():
+    if not _all_binary(y):
         raise InvalidInput(f"{name} entries must be 0 or 1")
     if L is not None and y.shape[0] != L:
         raise InvalidInput(f"{name} has length {y.shape[0]}, expected {L}")
@@ -44,6 +44,11 @@ def jaccard(y_i, y_j):
     """Jaccard distance: Hamming over union size (zero for equal patterns)."""
     y_i = _pattern(y_i)
     y_j = _pattern(y_j, L=y_i.shape[0])
+    return _jaccard(y_i, y_j)
+
+
+def _jaccard(y_i, y_j):
+    # the arithmetic of ``jaccard`` on two already-validated float patterns
     union = float(y_i.sum() + y_j.sum() - y_i @ y_j)
     if union == 0:
         return 0.0
@@ -110,7 +115,7 @@ def distance_budget(W, A, y_i, y_j, Sigma_w, support_restricted=False):
     y_j = _pattern(y_j, L=A.shape[1], name="y_j")
     delta = y_i - y_j
     d_H = int(np.abs(delta).sum())
-    d_J = jaccard(y_i, y_j)
+    d_J = _jaccard(y_i, y_j)
 
     T = W.T @ A
     s = T @ delta

@@ -321,13 +321,20 @@ def commutativity_defect(Sb, St):
     """Normalized commutator size ||Sb St - St Sb||_F / (||Sb||_F ||St||_F).
 
     Zero iff the two matrices share an eigenbasis; invariant under separate
-    positive rescaling of either matrix.
+    positive rescaling of either matrix. Each matrix is first divided by the
+    power of two nearest its Frobenius norm, so the commutator is formed from
+    entries of order one and stays finite for any finite scatters; a power of
+    two scales exactly, so wherever the unscaled formula does not overflow
+    the value is the same to the last bit.
     """
     Sb = symmetrize(Sb)
     St = symmetrize(St)
-    denom = np.linalg.norm(Sb) * np.linalg.norm(St)
-    if denom == 0:
+    norm_b, norm_t = np.linalg.norm(Sb), np.linalg.norm(St)
+    if norm_b == 0 or norm_t == 0:
         return 0.0
+    Sb = np.ldexp(Sb, -np.frexp(norm_b)[1])
+    St = np.ldexp(St, -np.frexp(norm_t)[1])
+    denom = np.linalg.norm(Sb) * np.linalg.norm(St)
     return float(np.linalg.norm(Sb @ St - St @ Sb) / denom)
 
 
@@ -398,7 +405,10 @@ def regularization_report(ss, gammas, r):
     matrix merely shifts by -gamma I, so its gap at any cut is unchanged
     (each row recomputes it from a fresh eigenvalue solve as a check); the
     condition number strictly improves as gamma grows (unless Sw is already
-    a multiple of the identity).
+    a multiple of the identity). A gamma step below rounding relative to
+    both extreme eigenvalues of Sw leaves lambda_max + gamma and
+    lambda_min + gamma, and so the computed condition number, unchanged;
+    only such a step may keep it equal.
     """
     gammas = list(gammas)
     if not gammas:
@@ -416,11 +426,14 @@ def regularization_report(ss, gammas, r):
     if not 1 <= r < d:
         raise InvalidInput(f"need 1 <= r < d={d}, got r={r}")
     rows = []
+    finite = []  # (kappa, lambda_max + gamma, lambda_min + gamma) per finite row
     for gamma in gammas:
         gamma = float(gamma)
         top, bot = lam_max + gamma, lam_min + gamma
         infinite = bot <= 1e-12 * max(top, 1e-300)
         kappa = np.inf if infinite else top / bot
+        if not infinite:
+            finite.append((kappa, top, bot))
         vals = sym_eigvals(C - gamma * np.eye(d))
         rows.append(
             RegularizationRow(
@@ -431,11 +444,10 @@ def regularization_report(ss, gammas, r):
                 gap_td=float(vals[r - 1] - vals[r]),
             )
         )
-    finite = [row.kappa_sw_gamma for row in rows if not row.kappa_infinite]
-    isotropic = (lam_max - lam_min) <= 1e-12 * max(lam_max, 1e-300)
+    isotropic = abs(lam_max - lam_min) <= 1e-12 * max(lam_max, 1e-300)
     if not isotropic:
-        for a, b in zip(finite, finite[1:]):
-            if not b < a:
+        for (a, top_a, bot_a), (b, top_b, bot_b) in zip(finite, finite[1:]):
+            if not (b < a or (top_b == top_a and bot_b == bot_a)):
                 raise InvariantViolation(
                     f"condition number failed to decrease: {a!r} -> {b!r}"
                 )

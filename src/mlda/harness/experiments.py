@@ -208,7 +208,9 @@ def _signal_dataset(labels, A):
 def _noisy_td_error(signal, sigma_w, rng, r, target):
     """sin of the largest principal angle between ``target`` and the
     trace-difference frame of ``signal`` plus isotropic noise from ``rng``."""
-    X = signal.X + sigma_w * rng.standard_normal(signal.X.shape)
+    X = rng.standard_normal(signal.X.shape)
+    X *= sigma_w
+    X += signal.X
     ss = build_scatter(build_dataset(X, signal.labels, max_rows=None))
     return principal_angle_sin(opt_td(ss, r).frame, target)
 

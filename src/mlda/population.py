@@ -26,7 +26,7 @@ from .errors import (
     MissingLabel,
     SingularTotalScatter,
 )
-from .spectral import sym_eig, symmetrize
+from .spectral import _all_binary, sym_eig, symmetrize
 
 # Eigenvalue floor for whitening: below this (relative) the matrix is singular.
 WHITEN_FLOOR = 1e-12
@@ -92,7 +92,7 @@ def label_moments(patterns):
             L = bits.shape[0]
         if bits.shape != (L,):
             raise InvalidInput(f"pattern shape {bits.shape} != ({L},)")
-        if not np.isin(bits, (0, 1)).all():
+        if not _all_binary(bits):
             raise InvalidInput("pattern entries must be 0 or 1")
         if bits.sum() == 0:
             raise InvalidInput("pattern with no labels is not allowed")

@@ -15,7 +15,10 @@ then checks every identity above by two independent routes and fails loudly
 on disagreement:
 
 * St_ml as Sb + Sw (Sb from the label means, Sw from the per-label centred
-  blocks) against Xc^T diag(k) Xc from the globally centred rows;
+  blocks) against St + Xc_E^T diag(k_E - 1) Xc_E from the globally centred
+  rows, where E holds the rows with k != 1: every other row has weight
+  k - 1 = 0, so Xc^T diag(k) Xc needs only St and the rows of E (20% of
+  them under the default cardinality mix);
 * Sb from the label means against M M^T, with M from Xc and the 0/1 label
   matrix;
 * Sb, Sw and R are positive semidefinite up to a floor: a Cholesky factor of
@@ -30,11 +33,12 @@ on disagreement:
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInput, InvariantViolation, MissingLabel, UnlabeledSample
-from .spectral import numeric_rank, symmetrize
+from .spectral import _all_binary, numeric_rank, symmetrize
 
 # Relative tolerance for the internal two-route cross-checks.
 CROSSCHECK_TOL = 1e-8
@@ -63,6 +67,18 @@ class LabelMatrix:
         (always true when every row has the same cardinality).
     members : tuple of L ndarrays
         Ascending row indices of the samples carrying each label.
+
+    Three read-only arrays are derived from the fields on first use and
+    cached on the instance (``dataclasses.replace`` builds a fresh instance,
+    so they follow any field it changes):
+
+    excess_rows : ndarray
+        Ascending indices of the rows with k != 1, the only rows that
+        contribute to the cardinality excess St_ml - St.
+    excess_weights : ndarray
+        Their weights k - 1 as floats.
+    scaled_bits : (n, L) ndarray
+        bits / sqrt(n_ell), so that Xc^T scaled_bits factors Sb.
     """
 
     bits: np.ndarray
@@ -81,6 +97,23 @@ class LabelMatrix:
     def L(self):
         return self.bits.shape[1]
 
+    @cached_property
+    def excess_rows(self):
+        return _read_only(np.flatnonzero(self.k != 1))
+
+    @cached_property
+    def excess_weights(self):
+        return _read_only((self.k[self.excess_rows] - 1).astype(float))
+
+    @cached_property
+    def scaled_bits(self):
+        return _read_only(self.bits / np.sqrt(self.n_ell))
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
 
 def build_labels(bits):
     """Validate a 0/1 matrix and derive its label-count structure.
@@ -95,7 +128,7 @@ def build_labels(bits):
     bits = np.asarray(bits)
     if bits.ndim != 2 or bits.size == 0:
         raise InvalidInput(f"label matrix must be non-empty 2-D, got shape {bits.shape}")
-    if not np.isin(bits, (0, 1)).all():
+    if not _all_binary(bits):
         raise InvalidInput("label matrix entries must be 0 or 1")
     bits = bits.astype(np.int64)
     n_ell = bits.sum(axis=0)
@@ -181,8 +214,6 @@ def build_dataset(X, labels, max_rows=MAX_ROWS, max_cols=MAX_COLS):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.size == 0:
         raise InvalidInput(f"feature matrix must be non-empty 2-D, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise InvalidInput("feature matrix contains non-finite entries")
     if X.shape[0] != labels.n:
         raise InvalidInput(
             f"feature rows ({X.shape[0]}) do not match label rows ({labels.n})"
@@ -196,8 +227,12 @@ def build_dataset(X, labels, max_rows=MAX_ROWS, max_cols=MAX_COLS):
     # centred entries are at most 2 max|X|, so a scatter entry is at most
     # 4 K max|X|^2 and a scatter's squared Frobenius norm at most
     # (4 K d max|X|^2)^2; this bound keeps that 16 times below the largest
-    # double
-    peak = max(X.max(), -X.min())
+    # double. A NaN propagates into X.max() and X.min(), and an infinity
+    # lands in one of them, so checking the two extremes checks every entry.
+    hi, lo = X.max(), X.min()
+    if not (np.isfinite(hi) and np.isfinite(lo)):
+        raise InvalidInput("feature matrix contains non-finite entries")
+    peak = max(hi, -lo)
     bound = np.finfo(float).max ** 0.25 / (4.0 * np.sqrt(labels.K * d))
     if peak > bound:
         raise InvalidInput(
@@ -265,7 +300,11 @@ def build_scatter(ds):
 
     The cardinality-weighted total scatter is computed both as Sb + Sw (from
     the label means and the per-label centred blocks) and as
-    sum_i k_i (x_i - mu)(x_i - mu)^T (from the globally centred rows); the
+    sum_i k_i (x_i - mu)(x_i - mu)^T (from the globally centred rows). The
+    second route adds sum_{i in E} (k_i - 1)(x_i - mu)(x_i - mu)^T over the
+    rows E with k_i != 1 to St, so it costs one product over those rows
+    rather than a second full one; a row with k_i = 0 (never valid, but
+    reachable by editing a LabelMatrix) keeps its weight -1. The
     factorization Sb = M M^T is checked as well. Disagreement beyond
     CROSSCHECK_TOL raises InvariantViolation.
     """
@@ -278,14 +317,15 @@ def build_scatter(ds):
 
     St = symmetrize(Xc.T @ Xc)
     St_ml = symmetrize(Sb + Sw)
-    St_ml_weighted = symmetrize((Xc * labels.k[:, None]).T @ Xc)
+    XE = Xc.take(labels.excess_rows, axis=0)
+    St_ml_weighted = symmetrize(St + (XE * labels.excess_weights[:, None]).T @ XE)
     defect = _rel_defect(St_ml, St_ml_weighted)
     if defect > CROSSCHECK_TOL:
         raise InvariantViolation(
             f"total-scatter routes disagree (relative defect {defect:.3e})"
         )
 
-    M = Xc.T @ (labels.bits / np.sqrt(labels.n_ell))
+    M = Xc.T @ labels.scaled_bits
     factor_defect = _rel_defect(Sb, M @ M.T, scale=np.linalg.norm(St_ml))
     if factor_defect > CROSSCHECK_TOL:
         raise InvariantViolation(

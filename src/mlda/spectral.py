@@ -36,6 +36,15 @@ def _as_float_matrix(M, name="matrix"):
     return M
 
 
+def _all_binary(a):
+    """Whether every entry of the array ``a`` equals 0 or 1.
+
+    Accepts and rejects exactly what ``np.isin(a, (0, 1)).all()`` does, at
+    the cost of two elementwise comparisons.
+    """
+    return bool(((a == 0) | (a == 1)).all())
+
+
 def symmetrize(S):
     """Return the exactly symmetric part (S + S^T) / 2 of a square matrix.
 

@@ -5,6 +5,8 @@ for the expected projected distance, and exact Cauchy-Schwarz checks for the
 interaction widening.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,22 @@ def test_distance_budget_frozen():
     assert b.lower == pytest.approx(3.0, abs=1e-14)
     assert b.upper == pytest.approx(9.0, abs=1e-14)
     assert b.lower <= b.total_expected <= b.upper
+
+
+def test_distance_budget_jaccard_is_bitwise_jaccard(rng):
+    # distance_budget reuses its validated patterns for d_J instead of
+    # calling jaccard; the value must not move by a single bit
+    d = 5
+    W = random_stiefel(rng, d, 2)
+    for L in range(1, 7):
+        A = rng.standard_normal((d, L))
+        patterns = [np.array(bits) for bits in product((0, 1), repeat=L)]
+        for y_i in patterns:
+            for y_j in patterns:
+                d_J = distance_budget(W, A, y_i, y_j, np.eye(d)).d_J
+                want = jaccard(y_i, y_j)
+                assert type(d_J) is float
+                assert np.float64(d_J).tobytes() == np.float64(want).tobytes(), (y_i, y_j)
 
 
 def test_wide_projected_effect_has_zero_sigma_min(rng):

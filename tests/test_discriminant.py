@@ -5,6 +5,7 @@ trace ratio on commuting (diagonal) scatters, characteristic-polynomial roots
 for the whitened problem, and brute-force Stiefel probes for the Ky Fan bound.
 """
 
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -30,6 +31,7 @@ from mlda import (
     ordering_consistent,
     regularization_report,
     sym_eig,
+    symmetrize,
     theta_form,
     top_eigenspace,
     trace_ratio_stiefel,
@@ -239,6 +241,31 @@ def test_commutativity_defect_frozen():
     assert commutativity_defect(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])) == 0.0
 
 
+def test_commutativity_defect_finite_at_large_feature_magnitude(rng):
+    # features at half the build_dataset bound: the unscaled commutator
+    # Sb St - St Sb would overflow
+    labels = gen_labels(LabelScheme.variable(((1, 0.6), (2, 0.4))), 30, 4, rng)
+    X = rng.standard_normal((30, 20))
+    unit = build_scatter(build_dataset(X, labels))
+    bound = np.finfo(float).max ** 0.25 / (4.0 * np.sqrt(labels.K * X.shape[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = build_scatter(build_dataset(X * (0.5 * bound / np.abs(X).max()), labels))
+        defect = commutativity_defect(big.Sb, big.St)
+    assert np.isfinite(defect)
+    assert defect == pytest.approx(commutativity_defect(unit.Sb, unit.St), rel=1e-12)
+
+
+def test_commutativity_defect_scaling_is_exact(rng):
+    # the power-of-two prescaling leaves every bit of the unscaled formula
+    ss = _random_scatter_pair(rng)
+    Sb, St = symmetrize(ss.Sb), symmetrize(ss.St)
+    unscaled = float(
+        np.linalg.norm(Sb @ St - St @ Sb) / (np.linalg.norm(Sb) * np.linalg.norm(St))
+    )
+    assert commutativity_defect(ss.Sb, ss.St) == unscaled
+
+
 def test_ordering_consistent_cases():
     assert ordering_consistent(np.diag([3.0, 2.0, 1.0]), np.diag([6.0, 5.0, 4.0])) is True
     assert ordering_consistent(np.diag([1.0, 2.0, 3.0]), np.diag([6.0, 5.0, 4.0])) is False
@@ -393,6 +420,31 @@ def test_regularization_rank_from_factor_matches_numeric_rank(rng):
         assert rank == numeric_rank(ss.Sb)
         if scheme.max_cardinality() == 1:
             assert rank == labels.L - 1
+
+
+def _unit_scale_scatter(rng, scale=1.0):
+    labels = gen_labels(LabelScheme.variable(((1, 0.6), (2, 0.4))), 30, 4, rng)
+    return build_scatter(build_dataset(rng.standard_normal((30, 20)) * scale, labels))
+
+
+def test_regularization_gamma_step_below_rounding_keeps_kappa(rng):
+    # a gamma step that changes neither lambda_max + gamma nor
+    # lambda_min + gamma in floating point leaves kappa equal
+    for scale, gammas in ((1.0, [0.0, 1e-20]), (1e70, [0.0, 1.0])):
+        rows = regularization_report(_unit_scale_scatter(rng, scale), gammas, r=2)
+        assert rows[0].kappa_sw_gamma == rows[1].kappa_sw_gamma
+        assert not rows[0].kappa_infinite
+
+
+def test_regularization_rejects_kappa_increase(rng, monkeypatch):
+    ss = _unit_scale_scatter(rng)
+    solve = np.linalg.eigvalsh
+    # an extreme pair with lambda_min > lambda_max makes kappa grow with gamma
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda M: np.array([5.0, 1.0]) if M is ss.Sw else solve(M)
+    )
+    with pytest.raises(InvariantViolation, match="failed to decrease"):
+        regularization_report(ss, [0.0, 1.0], r=2)
 
 
 def test_regularization_report_validation(rng):

@@ -11,7 +11,7 @@ import pytest
 
 from mlda import ConfigError
 from mlda.harness.aggregate import aggregate, slope_fit
-from mlda.harness.config import DEFAULT_SEED, DEFAULTS, build_config
+from mlda.harness.config import DEFAULT_SEED, DEFAULTS, EXPERIMENTS, build_config
 from mlda.harness.experiments import run, write_report
 from mlda.errors import InvalidInput
 
@@ -96,6 +96,28 @@ def test_defaults_resolved():
     assert cfg.experiment == "rank"
     assert cfg.seed == DEFAULT_SEED
     assert cfg.options == DEFAULTS["rank"]
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+
+def _read_config(name):
+    with open(os.path.join(CONFIG_DIR, f"{name}.json")) as fh:
+        return json.load(fh)
+
+
+def test_config_files_match_defaults():
+    # the shipped configs restate DEFAULTS; this keeps the two from drifting
+    assert sorted(os.listdir(CONFIG_DIR)) == sorted(f"{e}.json" for e in (*EXPERIMENTS, "all"))
+    for experiment in EXPERIMENTS:
+        data = _read_config(experiment)
+        assert set(data) == {"experiment", "seed", "options"}, experiment
+        assert data["experiment"] == experiment
+        assert data["seed"] == DEFAULT_SEED, experiment
+        assert data["options"] == DEFAULTS[experiment], experiment
+    data = _read_config("all")
+    assert set(data) == {"experiment", "seed", "out_dir"}
+    assert data["experiment"] == "all" and data["seed"] == DEFAULT_SEED
 
 
 def test_file_and_cli_precedence(tmp_path):

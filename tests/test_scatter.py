@@ -487,6 +487,101 @@ def test_members_list_label_rows(rng):
 
 
 # ---------------------------------------------------------------------------
+# the k != 1 total-scatter route and the cached label arrays
+# ---------------------------------------------------------------------------
+
+
+def weighted_total_oracle(Xc, k):
+    """The full cardinality-weighted product the k != 1 route replaced."""
+    return symmetrize((Xc * np.asarray(k, dtype=float)[:, None]).T @ Xc)
+
+
+def _excess_route(ds):
+    labels = ds.labels
+    Xc = ds.X_centered
+    XE = Xc.take(labels.excess_rows, axis=0)
+    return symmetrize(Xc.T @ Xc + (XE * labels.excess_weights[:, None]).T @ XE)
+
+
+def _with_unlabeled_first_row(labels):
+    bits = labels.bits.copy()
+    bits[0] = 0
+    return dataclasses.replace(
+        labels,
+        bits=bits,
+        n_ell=bits.sum(axis=0),
+        k=bits.sum(axis=1),
+        members=tuple(rows[rows != 0] for rows in labels.members),
+    )
+
+
+def test_excess_route_matches_full_weighted_product(rng):
+    n, d = 40, 6
+    X = rng.standard_normal((n, d)) * 3.0 + 1.0
+    every_label = np.ones((n, 3), dtype=np.int64)
+    cases = {
+        "E empty, single-label": np.eye(3, dtype=np.int64)[np.arange(n) % 3],
+        "E empty, L = 1": np.ones((n, 1), dtype=np.int64),
+        "E every row": every_label,
+        "mixed": _random_dataset(rng, n=n, d=d, L=4).labels.bits,
+    }
+    for name, bits in cases.items():
+        labels = build_labels(bits)
+        ds = build_dataset(X, labels)
+        assert np.array_equal(labels.excess_rows, np.flatnonzero(labels.k != 1)), name
+        want = weighted_total_oracle(ds.X_centered, labels.k)
+        got = _excess_route(ds)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), name
+        ss = build_scatter(ds)  # its own cross-check runs this route
+        assert np.linalg.norm(ss.St_ml - want) <= 1e-12 * np.linalg.norm(want), name
+    assert build_labels(every_label).excess_rows.size == n
+    assert build_labels(cases["E empty, L = 1"]).excess_rows.size == 0
+
+
+def test_excess_route_keeps_weight_minus_one_for_k_zero(rng):
+    ds = _single_label_dataset(rng)
+    dropped = _with_unlabeled_first_row(ds.labels)
+    assert dropped.k[0] == 0
+    assert np.array_equal(dropped.excess_rows, [0])
+    assert np.array_equal(dropped.excess_weights, [-1.0])
+    faulty = dataclasses.replace(ds, labels=dropped)
+    want = weighted_total_oracle(ds.X_centered, dropped.k)
+    assert np.linalg.norm(_excess_route(faulty) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_cached_label_arrays_follow_replace_and_are_read_only(rng):
+    labels = _random_dataset(rng, n=30, d=4, L=4).labels
+    for name in ("excess_rows", "excess_weights", "scaled_bits"):
+        cached = getattr(labels, name)
+        assert getattr(labels, name) is cached  # computed once per instance
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[...] = 0
+    assert np.array_equal(labels.excess_weights, labels.k[labels.k != 1] - 1)
+    assert np.array_equal(labels.scaled_bits, labels.bits / np.sqrt(labels.n_ell))
+
+    dropped = _with_unlabeled_first_row(labels)
+    assert np.array_equal(dropped.excess_rows, np.flatnonzero(dropped.k != 1))
+    assert np.array_equal(dropped.excess_weights, dropped.k[dropped.k != 1] - 1)
+    assert np.array_equal(dropped.scaled_bits, dropped.bits / np.sqrt(dropped.n_ell))
+    assert 0 in dropped.excess_rows
+    # the original instance keeps its own arrays
+    assert np.array_equal(labels.excess_rows, np.flatnonzero(labels.k != 1))
+
+
+def test_non_finite_features_are_invalid_input(rng):
+    labels = build_labels([[1, 0], [0, 1], [1, 1]])
+    for bad in (np.nan, np.inf, -np.inf):
+        for pos in ((0, 0), (1, 2), (2, 3)):
+            X = rng.standard_normal((3, 4)) * 1e10
+            X[pos] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidInput, match="non-finite"):
+                    build_dataset(X, labels)
+
+
+# ---------------------------------------------------------------------------
 # validation and IO
 # ---------------------------------------------------------------------------
 

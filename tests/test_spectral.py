@@ -9,7 +9,10 @@ from mlda import (
     Frame,
     InvalidInput,
     InvariantViolation,
+    MldaError,
     RankDeficient,
+    build_labels,
+    label_moments,
     numeric_rank,
     orthonormalize,
     principal_angle_sin,
@@ -17,6 +20,8 @@ from mlda import (
     sym_eigvals,
     symmetrize,
 )
+from mlda import bounds
+from mlda.spectral import _all_binary
 
 from conftest import random_stiefel, random_symmetric
 
@@ -307,3 +312,55 @@ def test_sym_eigvals_invariant_check_catches_faulty_solver(rng, monkeypatch, fau
     # the same fault a thousand times smaller stays inside RECON_TOL
     delta *= 1e-3
     sym_eigvals(S)
+
+
+# ---------------------------------------------------------------------------
+# the 0/1 pattern check against np.isin
+# ---------------------------------------------------------------------------
+
+# per dtype: the array dtype and a pool of entries, about half of them binary
+_ENTRY_POOLS = {
+    "int": (np.int64, st.integers(-2, 3)),
+    "float": (float, st.one_of(
+        st.sampled_from([0.0, 1.0, -0.0]),
+        st.sampled_from([0.5, 2.0, -1.0, np.nan, np.inf]),
+    )),
+    "bool": (bool, st.booleans()),
+    "str": (str, st.sampled_from(["0", "1", "a", ""])),
+    "object": (object, st.one_of(
+        st.sampled_from([0, 1, 0.0, 1.0, True]),
+        st.sampled_from([0.5, np.nan, None, "0", "1", -1]),
+    )),
+}
+
+
+@st.composite
+def entry_vectors(draw):
+    dtype, entries = _ENTRY_POOLS[draw(st.sampled_from(sorted(_ENTRY_POOLS)))]
+    values = draw(st.lists(entries, min_size=1, max_size=6))
+    y = np.empty(len(values), dtype=dtype)
+    for i, v in enumerate(values):
+        y[i] = v
+    return y
+
+
+def _rejected_as_non_binary(call):
+    try:
+        call()
+    except MldaError as exc:
+        return "must be 0 or 1" in str(exc)
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry_vectors())
+def test_binary_check_agrees_with_isin_at_every_entry_point(y):
+    binary = bool(np.isin(y, (0, 1)).all())
+    assert _all_binary(y) is binary
+    assert _all_binary(y[None, :]) is binary
+    for call in (
+        lambda: bounds._pattern(y),
+        lambda: label_moments([(y, 1.0)]),
+        lambda: build_labels(y[None, :]),
+    ):
+        assert _rejected_as_non_binary(call) is not binary
