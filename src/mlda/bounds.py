@@ -33,6 +33,17 @@ def _pattern(y, L=None, name="pattern"):
     return y.astype(float)
 
 
+def _finite(**arrays):
+    """Each keyword's value as a float array; a NaN or infinity is ``InvalidInput``."""
+    out = []
+    for name, value in arrays.items():
+        value = np.asarray(value, dtype=float)
+        if not np.isfinite(value).all():
+            raise InvalidInput(f"{name} contains non-finite entries")
+        out.append(value)
+    return out
+
+
 def hamming(y_i, y_j):
     """Hamming distance between two label patterns: k_i + k_j - 2 y_i^T y_j."""
     y_i = _pattern(y_i)
@@ -104,9 +115,7 @@ def distance_budget(W, A, y_i, y_j, Sigma_w, support_restricted=False):
         When true, the singular values are taken on the columns where the
         patterns differ - a sharper pinch for the same pair.
     """
-    W = np.asarray(W, dtype=float)
-    A = np.asarray(A, dtype=float)
-    Sigma_w = np.asarray(Sigma_w, dtype=float)
+    W, A, Sigma_w = _finite(W=W, A=A, Sigma_w=Sigma_w)
     if W.ndim != 2 or A.ndim != 2 or W.shape[0] != A.shape[0]:
         raise InvalidInput(f"shape mismatch: W {W.shape} vs A {A.shape}")
     if Sigma_w.shape != (W.shape[0], W.shape[0]):
@@ -213,13 +222,12 @@ def tail_params(W, A, y_i, y_j, Sigma_w, pop=None):
         Psi = (I_r - W^T Sb_pop W) / K_pop is verified to 1e-8 and the
         projected between-scatter spectrum theta (all in [0, 1)) is attached.
     """
-    W = np.asarray(W, dtype=float)
-    A = np.asarray(A, dtype=float)
+    W, A, Sigma_w = _finite(W=W, A=A, Sigma_w=Sigma_w)
     y_i = _pattern(y_i, L=A.shape[1], name="y_i")
     y_j = _pattern(y_j, L=A.shape[1], name="y_j")
     s = W.T @ A @ (y_i - y_j)
     signal = float(s @ s)
-    Psi = symmetrize(W.T @ np.asarray(Sigma_w, dtype=float) @ W)
+    Psi = symmetrize(W.T @ Sigma_w @ W)
     psi_evals = np.linalg.eigvalsh(Psi)
     psi_2 = float(np.abs(psi_evals).max())
     psi_F = float(np.linalg.norm(Psi))
@@ -231,7 +239,7 @@ def tail_params(W, A, y_i, y_j, Sigma_w, pop=None):
     if pop is not None:
         r = W.shape[1]
         # Sw_pop = K_pop * Sigma_w, so the expected cardinality is a trace ratio
-        K_pop = float(np.trace(pop.Sw_pop) / np.trace(np.asarray(Sigma_w, dtype=float)))
+        K_pop = float(np.trace(pop.Sw_pop) / np.trace(Sigma_w))
         Wb = symmetrize(W.T @ pop.Sb_pop @ W)
         target = (np.eye(r) - Wb) / K_pop
         defect = float(np.linalg.norm(Psi - target))
@@ -286,8 +294,7 @@ def interaction_bound(W, A, B_inter, y_i, y_j, constraint="none",
     population total scatter (pass it as ``st_min_eig``) is added, valid for
     any total-scatter-orthogonal frame.
     """
-    W = np.asarray(W, dtype=float)
-    A = np.asarray(A, dtype=float)
+    W, A = _finite(W=W, A=A)
     y_i = _pattern(y_i, L=A.shape[1], name="y_i")
     y_j = _pattern(y_j, L=A.shape[1], name="y_j")
     L = A.shape[1]
@@ -306,7 +313,7 @@ def interaction_bound(W, A, B_inter, y_i, y_j, constraint="none",
         sb = 0.0
         B_inter_arr = None
     else:
-        B_inter_arr = np.asarray(B_inter, dtype=float)
+        (B_inter_arr,) = _finite(B_inter=B_inter)
         want = L * (L - 1) // 2
         if B_inter_arr.shape != (A.shape[0], want):
             raise InvalidInput(

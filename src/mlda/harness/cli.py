@@ -3,7 +3,7 @@
 import argparse
 import sys
 
-from ..errors import ConfigError, InvariantViolation, NotConverged
+from ..errors import ConfigError, InvariantViolation, MldaError, NotConverged
 from .config import EXPERIMENTS, build_config
 from .experiments import all_configs, run, write_report
 
@@ -63,14 +63,18 @@ def main(argv=None):
             csv_path, _ = write_report(report, sub.out_dir)
             _print_report(report, csv_path)
             all_ok = all_ok and report.all_passed
-    except ConfigError as exc:
-        print(f"mlda: {exc}", file=sys.stderr)
-        return 2
     except (InvariantViolation, NotConverged) as exc:
         # a numerical fault inside the library, not a failed criterion
         message = " ".join(str(exc).split())
         print(f"mlda: internal check failed ({type(exc).__name__}): {message}", file=sys.stderr)
         return 3
+    except MldaError as exc:
+        # a usage error: the config, or input the library rejects mid-run
+        message = " ".join(str(exc).split())
+        if not isinstance(exc, ConfigError):
+            message = f"input rejected ({type(exc).__name__}): {message}"
+        print(f"mlda: {message}", file=sys.stderr)
+        return 2
     return 0 if all_ok else 1
 
 

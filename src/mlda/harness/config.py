@@ -6,9 +6,9 @@ that affects results is validated up front so a bad config fails before any
 trials run, and hashed so outputs can be traced to the exact settings.
 """
 
-import copy
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError, InvalidScheme
@@ -234,144 +234,175 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def scheme_from_dict(spec):
-    """Build a LabelScheme from its JSON form; bad specs become ConfigError."""
-    if isinstance(spec, LabelScheme):
-        return spec
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"scheme spec must be a dict with a 'kind', got {spec!r}")
-    kind = spec["kind"]
-    try:
-        if kind == "single":
-            return LabelScheme.single()
-        if kind == "uniform":
-            return LabelScheme.uniform(int(spec.get("k", 0)))
-        if kind == "variable":
-            return LabelScheme.variable(tuple((int(c), float(f)) for c, f in spec.get("mix", ())))
-    except (InvalidScheme, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad scheme spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown scheme kind {kind!r}")
+_SCHEME_KEYS = {"single": {"kind"}, "uniform": {"kind", "k"}, "variable": {"kind", "mix"}}
 
 
-def _need(options, key, kind, experiment):
-    if key not in options:
-        raise ConfigError(f"{experiment}: missing option {key!r}")
-    value = options[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
+def scheme_from_dict(spec, where="scheme"):
+    """The LabelScheme of a scheme's exact JSON form: ``{"kind": "single"}``,
+    ``{"kind": "uniform", "k": <int>}`` or ``{"kind": "variable", "mix":
+    [[<int>, <fraction>], ...]}``. Anything else is a ConfigError."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or _SCHEME_KEYS.get(kind) != set(spec):
         raise ConfigError(
-            f"{experiment}: option {key!r} must be {kind.__name__}, got {value!r}"
+            f"{where} must be {{'kind': 'single'}}, {{'kind': 'uniform', 'k': ...}} "
+            f"or {{'kind': 'variable', 'mix': [...]}}, got {spec!r}"
         )
+    try:
+        return LabelScheme(kind=kind, k=spec.get("k", 1), mix=spec.get("mix", ()))
+    except InvalidScheme as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _at_least(bound):
+    return (lambda v: v >= bound), f">= {bound}"
+
+
+def _above(bound):
+    return (lambda v: v > bound), f"> {bound}"
+
+
+# The domain of an option, by name wherever it appears (a rank row's n is
+# checked as the top-level n is); a list option's domain holds for each
+# element. Options without an entry take any value of their type.
+_DOMAIN = {
+    **dict.fromkeys(("n", "d", "L", "r", "trials", "pairs", "kappa_trials", "k_max"), _at_least(1)),
+    "draws": _at_least(2),
+    # model scales enter the scatters squared, so each square must be a
+    # finite double, and a positive scale must not square to zero
+    **dict.fromkeys(
+        ("sigma_w", "effect_scale", "singular_values", "scale_factor", "kappa_scales"),
+        ((lambda v: v > 0 and 0 < v * v <= sys.float_info.max), "> 0 with a finite non-zero square"),
+    ),
+    "interaction_scale": ((lambda v: v >= 0 and v * v <= sys.float_info.max), ">= 0 with a finite square"),
+    **dict.fromkeys(("gap_threshold", "c_scale"), _above(0)),
+    **dict.fromkeys(
+        ("max_inversions", "max_median", "ratio_factor", "tolerance_se", "variance_rel_tol",
+         "mean_se_tol", "quantile_ratio_max", "alphas", "gammas", "gap_match_tol"),
+        _at_least(0),
+    ),
+    **dict.fromkeys(("min_pass_rate", "min_corrected"), ((lambda v: 0 <= v <= 1), "in [0, 1]")),
+    "deltas": ((lambda v: 0 < v < 1), "in (0, 1)"),
+}
+
+_OPTIONAL = {"expect_rank", "expect_excess"}  # a rank row may leave these out
+
+
+def _typed(value, default, where, key=None):
+    """``value`` checked against the type of ``default``, its counterpart in
+    DEFAULTS, and against the domain of option ``key``; returned as a new
+    normalized copy in which a number given for a float is a float."""
+    if isinstance(default, dict) and "kind" in default:
+        scheme = scheme_from_dict(value, where)
+        if scheme.kind == "variable":
+            return {"kind": "variable", "mix": [list(pair) for pair in scheme.mix]}
+        return dict(value)
+    if isinstance(default, dict):
+        if type(value) is not dict:
+            raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+        unknown = sorted(value.keys() - default.keys())
+        missing = sorted(default.keys() - value.keys() - _OPTIONAL)
+        if unknown or missing:
+            name = (unknown or missing)[0]
+            raise ConfigError(f"{where}: {'unknown' if unknown else 'missing'} option {name!r}")
+        return {name: _typed(v, default[name], f"{where}.{name}", name) for name, v in value.items()}
+    if isinstance(default, list):
+        if type(value) is not list or not value:
+            raise ConfigError(f"{where} must be a non-empty list, got {value!r}")
+        return [_typed(v, default[0], f"{where}[{i}]", key) for i, v in enumerate(value)]
+    if isinstance(default, float):
+        # false for NaN, infinities and integers beyond the float range
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{where} must be a finite number, got {value!r}")
+        value = float(value)
+    elif type(value) is not type(default):  # so a bool is no int, nor 20.7
+        raise ConfigError(f"{where} must be of type {type(default).__name__}, got {value!r}")
+    if key in _DOMAIN and not _DOMAIN[key][0](value):
+        raise ConfigError(f"{where} must be {_DOMAIN[key][1]}, got {value!r}")
     return value
 
 
-def _check_positive_dims(entry, experiment, keys=("n", "d", "L")):
-    for key in keys:
-        if int(entry.get(key, 0)) < 1:
-            raise ConfigError(f"{experiment}: {key} must be a positive integer, got {entry.get(key)!r}")
-    if "n" in keys and "L" in keys and int(entry["n"]) < int(entry["L"]):
-        raise ConfigError(
-            f"{experiment}: need n >= L to realize every label, got n={entry['n']}, L={entry['L']}"
-        )
+def _fits(spec, L):
+    return scheme_from_dict(spec).max_cardinality() <= L
 
 
-def _check_scheme_fits(scheme_spec, L, experiment):
-    scheme = scheme_from_dict(scheme_spec)
-    if scheme.max_cardinality() > L:
-        raise ConfigError(
-            f"{experiment}: scheme cardinality {scheme.max_cardinality()} exceeds L={L}"
-        )
-    return scheme
+def _schemes_fit(o):
+    entries = [o, *o.get("settings", ()), *o.get("kmax_settings", ())]
+    return all(_fits(e[k], o["L"]) for e in entries for k in ("scheme", "gamma_scheme") if k in e)
+
+
+def _ordered(key):
+    return (lambda o: len(o[key]) == 2 and o[key][0] <= o[key][1]), (
+        f"{key} must be a pair [low, high] with low <= high, got {{{key}}}"
+    )
+
+
+_N_COVERS_L = (lambda o: o["n"] >= o["L"]), "need n >= L to realize every label, got n={n}, L={L}"
+_R_BELOW_D = (lambda o: o["r"] < o["d"]), "need r < d, got r={r}, d={d}"
+_SV_PER_LABEL = (lambda o: len(o["singular_values"]) == o["L"]), "need one singular value per label"
+_SCHEMES_FIT = _schemes_fit, "a scheme's cardinality exceeds L={L}"
+
+# Cross-field rules of each experiment, as (test, message) pairs; the
+# message is formatted with the options. They run in order once every option
+# has passed its type and domain check, so a rule may rely on the ones before.
+_RULES = {
+    "rank": (
+        (
+            (lambda o: all(row["n"] >= row["L"] and _fits(row["scheme"], row["L"]) for row in o["rows"])),
+            "every row needs n >= L and a scheme that fits in its L labels",
+        ),
+    ),
+    "divergence": (_N_COVERS_L, _R_BELOW_D, _SCHEMES_FIT),
+    "distance": (_N_COVERS_L, _SCHEMES_FIT),
+    "convergence": (
+        (
+            (lambda o: len(o["ns"]) >= 3 and o["ns"] == sorted(o["ns"]) and o["ns"][0] >= o["L"]),
+            "ns needs >= 3 increasing entries, each >= L={L}, got {ns}",
+        ),
+        _SV_PER_LABEL,
+        _SCHEMES_FIT,
+        _ordered("slope_range"),
+    ),
+    "factors": (
+        _N_COVERS_L,
+        _R_BELOW_D,
+        _SV_PER_LABEL,
+        # the rescaling and condition probes take kmax_settings[1] as their
+        # multilabel scheme
+        ((lambda o: len(o["kmax_settings"]) >= 2), "kmax_settings needs >= 2 entries"),
+        _SCHEMES_FIT,
+    ),
+    "concentration": (_R_BELOW_D, ((lambda o: o["draws"] >= 100), "draws must be >= 100"), _SCHEMES_FIT),
+    "interaction": (_N_COVERS_L, _SV_PER_LABEL, _SCHEMES_FIT),
+    "regularization": (
+        _N_COVERS_L,
+        (
+            (lambda o: len(o["gammas"]) >= 2 and all(a < b for a, b in zip(o["gammas"], o["gammas"][1:]))),
+            "gammas needs >= 2 strictly increasing entries, got {gammas}",
+        ),
+        _SCHEMES_FIT,
+        _ordered("kappa_ratio_range"),
+    ),
+}
 
 
 def validate_options(experiment, options):
-    """Structural validation; raises ConfigError before any trial runs."""
-    if experiment == "rank":
-        rows = _need(options, "rows", list, experiment)
-        if not rows:
-            raise ConfigError("rank: needs at least one row config")
-        for row in rows:
-            _check_positive_dims(row, experiment)
-            _check_scheme_fits(row["scheme"], int(row["L"]), experiment)
-    elif experiment == "divergence":
-        _check_positive_dims(options, experiment)
-        if not 1 <= int(options["r"]) < int(options["d"]):
-            raise ConfigError(f"divergence: need 1 <= r < d, got r={options['r']}, d={options['d']}")
-        if int(options["trials"]) < 1:
-            raise ConfigError("divergence: trials must be >= 1")
-        for entry in _need(options, "settings", list, experiment):
-            _check_scheme_fits(entry["scheme"], int(options["L"]), experiment)
-    elif experiment == "distance":
-        _check_positive_dims(options, experiment)
-        if int(options["pairs"]) < 1 or int(options["draws"]) < 2:
-            raise ConfigError("distance: need pairs >= 1 and draws >= 2")
-        for entry in _need(options, "settings", list, experiment):
-            _check_scheme_fits(entry["scheme"], int(options["L"]), experiment)
-    elif experiment == "convergence":
-        _check_positive_dims(options, experiment, keys=("d", "L"))
-        ns = _need(options, "ns", list, experiment)
-        if len(ns) < 3 or any(int(n) < int(options["L"]) for n in ns):
-            raise ConfigError("convergence: ns needs >= 3 entries, each >= L")
-        if list(ns) != sorted(int(n) for n in ns):
-            raise ConfigError("convergence: ns must be increasing")
-        if int(options["trials"]) < 1:
-            raise ConfigError("convergence: trials must be >= 1")
-        svals = _need(options, "singular_values", list, experiment)
-        if len(svals) != int(options["L"]):
-            raise ConfigError("convergence: need one singular value per label")
-        _check_scheme_fits(options["scheme"], int(options["L"]), experiment)
-        if not 0.0 < float(options["gap_threshold"]):
-            raise ConfigError("convergence: gap_threshold must be > 0")
-    elif experiment == "factors":
-        _check_positive_dims(options, experiment)
-        if int(options["trials"]) < 1 or int(options["kappa_trials"]) < 1:
-            raise ConfigError("factors: trial counts must be >= 1")
-        if not 1 <= int(options["r"]) < int(options["d"]):
-            raise ConfigError("factors: need 1 <= r < d")
-        svals = _need(options, "singular_values", list, experiment)
-        if len(svals) != int(options["L"]):
-            raise ConfigError("factors: need one singular value per label")
-        for entry in _need(options, "kmax_settings", list, experiment):
-            _check_scheme_fits(entry["scheme"], int(options["L"]), experiment)
-        _check_scheme_fits(options["gamma_scheme"], int(options["L"]), experiment)
-        if float(options["scale_factor"]) <= 0:
-            raise ConfigError("factors: scale_factor must be > 0")
-    elif experiment == "concentration":
-        _check_positive_dims(options, experiment, keys=("d", "L"))
-        if not 1 <= int(options["r"]) < int(options["d"]):
-            raise ConfigError("concentration: need 1 <= r < d")
-        if int(options["pairs"]) < 1 or int(options["draws"]) < 100:
-            raise ConfigError("concentration: need pairs >= 1 and draws >= 100")
-        deltas = _need(options, "deltas", list, experiment)
-        if not deltas or any(not 0.0 < float(t) < 1.0 for t in deltas):
-            raise ConfigError("concentration: deltas must lie in (0, 1)")
-        if float(options["c_scale"]) <= 0:
-            raise ConfigError("concentration: c_scale must be > 0")
-        _check_scheme_fits(options["scheme"], int(options["L"]), experiment)
-    elif experiment == "interaction":
-        _check_positive_dims(options, experiment)
-        if int(options["pairs"]) < 1 or int(options["draws"]) < 2:
-            raise ConfigError("interaction: need pairs >= 1 and draws >= 2")
-        alphas = _need(options, "alphas", list, experiment)
-        if not alphas or any(float(a) < 0 for a in alphas):
-            raise ConfigError("interaction: alphas must be >= 0")
-        svals = _need(options, "singular_values", list, experiment)
-        if len(svals) != int(options["L"]):
-            raise ConfigError("interaction: need one singular value per label")
-        _check_scheme_fits(options["scheme"], int(options["L"]), experiment)
-    elif experiment == "regularization":
-        _check_positive_dims(options, experiment)
-        if int(options["trials"]) < 1:
-            raise ConfigError("regularization: trials must be >= 1")
-        gammas = [float(g) for g in _need(options, "gammas", list, experiment)]
-        if len(gammas) < 2 or any(b <= a for a, b in zip(gammas, gammas[1:])):
-            raise ConfigError("regularization: gammas must be strictly increasing")
-        if gammas[0] < 0:
-            raise ConfigError("regularization: gammas must be >= 0")
-        _check_scheme_fits(options["scheme"], int(options["L"]), experiment)
-    else:
+    """``options`` checked against the schema of ``experiment`` and returned
+    as a normalized copy; any violation raises ConfigError before a trial runs.
+
+    Each option's type is read off its value in ``DEFAULTS[experiment]``: an
+    int needs an int (not a bool), a float a finite int or float (stored as a
+    float), a str or bool exactly that type, a list a non-empty list of the
+    default's element type, a dict the default's keys, and a scheme its exact
+    form (``scheme_from_dict``). Domains come from ``_DOMAIN`` and
+    cross-field rules from ``_RULES``.
+    """
+    if experiment not in DEFAULTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
+    options = _typed(options, DEFAULTS[experiment], experiment)
+    for test, message in _RULES[experiment]:
+        if not test(options):
+            raise ConfigError(f"{experiment}: " + message.format(**options))
+    return options
 
 
 def load_config_file(path):
@@ -417,16 +448,11 @@ def build_config(
             raise ConfigError(f"a config file for 'all' may only set seed/out_dir, not {extra}")
         options = {}
     else:
-        options = copy.deepcopy(DEFAULTS[experiment])
-        overrides = dict(file_data.get("options", {}))
-        for key, value in file_data.items():
-            if key in _RESERVED_KEYS:
-                continue
-            overrides[key] = value
-        for key, value in overrides.items():
-            if key not in options:
-                raise ConfigError(f"{experiment}: unknown option {key!r}")
-            options[key] = value
+        nested = file_data.get("options", {})
+        if type(nested) is not dict:
+            raise ConfigError(f"'options' must be a JSON object, got {nested!r}")
+        top = {k: v for k, v in file_data.items() if k not in _RESERVED_KEYS}
+        options = {**DEFAULTS[experiment], **nested, **top}
 
     seed = seed if seed is not None else file_data.get("seed", DEFAULT_SEED)
     out_dir = out_dir if out_dir is not None else file_data.get("out_dir", "results")
@@ -434,8 +460,6 @@ def build_config(
         raise ConfigError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
     if trials is not None:
-        if trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {trials}")
         if experiment == "all":
             raise ConfigError("--trials cannot be applied to 'all'")
         if "trials" in options:
@@ -446,7 +470,7 @@ def build_config(
             raise ConfigError(f"{experiment}: has no trial-count knob to override")
 
     if experiment != "all":
-        validate_options(experiment, options)
+        options = validate_options(experiment, options)
     return ExperimentConfig(
         experiment=experiment,
         seed=seed,

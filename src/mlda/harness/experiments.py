@@ -174,7 +174,7 @@ def _structured_effects(d, L, singular_values, rng):
 
 
 def _gaussian_effects(d, L, scale, rng):
-    return float(scale) * rng.standard_normal((d, L))
+    return scale * rng.standard_normal((d, L))
 
 
 def _instance(seed, experiment, trial, scheme, n, d, L, scale, sigma_w, suffix="", noise="noise"):
@@ -228,18 +228,16 @@ def _run_rank(options, seed):
     rows, failures = [], []
     for idx, row_cfg in enumerate(options["rows"]):
         scheme = scheme_from_dict(row_cfg["scheme"])
-        n, d, L = int(row_cfg["n"]), int(row_cfg["d"]), int(row_cfg["L"])
-        _, ds = _instance(
-            seed, "rank", idx, scheme, n, d, L, options["effect_scale"], float(options["sigma_w"])
-        )
+        n, d, L = row_cfg["n"], row_cfg["d"], row_cfg["L"]
+        _, ds = _instance(seed, "rank", idx, scheme, n, d, L, options["effect_scale"], options["sigma_w"])
         report = rank_analysis(ds, build_scatter(ds))
         expect_rank = row_cfg.get("expect_rank")
         expect_excess = row_cfg.get("expect_excess")
         ok = True
         if expect_rank is not None:
-            ok = ok and report.rank_sb == int(expect_rank)
+            ok = ok and report.rank_sb == expect_rank
         if expect_excess is not None:
-            ok = ok and report.excess == bool(expect_excess)
+            ok = ok and report.excess == expect_excess
         if not ok:
             failures.append(
                 f"row {idx} ({row_cfg['setting']}): rank {report.rank_sb}, "
@@ -269,10 +267,8 @@ def _run_rank(options, seed):
 
 
 def _run_divergence(options, seed):
-    n, d, L, r = (int(options[k]) for k in ("n", "d", "L", "r"))
-    trials = int(options["trials"])
-    sigma_w = float(options["sigma_w"])
-    scale = float(options["effect_scale"])
+    n, d, L, r, trials = (options[k] for k in ("n", "d", "L", "r", "trials"))
+    sigma_w, scale = options["sigma_w"], options["effect_scale"]
 
     rows, failures = [], []
     qualitative = {}
@@ -357,12 +353,9 @@ def _run_divergence(options, seed):
 
 
 def _run_distance(options, seed):
-    n, d, L = (int(options[k]) for k in ("n", "d", "L"))
-    pairs, draws = int(options["pairs"]), int(options["draws"])
-    sigma_w = float(options["sigma_w"])
-    scale = float(options["effect_scale"])
-    tol_se = float(options["tolerance_se"])
-    min_rate = float(options["min_pass_rate"])
+    n, d, L, pairs, draws = (options[k] for k in ("n", "d", "L", "pairs", "draws"))
+    sigma_w, scale = options["sigma_w"], options["effect_scale"]
+    tol_se, min_rate = options["tolerance_se"], options["min_pass_rate"]
     r = min(6, L)
 
     rows, failures = [], []
@@ -421,11 +414,8 @@ def _run_distance(options, seed):
 
 
 def _run_convergence(options, seed):
-    d, L = int(options["d"]), int(options["L"])
-    sigma_w = float(options["sigma_w"])
-    trials = int(options["trials"])
-    ns = [int(x) for x in options["ns"]]
-    threshold = float(options["gap_threshold"])
+    d, L, sigma_w, trials, ns = (options[k] for k in ("d", "L", "sigma_w", "trials", "ns"))
+    threshold = options["gap_threshold"]
     scheme = scheme_from_dict(options["scheme"])
 
     A = _structured_effects(d, L, options["singular_values"], seed.stream("convergence", 0, "effects"))
@@ -475,9 +465,9 @@ def _run_convergence(options, seed):
 
     slope = slope_fit(ns, medians)
     inversions = sum(1 for a, b in zip(medians, medians[1:]) if b > a)
-    lo, hi = (float(x) for x in options["slope_range"])
-    final_ok = medians[-1] <= float(options["max_median"])
-    monotone_ok = inversions <= int(options["max_inversions"])
+    lo, hi = options["slope_range"]
+    final_ok = medians[-1] <= options["max_median"]
+    monotone_ok = inversions <= options["max_inversions"]
     slope_ok = lo <= slope <= hi
     failures = []
     if not final_ok:
@@ -504,13 +494,11 @@ def _run_convergence(options, seed):
 
 
 def _run_factors(options, seed):
-    d, L, n = int(options["d"]), int(options["L"]), int(options["n"])
-    sigma_w = float(options["sigma_w"])
-    trials = int(options["trials"])
-    r = int(options["r"])
+    d, L, n, r, trials = (options[k] for k in ("d", "L", "n", "r", "trials"))
+    sigma_w = options["sigma_w"]
 
     A = _structured_effects(d, L, options["singular_values"], seed.stream("factors", 0, "effects"))
-    norm_A = float(max(options["singular_values"]))
+    norm_A = max(options["singular_values"])
     rate = math.sqrt(d * math.log(d) / n)
 
     # (a) sweep the maximum label cardinality
@@ -518,7 +506,7 @@ def _run_factors(options, seed):
     med_errs, med_ratios = [], []
     for si, entry in enumerate(options["kmax_settings"]):
         scheme = scheme_from_dict(entry["scheme"])
-        k_max = int(entry["k_max"])
+        k_max = entry["k_max"]
         denom = (sigma_w * norm_A + sigma_w ** 2 * k_max) * rate
 
         def one(t):
@@ -546,12 +534,12 @@ def _run_factors(options, seed):
         )
     sweep_ok = all(b >= a for a, b in zip(med_errs, med_errs[1:]))
     ratio_spread = max(med_ratios) / min(med_ratios)
-    ratio_ok = ratio_spread <= float(options["ratio_factor"])
+    ratio_ok = ratio_spread <= options["ratio_factor"]
 
     # (b) joint model rescaling: effects and noise scaled together multiply
     # both population scatter matrices by the square of the factor, so the
     # generalized gap is untouched while the absolute gap picks the factor up
-    c = float(options["scale_factor"])
+    c = options["scale_factor"]
     scheme_multi = scheme_from_dict(options["kmax_settings"][1]["scheme"])
     dist = scheme_distribution(scheme_multi, L)
     pop_1 = population_scatters(isotropic_params(np.zeros(d), A, sigma_w), dist)
@@ -581,7 +569,7 @@ def _run_factors(options, seed):
     # condition-number probe (informational): scaling the leading rows of A
     # moves kappa(St_inf); record whether the median error moves with it
     kappa_values, kappa_medians = [], []
-    for ci, cval in enumerate(float(x) for x in options["kappa_scales"]):
+    for ci, cval in enumerate(options["kappa_scales"]):
         A_c = A.copy()
         A_c[:r, :] *= cval
         params_c = isotropic_params(np.zeros(d), A_c, sigma_w)
@@ -596,7 +584,7 @@ def _run_factors(options, seed):
             est = orthonormalize(opt_stml(ss.Sb, ss.St_ml, r).columns)
             return principal_angle_sin(est, W_pop)
 
-        out = [one(t) for t in range(int(options["kappa_trials"]))]
+        out = [one(t) for t in range(options["kappa_trials"])]
         kappa_medians.append(aggregate(out)["median"])
     kappa_co_moves = all(
         (k2 >= k1) == (m2 >= m1)
@@ -648,12 +636,9 @@ def _run_factors(options, seed):
 
 
 def _run_concentration(options, seed):
-    d, L, r = int(options["d"]), int(options["L"]), int(options["r"])
-    pairs, draws = int(options["pairs"]), int(options["draws"])
-    sigma_w = float(options["sigma_w"])
-    scale = float(options["effect_scale"])
-    deltas = [float(t) for t in options["deltas"]]
-    c_scale = float(options["c_scale"])
+    d, L, r, pairs, draws = (options[k] for k in ("d", "L", "r", "pairs", "draws"))
+    sigma_w, scale = options["sigma_w"], options["effect_scale"]
+    deltas, c_scale = options["deltas"], options["c_scale"]
     scheme = scheme_from_dict(options["scheme"])
 
     A = _gaussian_effects(d, L, scale, seed.stream("concentration", 0, "effects"))
@@ -698,15 +683,15 @@ def _run_concentration(options, seed):
     quad_all = np.concatenate(quad)
     Z_all = np.concatenate(Z)
     var_ratio = float(np.mean(lin_unit ** 2))
-    var_ok = abs(var_ratio - 1.0) <= float(options["variance_rel_tol"])
+    var_ok = abs(var_ratio - 1.0) <= options["variance_rel_tol"]
     lin_t = abs(float(lin_unit.mean())) * math.sqrt(lin_unit.size)
     quad_t = abs(float(quad_all.mean())) / (float(quad_all.std(ddof=1)) / math.sqrt(quad_all.size))
-    mean_tol = float(options["mean_se_tol"])
+    mean_tol = options["mean_se_tol"]
     means_ok = lin_t <= mean_tol and quad_t <= mean_tol
     abs_Z = np.abs(Z_all)
     q95, q99 = (float(np.quantile(abs_Z, q)) for q in (0.95, 0.99))
     q_ratio = q99 / q95
-    q_ok = q_ratio <= float(options["quantile_ratio_max"])
+    q_ok = q_ratio <= options["quantile_ratio_max"]
     psi_bound_ok = all(v <= (1.0 + 1e-10) / lam_min_st for v in psi_norms)
 
     failures = []
@@ -745,12 +730,9 @@ def _run_concentration(options, seed):
 
 
 def _run_interaction(options, seed):
-    n, d, L = (int(options[k]) for k in ("n", "d", "L"))
-    pairs, draws = int(options["pairs"]), int(options["draws"])
-    sigma_w = float(options["sigma_w"])
-    iscale = float(options["interaction_scale"])
-    alphas = [float(a) for a in options["alphas"]]
-    tol_se = float(options["tolerance_se"])
+    n, d, L, pairs, draws = (options[k] for k in ("n", "d", "L", "pairs", "draws"))
+    sigma_w, iscale = options["sigma_w"], options["interaction_scale"]
+    alphas, tol_se = options["alphas"], options["tolerance_se"]
     scheme = scheme_from_dict(options["scheme"])
     r = min(6, L)
 
@@ -811,7 +793,7 @@ def _run_interaction(options, seed):
             }
         )
 
-    min_corrected = float(options["min_corrected"])
+    min_corrected = options["min_corrected"]
     corrected_ok = all(rates[a][1] >= min_corrected for a in alphas)
     a_top = max(alphas)
     separation_ok = rates[a_top][0] < rates[a_top][1]
@@ -835,13 +817,10 @@ def _run_interaction(options, seed):
 
 
 def _run_regularization(options, seed):
-    n, d, L = (int(options[k]) for k in ("n", "d", "L"))
-    trials = int(options["trials"])
-    sigma_w = float(options["sigma_w"])
-    scale = float(options["effect_scale"])
-    gammas = [float(g) for g in options["gammas"]]
+    n, d, L, trials, gammas = (options[k] for k in ("n", "d", "L", "trials", "gammas"))
+    sigma_w, scale = options["sigma_w"], options["effect_scale"]
     scheme = scheme_from_dict(options["scheme"])
-    gap_tol = float(options["gap_match_tol"])
+    gap_tol = options["gap_match_tol"]
     r = L
 
     reports = []
@@ -876,7 +855,7 @@ def _run_regularization(options, seed):
         )
 
     finite = [m for m in medians if math.isfinite(m)]
-    lo, hi = (float(x) for x in options["kappa_ratio_range"])
+    lo, hi = options["kappa_ratio_range"]
     ratios = [a / b for a, b in zip(finite, finite[1:])]
     ratio_ok = all(lo <= q <= hi for q in ratios)
 

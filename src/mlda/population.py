@@ -216,11 +216,18 @@ class ModelParams:
 
 
 def isotropic_params(mu, A, sigma_w, B_inter=None):
-    """Convenience constructor with Sigma_w = sigma_w^2 I."""
+    """Convenience constructor with Sigma_w = sigma_w^2 I.
+
+    A variance that overflows becomes an infinite diagonal, which
+    ``ModelParams`` rejects as non-finite (``InvalidInput``).
+    """
     A = np.asarray(A, dtype=float)
+    sigma_w = float(sigma_w)
+    # the product rounds to inf where ``**`` raises OverflowError; np.diag keeps
+    # that inf off the zeros, where inf * 0 would be a NaN and a warning
     return ModelParams(
-        mu=mu, A=A, Sigma_w=(sigma_w ** 2) * np.eye(A.shape[0]),
-        B_inter=B_inter, sigma=float(sigma_w),
+        mu=mu, A=A, Sigma_w=np.diag(np.full(A.shape[0], sigma_w * sigma_w)),
+        B_inter=B_inter, sigma=sigma_w,
     )
 
 

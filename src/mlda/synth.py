@@ -19,6 +19,15 @@ from .scatter import build_dataset, build_labels
 # ---------------------------------------------------------------------------
 
 
+def _is_count(value):
+    """An integer (not a bool) of at least one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
+def _is_real(value):
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class LabelScheme:
     """How per-sample label sets are drawn.
@@ -37,17 +46,22 @@ class LabelScheme:
         if self.kind not in ("single", "uniform", "variable"):
             raise InvalidScheme(f"unknown scheme kind {self.kind!r}")
         if self.kind == "uniform":
-            if int(self.k) < 1:
-                raise InvalidScheme(f"uniform cardinality must be >= 1, got {self.k}")
+            if not _is_count(self.k):
+                raise InvalidScheme(f"uniform cardinality must be an integer >= 1, got {self.k!r}")
             object.__setattr__(self, "k", int(self.k))
         if self.kind == "variable":
-            mix = tuple((int(c), float(f)) for c, f in self.mix)
+            try:
+                mix = tuple((c, f) for c, f in self.mix)
+            except (TypeError, ValueError):
+                raise InvalidScheme(f"mix must hold (cardinality, fraction) pairs, got {self.mix!r}") from None
             if not mix:
                 raise InvalidScheme("variable scheme needs a non-empty mix")
-            if any(c < 1 for c, _ in mix):
-                raise InvalidScheme(f"cardinalities must be >= 1: {mix}")
-            if any(f < 0 for _, f in mix):
-                raise InvalidScheme(f"fractions must be >= 0: {mix}")
+            if not all(_is_count(c) for c, _ in mix):
+                raise InvalidScheme(f"cardinalities must be integers >= 1: {mix}")
+            # 0 <= f <= 1 is false for NaN and infinities: it checks finiteness too
+            if not all(_is_real(f) and 0 <= f <= 1 for _, f in mix):
+                raise InvalidScheme(f"fractions must be numbers in [0, 1]: {mix}")
+            mix = tuple((int(c), float(f)) for c, f in mix)
             total = sum(f for _, f in mix)
             if abs(total - 1.0) > 1e-12:
                 raise InvalidScheme(f"mix fractions sum to {total!r}, not 1")
@@ -63,7 +77,7 @@ class LabelScheme:
 
     @staticmethod
     def variable(mix):
-        return LabelScheme(kind="variable", mix=tuple(mix))
+        return LabelScheme(kind="variable", mix=mix)
 
     def max_cardinality(self):
         if self.kind == "single":

@@ -111,6 +111,39 @@ def test_budget_shape_validation():
         distance_budget(W2, A2, [1, 2], [0, 1], SIG_ISO)
 
 
+def _poisoned(M, value):
+    M = np.array(M, dtype=float)
+    M[0, -1] = value
+    return M
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("target", ["W", "A", "Sigma_w"])
+def test_distance_budget_rejects_non_finite_inputs(value, target):
+    args = {"W": W2, "A": A2, "Sigma_w": SIG_ISO}
+    args[target] = _poisoned(args[target], value)
+    with pytest.raises(InvalidInput, match=target):
+        distance_budget(args["W"], args["A"], YI, YJ, args["Sigma_w"])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("target", ["W", "A", "B_inter"])
+def test_interaction_bound_rejects_non_finite_inputs(value, target):
+    args = {"W": W2, "A": A2, "B_inter": np.ones((4, 1))}
+    args[target] = _poisoned(args[target], value)
+    with pytest.raises(InvalidInput, match=target):
+        interaction_bound(args["W"], args["A"], args["B_inter"], YI, YJ)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("target", ["W", "A", "Sigma_w"])
+def test_tail_params_rejects_non_finite_inputs(value, target):
+    args = {"W": W2, "A": A2, "Sigma_w": SIG_ISO}
+    args[target] = _poisoned(args[target], value)
+    with pytest.raises(InvalidInput, match=target):
+        tail_params(args["W"], args["A"], YI, YJ, args["Sigma_w"])
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo oracle for the expected distance
 # ---------------------------------------------------------------------------

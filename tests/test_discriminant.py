@@ -5,6 +5,7 @@ trace ratio on commuting (diagonal) scatters, characteristic-polynomial roots
 for the whitened problem, and brute-force Stiefel probes for the Ky Fan bound.
 """
 
+import dataclasses
 import warnings
 from itertools import combinations
 
@@ -445,6 +446,27 @@ def test_regularization_rejects_kappa_increase(rng, monkeypatch):
     )
     with pytest.raises(InvariantViolation, match="failed to decrease"):
         regularization_report(ss, [0.0, 1.0], r=2)
+
+
+def test_regularization_kappa_rounding_up_by_an_ulp_is_not_an_increase(rng):
+    # a gamma step of a few ulps that changes lambda_max + gamma and
+    # lambda_min + gamma can round kappa up by one ulp: 1.1555437769909684
+    # -> 1.1555437769909687 here, which the exact comparison called an
+    # invariant failure on valid input
+    ss = dataclasses.replace(
+        _unit_scale_scatter(rng),
+        Sw=np.diag(np.linspace(3.6023521126681812, 4.162675566323985, 20)),
+    )
+    rows = regularization_report(ss, [0.0, 1.4687734649672557e-15], r=2)
+    assert rows[1].kappa_sw_gamma > rows[0].kappa_sw_gamma  # rounded up, inside 1 + 8u
+    assert rows[1].kappa_sw_gamma <= rows[0].kappa_sw_gamma * (1 + 4 * np.finfo(float).eps)
+
+
+def test_regularization_rejects_non_finite_gammas(rng):
+    ss = _rank_deficient_scatter(rng)
+    for gammas in ([0.0, np.nan], [np.nan], [0.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(InvalidInput, match="finite and >= 0"):
+            regularization_report(ss, gammas, r=1)
 
 
 def test_regularization_report_validation(rng):

@@ -158,6 +158,16 @@ def test_config_errors(tmp_path):
         build_config("rank", None, -3, None, None)  # bad seed
     with pytest.raises(ConfigError):
         build_config("nonesuch", None, None, None, None)
+    path.write_text(json.dumps({"experiment": "rank", "options": 5}))
+    with pytest.raises(ConfigError, match="'options' must be a JSON object"):
+        build_config("rank", str(path), None, None, None)
+    row = {**DEFAULTS["rank"]["rows"][0], "bogus": 1}
+    path.write_text(json.dumps({"experiment": "rank", "rows": [row]}))
+    with pytest.raises(ConfigError, match=r"rows\[0\]: unknown option 'bogus'"):
+        build_config("rank", str(path), None, None, None)
+    for trials in (0, -1, True):  # the --trials override is validated like the file
+        with pytest.raises(ConfigError, match="trials"):
+            build_config("divergence", None, None, None, trials)
 
 
 def test_all_config_restricted(tmp_path):
@@ -200,6 +210,92 @@ def test_dimension_validation(tmp_path):
     path.write_text(json.dumps({"experiment": "divergence", "n": 3, "L": 8}))
     with pytest.raises(ConfigError):  # n >= L required
         build_config("divergence", str(path), None, None, None)
+    cases = [
+        ("divergence", {"d": 20.7}, "must be of type int"),  # no silent truncation
+        ("divergence", {"r": 20}, "need r < d"),
+        ("concentration", {"draws": 50}, "draws must be >= 100"),
+        ("convergence", {"ns": [50, 20, 100]}, "increasing"),
+        ("convergence", {"ns": [3, 50, 100]}, "each >= L"),
+        ("convergence", {"slope_range": [-0.15, -0.6]}, "low <= high"),
+        ("regularization", {"kappa_ratio_range": [8.0, 10.0, 12.0]}, "pair"),
+        ("regularization", {"gammas": [0.0, 1.0, 1.0]}, "strictly increasing"),
+        ("interaction", {"singular_values": [8.0, 6.0]}, "one singular value per label"),
+        ("factors", {"kmax_settings": DEFAULTS["factors"]["kmax_settings"][:1]}, ">= 2 entries"),
+        ("factors", {"gamma_scheme": {"kind": "uniform", "k": 6}}, "exceeds L"),
+        ("rank", {"rows": [{**DEFAULTS["rank"]["rows"][0], "L": 200}]}, "n >= L"),
+    ]
+    for experiment, options, message in cases:
+        path.write_text(json.dumps({"experiment": experiment, **options}))
+        with pytest.raises(ConfigError, match=message):
+            build_config(experiment, str(path), None, None, None)
+
+
+# Options whose domain includes 0; every other option rejects it.
+_ZERO_ALLOWED = {
+    "max_inversions", "max_median", "ratio_factor", "tolerance_se", "min_pass_rate",
+    "variance_rel_tol", "mean_se_tol", "quantile_ratio_max", "interaction_scale",
+    "min_corrected", "gap_match_tol",
+}
+_BAD_SCHEMES = [
+    {"kind": "variable", "mix": [[1, float("nan")]]},
+    {"kind": "uniform", "k": 1.5},
+    {"kind": "uniform", "k": 2, "mix": []},
+    {"kind": "nonesuch"},
+]
+
+
+def _hostile_values(default):
+    """Values of the wrong type, non-finite, negative or empty for an option
+    whose default is ``default``."""
+    values = [float("nan"), float("inf"), float("-inf"), -1, "abc", None, True, [], {}]
+    if isinstance(default, int):
+        values.append(20.7)
+    if isinstance(default, dict):
+        values += _BAD_SCHEMES
+    if isinstance(default, list):
+        element = default[0]
+        values += [[float("nan")], ["abc"], [None], [True], [[]]]
+        if isinstance(element, dict) and "scheme" in element:
+            values += [[{**element, "scheme": bad}] for bad in _BAD_SCHEMES]
+            values.append([{k: v for k, v in element.items() if k != "scheme"}])
+        if isinstance(element, dict):
+            values.append([{**element, "extra": 1}])
+    return values
+
+
+@pytest.mark.parametrize(
+    "experiment,option", [(e, o) for e in EXPERIMENTS for o in DEFAULTS[e]]
+)
+def test_every_option_rejects_hostile_values(tmp_path, experiment, option):
+    path = tmp_path / "c.json"
+    default = DEFAULTS[experiment][option]
+    hostile = _hostile_values(default)
+    if option not in _ZERO_ALLOWED:
+        hostile.append(0)
+    for value in hostile:
+        path.write_text(json.dumps({"experiment": experiment, option: value}))
+        with pytest.raises(ConfigError, match=option):
+            build_config(experiment, str(path))
+            pytest.fail(f"{experiment}.{option} = {value!r} was accepted")
+    if option in _ZERO_ALLOWED:
+        path.write_text(json.dumps({"experiment": experiment, option: 0}))
+        assert build_config(experiment, str(path)).options[option] == 0
+
+
+def test_defaults_and_shipped_configs_normalize_to_themselves():
+    from mlda.harness.config import ExperimentConfig, validate_options
+
+    for experiment in EXPERIMENTS:
+        options = validate_options(experiment, DEFAULTS[experiment])
+        assert options == DEFAULTS[experiment]
+        assert json.dumps(options, sort_keys=True) == json.dumps(DEFAULTS[experiment], sort_keys=True)
+        cfg = build_config(experiment, os.path.join(CONFIG_DIR, f"{experiment}.json"))
+        unvalidated = ExperimentConfig(experiment, DEFAULT_SEED, "results", DEFAULTS[experiment])
+        assert cfg.options == DEFAULTS[experiment]
+        assert cfg.digest() == unvalidated.digest()
+    # an int given for a float option is stored as a float
+    options = validate_options("distance", {**DEFAULTS["distance"], "sigma_w": 2, "tolerance_se": 3})
+    assert type(options["sigma_w"]) is float and type(options["tolerance_se"]) is float
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +383,37 @@ def test_cli_config_error_exit_two(tmp_path):
     assert proc.stderr.strip() != ""
     # no result files on a config error
     assert not (tmp_path / "rank.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment,options",
+    [
+        ("regularization", {"sigma_w": float("nan")}),
+        ("regularization", {"sigma_w": float("inf")}),
+        ("regularization", {"sigma_w": -1}),
+        ("regularization", {"sigma_w": 1e308}),
+        ("regularization", {"effect_scale": float("nan")}),
+        ("regularization", {"gammas": [0, float("nan")]}),
+        ("regularization", {"d": "abc"}),
+        ("regularization", {"d": 20.7}),
+        ("regularization", {"trials": True}),
+        ("divergence", {"settings": [{"setting": "no scheme"}]}),
+        ("divergence", {"settings": [{"setting": "k", "scheme": {"kind": "uniform", "k": 1.5}}]}),
+        ("distance", {"tolerance_se": float("nan")}),
+        ("interaction", {"alphas": [float("nan")]}),
+        ("factors", {"kmax_settings": [{"k_max": 1, "scheme": {"kind": "single"}}]}),
+        # valid to the schema; the library rejects r = L = d mid-run
+        ("regularization", {"d": 10, "L": 10, "trials": 1}),
+    ],
+)
+def test_cli_hostile_config_exit_two(tmp_path, experiment, options):
+    cfgfile = tmp_path / "bad.json"
+    cfgfile.write_text(json.dumps({"experiment": experiment, **options}))
+    proc = _cli([experiment, "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("mlda: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / f"{experiment}.csv").exists()
 
 
 def test_cli_has_no_threads_flag(tmp_path):

@@ -291,6 +291,19 @@ def test_model_validation():
         population_scatters(singular, label_moments([([1, 0], 0.5), ([0, 1], 0.5)]))
 
 
+def test_isotropic_params_overflowing_variance_is_invalid_input():
+    # sigma_w ** 2 raised a bare OverflowError; the infinite variance now
+    # reaches the finiteness check, and inf * 0 never makes a NaN warning
+    for sigma_w in (1e308, 1e155, float("inf"), float("nan")):
+        with pytest.raises(InvalidInput, match="non-finite"):
+            isotropic_params(np.zeros(3), np.ones((3, 2)), sigma_w)
+    # the diagonal is the same double (sigma_w ** 2) * eye gave
+    for sigma_w in (0.0, 0.5, 0.7, 1.0, 3.3, 1e-150, 1e70):
+        params = isotropic_params(np.zeros(4), np.ones((4, 2)), sigma_w)
+        expected = (sigma_w ** 2) * np.eye(4)
+        assert params.Sigma_w.tobytes() == expected.tobytes() and params.sigma == sigma_w
+
+
 def test_model_diagonal_covariance_skips_eigvalsh(monkeypatch):
     # a diagonal Sigma_w reads its spectrum off the diagonal; the PSD check
     # and the default sigma must match what the full eigvalsh route gives

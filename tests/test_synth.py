@@ -82,6 +82,31 @@ def test_scheme_validation():
     assert VAR.max_cardinality() == 3
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LabelScheme.variable(((1, float("nan")),)),  # NaN passes abs(total - 1) > tol
+        lambda: LabelScheme.variable(((1, 0.5), (2, float("inf")))),
+        lambda: LabelScheme.variable(((2.5, 1.0),)),  # was truncated to 2
+        lambda: LabelScheme.variable(((True, 1.0),)),
+        lambda: LabelScheme.variable(((1, True),)),
+        lambda: LabelScheme.variable(((1, 0.5, 3),)),
+        lambda: LabelScheme.variable(5),
+        lambda: LabelScheme.uniform(1.5),  # was truncated to 1
+        lambda: LabelScheme.uniform(True),
+    ],
+)
+def test_scheme_rejects_non_integer_cardinality_and_non_finite_fraction(make):
+    with pytest.raises(InvalidScheme):
+        make()
+
+
+def test_scheme_keeps_integer_and_float_values():
+    assert LabelScheme.uniform(np.int64(3)).k == 3
+    assert LabelScheme.variable(((np.int64(1), 1),)).mix == ((1, 1.0),)
+    assert type(LabelScheme.variable(((np.int64(1), 1),)).mix[0][0]) is int
+
+
 def test_cardinality_fractions_converge():
     rng = Seed(3).stream("mix", 0, "labels")
     labels = gen_labels(VAR, 100_000, 8, rng)
