@@ -13,6 +13,7 @@ tail parameters (V, B) computed here; pairwise label interactions perturb the
 mean by an explicitly bounded amount.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,14 +266,21 @@ def concentration_interval(params, delta_prob, c_scale=1.0):
 
     half_width = V sqrt(log(2/delta) / c) + B log(2/delta) / c with c the
     configurable scale factor (default 1). Decreasing delta widens the
-    interval monotonically.
+    interval monotonically. The arithmetic is done in Python floats, which
+    round an overflow to inf without a warning; a log term or half-width
+    that is not finite raises InvalidInput.
     """
     if not 0 < delta_prob < 1:
         raise InvalidInput(f"delta must be in (0, 1), got {delta_prob}")
     if c_scale <= 0:
         raise InvalidInput(f"c_scale must be > 0, got {c_scale}")
-    log_term = np.log(2.0 / delta_prob) / c_scale
-    return float(params.V_ij * np.sqrt(log_term) + params.B_tail * log_term)
+    log_term = float(np.log(2.0 / delta_prob)) / c_scale
+    if not math.isfinite(log_term):
+        raise InvalidInput(f"log(2/delta) / c_scale overflows at c_scale={c_scale!r}")
+    half_width = float(params.V_ij) * math.sqrt(log_term) + float(params.B_tail) * log_term
+    if not math.isfinite(half_width):
+        raise InvalidInput(f"half-width overflows at delta={delta_prob!r}, c_scale={c_scale!r}")
+    return half_width
 
 
 def interaction_bound(W, A, B_inter, y_i, y_j, constraint="none",

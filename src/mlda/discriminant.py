@@ -26,6 +26,7 @@ from .errors import (
     SingularTotalScatter,
 )
 from .spectral import (
+    RECON_TOL,
     Frame,
     numeric_rank,
     principal_angle_sin,
@@ -402,14 +403,33 @@ def regularization_report(ss, gammas, r):
     The between-scatter rank never depends on gamma; it is counted from the
     d x L factor M of Sb = M M^T, whose squared singular values are those of
     Sb, with the cutoff ``numeric_rank(Sb)`` applies. The trace-difference
-    matrix merely shifts by -gamma I, so its gap at any cut is unchanged
-    (each row recomputes it from a fresh eigenvalue solve as a check); the
-    condition number strictly improves as gamma grows (unless Sw is already
-    a multiple of the identity). Each computed condition number
+    matrix C = 2 Sb - St_ml merely shifts by -gamma I, so its gap at any cut
+    is unchanged (each row recomputes it from a fresh eigenvalue solve as a
+    check); the condition number strictly improves as gamma grows (unless Sw
+    is already a multiple of the identity). Each computed condition number
     (lambda_max + gamma) / (lambda_min + gamma) carries three roundings, so
     about 3u relative error (u = eps / 2); a gamma step of a few ulps can
     leave it equal or round it up by an ulp. The check therefore raises only
     when it grows by more than a factor 1 + 8u.
+
+    When d > n the scatter set carries ``range_basis``, an orthonormal d x n
+    Q whose span holds the ranges of Sb, Sw and St_ml. Then C = Q Cq Q^T
+    with Cq = Q^T C Q, so C - gamma I has the n eigenvalues of
+    Cq - gamma I_n and d - n eigenvalues equal to -gamma exactly; likewise
+    Sw has the eigenvalues of Swq = Q^T Sw Q and d - n zeros, so
+    lambda_min(Sw) = min(lambda_min(Swq), 0). Each ridge row is then a
+    checked n x n solve instead of a d x d one. The compression is
+    certified once: the trace and the Frobenius norm of Cq and of Swq must
+    match those of C and Sw within ``RECON_TOL * max(1, ||S||_F)``, the
+    invariants and tolerance of ``sym_eigvals``, or InvariantViolation is
+    raised ("range compression"). For an orthonormal Q, ||Q^T S Q||_F <=
+    ||S||_F with equality exactly when S = Q Q^T S Q Q^T, and a norm defect
+    delta bounds the part of S outside span(Q) by sqrt(2 ||S||_F delta) in
+    Frobenius norm; for the PSD Sw the trace defect alone bounds that part's
+    diagonal block at first order.
+
+    A gamma so large that ||C - gamma I||_F^2 could overflow is rejected as
+    InvalidInput before the sweep starts.
     """
     gammas = [float(g) for g in gammas]
     if not gammas:
@@ -419,14 +439,30 @@ def regularization_report(ss, gammas, r):
         raise InvalidInput(f"gammas must be finite and >= 0: {gammas}")
     if any(b <= a for a, b in zip(gammas, gammas[1:])):
         raise InvalidInput(f"gammas must be strictly increasing: {gammas}")
-    sv2 = np.linalg.svd(ss.M, compute_uv=False) ** 2
-    rank_sb = int(np.count_nonzero(sv2 > ss.M.shape[0] * np.finfo(float).eps * sv2[0]))
-    sw_vals = np.linalg.eigvalsh(ss.Sw)
-    lam_min, lam_max = float(sw_vals[0]), float(sw_vals[-1])
     C = 2.0 * ss.Sb - ss.St_ml
     d = C.shape[0]
     if not 1 <= r < d:
         raise InvalidInput(f"need 1 <= r < d={d}, got r={r}")
+    # ||C - gamma I||_F <= ||C||_F + sqrt(d) gamma; keep its square, which
+    # every solve's norm check forms, 4 times below the largest double (the
+    # comparison is arranged so that it cannot overflow itself)
+    room = np.sqrt(np.finfo(float).max) / 2.0 - np.linalg.norm(C)
+    if gammas[-1] > room / np.sqrt(d):
+        raise InvalidInput(
+            f"gamma {gammas[-1]!r} is too large: ||C - gamma I||_F^2 would overflow"
+        )
+    sv2 = np.linalg.svd(ss.M, compute_uv=False) ** 2
+    rank_sb = int(np.count_nonzero(sv2 > ss.M.shape[0] * np.finfo(float).eps * sv2[0]))
+    Q = ss.range_basis
+    if Q is None:
+        sw_vals = np.linalg.eigvalsh(ss.Sw)
+        lam_min, lam_max = float(sw_vals[0]), float(sw_vals[-1])
+    else:
+        Cq, Swq = _compress(C, Q), _compress(ss.Sw, Q)
+        sw_vals = np.linalg.eigvalsh(Swq)
+        # the d - n eigenvalues of Sw off span(Q) are zeros
+        lam_min, lam_max = min(float(sw_vals[0]), 0.0), max(float(sw_vals[-1]), 0.0)
+        n = Q.shape[1]
     rows = []
     finite = []  # kappa of each finite row
     for gamma in gammas:
@@ -435,7 +471,11 @@ def regularization_report(ss, gammas, r):
         kappa = np.inf if infinite else top / bot
         if not infinite:
             finite.append(kappa)
-        vals = sym_eigvals(C - gamma * np.eye(d))
+        if Q is None:
+            vals = sym_eigvals(C - gamma * np.eye(d))
+        else:
+            off_range = np.full(d - n, -gamma)
+            vals = np.sort(np.concatenate((sym_eigvals(Cq - gamma * np.eye(n)), off_range)))[::-1]
         rows.append(
             RegularizationRow(
                 gamma=gamma,
@@ -454,3 +494,20 @@ def regularization_report(ss, gammas, r):
                     f"condition number failed to decrease: {a!r} -> {b!r}"
                 )
     return rows
+
+
+def _compress(S, Q):
+    """Q^T S Q for an orthonormal Q whose span must hold the range of S.
+
+    Raises InvariantViolation ("range compression") unless the trace and
+    the Frobenius norm of the result match those of S within
+    ``RECON_TOL * max(1, ||S||_F)``.
+    """
+    Sq = symmetrize(Q.T @ S @ Q)
+    norm = np.linalg.norm(S)
+    defect = max(abs(np.trace(Sq) - np.trace(S)), abs(np.linalg.norm(Sq) - norm))
+    if defect > RECON_TOL * max(1.0, norm):
+        raise InvariantViolation(
+            f"range compression lost mass outside span(Q): invariant defect {defect:.3e}"
+        )
+    return Sq

@@ -253,6 +253,10 @@ def scheme_from_dict(spec, where="scheme"):
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _finite_square(v):
+    return v * v <= sys.float_info.max
+
+
 def _at_least(bound):
     return (lambda v: v >= bound), f">= {bound}"
 
@@ -273,7 +277,7 @@ _DOMAIN = {
         ("sigma_w", "effect_scale", "singular_values", "scale_factor", "kappa_scales"),
         ((lambda v: v > 0 and 0 < v * v <= sys.float_info.max), "> 0 with a finite non-zero square"),
     ),
-    "interaction_scale": ((lambda v: v >= 0 and v * v <= sys.float_info.max), ">= 0 with a finite square"),
+    "interaction_scale": ((lambda v: v >= 0 and _finite_square(v)), ">= 0 with a finite square"),
     **dict.fromkeys(("gap_threshold", "c_scale"), _above(0)),
     **dict.fromkeys(
         ("max_inversions", "max_median", "ratio_factor", "tolerance_se", "variance_rel_tol",
@@ -372,7 +376,18 @@ _RULES = {
         _SCHEMES_FIT,
     ),
     "concentration": (_R_BELOW_D, ((lambda o: o["draws"] >= 100), "draws must be >= 100"), _SCHEMES_FIT),
-    "interaction": (_N_COVERS_L, _SV_PER_LABEL, _SCHEMES_FIT),
+    "interaction": (
+        _N_COVERS_L,
+        _SV_PER_LABEL,
+        _SCHEMES_FIT,
+        # alpha scales the interaction effects, so alpha * interaction_scale
+        # is a model scale and needs a finite square like the scales above
+        (
+            (lambda o: all(_finite_square(a * o["interaction_scale"]) for a in o["alphas"])),
+            "every alpha * interaction_scale needs a finite square, got alphas={alphas}, "
+            "interaction_scale={interaction_scale}",
+        ),
+    ),
     "regularization": (
         _N_COVERS_L,
         (

@@ -750,6 +750,8 @@ def _run_interaction(options, seed):
     n_prod = L * (L - 1) // 2
     B = iscale * seed.stream("interaction", 0, "inter").standard_normal((d, n_prod))
     params = isotropic_params(np.zeros(d), A, sigma_w, B_inter=B)
+    # the strongest interaction alpha * B must make a valid model as well
+    isotropic_params(np.zeros(d), A, sigma_w, B_inter=max(alphas) * B)
     ds0 = gen_data(labels, params, seed.stream("interaction", 0, "fit-noise"))
     W = top_eigenspace(build_scatter(ds0).Sb, r).frame.columns
     Sigma_w = params.Sigma_w

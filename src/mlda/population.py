@@ -172,6 +172,18 @@ class ModelParams:
             raise InvalidInput(f"Sigma_w shape {S.shape} != ({mu.shape[0]},)*2")
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(A)) and np.all(np.isfinite(S))):
             raise InvalidInput("model parameters contain non-finite entries")
+        B = self.B_inter
+        if B is not None:
+            B = np.asarray(B, dtype=float)
+            L = A.shape[1]
+            want = L * (L - 1) // 2
+            if B.shape != (A.shape[0], want):
+                raise InvalidInput(
+                    f"B_inter shape {B.shape} != ({A.shape[0]}, {want})"
+                )
+            if not np.all(np.isfinite(B)):
+                raise InvalidInput("B_inter contains non-finite entries")
+        _check_magnitude(A, S, B)
         if np.linalg.norm(S - S.T) > 1e-10 * max(1.0, np.linalg.norm(S)):
             raise InvalidCovariance("Sigma_w is not symmetric")
         S = symmetrize(S)
@@ -184,17 +196,6 @@ class ModelParams:
             evals = np.linalg.eigvalsh(S)
         if evals.min() < -1e-10 * max(1.0, evals.max()):
             raise InvalidCovariance(f"Sigma_w has negative eigenvalue {evals.min():.3e}")
-        B = self.B_inter
-        if B is not None:
-            B = np.asarray(B, dtype=float)
-            L = A.shape[1]
-            want = L * (L - 1) // 2
-            if B.shape != (A.shape[0], want):
-                raise InvalidInput(
-                    f"B_inter shape {B.shape} != ({A.shape[0]}, {want})"
-                )
-            if not np.all(np.isfinite(B)):
-                raise InvalidInput("B_inter contains non-finite entries")
         sigma = self.sigma
         if sigma is None:
             sigma = float(np.sqrt(max(evals.max(), 0.0)))
@@ -213,6 +214,28 @@ class ModelParams:
     @property
     def L(self):
         return self.A.shape[1]
+
+
+def _check_magnitude(A, Sigma_w, B_inter):
+    """Reject a model whose second moments could overflow, as InvalidInput.
+
+    Every entry of A and B_inter, and the square root of every entry of
+    Sigma_w, must be at most m = max^(1/4) / (4 sqrt(w d)), with w = L +
+    L(L-1)/2 the number of effect columns and max the largest double. Then
+    an entry of Sigma_w, of A D_pi A^T or of K_pop Sigma_w is at most w m^2,
+    and their squared Frobenius norms, which the symmetry check and the
+    population scatters form, at most (w d m^2)^2 = max / 256. Only
+    magnitudes are compared, so nothing here can overflow.
+    """
+    d, w = A.shape[0], A.shape[1] + (0 if B_inter is None else B_inter.shape[1])
+    bound = np.finfo(float).max ** 0.25 / (4.0 * np.sqrt(max(w * d, 1)))
+    limits = (("A", A, bound), ("Sigma_w", Sigma_w, bound * bound), ("B_inter", B_inter, bound))
+    for name, M, limit in limits:
+        if M is not None and M.size and np.abs(M).max() > limit:
+            raise InvalidInput(
+                f"{name} magnitude {np.abs(M).max():.3e} exceeds {limit:.3e}; "
+                "the model's scatters would overflow"
+            )
 
 
 def isotropic_params(mu, A, sigma_w, B_inter=None):

@@ -29,6 +29,14 @@ on disagreement:
   the scatters' squared Frobenius norms would overflow;
 * in ``build_dataset``, the column sums of the centred rows vanish up to
   rounding (centring drift).
+
+When n < d every scatter has rank at most n - 1, and ``build_scatter`` keeps
+an orthonormal basis of a space that holds all their ranges: the d x n factor
+Q of one thin QR factorization B^T = Q R_B, B = diag(sqrt(k)) Xc, which also
+gives ||St_ml||_2 = sigma_max(R_B)^2. It rides on the ScatterSet as
+``range_basis`` (None when n >= d), so that a d x d eigenproblem on the
+scatters can be solved as an n x n one; ``regularization_report`` does so
+and certifies the compression (see its docstring).
 """
 
 import csv
@@ -273,8 +281,19 @@ class ScatterSet:
         Factor with Sb = M M^T, namely Xc^T Y diag(n_ell)^{-1/2}.
     st_ml_norm : float
         ||St_ml||_2, the largest eigenvalue of St_ml = B^T B with
-        B = diag(sqrt(k)) Xc. When n < d it is read off the n x n Gram
-        B B^T, which has the same nonzero eigenvalues; otherwise off St_ml.
+        B = diag(sqrt(k)) Xc. When n < d it is sigma_max(R_B)^2 from the
+        thin QR factorization B^T = Q R_B (R_B^T R_B = B B^T has the same
+        nonzero eigenvalues as St_ml); otherwise it is read off St_ml.
+    range_basis : (d, n) ndarray or None
+        When n < d, the orthonormal factor Q of that QR factorization. Every
+        scatter is a sum of outer products of rows of Xc, or of vectors
+        inside their span (label means minus the global mean, rows minus
+        their label mean), and span(Q) holds the row space of B, which is
+        that of Xc when every k_i >= 1. So Sb, Sw, St, St_ml, R and the
+        columns of M all live on span(Q), and S = Q (Q^T S Q) Q^T for each
+        of them: a d x d problem on these matrices reduces to an n x n one
+        (see ``regularization_report``). None when n >= d, where nothing is
+        gained.
     """
 
     Sb: np.ndarray
@@ -284,6 +303,7 @@ class ScatterSet:
     R: np.ndarray
     M: np.ndarray
     st_ml_norm: float
+    range_basis: np.ndarray = None
 
 
 def _rel_defect(lhs, rhs, scale=0.0):
@@ -332,15 +352,16 @@ def build_scatter(ds):
             f"between-scatter factorization defect {factor_defect:.3e}"
         )
 
-    # St_ml = B^T B with B = diag(sqrt(k)) Xc, and B B^T has the same nonzero
-    # eigenvalues, so the smaller Gram gives ||St_ml||_2
+    # St_ml = B^T B with B = diag(sqrt(k)) Xc. When n < d, B^T = Q R_B gives
+    # St_ml = Q (R_B^T R_B) Q^T, so ||St_ml||_2 = sigma_max(R_B)^2, and Q
+    # spans the range of every scatter
     n, d = Xc.shape
     if n < d:
-        B = Xc * np.sqrt(labels.k)[:, None]
-        gram = symmetrize(B @ B.T)
+        range_basis, R_B = np.linalg.qr((Xc * np.sqrt(labels.k)[:, None]).T)
+        st_ml_norm = float(np.linalg.norm(R_B, 2) ** 2)
     else:
-        gram = St_ml
-    st_ml_norm = float(np.abs(np.linalg.eigvalsh(gram)).max())
+        range_basis = None
+        st_ml_norm = float(np.abs(np.linalg.eigvalsh(St_ml)).max())
 
     R = St_ml - St
     # R is a difference of two same-scale accumulations, so when it is
@@ -350,7 +371,10 @@ def build_scatter(ds):
     for name, S in (("Sb", Sb), ("Sw", Sw), ("R", R)):
         _certify_psd(name, S, dust)
 
-    return ScatterSet(Sb=Sb, Sw=Sw, St_ml=St_ml, St=St, R=R, M=M, st_ml_norm=st_ml_norm)
+    return ScatterSet(
+        Sb=Sb, Sw=Sw, St_ml=St_ml, St=St, R=R, M=M, st_ml_norm=st_ml_norm,
+        range_basis=range_basis,
+    )
 
 
 def _certify_psd(name, S, dust):

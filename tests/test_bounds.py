@@ -5,6 +5,8 @@ for the expected projected distance, and exact Cauchy-Schwarz checks for the
 interaction widening.
 """
 
+import dataclasses
+import warnings
 from itertools import product
 
 import numpy as np
@@ -319,6 +321,13 @@ def test_concentration_interval_properties(rng):
         concentration_interval(tp, 1.5)
     with pytest.raises(InvalidInput):
         concentration_interval(tp, 0.1, c_scale=0.0)
+    # an overflowing log term or half-width is rejected without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="overflows"):
+            concentration_interval(tp, 0.1, c_scale=1e-308)
+        with pytest.raises(InvalidInput, match="overflows"):
+            concentration_interval(dataclasses.replace(tp, B_tail=1e300), 0.1, c_scale=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Oracles: closed-form theta expressions, an exhaustive subset search for the
 trace ratio on commuting (diagonal) scatters, characteristic-polynomial roots
-for the whitened problem, and brute-force Stiefel probes for the Ky Fan bound.
+for the whitened problem, brute-force Stiefel probes for the Ky Fan bound,
+and the full d x d eigenvalue sweep for the ridge report's range reduction.
 """
 
 import dataclasses
@@ -11,6 +12,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mlda import (
     InvalidGap,
@@ -21,6 +24,7 @@ from mlda import (
     Seed,
     SingularTotalScatter,
     build_dataset,
+    build_labels,
     build_scatter,
     commutativity_defect,
     davis_kahan_check,
@@ -37,6 +41,7 @@ from mlda import (
     top_eigenspace,
     trace_ratio_stiefel,
 )
+from mlda.discriminant import RegularizationRow
 from mlda.spectral import principal_angle_sin
 from tests.conftest import random_stiefel
 
@@ -477,6 +482,147 @@ def test_regularization_report_validation(rng):
         regularization_report(ss, [-1.0, 0.0], r=1)
     with pytest.raises(InvalidInput):
         regularization_report(ss, [], r=1)
+
+
+def test_regularization_rejects_gammas_whose_norm_would_overflow(rng):
+    # ||C - gamma I||_F^2 would overflow: InvalidInput before any solve, on
+    # the range route (d > n) and on the full route alike
+    for ss in (_rank_deficient_scatter(rng), _unit_scale_scatter(rng)):
+        C = 2.0 * ss.Sb - ss.St_ml
+        d = C.shape[0]
+        edge = (np.sqrt(np.finfo(float).max) / 2.0 - np.linalg.norm(C)) / np.sqrt(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for big in (1e200, 1e308, 1.01 * edge):
+                with pytest.raises(InvalidInput, match="too large"):
+                    regularization_report(ss, [0.0, big], r=1)
+            rows = regularization_report(ss, [0.0, 0.99 * edge], r=1)
+        assert all(np.isfinite(row.gap_td) for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# the ridge sweep on the range of the scatters (d > n)
+# ---------------------------------------------------------------------------
+
+
+def _full_sweep(ss, gammas, r):
+    """Oracle: the ridge sweep with full d x d eigenvalue solves of Sw and of
+    every C - gamma I, ignoring ``range_basis``."""
+    sv2 = np.linalg.svd(ss.M, compute_uv=False) ** 2
+    rank_sb = int(np.count_nonzero(sv2 > ss.M.shape[0] * np.finfo(float).eps * sv2[0]))
+    sw_vals = np.linalg.eigvalsh(ss.Sw)
+    lam_min, lam_max = float(sw_vals[0]), float(sw_vals[-1])
+    C = 2.0 * ss.Sb - ss.St_ml
+    rows = []
+    for gamma in gammas:
+        top, bot = lam_max + gamma, lam_min + gamma
+        infinite = bot <= 1e-12 * max(top, 1e-300)
+        vals = np.linalg.eigvalsh(C - gamma * np.eye(C.shape[0]))[::-1]
+        rows.append(
+            RegularizationRow(
+                gamma=gamma,
+                rank_sb=rank_sb,
+                kappa_sw_gamma=float(np.inf if infinite else top / bot),
+                kappa_infinite=bool(infinite),
+                gap_td=float(vals[r - 1] - vals[r]),
+            )
+        )
+    return rows
+
+
+def _bits(rows):
+    return [
+        tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(row))
+        for row in rows
+    ]
+
+
+@st.composite
+def wide_datasets(draw):
+    """(X, bits, r) with n < d, in the shapes that stress the range reduction."""
+    kind = draw(st.sampled_from(["random", "n = d - 1", "L = 1", "single-label", "every"]))
+    d = draw(st.integers(2, 40))
+    n = d - 1 if kind == "n = d - 1" else draw(st.integers(1, d - 1))
+    L = 1 if kind == "L = 1" else draw(st.integers(1, 6 if kind == "every" else min(n, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("L = 1", "every"):
+        bits = np.ones((n, L), dtype=np.int64)
+    elif kind == "single-label":
+        bits = np.zeros((n, L), dtype=np.int64)
+        bits[np.arange(n), rng.permutation(n) % L] = 1
+    else:
+        bits = (rng.random((n, L)) < 0.4).astype(np.int64)
+        bits[np.arange(n), rng.integers(0, L, size=n)] = 1  # no unlabeled row
+        for ell in np.flatnonzero(bits.sum(axis=0) == 0):
+            bits[rng.integers(n), ell] = 1  # no empty label
+    spread = 10.0 ** draw(st.integers(-3, 3))
+    # where every k_i = 1, R = St_ml - St is zero and build_scatter's PSD
+    # certificate for it fails once the offset reaches about 1e3 spreads
+    # (its rounding floor does not scale with the offset), so such data
+    # draws offsets up to 1e2 spreads only
+    big = 1e6 if bits.sum(axis=1).max() > 1 else 1e2
+    offset = spread * draw(st.sampled_from([0.0, 1.0, -big, big]))
+    X = offset + spread * rng.standard_normal((n, d))
+    return X, bits, draw(st.integers(1, d - 1))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(wide_datasets())
+def test_ridge_sweep_on_the_range_matches_the_full_sweep(data):
+    X, bits, r = data
+    ss = build_scatter(build_dataset(X, build_labels(bits)))
+    n, d = X.shape
+    assert ss.range_basis.shape == (d, n)
+    scale = max(ss.st_ml_norm, 1e-300)
+    gammas = [0.0, 1e-4 * scale, 1e-2 * scale, scale]
+    C = 2.0 * ss.Sb - ss.St_ml
+    got = regularization_report(ss, gammas, r)
+    for row, want in zip(got, _full_sweep(ss, gammas, r), strict=True):
+        assert row.rank_sb == want.rank_sb
+        assert row.kappa_infinite == want.kappa_infinite
+        # the full solve reads lambda_min(Sw) as dust of size d eps ||Sw||;
+        # the range route as 0, so kappa moves by at most that over gamma
+        assert row.kappa_sw_gamma == pytest.approx(want.kappa_sw_gamma, rel=1e-8)
+        tol = 1e-10 * (np.linalg.norm(C) + row.gamma) + 1e-300
+        assert abs(row.gap_td - want.gap_td) <= tol
+
+
+def test_ridge_sweep_without_range_basis_is_the_full_sweep(rng):
+    # range_basis = None, built so for n >= d or cleared by hand, runs the
+    # d x d sweep to the last bit
+    scheme = LabelScheme.variable(((1, 0.6), (2, 0.4)))
+    for n, d in ((8, 12), (50, 200), (30, 20), (20, 20)):
+        labels = gen_labels(scheme, n, 4, rng)
+        ss = build_scatter(build_dataset(rng.standard_normal((n, d)), labels))
+        assert (ss.range_basis is None) == (n >= d)
+        full = dataclasses.replace(ss, range_basis=None)
+        gammas = [0.0, 1e-3, 1e-1, 10.0]
+        assert _bits(regularization_report(full, gammas, r=2)) == _bits(_full_sweep(ss, gammas, 2))
+
+
+def _wide_scatter(rng, n=20, d=60):
+    labels = gen_labels(LabelScheme.variable(((1, 0.6), (2, 0.4))), n, 4, rng)
+    return build_scatter(build_dataset(rng.standard_normal((n, d)), labels))
+
+
+def test_range_compression_rejects_a_truncated_basis(rng):
+    ss = _wide_scatter(rng)
+    truncated = dataclasses.replace(ss, range_basis=ss.range_basis[:, :-3])
+    with pytest.raises(InvariantViolation, match="range compression"):
+        regularization_report(truncated, [0.0, 1.0], r=2)
+
+
+def test_range_compression_rejects_within_scatter_mass_off_the_range(rng):
+    ss = _wide_scatter(rng)
+    Q = ss.range_basis
+    v = rng.standard_normal(Q.shape[0])
+    v -= Q @ (Q.T @ v)
+    v /= np.linalg.norm(v)
+    off = dataclasses.replace(ss, Sw=ss.Sw + 1e-3 * np.linalg.norm(ss.Sw) * np.outer(v, v))
+    with pytest.raises(InvariantViolation, match="range compression"):
+        regularization_report(off, [0.0, 1.0], r=2)
+    # the same matrices without a basis take the full route and pass
+    regularization_report(dataclasses.replace(off, range_basis=None), [0.0, 1.0], r=2)
 
 
 # ---------------------------------------------------------------------------

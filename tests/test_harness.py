@@ -220,6 +220,8 @@ def test_dimension_validation(tmp_path):
         ("regularization", {"kappa_ratio_range": [8.0, 10.0, 12.0]}, "pair"),
         ("regularization", {"gammas": [0.0, 1.0, 1.0]}, "strictly increasing"),
         ("interaction", {"singular_values": [8.0, 6.0]}, "one singular value per label"),
+        ("interaction", {"alphas": [0.0, 1e308]}, "finite square"),
+        ("interaction", {"alphas": [0.0, 1e100], "interaction_scale": 1e100}, "finite square"),
         ("factors", {"kmax_settings": DEFAULTS["factors"]["kmax_settings"][:1]}, ">= 2 entries"),
         ("factors", {"gamma_scheme": {"kind": "uniform", "k": 6}}, "exceeds L"),
         ("rank", {"rows": [{**DEFAULTS["rank"]["rows"][0], "L": 200}]}, "n >= L"),
@@ -340,12 +342,12 @@ def test_report_files_and_formatting(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _cli(args, env_extra=None, cwd=None):
+def _cli(args, env_extra=None, cwd=None, python_flags=()):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "mlda.harness.cli", *args],
+        [sys.executable, *python_flags, "-m", "mlda.harness.cli", *args],
         capture_output=True,
         text=True,
         env=env,
@@ -404,12 +406,26 @@ def test_cli_config_error_exit_two(tmp_path):
         ("factors", {"kmax_settings": [{"k_max": 1, "scheme": {"kind": "single"}}]}),
         # valid to the schema; the library rejects r = L = d mid-run
         ("regularization", {"d": 10, "L": 10, "trials": 1}),
+        # extreme but finite values, rejected before numpy can overflow
+        ("regularization", {"gammas": [0.0, 1e200]}),
+        ("regularization", {"gammas": [0.0, 1e308]}),
+        ("factors", {"scale_factor": 1e150}),
+        ("concentration", {"effect_scale": 1e100}),
+        ("interaction", {"alphas": [0.0, 1e308]}),
+        ("concentration", {"c_scale": 1e-308}),
+        # alpha * B has a finite square but overflows the model's scatters
+        ("interaction", {"alphas": [0.0, 1e150]}),
     ],
 )
 def test_cli_hostile_config_exit_two(tmp_path, experiment, options):
     cfgfile = tmp_path / "bad.json"
     cfgfile.write_text(json.dumps({"experiment": experiment, **options}))
-    proc = _cli([experiment, "--config", str(cfgfile), "--out", str(tmp_path)])
+    # a RuntimeWarning on the way to exit 2 becomes an error (a traceback
+    # and exit 1), so an overflow that slips past a check fails here
+    proc = _cli(
+        [experiment, "--config", str(cfgfile), "--out", str(tmp_path)],
+        python_flags=("-W", "error::RuntimeWarning"),
+    )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("mlda: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert "Traceback" not in proc.stderr

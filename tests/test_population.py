@@ -6,6 +6,8 @@ Three independent oracles back the frozen expectations:
 * characteristic-polynomial roots for the generalized eigenvalues.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -302,6 +304,29 @@ def test_isotropic_params_overflowing_variance_is_invalid_input():
         params = isotropic_params(np.zeros(4), np.ones((4, 2)), sigma_w)
         expected = (sigma_w ** 2) * np.eye(4)
         assert params.Sigma_w.tobytes() == expected.tobytes() and params.sigma == sigma_w
+
+
+def test_model_magnitude_that_would_overflow_is_invalid_input():
+    # the guard runs before the symmetry check squares any entry, so no
+    # overflow warning comes first
+    d, L = 6, 3
+    A, B, Sigma = np.ones((d, L)), np.ones((d, L * (L - 1) // 2)), np.eye(d)
+    bound = np.finfo(float).max ** 0.25 / (4.0 * np.sqrt((L + B.shape[1]) * d))
+    asymmetric = np.triu(np.full((d, d), 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, s, b in ((1e150, 1.0, 1.0), (1.0, 1e300, 1.0), (1.0, 1.0, 1e150),
+                        (1.01 * bound, 1.0, 1.0), (1.0, 1.03 * bound**2, 1.0), (1.0, 1.0, 1.01 * bound)):
+            with pytest.raises(InvalidInput, match="would overflow"):
+                ModelParams(np.zeros(d), A * a, Sigma * s, B_inter=B * b)
+        with pytest.raises(InvalidInput, match="would overflow"):
+            ModelParams(np.zeros(d), A, asymmetric)
+        # just inside the bound the model and its population scatters are finite
+        params = ModelParams(
+            np.zeros(d), A * 0.99 * bound, Sigma * (0.99 * bound) ** 2, B_inter=B * 0.99 * bound
+        )
+        pop = population_scatters(params, label_moments([([1, 0, 0], 0.5), ([0, 1, 1], 0.5)]))
+    assert all(np.isfinite(np.linalg.norm(S)) for S in (pop.St_ml_pop, pop.St_inf, pop.M_star_c))
 
 
 def test_model_diagonal_covariance_skips_eigvalsh(monkeypatch):

@@ -454,6 +454,26 @@ def test_st_ml_norm_matches_eigvalsh(rng):
             assert ss.st_ml_norm == pytest.approx(want, rel=1e-12)
 
 
+def test_range_basis_spans_every_scatter(rng):
+    # n < d: an orthonormal d x n basis whose span holds every scatter and M;
+    # n >= d: none
+    scheme = LabelScheme.variable(((1, 0.5), (2, 0.3), (3, 0.2)))
+    for n, d in ((20, 500), (50, 200), (12, 13), (40, 40), (300, 15)):
+        labels = gen_labels(scheme, n, 5, rng)
+        X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-50, 50)
+        ss = build_scatter(build_dataset(X, labels))
+        if n >= d:
+            assert ss.range_basis is None
+            continue
+        Q = ss.range_basis
+        assert Q.shape == (d, n)
+        assert np.linalg.norm(Q.T @ Q - np.eye(n)) <= 1e-12
+        scale = np.linalg.norm(ss.St_ml)
+        for S in (ss.Sb, ss.Sw, ss.St, ss.St_ml, ss.R):
+            assert np.linalg.norm(S - Q @ (Q.T @ S @ Q) @ Q.T) <= 1e-12 * scale
+        assert np.linalg.norm(ss.M - Q @ (Q.T @ ss.M)) <= 1e-12 * np.sqrt(scale)
+
+
 def test_feature_magnitude_that_would_overflow_is_invalid_input(rng):
     labels = gen_labels(LabelScheme.variable(((1, 0.6), (2, 0.4))), 30, 4, rng)
     X = rng.standard_normal((30, 20))
