@@ -94,8 +94,10 @@ _EXPORTS = {
         "trace_ratio_stiefel",
     ),
     "bounds": (
+        "BoundFrame",
         "DistanceBudget",
         "TailParams",
+        "bound_frame",
         "concentration_interval",
         "distance_budget",
         "hamming",

@@ -11,10 +11,25 @@ extreme singular values of W^T A times the Hamming distance of the label
 patterns. Deviations around the mean are sub-exponential with Hanson-Wright
 tail parameters (V, B) computed here; pairwise label interactions perturb the
 mean by an explicitly bounded amount.
+
+Every bound is evaluated for many pairs under one (W, A, Sigma_w, B_inter),
+so its factors are split by what they depend on. ``bound_frame`` validates
+the matrices and computes, once per frame: W^T A and its extreme singular
+values (one SVD), Psi = W^T Sigma_w W with C_w = 2 tr(Psi), ||Psi||_2 and
+||Psi||_F, and sigma_max(W^T B_inter) (one more SVD; ``with_interactions``
+swaps B_inter at that cost alone). sigma_max(A) and sigma_max(B_inter),
+which only the a-priori interaction variants read, are computed on first
+use. Each pair then validates its two patterns and computes only what
+depends on them: delta = y_i - y_j, d_H, d_J, s = (W^T A) delta, the
+support-restricted singular values when asked for, the tail parameters
+(V, B) from ||s||, ||z_i - z_j|| and the widenings. The module-level
+``distance_budget``, ``tail_params`` and ``interaction_bound`` build a frame
+for a single pair.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -71,11 +86,12 @@ def _extreme_singular_values(T):
     """(sigma_min, sigma_max) of T as a map on its full domain.
 
     A wide matrix (more columns than rows) has a nontrivial null space, so
-    its effective smallest singular value is zero.
+    its effective smallest singular value is zero; a matrix without columns
+    or rows (B_inter when L = 1) has (0, 0).
     """
     svals = np.linalg.svd(T, compute_uv=False)
     smax = float(svals[0]) if svals.size else 0.0
-    smin = float(svals[-1]) if T.shape[0] >= T.shape[1] else 0.0
+    smin = float(svals[-1]) if svals.size and T.shape[0] >= T.shape[1] else 0.0
     return smin, smax
 
 
@@ -115,40 +131,10 @@ def distance_budget(W, A, y_i, y_j, Sigma_w, support_restricted=False):
     support_restricted : bool
         When true, the singular values are taken on the columns where the
         patterns differ - a sharper pinch for the same pair.
+
+    Many pairs under one (W, A, Sigma_w) should share one ``bound_frame``.
     """
-    W, A, Sigma_w = _finite(W=W, A=A, Sigma_w=Sigma_w)
-    if W.ndim != 2 or A.ndim != 2 or W.shape[0] != A.shape[0]:
-        raise InvalidInput(f"shape mismatch: W {W.shape} vs A {A.shape}")
-    if Sigma_w.shape != (W.shape[0], W.shape[0]):
-        raise InvalidInput(f"Sigma_w shape {Sigma_w.shape} != ({W.shape[0]},)*2")
-    y_i = _pattern(y_i, L=A.shape[1], name="y_i")
-    y_j = _pattern(y_j, L=A.shape[1], name="y_j")
-    delta = y_i - y_j
-    d_H = int(np.abs(delta).sum())
-    d_J = _jaccard(y_i, y_j)
-
-    T = W.T @ A
-    s = T @ delta
-    signal = float(s @ s)
-    Psi = symmetrize(W.T @ Sigma_w @ W)
-    C_w = float(2.0 * np.trace(Psi))
-
-    if support_restricted:
-        support = np.flatnonzero(delta != 0)
-        smin, smax = _extreme_singular_values(T[:, support]) if support.size else (0.0, 0.0)
-    else:
-        smin, smax = _extreme_singular_values(T)
-    return DistanceBudget(
-        signal=signal,
-        C_w=C_w,
-        total_expected=signal + C_w,
-        d_H=d_H,
-        d_J=d_J,
-        lower=smin * smin * d_H + C_w,
-        upper=smax * smax * d_H + C_w,
-        sigma_min=smin,
-        sigma_max=smax,
-    )
+    return bound_frame(W, A, Sigma_w).distance_budget(y_i, y_j, support_restricted)
 
 
 def snr(budget, r, Sigma_w):
@@ -223,42 +209,7 @@ def tail_params(W, A, y_i, y_j, Sigma_w, pop=None):
         Psi = (I_r - W^T Sb_pop W) / K_pop is verified to 1e-8 and the
         projected between-scatter spectrum theta (all in [0, 1)) is attached.
     """
-    W, A, Sigma_w = _finite(W=W, A=A, Sigma_w=Sigma_w)
-    y_i = _pattern(y_i, L=A.shape[1], name="y_i")
-    y_j = _pattern(y_j, L=A.shape[1], name="y_j")
-    s = W.T @ A @ (y_i - y_j)
-    signal = float(s @ s)
-    Psi = symmetrize(W.T @ Sigma_w @ W)
-    psi_evals = np.linalg.eigvalsh(Psi)
-    psi_2 = float(np.abs(psi_evals).max())
-    psi_F = float(np.linalg.norm(Psi))
-    B_tail = 4.0 * psi_2
-    V_ij = float(np.sqrt(16.0 * signal * psi_2 + 32.0 * psi_F ** 2))
-
-    defect = None
-    theta = None
-    if pop is not None:
-        r = W.shape[1]
-        # Sw_pop = K_pop * Sigma_w, so the expected cardinality is a trace ratio
-        K_pop = float(np.trace(pop.Sw_pop) / np.trace(Sigma_w))
-        Wb = symmetrize(W.T @ pop.Sb_pop @ W)
-        target = (np.eye(r) - Wb) / K_pop
-        defect = float(np.linalg.norm(Psi - target))
-        if defect > 1e-8 * max(1.0, np.linalg.norm(target)):
-            raise InvariantViolation(
-                f"Psi identity defect {defect:.3e}: frame is not "
-                "total-scatter-orthogonal for this population"
-            )
-        theta = np.linalg.eigvalsh(Wb)[::-1].copy()
-        theta[(theta < 0) & (theta > -1e-12)] = 0.0
-        if theta.min() < 0 or theta.max() >= 1.0:
-            raise InvariantViolation(
-                f"projected between-scatter spectrum escaped [0, 1): {theta}"
-            )
-    return TailParams(
-        Psi=Psi, B_tail=B_tail, V_ij=V_ij, signal=signal,
-        psi_identity_defect=defect, theta=theta,
-    )
+    return bound_frame(W, A, Sigma_w).tail_params(y_i, y_j, pop)
 
 
 def concentration_interval(params, delta_prob, c_scale=1.0):
@@ -283,8 +234,7 @@ def concentration_interval(params, delta_prob, c_scale=1.0):
     return half_width
 
 
-def interaction_bound(W, A, B_inter, y_i, y_j, constraint="none",
-                      st_min_eig=None, A_full=None, B_full=None):
+def interaction_bound(W, A, B_inter, y_i, y_j, constraint="none", st_min_eig=None):
     """Bound the mean-distance shift caused by pairwise label interactions.
 
     Returns a dict with the naive widening (0: the linear theory claims the
@@ -302,56 +252,206 @@ def interaction_bound(W, A, B_inter, y_i, y_j, constraint="none",
     population total scatter (pass it as ``st_min_eig``) is added, valid for
     any total-scatter-orthogonal frame.
     """
-    W, A = _finite(W=W, A=A)
-    y_i = _pattern(y_i, L=A.shape[1], name="y_i")
-    y_j = _pattern(y_j, L=A.shape[1], name="y_j")
-    L = A.shape[1]
-    delta = y_i - y_j
-    d_H = float(np.abs(delta).sum())
-    delta_norm = float(np.sqrt(d_H))
-    k_max = int(max(y_i.sum(), y_j.sum()))
-    z_i = pair_products(y_i)
-    z_j = pair_products(y_j)
-    dz = float(np.linalg.norm(z_i - z_j))
-    z_bound = float(np.sqrt(d_H * min(max(k_max - 1, 0), L - 1)))
-    if dz > z_bound * (1 + 1e-12) + 1e-12:
-        raise InvariantViolation(f"||z_i - z_j|| = {dz!r} exceeded its bound {z_bound!r}")
+    return bound_frame(W, A, B_inter=B_inter).interaction_bound(y_i, y_j, constraint, st_min_eig)
 
-    if B_inter is None:
-        sb = 0.0
-        B_inter_arr = None
-    else:
-        (B_inter_arr,) = _finite(B_inter=B_inter)
-        want = L * (L - 1) // 2
-        if B_inter_arr.shape != (A.shape[0], want):
-            raise InvalidInput(
-                f"B_inter shape {B_inter_arr.shape} != ({A.shape[0]}, {want})"
+
+# ---------------------------------------------------------------------------
+# the pair-invariant factors, computed once per frame
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class BoundFrame:
+    """The factors of the pair bounds that do not depend on the pair.
+
+    Built by ``bound_frame``, which validates every matrix once. The
+    methods ``distance_budget``, ``tail_params`` and ``interaction_bound``
+    then validate the two patterns and do only the pair's own arithmetic.
+
+    Attributes
+    ----------
+    W, A : validated float arrays; Sigma_w and B_inter likewise, or None.
+    T : W^T A (read-only), with sigma_min/sigma_max its extreme singular
+        values as a map on its full domain.
+    Psi : symmetrize(W^T Sigma_w W) (read-only); C_w = 2 tr(Psi), psi_2 its
+        largest absolute eigenvalue, psi_F its Frobenius norm. None without
+        Sigma_w.
+    sigma_max_WB : sigma_max(W^T B_inter), 0.0 without B_inter.
+    """
+
+    W: np.ndarray
+    A: np.ndarray
+    T: np.ndarray
+    sigma_min: float
+    sigma_max: float
+    Sigma_w: np.ndarray = None
+    Psi: np.ndarray = None
+    C_w: float = None
+    psi_2: float = None
+    psi_F: float = None
+    B_inter: np.ndarray = None
+    sigma_max_WB: float = 0.0
+
+    @cached_property
+    def sigma_max_A(self):
+        """sigma_max(A), for the a-priori interaction variants (on first use)."""
+        return _extreme_singular_values(self.A)[1]
+
+    @cached_property
+    def sigma_max_B(self):
+        """sigma_max(B_inter), 0.0 without it (on first use)."""
+        return 0.0 if self.B_inter is None else _extreme_singular_values(self.B_inter)[1]
+
+    def with_interactions(self, B_inter):
+        """This frame with B_inter validated and sigma_max(W^T B_inter) added;
+        every other factor is shared, so it costs one SVD."""
+        (B_inter,) = _finite(B_inter=B_inter)
+        want = self.A.shape[1] * (self.A.shape[1] - 1) // 2
+        if B_inter.shape != (self.A.shape[0], want):
+            raise InvalidInput(f"B_inter shape {B_inter.shape} != ({self.A.shape[0]}, {want})")
+        sb = _extreme_singular_values(self.W.T @ B_inter)[1]
+        return replace(self, B_inter=B_inter, sigma_max_WB=sb)
+
+    def _patterns(self, y_i, y_j):
+        L = self.A.shape[1]
+        return _pattern(y_i, L=L, name="y_i"), _pattern(y_j, L=L, name="y_j")
+
+    def _require_noise(self):
+        if self.Psi is None:
+            raise InvalidInput("this bound needs Sigma_w; pass it to bound_frame")
+
+    def distance_budget(self, y_i, y_j, support_restricted=False):
+        """``distance_budget`` for one pair (see the module-level function)."""
+        self._require_noise()
+        y_i, y_j = self._patterns(y_i, y_j)
+        delta = y_i - y_j
+        d_H = int(np.abs(delta).sum())
+        d_J = _jaccard(y_i, y_j)
+        s = self.T @ delta
+        signal = float(s @ s)
+        C_w = self.C_w
+        if support_restricted:
+            support = np.flatnonzero(delta != 0)
+            smin, smax = _extreme_singular_values(self.T[:, support]) if support.size else (0.0, 0.0)
+        else:
+            smin, smax = self.sigma_min, self.sigma_max
+        return DistanceBudget(
+            signal=signal,
+            C_w=C_w,
+            total_expected=signal + C_w,
+            d_H=d_H,
+            d_J=d_J,
+            lower=smin * smin * d_H + C_w,
+            upper=smax * smax * d_H + C_w,
+            sigma_min=smin,
+            sigma_max=smax,
+        )
+
+    def tail_params(self, y_i, y_j, pop=None):
+        """``tail_params`` for one pair (see the module-level function)."""
+        self._require_noise()
+        y_i, y_j = self._patterns(y_i, y_j)
+        s = self.T @ (y_i - y_j)
+        signal = float(s @ s)
+        Psi, psi_2 = self.Psi, self.psi_2
+        B_tail = 4.0 * psi_2
+        V_ij = float(np.sqrt(16.0 * signal * psi_2 + 32.0 * self.psi_F ** 2))
+
+        defect = None
+        theta = None
+        if pop is not None:
+            W = self.W
+            r = W.shape[1]
+            # Sw_pop = K_pop * Sigma_w, so the expected cardinality is a trace ratio
+            K_pop = float(np.trace(pop.Sw_pop) / np.trace(self.Sigma_w))
+            Wb = symmetrize(W.T @ pop.Sb_pop @ W)
+            target = (np.eye(r) - Wb) / K_pop
+            defect = float(np.linalg.norm(Psi - target))
+            if defect > 1e-8 * max(1.0, np.linalg.norm(target)):
+                raise InvariantViolation(
+                    f"Psi identity defect {defect:.3e}: frame is not "
+                    "total-scatter-orthogonal for this population"
+                )
+            theta = np.linalg.eigvalsh(Wb)[::-1].copy()
+            theta[(theta < 0) & (theta > -1e-12)] = 0.0
+            if theta.min() < 0 or theta.max() >= 1.0:
+                raise InvariantViolation(
+                    f"projected between-scatter spectrum escaped [0, 1): {theta}"
+                )
+        return TailParams(
+            Psi=Psi, B_tail=B_tail, V_ij=V_ij, signal=signal,
+            psi_identity_defect=defect, theta=theta,
+        )
+
+    def interaction_bound(self, y_i, y_j, constraint="none", st_min_eig=None):
+        """``interaction_bound`` for one pair (see the module-level function)."""
+        y_i, y_j = self._patterns(y_i, y_j)
+        L = self.A.shape[1]
+        delta = y_i - y_j
+        d_H = float(np.abs(delta).sum())
+        delta_norm = float(np.sqrt(d_H))
+        k_max = int(max(y_i.sum(), y_j.sum()))
+        z_i = pair_products(y_i)
+        z_j = pair_products(y_j)
+        dz = float(np.linalg.norm(z_i - z_j))
+        z_bound = float(np.sqrt(d_H * min(max(k_max - 1, 0), L - 1)))
+        if dz > z_bound * (1 + 1e-12) + 1e-12:
+            raise InvariantViolation(f"||z_i - z_j|| = {dz!r} exceeded its bound {z_bound!r}")
+
+        sa, sb = self.sigma_max, self.sigma_max_WB
+        corrected = 2.0 * sa * delta_norm * sb * dz + sb * sb * dz * dz
+        out = {
+            "naive_gap_bound": 0.0,
+            "corrected_bound": float(corrected),
+            "z_norm": dz,
+            "z_norm_bound": z_bound,
+        }
+        if constraint == "stiefel":
+            sa_f, sb_f = self.sigma_max_A, self.sigma_max_B
+            out["stiefel_bound"] = float(
+                2.0 * sa_f * delta_norm * sb_f * dz + sb_f * sb_f * dz * dz
             )
-        sb = _extreme_singular_values(W.T @ B_inter_arr)[1]
-    sa = _extreme_singular_values(W.T @ A)[1]
-    corrected = 2.0 * sa * delta_norm * sb * dz + sb * sb * dz * dz
+        elif constraint == "stml":
+            if st_min_eig is None or st_min_eig <= 0:
+                raise InvalidInput("stml constraint needs st_min_eig > 0")
+            sa_f, sb_f = self.sigma_max_A, self.sigma_max_B
+            raw = 2.0 * sa_f * delta_norm * sb_f * dz + sb_f * sb_f * dz * dz
+            out["stml_bound"] = float(raw / st_min_eig)
+        elif constraint != "none":
+            raise InvalidInput(f"unknown constraint kind {constraint!r}")
+        return out
 
-    out = {
-        "naive_gap_bound": 0.0,
-        "corrected_bound": float(corrected),
-        "z_norm": dz,
-        "z_norm_bound": z_bound,
-    }
-    if constraint == "stiefel":
-        sa_f = _extreme_singular_values(A)[1] if A_full is None else float(A_full)
-        sb_f = 0.0 if B_inter_arr is None else (
-            _extreme_singular_values(B_inter_arr)[1] if B_full is None else float(B_full)
+
+def bound_frame(W, A, Sigma_w=None, B_inter=None):
+    """Validate (W, A, Sigma_w, B_inter) once and compute the pair-invariant
+    factors of the pair bounds: W^T A and its extreme singular values (one
+    SVD), Psi = W^T Sigma_w W with C_w, ||Psi||_2 and ||Psi||_F when Sigma_w
+    is given, and sigma_max(W^T B_inter) when B_inter is given (one more SVD).
+
+    A non-finite entry or a misshapen matrix raises InvalidInput here, with
+    the messages the module-level bound functions give.
+    """
+    if Sigma_w is None:
+        W, A = _finite(W=W, A=A)
+    else:
+        W, A, Sigma_w = _finite(W=W, A=A, Sigma_w=Sigma_w)
+    if W.ndim != 2 or A.ndim != 2 or W.shape[0] != A.shape[0]:
+        raise InvalidInput(f"shape mismatch: W {W.shape} vs A {A.shape}")
+    noise = {}
+    if Sigma_w is not None:
+        if Sigma_w.shape != (W.shape[0], W.shape[0]):
+            raise InvalidInput(f"Sigma_w shape {Sigma_w.shape} != ({W.shape[0]},)*2")
+        Psi = symmetrize(W.T @ Sigma_w @ W)
+        Psi.flags.writeable = False
+        noise = dict(
+            Sigma_w=Sigma_w,
+            Psi=Psi,
+            C_w=float(2.0 * np.trace(Psi)),
+            psi_2=float(np.abs(np.linalg.eigvalsh(Psi)).max()),
+            psi_F=float(np.linalg.norm(Psi)),
         )
-        out["stiefel_bound"] = float(
-            2.0 * sa_f * delta_norm * sb_f * dz + sb_f * sb_f * dz * dz
-        )
-    elif constraint == "stml":
-        if st_min_eig is None or st_min_eig <= 0:
-            raise InvalidInput("stml constraint needs st_min_eig > 0")
-        sa_f = _extreme_singular_values(A)[1]
-        sb_f = 0.0 if B_inter_arr is None else _extreme_singular_values(B_inter_arr)[1]
-        raw = 2.0 * sa_f * delta_norm * sb_f * dz + sb_f * sb_f * dz * dz
-        out["stml_bound"] = float(raw / st_min_eig)
-    elif constraint != "none":
-        raise InvalidInput(f"unknown constraint kind {constraint!r}")
-    return out
+    T = W.T @ A
+    T.flags.writeable = False
+    smin, smax = _extreme_singular_values(T)
+    frame = BoundFrame(W=W, A=A, T=T, sigma_min=smin, sigma_max=smax, **noise)
+    return frame if B_inter is None else frame.with_interactions(B_inter)

@@ -169,6 +169,8 @@ class Dataset:
 
     ``Sw`` is the within-scatter, accumulated from each label's centred
     member rows in the same pass that forms the label means ``mu_ell``.
+    ``peak`` is max|X|, read off the extremes that the overflow guard takes;
+    ``build_scatter`` scales the rounding floor of R by it.
     """
 
     X: np.ndarray
@@ -177,6 +179,7 @@ class Dataset:
     mu_ell: np.ndarray
     X_centered: np.ndarray
     Sw: np.ndarray
+    peak: float
 
     @property
     def n(self):
@@ -240,7 +243,7 @@ def build_dataset(X, labels, max_rows=MAX_ROWS, max_cols=MAX_COLS):
     hi, lo = X.max(), X.min()
     if not (np.isfinite(hi) and np.isfinite(lo)):
         raise InvalidInput("feature matrix contains non-finite entries")
-    peak = max(hi, -lo)
+    peak = float(max(hi, -lo))
     bound = np.finfo(float).max ** 0.25 / (4.0 * np.sqrt(labels.K * d))
     if peak > bound:
         raise InvalidInput(
@@ -258,7 +261,7 @@ def build_dataset(X, labels, max_rows=MAX_ROWS, max_cols=MAX_COLS):
     for ell, rows in enumerate(labels.members):
         mu_ell[ell], D = _centre(X.take(rows, axis=0), ones[: rows.size])
         Sw += D.T @ D
-    return Dataset(X=X, labels=labels, mu=mu, mu_ell=mu_ell, X_centered=Xc, Sw=Sw)
+    return Dataset(X=X, labels=labels, mu=mu, mu_ell=mu_ell, X_centered=Xc, Sw=Sw, peak=peak)
 
 
 @dataclass(frozen=True)
@@ -366,15 +369,42 @@ def build_scatter(ds):
     R = St_ml - St
     # R is a difference of two same-scale accumulations, so when it is
     # mathematically zero (all cardinalities 1) its computed eigenvalues are
-    # rounding dust proportional to the scatter magnitude, not to ||R||.
+    # rounding dust proportional to the scatter magnitude, not to ||R||,
+    # plus the rounding of the means, which grows with max|X|.
     dust = 128.0 * np.finfo(float).eps * max(st_ml_norm, 1e-300)
-    for name, S in (("Sb", Sb), ("Sw", Sw), ("R", R)):
+    for name, S in (("Sb", Sb), ("Sw", Sw)):
         _certify_psd(name, S, dust)
+    _certify_psd("R", R, dust + _mean_rounding(ds.peak, labels.K, d, Sb))
 
     return ScatterSet(
         Sb=Sb, Sw=Sw, St_ml=St_ml, St=St, R=R, M=M, st_ml_norm=st_ml_norm,
         range_basis=range_basis,
     )
+
+
+def _mean_rounding(peak, K, d, Sb):
+    """Bound on ||dR||_2 from the rounding of the means of rows far from 0.
+
+    Each mean that ``build_dataset`` forms (the global one and one per label)
+    ends in a rounded addition of a value of size at most max|X| = peak, so
+    it is off by a vector e with |e_j| <= u peak (u the unit roundoff), on
+    top of an error that scales with the rows' spread and that the dust
+    floor covers. Centring rows on a mean that is off by e moves their Gram
+    matrix Xc^T Xc by n e e^T only, because the exactly centred rows sum to
+    zero and the first-order cross terms cancel; St and Sw are such Gram
+    matrices. Sb is not: it is built from dev_l = mu_l - mu, which is off by
+    f_l = e_l - e with ||f_l|| <= 2 u peak sqrt(d), and so it moves by
+    sum_l n_l (dev_l f_l^T + f_l dev_l^T) to first order. By Cauchy-Schwarz,
+    with sum_l n_l ||dev_l||^2 = tr(Sb) and sum_l n_l = K, that is at most
+
+        2 sqrt(tr Sb) sqrt(K) 2 u peak sqrt(d) = 4 u peak sqrt(K d tr Sb)
+
+    in 2-norm, and R = Sb + Sw - St inherits it. The second-order terms,
+    of size n d (u peak)^2, stay below the dust floor unless the rows'
+    spread is itself down near u peak.
+    """
+    u = np.finfo(float).eps / 2
+    return 4.0 * u * peak * np.sqrt(K * d * max(float(np.trace(Sb)), 0.0))
 
 
 def _certify_psd(name, S, dust):

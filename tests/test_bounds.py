@@ -11,10 +11,13 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mlda import (
     DegenerateNoise,
     InvalidInput,
+    bound_frame,
     concentration_interval,
     distance_budget,
     hamming,
@@ -29,6 +32,8 @@ from mlda import (
     snr,
     tail_params,
 )
+from mlda.bounds import DistanceBudget, TailParams, _extreme_singular_values, _finite, _jaccard, _pattern
+from mlda.spectral import symmetrize
 from tests.conftest import random_psd, random_stiefel
 
 # hand-built: W = first two axes, W^T A = diag(2, 1) -> singular values (2, 1)
@@ -387,3 +392,232 @@ def test_interaction_constraint_variants(rng):
         interaction_bound(W, A, B, y_i, y_j, constraint="fro")
     with pytest.raises(InvalidInput):
         interaction_bound(W, A, B[:, :5], y_i, y_j)
+
+
+# ---------------------------------------------------------------------------
+# bound frames against the per-call bounds they replaced
+# ---------------------------------------------------------------------------
+#
+# The oracles below are the per-call implementations that validated every
+# matrix and recomputed W^T A, W^T Sigma_w W and every SVD for each pair. A
+# frame computes those once; its per-pair methods must agree to the bit.
+
+
+def _distance_budget_oracle(W, A, y_i, y_j, Sigma_w, support_restricted=False):
+    W, A, Sigma_w = _finite(W=W, A=A, Sigma_w=Sigma_w)
+    if W.ndim != 2 or A.ndim != 2 or W.shape[0] != A.shape[0]:
+        raise InvalidInput(f"shape mismatch: W {W.shape} vs A {A.shape}")
+    if Sigma_w.shape != (W.shape[0], W.shape[0]):
+        raise InvalidInput(f"Sigma_w shape {Sigma_w.shape} != ({W.shape[0]},)*2")
+    y_i = _pattern(y_i, L=A.shape[1], name="y_i")
+    y_j = _pattern(y_j, L=A.shape[1], name="y_j")
+    delta = y_i - y_j
+    d_H = int(np.abs(delta).sum())
+    d_J = _jaccard(y_i, y_j)
+    T = W.T @ A
+    s = T @ delta
+    signal = float(s @ s)
+    Psi = symmetrize(W.T @ Sigma_w @ W)
+    C_w = float(2.0 * np.trace(Psi))
+    if support_restricted:
+        support = np.flatnonzero(delta != 0)
+        smin, smax = _extreme_singular_values(T[:, support]) if support.size else (0.0, 0.0)
+    else:
+        smin, smax = _extreme_singular_values(T)
+    return DistanceBudget(
+        signal=signal, C_w=C_w, total_expected=signal + C_w, d_H=d_H, d_J=d_J,
+        lower=smin * smin * d_H + C_w, upper=smax * smax * d_H + C_w,
+        sigma_min=smin, sigma_max=smax,
+    )
+
+
+def _tail_params_oracle(W, A, y_i, y_j, Sigma_w, pop=None):
+    W, A, Sigma_w = _finite(W=W, A=A, Sigma_w=Sigma_w)
+    y_i = _pattern(y_i, L=A.shape[1], name="y_i")
+    y_j = _pattern(y_j, L=A.shape[1], name="y_j")
+    s = W.T @ A @ (y_i - y_j)
+    signal = float(s @ s)
+    Psi = symmetrize(W.T @ Sigma_w @ W)
+    psi_2 = float(np.abs(np.linalg.eigvalsh(Psi)).max())
+    psi_F = float(np.linalg.norm(Psi))
+    defect = theta = None
+    if pop is not None:
+        K_pop = float(np.trace(pop.Sw_pop) / np.trace(Sigma_w))
+        Wb = symmetrize(W.T @ pop.Sb_pop @ W)
+        target = (np.eye(W.shape[1]) - Wb) / K_pop
+        defect = float(np.linalg.norm(Psi - target))
+        theta = np.linalg.eigvalsh(Wb)[::-1].copy()
+        theta[(theta < 0) & (theta > -1e-12)] = 0.0
+    return TailParams(
+        Psi=Psi, B_tail=4.0 * psi_2, V_ij=float(np.sqrt(16.0 * signal * psi_2 + 32.0 * psi_F ** 2)),
+        signal=signal, psi_identity_defect=defect, theta=theta,
+    )
+
+
+def _interaction_bound_oracle(W, A, B_inter, y_i, y_j, constraint="none", st_min_eig=None):
+    W, A = _finite(W=W, A=A)
+    y_i = _pattern(y_i, L=A.shape[1], name="y_i")
+    y_j = _pattern(y_j, L=A.shape[1], name="y_j")
+    L = A.shape[1]
+    delta = y_i - y_j
+    d_H = float(np.abs(delta).sum())
+    delta_norm = float(np.sqrt(d_H))
+    k_max = int(max(y_i.sum(), y_j.sum()))
+    dz = float(np.linalg.norm(pair_products(y_i) - pair_products(y_j)))
+    z_bound = float(np.sqrt(d_H * min(max(k_max - 1, 0), L - 1)))
+    if B_inter is None:
+        sb = 0.0
+    else:
+        (B_inter,) = _finite(B_inter=B_inter)
+        want = L * (L - 1) // 2
+        if B_inter.shape != (A.shape[0], want):
+            raise InvalidInput(f"B_inter shape {B_inter.shape} != ({A.shape[0]}, {want})")
+        sb = _extreme_singular_values(W.T @ B_inter)[1]
+    sa = _extreme_singular_values(W.T @ A)[1]
+    out = {
+        "naive_gap_bound": 0.0,
+        "corrected_bound": float(2.0 * sa * delta_norm * sb * dz + sb * sb * dz * dz),
+        "z_norm": dz,
+        "z_norm_bound": z_bound,
+    }
+    if constraint in ("stiefel", "stml"):
+        sa_f = _extreme_singular_values(A)[1]
+        sb_f = 0.0 if B_inter is None else _extreme_singular_values(B_inter)[1]
+        raw = 2.0 * sa_f * delta_norm * sb_f * dz + sb_f * sb_f * dz * dz
+        if constraint == "stiefel":
+            out["stiefel_bound"] = float(raw)
+        else:
+            out["stml_bound"] = float(raw / st_min_eig)
+    return out
+
+
+def _same_tail(got, want):
+    assert got.Psi.tobytes() == want.Psi.tobytes()
+    assert (got.B_tail, got.V_ij, got.signal) == (want.B_tail, want.V_ij, want.signal)
+    assert got.psi_identity_defect == want.psi_identity_defect
+    if want.theta is None:
+        assert got.theta is None
+    else:
+        assert got.theta.tobytes() == want.theta.tobytes()
+
+
+@st.composite
+def frame_cases(draw):
+    """(W, A, Sigma_w, B_inter, pairs): W tall, square or wide against A, at
+    scales from 1e-3 to 1e3, B_inter present or not, and label pairs that
+    include equal and empty patterns."""
+    d = draw(st.integers(1, 8))
+    r = draw(st.integers(1, 8))
+    L = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = lambda: 10.0 ** draw(st.integers(-3, 3))  # noqa: E731
+    W = scale() * rng.standard_normal((d, r))
+    A = scale() * rng.standard_normal((d, L))
+    Sigma_w = scale() * random_psd(rng, d)
+    B = scale() * rng.standard_normal((d, L * (L - 1) // 2)) if draw(st.booleans()) else None
+    pattern = st.lists(st.integers(0, 1), min_size=L, max_size=L).map(np.array)
+    pairs = draw(st.lists(st.tuples(pattern, pattern), min_size=1, max_size=6))
+    return W, A, Sigma_w, B, pairs
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(frame_cases())
+def test_bound_frame_matches_the_per_call_bounds(case):
+    W, A, Sigma_w, B, pairs = case
+    frame = bound_frame(W, A, Sigma_w, B)
+    for y_i, y_j in pairs:
+        for restricted in (False, True):
+            got = frame.distance_budget(y_i, y_j, support_restricted=restricted)
+            want = _distance_budget_oracle(W, A, y_i, y_j, Sigma_w, support_restricted=restricted)
+            assert dataclasses.astuple(got) == dataclasses.astuple(want)
+            assert [type(v) for v in dataclasses.astuple(got)] == [type(v) for v in dataclasses.astuple(want)]
+        _same_tail(frame.tail_params(y_i, y_j), _tail_params_oracle(W, A, y_i, y_j, Sigma_w))
+        for constraint in ("none", "stiefel", "stml"):
+            got = frame.interaction_bound(y_i, y_j, constraint=constraint, st_min_eig=0.3)
+            assert got == _interaction_bound_oracle(W, A, B, y_i, y_j, constraint, st_min_eig=0.3)
+        # the module-level functions are the frame's methods
+        assert distance_budget(W, A, y_i, y_j, Sigma_w) == frame.distance_budget(y_i, y_j)
+        assert interaction_bound(W, A, B, y_i, y_j, "stiefel") == frame.interaction_bound(
+            y_i, y_j, "stiefel"
+        )
+
+
+def test_bound_frame_tail_params_with_population_match_the_oracle(rng):
+    dist = label_moments(TOY)
+    for _ in range(10):
+        A = rng.standard_normal((4, 2)) * rng.uniform(0.5, 3.0)
+        params = isotropic_params(np.zeros(4), A, rng.uniform(0.2, 1.0))
+        pop = population_scatters(params, dist)
+        W = opt_stml(pop.Sb_pop, pop.St_ml_pop, 2).columns
+        frame = bound_frame(W, A, params.Sigma_w)
+        for y_i, y_j in ([1, 0], [0, 1]), ([1, 1], [0, 1]), ([1, 1], [1, 1]):
+            _same_tail(
+                frame.tail_params(y_i, y_j, pop=pop),
+                _tail_params_oracle(W, A, y_i, y_j, params.Sigma_w, pop=pop),
+            )
+
+
+def test_interaction_frames_share_their_factors(rng):
+    W = random_stiefel(rng, 5, 2)
+    A = rng.standard_normal((5, 4))
+    B = rng.standard_normal((5, 6))
+    frame = bound_frame(W, A, 0.3 * np.eye(5), B)
+    y_i, y_j = np.array([1, 1, 0, 0]), np.array([1, 0, 1, 1])
+    for alpha in (0.0, 0.5, 2.0):
+        swapped = frame.with_interactions(alpha * B)
+        assert swapped.T is frame.T and swapped.Psi is frame.Psi
+        assert swapped.interaction_bound(y_i, y_j, "stiefel") == _interaction_bound_oracle(
+            W, A, alpha * B, y_i, y_j, "stiefel"
+        )
+    assert bound_frame(W, A).interaction_bound(y_i, y_j)["corrected_bound"] == 0.0
+    with pytest.raises(InvalidInput, match="needs Sigma_w"):
+        bound_frame(W, A).distance_budget(y_i, y_j)
+    with pytest.raises(InvalidInput, match="needs Sigma_w"):
+        bound_frame(W, A, B_inter=B).tail_params(y_i, y_j)
+
+
+def _bad_frame_inputs():
+    W, A, S, B = W2, A2, SIG_ISO, np.ones((4, 1))
+    cases = []
+    for value in (np.nan, np.inf, -np.inf):
+        cases += [
+            ("distance", (_poisoned(W, value), A, S, None)),
+            ("distance", (W, _poisoned(A, value), S, None)),
+            ("distance", (W, A, _poisoned(S, value), None)),
+            ("interaction", (W, A, None, _poisoned(B, value))),
+        ]
+    cases += [
+        ("distance", (np.eye(3), A, S, None)),  # rows of W and A differ
+        ("distance", (W[:, 0], A, S, None)),  # 1-D W
+        ("distance", (W, A[:, 0], S, None)),  # 1-D A
+        ("distance", (W, A, np.eye(3), None)),
+        ("distance", (W, A, S[:, :2], None)),
+        ("interaction", (W, A, None, np.ones((4, 2)))),
+        ("interaction", (W, A, None, np.ones((3, 1)))),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("route, args", _bad_frame_inputs())
+def test_bound_frame_rejects_what_the_per_call_bounds_rejected(route, args):
+    W, A, Sigma_w, B = args
+    with pytest.raises(InvalidInput) as want:
+        if route == "distance":
+            _distance_budget_oracle(W, A, YI, YJ, Sigma_w)
+        else:
+            _interaction_bound_oracle(W, A, B, YI, YJ)
+    with pytest.raises(InvalidInput) as got:
+        bound_frame(W, A, Sigma_w, B)
+    assert str(got.value) == str(want.value)
+
+
+def test_pair_checks_stay_per_pair():
+    frame = bound_frame(W2, A2, SIG_ISO, np.ones((4, 1)))
+    with pytest.raises(InvalidInput, match="y_i"):
+        frame.distance_budget([1, 2], YJ)
+    with pytest.raises(InvalidInput, match="y_j"):
+        frame.interaction_bound(YI, [0, 1, 0])
+    with pytest.raises(InvalidInput, match="st_min_eig"):
+        frame.interaction_bound(YI, YJ, constraint="stml")
+    with pytest.raises(InvalidInput, match="unknown constraint"):
+        frame.interaction_bound(YI, YJ, constraint="fro")

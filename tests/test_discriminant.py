@@ -556,12 +556,7 @@ def wide_datasets(draw):
         for ell in np.flatnonzero(bits.sum(axis=0) == 0):
             bits[rng.integers(n), ell] = 1  # no empty label
     spread = 10.0 ** draw(st.integers(-3, 3))
-    # where every k_i = 1, R = St_ml - St is zero and build_scatter's PSD
-    # certificate for it fails once the offset reaches about 1e3 spreads
-    # (its rounding floor does not scale with the offset), so such data
-    # draws offsets up to 1e2 spreads only
-    big = 1e6 if bits.sum(axis=1).max() > 1 else 1e2
-    offset = spread * draw(st.sampled_from([0.0, 1.0, -big, big]))
+    offset = spread * draw(st.sampled_from([0.0, 1.0, -1e6, 1e6]))
     X = offset + spread * rng.standard_normal((n, d))
     return X, bits, draw(st.integers(1, d - 1))
 

@@ -654,3 +654,84 @@ def test_draw_pattern_matches_inline_draw(spec):
             expected = _draw_pattern_oracle(scheme, L, old)
             np.testing.assert_array_equal(_draw_pattern(scheme, L, new), expected)
         assert new.random() == old.random()  # both left the stream at the same state
+
+
+# ---------------------------------------------------------------------------
+# work per pair: bound factors once per frame, draws unchanged
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, counts",
+    [
+        ("distance", {"pairs": 10, "draws": 10}),
+        ("concentration", {"pairs": 5, "draws": 200}),
+        ("interaction", {"pairs": 10, "draws": 10}),
+    ],
+)
+def test_pair_loops_compute_bound_factors_once_per_frame(tmp_path, monkeypatch, name, counts):
+    import dataclasses
+
+    from mlda import bounds
+    from mlda.harness.config import validate_options
+    from mlda.synth import Seed
+
+    calls = {"svd": 0, "stream": 0}
+    svd, stream = bounds._extreme_singular_values, Seed.stream
+
+    def counted_svd(T):
+        calls["svd"] += 1
+        return svd(T)
+
+    def counted_stream(self, *key):
+        calls["stream"] += 1
+        return stream(self, *key)
+
+    monkeypatch.setattr(bounds, "_extreme_singular_values", counted_svd)
+    monkeypatch.setattr(Seed, "stream", counted_stream)
+    cfg = build_config(name, None, DEFAULT_SEED, str(tmp_path), None)
+    options = {**cfg.options, **counts}
+    validate_options(name, options)
+    run(dataclasses.replace(cfg, options=options))
+    pairs = counts["pairs"]
+    # one SVD of W^T A per frame, plus one of W^T (alpha B) per alpha; the
+    # streams are those the per-pair bounds drew from, one by one
+    if name == "distance":
+        want = (len(options["settings"]), len(options["settings"]) * (4 + pairs))
+    elif name == "concentration":
+        want = (1, 1 + 2 * pairs)
+    else:
+        want = (1 + len(options["alphas"]), 5 + len(options["alphas"]) * pairs)
+    assert (calls["svd"], calls["stream"]) == want
+
+
+# ---------------------------------------------------------------------------
+# factors: the joint-rescale test is relative to c^2
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("factor", [1e4, 1e5, 1e70])
+def test_factors_rescale_passes_at_large_factors(tmp_path, factor):
+    import dataclasses
+
+    from mlda.harness.config import validate_options
+
+    cfg = build_config("factors", None, DEFAULT_SEED, str(tmp_path), None)
+    options = {**cfg.options, "trials": 3, "kappa_trials": 2, "scale_factor": factor}
+    validate_options("factors", options)
+    report = run(dataclasses.replace(cfg, options=options))
+    assert report.summary["scale_check"]["factor"] == factor
+    assert not [f for f in report.summary["failures"] if f.startswith("rescale test")]
+
+
+def test_factors_rescale_rejects_a_gap_ratio_off_by_a_millionth():
+    from mlda.harness.experiments import _rescale_ok
+
+    for c in (3.0, 1e4, 1e5, 1e70, 1e-3):
+        assert _rescale_ok(0.0, c * c * (1 + 1e-12), c)
+        assert not _rescale_ok(0.0, c * c * (1 + 1e-6), c)
+        assert not _rescale_ok(0.0, c * c * (1 - 1e-6), c)
+        assert not _rescale_ok(2e-10, c * c, c)
+    # at the default c = 3 the test is no looser than the absolute 1e-8
+    assert not _rescale_ok(0.0, 9.0 + 1e-8, 3.0)
+    assert not _rescale_ok(0.0, 9.0 - 1e-8, 3.0)

@@ -322,6 +322,48 @@ def test_fault_psd_excess(rng):
         build_scatter(build_dataset(ds.X, dropped))
 
 
+@st.composite
+def offset_single_label_datasets(draw):
+    """Single-label data, where R = St_ml - St is exactly zero, centred up
+    to 1e6 spreads away from the origin, with n above and below d."""
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 20))
+    L = draw(st.integers(1, min(n, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = np.eye(L, dtype=np.int64)[rng.permutation(n) % L]
+    spread = 10.0 ** draw(st.integers(-3, 3))
+    offset = spread * 10.0 ** draw(st.floats(0, 6)) * rng.choice([-1.0, 1.0], d)
+    return offset + spread * rng.standard_normal((n, d)), bits
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(offset_single_label_datasets())
+def test_excess_floor_covers_rows_far_from_the_origin(data):
+    X, bits = data
+    ds = build_dataset(X, build_labels(bits))
+    ss = build_scatter(ds)
+    # every eigenvalue of the zero R is rounding inside the certificate's floor
+    floor = 128.0 * np.finfo(float).eps * ss.st_ml_norm
+    floor += scatter._mean_rounding(ds.peak, ds.labels.K, ds.d, ss.Sb)
+    assert np.abs(np.linalg.eigvalsh(ss.R)).max() <= floor
+    # and a sample dropped from its label, which gives R the eigenvalue
+    # -||x_0 - mu||^2, is still caught
+    if X.shape[0] >= 2 * bits.shape[1]:  # no label loses its last member
+        keep = bits.copy()
+        keep[0] = 0
+        labels = ds.labels
+        dropped = dataclasses.replace(
+            labels,
+            bits=keep,
+            n_ell=keep.sum(axis=0),
+            k=keep.sum(axis=1),
+            members=tuple(rows[rows != 0] for rows in labels.members),
+        )
+        if np.linalg.norm(ds.X_centered[0]) ** 2 > 1e3 * floor:
+            with pytest.raises(ArithmeticError, match="R has negative eigenvalue"):
+                build_scatter(build_dataset(X, dropped))
+
+
 def test_fault_centring_drift(rng, monkeypatch):
     ds = _single_label_dataset(rng)
     true_centre = scatter._centre
