@@ -193,19 +193,24 @@ def _draw_pattern(scheme, L, rng):
     return bits
 
 
+def _signal_rows(labels, A):
+    """Noise-free rows x = A y for a fixed label matrix."""
+    return labels.bits.astype(float) @ A.T
+
+
 def _signal_dataset(labels, A):
     """Noise-free dataset x = A y for a fixed label matrix."""
-    X = labels.bits.astype(float) @ A.T
-    return build_dataset(X, labels, max_rows=None, max_cols=None)
+    return build_dataset(_signal_rows(labels, A), labels, max_rows=None, max_cols=None)
 
 
-def _noisy_td_error(signal, sigma_w, rng, r, target):
+def _noisy_td_error(signal, labels, sigma_w, rng, r, target):
     """sin of the largest principal angle between ``target`` and the
-    trace-difference frame of ``signal`` plus isotropic noise from ``rng``."""
-    X = rng.standard_normal(signal.X.shape)
+    trace-difference frame of the rows ``signal`` plus isotropic noise from
+    ``rng``."""
+    X = rng.standard_normal(signal.shape)
     X *= sigma_w
-    X += signal.X
-    ss = build_scatter(build_dataset(X, signal.labels, max_rows=None))
+    X += signal
+    ss = build_scatter(build_dataset(X, labels, max_rows=None))
     return principal_angle_sin(opt_td(ss, r).frame, target)
 
 
@@ -409,17 +414,23 @@ def _run_distance(options, seed):
 
 
 def _run_convergence(options, seed):
+    """Median subspace error of the noisy trace-difference frame against n.
+
+    Only the signal scatters are kept across sample sizes. Each n's labels
+    and noise-free rows are drawn again from their stream when its trials
+    start and dropped when they end, so a run holds the largest n's signal
+    plus one trial's data and scatters.
+    """
     d, L, sigma_w, trials, ns = (options[k] for k in ("d", "L", "sigma_w", "trials", "ns"))
     threshold = options["gap_threshold"]
     scheme = scheme_from_dict(options["scheme"])
 
     A = _structured_effects(d, L, options["singular_values"], seed.stream("convergence", 0, "effects"))
 
-    signal_by_n = {
-        n: _signal_dataset(gen_labels(scheme, n, L, seed.stream("convergence", n, "labels")), A)
-        for n in ns
-    }
-    signal_ss = {n: build_scatter(ds) for n, ds in signal_by_n.items()}
+    def labels_at(n):
+        return gen_labels(scheme, n, L, seed.stream("convergence", n, "labels"))
+
+    signal_ss = {n: build_scatter(_signal_dataset(labels_at(n), A)) for n in ns}
 
     # adaptive target rank from the per-sample spectral gaps at the largest n
     n_ref = ns[-1]
@@ -442,11 +453,16 @@ def _run_convergence(options, seed):
 
     targets = {n: opt_td(ss, r).frame for n, ss in signal_ss.items()}
 
+    def errors_at(n):
+        labels = labels_at(n)
+        signal = _signal_rows(labels, A)
+        noise = (seed.stream("convergence", t, f"noise:{n}") for t in range(trials))
+        return aggregate([_noisy_td_error(signal, labels, sigma_w, rng, r, targets[n]) for rng in noise])
+
     rows = []
     medians = []
     for n in ns:
-        noise = (seed.stream("convergence", t, f"noise:{n}") for t in range(trials))
-        agg = aggregate([_noisy_td_error(signal_by_n[n], sigma_w, rng, r, targets[n]) for rng in noise])
+        agg = errors_at(n)
         medians.append(agg["median"])
         rows.append(
             {
@@ -519,7 +535,7 @@ def _run_factors(options, seed):
             ds_sig = _signal_dataset(labels, A)
             target = opt_td(build_scatter(ds_sig), r)
             rng = seed.stream("factors", t, f"noise:{si}")
-            err = _noisy_td_error(ds_sig, sigma_w, rng, r, target.frame)
+            err = _noisy_td_error(ds_sig.X, labels, sigma_w, rng, r, target.frame)
             return err, target.gap, err * target.gap / denom
 
         errs, gap_vals, ratios = zip(*[one(t) for t in range(trials)])
@@ -640,7 +656,33 @@ def _run_factors(options, seed):
 # ---------------------------------------------------------------------------
 
 
+# rows of the second noise draw generated at a time; each block is scaled and
+# subtracted into the first draw, so one (draws, d) buffer holds the deviations
+_DRAW_BLOCK = 1000
+
+
+def _pooled_mean_std(x):
+    """``(x.mean(), x.std(ddof=1))``, bit for bit, with ``x`` as the workspace.
+
+    numpy's ``std`` centres into a temporary the size of ``x``; this centres
+    and squares ``x`` in place instead, with the same operations in the same
+    order, and leaves ``x`` overwritten.
+    """
+    mean = x.mean()
+    x -= mean
+    np.square(x, out=x)
+    return float(mean), math.sqrt(float(x.sum()) / (x.size - 1))
+
+
 def _run_concentration(options, seed):
+    """Coverage of the concentration interval, with pooled diagnostics.
+
+    Every pair's ``draws`` deviations are written into three pooled arrays of
+    ``pairs * draws`` doubles: the linear part over its predicted standard
+    deviation (pairs whose linear part is not identically zero), the
+    quadratic part, and |Z|. Those, one (draws, d) noise buffer and a block
+    of the second draw, both reused by every pair, are what a run holds.
+    """
     d, L, r, pairs, draws = (options[k] for k in ("d", "L", "r", "pairs", "draws"))
     sigma_w, scale = options["sigma_w"], options["effect_scale"]
     deltas, c_scale = options["deltas"], options["c_scale"]
@@ -656,50 +698,71 @@ def _run_concentration(options, seed):
     # Psi = W^T Sigma_w W is the same for every pair
     psi_norm = float(np.linalg.norm(frame.Psi, 2))
 
-    def one(p):
+    total = pairs * draws
+    lin_unit = np.empty(total)
+    quad = np.empty(total)
+    abs_Z = np.empty(total)
+    E = np.empty((draws, d))
+    E_block = np.empty((min(_DRAW_BLOCK, draws), d))
+    covered = [0] * len(deltas)
+    used = 0
+    for p in range(pairs):
         rng = seed.stream("concentration", p, "pair")
         y_i = _draw_pattern(scheme, L, rng)
         y_j = _draw_pattern(scheme, L, rng)
         params_tail = frame.tail_params(y_i, y_j, pop=pop)
         s = W.T @ (A @ (y_i - y_j).astype(float))
         rng_draws = seed.stream("concentration", p, "draws")
-        # sigma_w * e and e * sigma_w round alike, so scaling in place is exact
-        Ei = rng_draws.standard_normal((draws, d))
-        Ei *= sigma_w
-        Ej = rng_draws.standard_normal((draws, d))
-        Ej *= sigma_w
-        Ei -= Ej
-        P = Ei @ W
+        # sigma_w * e and e * sigma_w round alike, so scaling in place is
+        # exact; block draws from one generator continue one another, so the
+        # blocks of the second draw equal a single (draws, d) draw
+        rng_draws.standard_normal(out=E)
+        E *= sigma_w
+        for a in range(0, draws, _DRAW_BLOCK):
+            block = E_block[: min(_DRAW_BLOCK, draws - a)]
+            rng_draws.standard_normal(out=block)
+            block *= sigma_w
+            E[a : a + block.shape[0]] -= block
+        P = E @ W
         lin = 2.0 * (P @ s)
-        quad = np.einsum("ij,ij->i", P, P) - frame.C_w
-        Z = lin + quad
-        abs_Z = np.abs(Z)
-        covered = [int(np.count_nonzero(abs_Z <= concentration_interval(params_tail, t, c_scale))) for t in deltas]
-        lin_var_target = 8.0 * float(s @ params_tail.Psi @ s)
-        return covered, lin, quad, Z, lin_var_target
+        own = slice(p * draws, (p + 1) * draws)
+        quad_p = quad[own]
+        np.einsum("ij,ij->i", P, P, out=quad_p)
+        quad_p -= frame.C_w
+        abs_Z_p = abs_Z[own]
+        np.add(lin, quad_p, out=abs_Z_p)
+        np.abs(abs_Z_p, out=abs_Z_p)
+        for k, t in enumerate(deltas):
+            covered[k] += int(np.count_nonzero(abs_Z_p <= concentration_interval(params_tail, t, c_scale)))
+        lin_var = 8.0 * float(s @ params_tail.Psi @ s)
+        if lin_var > 0.0:
+            np.divide(lin, math.sqrt(lin_var), out=lin_unit[used : used + draws])
+            used += draws
+    lin_unit = lin_unit[:used]
 
-    covered, lin, quad, Z, lin_var = zip(*[one(p) for p in range(pairs)])
-
-    total = pairs * draws
-    coverage = [sum(c[k] for c in covered) / total for k in range(len(deltas))]
+    coverage = [c / total for c in covered]
     rows = [
         {"delta": deltas[k], "nominal": 1.0 - deltas[k], "coverage": coverage[k]}
         for k in range(len(deltas))
     ]
     coverage_ok = all(coverage[k] >= 1.0 - deltas[k] for k in range(len(deltas)))
 
-    # pooled component diagnostics on the same draws
-    lin_unit = np.concatenate([x / math.sqrt(v) for x, v in zip(lin, lin_var) if v > 0.0])
-    quad_all = np.concatenate(quad)
-    Z_all = np.concatenate(Z)
-    var_ratio = float(np.mean(lin_unit ** 2))
-    var_ok = abs(var_ratio - 1.0) <= options["variance_rel_tol"]
-    lin_t = abs(float(lin_unit.mean())) * math.sqrt(lin_unit.size)
-    quad_t = abs(float(quad_all.mean())) / (float(quad_all.std(ddof=1)) / math.sqrt(quad_all.size))
+    # pooled component diagnostics on the same draws, each pool overwritten
+    # once it has been read
+    if used:
+        lin_t = abs(float(lin_unit.mean())) * math.sqrt(used)
+        np.square(lin_unit, out=lin_unit)
+        var_ratio = float(lin_unit.mean())
+        var_ok = abs(var_ratio - 1.0) <= options["variance_rel_tol"]
+    else:
+        # every pair drew two equal patterns: no linear part to test
+        lin_t = var_ratio = None
+        var_ok = False
+    quad_mean, quad_std = _pooled_mean_std(quad)
+    quad_t = abs(quad_mean) / (quad_std / math.sqrt(total))
     mean_tol = options["mean_se_tol"]
-    means_ok = lin_t <= mean_tol and quad_t <= mean_tol
-    abs_Z = np.abs(Z_all)
-    q95, q99 = (float(np.quantile(abs_Z, q)) for q in (0.95, 0.99))
+    means_ok = lin_t is not None and lin_t <= mean_tol and quad_t <= mean_tol
+    q95, q99 = (float(q) for q in np.quantile(abs_Z, (0.95, 0.99), overwrite_input=True))
     q_ratio = q99 / q95
     q_ok = q_ratio <= options["quantile_ratio_max"]
     psi_bound_ok = psi_norm <= (1.0 + 1e-10) / lam_min_st
@@ -708,10 +771,12 @@ def _run_concentration(options, seed):
     for k, cov in enumerate(coverage):
         if cov < 1.0 - deltas[k]:
             failures.append(f"delta={deltas[k]}: coverage {cov:.4f} < nominal {1 - deltas[k]:.4f}")
-    if not var_ok:
+    if var_ratio is None:
+        failures.append("every pair drew two equal patterns, so no linear part was sampled")
+    elif not var_ok:
         failures.append(f"linear-part variance ratio {var_ratio:.4f} off unity by more than "
                         f"{options['variance_rel_tol']}")
-    if not means_ok:
+    if lin_t is not None and not means_ok:
         failures.append(f"component means not centered: t_lin={lin_t:.2f}, t_quad={quad_t:.2f}")
     if not q_ok:
         failures.append(f"99th/95th deviation ratio {q_ratio:.3f} exceeds {options['quantile_ratio_max']}")

@@ -211,18 +211,15 @@ def pair_products(y):
     y = np.asarray(y)
     if y.ndim != 1:
         raise InvalidInput(f"pattern must be 1-D, got shape {y.shape}")
-    L = y.shape[0]
-    return np.array([y[i] * y[j] for i, j in combinations(range(L), 2)], dtype=y.dtype)
+    return pair_products_matrix(y[None])[0]
 
 
 def pair_products_matrix(Y):
     """Row-wise pair products of a label matrix: (n, L(L-1)/2)."""
     Y = np.asarray(Y)
-    L = Y.shape[1]
-    pairs = list(combinations(range(L), 2))
-    if not pairs:
-        return np.zeros((Y.shape[0], 0), dtype=Y.dtype)
-    return np.stack([Y[:, i] * Y[:, j] for i, j in pairs], axis=1)
+    pairs = np.array(list(combinations(range(Y.shape[1]), 2)), dtype=np.intp).reshape(-1, 2)
+    # the gathered columns come out column-major; the product is row-major
+    return np.multiply(Y[:, pairs[:, 0]], Y[:, pairs[:, 1]], order="C")
 
 
 def _covariance_factor(Sigma_w):

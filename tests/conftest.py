@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,3 +24,21 @@ def random_psd(rng, d, scale=1.0):
 def random_stiefel(rng, d, r):
     Q, R = np.linalg.qr(rng.standard_normal((d, r)))
     return Q * np.sign(np.diag(R))
+
+
+def peak_bytes(fn):
+    """Peak bytes that ``fn()`` allocates on top of what was live at its call,
+    as ``tracemalloc`` counts them; numpy reports its array buffers there.
+    Tracing is started for the call and stopped after it unless it was already
+    on."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()

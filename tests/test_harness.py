@@ -735,3 +735,154 @@ def test_factors_rescale_rejects_a_gap_ratio_off_by_a_millionth():
     # at the default c = 3 the test is no looser than the absolute 1e-8
     assert not _rescale_ok(0.0, 9.0 + 1e-8, 3.0)
     assert not _rescale_ok(0.0, 9.0 - 1e-8, 3.0)
+
+
+# ---------------------------------------------------------------------------
+# trial loops: pooled concentration diagnostics, bounded peak memory
+# ---------------------------------------------------------------------------
+
+
+def _concentration_oracle(options, seed):
+    """The concentration statistics as first written: every pair's linear
+    part, quadratic part and Z kept in lists, the second noise draw made in
+    one call, and the pools concatenated once the loop ends. Also returns how
+    many pairs had no linear part and so were left out of the linear pool."""
+    import math
+
+    from mlda import bounds
+    from mlda.discriminant import opt_stml
+    from mlda.harness.config import scheme_from_dict
+    from mlda.harness.experiments import _draw_pattern, _gaussian_effects
+    from mlda.population import isotropic_params, population_scatters
+    from mlda.synth import scheme_distribution
+
+    d, L, r, pairs, draws = (options[k] for k in ("d", "L", "r", "pairs", "draws"))
+    sigma_w, deltas = options["sigma_w"], options["deltas"]
+    scheme = scheme_from_dict(options["scheme"])
+    A = _gaussian_effects(d, L, options["effect_scale"], seed.stream("concentration", 0, "effects"))
+    params = isotropic_params(np.zeros(d), A, sigma_w)
+    pop = population_scatters(params, scheme_distribution(scheme, L))
+    W = opt_stml(pop.Sb_pop, pop.St_ml_pop, r).columns
+    frame = bounds.bound_frame(W, A, params.Sigma_w)
+    covered, lin, quad, Z, lin_var = [], [], [], [], []
+    for p in range(pairs):
+        rng = seed.stream("concentration", p, "pair")
+        y_i, y_j = _draw_pattern(scheme, L, rng), _draw_pattern(scheme, L, rng)
+        tail = frame.tail_params(y_i, y_j, pop=pop)
+        s = W.T @ (A @ (y_i - y_j).astype(float))
+        rng_draws = seed.stream("concentration", p, "draws")
+        E = sigma_w * rng_draws.standard_normal((draws, d)) - sigma_w * rng_draws.standard_normal((draws, d))
+        P = E @ W
+        lin.append(2.0 * (P @ s))
+        quad.append(np.einsum("ij,ij->i", P, P) - frame.C_w)
+        Z.append(lin[-1] + quad[-1])
+        interval = [bounds.concentration_interval(tail, t, options["c_scale"]) for t in deltas]
+        covered.append([int(np.count_nonzero(np.abs(Z[-1]) <= c)) for c in interval])
+        lin_var.append(8.0 * float(s @ tail.Psi @ s))
+    lin_unit = np.concatenate([x / math.sqrt(v) for x, v in zip(lin, lin_var) if v > 0.0])
+    quad_all = np.concatenate(quad)
+    abs_Z = np.abs(np.concatenate(Z))
+    q95, q99 = (float(np.quantile(abs_Z, q)) for q in (0.95, 0.99))
+    return {
+        "coverage": [sum(c[k] for c in covered) / (pairs * draws) for k in range(len(deltas))],
+        "variance_ratio": float(np.mean(lin_unit ** 2)),
+        "t_linear_mean": abs(float(lin_unit.mean())) * math.sqrt(lin_unit.size),
+        "t_quad_mean": abs(float(quad_all.mean()))
+        / (float(quad_all.std(ddof=1)) / math.sqrt(quad_all.size)),
+        "quantile_ratio_99_95": q99 / q95,
+        "excluded": sum(1 for v in lin_var if not v > 0.0),
+    }
+
+
+def _with_options(name, tmp_path, seed=DEFAULT_SEED, **changes):
+    import dataclasses
+
+    from mlda.harness.config import validate_options
+
+    cfg = build_config(name, None, seed, str(tmp_path), None)
+    options = {**cfg.options, **changes}
+    validate_options(name, options)
+    return dataclasses.replace(cfg, options=options)
+
+
+@pytest.mark.parametrize(
+    "seed, changes, excluded",
+    [
+        (DEFAULT_SEED, {"pairs": 6, "draws": 300}, 0),
+        (3, {"pairs": 4, "draws": 2500}, 0),
+        # one of the five pairs draws the same pattern twice
+        (7, {"pairs": 5, "draws": 1001}, 1),
+        # three single labels: two of the six pairs draw the same label twice
+        (5, {"pairs": 6, "draws": 400, "L": 3, "r": 2, "scheme": {"kind": "single"}}, 2),
+    ],
+)
+def test_pooled_concentration_statistics_equal_the_concatenated_ones(tmp_path, seed, changes, excluded):
+    from mlda.synth import Seed
+
+    cfg = _with_options("concentration", tmp_path, seed, **changes)
+    report = run(cfg)
+    oracle = _concentration_oracle(cfg.options, Seed(seed))
+    assert oracle.pop("excluded") == excluded
+    assert [row["coverage"] for row in report.rows] == oracle.pop("coverage")
+    assert {key: report.summary[key] for key in oracle} == oracle
+
+
+def test_concentration_without_a_linear_part_fails_its_criterion(tmp_path):
+    # two labels, one pair, and both draws give the same single label: the
+    # pooled linear part is empty, so its variance ratio cannot be tested
+    cfg = _with_options("concentration", tmp_path, 2, pairs=1, draws=100, L=2, r=1,
+                        scheme={"kind": "single"})
+    report = run(cfg)
+    assert report.passes == {"criterion_concentration": False}
+    assert report.summary["variance_ratio"] is None and report.summary["t_linear_mean"] is None
+    assert report.summary["failures"] == ["every pair drew two equal patterns, so no linear part was sampled"]
+
+
+@pytest.mark.parametrize("blocks", [(1000,) * 10, (1, 7, 333, 2000, 7659)])
+def test_block_normal_draws_continue_one_draw(blocks):
+    from mlda.synth import Seed
+
+    one = Seed(4).stream("concentration", 0, "draws").standard_normal((sum(blocks), 20))
+    rng = Seed(4).stream("concentration", 0, "draws")
+    parts = np.concatenate([rng.standard_normal((b, 20)) for b in blocks])
+    assert parts.tobytes() == one.tobytes()
+    # the same blocks drawn into the leading rows of one reused buffer
+    rng, buffer, parts = Seed(4).stream("concentration", 0, "draws"), np.empty((max(blocks), 20)), []
+    for b in blocks:
+        rng.standard_normal(out=buffer[:b])
+        parts.append(buffer[:b].copy())
+    assert np.concatenate(parts).tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("size", [2, 3, 100, 8192, 8193, 100_003])
+def test_pooled_mean_std_equals_numpy(size):
+    from mlda.harness.experiments import _pooled_mean_std
+
+    x = np.random.default_rng(size).standard_normal(size) * 3.0 + 0.25
+    want = (float(x.mean()), float(x.std(ddof=1)))
+    assert _pooled_mean_std(x.copy()) == want
+
+
+def test_concentration_peak_memory_is_its_three_pools(tmp_path):
+    from tests.conftest import peak_bytes
+
+    pairs, draws = 20, 5000
+    cfg = _with_options("concentration", tmp_path, pairs=pairs, draws=draws)
+    d = cfg.options["d"]
+    # three pools of pairs * draws doubles, one (draws, d) noise draw and as
+    # much again for its product and temporaries, plus 1 MB
+    bound = 3 * pairs * draws * 8 + 2 * draws * d * 8 + 2 ** 20
+    assert peak_bytes(lambda: run(cfg)) <= bound
+
+
+def test_convergence_peak_memory_is_the_largest_signal_plus_one_trial(tmp_path):
+    from tests.conftest import peak_bytes
+
+    cfg = _with_options("convergence", tmp_path, trials=2)
+    n, d, L = cfg.options["ns"][-1], cfg.options["d"], cfg.options["L"]
+    # the largest n's signal rows, label bits and scaled label bits, and one
+    # trial: its noisy rows, their centred copy, and one label's gathered rows
+    # with their centred copy, each at most n x d; plus 1 MB
+    signal = 8 * n * (d + 2 * L)
+    trial = 8 * 4 * n * d
+    assert peak_bytes(lambda: run(cfg)) <= signal + trial + 2 ** 20

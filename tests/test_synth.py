@@ -1,6 +1,8 @@
 """Generator tests: determinism, scheme statistics, exact noiseless output,
 and the frozen pair-product encoding."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -263,6 +265,41 @@ def test_pair_products_frozen():
     assert np.array_equal(pair_products(np.array([0, 1, 0, 1])), [0, 0, 0, 0, 1, 0])
     Y = np.array([[1, 1, 0], [0, 1, 1]])
     assert np.array_equal(pair_products_matrix(Y), [[1, 0, 0], [0, 0, 1]])
+    with pytest.raises(InvalidInput):
+        pair_products(Y)
+
+
+def _pair_products_oracle(y):
+    """One pattern's pair products, one scalar product per pair."""
+    L = y.shape[0]
+    return np.array([y[i] * y[j] for i, j in combinations(range(L), 2)], dtype=y.dtype)
+
+
+def _pair_products_matrix_oracle(Y):
+    """A label matrix's pair products, one column product per pair."""
+    pairs = list(combinations(range(Y.shape[1]), 2))
+    if not pairs:
+        return np.zeros((Y.shape[0], 0), dtype=Y.dtype)
+    return np.stack([Y[:, i] * Y[:, j] for i, j in pairs], axis=1)
+
+
+_PAIR_DTYPES = st.sampled_from([np.int64, np.int32, np.int8, np.uint8, np.bool_, np.float64, np.float32])
+
+
+@settings(max_examples=200, deadline=None)
+@given(dtype=_PAIR_DTYPES, L=st.integers(0, 8), n=st.integers(1, 6), data=st.data())
+def test_pair_products_match_the_scalar_and_column_oracles(dtype, L, n, data):
+    # 11 * 11 fits int8, so no product overflows
+    values = st.integers(0, 1) if dtype is np.bool_ else st.integers(0, 11)
+    Y = np.array(data.draw(st.lists(st.lists(values, min_size=L, max_size=L), min_size=n, max_size=n)),
+                 dtype=dtype).reshape(n, L)
+    Z = pair_products_matrix(Y)
+    Z_old = _pair_products_matrix_oracle(Y)
+    assert np.array_equal(Z, Z_old) and Z.dtype == Z_old.dtype and Z.shape == Z_old.shape
+    assert Z.flags["C_CONTIGUOUS"]
+    for y in Y:
+        z, z_old = pair_products(y), _pair_products_oracle(y)
+        assert np.array_equal(z, z_old) and z.dtype == z_old.dtype and z.shape == z_old.shape == (L * (L - 1) // 2,)
 
 
 def test_pair_difference_norm_bound():
