@@ -63,8 +63,6 @@ _EXPORTS = {
         "gaps",
         "isotropic_params",
         "label_moments",
-        "model_from_dict",
-        "patterns_from_dict",
         "population_scatters",
     ),
     "synth": (

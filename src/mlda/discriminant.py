@@ -39,8 +39,16 @@ from .spectral import (
 DET_FLOOR_LOG = np.log(1e-300)
 # Absolute eigenvalue-tie threshold for flagging a degenerate cut.
 GAP_TIE_TOL = 1e-12
+# Normalized commutator size under which two scatters count as commuting.
+COMMUTE_TOL = 1e-12
+# Step in lambda under which the trace-ratio iteration counts as converged.
+TRACE_RATIO_TOL = 1e-10
 # Negative theta down to -THETA_DUST is rounding dust of a zero eigenvalue.
 THETA_DUST = 1e-12
+# A symmetric PSD matrix whose smallest eigenvalue is at most SINGULAR_FLOOR
+# times its largest counts as singular: a total scatter is not whitened, a
+# noise covariance is rejected and a condition number is reported as infinite.
+SINGULAR_FLOOR = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +232,7 @@ def opt_stml(Sb, St_total, r, gamma=0.0):
         raise InvalidInput(f"need 1 <= r <= d={d}, got r={r}")
     St_g = St + gamma * np.eye(d)
     ep = sym_eig(St_g)
-    if ep.values[0] <= 0 or ep.values[-1] <= 1e-12 * ep.values[0]:
+    if ep.values[0] <= 0 or ep.values[-1] <= SINGULAR_FLOOR * ep.values[0]:
         raise SingularTotalScatter(
             f"total scatter is numerically singular at gamma={gamma} "
             f"(eigenvalues in [{ep.values[-1]:.3e}, {ep.values[0]:.3e}])"
@@ -254,14 +262,15 @@ class TraceRatioResult:
     residual: float
 
 
-def trace_ratio_stiefel(Sb, Sw, r, tol=1e-10, max_iter=500):
+def trace_ratio_stiefel(Sb, Sw, r, max_iter=500):
     """Maximize tr(W^T Sb W)/tr(W^T Sw W) over Stiefel frames.
 
     Classic alternating scheme: given lambda, W maximizes the trace of
     W^T (Sb - lambda Sw) W (a top-r eigenspace); given W, lambda is the
     objective value. The lambda sequence is non-decreasing and converges to
     the unique root of f(lambda) = sum of top-r eigenvalues of
-    (Sb - lambda Sw).
+    (Sb - lambda Sw). It stops once lambda moves by at most TRACE_RATIO_TOL
+    and the stationarity residual is at most 1e-10.
 
     Raises
     ------
@@ -299,7 +308,7 @@ def trace_ratio_stiefel(Sb, Sw, r, tol=1e-10, max_iter=500):
         ep = sym_eig(Sb_n - lam_new * Sw_n)
         W = ep.vectors[:, :r]
         residual = abs(float(ep.values[:r].sum()))
-        converged = lam > -np.inf and abs(lam_new - lam) <= tol and residual <= 1e-10
+        converged = lam > -np.inf and abs(lam_new - lam) <= TRACE_RATIO_TOL and residual <= 1e-10
         lam = lam_new
         if converged:
             return TraceRatioResult(
@@ -339,15 +348,15 @@ def commutativity_defect(Sb, St):
     return float(np.linalg.norm(Sb @ St - St @ Sb) / denom)
 
 
-def ordering_consistent(Sb, St, defect_tol=1e-12):
+def ordering_consistent(Sb, St):
     """For commuting scatters: do their eigenvalue orderings agree?
 
-    Returns None when the matrices do not commute (within ``defect_tol`` of
-    normalized defect); otherwise True/False for whether sorting the shared
+    Returns None when the matrices do not commute (normalized defect above
+    COMMUTE_TOL); otherwise True/False for whether sorting the shared
     eigenbasis by St eigenvalues descending also sorts the Sb eigenvalues
     descending. Ties are reported as consistent.
     """
-    if commutativity_defect(Sb, St) > defect_tol:
+    if commutativity_defect(Sb, St) > COMMUTE_TOL:
         return None
     ep = sym_eig(symmetrize(St))
     diag_b = np.einsum("ij,jk,ki->i", ep.vectors.T, symmetrize(Sb), ep.vectors)
@@ -467,7 +476,7 @@ def regularization_report(ss, gammas, r):
     finite = []  # kappa of each finite row
     for gamma in gammas:
         top, bot = lam_max + gamma, lam_min + gamma
-        infinite = bot <= 1e-12 * max(top, 1e-300)
+        infinite = bot <= SINGULAR_FLOOR * max(top, 1e-300)
         kappa = np.inf if infinite else top / bot
         if not infinite:
             finite.append(kappa)

@@ -27,7 +27,6 @@ from .config import (
 from .experiments import (
     ExperimentReport,
     run,
-    run_all,
     write_csv,
     write_report,
     write_summary,
@@ -43,7 +42,6 @@ __all__ = [
     "build_config",
     "load_config_file",
     "run",
-    "run_all",
     "scheme_from_dict",
     "slope_fit",
     "validate_options",

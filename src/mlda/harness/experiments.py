@@ -3,8 +3,9 @@
 Each experiment generates data from the linear label-effect model, measures
 one family of claims (rank structure, objective divergence, distance bounds,
 subspace convergence, difficulty factors, tail concentration, interaction
-robustness, ridge regularization), and returns a table of rows plus a single
-pass flag tied to that experiment's acceptance criterion. Everything is
+robustness, ridge regularization), and returns a table of rows plus the
+failures of that experiment's acceptance criterion, which passes when there
+are none. Everything is
 deterministic given (config, seed): every random draw comes from a stream
 keyed by (experiment, trial, purpose), never from a shared generator, so the
 order in which trials or experiments run cannot change any number. Trials
@@ -62,7 +63,9 @@ class ExperimentReport:
 
 
 def _plain(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize."""
+    """Recursively convert numpy scalars/arrays so json can serialize; a
+    non-finite float becomes the string the CSV writes for it, since strict
+    JSON has no infinities or NaNs."""
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -74,7 +77,7 @@ def _plain(obj):
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else _fmt_cell(obj)
     return obj
 
 
@@ -132,7 +135,7 @@ def write_summary(report, path):
         "details": _plain(report.summary),
     }
     with _atomic_open(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -214,6 +217,17 @@ def _noisy_td_error(signal, labels, sigma_w, rng, r, target):
     return principal_angle_sin(opt_td(ss, r).frame, target)
 
 
+def _mc_distance(rng, shift, W, sigma_w, draws, tol_se):
+    """Monte Carlo mean of the projected squared distance ||W^T (shift + e_i
+    - e_j)||^2 over ``draws`` isotropic noise pairs from ``rng``, and the
+    tolerance of ``tol_se`` standard errors around it."""
+    Ei = sigma_w * rng.standard_normal((draws, W.shape[0]))
+    Ej = sigma_w * rng.standard_normal((draws, W.shape[0]))
+    proj = (shift + (Ei - Ej)) @ W
+    dist2 = np.einsum("ij,ij->i", proj, proj)
+    return float(dist2.mean()), tol_se * float(dist2.std(ddof=1) / np.sqrt(draws))
+
+
 def _degrees(sin_value):
     return float(np.degrees(np.arcsin(min(1.0, max(0.0, sin_value)))))
 
@@ -256,8 +270,7 @@ def _run_rank(options, seed):
             }
         )
     columns = ["Setting", "n", "d", "L", "rank_Sb_ML", "Excess", "bound", "expected_rank", "pass"]
-    passes = {"criterion_rank_table": not failures}
-    return columns, rows, passes, {"failures": failures}
+    return columns, rows, failures, {}
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +284,6 @@ def _run_divergence(options, seed):
 
     rows, failures = [], []
     qualitative = {}
-    dk_all = True
     for si, entry in enumerate(options["settings"]):
         scheme = scheme_from_dict(entry["scheme"])
 
@@ -301,7 +313,6 @@ def _run_divergence(options, seed):
         med_ref = aggregate([_degrees(s) for s in ref_sin])["median"]
         med_tr = aggregate([_degrees(s) for s in tr_sin])["median"]
         passed = sum(1 for h in holds if h)
-        dk_all = dk_all and passed == trials
         if passed < trials:
             failures.append(
                 f"{entry['setting']}: sin-theta bound violated on {trials - passed}/{trials} instances"
@@ -341,9 +352,7 @@ def _run_divergence(options, seed):
         ),
     }
     columns = ["Setting", "Comm_defect", "angle_TD_TD0_deg", "angle_TD_TR_deg", "dk_pass_rate"]
-    passes = {"criterion_davis_kahan": dk_all}
-    summary = {"failures": failures, "qualitative": observed, "per_setting": qualitative}
-    return columns, rows, passes, summary
+    return columns, rows, failures, {"qualitative": observed, "per_setting": qualitative}
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +367,6 @@ def _run_distance(options, seed):
     r = min(6, L)
 
     rows, failures = [], []
-    ok_all = True
     for si, entry in enumerate(options["settings"]):
         scheme = scheme_from_dict(entry["scheme"])
         params, ds = _instance(seed, "distance", si, scheme, n, d, L, scale, sigma_w, noise="fit-noise")
@@ -374,13 +382,7 @@ def _run_distance(options, seed):
             budget = frame.distance_budget(y_i, y_j)
             jac = jaccard_lower(budget, y_i, y_j)
             rng = seed.stream("distance", p, f"draws:{si}")
-            Ei = sigma_w * rng.standard_normal((draws, d))
-            Ej = sigma_w * rng.standard_normal((draws, d))
-            diff = (A @ (y_i - y_j).astype(float)) + (Ei - Ej)
-            proj = diff @ W
-            dist2 = np.einsum("ij,ij->i", proj, proj)
-            mean = float(dist2.mean())
-            tol = tol_se * float(dist2.std(ddof=1) / np.sqrt(draws))
+            mean, tol = _mc_distance(rng, A @ (y_i - y_j).astype(float), W, sigma_w, draws, tol_se)
             hamming_ok = budget.lower - tol <= mean <= budget.upper + tol
             jaccard_ok = mean >= budget.C_w + jac["weakened"] - tol
             return hamming_ok, jaccard_ok
@@ -388,9 +390,7 @@ def _run_distance(options, seed):
         out = [one(p) for p in range(pairs)]
         ham_rate = sum(1 for o in out if o[0]) / pairs
         jac_rate = sum(1 for o in out if o[1]) / pairs
-        ok = ham_rate >= min_rate and jac_rate >= min_rate
-        ok_all = ok_all and ok
-        if not ok:
+        if not (ham_rate >= min_rate and jac_rate >= min_rate):
             failures.append(
                 f"{entry['setting']}: Hamming {100 * ham_rate:.1f}%, Jaccard {100 * jac_rate:.1f}%"
             )
@@ -404,8 +404,7 @@ def _run_distance(options, seed):
             }
         )
     columns = ["Setting", "Hamming_pass_pct", "Jaccard_pass_pct", "pairs", "draws"]
-    passes = {"criterion_distance_rates": ok_all}
-    return columns, rows, passes, {"failures": failures, "r": r}
+    return columns, rows, failures, {"r": r}
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +446,7 @@ def _run_convergence(options, seed):
             f"no spectral gap exceeds threshold {threshold} "
             f"(largest per-sample gap {largest:.3g})"
         ]
-        summary = {"failures": failures, "largest_per_sample_gap": largest}
-        return columns, [], {"criterion_convergence": False}, summary
+        return columns, [], failures, {"largest_per_sample_gap": largest}
     r = int(above.max()) + 1
 
     targets = {n: opt_td(ss, r).frame for n, ss in signal_ss.items()}
@@ -477,26 +475,21 @@ def _run_convergence(options, seed):
     slope = slope_fit(ns, medians)
     inversions = sum(1 for a, b in zip(medians, medians[1:]) if b > a)
     lo, hi = options["slope_range"]
-    final_ok = medians[-1] <= options["max_median"]
-    monotone_ok = inversions <= options["max_inversions"]
-    slope_ok = lo <= slope <= hi
     failures = []
-    if not final_ok:
+    if not medians[-1] <= options["max_median"]:
         failures.append(f"median at n={ns[-1]} is {medians[-1]:.4g} > {options['max_median']}")
-    if not monotone_ok:
+    if not inversions <= options["max_inversions"]:
         failures.append(f"{inversions} median inversions (allowed {options['max_inversions']})")
-    if not slope_ok:
+    if not lo <= slope <= hi:
         failures.append(f"log-log slope {slope:.3f} outside [{lo}, {hi}]")
 
-    passes = {"criterion_convergence": final_ok and monotone_ok and slope_ok}
     summary = {
-        "failures": failures,
         "r": r,
         "per_sample_gap_at_r": float(per_sample_gaps[r - 1]),
         "slope": slope,
         "inversions": inversions,
     }
-    return columns, rows, passes, summary
+    return columns, rows, failures, summary
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +546,7 @@ def _run_factors(options, seed):
                 "trials": trials,
             }
         )
-    sweep_ok = all(b >= a for a, b in zip(med_errs, med_errs[1:]))
     ratio_spread = max(med_ratios) / min(med_ratios)
-    ratio_ok = ratio_spread <= options["ratio_factor"]
 
     # (b) joint model rescaling: effects and noise scaled together multiply
     # both population scatter matrices by the square of the factor, so the
@@ -568,7 +559,6 @@ def _run_factors(options, seed):
     g_1, g_c = gaps(pop_1, r), gaps(pop_c, r)
     delta_dev = abs(g_c.Delta_r - g_1.Delta_r)
     gap_ratio = g_c.gap_r / g_1.gap_r
-    scale_ok = _rescale_ok(delta_dev, gap_ratio, c)
 
     # (c) co-occurrence norm: diagonal-exact for single-label, strictly
     # larger once labels overlap
@@ -580,12 +570,6 @@ def _run_factors(options, seed):
     gn_multi = gamma_norm(labels_multi)
     share_single = float(labels_single.n_ell.max()) / n
     share_multi = float(labels_multi.n_ell.max()) / n
-    eps = np.finfo(float).eps
-    gamma_ok = (
-        abs(gn_single - share_single) <= 8 * eps * share_single
-        and gn_multi > share_multi
-        and gn_multi > gn_single
-    )
 
     # condition-number probe (informational): scaling the leading rows of A
     # moves kappa(St_inf); record whether the median error moves with it
@@ -600,7 +584,7 @@ def _run_factors(options, seed):
 
         def one(t):
             labels = gen_labels(scheme_multi, n, L, seed.stream("factors", t, f"kappa-labels:{ci}"))
-            ds = gen_data(labels, params_c, seed.stream("factors", t, f"kappa-noise:{ci}"), max_rows=None)
+            ds = gen_data(labels, params_c, seed.stream("factors", t, f"kappa-noise:{ci}"))
             ss = build_scatter(ds)
             est = orthonormalize(opt_stml(ss.Sb, ss.St_ml, r).columns)
             return principal_angle_sin(est, W_pop)
@@ -615,24 +599,26 @@ def _run_factors(options, seed):
     )
 
     failures = []
-    if not sweep_ok:
+    if not all(b >= a for a, b in zip(med_errs, med_errs[1:])):
         failures.append(f"median errors not monotone in k_max: {med_errs}")
-    if not ratio_ok:
+    if not ratio_spread <= options["ratio_factor"]:
         failures.append(f"bound-ratio spread {ratio_spread:.3g} exceeds {options['ratio_factor']}")
-    if not scale_ok:
+    if not _rescale_ok(delta_dev, gap_ratio, c):
         failures.append(
             f"rescale test: Delta_r moved by {delta_dev:.3g}, gap ratio {gap_ratio!r}"
         )
-    if not gamma_ok:
+    if not (
+        abs(gn_single - share_single) <= 8 * np.finfo(float).eps * share_single
+        and gn_multi > share_multi
+        and gn_multi > gn_single
+    ):
         failures.append(
             f"co-occurrence norms: single {gn_single!r} vs share {share_single!r}, "
             f"multi {gn_multi!r} vs share {share_multi!r}"
         )
 
     columns = ["k_max", "median_sin", "median_gap_r", "median_bound_ratio", "trials"]
-    passes = {"criterion_factors": sweep_ok and ratio_ok and scale_ok and gamma_ok}
     summary = {
-        "failures": failures,
         "kmax_medians": med_errs,
         "bound_ratio_spread": ratio_spread,
         "scale_check": {"Delta_r_deviation": delta_dev, "gap_ratio": gap_ratio, "factor": c},
@@ -648,7 +634,7 @@ def _run_factors(options, seed):
             "co_moves": kappa_co_moves,
         },
     }
-    return columns, rows, passes, summary
+    return columns, rows, failures, summary
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +731,6 @@ def _run_concentration(options, seed):
         {"delta": deltas[k], "nominal": 1.0 - deltas[k], "coverage": coverage[k]}
         for k in range(len(deltas))
     ]
-    coverage_ok = all(coverage[k] >= 1.0 - deltas[k] for k in range(len(deltas)))
 
     # pooled component diagnostics on the same draws, each pool overwritten
     # once it has been read
@@ -753,19 +738,13 @@ def _run_concentration(options, seed):
         lin_t = abs(float(lin_unit.mean())) * math.sqrt(used)
         np.square(lin_unit, out=lin_unit)
         var_ratio = float(lin_unit.mean())
-        var_ok = abs(var_ratio - 1.0) <= options["variance_rel_tol"]
     else:
         # every pair drew two equal patterns: no linear part to test
         lin_t = var_ratio = None
-        var_ok = False
     quad_mean, quad_std = _pooled_mean_std(quad)
     quad_t = abs(quad_mean) / (quad_std / math.sqrt(total))
-    mean_tol = options["mean_se_tol"]
-    means_ok = lin_t is not None and lin_t <= mean_tol and quad_t <= mean_tol
     q95, q99 = (float(q) for q in np.quantile(abs_Z, (0.95, 0.99), overwrite_input=True))
     q_ratio = q99 / q95
-    q_ok = q_ratio <= options["quantile_ratio_max"]
-    psi_bound_ok = psi_norm <= (1.0 + 1e-10) / lam_min_st
 
     failures = []
     for k, cov in enumerate(coverage):
@@ -773,22 +752,20 @@ def _run_concentration(options, seed):
             failures.append(f"delta={deltas[k]}: coverage {cov:.4f} < nominal {1 - deltas[k]:.4f}")
     if var_ratio is None:
         failures.append("every pair drew two equal patterns, so no linear part was sampled")
-    elif not var_ok:
-        failures.append(f"linear-part variance ratio {var_ratio:.4f} off unity by more than "
-                        f"{options['variance_rel_tol']}")
-    if lin_t is not None and not means_ok:
-        failures.append(f"component means not centered: t_lin={lin_t:.2f}, t_quad={quad_t:.2f}")
-    if not q_ok:
+    else:
+        if not abs(var_ratio - 1.0) <= options["variance_rel_tol"]:
+            failures.append(f"linear-part variance ratio {var_ratio:.4f} off unity by more than "
+                            f"{options['variance_rel_tol']}")
+        mean_tol = options["mean_se_tol"]
+        if not (lin_t <= mean_tol and quad_t <= mean_tol):
+            failures.append(f"component means not centered: t_lin={lin_t:.2f}, t_quad={quad_t:.2f}")
+    if not q_ratio <= options["quantile_ratio_max"]:
         failures.append(f"99th/95th deviation ratio {q_ratio:.3f} exceeds {options['quantile_ratio_max']}")
-    if not psi_bound_ok:
+    if not psi_norm <= (1.0 + 1e-10) / lam_min_st:
         failures.append("||Psi||_2 exceeded 1/lambda_min of the population total scatter")
 
     columns = ["delta", "nominal", "coverage"]
-    passes = {
-        "criterion_concentration": coverage_ok and var_ok and means_ok and q_ok and psi_bound_ok
-    }
     summary = {
-        "failures": failures,
         "variance_ratio": var_ratio,
         "t_linear_mean": lin_t,
         "t_quad_mean": quad_t,
@@ -796,7 +773,7 @@ def _run_concentration(options, seed):
         "pooled_draws": int(total),
         "theta": _plain(np.sort(np.linalg.eigvalsh(W.T @ pop.Sb_pop @ W))[::-1]),
     }
-    return columns, rows, passes, summary
+    return columns, rows, failures, summary
 
 
 # ---------------------------------------------------------------------------
@@ -843,21 +820,15 @@ def _run_interaction(options, seed):
             (y_i, y_j, frame.distance_budget(y_i, y_j), A @ (y_i - y_j).astype(float), B @ z_diff)
         )
 
-    rows, failures = [], []
+    rows = []
     rates = {}
     for ai, alpha in enumerate(alphas):
         frame_alpha = frame.with_interactions(alpha * B)
 
         def one(p):
             y_i, y_j, budget, effect, inter = per_pair[p]
-            base = effect + alpha * inter
             rng = seed.stream("interaction", p, f"draws:{ai}")
-            Ei = sigma_w * rng.standard_normal((draws, d))
-            Ej = sigma_w * rng.standard_normal((draws, d))
-            proj = (base + Ei - Ej) @ W
-            dist2 = np.einsum("ij,ij->i", proj, proj)
-            mean = float(dist2.mean())
-            tol = tol_se * float(dist2.std(ddof=1) / np.sqrt(draws))
+            mean, tol = _mc_distance(rng, effect + alpha * inter, W, sigma_w, draws, tol_se)
             widen = frame_alpha.interaction_bound(y_i, y_j)["corrected_bound"]
             naive_ok = budget.lower - tol <= mean <= budget.upper + tol
             corrected_ok = budget.lower - widen - tol <= mean <= budget.upper + widen + tol
@@ -878,21 +849,19 @@ def _run_interaction(options, seed):
         )
 
     min_corrected = options["min_corrected"]
-    corrected_ok = all(rates[a][1] >= min_corrected for a in alphas)
     a_top = max(alphas)
-    separation_ok = rates[a_top][0] < rates[a_top][1]
-    if not corrected_ok:
-        bad = [a for a in alphas if rates[a][1] < min_corrected]
+    failures = []
+    bad = [a for a in alphas if rates[a][1] < min_corrected]
+    if bad:
         failures.append(f"corrected rate below {min_corrected} at alpha in {bad}")
-    if not separation_ok:
+    if not rates[a_top][0] < rates[a_top][1]:
         failures.append(
             f"naive rate {rates[a_top][0]:.3f} not below corrected {rates[a_top][1]:.3f} "
             f"at alpha={a_top}"
         )
 
     columns = ["alpha", "naive_pass_pct", "corrected_pass_pct", "pairs", "draws"]
-    passes = {"criterion_interaction": corrected_ok and separation_ok}
-    return columns, rows, passes, {"failures": failures, "r": r}
+    return columns, rows, failures, {"r": r}
 
 
 # ---------------------------------------------------------------------------
@@ -913,13 +882,9 @@ def _run_regularization(options, seed):
         reports.append(regularization_report(build_scatter(ds), gammas, r))
 
     ranks = {row.rank_sb for rep in reports for row in rep}
-    rank_ok = ranks == {L}
-    zero_rows = [rep[0] for rep in reports]
-    zero_flagged = all(row.kappa_infinite for row in zero_rows) if gammas[0] == 0.0 else True
     gap_devs = [
         max(abs(row.gap_td - rep[0].gap_td) for row in rep) for rep in reports
     ]
-    gap_ok = max(gap_devs) <= gap_tol
 
     rows = []
     medians = []
@@ -941,42 +906,41 @@ def _run_regularization(options, seed):
     finite = [m for m in medians if math.isfinite(m)]
     lo, hi = options["kappa_ratio_range"]
     ratios = [a / b for a, b in zip(finite, finite[1:])]
-    ratio_ok = all(lo <= q <= hi for q in ratios)
 
     failures = []
-    if not rank_ok:
+    if ranks != {L}:
         failures.append(f"rank varied across trials/ridges: {sorted(ranks)}")
-    if not zero_flagged:
+    if gammas[0] == 0.0 and not all(rep[0].kappa_infinite for rep in reports):
         failures.append("gamma=0 did not flag an infinite condition number")
-    if not ratio_ok:
+    if not all(lo <= q <= hi for q in ratios):
         failures.append(f"consecutive kappa ratios {ratios} outside [{lo}, {hi}]")
-    if not gap_ok:
+    if not max(gap_devs) <= gap_tol:
         failures.append(f"trace-difference gap moved by {max(gap_devs):.3g} across ridges")
 
     columns = ["gamma", "rank_Sb_ML", "kappa_median", "max_gap_dev", "trials"]
-    passes = {"criterion_regularization": rank_ok and zero_flagged and ratio_ok and gap_ok}
     summary = {
-        "failures": failures,
         "kappa_medians": medians,
         "kappa_ratios": ratios,
         "max_gap_deviation": max(gap_devs),
     }
-    return columns, rows, passes, summary
+    return columns, rows, failures, summary
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
+# Each runner returns (columns, rows, failures, summary); its criterion, named
+# here, passes exactly when the failure list is empty.
 _RUNNERS = {
-    "rank": _run_rank,
-    "divergence": _run_divergence,
-    "distance": _run_distance,
-    "convergence": _run_convergence,
-    "factors": _run_factors,
-    "concentration": _run_concentration,
-    "interaction": _run_interaction,
-    "regularization": _run_regularization,
+    "rank": (_run_rank, "criterion_rank_table"),
+    "divergence": (_run_divergence, "criterion_davis_kahan"),
+    "distance": (_run_distance, "criterion_distance_rates"),
+    "convergence": (_run_convergence, "criterion_convergence"),
+    "factors": (_run_factors, "criterion_factors"),
+    "concentration": (_run_concentration, "criterion_concentration"),
+    "interaction": (_run_interaction, "criterion_interaction"),
+    "regularization": (_run_regularization, "criterion_regularization"),
 }
 
 
@@ -984,16 +948,16 @@ def run(config):
     """Run one experiment and return its report."""
     if config.experiment not in _RUNNERS:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
+    runner, criterion = _RUNNERS[config.experiment]
     start = time.perf_counter()
-    seed = Seed(config.seed)
-    columns, rows, passes, summary = _RUNNERS[config.experiment](config.options, seed)
+    columns, rows, failures, summary = runner(config.options, Seed(config.seed))
     wall = time.perf_counter() - start
     return ExperimentReport(
         experiment=config.experiment,
         columns=columns,
         rows=rows,
-        passes=passes,
-        summary=summary,
+        passes={criterion: not failures},
+        summary={**summary, "failures": failures},
         seed=config.seed,
         config_digest=config.digest(),
         wall_time_s=wall,
@@ -1001,7 +965,7 @@ def run(config):
 
 
 def all_configs(config):
-    """The configs ``run_all`` runs, in ``EXPERIMENTS`` order: every
+    """The configs ``mlda all`` runs, in ``EXPERIMENTS`` order: every
     experiment at its defaults, with the seed and output directory of
     ``config``. Each experiment draws only from its own streams, so the
     order changes no number."""
@@ -1016,9 +980,3 @@ def all_configs(config):
         )
         for name in EXPERIMENTS
     ]
-
-
-def run_all(config):
-    """Run every experiment at its defaults, one after another in
-    ``EXPERIMENTS`` order (seed and output directory shared)."""
-    return [run(sub) for sub in all_configs(config)]

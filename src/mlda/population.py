@@ -19,17 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidCovariance,
-    InvalidInput,
-    InvariantViolation,
-    MissingLabel,
-    SingularTotalScatter,
-)
+from .discriminant import SINGULAR_FLOOR, opt_stml
+from .errors import InvalidCovariance, InvalidInput, InvariantViolation, MissingLabel
 from .spectral import _all_binary, sym_eig, symmetrize
-
-# Eigenvalue floor for whitening: below this (relative) the matrix is singular.
-WHITEN_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -283,7 +275,7 @@ def population_scatters(params, dist):
     if params.L != dist.L:
         raise InvalidInput(f"A has {params.L} labels but distribution has {dist.L}")
     Sw_evals = np.linalg.eigvalsh(params.Sigma_w)
-    if Sw_evals.min() <= WHITEN_FLOOR * max(Sw_evals.max(), 1e-300):
+    if Sw_evals.min() <= SINGULAR_FLOOR * max(Sw_evals.max(), 1e-300):
         raise InvalidCovariance(
             f"Sigma_w must be positive definite (min eigenvalue {Sw_evals.min():.3e})"
         )
@@ -346,24 +338,13 @@ class GapReport:
     degenerate: bool
 
 
-def whiten_inverse_sqrt(S):
-    """Inverse symmetric square root of a PD matrix (raises if singular)."""
-    ep = sym_eig(S)
-    lam_max = ep.values[0]
-    if lam_max <= 0 or ep.values[-1] <= WHITEN_FLOOR * lam_max:
-        raise SingularTotalScatter(
-            f"matrix is numerically singular (eigenvalues in "
-            f"[{ep.values[-1]:.3e}, {lam_max:.3e}])"
-        )
-    return (ep.vectors / np.sqrt(ep.values)) @ ep.vectors.T
-
-
 def gaps(pop, r):
     """Gap report of a population at rank r (1-based, r < d).
 
-    The generalized eigenvalues theta of (Sb_inf, St_inf) come from the
-    whitened matrix St_inf^{-1/2} Sb_inf St_inf^{-1/2}; negatives within
-    -1e-12 are snapped to zero, and any theta outside [0, 1) raises.
+    The generalized eigenvalues theta of (Sb_inf, St_inf) are the
+    ``gen_values`` of ``opt_stml(Sb_inf, St_inf, r)``, so a singular St_inf
+    raises SingularTotalScatter; negatives within -1e-12 are snapped to zero,
+    and any theta outside [0, 1) raises.
     """
     d = pop.St_inf.shape[0]
     if not 1 <= r < d:
@@ -373,9 +354,7 @@ def gaps(pop, r):
 
     st_vals = np.linalg.eigvalsh(pop.St_inf)
     lam_min, lam_max = float(st_vals[0]), float(st_vals[-1])
-    T_isqrt = whiten_inverse_sqrt(pop.St_inf)
-    P = symmetrize(T_isqrt @ pop.Sb_inf @ T_isqrt)
-    theta = sym_eig(P).values
+    theta = opt_stml(pop.Sb_inf, pop.St_inf, r).gen_values
     theta[(theta < 0) & (theta > -1e-12)] = 0.0
     if theta.min() < 0 or theta.max() >= 1.0:
         raise InvariantViolation(
@@ -404,46 +383,3 @@ def gamma_norm(labels):
     """
     G = labels.gram.astype(float) / labels.n
     return float(np.linalg.eigvalsh(symmetrize(G)).max())
-
-
-# ---------------------------------------------------------------------------
-# JSON-friendly constructors (used by the experiment configs)
-# ---------------------------------------------------------------------------
-
-def model_from_dict(spec):
-    """Build ModelParams from a plain dict (e.g. parsed JSON).
-
-    Recognized keys: ``mu``, ``A``, and either ``Sigma_w`` or ``sigma_w``
-    (isotropic shorthand); optional ``B_inter`` and ``sigma``.
-    """
-    try:
-        mu = np.asarray(spec["mu"], dtype=float)
-        A = np.asarray(spec["A"], dtype=float)
-    except KeyError as exc:
-        raise InvalidInput(f"model spec missing key {exc}") from exc
-    if "Sigma_w" in spec:
-        Sigma_w = np.asarray(spec["Sigma_w"], dtype=float)
-    elif "sigma_w" in spec:
-        Sigma_w = float(spec["sigma_w"]) ** 2 * np.eye(A.shape[0])
-    else:
-        raise InvalidInput("model spec needs Sigma_w or sigma_w")
-    B = spec.get("B_inter")
-    if B is not None:
-        B = np.asarray(B, dtype=float)
-    sigma = spec.get("sigma")
-    if sigma is None and "sigma_w" in spec:
-        sigma = float(spec["sigma_w"])
-    return ModelParams(mu=mu, A=A, Sigma_w=Sigma_w, B_inter=B, sigma=sigma)
-
-
-def patterns_from_dict(spec):
-    """Build a LabelDistribution from {"pattern string": prob} or pair list.
-
-    Pattern strings are fixed-length 0/1 strings, e.g. {"10": 0.4, "01": 0.4,
-    "11": 0.2}; a list of [bits, prob] pairs is also accepted.
-    """
-    if isinstance(spec, dict):
-        pairs = [([int(ch) for ch in key], prob) for key, prob in sorted(spec.items())]
-    else:
-        pairs = [(bits, prob) for bits, prob in spec]
-    return label_moments(pairs)

@@ -230,7 +230,7 @@ def _covariance_factor(Sigma_w):
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-def gen_data(labels, params, rng, alpha=0.0, noise="gaussian", max_rows=None, max_cols=None):
+def gen_data(labels, params, rng, alpha=0.0, noise="gaussian"):
     """Sample features x = mu + A y + alpha * B z + eps for given labels.
 
     Parameters
@@ -251,6 +251,8 @@ def gen_data(labels, params, rng, alpha=0.0, noise="gaussian", max_rows=None, ma
     Returns
     -------
     Dataset
+        Built without ``build_dataset``'s dense-storage caps, so a sample
+        of any size comes back.
     """
     if params.L != labels.L:
         raise InvalidInput(f"A has {params.L} label columns, labels have {labels.L}")
@@ -277,7 +279,7 @@ def gen_data(labels, params, rng, alpha=0.0, noise="gaussian", max_rows=None, ma
         X = X + G * np.sqrt(diag)
     else:
         X = X + G @ _covariance_factor(Sigma_w).T
-    return build_dataset(X, labels, max_rows=max_rows, max_cols=max_cols)
+    return build_dataset(X, labels, max_rows=None, max_cols=None)
 
 
 def scheme_distribution(scheme, L):

@@ -26,6 +26,15 @@ def random_stiefel(rng, d, r):
     return Q * np.sign(np.diag(R))
 
 
+def inverse_sqrt(S):
+    """Symmetric inverse square root T of a positive definite S, from numpy's
+    eigh: T S T = I, so T Q meets the total-scatter constraint for any
+    orthonormal Q."""
+    vals, vecs = np.linalg.eigh(S)
+    assert vals.min() > 0
+    return (vecs / np.sqrt(vals)) @ vecs.T
+
+
 def peak_bytes(fn):
     """Peak bytes that ``fn()`` allocates on top of what was live at its call,
     as ``tracemalloc`` counts them; numpy reports its array buffers there.

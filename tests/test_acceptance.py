@@ -30,7 +30,7 @@ from mlda import (
 )
 from mlda.harness.config import DEFAULT_SEED, DEFAULTS, build_config
 from mlda.harness.experiments import run
-from mlda.population import whiten_inverse_sqrt
+from tests.conftest import inverse_sqrt
 
 
 def _criterion(num, name, ok, detail=""):
@@ -177,7 +177,7 @@ def test_criterion_03_objective_equivalence():
         for key in keys:
             a, b = getattr(at_w, key), closed[key]
             worst_rel = max(worst_rel, abs(a - b) / max(abs(b), 1e-12))
-        T = whiten_inverse_sqrt(ss.St_ml)
+        T = inverse_sqrt(ss.St_ml)
         G = rng.standard_normal((d, r, 10))
         for p in range(10):
             Q, R = np.linalg.qr(G[:, :, p])

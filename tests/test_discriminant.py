@@ -43,7 +43,7 @@ from mlda import (
 )
 from mlda.discriminant import RegularizationRow
 from mlda.spectral import principal_angle_sin
-from tests.conftest import random_stiefel
+from tests.conftest import inverse_sqrt, random_stiefel
 
 
 def _random_scatter_pair(rng, n=60, d=6, L=4):
@@ -154,9 +154,7 @@ def test_common_maximizer_dominates_probes(rng):
     d, r = ss.Sb.shape[0], 2
     opt = opt_stml(ss.Sb, ss.St_ml, r)
     best = eval_objectives(opt.columns, ss.Sb, ss.Sw)
-    from mlda.population import whiten_inverse_sqrt
-
-    T = whiten_inverse_sqrt(ss.St_ml)
+    T = inverse_sqrt(ss.St_ml)
     for _ in range(100):
         probe = T @ random_stiefel(rng, d, r)
         # constraint check: probe^T St_ml probe == I

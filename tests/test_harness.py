@@ -98,28 +98,6 @@ def test_defaults_resolved():
     assert cfg.options == DEFAULTS["rank"]
 
 
-CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
-
-
-def _read_config(name):
-    with open(os.path.join(CONFIG_DIR, f"{name}.json")) as fh:
-        return json.load(fh)
-
-
-def test_config_files_match_defaults():
-    # the shipped configs restate DEFAULTS; this keeps the two from drifting
-    assert sorted(os.listdir(CONFIG_DIR)) == sorted(f"{e}.json" for e in (*EXPERIMENTS, "all"))
-    for experiment in EXPERIMENTS:
-        data = _read_config(experiment)
-        assert set(data) == {"experiment", "seed", "options"}, experiment
-        assert data["experiment"] == experiment
-        assert data["seed"] == DEFAULT_SEED, experiment
-        assert data["options"] == DEFAULTS[experiment], experiment
-    data = _read_config("all")
-    assert set(data) == {"experiment", "seed", "out_dir"}
-    assert data["experiment"] == "all" and data["seed"] == DEFAULT_SEED
-
-
 def test_file_and_cli_precedence(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"experiment": "distance", "seed": 7, "pairs": 11}))
@@ -284,14 +262,17 @@ def test_every_option_rejects_hostile_values(tmp_path, experiment, option):
         assert build_config(experiment, str(path)).options[option] == 0
 
 
-def test_defaults_and_shipped_configs_normalize_to_themselves():
+def test_defaults_and_shipped_configs_normalize_to_themselves(tmp_path):
     from mlda.harness.config import ExperimentConfig, validate_options
 
     for experiment in EXPERIMENTS:
         options = validate_options(experiment, DEFAULTS[experiment])
         assert options == DEFAULTS[experiment]
         assert json.dumps(options, sort_keys=True) == json.dumps(DEFAULTS[experiment], sort_keys=True)
-        cfg = build_config(experiment, os.path.join(CONFIG_DIR, f"{experiment}.json"))
+        # the defaults written out as a config file read back as themselves
+        path = tmp_path / f"{experiment}.json"
+        path.write_text(json.dumps({"experiment": experiment, "seed": DEFAULT_SEED, "options": DEFAULTS[experiment]}))
+        cfg = build_config(experiment, str(path))
         unvalidated = ExperimentConfig(experiment, DEFAULT_SEED, "results", DEFAULTS[experiment])
         assert cfg.options == DEFAULTS[experiment]
         assert cfg.digest() == unvalidated.digest()
@@ -557,6 +538,19 @@ def test_failed_summary_write_keeps_previous_report(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["demo.summary.json"]
 
 
+# small trial counts, so every runner reaches each of its streams quickly
+_QUICK = {
+    "convergence": {"trials": 3},
+    "factors": {"trials": 3, "kappa_trials": 2},
+    "regularization": {"trials": 3},
+    "rank": {},
+    "divergence": {"trials": 3},
+    "distance": {"pairs": 10, "draws": 10},
+    "concentration": {"pairs": 5, "draws": 200},
+    "interaction": {"pairs": 10, "draws": 10},
+}
+
+
 def test_stream_purposes_have_distinct_ids(tmp_path, monkeypatch):
     import dataclasses
     import zlib
@@ -564,18 +558,7 @@ def test_stream_purposes_have_distinct_ids(tmp_path, monkeypatch):
     from mlda.harness.config import validate_options
     from mlda.synth import Seed
 
-    # small trial counts, so every runner reaches each of its streams quickly
-    quick = {
-        "convergence": {"trials": 3},
-        "factors": {"trials": 3, "kappa_trials": 2},
-        "regularization": {"trials": 3},
-        "rank": {},
-        "divergence": {"trials": 3},
-        "distance": {"pairs": 10, "draws": 10},
-        "concentration": {"pairs": 5, "draws": 200},
-        "interaction": {"pairs": 10, "draws": 10},
-    }
-    assert set(quick) == set(DEFAULTS)
+    assert set(_QUICK) == set(DEFAULTS)
     purposes = {}
     stream = Seed.stream
 
@@ -584,7 +567,7 @@ def test_stream_purposes_have_distinct_ids(tmp_path, monkeypatch):
         return stream(self, experiment, trial, purpose)
 
     monkeypatch.setattr(Seed, "stream", recording)
-    for name, counts in quick.items():
+    for name, counts in _QUICK.items():
         cfg = build_config(name, None, DEFAULT_SEED, str(tmp_path), None)
         options = {**cfg.options, **counts}
         validate_options(name, options)
@@ -886,3 +869,68 @@ def test_convergence_peak_memory_is_the_largest_signal_plus_one_trial(tmp_path):
     signal = 8 * n * (d + 2 * L)
     trial = 8 * 4 * n * d
     assert peak_bytes(lambda: run(cfg)) <= signal + trial + 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# criterion failures: every reachable branch, strict JSON summaries
+# ---------------------------------------------------------------------------
+
+# One small config per failure branch that options can reach, with a piece of
+# that branch's message; each runs at the default seed. The branch for a
+# concentration run whose pairs all draw equal patterns has its own test
+# above. Not reachable from options: divergence's sin-theta bound (a theorem,
+# with an eps * ||C|| floor on the perturbation), concentration's ||Psi||_2 <=
+# 1/lambda_min bound (a theorem for an St-orthogonal W) and factors' rescale
+# test (exact to rounding at every scale_factor the schema admits).
+_FAILURE_PATHS = [
+    ("rank", {"rows": [{"setting": "wrong rank", "n": 40, "d": 10, "L": 4, "scheme": {"kind": "single"},
+                        "expect_rank": 4, "expect_excess": False}]}, "row 0 (wrong rank): rank 3"),
+    ("distance", {"pairs": 20, "draws": 10, "tolerance_se": 0.0, "min_pass_rate": 1.0}, "Hamming"),
+    ("convergence", {"ns": [50, 100, 200], "trials": 3, "gap_threshold": 1e9},
+     "no spectral gap exceeds threshold"),
+    ("convergence", {"ns": [50, 100, 200], "trials": 3, "max_median": 0.0}, "median at n=200"),
+    ("convergence", {"ns": [50, 51, 52, 53, 54, 55], "trials": 1, "gap_threshold": 0.5, "max_inversions": 0,
+                     "max_median": 1.0, "slope_range": [-100.0, 100.0]}, "median inversions"),
+    ("convergence", {"ns": [50, 100, 200], "trials": 3, "max_median": 1.0, "slope_range": [5.0, 6.0]},
+     "log-log slope"),
+    ("factors", {"trials": 3, "kappa_trials": 2, "kmax_settings": [
+        {"k_max": 3, "scheme": {"kind": "variable", "mix": [[1, 0.9], [3, 0.1]]}},
+        {"k_max": 2, "scheme": {"kind": "variable", "mix": [[1, 0.8], [2, 0.2]]}},
+        {"k_max": 1, "scheme": {"kind": "single"}}]}, "median errors not monotone in k_max"),
+    ("factors", {"trials": 3, "kappa_trials": 2, "ratio_factor": 0.0}, "bound-ratio spread"),
+    ("factors", {"trials": 3, "kappa_trials": 2, "gamma_scheme": {"kind": "single"}}, "co-occurrence norms"),
+    ("concentration", {"pairs": 3, "draws": 200, "c_scale": 1e6}, "coverage"),
+    ("concentration", {"pairs": 3, "draws": 200, "variance_rel_tol": 0.0}, "linear-part variance ratio"),
+    ("concentration", {"pairs": 3, "draws": 200, "mean_se_tol": 0.0}, "component means not centered"),
+    ("concentration", {"pairs": 3, "draws": 200, "quantile_ratio_max": 0.0}, "99th/95th deviation ratio"),
+    ("interaction", {"pairs": 20, "draws": 10, "tolerance_se": 0.0, "min_corrected": 1.0},
+     "corrected rate below"),
+    ("interaction", {"pairs": 20, "draws": 10, "alphas": [0.0]}, "naive rate"),
+    ("regularization", {"n": 10, "trials": 2, "scheme": {"kind": "single"}}, "rank varied"),
+    ("regularization", {"n": 60, "d": 20, "trials": 2}, "gamma=0 did not flag"),
+    ("regularization", {"trials": 2, "kappa_ratio_range": [11.5, 12.0]}, "consecutive kappa ratios"),
+    ("regularization", {"n": 60, "d": 20, "trials": 2, "gap_match_tol": 0.0}, "trace-difference gap moved"),
+]
+
+
+@pytest.mark.parametrize("name, changes, message", _FAILURE_PATHS)
+def test_failure_path_fails_its_criterion(tmp_path, name, changes, message):
+    from mlda.harness.experiments import _RUNNERS
+
+    report = run(_with_options(name, tmp_path, **changes))
+    assert report.passes == {_RUNNERS[name][1]: False}
+    assert [f for f in report.summary["failures"] if message in f], report.summary["failures"]
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_every_summary_is_strict_json(tmp_path):
+    details = {}
+    for name, counts in _QUICK.items():
+        _, path = write_report(run(_with_options(name, tmp_path, **counts)), str(tmp_path))
+        with open(path, encoding="utf-8") as fh:
+            details[name] = json.load(fh, parse_constant=_reject_constant)["details"]
+    # gamma = 0 leaves Sw singular at d > n: its kappa is written as the CSV writes it
+    assert details["regularization"]["kappa_medians"][0] == "inf"

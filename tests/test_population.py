@@ -6,14 +6,18 @@ Three independent oracles back the frozen expectations:
 * characteristic-polynomial roots for the generalized eigenvalues.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlda import (
     InvalidCovariance,
     InvalidInput,
+    InvariantViolation,
     MissingLabel,
     ModelParams,
     SingularTotalScatter,
@@ -22,11 +26,10 @@ from mlda import (
     gaps,
     isotropic_params,
     label_moments,
-    model_from_dict,
-    patterns_from_dict,
+    opt_stml,
     population_scatters,
 )
-from mlda.population import whiten_inverse_sqrt
+from mlda.spectral import symmetrize
 
 TOY = [([1, 0], 0.4), ([0, 1], 0.4), ([1, 1], 0.2)]
 
@@ -248,28 +251,11 @@ def test_gamma_norm_single_exact_and_multi_larger(rng):
 # ---------------------------------------------------------------------------
 
 
-def test_patterns_from_dict_matches_list_route():
-    dist_a = label_moments(TOY)
-    dist_b = patterns_from_dict({"10": 0.4, "01": 0.4, "11": 0.2})
-    assert np.allclose(dist_a.pi, dist_b.pi, atol=1e-15)
-    assert np.allclose(dist_a.C, dist_b.C, atol=1e-15)
-
-
 def test_duplicate_patterns_merge():
     merged = label_moments([([1, 0], 0.2), ([1, 0], 0.2), ([0, 1], 0.6)])
     plain = label_moments([([1, 0], 0.4), ([0, 1], 0.6)])
     assert np.allclose(merged.probs, plain.probs)
     assert np.array_equal(merged.patterns, plain.patterns)
-
-
-def test_model_from_dict():
-    spec = {"mu": [0.0, 0.0], "A": [[1.0, 0.0], [0.0, 2.0]], "sigma_w": 0.3}
-    params = model_from_dict(spec)
-    assert np.allclose(params.Sigma_w, 0.09 * np.eye(2), atol=1e-15)
-    full = model_from_dict(
-        {"mu": [0.0, 0.0], "A": [[1.0, 0.0], [0.0, 2.0]], "Sigma_w": [[0.1, 0.0], [0.0, 0.2]]}
-    )
-    assert np.allclose(full.Sigma_w, np.diag([0.1, 0.2]), atol=1e-15)
 
 
 def test_distribution_validation():
@@ -360,11 +346,71 @@ def test_model_diagonal_covariance_skips_eigvalsh(monkeypatch):
     assert len(calls) == 2 and params.sigma == pytest.approx(np.sqrt(3.0), rel=1e-15)
 
 
-def test_whiten_inverse_sqrt_errors():
+def _with_pencil(pop, Sb_inf, St_inf):
+    """``pop`` with the pencil (Sb_inf, St_inf) and the M_star_c = 2 Sb_inf -
+    St_inf that the population identity gives it."""
+    Sb_inf, St_inf = symmetrize(Sb_inf), symmetrize(St_inf)
+    return dataclasses.replace(pop, Sb_inf=Sb_inf, St_inf=St_inf, M_star_c=symmetrize(2.0 * Sb_inf - St_inf))
+
+
+def test_gaps_rejects_a_singular_total_scatter():
+    pop = population_scatters(isotropic_params(np.zeros(3), np.eye(3, 2), 0.5), label_moments(TOY))
     with pytest.raises(SingularTotalScatter):
-        whiten_inverse_sqrt(np.diag([1.0, 0.0]))
-    T = whiten_inverse_sqrt(np.diag([4.0, 9.0]))
-    assert np.allclose(T, np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
+        gaps(_with_pencil(pop, np.zeros((3, 3)), np.diag([1.0, 1.0, 0.0])), 1)
+    # a diagonal pencil whitens to the ratios of its diagonals
+    report = gaps(_with_pencil(pop, np.diag([2.0, 2.25, 0.0]), np.diag([4.0, 9.0, 1.0])), 1)
+    assert report.theta == pytest.approx([0.5, 0.25, 0.0], abs=1e-15)
+    assert report.kappa_St_inf == 9.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    L=st.integers(2, 5),
+    extra=st.integers(1, 4),
+    scale=st.floats(0.1, 10.0),
+    sigma=st.floats(0.3, 3.0),
+)
+def test_gaps_theta_is_the_whitening_solve(seed, L, extra, scale, sigma):
+    # scale / sigma stays within 35, so kappa(St_inf) stays far below the
+    # 1e8 at which the whitening solve starts to lose St-orthogonality
+    rng = np.random.default_rng(seed)
+    d = L + extra
+    support = rng.integers(0, 2, size=(6, L))
+    support[:L] |= np.eye(L, dtype=support.dtype)  # every label appears
+    support[support.sum(axis=1) == 0, 0] = 1
+    w = rng.uniform(0.1, 1.0, size=6)
+    dist = label_moments(list(zip(support, w / w.sum())))
+    pop = population_scatters(isotropic_params(np.zeros(d), scale * rng.standard_normal((d, L)), sigma), dist)
+    r = int(rng.integers(1, d))
+    want = opt_stml(pop.Sb_inf, pop.St_inf, r).gen_values
+    want[(want < 0) & (want > -1e-12)] = 0.0
+    assert gaps(pop, r).theta.tobytes() == want.tobytes()
+
+
+def test_gaps_raises_whenever_the_whitening_solve_raises():
+    # St_inf = S^(1/2) (I + H) S^(1/2) and Sb_inf = S^(1/2) H S^(1/2), with
+    # kappa(S) from 1 to 1e13 and a small PSD H of rank 2: the whitening
+    # solve loses St-orthogonality from about 1e9 on and calls St singular
+    # near 1e12; gaps must raise the same error on every such pencil
+    rng = np.random.default_rng(20260816)
+    d = 5
+    pop = population_scatters(isotropic_params(np.zeros(d), np.eye(d, 2), 0.5), label_moments(TOY))
+    raised = set()
+    for log_kappa in range(14):
+        for _ in range(20):
+            Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            root = Q * np.sqrt(np.logspace(0.0, -log_kappa, d))
+            G = 0.5 * rng.standard_normal((d, 2))
+            Sb = symmetrize(root @ (G @ G.T) @ root.T)
+            St = symmetrize(root @ (np.eye(d) + G @ G.T) @ root.T)
+            try:
+                opt_stml(Sb, St, 1)
+            except (InvariantViolation, SingularTotalScatter) as exc:
+                raised.add(type(exc))
+                with pytest.raises(type(exc)):
+                    gaps(_with_pencil(pop, Sb, St), 1)
+    assert raised == {InvariantViolation, SingularTotalScatter}
 
 
 def test_gaps_rank_validation():
