@@ -33,9 +33,10 @@ from functools import cached_property
 
 import numpy as np
 
+from .discriminant import _theta_checked
 from .errors import DegenerateNoise, InvalidInput, InvariantViolation
 from .synth import pair_products
-from .spectral import _all_binary, symmetrize
+from .spectral import _all_binary, sym_eigvals, symmetrize
 
 
 def _pattern(y, L=None, name="pattern"):
@@ -147,8 +148,8 @@ def snr(budget, r, Sigma_w):
         raise DegenerateNoise("C_w = 0: signal-to-noise ratio undefined")
     if r < 1:
         raise InvalidInput(f"r must be >= 1, got {r}")
-    lam = np.linalg.eigvalsh(symmetrize(np.asarray(Sigma_w, dtype=float)))
-    lam_min, lam_max = float(lam[0]), float(lam[-1])
+    lam = sym_eigvals(Sigma_w)
+    lam_min, lam_max = float(lam[-1]), float(lam[0])
     lower = (budget.sigma_min ** 2) * budget.d_H / (2.0 * r * lam_max) if lam_max > 0 else np.inf
     upper = (budget.sigma_max ** 2) * budget.d_H / (2.0 * r * lam_min) if lam_min > 0 else np.inf
     return {
@@ -372,12 +373,7 @@ class BoundFrame:
                     f"Psi identity defect {defect:.3e}: frame is not "
                     "total-scatter-orthogonal for this population"
                 )
-            theta = np.linalg.eigvalsh(Wb)[::-1].copy()
-            theta[(theta < 0) & (theta > -1e-12)] = 0.0
-            if theta.min() < 0 or theta.max() >= 1.0:
-                raise InvariantViolation(
-                    f"projected between-scatter spectrum escaped [0, 1): {theta}"
-                )
+            theta = _theta_checked(sym_eigvals(Wb))
         return TailParams(
             Psi=Psi, B_tail=B_tail, V_ij=V_ij, signal=signal,
             psi_identity_defect=defect, theta=theta,
@@ -447,7 +443,7 @@ def bound_frame(W, A, Sigma_w=None, B_inter=None):
             Sigma_w=Sigma_w,
             Psi=Psi,
             C_w=float(2.0 * np.trace(Psi)),
-            psi_2=float(np.abs(np.linalg.eigvalsh(Psi)).max()),
+            psi_2=float(np.abs(sym_eigvals(Psi)).max()),
             psi_F=float(np.linalg.norm(Psi)),
         )
     T = W.T @ A

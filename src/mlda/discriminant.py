@@ -28,6 +28,7 @@ from .errors import (
 from .spectral import (
     RECON_TOL,
     Frame,
+    _as_float_matrix,
     numeric_rank,
     principal_angle_sin,
     sym_eig,
@@ -120,6 +121,15 @@ def eval_objectives(W, Sb, Sw):
     )
 
 
+def _theta_checked(theta, floor=THETA_DUST, error=InvariantViolation):
+    """Generalized eigenvalues theta in [0, 1), with [-floor, 0) read as the
+    rounding dust of 0; anything else, or no theta at all, raises ``error``."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.size == 0 or not np.isfinite(theta).all() or theta.min() < -floor or theta.max() >= 1:
+        raise error(f"theta must lie in [0, 1) (dust floor {floor:.3e}), got {theta}")
+    return np.where(theta < 0, 0.0, theta)
+
+
 def theta_form(theta):
     """Closed-form objective values from generalized eigenvalues theta.
 
@@ -129,15 +139,7 @@ def theta_form(theta):
     [-THETA_DUST, 0) are read as 0. Returns a dict with keys j_tr, j_rt, j_dr,
     j_td.
     """
-    theta = np.asarray(theta, dtype=float)
-    if (
-        theta.size == 0
-        or not np.all(np.isfinite(theta))
-        or theta.min() < -THETA_DUST
-        or theta.max() >= 1
-    ):
-        raise InvalidInput(f"theta must lie in [0, 1), got {theta}")
-    theta = np.where(theta < 0, 0.0, theta)
+    theta = _theta_checked(theta, error=InvalidInput)
     r = theta.size
     s = theta.sum()
     return {
@@ -195,10 +197,13 @@ class WhitenedFrame:
     Satisfies columns^T (St + gamma I) columns = I_r. ``gen_values`` are the
     generalized eigenvalues of (Sb, St + gamma I) in descending order; the
     leading r of them are the projected between-scatter spectrum theta.
+    ``st_values`` is the spectrum of St + gamma I, descending, from the solve
+    that whitens it, so kappa(St + gamma I) is its first over its last entry.
     """
 
     columns: np.ndarray
     gen_values: np.ndarray
+    st_values: np.ndarray
     r: int
     gamma: float
 
@@ -244,7 +249,7 @@ def opt_stml(Sb, St_total, r, gamma=0.0):
     defect = np.linalg.norm(W.T @ St_g @ W - np.eye(r))
     if defect > 1e-8:
         raise InvariantViolation(f"whitened frame lost St-orthogonality ({defect:.3e})")
-    return WhitenedFrame(columns=W, gen_values=epP.values, r=r, gamma=float(gamma))
+    return WhitenedFrame(columns=W, gen_values=epP.values, st_values=ep.values, r=r, gamma=float(gamma))
 
 
 @dataclass(frozen=True)
@@ -460,17 +465,17 @@ def regularization_report(ss, gammas, r):
         raise InvalidInput(
             f"gamma {gammas[-1]!r} is too large: ||C - gamma I||_F^2 would overflow"
         )
-    sv2 = np.linalg.svd(ss.M, compute_uv=False) ** 2
+    sv2 = np.linalg.svd(_as_float_matrix(ss.M, "M"), compute_uv=False) ** 2
     rank_sb = int(np.count_nonzero(sv2 > ss.M.shape[0] * np.finfo(float).eps * sv2[0]))
     Q = ss.range_basis
     if Q is None:
-        sw_vals = np.linalg.eigvalsh(ss.Sw)
-        lam_min, lam_max = float(sw_vals[0]), float(sw_vals[-1])
+        sw_vals = sym_eigvals(ss.Sw)
+        lam_min, lam_max = float(sw_vals[-1]), float(sw_vals[0])
     else:
         Cq, Swq = _compress(C, Q), _compress(ss.Sw, Q)
-        sw_vals = np.linalg.eigvalsh(Swq)
+        sw_vals = sym_eigvals(Swq)
         # the d - n eigenvalues of Sw off span(Q) are zeros
-        lam_min, lam_max = min(float(sw_vals[0]), 0.0), max(float(sw_vals[-1]), 0.0)
+        lam_min, lam_max = min(float(sw_vals[-1]), 0.0), max(float(sw_vals[0]), 0.0)
         n = Q.shape[1]
     rows = []
     finite = []  # kappa of each finite row

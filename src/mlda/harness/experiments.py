@@ -434,8 +434,8 @@ def _run_convergence(options, seed):
     # adaptive target rank from the per-sample spectral gaps at the largest n
     n_ref = ns[-1]
     ss_ref = signal_ss[n_ref]
-    ref_vals = sym_eig(2.0 * ss_ref.Sb - ss_ref.St_ml).values
-    per_sample_gaps = (ref_vals[:-1] - ref_vals[1:]) / n_ref
+    ref = sym_eig(2.0 * ss_ref.Sb - ss_ref.St_ml)
+    per_sample_gaps = (ref.values[:-1] - ref.values[1:]) / n_ref
     above = np.nonzero(per_sample_gaps > threshold)[0]
     columns = ["n", "median_sin", "p95_sin", "drift", "trials"]
     if above.size == 0:
@@ -449,7 +449,8 @@ def _run_convergence(options, seed):
         return columns, [], failures, {"largest_per_sample_gap": largest}
     r = int(above.max()) + 1
 
-    targets = {n: opt_td(ss, r).frame for n, ss in signal_ss.items()}
+    # at n_ref, opt_td would solve ref's matrix again: its top r is the target
+    targets = {n: ref.top(r) if n == n_ref else opt_td(ss, r).frame for n, ss in signal_ss.items()}
 
     def errors_at(n):
         labels = labels_at(n)
@@ -579,8 +580,9 @@ def _run_factors(options, seed):
         A_c[:r, :] *= cval
         params_c = isotropic_params(np.zeros(d), A_c, sigma_w)
         pop = population_scatters(params_c, dist)
-        kappa_values.append(gaps(pop, r).kappa_St_inf)
-        W_pop = orthonormalize(opt_stml(pop.Sb_inf, pop.St_inf, r).columns)
+        whitened = opt_stml(pop.Sb_inf, pop.St_inf, r)
+        kappa_values.append(float(whitened.st_values[0]) / float(whitened.st_values[-1]))
+        W_pop = orthonormalize(whitened.columns)
 
         def one(t):
             labels = gen_labels(scheme_multi, n, L, seed.stream("factors", t, f"kappa-labels:{ci}"))
@@ -678,9 +680,10 @@ def _run_concentration(options, seed):
     params = isotropic_params(np.zeros(d), A, sigma_w)
     dist = scheme_distribution(scheme, L)
     pop = population_scatters(params, dist)
-    W = opt_stml(pop.Sb_pop, pop.St_ml_pop, r).columns
+    whitened = opt_stml(pop.Sb_pop, pop.St_ml_pop, r)
+    W = whitened.columns
     frame = bound_frame(W, A, params.Sigma_w)
-    lam_min_st = float(np.linalg.eigvalsh(pop.St_ml_pop).min())
+    lam_min_st = float(whitened.st_values[-1])
     # Psi = W^T Sigma_w W is the same for every pair
     psi_norm = float(np.linalg.norm(frame.Psi, 2))
 
@@ -771,7 +774,7 @@ def _run_concentration(options, seed):
         "t_quad_mean": quad_t,
         "quantile_ratio_99_95": q_ratio,
         "pooled_draws": int(total),
-        "theta": _plain(np.sort(np.linalg.eigvalsh(W.T @ pop.Sb_pop @ W))[::-1]),
+        "theta": _plain(whitened.theta),
     }
     return columns, rows, failures, summary
 

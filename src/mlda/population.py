@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discriminant import SINGULAR_FLOOR, opt_stml
+from .discriminant import SINGULAR_FLOOR, THETA_DUST, _theta_checked, opt_stml
 from .errors import InvalidCovariance, InvalidInput, InvariantViolation, MissingLabel
-from .spectral import _all_binary, sym_eig, symmetrize
+# sym_eig is unused here; bench/selftest.py patches it as population.sym_eig
+from .spectral import _all_binary, sym_eig, sym_eigvals, symmetrize  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -181,11 +182,11 @@ class ModelParams:
         S = symmetrize(S)
         diag = np.diag(S)
         if np.array_equal(S, np.diag(diag)):
-            # the spectrum of a diagonal matrix is its diagonal; eigvalsh
-            # returns exactly sort(diag), so only the O(d^3) solve is skipped
+            # the spectrum of a diagonal matrix is its diagonal; the solve
+            # returns exactly sort(diag), so only the O(d^3) work is skipped
             evals = np.sort(diag)
         else:
-            evals = np.linalg.eigvalsh(S)
+            evals = sym_eigvals(S)
         if evals.min() < -1e-10 * max(1.0, evals.max()):
             raise InvalidCovariance(f"Sigma_w has negative eigenvalue {evals.min():.3e}")
         sigma = self.sigma
@@ -274,10 +275,10 @@ def population_scatters(params, dist):
     """
     if params.L != dist.L:
         raise InvalidInput(f"A has {params.L} labels but distribution has {dist.L}")
-    Sw_evals = np.linalg.eigvalsh(params.Sigma_w)
-    if Sw_evals.min() <= SINGULAR_FLOOR * max(Sw_evals.max(), 1e-300):
+    Sw_evals = sym_eigvals(params.Sigma_w)
+    if Sw_evals[-1] <= SINGULAR_FLOOR * max(Sw_evals[0], 1e-300):
         raise InvalidCovariance(
-            f"Sigma_w must be positive definite (min eigenvalue {Sw_evals.min():.3e})"
+            f"Sigma_w must be positive definite (min eigenvalue {Sw_evals[-1]:.3e})"
         )
     A = params.A
     pi = dist.pi
@@ -324,8 +325,9 @@ class GapReport:
     ``gap_r`` is the eigenvalue gap of the centered discriminant M_star_c at
     rank r (scale-dependent: quadratic in the size of A). ``Delta_r`` is the
     generalized eigenvalue gap of (Sb_inf, St_inf), which is scale-invariant;
-    its eigenvalues theta lie in [0, 1). ``degenerate`` flags a tied gap
-    (Delta_r == 0 within floor); no interpretation is attached to ties.
+    its eigenvalues theta lie in [0, 1). ``kappa_St_inf`` and ``lam_min_St_inf``
+    come from the same solve. ``degenerate`` flags a tied gap (Delta_r == 0
+    within floor); no interpretation is attached to ties.
     """
 
     r: int
@@ -341,26 +343,22 @@ class GapReport:
 def gaps(pop, r):
     """Gap report of a population at rank r (1-based, r < d).
 
-    The generalized eigenvalues theta of (Sb_inf, St_inf) are the
-    ``gen_values`` of ``opt_stml(Sb_inf, St_inf, r)``, so a singular St_inf
-    raises SingularTotalScatter; negatives within -1e-12 are snapped to zero,
-    and any theta outside [0, 1) raises.
+    One solve, ``opt_stml(Sb_inf, St_inf, r)``, gives theta (``gen_values``)
+    and the spectrum of St_inf (``st_values``); a singular St_inf raises
+    SingularTotalScatter. Whitening errs by about u kappa(St_inf) (Golub & Van
+    Loan, Matrix Computations, sec. 8.7), so theta in [-max(THETA_DUST,
+    d eps kappa), 0) reads as 0; any other theta outside [0, 1) raises.
     """
     d = pop.St_inf.shape[0]
     if not 1 <= r < d:
         raise InvalidInput(f"need 1 <= r < d={d}, got r={r}")
-    vals_c = sym_eig(pop.M_star_c).values
+    vals_c = sym_eigvals(pop.M_star_c)
     gap_r = float(vals_c[r - 1] - vals_c[r])
 
-    st_vals = np.linalg.eigvalsh(pop.St_inf)
-    lam_min, lam_max = float(st_vals[0]), float(st_vals[-1])
-    theta = opt_stml(pop.Sb_inf, pop.St_inf, r).gen_values
-    theta[(theta < 0) & (theta > -1e-12)] = 0.0
-    if theta.min() < 0 or theta.max() >= 1.0:
-        raise InvariantViolation(
-            f"generalized eigenvalues escaped [0, 1): "
-            f"[{theta.min():.3e}, {theta.max():.17g}]"
-        )
+    frame = opt_stml(pop.Sb_inf, pop.St_inf, r)
+    lam_max, lam_min = float(frame.st_values[0]), float(frame.st_values[-1])
+    kappa = lam_max / lam_min
+    theta = _theta_checked(frame.gen_values, max(THETA_DUST, d * np.finfo(float).eps * kappa))
     Delta_r = float(theta[r - 1] - theta[r])
     return GapReport(
         r=r,
@@ -368,7 +366,7 @@ def gaps(pop, r):
         gap_r=gap_r,
         theta=theta,
         Delta_r=Delta_r,
-        kappa_St_inf=lam_max / lam_min,
+        kappa_St_inf=kappa,
         lam_min_St_inf=lam_min,
         degenerate=bool(Delta_r <= 1e-12),
     )
@@ -381,5 +379,5 @@ def gamma_norm(labels):
     is diagonal); genuine co-occurrence adds off-diagonal mass and makes it
     strictly larger than that diagonal maximum.
     """
-    G = labels.gram.astype(float) / labels.n
-    return float(np.linalg.eigvalsh(symmetrize(G)).max())
+    G = (labels.bits.T @ labels.bits).astype(float) / labels.n
+    return float(sym_eigvals(G)[0])

@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, InvariantViolation, MissingLabel, UnlabeledSample
-from .spectral import _all_binary, numeric_rank, symmetrize
+from .spectral import _all_binary, _as_float_matrix, numeric_rank, sym_eigvals, symmetrize
 
 # Relative tolerance for the internal two-route cross-checks.
 CROSSCHECK_TOL = 1e-8
@@ -68,11 +68,6 @@ class LabelMatrix:
         Per-sample cardinalities, all >= 1.
     K : int
         Total assignment count, sum of k.
-    gram : (L, L) ndarray
-        Co-occurrence matrix Y^T Y; its diagonal equals n_ell.
-    one_in_colspace : bool
-        Whether the all-ones vector lies in the column space of Y
-        (always true when every row has the same cardinality).
     members : tuple of L ndarrays
         Ascending row indices of the samples carrying each label.
 
@@ -93,8 +88,6 @@ class LabelMatrix:
     n_ell: np.ndarray
     k: np.ndarray
     K: int
-    gram: np.ndarray
-    one_in_colspace: bool
     members: tuple
 
     @property
@@ -147,18 +140,12 @@ def build_labels(bits):
     if (k == 0).any():
         empty = np.flatnonzero(k == 0)
         raise UnlabeledSample(f"samples with no labels: {empty.tolist()}")
-    gram = bits.T @ bits
-    Y = bits.astype(float)
-    ones = np.ones((bits.shape[0], 1))
-    one_in = numeric_rank(np.hstack([Y, ones])) == numeric_rank(Y)
     _, rows = np.nonzero(bits.T)  # row indices grouped by label, ascending
     return LabelMatrix(
         bits=bits,
         n_ell=n_ell,
         k=k,
         K=int(k.sum()),
-        gram=gram,
-        one_in_colspace=bool(one_in),
         members=tuple(np.split(rows, np.cumsum(n_ell)[:-1])),
     )
 
@@ -364,7 +351,7 @@ def build_scatter(ds):
         st_ml_norm = float(np.linalg.norm(R_B, 2) ** 2)
     else:
         range_basis = None
-        st_ml_norm = float(np.abs(np.linalg.eigvalsh(St_ml)).max())
+        st_ml_norm = float(np.abs(sym_eigvals(St_ml)).max())
 
     R = St_ml - St
     # R is a difference of two same-scale accumulations, so when it is
@@ -458,7 +445,11 @@ def _certify_psd(name, S, dust):
 
 @dataclass(frozen=True)
 class RankReport:
-    """Rank structure of the between-scatter and its governing bound."""
+    """Rank structure of the between-scatter and its governing bound.
+
+    ``one_in_colspace`` is rank_HY < rank_Y: with H the centring projector,
+    rank(HY) = rank(Y) - [all-ones in col(Y)].
+    """
 
     rank_sb: int
     rank_XtY: int
@@ -472,9 +463,10 @@ class RankReport:
 def rank_analysis(ds, ss=None):
     """Ranks of the between-scatter and related matrices, with the rank bound.
 
-    The bound is min(d, n-1, rank(Y) - [all-ones in col(Y)]); ``excess`` flags
-    rank(Sb) > L - 1, which can only happen when the all-ones vector is NOT
-    in the label column space (variable cardinality).
+    The bound is min(d, n-1, rank(HY)), where rank(HY) = rank(Y) - [all-ones
+    in col(Y)]; ``excess`` flags rank(Sb) > L - 1, which can only happen when
+    the all-ones vector is NOT in the label column space (variable
+    cardinality).
     """
     if ss is None:
         ss = build_scatter(ds)
@@ -486,7 +478,7 @@ def rank_analysis(ds, ss=None):
     # result itself is mathematically zero (e.g. every sample carries every
     # label, so all label means coincide with the global mean).
     eps = np.finfo(float).eps
-    sigma_x = np.linalg.norm(ds.X_centered, 2)
+    sigma_x = np.linalg.norm(_as_float_matrix(ds.X_centered, "X_centered"), 2)
     sigma_y = np.linalg.norm(Y, 2)
     scale_sb = max(ss.st_ml_norm, 1e-300)
     rank_sb = numeric_rank(ss.Sb, tol=ds.d * eps * scale_sb)
@@ -499,14 +491,14 @@ def rank_analysis(ds, ss=None):
         )
     rank_Y = numeric_rank(Y)
     rank_HY = numeric_rank(Y - Y.mean(axis=0))
-    bound = min(ds.d, ds.n - 1, rank_Y - (1 if labels.one_in_colspace else 0))
+    bound = min(ds.d, ds.n - 1, rank_HY)
     return RankReport(
         rank_sb=rank_sb,
         rank_XtY=rank_XtY,
         rank_Y=rank_Y,
         rank_HY=rank_HY,
         bound=bound,
-        one_in_colspace=labels.one_in_colspace,
+        one_in_colspace=rank_HY < rank_Y,
         excess=bool(rank_sb > labels.L - 1),
     )
 
@@ -520,13 +512,13 @@ def residual_bound(ds, ss):
     (in particular for uniform cardinality).
     """
     k = ds.labels.k
-    lhs = float(np.abs(np.linalg.eigvalsh(ss.R)).max())
+    lhs = float(np.abs(sym_eigvals(ss.R)).max())
     multi = k > 1
     if not multi.any():
         return {"lhs": lhs, "rhs": 0.0, "holds": bool(lhs <= 1e-8)}
     Xm = ds.X_centered[multi]
     St_K = symmetrize(Xm.T @ Xm)
-    lam = float(np.linalg.eigvalsh(St_K).max())
+    lam = float(sym_eigvals(St_K)[0])
     rhs = float((k.max() - 1) * lam)
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs * (1 + 1e-8) + 1e-12)}
 

@@ -10,6 +10,8 @@ and checks the O(d^3) reconstruction V diag(lambda) V^T = S. ``sym_eigvals``
 is the values-only route for callers that never read eigenvectors: it skips
 them and checks two O(d^2) spectral invariants instead, sum(lambda) = tr S
 and sqrt(sum(lambda^2)) = ||S||_F, against the same RECON_TOL.
+Every eigenvalue in mlda comes from these two routes, and no other module
+calls a numpy eigensolver; a caller that reads no eigenvectors uses sym_eigvals.
 """
 
 from dataclasses import dataclass

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import InvalidInput, InvalidScheme
 from .scatter import build_dataset, build_labels
+from .spectral import sym_eig
 
 # ---------------------------------------------------------------------------
 # label schemes
@@ -223,11 +224,11 @@ def pair_products_matrix(Y):
 
 
 def _covariance_factor(Sigma_w):
-    """Symmetric PSD square root (eigh-based, tolerant of zero covariance)."""
-    vals, vecs = np.linalg.eigh(Sigma_w)
-    if vals.min() < -1e-10 * max(1.0, abs(vals.max())):
-        raise InvalidInput(f"covariance has negative eigenvalue {vals.min():.3e}")
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    """Symmetric PSD square root (``sym_eig``-based, tolerant of zero covariance)."""
+    ep = sym_eig(Sigma_w)
+    if ep.values[-1] < -1e-10 * max(1.0, abs(ep.values[0])):
+        raise InvalidInput(f"covariance has negative eigenvalue {ep.values[-1]:.3e}")
+    return (ep.vectors * np.sqrt(np.clip(ep.values, 0.0, None))) @ ep.vectors.T
 
 
 def gen_data(labels, params, rng, alpha=0.0, noise="gaussian"):
@@ -273,8 +274,8 @@ def gen_data(labels, params, rng, alpha=0.0, noise="gaussian"):
     Sigma_w = params.Sigma_w
     diag = np.diag(Sigma_w)
     if np.array_equal(Sigma_w, np.diag(diag)) and diag.min() >= 0:
-        # bit-identical to the eigh route: eigh of a diagonal matrix returns a
-        # permutation basis, and a GEMM against a diagonal factor adds only
+        # bit-identical to the factor route: sym_eig of a diagonal matrix returns
+        # a permutation basis, and a GEMM against a diagonal factor adds only
         # exact zeros; this skips an O(d^3) solve and an n x d x d GEMM
         X = X + G * np.sqrt(diag)
     else:

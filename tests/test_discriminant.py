@@ -36,11 +36,13 @@ from mlda import (
     ordering_consistent,
     regularization_report,
     sym_eig,
+    sym_eigvals,
     symmetrize,
     theta_form,
     top_eigenspace,
     trace_ratio_stiefel,
 )
+from mlda import discriminant
 from mlda.discriminant import RegularizationRow
 from mlda.spectral import principal_angle_sin
 from tests.conftest import inverse_sqrt, random_stiefel
@@ -314,6 +316,31 @@ def test_opt_stml_ridge(rng):
     assert np.abs(G - np.eye(2)).max() < 1e-8
 
 
+@st.composite
+def pencils(draw):
+    """(Sb, St, r, gamma): a PSD Sb of any rank and St = Sb + a PD matrix."""
+    d = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = 10.0 ** draw(st.integers(-3, 3))
+    G = rng.standard_normal((d, draw(st.integers(0, d))))
+    H = rng.standard_normal((d, d + 2))
+    Sb = spread * (G @ G.T)
+    St = Sb + spread * (H @ H.T) / (d + 2)
+    gamma = spread * draw(st.sampled_from([0.0, 1e-3, 1.0]))
+    return Sb, St, draw(st.integers(1, d)), gamma
+
+
+@settings(max_examples=150, deadline=None)
+@given(pencils())
+def test_whitened_frame_carries_the_total_scatter_spectrum(pencil):
+    Sb, St, r, gamma = pencil
+    d = St.shape[0]
+    frame = opt_stml(Sb, St, r, gamma=gamma)
+    want = sym_eigvals(St + gamma * np.eye(d))
+    assert (np.diff(frame.st_values) <= 0).all()
+    assert np.abs(frame.st_values - want).max() <= d * np.finfo(float).eps * want[0]
+
+
 def test_opt_stml_singular_total():
     Sb = np.diag([1.0, 0.0])
     with pytest.raises(SingularTotalScatter):
@@ -442,10 +469,11 @@ def test_regularization_gamma_step_below_rounding_keeps_kappa(rng):
 
 def test_regularization_rejects_kappa_increase(rng, monkeypatch):
     ss = _unit_scale_scatter(rng)
-    solve = np.linalg.eigvalsh
-    # an extreme pair with lambda_min > lambda_max makes kappa grow with gamma
+    solve = discriminant.sym_eigvals
+    # an extreme pair with lambda_min > lambda_max (the spectrum comes
+    # descending) makes kappa grow with gamma
     monkeypatch.setattr(
-        np.linalg, "eigvalsh", lambda M: np.array([5.0, 1.0]) if M is ss.Sw else solve(M)
+        discriminant, "sym_eigvals", lambda M: np.array([1.0, 5.0]) if M is ss.Sw else solve(M)
     )
     with pytest.raises(InvariantViolation, match="failed to decrease"):
         regularization_report(ss, [0.0, 1.0], r=2)

@@ -29,7 +29,8 @@ from mlda import (
     opt_stml,
     population_scatters,
 )
-from mlda.spectral import symmetrize
+from mlda.discriminant import THETA_DUST
+from mlda.spectral import sym_eigvals, symmetrize
 
 TOY = [([1, 0], 0.4), ([0, 1], 0.4), ([1, 1], 0.2)]
 
@@ -374,6 +375,22 @@ def test_gaps_rejects_a_singular_total_scatter():
 def test_gaps_theta_is_the_whitening_solve(seed, L, extra, scale, sigma):
     # scale / sigma stays within 35, so kappa(St_inf) stays far below the
     # 1e8 at which the whitening solve starts to lose St-orthogonality
+    pop, r = _random_population(seed, L, extra, scale, sigma)
+    d = pop.St_inf.shape[0]
+    frame = opt_stml(pop.Sb_inf, pop.St_inf, r)
+    kappa = float(frame.st_values[0]) / float(frame.st_values[-1])
+    want = frame.gen_values
+    want[(want < 0) & (want >= -max(THETA_DUST, d * np.finfo(float).eps * kappa))] = 0.0
+    report = gaps(pop, r)
+    assert report.theta.tobytes() == want.tobytes()
+    # kappa and lambda_min are read off the whitening solve's spectrum
+    assert report.kappa_St_inf == kappa
+    assert report.lam_min_St_inf == float(frame.st_values[-1])
+    assert report.eigvals_M_star_c.tobytes() == sym_eigvals(pop.M_star_c).tobytes()
+
+
+def _random_population(seed, L, extra, scale, sigma):
+    """A random population over six label patterns and a rank r in [1, d)."""
     rng = np.random.default_rng(seed)
     d = L + extra
     support = rng.integers(0, 2, size=(6, L))
@@ -382,10 +399,29 @@ def test_gaps_theta_is_the_whitening_solve(seed, L, extra, scale, sigma):
     w = rng.uniform(0.1, 1.0, size=6)
     dist = label_moments(list(zip(support, w / w.sum())))
     pop = population_scatters(isotropic_params(np.zeros(d), scale * rng.standard_normal((d, L)), sigma), dist)
-    r = int(rng.integers(1, d))
-    want = opt_stml(pop.Sb_inf, pop.St_inf, r).gen_values
-    want[(want < 0) & (want > -1e-12)] = 0.0
-    assert gaps(pop, r).theta.tobytes() == want.tobytes()
+    return pop, int(rng.integers(1, d))
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3, 11])
+def test_gaps_theta_floor_scales_with_kappa(seed):
+    # kappa(St_inf) is 7e5 to 3e6 here, and the whitening solve leaves a
+    # zero theta at -2e-12 to -3e-11: below the fixed 1e-12 floor, inside
+    # d eps kappa
+    pop, r = _random_population(seed, L=2, extra=1, scale=443.0, sigma=0.25)
+    raw = opt_stml(pop.Sb_inf, pop.St_inf, r).gen_values
+    assert raw.min() < -THETA_DUST
+    report = gaps(pop, r)
+    assert 5e5 <= report.kappa_St_inf <= 5e6
+    assert report.theta.min() == 0.0
+    assert np.array_equal(report.theta[raw >= 0], raw[raw >= 0])
+
+
+def test_gaps_rejects_a_negative_theta_beyond_the_floor():
+    # at kappa = 4 the floor is THETA_DUST, so a theta of -1e-6 is an error
+    pop = population_scatters(isotropic_params(np.zeros(3), np.eye(3, 2), 0.5), label_moments(TOY))
+    pencil = _with_pencil(pop, np.diag([2.0, -1e-6, 0.0]), np.diag([4.0, 1.0, 1.0]))
+    with pytest.raises(InvariantViolation, match="theta must lie in"):
+        gaps(pencil, 1)
 
 
 def test_gaps_raises_whenever_the_whitening_solve_raises():

@@ -25,6 +25,7 @@ from mlda import (
     symmetrize,
 )
 from mlda import scatter
+from mlda.population import gamma_norm
 from mlda.synth import LabelScheme, Seed, gen_labels
 
 
@@ -94,12 +95,16 @@ def test_toy_label_structure():
     assert np.array_equal(labels.n_ell, [2, 2])
     assert np.array_equal(labels.k, [2, 1, 1])
     assert labels.K == 4
-    assert np.array_equal(labels.gram, [[2, 1], [1, 2]])
+    # Y^T Y / n = [[2, 1], [1, 2]] / 3 has eigenvalues 1 and 1/3
+    assert gamma_norm(labels) == pytest.approx(1.0, rel=4 * np.finfo(float).eps)
 
 
 def test_single_label_one_in_colspace():
     labels = build_labels([[1, 0], [1, 0], [0, 1], [0, 1]])
-    assert labels.one_in_colspace is True
+    X = [[0.0, 1.0], [1.0, 3.0], [2.0, 0.5], [4.0, 2.0]]
+    report = rank_analysis(build_dataset(X, labels))
+    assert report.one_in_colspace is True
+    assert (report.rank_Y, report.rank_HY, report.bound) == (2, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +185,33 @@ def test_rank_bound_and_excess_implication(rng):
             # more than L-1 directions requires the all-ones vector to
             # escape the label column space
             assert not report.one_in_colspace
+
+
+def test_one_in_colspace_matches_lstsq_oracle(rng):
+    # rank_analysis reads [1 in col Y] off rank(Y) - rank(HY); the oracle
+    # solves min ||Y c - 1|| by least squares
+    schemes = [
+        LabelScheme.single(),
+        LabelScheme.uniform(2),
+        LabelScheme.uniform(3),
+        LabelScheme.variable(((1, 0.6), (2, 0.3), (3, 0.1))),
+    ]
+    seen = set()
+    for scheme in schemes:
+        for _ in range(15):
+            n, d = int(rng.integers(20, 60)), int(rng.integers(2, 12))
+            L = max(int(rng.integers(2, 7)), scheme.max_cardinality() + 1)
+            labels = gen_labels(scheme, n, L, rng)
+            Y = labels.bits.astype(float)
+            coef = np.linalg.lstsq(Y, np.ones(n), rcond=None)[0]
+            one_in = bool(np.linalg.norm(Y @ coef - 1.0) <= 1e-8 * np.sqrt(n))
+            report = rank_analysis(build_dataset(rng.standard_normal((n, d)), labels))
+            assert report.one_in_colspace is one_in
+            assert report.bound == min(d, n - 1, np.linalg.matrix_rank(Y) - int(one_in))
+            if scheme.kind != "variable":
+                assert one_in  # equal cardinalities: Y 1 = k 1
+            seen.add(one_in)
+    assert seen == {True, False}
 
 
 def test_rank_single_label_is_classes_minus_one(rng):

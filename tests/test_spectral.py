@@ -1,5 +1,8 @@
 """Eigen-toolbox tests: oracles first, then conventions and properties."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,7 @@ from mlda import (
     sym_eigvals,
     symmetrize,
 )
+import mlda
 from mlda import bounds
 from mlda.spectral import _all_binary
 
@@ -364,3 +368,48 @@ def test_binary_check_agrees_with_isin_at_every_entry_point(y):
         lambda: build_labels(y[None, :]),
     ):
         assert _rejected_as_non_binary(call) is not binary
+
+
+# ---------------------------------------------------------------------------
+# one eigen route: only spectral.py calls a numpy eigensolver
+# ---------------------------------------------------------------------------
+
+_EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
+
+
+def _eigensolver_uses(source):
+    """Line numbers where ``source`` names a numpy eigensolver, as an
+    attribute (``np.linalg.eigh``, aliased or called or not) or an import."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _EIGENSOLVERS:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(a.name in _EIGENSOLVERS for a in node.names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_eigensolver_scan_sees_every_spelling():
+    for source in (
+        "import numpy as np\nnp.linalg.eigvalsh(S)",
+        "import numpy\nsolve = numpy.linalg.eigh",
+        "from numpy.linalg import eig",
+        "import numpy.linalg as la\nla.eigvals(S)",
+    ):
+        assert _eigensolver_uses(source), source
+    assert not _eigensolver_uses("from .spectral import sym_eig, sym_eigvals\nsym_eigvals(S)")
+
+
+def test_only_spectral_calls_a_numpy_eigensolver():
+    package = pathlib.Path(mlda.__file__).parent
+    modules = sorted(package.rglob("*.py"))
+    assert package / "spectral.py" in modules and len(modules) > 5
+    offenders = {
+        str(path.relative_to(package)): lines
+        for path in modules
+        if path != package / "spectral.py"
+        for lines in [_eigensolver_uses(path.read_text(encoding="utf-8"))]
+        if lines
+    }
+    assert offenders == {}
+    assert _eigensolver_uses((package / "spectral.py").read_text(encoding="utf-8"))
