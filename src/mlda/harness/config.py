@@ -343,6 +343,8 @@ def _ordered(key):
 _N_COVERS_L = (lambda o: o["n"] >= o["L"]), "need n >= L to realize every label, got n={n}, L={L}"
 _R_BELOW_D = (lambda o: o["r"] < o["d"]), "need r < d, got r={r}, d={d}"
 _SV_PER_LABEL = (lambda o: len(o["singular_values"]) == o["L"]), "need one singular value per label"
+# the effects get L orthonormal directions in d dimensions, one per singular value
+_L_WITHIN_D = (lambda o: o["L"] <= o["d"]), "need L <= d for L orthogonal label effects, got L={L}, d={d}"
 _SCHEMES_FIT = _schemes_fit, "a scheme's cardinality exceeds L={L}"
 
 # Cross-field rules of each experiment, as (test, message) pairs; the
@@ -363,6 +365,7 @@ _RULES = {
             "ns needs >= 3 increasing entries, each >= L={L}, got {ns}",
         ),
         _SV_PER_LABEL,
+        _L_WITHIN_D,
         _SCHEMES_FIT,
         _ordered("slope_range"),
     ),
@@ -370,6 +373,7 @@ _RULES = {
         _N_COVERS_L,
         _R_BELOW_D,
         _SV_PER_LABEL,
+        _L_WITHIN_D,
         # the rescaling and condition probes take kmax_settings[1] as their
         # multilabel scheme
         ((lambda o: len(o["kmax_settings"]) >= 2), "kmax_settings needs >= 2 entries"),
@@ -379,6 +383,7 @@ _RULES = {
     "interaction": (
         _N_COVERS_L,
         _SV_PER_LABEL,
+        _L_WITHIN_D,
         _SCHEMES_FIT,
         # alpha scales the interaction effects, so alpha * interaction_scale
         # is a model scale and needs a finite square like the scales above

@@ -196,24 +196,15 @@ def _draw_pattern(scheme, L, rng):
     return bits
 
 
-def _signal_rows(labels, A):
-    """Noise-free rows x = A y for a fixed label matrix."""
-    return labels.bits.astype(float) @ A.T
-
-
 def _signal_dataset(labels, A):
     """Noise-free dataset x = A y for a fixed label matrix."""
-    return build_dataset(_signal_rows(labels, A), labels, max_rows=None, max_cols=None)
+    return build_dataset(labels.bits.astype(float) @ A.T, labels)
 
 
-def _noisy_td_error(signal, labels, sigma_w, rng, r, target):
+def _noisy_td_error(labels, params, rng, r, target):
     """sin of the largest principal angle between ``target`` and the
-    trace-difference frame of the rows ``signal`` plus isotropic noise from
-    ``rng``."""
-    X = rng.standard_normal(signal.shape)
-    X *= sigma_w
-    X += signal
-    ss = build_scatter(build_dataset(X, labels, max_rows=None))
+    trace-difference frame of rows drawn by ``gen_data`` from ``rng``."""
+    ss = build_scatter(gen_data(labels, params, rng))
     return principal_angle_sin(opt_td(ss, r).frame, target)
 
 
@@ -416,15 +407,16 @@ def _run_convergence(options, seed):
     """Median subspace error of the noisy trace-difference frame against n.
 
     Only the signal scatters are kept across sample sizes. Each n's labels
-    and noise-free rows are drawn again from their stream when its trials
-    start and dropped when they end, so a run holds the largest n's signal
-    plus one trial's data and scatters.
+    are drawn again from their stream when its trials start, and every trial
+    draws its rows through ``gen_data``, so a run holds one n's labels plus
+    one trial's rows and scatters.
     """
     d, L, sigma_w, trials, ns = (options[k] for k in ("d", "L", "sigma_w", "trials", "ns"))
     threshold = options["gap_threshold"]
     scheme = scheme_from_dict(options["scheme"])
 
     A = _structured_effects(d, L, options["singular_values"], seed.stream("convergence", 0, "effects"))
+    params = isotropic_params(np.zeros(d), A, sigma_w)
 
     def labels_at(n):
         return gen_labels(scheme, n, L, seed.stream("convergence", n, "labels"))
@@ -454,9 +446,8 @@ def _run_convergence(options, seed):
 
     def errors_at(n):
         labels = labels_at(n)
-        signal = _signal_rows(labels, A)
         noise = (seed.stream("convergence", t, f"noise:{n}") for t in range(trials))
-        return aggregate([_noisy_td_error(signal, labels, sigma_w, rng, r, targets[n]) for rng in noise])
+        return aggregate([_noisy_td_error(labels, params, rng, r, targets[n]) for rng in noise])
 
     rows = []
     medians = []
@@ -513,6 +504,7 @@ def _run_factors(options, seed):
     sigma_w = options["sigma_w"]
 
     A = _structured_effects(d, L, options["singular_values"], seed.stream("factors", 0, "effects"))
+    params = isotropic_params(np.zeros(d), A, sigma_w)
     norm_A = max(options["singular_values"])
     rate = math.sqrt(d * math.log(d) / n)
 
@@ -526,10 +518,9 @@ def _run_factors(options, seed):
 
         def one(t):
             labels = gen_labels(scheme, n, L, seed.stream("factors", t, f"labels:{si}"))
-            ds_sig = _signal_dataset(labels, A)
-            target = opt_td(build_scatter(ds_sig), r)
+            target = opt_td(build_scatter(_signal_dataset(labels, A)), r)
             rng = seed.stream("factors", t, f"noise:{si}")
-            err = _noisy_td_error(ds_sig.X, labels, sigma_w, rng, r, target.frame)
+            err = _noisy_td_error(labels, params, rng, r, target.frame)
             return err, target.gap, err * target.gap / denom
 
         errs, gap_vals, ratios = zip(*[one(t) for t in range(trials)])
@@ -555,7 +546,7 @@ def _run_factors(options, seed):
     c = options["scale_factor"]
     scheme_multi = scheme_from_dict(options["kmax_settings"][1]["scheme"])
     dist = scheme_distribution(scheme_multi, L)
-    pop_1 = population_scatters(isotropic_params(np.zeros(d), A, sigma_w), dist)
+    pop_1 = population_scatters(params, dist)
     pop_c = population_scatters(isotropic_params(np.zeros(d), c * A, c * sigma_w), dist)
     g_1, g_c = gaps(pop_1, r), gaps(pop_c, r)
     delta_dev = abs(g_c.Delta_r - g_1.Delta_r)

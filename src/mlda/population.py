@@ -15,14 +15,13 @@ Two families of population scatters appear:
   Sb_inf = A B_pi A^T, St_inf = Sb_inf + A W_pi A^T + K_pop Sigma_w.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .discriminant import SINGULAR_FLOOR, THETA_DUST, _theta_checked, opt_stml
 from .errors import InvalidCovariance, InvalidInput, InvariantViolation, MissingLabel
-# sym_eig is unused here; bench/selftest.py patches it as population.sym_eig
-from .spectral import _all_binary, sym_eig, sym_eigvals, symmetrize  # noqa: F401
+from .spectral import _all_binary, sym_eig, sym_eigvals, symmetrize
 
 
 @dataclass(frozen=True)
@@ -142,16 +141,25 @@ class ModelParams:
     B_inter : (d, L*(L-1)/2) ndarray or None
         Optional pairwise-interaction effects, columns in lexicographic pair
         order (1,2), (1,3), ..., (2,3), ...
-    sigma : float
-        Sub-Gaussian noise scale used by the statistical bound shapes;
-        defaults to sqrt(lambda_max(Sigma_w)).
+
+    Two read-only fields come from the one solve that checks Sigma_w is PSD;
+    they are not constructor arguments:
+
+    noise_values : (d,) ndarray
+        The spectrum of Sigma_w, descending. A diagonal Sigma_w is read off
+        its diagonal with no solve; any other takes one ``sym_eig``.
+    noise_factor : (d,) or (d, d) ndarray
+        The symmetric square root of Sigma_w, negative rounding dust clipped
+        to zero: the vector sqrt(diag) for a diagonal Sigma_w, otherwise
+        V diag(sqrt(lambda)) V^T from the same solve.
     """
 
     mu: np.ndarray
     A: np.ndarray
     Sigma_w: np.ndarray
     B_inter: np.ndarray = None
-    sigma: float = None
+    noise_values: np.ndarray = field(init=False)
+    noise_factor: np.ndarray = field(init=False)
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -182,23 +190,23 @@ class ModelParams:
         S = symmetrize(S)
         diag = np.diag(S)
         if np.array_equal(S, np.diag(diag)):
-            # the spectrum of a diagonal matrix is its diagonal; the solve
-            # returns exactly sort(diag), so only the O(d^3) work is skipped
-            evals = np.sort(diag)
+            # the spectrum of a diagonal matrix is its diagonal and a permutation
+            # basis diagonalizes it, so the factor is elementwise: a GEMM against
+            # the full factor adds only exact zeros, and no O(d^3) solve runs
+            evals = np.sort(diag)[::-1]
+            factor = np.sqrt(np.clip(diag, 0.0, None))
         else:
-            evals = sym_eigvals(S)
-        if evals.min() < -1e-10 * max(1.0, evals.max()):
-            raise InvalidCovariance(f"Sigma_w has negative eigenvalue {evals.min():.3e}")
-        sigma = self.sigma
-        if sigma is None:
-            sigma = float(np.sqrt(max(evals.max(), 0.0)))
-        elif sigma < 0:
-            raise InvalidInput(f"sigma must be >= 0, got {sigma}")
+            ep = sym_eig(S)
+            evals = ep.values
+            factor = (ep.vectors * np.sqrt(np.clip(evals, 0.0, None))) @ ep.vectors.T
+        if evals[-1] < -1e-10 * max(1.0, evals[0]):
+            raise InvalidCovariance(f"Sigma_w has negative eigenvalue {evals[-1]:.3e}")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "Sigma_w", S)
         object.__setattr__(self, "B_inter", B)
-        object.__setattr__(self, "sigma", float(sigma))
+        object.__setattr__(self, "noise_values", evals)
+        object.__setattr__(self, "noise_factor", factor)
 
     @property
     def d(self):
@@ -242,8 +250,7 @@ def isotropic_params(mu, A, sigma_w, B_inter=None):
     # the product rounds to inf where ``**`` raises OverflowError; np.diag keeps
     # that inf off the zeros, where inf * 0 would be a NaN and a warning
     return ModelParams(
-        mu=mu, A=A, Sigma_w=np.diag(np.full(A.shape[0], sigma_w * sigma_w)),
-        B_inter=B_inter, sigma=sigma_w,
+        mu=mu, A=A, Sigma_w=np.diag(np.full(A.shape[0], sigma_w * sigma_w)), B_inter=B_inter,
     )
 
 
@@ -275,7 +282,7 @@ def population_scatters(params, dist):
     """
     if params.L != dist.L:
         raise InvalidInput(f"A has {params.L} labels but distribution has {dist.L}")
-    Sw_evals = sym_eigvals(params.Sigma_w)
+    Sw_evals = params.noise_values
     if Sw_evals[-1] <= SINGULAR_FLOOR * max(Sw_evals[0], 1e-300):
         raise InvalidCovariance(
             f"Sigma_w must be positive definite (min eigenvalue {Sw_evals[-1]:.3e})"

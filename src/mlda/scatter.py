@@ -50,8 +50,7 @@ from .spectral import _all_binary, _as_float_matrix, numeric_rank, sym_eigvals, 
 
 # Relative tolerance for the internal two-route cross-checks.
 CROSSCHECK_TOL = 1e-8
-# Default dense-storage caps; callers may override per call.
-MAX_ROWS = 5000
+# Most feature columns ``load_dataset_csv`` accepts: the scatters are d x d.
 MAX_COLS = 500
 
 
@@ -194,7 +193,7 @@ def _centre(rows, ones):
     return mean, centred
 
 
-def build_dataset(X, labels, max_rows=MAX_ROWS, max_cols=MAX_COLS):
+def build_dataset(X, labels):
     """Bind features to labels, computing global and per-label means.
 
     Means use a two-pass compensated summation so that centering is accurate
@@ -205,9 +204,8 @@ def build_dataset(X, labels, max_rows=MAX_ROWS, max_cols=MAX_COLS):
     Parameters
     ----------
     X : (n, d) array_like
+        Of any size: the rows are already in memory, so no cap bounds them.
     labels : LabelMatrix
-    max_rows, max_cols : int or None
-        Dense-storage guard rails (defaults 5000 x 500); pass None to lift.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.size == 0:
@@ -216,10 +214,6 @@ def build_dataset(X, labels, max_rows=MAX_ROWS, max_cols=MAX_COLS):
         raise InvalidInput(
             f"feature rows ({X.shape[0]}) do not match label rows ({labels.n})"
         )
-    if max_rows is not None and X.shape[0] > max_rows:
-        raise InvalidInput(f"n={X.shape[0]} exceeds dense cap {max_rows}; pass max_rows=None")
-    if max_cols is not None and X.shape[1] > max_cols:
-        raise InvalidInput(f"d={X.shape[1]} exceeds dense cap {max_cols}; pass max_cols=None")
 
     n, d = X.shape
     # centred entries are at most 2 max|X|, so a scatter entry is at most
@@ -527,15 +521,22 @@ def residual_bound(ds, ss):
 # CSV import/export
 # ---------------------------------------------------------------------------
 
-def load_dataset_csv(features_path, labels_path, max_rows=MAX_ROWS, max_cols=MAX_COLS):
-    """Load a dataset from two headerless CSV files (features and 0/1 labels)."""
+def load_dataset_csv(features_path, labels_path):
+    """Load a dataset from two headerless CSV files (features and 0/1 labels).
+
+    A features file with more than ``MAX_COLS`` columns raises InvalidInput:
+    data from outside the program is where d is not known in advance, and
+    every scatter built from it holds d x d entries.
+    """
     X = _read_numeric_csv(features_path, "features")
+    if X.shape[1] > MAX_COLS:
+        raise InvalidInput(f"features CSV has {X.shape[1]} columns, more than {MAX_COLS}")
     bits = _read_numeric_csv(labels_path, "labels")
     if X.shape[0] != bits.shape[0]:
         raise InvalidInput(
             f"row mismatch: {X.shape[0]} feature rows vs {bits.shape[0]} label rows"
         )
-    return build_dataset(X, build_labels(bits), max_rows=max_rows, max_cols=max_cols)
+    return build_dataset(X, build_labels(bits))
 
 
 def save_dataset_csv(ds, features_path, labels_path):

@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import InvalidInput, InvalidScheme
 from .scatter import build_dataset, build_labels
-from .spectral import sym_eig
 
 # ---------------------------------------------------------------------------
 # label schemes
@@ -223,14 +222,6 @@ def pair_products_matrix(Y):
     return np.multiply(Y[:, pairs[:, 0]], Y[:, pairs[:, 1]], order="C")
 
 
-def _covariance_factor(Sigma_w):
-    """Symmetric PSD square root (``sym_eig``-based, tolerant of zero covariance)."""
-    ep = sym_eig(Sigma_w)
-    if ep.values[-1] < -1e-10 * max(1.0, abs(ep.values[0])):
-        raise InvalidInput(f"covariance has negative eigenvalue {ep.values[-1]:.3e}")
-    return (ep.vectors * np.sqrt(np.clip(ep.values, 0.0, None))) @ ep.vectors.T
-
-
 def gen_data(labels, params, rng, alpha=0.0, noise="gaussian"):
     """Sample features x = mu + A y + alpha * B z + eps for given labels.
 
@@ -238,7 +229,8 @@ def gen_data(labels, params, rng, alpha=0.0, noise="gaussian"):
     ----------
     labels : LabelMatrix
     params : ModelParams
-        ``params.B_inter`` supplies the interaction effects when alpha != 0.
+        ``params.B_inter`` supplies the interaction effects when alpha != 0;
+        ``params.noise_factor``, the square root of Sigma_w, colours the noise.
     rng : numpy.random.Generator
     alpha : float
         Interaction strength; with alpha == 0 the interaction branch is
@@ -252,8 +244,8 @@ def gen_data(labels, params, rng, alpha=0.0, noise="gaussian"):
     Returns
     -------
     Dataset
-        Built without ``build_dataset``'s dense-storage caps, so a sample
-        of any size comes back.
+        The rows are built in place, so a call holds the rows and one noise
+        matrix of the same size.
     """
     if params.L != labels.L:
         raise InvalidInput(f"A has {params.L} label columns, labels have {labels.L}")
@@ -261,26 +253,25 @@ def gen_data(labels, params, rng, alpha=0.0, noise="gaussian"):
         raise InvalidInput("alpha != 0 requires B_inter in the model parameters")
     n, d = labels.n, params.d
     Y = labels.bits.astype(float)
-    X = params.mu + Y @ params.A.T
+    X = Y @ params.A.T
+    X += params.mu
     if alpha != 0.0:
-        Z = pair_products_matrix(Y)
-        X = X + alpha * (Z @ params.B_inter.T)
+        X += alpha * (pair_products_matrix(Y) @ params.B_inter.T)
+    del Y
     if noise == "gaussian":
         G = rng.standard_normal((n, d))
     elif noise == "rademacher":
         G = rng.integers(0, 2, size=(n, d)).astype(float) * 2.0 - 1.0
     else:
         raise InvalidInput(f"unknown noise kind {noise!r}")
-    Sigma_w = params.Sigma_w
-    diag = np.diag(Sigma_w)
-    if np.array_equal(Sigma_w, np.diag(diag)) and diag.min() >= 0:
-        # bit-identical to the factor route: sym_eig of a diagonal matrix returns
-        # a permutation basis, and a GEMM against a diagonal factor adds only
-        # exact zeros; this skips an O(d^3) solve and an n x d x d GEMM
-        X = X + G * np.sqrt(diag)
+    F = params.noise_factor
+    if F.ndim == 1:
+        G *= F
     else:
-        X = X + G @ _covariance_factor(Sigma_w).T
-    return build_dataset(X, labels, max_rows=None, max_cols=None)
+        G = G @ F.T
+    X += G
+    del G
+    return build_dataset(X, labels)
 
 
 def scheme_distribution(scheme, L):

@@ -399,7 +399,7 @@ def _rank_deficient_scatter(rng):
     # fewer samples than dimensions makes Sw singular
     labels = gen_labels(LabelScheme.single(), 8, 3, rng)
     X = rng.standard_normal((8, 12))
-    return build_scatter(build_dataset(X, labels, max_cols=None))
+    return build_scatter(build_dataset(X, labels))
 
 
 def test_regularization_report_invariants(rng):

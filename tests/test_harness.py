@@ -396,6 +396,10 @@ def test_cli_config_error_exit_two(tmp_path):
         ("concentration", {"c_scale": 1e-308}),
         # alpha * B has a finite square but overflows the model's scatters
         ("interaction", {"alphas": [0.0, 1e150]}),
+        # one orthogonal effect direction per label needs L <= d
+        ("convergence", {"d": 3, "L": 5}),
+        ("factors", {"d": 3, "L": 5}),
+        ("interaction", {"d": 3, "L": 5}),
     ],
 )
 def test_cli_hostile_config_exit_two(tmp_path, experiment, options):
@@ -411,6 +415,16 @@ def test_cli_hostile_config_exit_two(tmp_path, experiment, options):
     assert proc.stderr.startswith("mlda: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / f"{experiment}.csv").exists()
+
+
+def test_cli_convergence_beyond_the_old_column_cap_runs(tmp_path):
+    # d = 501 exited 2 with "pass max_cols=None", a keyword no CLI user can
+    # reach; now the run reports, whether or not its criterion passes
+    cfgfile = tmp_path / "wide.json"
+    cfgfile.write_text(json.dumps({"experiment": "convergence", "d": 501, "trials": 2, "ns": [50, 100, 200]}))
+    proc = _cli(["convergence", "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert proc.returncode in (0, 1), proc.stderr
+    assert (tmp_path / "convergence.csv").read_text().startswith("n,median_sin,")
 
 
 def test_cli_has_no_threads_flag(tmp_path):

@@ -290,7 +290,10 @@ def test_isotropic_params_overflowing_variance_is_invalid_input():
     for sigma_w in (0.0, 0.5, 0.7, 1.0, 3.3, 1e-150, 1e70):
         params = isotropic_params(np.zeros(4), np.ones((4, 2)), sigma_w)
         expected = (sigma_w ** 2) * np.eye(4)
-        assert params.Sigma_w.tobytes() == expected.tobytes() and params.sigma == sigma_w
+        assert params.Sigma_w.tobytes() == expected.tobytes()
+        # sqrt(fl(sigma_w^2)) is sigma_w again, so the noise factor is exact
+        assert params.noise_factor.tobytes() == np.full(4, sigma_w).tobytes()
+        assert params.noise_values.tobytes() == np.full(4, sigma_w ** 2).tobytes()
 
 
 def test_model_magnitude_that_would_overflow_is_invalid_input():
@@ -316,35 +319,96 @@ def test_model_magnitude_that_would_overflow_is_invalid_input():
     assert all(np.isfinite(np.linalg.norm(S)) for S in (pop.St_ml_pop, pop.St_inf, pop.M_star_c))
 
 
+def _factor_oracle(S):
+    """Symmetric PSD square root through a full eigendecomposition."""
+    vals, vecs = np.linalg.eigh(S)
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+
 def test_model_diagonal_covariance_skips_eigvalsh(monkeypatch):
-    # a diagonal Sigma_w reads its spectrum off the diagonal; the PSD check
-    # and the default sigma must match what the full eigvalsh route gives
+    # a diagonal Sigma_w reads its spectrum and its square root off the
+    # diagonal; both must match what the full eigensolver route gives
     rng = np.random.default_rng(5)
     cases = [np.diag(rng.uniform(0.0, 1.0, 7) * 10.0 ** rng.integers(-6, 7, 7)),
              np.diag([0.0, 2.5, 0.0]), 0.49 * np.eye(4), np.zeros((3, 3))]
-    expected = [ModelParams(np.zeros(S.shape[0]), np.ones((S.shape[0], 2)), S).sigma for S in cases]
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    expected = [(eigvalsh(S)[::-1], _factor_oracle(S)) for S in cases]
 
     def forbidden(S):
-        raise AssertionError("eigvalsh called on a diagonal covariance")
+        raise AssertionError("eigensolver called on a diagonal covariance")
 
-    eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-    for S, sigma in zip(cases, expected):
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    for S, (values, factor) in zip(cases, expected):
         params = ModelParams(np.zeros(S.shape[0]), np.ones((S.shape[0], 2)), S)
-        assert params.sigma == sigma == float(np.sqrt(eigvalsh(S).max()))
-    assert isotropic_params(np.zeros(5), np.ones((5, 2)), 0.7).sigma == float(np.sqrt(0.7 ** 2))
+        assert params.noise_values.tobytes() == values.tobytes()
+        assert params.noise_factor.ndim == 1
+        assert np.array_equal(np.diag(params.noise_factor), factor)
+    iso = isotropic_params(np.zeros(5), np.ones((5, 2)), 0.7)
+    assert np.array_equal(iso.noise_factor, np.full(5, 0.7))
     with pytest.raises(InvalidCovariance):
         ModelParams(np.zeros(2), np.eye(2), Sigma_w=np.diag([1.0, -1e-3]))
 
-    # a non-diagonal covariance still goes through eigvalsh and still rejects
-    # a negative eigenvalue that no diagonal entry shows
+    # a non-diagonal covariance takes one eigh, whose values reject a negative
+    # eigenvalue that no diagonal entry shows and whose vectors give the factor
     calls = []
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda S: calls.append(S) or eigvalsh(S))
+    monkeypatch.setattr(np.linalg, "eigh", lambda S: calls.append(S) or eigh(S))
     with pytest.raises(InvalidCovariance):
         ModelParams(np.zeros(2), np.eye(2), Sigma_w=np.array([[1.0, 2.0], [2.0, 1.0]]))
     assert len(calls) == 1
-    params = ModelParams(np.zeros(2), np.eye(2), Sigma_w=np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert len(calls) == 2 and params.sigma == pytest.approx(np.sqrt(3.0), rel=1e-15)
+    S = np.array([[2.0, 1.0], [1.0, 2.0]])
+    params = ModelParams(np.zeros(2), np.eye(2), Sigma_w=S)
+    assert len(calls) == 2
+    assert params.noise_values == pytest.approx([3.0, 1.0], rel=1e-15)
+    assert np.allclose(params.noise_factor @ params.noise_factor, S, rtol=0, atol=1e-14)
+
+
+@st.composite
+def noise_covariances(draw):
+    """A PSD Sigma_w: diagonal with zeros, dense full rank, or dense rank-deficient."""
+    kind = draw(st.sampled_from(["diagonal", "dense", "deficient"]))
+    d = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    evals = rng.uniform(0.0, 1.0, d) * 10.0 ** draw(st.integers(-6, 6))
+    if kind == "diagonal":
+        evals[rng.random(d) < 0.3] = 0.0
+        return np.diag(evals)
+    if kind == "deficient":
+        evals[: draw(st.integers(0, d - 1))] = 0.0
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return symmetrize((Q * evals) @ Q.T)
+
+
+@settings(max_examples=80, deadline=None)
+@given(noise_covariances())
+def test_noise_factor_squares_back_to_the_covariance(S):
+    params = ModelParams(np.zeros(S.shape[0]), np.ones((S.shape[0], 2)), S)
+    F = params.noise_factor
+    square = np.diag(F * F) if F.ndim == 1 else F @ F
+    d, eps = S.shape[0], np.finfo(float).eps
+    scale = max(np.linalg.norm(S), np.finfo(float).tiny)
+    assert np.linalg.norm(square - S) <= 16 * d * eps * scale
+    oracle = np.linalg.eigvalsh(S)[::-1]
+    assert np.all(np.diff(params.noise_values) <= 0)
+    assert np.abs(params.noise_values - oracle).max() <= 16 * d * eps * scale
+
+
+def test_population_and_draws_solve_no_eigenproblem(monkeypatch):
+    # the spectrum and the factor of Sigma_w are solved once, in ModelParams
+    from mlda import Seed, gen_data, gen_labels
+    from mlda.synth import LabelScheme
+
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+    params = ModelParams(np.zeros(3), A, Sigma_w=np.array([[1.0, 0.3, 0.0], [0.3, 2.0, 0.1], [0.0, 0.1, 0.5]]))
+    labels = gen_labels(LabelScheme.variable(((1, 0.6), (2, 0.4))), 40, 2, Seed(1).stream("e", 0, "l"))
+
+    def forbidden(S):
+        raise AssertionError("eigensolver called after ModelParams")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    population_scatters(params, label_moments(TOY))
+    gen_data(labels, params, Seed(1).stream("e", 0, "n"))
 
 
 def _with_pencil(pop, Sb_inf, St_inf):

@@ -699,13 +699,25 @@ def test_dataset_validation_errors(rng):
     X[0, 0] = np.nan
     with pytest.raises(InvalidInput):
         build_dataset(X, labels)
-    with pytest.raises(InvalidInput):
-        build_dataset(np.ones((3, 4)), labels, max_cols=2)
-    with pytest.raises(InvalidInput):
-        build_dataset(np.ones((3, 4)), labels, max_rows=2)
-    # lifting the caps admits the same data
-    ds = build_dataset(np.arange(12.0).reshape(3, 4), labels, max_rows=None, max_cols=None)
-    assert ds.n == 3 and ds.d == 4
+
+
+def test_dataset_has_no_size_caps():
+    # build_dataset takes rows already in memory: no row or column cap
+    labels = build_labels(np.eye(2, dtype=int)[np.arange(5001) % 2])
+    ds = build_dataset(np.arange(5001.0 * 2).reshape(5001, 2), labels)
+    assert (ds.n, ds.d) == (5001, 2)
+    wide = build_dataset(np.arange(3.0 * 501).reshape(3, 501), build_labels([[1, 0], [0, 1], [1, 1]]))
+    assert (wide.n, wide.d) == (3, 501)
+
+
+def test_csv_load_rejects_more_than_max_cols(tmp_path):
+    fx, fy = tmp_path / "x.csv", tmp_path / "y.csv"
+    fx.write_text("\n".join([",".join(["1.0"] * (scatter.MAX_COLS + 1))] * 2) + "\n")
+    fy.write_text("1,0\n0,1\n")
+    with pytest.raises(InvalidInput, match="columns"):
+        load_dataset_csv(fx, fy)
+    fx.write_text("\n".join([",".join(["1.0"] * scatter.MAX_COLS)] * 2) + "\n")
+    assert load_dataset_csv(fx, fy).d == scatter.MAX_COLS
 
 
 def test_csv_round_trip(tmp_path, rng):

@@ -21,6 +21,7 @@ from mlda import (
     pair_products_matrix,
     scheme_distribution,
 )
+from mlda.spectral import sym_eig
 
 VAR = LabelScheme.variable(((1, 0.6), (2, 0.3), (3, 0.1)))
 
@@ -186,10 +187,15 @@ def test_alpha_zero_bit_identical_to_plain_model():
         gen_data(labels, without, Seed(10).stream("a", 0, "n"), alpha=0.5)
 
 
+def _covariance_factor(Sigma_w):
+    """Symmetric PSD square root through ``sym_eig``: the full-matrix oracle
+    for the factor ``ModelParams`` carries."""
+    ep = sym_eig(Sigma_w)
+    return (ep.vectors * np.sqrt(np.clip(ep.values, 0.0, None))) @ ep.vectors.T
+
+
 @pytest.mark.parametrize("noise", ["gaussian", "rademacher"])
 def test_diagonal_covariance_draw_bit_identical_to_factor(noise):
-    from mlda.synth import _covariance_factor
-
     labels = gen_labels(VAR, 60, 4, Seed(13).stream("dg", 0, "l"))
     A = Seed(13).stream("dg", 0, "a").standard_normal((7, 4))
     mu = np.linspace(-1.0, 2.0, 7)
@@ -211,26 +217,41 @@ def test_diagonal_covariance_draw_bit_identical_to_factor(noise):
 
 
 def test_non_diagonal_covariance_goes_through_factor(monkeypatch):
-    from mlda import synth
+    from mlda import population
 
     calls = []
-    factor = synth._covariance_factor
+    solve = population.sym_eig
 
-    def spy(Sigma_w):
-        calls.append(Sigma_w)
-        return factor(Sigma_w)
+    def spy(S):
+        calls.append(S)
+        return solve(S)
 
-    monkeypatch.setattr(synth, "_covariance_factor", spy)
+    monkeypatch.setattr(population, "sym_eig", spy)
     labels = gen_labels(VAR, 40, 3, Seed(14).stream("nd", 0, "l"))
     A = np.ones((3, 3))
     Sigma_w = np.array([[1.0, 0.3, 0.0], [0.3, 2.0, 0.0], [0.0, 0.0, 0.5]])
-    ds = gen_data(labels, ModelParams(np.zeros(3), A, Sigma_w), Seed(14).stream("nd", 0, "n"))
-    assert len(calls) == 1
+    params = ModelParams(np.zeros(3), A, Sigma_w)
+    assert len(calls) == 1  # one solve per model
+    ds = gen_data(labels, params, Seed(14).stream("nd", 0, "n"))
+    assert len(calls) == 1  # and none per draw
     G = Seed(14).stream("nd", 0, "n").standard_normal((40, 3))
-    expected = labels.bits.astype(float) @ A.T + G @ factor(Sigma_w).T
+    expected = labels.bits.astype(float) @ A.T + G @ _covariance_factor(Sigma_w).T
     assert ds.X.tobytes() == expected.tobytes()
     gen_data(labels, isotropic_params(np.zeros(3), A, 0.5), Seed(14).stream("nd", 0, "n"))
-    assert len(calls) == 1  # a diagonal covariance skips the factor
+    assert len(calls) == 1  # a diagonal covariance is never solved
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.7, 1 / 3, 1e-3])
+def test_isotropic_draw_is_scaled_noise_plus_signal(sigma):
+    # sqrt(fl(sigma^2)) = sigma, so the isotropic route is sigma * G + A y
+    # bit for bit, as the trial loops drew their rows by hand before
+    labels = gen_labels(VAR, 80, 4, Seed(15).stream("iso", 0, "l"))
+    A = Seed(15).stream("iso", 0, "a").standard_normal((6, 4))
+    ds = gen_data(labels, isotropic_params(np.zeros(6), A, sigma), Seed(15).stream("iso", 0, "n"))
+    X = Seed(15).stream("iso", 0, "n").standard_normal((80, 6))
+    X *= sigma
+    X += labels.bits.astype(float) @ A.T
+    assert ds.X.tobytes() == X.tobytes()
 
 
 def test_interaction_term_enters_linearly():
