@@ -427,20 +427,22 @@ def regularization_report(ss, gammas, r):
     when it grows by more than a factor 1 + 8u.
 
     When d > n the scatter set carries ``range_basis``, an orthonormal d x n
-    Q whose span holds the ranges of Sb, Sw and St_ml. Then C = Q Cq Q^T
-    with Cq = Q^T C Q, so C - gamma I has the n eigenvalues of
-    Cq - gamma I_n and d - n eigenvalues equal to -gamma exactly; likewise
-    Sw has the eigenvalues of Swq = Q^T Sw Q and d - n zeros, so
-    lambda_min(Sw) = min(lambda_min(Swq), 0). Each ridge row is then a
-    checked n x n solve instead of a d x d one. The compression is
-    certified once: the trace and the Frobenius norm of Cq and of Swq must
-    match those of C and Sw within ``RECON_TOL * max(1, ||S||_F)``, the
-    invariants and tolerance of ``sym_eigvals``, or InvariantViolation is
-    raised ("range compression"). For an orthonormal Q, ||Q^T S Q||_F <=
-    ||S||_F with equality exactly when S = Q Q^T S Q Q^T, and a norm defect
-    delta bounds the part of S outside span(Q) by sqrt(2 ||S||_F delta) in
-    Frobenius norm; for the PSD Sw the trace defect alone bounds that part's
-    diagonal block at first order.
+    Q, and ``on_range``, the same scatters as n x n matrices S_q in Q's
+    coordinates, which ``build_scatter`` computed on the projected rows and
+    certified there (see ``mlda.scatter``). Then C = Q Cq Q^T with
+    Cq = 2 Sb_q - St_ml_q, so C - gamma I has the n eigenvalues of
+    Cq - gamma I_n and d - n eigenvalues equal to -gamma exactly; likewise Sw has the eigenvalues of
+    Sw_q and d - n zeros, so lambda_min(Sw) = min(lambda_min(Sw_q), 0), and
+    M = Q M_q has the singular values of M_q. Each ridge row is then a
+    checked n x n solve, and no d x d matrix is factored or multiplied. The
+    report describes the d x d fields of ``ss``, so it checks once that they
+    are the lifts of what it solves ("range compression", InvariantViolation):
+    Q must have the n columns of the scatters on the range, and C, Sw and M
+    must have the Frobenius norm and (C and Sw) the trace of Cq, Sw_q and
+    M_q within ``RECON_TOL * max(1, ||S||_F)``, the invariants and tolerance
+    of ``sym_eigvals``. A field replaced after ``build_scatter``, such as an
+    Sw with mass off span(Q), fails that check. Without ``range_basis`` or
+    ``on_range`` every solve is d x d.
 
     A gamma so large that ||C - gamma I||_F^2 could overflow is rejected as
     InvalidInput before the sweep starts.
@@ -453,7 +455,8 @@ def regularization_report(ss, gammas, r):
         raise InvalidInput(f"gammas must be finite and >= 0: {gammas}")
     if any(b <= a for a, b in zip(gammas, gammas[1:])):
         raise InvalidInput(f"gammas must be strictly increasing: {gammas}")
-    C = 2.0 * ss.Sb - ss.St_ml
+    C = 2.0 * ss.Sb
+    C -= ss.St_ml
     d = C.shape[0]
     if not 1 <= r < d:
         raise InvalidInput(f"need 1 <= r < d={d}, got r={r}")
@@ -465,18 +468,28 @@ def regularization_report(ss, gammas, r):
         raise InvalidInput(
             f"gamma {gammas[-1]!r} is too large: ||C - gamma I||_F^2 would overflow"
         )
-    sv2 = np.linalg.svd(_as_float_matrix(ss.M, "M"), compute_uv=False) ** 2
-    rank_sb = int(np.count_nonzero(sv2 > ss.M.shape[0] * np.finfo(float).eps * sv2[0]))
     Q = ss.range_basis
-    if Q is None:
-        sw_vals = sym_eigvals(ss.Sw)
+    sq = None if Q is None else ss.on_range
+    if sq is None:
+        M, Sw = ss.M, ss.Sw
+    else:
+        n = sq.Sw.shape[0]
+        if Q.shape != (d, n):
+            raise InvariantViolation(
+                f"range compression: basis of shape {Q.shape} for {n} x {n} scatters on the range"
+            )
+        Cq = 2.0 * sq.Sb - sq.St_ml
+        for name, S, S_q in (("C", C, Cq), ("Sw", ss.Sw, sq.Sw), ("M", ss.M, sq.M)):
+            _check_lift(name, S, S_q)
+        M, Sw = sq.M, sq.Sw
+    sv2 = np.linalg.svd(_as_float_matrix(M, "M"), compute_uv=False) ** 2
+    rank_sb = int(np.count_nonzero(sv2 > d * np.finfo(float).eps * sv2[0]))
+    sw_vals = sym_eigvals(Sw)
+    if sq is None:
         lam_min, lam_max = float(sw_vals[-1]), float(sw_vals[0])
     else:
-        Cq, Swq = _compress(C, Q), _compress(ss.Sw, Q)
-        sw_vals = sym_eigvals(Swq)
         # the d - n eigenvalues of Sw off span(Q) are zeros
         lam_min, lam_max = min(float(sw_vals[-1]), 0.0), max(float(sw_vals[0]), 0.0)
-        n = Q.shape[1]
     rows = []
     finite = []  # kappa of each finite row
     for gamma in gammas:
@@ -485,7 +498,7 @@ def regularization_report(ss, gammas, r):
         kappa = np.inf if infinite else top / bot
         if not infinite:
             finite.append(kappa)
-        if Q is None:
+        if sq is None:
             vals = sym_eigvals(C - gamma * np.eye(d))
         else:
             off_range = np.full(d - n, -gamma)
@@ -510,18 +523,22 @@ def regularization_report(ss, gammas, r):
     return rows
 
 
-def _compress(S, Q):
-    """Q^T S Q for an orthonormal Q whose span must hold the range of S.
+def _check_lift(name, S, Sq):
+    """Raise InvariantViolation ("range compression") unless the d-space
+    matrix S has the Frobenius norm and, when square, the trace of its
+    counterpart Sq on the range, within ``RECON_TOL * max(1, ||S||_F)``.
 
-    Raises InvariantViolation ("range compression") unless the trace and
-    the Frobenius norm of the result match those of S within
-    ``RECON_TOL * max(1, ||S||_F)``.
+    A lift Q Sq Q^T with orthonormal Q keeps both: they are the invariants
+    sum(lambda) and sqrt(sum(lambda^2)) that ``sym_eigvals`` checks, so the
+    eigenvalues solved on Sq pass the check a solve of S would apply. A NaN
+    anywhere fails it.
     """
-    Sq = symmetrize(Q.T @ S @ Q)
     norm = np.linalg.norm(S)
-    defect = max(abs(np.trace(Sq) - np.trace(S)), abs(np.linalg.norm(Sq) - norm))
-    if defect > RECON_TOL * max(1.0, norm):
+    defect = abs(norm - np.linalg.norm(Sq))
+    if S.shape[0] == S.shape[1]:
+        defect = max(defect, abs(np.trace(S) - np.trace(Sq)))
+    if not defect <= RECON_TOL * max(1.0, norm):
         raise InvariantViolation(
-            f"range compression lost mass outside span(Q): invariant defect {defect:.3e}"
+            f"range compression: {name} is not the lift of its counterpart on the range "
+            f"(invariant defect {defect:.3e})"
         )
-    return Sq

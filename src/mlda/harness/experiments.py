@@ -291,8 +291,9 @@ def _run_divergence(options, seed):
             # perturbation between them carries an eps * ||C|| floor on top
             # of ||R||; without it, single-label instances (where R is pure
             # rounding dust) would compare one flavor of noise with another.
-            pert = float(np.linalg.norm(ss.R, 2))
-            pert += 32.0 * np.finfo(float).eps * float(np.linalg.norm(C0, 2))
+            # ||C0||_2 is read off the ends of the spectrum ``ref`` solved.
+            norm_c0 = float(max(abs(ref.values[0]), abs(ref.values[-1])))
+            pert = float(np.linalg.norm(ss.R, 2)) + 32.0 * np.finfo(float).eps * norm_c0
             dk = davis_kahan_check(td.frame, ref.frame, pert, ref.gap)
             tr = trace_ratio_stiefel(ss.Sb, ss.Sw, r)
             angle_tr = principal_angle_sin(td.frame, tr.frame)

@@ -185,17 +185,19 @@ class ModelParams:
             if not np.all(np.isfinite(B)):
                 raise InvalidInput("B_inter contains non-finite entries")
         _check_magnitude(A, S, B)
-        if np.linalg.norm(S - S.T) > 1e-10 * max(1.0, np.linalg.norm(S)):
-            raise InvalidCovariance("Sigma_w is not symmetric")
-        S = symmetrize(S)
-        diag = np.diag(S)
-        if np.array_equal(S, np.diag(diag)):
-            # the spectrum of a diagonal matrix is its diagonal and a permutation
-            # basis diagonalizes it, so the factor is elementwise: a GEMM against
-            # the full factor adds only exact zeros, and no O(d^3) solve runs
+        diag = S.diagonal()
+        if np.count_nonzero(S) == np.count_nonzero(diag):
+            # every off-diagonal entry is zero, so S is exactly symmetric and
+            # needs no symmetrized copy; the spectrum of a diagonal matrix is
+            # its diagonal and a permutation basis diagonalizes it, so the
+            # factor is elementwise: a GEMM against the full factor adds only
+            # exact zeros, and no O(d^3) solve runs
             evals = np.sort(diag)[::-1]
             factor = np.sqrt(np.clip(diag, 0.0, None))
         else:
+            if np.linalg.norm(S - S.T) > 1e-10 * max(1.0, np.linalg.norm(S)):
+                raise InvalidCovariance("Sigma_w is not symmetric")
+            S = symmetrize(S)
             ep = sym_eig(S)
             evals = ep.values
             factor = (ep.vectors * np.sqrt(np.clip(evals, 0.0, None))) @ ep.vectors.T
@@ -232,9 +234,12 @@ def _check_magnitude(A, Sigma_w, B_inter):
     bound = np.finfo(float).max ** 0.25 / (4.0 * np.sqrt(max(w * d, 1)))
     limits = (("A", A, bound), ("Sigma_w", Sigma_w, bound * bound), ("B_inter", B_inter, bound))
     for name, M, limit in limits:
-        if M is not None and M.size and np.abs(M).max() > limit:
+        if M is None or not M.size:
+            continue
+        peak = max(M.max(), -M.min())
+        if peak > limit:
             raise InvalidInput(
-                f"{name} magnitude {np.abs(M).max():.3e} exceeds {limit:.3e}; "
+                f"{name} magnitude {peak:.3e} exceeds {limit:.3e}; "
                 "the model's scatters would overflow"
             )
 

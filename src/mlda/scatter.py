@@ -30,13 +30,20 @@ on disagreement:
 * in ``build_dataset``, the column sums of the centred rows vanish up to
   rounding (centring drift).
 
-When n < d every scatter has rank at most n - 1, and ``build_scatter`` keeps
-an orthonormal basis of a space that holds all their ranges: the d x n factor
-Q of one thin QR factorization B^T = Q R_B, B = diag(sqrt(k)) Xc, which also
-gives ||St_ml||_2 = sigma_max(R_B)^2. It rides on the ScatterSet as
-``range_basis`` (None when n >= d), so that a d x d eigenproblem on the
-scatters can be solved as an n x n one; ``regularization_report`` does so
-and certifies the compression (see its docstring).
+When n < d every scatter has rank at most n - 1 and lies in the span of the n
+centred rows, so the algebra above runs on an n-dimensional problem.
+``build_dataset`` only centres the rows in R^d (and checks the drift);
+``build_scatter`` takes one thin QR factorization Xc^T = Q R_X and projects
+the rows to Z = Xc Q (n x n). A row-level certificate ("range compression")
+requires ||Xc - Z Q^T||_F to stay within CROSSCHECK_TOL ||Xc||_F, so no row
+has mass outside span(Q). The per-label centring, the centring drift, both
+St_ml routes, the Sb = M M^T check and the three PSD certificates then all
+run on the rows Z, whose checked scatter set rides on the ScatterSet as
+``on_range``. The d x d fields are lifts Q S_q Q^T of those n x n matrices,
+and the d x n factor Q rides along as ``range_basis`` (both None when
+n >= d, where the algebra runs on the rows as they are).
+``regularization_report`` solves its eigenproblems on ``on_range`` (see its
+docstring).
 """
 
 import csv
@@ -157,6 +164,11 @@ class Dataset:
     member rows in the same pass that forms the label means ``mu_ell``.
     ``peak`` is max|X|, read off the extremes that the overflow guard takes;
     ``build_scatter`` scales the rounding floor of R by it.
+
+    When n < d, ``mu_ell`` and ``Sw`` are None: ``build_scatter`` forms the
+    label means and the within-scatter on the n-dimensional range of the
+    centred rows, where they cost n x n work (see the module docstring), and
+    reads only ``X_centered`` and ``labels``.
     """
 
     X: np.ndarray
@@ -193,13 +205,38 @@ def _centre(rows, ones):
     return mean, centred
 
 
+def _centred(X, ones, peak):
+    """Global mean of the rows and the rows centred on it, with the centring
+    drift (the norm of the centred column sums) checked."""
+    mu, Xc = _centre(X, ones)
+    drift = np.linalg.norm(ones @ Xc)
+    if drift > 1e-8 * X.shape[0] * max(1.0, peak):
+        raise InvariantViolation(f"centering drift {drift:.3e} too large")
+    return mu, Xc
+
+
+def _bind(X, labels, peak):
+    """The Dataset of rows X: centred globally, then each label's member rows
+    gathered once for their mean and their centred block of Sw."""
+    ones = np.ones(X.shape[0])
+    mu, Xc = _centred(X, ones, peak)
+    mu_ell = np.empty((labels.L, X.shape[1]))
+    Sw = np.zeros((X.shape[1], X.shape[1]))
+    for ell, rows in enumerate(labels.members):
+        mu_ell[ell], D = _centre(X.take(rows, axis=0), ones[: rows.size])
+        Sw += D.T @ D
+    return Dataset(X=X, labels=labels, mu=mu, mu_ell=mu_ell, X_centered=Xc, Sw=Sw, peak=peak)
+
+
 def build_dataset(X, labels):
     """Bind features to labels, computing global and per-label means.
 
     Means use a two-pass compensated summation so that centering is accurate
     for feature dimensions into the hundreds. Each label's member rows are
     gathered once: their mean and their centred block, summed into the
-    within-scatter ``Sw``, come from the same copy.
+    within-scatter ``Sw``, come from the same copy. When n < d only the
+    global centring runs here, and ``mu_ell`` and ``Sw`` are None (see the
+    Dataset docstring).
 
     Parameters
     ----------
@@ -230,19 +267,10 @@ def build_dataset(X, labels):
         raise InvalidInput(
             f"feature magnitude {peak:.3e} exceeds {bound:.3e}; the scatters would overflow"
         )
-
-    ones = np.ones(n)
-    mu, Xc = _centre(X, ones)
-    drift = np.linalg.norm(ones @ Xc)
-    if drift > 1e-8 * n * max(1.0, peak):
-        raise InvariantViolation(f"centering drift {drift:.3e} too large")
-
-    mu_ell = np.empty((labels.L, d))
-    Sw = np.zeros((d, d))
-    for ell, rows in enumerate(labels.members):
-        mu_ell[ell], D = _centre(X.take(rows, axis=0), ones[: rows.size])
-        Sw += D.T @ D
-    return Dataset(X=X, labels=labels, mu=mu, mu_ell=mu_ell, X_centered=Xc, Sw=Sw, peak=peak)
+    if n >= d:
+        return _bind(X, labels, peak)
+    mu, Xc = _centred(X, np.ones(n), peak)
+    return Dataset(X=X, labels=labels, mu=mu, mu_ell=None, X_centered=Xc, Sw=None, peak=peak)
 
 
 @dataclass(frozen=True)
@@ -264,20 +292,21 @@ class ScatterSet:
     M : (d, L) ndarray
         Factor with Sb = M M^T, namely Xc^T Y diag(n_ell)^{-1/2}.
     st_ml_norm : float
-        ||St_ml||_2, the largest eigenvalue of St_ml = B^T B with
-        B = diag(sqrt(k)) Xc. When n < d it is sigma_max(R_B)^2 from the
-        thin QR factorization B^T = Q R_B (R_B^T R_B = B B^T has the same
-        nonzero eigenvalues as St_ml); otherwise it is read off St_ml.
+        ||St_ml||_2, the largest |eigenvalue| of St_ml, from one values-only
+        solve (of the n x n St_ml on the range when n < d).
     range_basis : (d, n) ndarray or None
-        When n < d, the orthonormal factor Q of that QR factorization. Every
-        scatter is a sum of outer products of rows of Xc, or of vectors
-        inside their span (label means minus the global mean, rows minus
-        their label mean), and span(Q) holds the row space of B, which is
-        that of Xc when every k_i >= 1. So Sb, Sw, St, St_ml, R and the
-        columns of M all live on span(Q), and S = Q (Q^T S Q) Q^T for each
-        of them: a d x d problem on these matrices reduces to an n x n one
-        (see ``regularization_report``). None when n >= d, where nothing is
-        gained.
+        When n < d, the orthonormal Q of the thin QR factorization
+        Xc^T = Q R_X. Every scatter is a sum of outer products
+        of vectors in the row space of Xc (centred rows, label means minus
+        the global mean, rows minus their label mean), so Sb, Sw, St, St_ml,
+        R and the columns of M all live on span(Q). None when n >= d.
+    on_range : ScatterSet or None
+        When n < d, the scatter set of the rows Z = Xc Q: the same matrices
+        in the coordinates of Q (n x n, and M n x L), computed and certified
+        by ``build_scatter``. Sb, Sw and St above are their lifts
+        Q S_q Q^T, St_ml = Sb + Sw, R = St_ml - St and M = Q M_q, so a
+        d x d problem on these matrices reduces to an n x n one (see
+        ``regularization_report``). None when n >= d.
     """
 
     Sb: np.ndarray
@@ -288,6 +317,7 @@ class ScatterSet:
     M: np.ndarray
     st_ml_norm: float
     range_basis: np.ndarray = None
+    on_range: "ScatterSet" = None
 
 
 def _rel_defect(lhs, rhs, scale=0.0):
@@ -297,6 +327,13 @@ def _rel_defect(lhs, rhs, scale=0.0):
     # global mean) would divide rounding dust by itself.
     denom = max(np.linalg.norm(lhs), np.linalg.norm(rhs), scale, 1e-300)
     return np.linalg.norm(lhs - rhs) / denom
+
+
+def _lifted_gram(F, Q):
+    """Q F^T F Q^T as the Gram of the rows F Q^T: one d x d product, which
+    numpy forms as a symmetric rank-k update, so it is exactly symmetric."""
+    G = F @ Q.T
+    return G.T @ G
 
 
 def build_scatter(ds):
@@ -311,7 +348,38 @@ def build_scatter(ds):
     reachable by editing a LabelMatrix) keeps its weight -1. The
     factorization Sb = M M^T is checked as well. Disagreement beyond
     CROSSCHECK_TOL raises InvariantViolation.
+
+    When n < d, every computation and check above runs on the n x n rows
+    Z = Xc Q instead, certified first to lose no row mass (``range
+    compression``), and the d x d fields are lifted from the result.
     """
+    Xc = ds.X_centered
+    n, d = Xc.shape
+    if n >= d:
+        return _scatters(ds)
+    Q = np.linalg.qr(Xc.T)[0]
+    Z = Xc @ Q
+    residual = np.linalg.norm(Xc - Z @ Q.T)
+    if not residual <= CROSSCHECK_TOL * np.linalg.norm(Xc):
+        raise InvariantViolation(
+            f"range compression lost row mass outside span(Q): residual {residual:.3e}"
+        )
+    rows = _bind(Z, ds.labels, float(max(Z.max(), -Z.min())))
+    on_range = _scatters(rows)
+    # Sb_q and St_q are Grams F^T F of n-dimensional rows, so their lifts
+    # Q F^T F Q^T are the Grams of the lifted rows F Q^T
+    dev = (rows.mu_ell - rows.mu) * np.sqrt(rows.labels.n_ell)[:, None]
+    Sb, St = _lifted_gram(dev, Q), _lifted_gram(rows.X_centered, Q)
+    Sw = symmetrize((Q @ on_range.Sw) @ Q.T)
+    St_ml = Sb + Sw
+    return ScatterSet(
+        Sb=Sb, Sw=Sw, St_ml=St_ml, St=St, R=St_ml - St, M=Q @ on_range.M,
+        st_ml_norm=on_range.st_ml_norm, range_basis=Q, on_range=on_range,
+    )
+
+
+def _scatters(ds):
+    """The checked scatter set of the rows of ``ds`` as they are."""
     labels = ds.labels
     Xc = ds.X_centered
 
@@ -336,17 +404,7 @@ def build_scatter(ds):
             f"between-scatter factorization defect {factor_defect:.3e}"
         )
 
-    # St_ml = B^T B with B = diag(sqrt(k)) Xc. When n < d, B^T = Q R_B gives
-    # St_ml = Q (R_B^T R_B) Q^T, so ||St_ml||_2 = sigma_max(R_B)^2, and Q
-    # spans the range of every scatter
-    n, d = Xc.shape
-    if n < d:
-        range_basis, R_B = np.linalg.qr((Xc * np.sqrt(labels.k)[:, None]).T)
-        st_ml_norm = float(np.linalg.norm(R_B, 2) ** 2)
-    else:
-        range_basis = None
-        st_ml_norm = float(np.abs(sym_eigvals(St_ml)).max())
-
+    st_ml_norm = float(np.abs(sym_eigvals(St_ml)).max())
     R = St_ml - St
     # R is a difference of two same-scale accumulations, so when it is
     # mathematically zero (all cardinalities 1) its computed eigenvalues are
@@ -355,12 +413,9 @@ def build_scatter(ds):
     dust = 128.0 * np.finfo(float).eps * max(st_ml_norm, 1e-300)
     for name, S in (("Sb", Sb), ("Sw", Sw)):
         _certify_psd(name, S, dust)
-    _certify_psd("R", R, dust + _mean_rounding(ds.peak, labels.K, d, Sb))
+    _certify_psd("R", R, dust + _mean_rounding(ds.peak, labels.K, ds.d, Sb))
 
-    return ScatterSet(
-        Sb=Sb, Sw=Sw, St_ml=St_ml, St=St, R=R, M=M, st_ml_norm=st_ml_norm,
-        range_basis=range_basis,
-    )
+    return ScatterSet(Sb=Sb, Sw=Sw, St_ml=St_ml, St=St, R=R, M=M, st_ml_norm=st_ml_norm)
 
 
 def _mean_rounding(peak, K, d, Sb):

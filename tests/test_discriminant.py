@@ -587,10 +587,7 @@ def wide_datasets(draw):
     return X, bits, draw(st.integers(1, d - 1))
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(wide_datasets())
-def test_ridge_sweep_on_the_range_matches_the_full_sweep(data):
-    X, bits, r = data
+def _range_sweep_matches_full_sweep(X, bits, r):
     ss = build_scatter(build_dataset(X, build_labels(bits)))
     n, d = X.shape
     assert ss.range_basis.shape == (d, n)
@@ -606,6 +603,30 @@ def test_ridge_sweep_on_the_range_matches_the_full_sweep(data):
         assert row.kappa_sw_gamma == pytest.approx(want.kappa_sw_gamma, rel=1e-8)
         tol = 1e-10 * (np.linalg.norm(C) + row.gamma) + 1e-300
         assert abs(row.gap_td - want.gap_td) <= tol
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(wide_datasets())
+def test_ridge_sweep_on_the_range_matches_the_full_sweep(data):
+    _range_sweep_matches_full_sweep(*data)
+
+
+# Of the seeds 0-2999 of the family below, these ten failed the comparison
+# while the scatters were built in R^d, where the label means' rounding of
+# the offset left dust off the range
+_FAR_SEEDS_THAT_FAILED = [80, 693, 1041, 1212, 1220, 1506, 1943, 2056, 2499, 2739]
+
+
+@pytest.mark.parametrize("seed", list(range(20)) + _FAR_SEEDS_THAT_FAILED)
+def test_ridge_sweep_on_the_range_far_from_the_origin(seed):
+    # the family of a case hypothesis once found: rows 1e6 spreads from the
+    # origin, where the full sweep's gap of zero was mean-rounding dust off
+    # the range (6.4e-11 against a tolerance of 6.6e-12); lifted scatters
+    # carry no such dust
+    rng = np.random.default_rng(seed)
+    bits = np.array([[0, 1, 1], [1, 1, 0], [0, 1, 1]])
+    offset = -1e6 if seed % 2 == 0 else 1e6
+    _range_sweep_matches_full_sweep(offset + rng.standard_normal((3, 4)), bits, 1)
 
 
 def test_ridge_sweep_without_range_basis_is_the_full_sweep(rng):
@@ -644,6 +665,17 @@ def test_range_compression_rejects_within_scatter_mass_off_the_range(rng):
         regularization_report(off, [0.0, 1.0], r=2)
     # the same matrices without a basis take the full route and pass
     regularization_report(dataclasses.replace(off, range_basis=None), [0.0, 1.0], r=2)
+
+
+def test_range_compression_rejects_any_field_replaced_after_the_build(rng):
+    # the report solves on ``on_range``; a d x d field that is no longer the
+    # lift of its counterpart there reaches it as a failed check
+    ss = _wide_scatter(rng)
+    regularization_report(ss, [0.0, 1.0], r=2)
+    for field in ("Sb", "Sw", "St_ml", "M"):
+        changed = dataclasses.replace(ss, **{field: 1.01 * getattr(ss, field)})
+        with pytest.raises(InvariantViolation, match="range compression"):
+            regularization_report(changed, [0.0, 1.0], r=2)
 
 
 # ---------------------------------------------------------------------------

@@ -321,18 +321,21 @@ def test_fault_total_scatter_routes(rng):
         build_scatter(dataclasses.replace(ds, Sw=1.01 * ds.Sw))
     with pytest.raises(ArithmeticError, match="total-scatter routes"):
         build_scatter(dataclasses.replace(ds, mu_ell=ds.mu_ell + 1e-3))
-    wrong_k = dataclasses.replace(ds.labels, k=ds.labels.k + 1)
-    with pytest.raises(ArithmeticError, match="total-scatter routes"):
-        build_scatter(dataclasses.replace(ds, labels=wrong_k))
+    # n < d runs the check on the rows' coordinates on the range
+    for ds in (ds, _random_dataset(rng, n=20, d=60, L=4)):
+        wrong_k = dataclasses.replace(ds.labels, k=ds.labels.k + 1)
+        with pytest.raises(ArithmeticError, match="total-scatter routes"):
+            build_scatter(dataclasses.replace(ds, labels=wrong_k))
 
 
 def test_fault_between_scatter_factorization(rng):
-    ds = _random_dataset(rng, n=30, d=5, L=4)
-    bits = ds.labels.bits.copy()
-    bits[0] = 1 - bits[0]  # M sees other labels than the label means did
-    wrong_bits = dataclasses.replace(ds.labels, bits=bits)
-    with pytest.raises(ArithmeticError, match="factorization"):
-        build_scatter(dataclasses.replace(ds, labels=wrong_bits))
+    for n, d in ((30, 5), (20, 60)):  # n < d checks on the range
+        ds = _random_dataset(rng, n=n, d=d, L=4)
+        bits = ds.labels.bits.copy()
+        bits[0] = 1 - bits[0]  # M sees other labels than the label means did
+        wrong_bits = dataclasses.replace(ds.labels, bits=bits)
+        with pytest.raises(ArithmeticError, match="factorization"):
+            build_scatter(dataclasses.replace(ds, labels=wrong_bits))
 
 
 def test_fault_psd_excess(rng):
@@ -518,7 +521,7 @@ def test_psd_certificate_reserves_the_cholesky_margin():
 
 
 def test_st_ml_norm_matches_eigvalsh(rng):
-    # n < d reads the norm off the n x n Gram, n >= d off St_ml itself
+    # n < d reads the norm off the n x n St_ml on the range, n >= d off St_ml itself
     for n, d in ((20, 500), (50, 200), (12, 13), (40, 40), (300, 15), (60, 2)):
         for scheme in (LabelScheme.single(), LabelScheme.variable(((1, 0.5), (2, 0.3), (3, 0.2)))):
             labels = gen_labels(scheme, n, 5, rng)
@@ -546,6 +549,158 @@ def test_range_basis_spans_every_scatter(rng):
         for S in (ss.Sb, ss.Sw, ss.St, ss.St_ml, ss.R):
             assert np.linalg.norm(S - Q @ (Q.T @ S @ Q) @ Q.T) <= 1e-12 * scale
         assert np.linalg.norm(ss.M - Q @ (Q.T @ ss.M)) <= 1e-12 * np.sqrt(scale)
+
+
+# ---------------------------------------------------------------------------
+# n < d: the scatter algebra runs on the n x n rows and is lifted
+# ---------------------------------------------------------------------------
+
+
+def direct_scatters(X, bits):
+    """Oracle for the lifted n < d fields: the d x d formulas build_scatter
+    applied to every shape before the n < d route moved to the range (label
+    means, each label's centred block summed into Sw, Sb from the label
+    means, St from the centred rows, St_ml = Sb + Sw, R = St_ml - St and
+    M = Xc^T Y D_n^{-1/2}). Returns (Sb, Sw, St, St_ml, R, M).
+
+    Every scatter is unchanged by a common shift of the rows, so the formulas
+    run on X - x_0: wherever an offset dominates the spread that subtraction
+    is exact (Sterbenz), and the means then carry no rounding of the offset,
+    which would otherwise put dust of size eps * max|X| into Sb and R."""
+    X = np.asarray(X, dtype=float)
+    X = X - X[0]
+    Y = np.asarray(bits, dtype=float)
+    n_ell = Y.sum(axis=0)
+    d = X.shape[1]
+    mu = X.mean(axis=0)
+    Xc = X - mu
+    Sb = np.zeros((d, d))
+    Sw = np.zeros((d, d))
+    for ell in range(Y.shape[1]):
+        rows = X[Y[:, ell] == 1]
+        mean = rows.mean(axis=0)
+        Sb += n_ell[ell] * np.outer(mean - mu, mean - mu)
+        Sw += (rows - mean).T @ (rows - mean)
+    St = Xc.T @ Xc
+    St_ml = Sb + Sw
+    return Sb, Sw, St, St_ml, St_ml - St, Xc.T @ (Y / np.sqrt(n_ell))
+
+
+@st.composite
+def wide_rows(draw):
+    """(X, bits) with n < d: random overlapping, single-label or every-label
+    assignments, rows at 0, 1 or +-1e6 spreads from the origin."""
+    kind = draw(st.sampled_from(["random", "single-label", "every"]))
+    d = draw(st.integers(2, 40))
+    n = draw(st.integers(1, d - 1))
+    L = draw(st.integers(1, 6 if kind == "every" else min(n, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "every":
+        bits = np.ones((n, L), dtype=np.int64)
+    elif kind == "single-label":
+        bits = np.zeros((n, L), dtype=np.int64)
+        bits[np.arange(n), rng.permutation(n) % L] = 1
+    else:
+        bits = (rng.random((n, L)) < 0.4).astype(np.int64)
+        bits[np.arange(n), rng.integers(0, L, size=n)] = 1  # no unlabeled row
+        for ell in np.flatnonzero(bits.sum(axis=0) == 0):
+            bits[rng.integers(n), ell] = 1  # no empty label
+    spread = 10.0 ** draw(st.integers(-3, 3))
+    offset = spread * draw(st.sampled_from([0.0, 1.0, -1e6, 1e6]))
+    return offset + spread * rng.standard_normal((n, d)), bits
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(wide_rows())
+def test_lifted_scatters_match_the_direct_formulas(data):
+    X, bits = data
+    ss = build_scatter(build_dataset(X, build_labels(bits)))
+    want = direct_scatters(X, bits)
+    assert ss.range_basis.shape == (X.shape[1], X.shape[0])
+    scale = np.linalg.norm(want[3])
+    got = (ss.Sb, ss.Sw, ss.St, ss.St_ml, ss.R)
+    for name, S, oracle in zip(("Sb", "Sw", "St", "St_ml", "R"), got, want):
+        assert np.linalg.norm(S - oracle) <= 1e-12 * scale, name
+    # M is a square root of the scatters' scale: tr(M^T M) = tr(Sb) <= tr(St_ml)
+    assert np.linalg.norm(ss.M - want[5]) <= 1e-12 * np.sqrt(np.trace(want[3]))
+
+
+SOLVES = {"cholesky", "eigh", "eigvalsh", "eig", "eigvals", "svd", "svdvals", "solve",
+          "lstsq", "inv", "pinv", "det", "slogdet", "matrix_rank"}
+
+
+def _linalg_spy(monkeypatch):
+    """Record (name, shape of the first argument[, ord]) of every numpy.linalg
+    call, those numpy.linalg makes internally included (norm's SVD)."""
+    inner = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    calls = []
+    for name in sorted(SOLVES | {"qr", "norm"}):
+        real = getattr(inner, name, None)
+        if real is None:
+            continue
+
+        def spy(a, *args, _name=name, _real=real, **kwargs):
+            ord_ = (kwargs.get("ord", args[0] if args else None),) if _name == "norm" else ()
+            calls.append((_name, np.shape(a)) + ord_)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+        monkeypatch.setattr(inner, name, spy)
+    return calls
+
+
+def test_wide_build_and_ridge_report_solve_nothing_larger_than_n(rng, monkeypatch):
+    # (n, d, L) = (50, 200, 10), the regularization experiment's shape: the
+    # one thin QR of the d x n Xc^T is the only factorization of size d, and
+    # every label's centred block has n columns
+    n, d, L = 50, 200, 10
+    labels = gen_labels(LabelScheme.variable(((1, 0.6), (2, 0.3), (3, 0.1))), n, L, rng)
+    X = 10.0 + rng.standard_normal((n, d))
+    centred = []
+    true_centre = scatter._centre
+    monkeypatch.setattr(
+        scatter, "_centre", lambda rows, ones: centred.append(rows.shape) or true_centre(rows, ones)
+    )
+    calls = _linalg_spy(monkeypatch)
+    regularization_report(build_scatter(build_dataset(X, labels)), [0.0, 1e-2, 1.0, 100.0], r=L)
+    assert [c for c in calls if c[0] == "qr"] == [("qr", (d, n))]
+    big = [c for c in calls if c[0] in SOLVES and max(c[1]) > n]
+    assert big == []
+    assert sum(c[0] == "cholesky" for c in calls) == 3
+    assert centred[0] == (n, d)  # the rows, centred once in R^d
+    assert centred[1] == (n, n)  # their coordinates Z on the range
+    assert sorted(centred[2:]) == sorted((int(m), n) for m in labels.n_ell)
+
+
+def test_tall_build_and_ridge_report_issue_the_same_calls(rng, monkeypatch):
+    # n >= d runs the rows as they are: the numpy.linalg calls, in order, of
+    # build_dataset (the drift norm), build_scatter (two-route and factor
+    # checks, ||St_ml||_2, three PSD certificates) and the ridge report
+    gammas = [0.0, 1e-3, 1e-1, 10.0]
+    for n, d, L in ((60, 20, 4), (20, 20, 3), (300, 15, 5)):
+        labels = gen_labels(LabelScheme.variable(((1, 0.6), (2, 0.4))), n, L, rng)
+        X = rng.standard_normal((n, d))
+        calls = _linalg_spy(monkeypatch)
+        regularization_report(build_scatter(build_dataset(X, labels)), gammas, r=2)
+        vec, mat = ("norm", (d,), None), ("norm", (d, d), None)
+        solve = [("eigvalsh", (d, d)), mat, vec]  # sym_eigvals and its two invariants
+        want = [vec] + [mat] * 7 + solve + [mat, ("cholesky", (d, d))] * 3
+        want += [mat, ("svd", (d, L))] + solve * (1 + len(gammas))
+        assert calls == want, (n, d)
+        monkeypatch.undo()
+
+
+def test_fault_row_mass_off_the_range(rng, monkeypatch):
+    # a basis that misses a direction of the rows fails the row-level
+    # range certificate before any scatter is formed (the last column of Q
+    # is the direction the centred rows, of rank n - 1, do not reach)
+    labels = gen_labels(LabelScheme.variable(((1, 0.6), (2, 0.4))), 20, 4, rng)
+    ds = build_dataset(rng.standard_normal((20, 60)), labels)
+    assert ds.mu_ell is None and ds.Sw is None  # formed on the range
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda A: (qr(A)[0][:, 1:], None))
+    with pytest.raises(InvariantViolation, match="range compression"):
+        build_scatter(ds)
 
 
 def test_feature_magnitude_that_would_overflow_is_invalid_input(rng):
