@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .discriminant import _theta_checked
-from .errors import DegenerateNoise, InvalidInput, InvariantViolation
+from .errors import DegenerateNoise, InvalidInput, check
 from .synth import pair_products
 from .spectral import _all_binary, sym_eigvals, symmetrize
 
@@ -173,10 +173,10 @@ def jaccard_lower(budget, y_i, y_j):
     d_J = budget.d_J
     exact = (budget.sigma_min ** 2) * union * d_J
     weakened = (budget.sigma_min ** 2) * max(k_i, k_j) * d_J
-    if exact < weakened - 1e-12 * max(1.0, abs(weakened)):
-        raise InvariantViolation(
-            f"exact Jaccard bound {exact!r} fell below weakened form {weakened!r}"
-        )
+    check(
+        "exact Jaccard bound fell below weakened form (weakened - slack vs exact)",
+        weakened - 1e-12 * max(1.0, abs(weakened)), exact,
+    )
     return {"d_J": d_J, "exact": float(exact), "weakened": float(weakened)}
 
 
@@ -368,11 +368,8 @@ class BoundFrame:
             Wb = symmetrize(W.T @ pop.Sb_pop @ W)
             target = (np.eye(r) - Wb) / K_pop
             defect = float(np.linalg.norm(Psi - target))
-            if defect > 1e-8 * max(1.0, np.linalg.norm(target)):
-                raise InvariantViolation(
-                    f"Psi identity defect {defect:.3e}: frame is not "
-                    "total-scatter-orthogonal for this population"
-                )
+            # a frame that is not total-scatter-orthogonal for pop fails here
+            check("Psi identity defect", defect, 1e-8 * max(1.0, np.linalg.norm(target)))
             theta = _theta_checked(sym_eigvals(Wb))
         return TailParams(
             Psi=Psi, B_tail=B_tail, V_ij=V_ij, signal=signal,
@@ -391,8 +388,7 @@ class BoundFrame:
         z_j = pair_products(y_j)
         dz = float(np.linalg.norm(z_i - z_j))
         z_bound = float(np.sqrt(d_H * min(max(k_max - 1, 0), L - 1)))
-        if dz > z_bound * (1 + 1e-12) + 1e-12:
-            raise InvariantViolation(f"||z_i - z_j|| = {dz!r} exceeded its bound {z_bound!r}")
+        check("||z_i - z_j|| exceeded its bound", dz, z_bound * (1 + 1e-12) + 1e-12)
 
         sa, sb = self.sigma_max, self.sigma_max_WB
         corrected = 2.0 * sa * delta_norm * sb * dz + sb * sb * dz * dz

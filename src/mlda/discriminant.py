@@ -24,6 +24,7 @@ from .errors import (
     InvariantViolation,
     NotConverged,
     SingularTotalScatter,
+    check,
 )
 from .spectral import (
     RECON_TOL,
@@ -247,8 +248,7 @@ def opt_stml(Sb, St_total, r, gamma=0.0):
     epP = sym_eig(P)
     W = T_isqrt @ epP.vectors[:, :r]
     defect = np.linalg.norm(W.T @ St_g @ W - np.eye(r))
-    if defect > 1e-8:
-        raise InvariantViolation(f"whitened frame lost St-orthogonality ({defect:.3e})")
+    check("whitened frame St-orthogonality defect", defect, 1e-8)
     return WhitenedFrame(columns=W, gen_values=epP.values, st_values=ep.values, r=r, gamma=float(gamma))
 
 
@@ -306,10 +306,10 @@ def trace_ratio_stiefel(Sb, Sw, r, max_iter=500):
                 "within-scatter vanishes on the iterate span; trace ratio unbounded"
             )
         lam_new = tb / tw
-        if lam_new < lam - 1e-10 * max(1.0, abs(lam)):
-            raise InvariantViolation(
-                f"trace-ratio iteration decreased: {lam!r} -> {lam_new!r}"
-            )
+        check(
+            "trace-ratio iteration decreased (lambda - slack vs next lambda)",
+            lam - 1e-10 * max(1.0, abs(lam)), lam_new,
+        )
         ep = sym_eig(Sb_n - lam_new * Sw_n)
         W = ep.vectors[:, :r]
         residual = abs(float(ep.values[:r].sum()))
@@ -415,34 +415,28 @@ def regularization_report(ss, gammas, r):
     """Ridge sweep: rank of Sb, condition of Sw + gamma I, TD gap at r.
 
     The between-scatter rank never depends on gamma; it is counted from the
-    d x L factor M of Sb = M M^T, whose squared singular values are those of
-    Sb, with the cutoff ``numeric_rank(Sb)`` applies. The trace-difference
-    matrix C = 2 Sb - St_ml merely shifts by -gamma I, so its gap at any cut
-    is unchanged (each row recomputes it from a fresh eigenvalue solve as a
-    check); the condition number strictly improves as gamma grows (unless Sw
-    is already a multiple of the identity). Each computed condition number
-    (lambda_max + gamma) / (lambda_min + gamma) carries three roundings, so
-    about 3u relative error (u = eps / 2); a gamma step of a few ulps can
-    leave it equal or round it up by an ulp. The check therefore raises only
-    when it grows by more than a factor 1 + 8u.
+    factor M of Sb = M M^T, whose squared singular values are those of Sb,
+    above the cutoff ``rank_analysis`` applies to Sb, d eps ||St_ml||_2. The
+    trace-difference matrix C = 2 Sb - St_ml merely shifts by -gamma I, so
+    its gap at any cut is unchanged (each row recomputes it from a fresh
+    eigenvalue solve as a check); the condition number strictly improves as
+    gamma grows (unless Sw is already a multiple of the identity). Each
+    computed condition number (lambda_max + gamma) / (lambda_min + gamma)
+    carries three roundings, so about 3u relative error (u = eps / 2); a
+    gamma step of a few ulps can leave it equal or round it up by an ulp.
+    The check therefore raises only when it grows by more than a factor
+    1 + 8u.
 
-    When d > n the scatter set carries ``range_basis``, an orthonormal d x n
-    Q, and ``on_range``, the same scatters as n x n matrices S_q in Q's
-    coordinates, which ``build_scatter`` computed on the projected rows and
-    certified there (see ``mlda.scatter``). Then C = Q Cq Q^T with
-    Cq = 2 Sb_q - St_ml_q, so C - gamma I has the n eigenvalues of
-    Cq - gamma I_n and d - n eigenvalues equal to -gamma exactly; likewise Sw has the eigenvalues of
-    Sw_q and d - n zeros, so lambda_min(Sw) = min(lambda_min(Sw_q), 0), and
-    M = Q M_q has the singular values of M_q. Each ridge row is then a
-    checked n x n solve, and no d x d matrix is factored or multiplied. The
-    report describes the d x d fields of ``ss``, so it checks once that they
-    are the lifts of what it solves ("range compression", InvariantViolation):
-    Q must have the n columns of the scatters on the range, and C, Sw and M
-    must have the Frobenius norm and (C and Sw) the trace of Cq, Sw_q and
-    M_q within ``RECON_TOL * max(1, ||S||_F)``, the invariants and tolerance
-    of ``sym_eigvals``. A field replaced after ``build_scatter``, such as an
-    Sw with mass off span(Q), fails that check. Without ``range_basis`` or
-    ``on_range`` every solve is d x d.
+    When d > n the report solves on ``ss.on_range``, the n x n scatters S_q
+    whose lifts Q S_q Q^T (Q = ``ss.range_basis``) are the d x d fields (see
+    ``mlda.scatter``): C - gamma I has the eigenvalues of Cq - gamma I_n,
+    with Cq = 2 Sb_q - St_ml_q, and d - n more equal to -gamma; Sw has those
+    of Sw_q and d - n zeros; M = Q M_q has the singular values of M_q. It
+    first checks that the d x d fields are still those lifts ("range
+    compression", InvariantViolation): Q must have n columns, and C, Sw and
+    M the Frobenius norm and (C and Sw) the trace of Cq, Sw_q and M_q, to
+    the tolerance of ``sym_eigvals``. Without ``range_basis`` or ``on_range``
+    every solve is d x d.
 
     A gamma so large that ||C - gamma I||_F^2 could overflow is rejected as
     InvalidInput before the sweep starts.
@@ -469,27 +463,24 @@ def regularization_report(ss, gammas, r):
             f"gamma {gammas[-1]!r} is too large: ||C - gamma I||_F^2 would overflow"
         )
     Q = ss.range_basis
-    sq = None if Q is None else ss.on_range
-    if sq is None:
-        M, Sw = ss.M, ss.Sw
-    else:
-        n = sq.Sw.shape[0]
-        if Q.shape != (d, n):
+    sq = ss if Q is None or ss.on_range is None else ss.on_range
+    m = sq.Sw.shape[0]
+    zeros = d - m  # eigenvalues -gamma of C - gamma I, and 0 of Sw, off the range
+    Cq = C
+    if sq is not ss:
+        if Q.shape != (d, m):
             raise InvariantViolation(
-                f"range compression: basis of shape {Q.shape} for {n} x {n} scatters on the range"
+                f"range compression: basis of shape {Q.shape} for {m} x {m} scatters on the range"
             )
         Cq = 2.0 * sq.Sb - sq.St_ml
         for name, S, S_q in (("C", C, Cq), ("Sw", ss.Sw, sq.Sw), ("M", ss.M, sq.M)):
             _check_lift(name, S, S_q)
-        M, Sw = sq.M, sq.Sw
-    sv2 = np.linalg.svd(_as_float_matrix(M, "M"), compute_uv=False) ** 2
-    rank_sb = int(np.count_nonzero(sv2 > d * np.finfo(float).eps * sv2[0]))
-    sw_vals = sym_eigvals(Sw)
-    if sq is None:
-        lam_min, lam_max = float(sw_vals[-1]), float(sw_vals[0])
-    else:
-        # the d - n eigenvalues of Sw off span(Q) are zeros
-        lam_min, lam_max = min(float(sw_vals[-1]), 0.0), max(float(sw_vals[0]), 0.0)
+    sv2 = np.linalg.svd(_as_float_matrix(sq.M, "M"), compute_uv=False) ** 2
+    rank_sb = int(np.count_nonzero(sv2 > d * np.finfo(float).eps * max(ss.st_ml_norm, 1e-300)))
+    sw_vals = sym_eigvals(sq.Sw)
+    lam_min, lam_max = float(sw_vals[-1]), float(sw_vals[0])
+    if zeros:
+        lam_min = min(lam_min, 0.0)
     rows = []
     finite = []  # kappa of each finite row
     for gamma in gammas:
@@ -498,11 +489,8 @@ def regularization_report(ss, gammas, r):
         kappa = np.inf if infinite else top / bot
         if not infinite:
             finite.append(kappa)
-        if sq is None:
-            vals = sym_eigvals(C - gamma * np.eye(d))
-        else:
-            off_range = np.full(d - n, -gamma)
-            vals = np.sort(np.concatenate((sym_eigvals(Cq - gamma * np.eye(n)), off_range)))[::-1]
+        vals = sym_eigvals(Cq - gamma * np.eye(m))
+        vals = np.sort(np.concatenate((vals, np.full(zeros, -gamma))))[::-1]
         rows.append(
             RegularizationRow(
                 gamma=gamma,
@@ -516,10 +504,7 @@ def regularization_report(ss, gammas, r):
     if not isotropic:
         slack = 1.0 + 8.0 * (np.finfo(float).eps / 2)
         for a, b in zip(finite, finite[1:]):
-            if b > a * slack:
-                raise InvariantViolation(
-                    f"condition number failed to decrease: {a!r} -> {b!r}"
-                )
+            check("condition number failed to decrease (next kappa vs kappa * slack)", b, a * slack)
     return rows
 
 
@@ -537,8 +522,4 @@ def _check_lift(name, S, Sq):
     defect = abs(norm - np.linalg.norm(Sq))
     if S.shape[0] == S.shape[1]:
         defect = max(defect, abs(np.trace(S) - np.trace(Sq)))
-    if not defect <= RECON_TOL * max(1.0, norm):
-        raise InvariantViolation(
-            f"range compression: {name} is not the lift of its counterpart on the range "
-            f"(invariant defect {defect:.3e})"
-        )
+    check(f"range compression: {name} lift invariant defect", defect, RECON_TOL * max(1.0, norm))

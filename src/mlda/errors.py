@@ -66,3 +66,15 @@ class InvariantViolation(MldaError, ArithmeticError):
     This means a numerical fault inside the library, not bad input. It stays
     an ``ArithmeticError`` so that callers catching that still see it.
     """
+
+
+def check(name, value, limit):
+    """Raise InvariantViolation unless ``value <= limit``.
+
+    Every runtime check that compares two numbers goes through here:
+    ``value`` is a computed defect (or one side of an inequality) and
+    ``limit`` its tolerance (or the other side). A NaN on either side
+    compares false, so it fails. The message holds ``name`` and both numbers.
+    """
+    if not value <= limit:
+        raise InvariantViolation(f"{name}: {float(value)!r} is not <= {float(limit)!r}")

@@ -260,8 +260,7 @@ def _run_rank(options, seed):
                 "pass": ok,
             }
         )
-    columns = ["Setting", "n", "d", "L", "rank_Sb_ML", "Excess", "bound", "expected_rank", "pass"]
-    return columns, rows, failures, {}
+    return rows, failures, {}
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +342,7 @@ def _run_divergence(options, seed):
             s["median_defect"] < m["median_defect"] for s in singles for m in multis
         ),
     }
-    columns = ["Setting", "Comm_defect", "angle_TD_TD0_deg", "angle_TD_TR_deg", "dk_pass_rate"]
-    return columns, rows, failures, {"qualitative": observed, "per_setting": qualitative}
+    return rows, failures, {"qualitative": observed, "per_setting": qualitative}
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +393,7 @@ def _run_distance(options, seed):
                 "draws": draws,
             }
         )
-    columns = ["Setting", "Hamming_pass_pct", "Jaccard_pass_pct", "pairs", "draws"]
-    return columns, rows, failures, {"r": r}
+    return rows, failures, {"r": r}
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +427,6 @@ def _run_convergence(options, seed):
     ref = sym_eig(2.0 * ss_ref.Sb - ss_ref.St_ml)
     per_sample_gaps = (ref.values[:-1] - ref.values[1:]) / n_ref
     above = np.nonzero(per_sample_gaps > threshold)[0]
-    columns = ["n", "median_sin", "p95_sin", "drift", "trials"]
     if above.size == 0:
         # the drawn instance has no separated target subspace: a property of
         # the data, so the criterion fails rather than the configuration
@@ -439,7 +435,7 @@ def _run_convergence(options, seed):
             f"no spectral gap exceeds threshold {threshold} "
             f"(largest per-sample gap {largest:.3g})"
         ]
-        return columns, [], failures, {"largest_per_sample_gap": largest}
+        return [], failures, {"largest_per_sample_gap": largest}
     r = int(above.max()) + 1
 
     # at n_ref, opt_td would solve ref's matrix again: its top r is the target
@@ -482,7 +478,7 @@ def _run_convergence(options, seed):
         "slope": slope,
         "inversions": inversions,
     }
-    return columns, rows, failures, summary
+    return rows, failures, summary
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +607,6 @@ def _run_factors(options, seed):
             f"multi {gn_multi!r} vs share {share_multi!r}"
         )
 
-    columns = ["k_max", "median_sin", "median_gap_r", "median_bound_ratio", "trials"]
     summary = {
         "kmax_medians": med_errs,
         "bound_ratio_spread": ratio_spread,
@@ -628,7 +623,7 @@ def _run_factors(options, seed):
             "co_moves": kappa_co_moves,
         },
     }
-    return columns, rows, failures, summary
+    return rows, failures, summary
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +754,6 @@ def _run_concentration(options, seed):
     if not psi_norm <= (1.0 + 1e-10) / lam_min_st:
         failures.append("||Psi||_2 exceeded 1/lambda_min of the population total scatter")
 
-    columns = ["delta", "nominal", "coverage"]
     summary = {
         "variance_ratio": var_ratio,
         "t_linear_mean": lin_t,
@@ -768,7 +762,7 @@ def _run_concentration(options, seed):
         "pooled_draws": int(total),
         "theta": _plain(whitened.theta),
     }
-    return columns, rows, failures, summary
+    return rows, failures, summary
 
 
 # ---------------------------------------------------------------------------
@@ -855,8 +849,7 @@ def _run_interaction(options, seed):
             f"at alpha={a_top}"
         )
 
-    columns = ["alpha", "naive_pass_pct", "corrected_pass_pct", "pairs", "draws"]
-    return columns, rows, failures, {"r": r}
+    return rows, failures, {"r": r}
 
 
 # ---------------------------------------------------------------------------
@@ -912,21 +905,22 @@ def _run_regularization(options, seed):
     if not max(gap_devs) <= gap_tol:
         failures.append(f"trace-difference gap moved by {max(gap_devs):.3g} across ridges")
 
-    columns = ["gamma", "rank_Sb_ML", "kappa_median", "max_gap_dev", "trials"]
     summary = {
         "kappa_medians": medians,
         "kappa_ratios": ratios,
         "max_gap_deviation": max(gap_devs),
     }
-    return columns, rows, failures, summary
+    return rows, failures, summary
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
-# Each runner returns (columns, rows, failures, summary); its criterion, named
-# here, passes exactly when the failure list is empty.
+# Each runner returns (rows, failures, summary); its criterion, named here,
+# passes exactly when the failure list is empty. A CSV header is the keys of
+# the first row, except where a runner can return no rows: convergence does
+# when its instance has no spectral gap, so its header is named here.
 _RUNNERS = {
     "rank": (_run_rank, "criterion_rank_table"),
     "divergence": (_run_divergence, "criterion_davis_kahan"),
@@ -937,6 +931,7 @@ _RUNNERS = {
     "interaction": (_run_interaction, "criterion_interaction"),
     "regularization": (_run_regularization, "criterion_regularization"),
 }
+_HEADERS = {"convergence": ["n", "median_sin", "p95_sin", "drift", "trials"]}
 
 
 def run(config):
@@ -945,11 +940,11 @@ def run(config):
         raise ConfigError(f"unknown experiment {config.experiment!r}")
     runner, criterion = _RUNNERS[config.experiment]
     start = time.perf_counter()
-    columns, rows, failures, summary = runner(config.options, Seed(config.seed))
+    rows, failures, summary = runner(config.options, Seed(config.seed))
     wall = time.perf_counter() - start
     return ExperimentReport(
         experiment=config.experiment,
-        columns=columns,
+        columns=list(rows[0]) if rows else _HEADERS.get(config.experiment, []),
         rows=rows,
         passes={criterion: not failures},
         summary={**summary, "failures": failures},

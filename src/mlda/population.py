@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discriminant import SINGULAR_FLOOR, THETA_DUST, _theta_checked, opt_stml
-from .errors import InvalidCovariance, InvalidInput, InvariantViolation, MissingLabel
+from .errors import InvalidCovariance, InvalidInput, MissingLabel, check
 from .spectral import _all_binary, sym_eig, sym_eigvals, symmetrize
 
 
@@ -310,18 +310,13 @@ def population_scatters(params, dist):
     St_inf = symmetrize(Sb_inf + Swc_pop)
 
     if dist.is_single_label():
-        if np.abs(W_pi).max() > 0.0:
-            raise InvariantViolation("single-label distribution produced nonzero W_pi")
+        check("single-label max|W_pi|", np.abs(W_pi).max(), 0.0)
         direct = symmetrize(np.diag(pi) - np.outer(pi, pi))
         defect = np.linalg.norm(Q_pi - direct)
-        if defect > 1e-13 * max(1.0, np.linalg.norm(direct)):
-            raise InvariantViolation(
-                f"single-label Q_pi defect {defect:.3e} vs diag(pi) - pi pi^T"
-            )
+        check("single-label Q_pi defect", defect, 1e-13 * max(1.0, np.linalg.norm(direct)))
         reduced = symmetrize(M_star - A @ np.outer(pi, pi) @ A.T)
         rdefect = np.linalg.norm(M_star_c - reduced)
-        if rdefect > 1e-12 * max(1.0, np.linalg.norm(reduced)):
-            raise InvariantViolation(f"single-label M_star_c defect {rdefect:.3e}")
+        check("single-label M_star_c defect", rdefect, 1e-12 * max(1.0, np.linalg.norm(reduced)))
 
     return PopulationScatters(
         Sb_pop=Sb_pop, Sw_pop=Sw_pop, St_ml_pop=St_ml_pop, M_star=M_star,

@@ -52,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput, InvariantViolation, MissingLabel, UnlabeledSample
+from .errors import InvalidInput, InvariantViolation, MissingLabel, UnlabeledSample, check
 from .spectral import _all_binary, _as_float_matrix, numeric_rank, sym_eigvals, symmetrize
 
 # Relative tolerance for the internal two-route cross-checks.
@@ -209,9 +209,7 @@ def _centred(X, ones, peak):
     """Global mean of the rows and the rows centred on it, with the centring
     drift (the norm of the centred column sums) checked."""
     mu, Xc = _centre(X, ones)
-    drift = np.linalg.norm(ones @ Xc)
-    if drift > 1e-8 * X.shape[0] * max(1.0, peak):
-        raise InvariantViolation(f"centering drift {drift:.3e} too large")
+    check("centering drift", np.linalg.norm(ones @ Xc), 1e-8 * X.shape[0] * max(1.0, peak))
     return mu, Xc
 
 
@@ -359,11 +357,10 @@ def build_scatter(ds):
         return _scatters(ds)
     Q = np.linalg.qr(Xc.T)[0]
     Z = Xc @ Q
-    residual = np.linalg.norm(Xc - Z @ Q.T)
-    if not residual <= CROSSCHECK_TOL * np.linalg.norm(Xc):
-        raise InvariantViolation(
-            f"range compression lost row mass outside span(Q): residual {residual:.3e}"
-        )
+    check(
+        "range compression: row mass outside span(Q)",
+        np.linalg.norm(Xc - Z @ Q.T), CROSSCHECK_TOL * np.linalg.norm(Xc),
+    )
     rows = _bind(Z, ds.labels, float(max(Z.max(), -Z.min())))
     on_range = _scatters(rows)
     # Sb_q and St_q are Grams F^T F of n-dimensional rows, so their lifts
@@ -392,17 +389,11 @@ def _scatters(ds):
     XE = Xc.take(labels.excess_rows, axis=0)
     St_ml_weighted = symmetrize(St + (XE * labels.excess_weights[:, None]).T @ XE)
     defect = _rel_defect(St_ml, St_ml_weighted)
-    if defect > CROSSCHECK_TOL:
-        raise InvariantViolation(
-            f"total-scatter routes disagree (relative defect {defect:.3e})"
-        )
+    check("total-scatter routes relative defect", defect, CROSSCHECK_TOL)
 
     M = Xc.T @ labels.scaled_bits
     factor_defect = _rel_defect(Sb, M @ M.T, scale=np.linalg.norm(St_ml))
-    if factor_defect > CROSSCHECK_TOL:
-        raise InvariantViolation(
-            f"between-scatter factorization defect {factor_defect:.3e}"
-        )
+    check("between-scatter factorization defect", factor_defect, CROSSCHECK_TOL)
 
     st_ml_norm = float(np.abs(sym_eigvals(St_ml)).max())
     R = St_ml - St
@@ -534,10 +525,7 @@ def rank_analysis(ds, ss=None):
     rank_XtY = numeric_rank(
         ds.X_centered.T @ Y, tol=max(ds.d, labels.L) * eps * sigma_x * sigma_y
     )
-    if rank_sb != rank_XtY:
-        raise InvariantViolation(
-            f"rank(Sb)={rank_sb} disagrees with rank(Xc^T Y)={rank_XtY}"
-        )
+    check("|rank(Sb) - rank(Xc^T Y)|", abs(rank_sb - rank_XtY), 0)
     rank_Y = numeric_rank(Y)
     rank_HY = numeric_rank(Y - Y.mean(axis=0))
     bound = min(ds.d, ds.n - 1, rank_HY)

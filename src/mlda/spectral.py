@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, InvariantViolation, RankDeficient
+from .errors import InvalidInput, RankDeficient, check
 
 # Frobenius tolerance for "these columns are orthonormal" checks.
 ORTHO_TOL = 1e-10
@@ -139,8 +139,7 @@ def sym_eig(S):
     vals = vals[::-1].copy()
     vecs = _fix_signs(vecs[:, ::-1].copy())
     recon = np.linalg.norm((vecs * vals) @ vecs.T - S)
-    if recon > RECON_TOL * max(1.0, np.linalg.norm(S)):
-        raise InvariantViolation(f"eigendecomposition reconstruction defect {recon:.3e}")
+    check("eigendecomposition reconstruction defect", recon, RECON_TOL * max(1.0, np.linalg.norm(S)))
     return EigenPair(values=vals, vectors=vecs)
 
 
@@ -157,8 +156,7 @@ def sym_eigvals(S):
     vals = np.linalg.eigvalsh(S)[::-1].copy()
     norm = np.linalg.norm(S)
     defect = max(abs(vals.sum() - np.trace(S)), abs(np.linalg.norm(vals) - norm))
-    if defect > RECON_TOL * max(1.0, norm):
-        raise InvariantViolation(f"eigenvalue invariant defect {defect:.3e}")
+    check("eigenvalue invariant defect", defect, RECON_TOL * max(1.0, norm))
     return vals
 
 
@@ -250,6 +248,5 @@ def orthonormalize(W):
     signs[signs == 0] = 1.0
     Q = Q * signs
     resid = np.linalg.norm(W - Q @ (Q.T @ W))
-    if resid > ORTHO_TOL * max(1.0, np.linalg.norm(W)):
-        raise InvariantViolation(f"orthonormalization failed to preserve span ({resid:.3e})")
+    check("orthonormalization span residual", resid, ORTHO_TOL * max(1.0, np.linalg.norm(W)))
     return Frame(Q)

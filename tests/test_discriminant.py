@@ -30,10 +30,10 @@ from mlda import (
     davis_kahan_check,
     eval_objectives,
     gen_labels,
-    numeric_rank,
     opt_stml,
     opt_td,
     ordering_consistent,
+    rank_analysis,
     regularization_report,
     sym_eig,
     sym_eigvals,
@@ -338,7 +338,9 @@ def test_whitened_frame_carries_the_total_scatter_spectrum(pencil):
     frame = opt_stml(Sb, St, r, gamma=gamma)
     want = sym_eigvals(St + gamma * np.eye(d))
     assert (np.diff(frame.st_values) <= 0).all()
-    assert np.abs(frame.st_values - want).max() <= d * np.finfo(float).eps * want[0]
+    # two solves by different LAPACK routes, each within about d eps ||S||_2
+    # of the exact spectrum: their gap reached 1.17 d eps ||S||_2 at d = 3
+    assert np.abs(frame.st_values - want).max() <= 2 * d * np.finfo(float).eps * want[0]
 
 
 def test_opt_stml_singular_total():
@@ -432,8 +434,8 @@ def test_regularization_gap_matches_full_eigendecomposition(rng, monkeypatch):
 
 
 def test_regularization_rank_from_factor_matches_numeric_rank(rng):
-    # the sweep counts sigma(M)^2 > d eps sigma_max(M)^2, which is the
-    # cutoff numeric_rank(Sb) applies to sigma(Sb) = sigma(M)^2
+    # the sweep counts sigma(M)^2 > d eps ||St_ml||_2, the cutoff
+    # rank_analysis passes to numeric_rank(Sb) for sigma(Sb) = sigma(M)^2
     cases = []
     for _ in range(10):
         n, d, L = int(rng.integers(20, 80)), int(rng.integers(3, 30)), int(rng.integers(2, 7))
@@ -446,9 +448,10 @@ def test_regularization_rank_from_factor_matches_numeric_rank(rng):
     for scheme, n, d, L in cases:
         labels = gen_labels(scheme, n, max(L, scheme.max_cardinality() + 1), rng)
         X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3)
-        ss = build_scatter(build_dataset(X, labels))
+        ds = build_dataset(X, labels)
+        ss = build_scatter(ds)
         rank = regularization_report(ss, [0.0], r=1)[0].rank_sb
-        assert rank == numeric_rank(ss.Sb)
+        assert rank == rank_analysis(ds, ss).rank_sb
         if scheme.max_cardinality() == 1:
             assert rank == labels.L - 1
 
@@ -535,7 +538,8 @@ def _full_sweep(ss, gammas, r):
     """Oracle: the ridge sweep with full d x d eigenvalue solves of Sw and of
     every C - gamma I, ignoring ``range_basis``."""
     sv2 = np.linalg.svd(ss.M, compute_uv=False) ** 2
-    rank_sb = int(np.count_nonzero(sv2 > ss.M.shape[0] * np.finfo(float).eps * sv2[0]))
+    cutoff = ss.M.shape[0] * np.finfo(float).eps * max(ss.st_ml_norm, 1e-300)
+    rank_sb = int(np.count_nonzero(sv2 > cutoff))
     sw_vals = np.linalg.eigvalsh(ss.Sw)
     lam_min, lam_max = float(sw_vals[0]), float(sw_vals[-1])
     C = 2.0 * ss.Sb - ss.St_ml
@@ -593,7 +597,9 @@ def _range_sweep_matches_full_sweep(X, bits, r):
     assert ss.range_basis.shape == (d, n)
     scale = max(ss.st_ml_norm, 1e-300)
     gammas = [0.0, 1e-4 * scale, 1e-2 * scale, scale]
-    C = 2.0 * ss.Sb - ss.St_ml
+    # both routes' rounding scales with the accumulations Sb and Sw, not with
+    # C = Sb - Sw, which cancels to 0 when Sb = Sw
+    size = np.linalg.norm(ss.Sb) + np.linalg.norm(ss.Sw)
     got = regularization_report(ss, gammas, r)
     for row, want in zip(got, _full_sweep(ss, gammas, r), strict=True):
         assert row.rank_sb == want.rank_sb
@@ -601,7 +607,7 @@ def _range_sweep_matches_full_sweep(X, bits, r):
         # the full solve reads lambda_min(Sw) as dust of size d eps ||Sw||;
         # the range route as 0, so kappa moves by at most that over gamma
         assert row.kappa_sw_gamma == pytest.approx(want.kappa_sw_gamma, rel=1e-8)
-        tol = 1e-10 * (np.linalg.norm(C) + row.gamma) + 1e-300
+        tol = 1e-10 * (size + row.gamma) + 1e-300
         assert abs(row.gap_td - want.gap_td) <= tol
 
 
@@ -627,6 +633,16 @@ def test_ridge_sweep_on_the_range_far_from_the_origin(seed):
     bits = np.array([[0, 1, 1], [1, 1, 0], [0, 1, 1]])
     offset = -1e6 if seed % 2 == 0 else 1e6
     _range_sweep_matches_full_sweep(offset + rng.standard_normal((3, 4)), bits, 1)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ridge_sweep_on_the_range_where_sb_equals_sw(seed):
+    # two rows sharing the middle label: Sb = Sw exactly, so C = 2 Sb - St_ml
+    # is 0 up to rounding (||C||_F ~ 2e-19 against ||Sb||_F ~ 1e-3), and the
+    # two routes' gaps (0 and ~1e-22) differ by rounding of Sb and Sw
+    rng = np.random.default_rng(seed)
+    bits = np.array([[1, 1, 0], [0, 1, 1]])
+    _range_sweep_matches_full_sweep(1e6 + 0.01 * rng.standard_normal((2, 16)), bits, 1)
 
 
 def test_ridge_sweep_without_range_basis_is_the_full_sweep(rng):

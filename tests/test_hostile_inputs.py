@@ -129,3 +129,16 @@ def test_every_entry_point_returns_or_raises_an_mlda_error(hostile):
         except MldaError as exc:
             got[name] = type(exc).__name__
     assert got == EXPECTED[hostile]
+
+
+@pytest.mark.parametrize("n, d", [(30, 4), (40, 8), (20, 60)])
+def test_every_label_has_rank_zero_at_both_entry_points(n, d):
+    # every label mean is the global mean, so Sb is exactly 0; the ridge
+    # report counts sigma(M)^2 with rank_analysis's cutoff, above the
+    # rounding dust of M's column sums
+    rng = np.random.default_rng(20260816)
+    ds = build_dataset(rng.standard_normal((n, d)), build_labels(np.ones((n, 3), dtype=np.int64)))
+    ss = build_scatter(ds)
+    assert not ss.Sb.any()
+    assert rank_analysis(ds, ss).rank_sb == 0
+    assert {row.rank_sb for row in regularization_report(ss, [0.0, 1.0], 1)} == {0}

@@ -25,6 +25,7 @@ from mlda import (
 )
 import mlda
 from mlda import bounds
+from mlda.errors import check
 from mlda.spectral import _all_binary
 
 from conftest import random_stiefel, random_symmetric
@@ -413,3 +414,70 @@ def test_only_spectral_calls_a_numpy_eigensolver():
     }
     assert offenders == {}
     assert _eigensolver_uses((package / "spectral.py").read_text(encoding="utf-8"))
+
+
+# ---------------------------------------------------------------------------
+# one check route: numeric invariants raise only through errors.check
+# ---------------------------------------------------------------------------
+
+# (module, function) of the only InvariantViolation constructors: the check
+# route itself, and two tests with no (value, limit) pair, a Cholesky
+# certificate and the ridge report's range-basis shape test
+_INVARIANT_RAISERS = [
+    ("discriminant.py", "regularization_report"),
+    ("errors.py", "check"),
+    ("scatter.py", "_certify_psd"),
+]
+
+
+def _invariant_constructions(source):
+    """(innermost enclosing function or None, line) of every call that
+    constructs ``InvariantViolation`` in ``source``, by name or attribute."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                callee = child.func
+                name = getattr(callee, "attr", getattr(callee, "id", None))
+                if name == "InvariantViolation":
+                    found.append((func, child.lineno))
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_invariant_scan_sees_every_spelling():
+    assert _invariant_constructions("def f(x):\n    raise InvariantViolation(x)") == [("f", 2)]
+    assert _invariant_constructions(
+        "from mlda import errors\nclass C:\n    def g(self):\n        def h():\n"
+        "            return errors.InvariantViolation('x')\n"
+    ) == [("h", 5)]
+    assert _invariant_constructions("exc = InvariantViolation('x')") == [(None, 1)]
+    assert not _invariant_constructions("def f(x):\n    check('x', x, 0.0)")
+
+
+def test_only_check_and_two_exemptions_construct_invariant_violation():
+    package = pathlib.Path(mlda.__file__).parent
+    found = sorted(
+        (path.relative_to(package).as_posix(), func)
+        for path in package.rglob("*.py")
+        for func, _ in _invariant_constructions(path.read_text(encoding="utf-8"))
+    )
+    assert found == _INVARIANT_RAISERS
+
+
+def test_check_passes_at_its_limit_and_fails_above_it_or_on_nan():
+    check("defect", 1e-8, 1e-8)
+    check("defect", -np.inf, 0.0)
+    above = float(np.nextafter(1e-8, 1.0))
+    with pytest.raises(InvariantViolation) as info:
+        check("defect", above, 1e-8)
+    assert str(info.value) == f"defect: {above!r} is not <= 1e-08"
+    for value, limit in ((np.nan, 1.0), (0.0, np.nan), (np.nan, np.nan)):
+        with pytest.raises(InvariantViolation, match="defect: .*nan"):
+            check("defect", value, limit)
