@@ -416,7 +416,7 @@ def regularization_report(ss, gammas, r):
 
     The between-scatter rank never depends on gamma; it is counted from the
     factor M of Sb = M M^T, whose squared singular values are those of Sb,
-    above the cutoff ``rank_analysis`` applies to Sb, d eps ||St_ml||_2. The
+    above ``ss.sb_rank_cutoff``, the cutoff ``rank_analysis`` applies to Sb. The
     trace-difference matrix C = 2 Sb - St_ml merely shifts by -gamma I, so
     its gap at any cut is unchanged (each row recomputes it from a fresh
     eigenvalue solve as a check); the condition number strictly improves as
@@ -468,15 +468,12 @@ def regularization_report(ss, gammas, r):
     zeros = d - m  # eigenvalues -gamma of C - gamma I, and 0 of Sw, off the range
     Cq = C
     if sq is not ss:
-        if Q.shape != (d, m):
-            raise InvariantViolation(
-                f"range compression: basis of shape {Q.shape} for {m} x {m} scatters on the range"
-            )
+        check("range compression: basis shape mismatch", int(Q.shape != (d, m)), 0)
         Cq = 2.0 * sq.Sb - sq.St_ml
         for name, S, S_q in (("C", C, Cq), ("Sw", ss.Sw, sq.Sw), ("M", ss.M, sq.M)):
             _check_lift(name, S, S_q)
     sv2 = np.linalg.svd(_as_float_matrix(sq.M, "M"), compute_uv=False) ** 2
-    rank_sb = int(np.count_nonzero(sv2 > d * np.finfo(float).eps * max(ss.st_ml_norm, 1e-300)))
+    rank_sb = int(np.count_nonzero(sv2 > ss.sb_rank_cutoff))
     sw_vals = sym_eigvals(sq.Sw)
     lam_min, lam_max = float(sw_vals[-1]), float(sw_vals[0])
     if zeros:

@@ -317,6 +317,15 @@ class ScatterSet:
     range_basis: np.ndarray = None
     on_range: "ScatterSet" = None
 
+    @property
+    def sb_rank_cutoff(self):
+        """Singular values of Sb at or below d eps ||St_ml||_2 are rounding
+        dust: Sb inherits noise of that size from the accumulations it is
+        computed from, even when it is mathematically zero (every sample
+        carries every label, so all label means coincide with the global
+        mean)."""
+        return self.Sb.shape[0] * np.finfo(float).eps * max(self.st_ml_norm, 1e-300)
+
 
 def _rel_defect(lhs, rhs, scale=0.0):
     # `scale` lets callers anchor the comparison to the magnitude of the
@@ -514,14 +523,12 @@ def rank_analysis(ds, ss=None):
     Y = labels.bits.astype(float)
     # Anchor the rank decisions to the scale of the accumulations the
     # matrices were computed from: Sb inherits rounding noise of size
-    # eps * ||St_ml||, and Xc^T Y of size eps * ||Xc|| * ||Y||, even when the
-    # result itself is mathematically zero (e.g. every sample carries every
-    # label, so all label means coincide with the global mean).
+    # eps * ||St_ml|| (``sb_rank_cutoff``), and Xc^T Y of size
+    # eps * ||Xc|| * ||Y||, even when the result itself is mathematically zero.
     eps = np.finfo(float).eps
     sigma_x = np.linalg.norm(_as_float_matrix(ds.X_centered, "X_centered"), 2)
     sigma_y = np.linalg.norm(Y, 2)
-    scale_sb = max(ss.st_ml_norm, 1e-300)
-    rank_sb = numeric_rank(ss.Sb, tol=ds.d * eps * scale_sb)
+    rank_sb = numeric_rank(ss.Sb, tol=ss.sb_rank_cutoff)
     rank_XtY = numeric_rank(
         ds.X_centered.T @ Y, tol=max(ds.d, labels.L) * eps * sigma_x * sigma_y
     )

@@ -420,31 +420,37 @@ def test_only_spectral_calls_a_numpy_eigensolver():
 # one check route: numeric invariants raise only through errors.check
 # ---------------------------------------------------------------------------
 
-# (module, function) of the only InvariantViolation constructors: the check
-# route itself, and two tests with no (value, limit) pair, a Cholesky
-# certificate and the ridge report's range-basis shape test
+# (module, function) of the only InvariantViolation raisers: the check route
+# itself, and two exemptions: a Cholesky certificate, which compares no two
+# numbers, and _theta_checked, which raises the error class its caller passes
+# (InvariantViolation by default)
 _INVARIANT_RAISERS = [
-    ("discriminant.py", "regularization_report"),
+    ("discriminant.py", "_theta_checked"),
     ("errors.py", "check"),
     ("scatter.py", "_certify_psd"),
 ]
 
 
+def _is_invariant_violation(node):
+    return getattr(node, "attr", getattr(node, "id", None)) == "InvariantViolation"
+
+
 def _invariant_constructions(source):
     """(innermost enclosing function or None, line) of every call that
-    constructs ``InvariantViolation`` in ``source``, by name or attribute."""
+    constructs ``InvariantViolation`` in ``source``, by name or attribute,
+    and of every function with a parameter that defaults to it."""
     found = []
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                if any(map(_is_invariant_violation, args.defaults + args.kw_defaults)):
+                    found.append((child.name, child.lineno))
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                callee = child.func
-                name = getattr(callee, "attr", getattr(callee, "id", None))
-                if name == "InvariantViolation":
-                    found.append((func, child.lineno))
+            if isinstance(child, ast.Call) and _is_invariant_violation(child.func):
+                found.append((func, child.lineno))
             visit(child, func)
 
     visit(ast.parse(source), None)
@@ -458,7 +464,12 @@ def test_invariant_scan_sees_every_spelling():
         "            return errors.InvariantViolation('x')\n"
     ) == [("h", 5)]
     assert _invariant_constructions("exc = InvariantViolation('x')") == [(None, 1)]
+    assert _invariant_constructions(
+        "def f(x, error=InvariantViolation):\n    raise error(x)"
+    ) == [("f", 1)]
+    assert _invariant_constructions("def f(*, e=errors.InvariantViolation):\n    pass") == [("f", 1)]
     assert not _invariant_constructions("def f(x):\n    check('x', x, 0.0)")
+    assert not _invariant_constructions("try:\n    f()\nexcept InvariantViolation:\n    pass")
 
 
 def test_only_check_and_two_exemptions_construct_invariant_violation():
