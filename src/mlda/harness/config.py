@@ -29,6 +29,9 @@ _VARIABLE_MIX = {"kind": "variable", "mix": [[1, 0.8], [2, 0.2]]}
 _HEAVY_MIX = {"kind": "variable", "mix": [[1, 0.1], [2, 0.25], [3, 0.3], [4, 0.35]]}
 
 DEFAULT_SEED = 20260816
+# The distance and interaction experiments project onto the top
+# r = min(PAIR_FRAME_RANK, L) eigenvectors of Sb.
+PAIR_FRAME_RANK = 6
 
 DEFAULTS = {
     "rank": {
@@ -346,6 +349,9 @@ _SV_PER_LABEL = (lambda o: len(o["singular_values"]) == o["L"]), "need one singu
 # the effects get L orthonormal directions in d dimensions, one per singular value
 _L_WITHIN_D = (lambda o: o["L"] <= o["d"]), "need L <= d for L orthogonal label effects, got L={L}, d={d}"
 _SCHEMES_FIT = _schemes_fit, "a scheme's cardinality exceeds L={L}"
+_FRAME_WITHIN_D = (lambda o: min(PAIR_FRAME_RANK, o["L"]) <= o["d"]), (
+    f"need min({PAIR_FRAME_RANK}, L) <= d for the projection frame, got L={{L}}, d={{d}}"
+)
 
 # Cross-field rules of each experiment, as (test, message) pairs; the
 # message is formatted with the options. They run in order once every option
@@ -358,7 +364,7 @@ _RULES = {
         ),
     ),
     "divergence": (_N_COVERS_L, _R_BELOW_D, _SCHEMES_FIT),
-    "distance": (_N_COVERS_L, _SCHEMES_FIT),
+    "distance": (_N_COVERS_L, _FRAME_WITHIN_D, _SCHEMES_FIT),
     "convergence": (
         (
             (lambda o: len(o["ns"]) >= 3 and o["ns"] == sorted(o["ns"]) and o["ns"][0] >= o["L"]),
@@ -395,6 +401,7 @@ _RULES = {
     ),
     "regularization": (
         _N_COVERS_L,
+        ((lambda o: o["L"] < o["d"]), "need L < d, as the ridge report takes r = L, got L={L}, d={d}"),
         (
             (lambda o: len(o["gammas"]) >= 2 and all(a < b for a, b in zip(o["gammas"], o["gammas"][1:]))),
             "gammas needs >= 2 strictly increasing entries, got {gammas}",

@@ -37,7 +37,7 @@ from ..spectral import orthonormalize, principal_angle_sin, sym_eig
 from ..synth import LabelScheme, Seed, gen_data, gen_labels, pair_products, scheme_distribution
 from ..synth import _draw_cardinalities
 from .aggregate import aggregate, slope_fit
-from .config import DEFAULTS, EXPERIMENTS, ExperimentConfig, scheme_from_dict
+from .config import DEFAULTS, EXPERIMENTS, PAIR_FRAME_RANK, ExperimentConfig, scheme_from_dict
 
 # ---------------------------------------------------------------------------
 # report plumbing
@@ -354,7 +354,7 @@ def _run_distance(options, seed):
     n, d, L, pairs, draws = (options[k] for k in ("n", "d", "L", "pairs", "draws"))
     sigma_w, scale = options["sigma_w"], options["effect_scale"]
     tol_se, min_rate = options["tolerance_se"], options["min_pass_rate"]
-    r = min(6, L)
+    r = min(PAIR_FRAME_RANK, L)
 
     rows, failures = [], []
     for si, entry in enumerate(options["settings"]):
@@ -775,7 +775,7 @@ def _run_interaction(options, seed):
     sigma_w, iscale = options["sigma_w"], options["interaction_scale"]
     alphas, tol_se = options["alphas"], options["tolerance_se"]
     scheme = scheme_from_dict(options["scheme"])
-    r = min(6, L)
+    r = min(PAIR_FRAME_RANK, L)
 
     labels = gen_labels(scheme, n, L, seed.stream("interaction", 0, "labels"))
     # Orthogonal label effects whose column norms are the prescribed singular

@@ -9,10 +9,11 @@ label it carries. The central algebraic facts wired into this module:
 * Sb factorizes as M M^T with M = Xc^T Y D_n^{-1/2},
 * the excess R = St_ml - St = sum_i (k_i - 1)(x_i - mu)(x_i - mu)^T is PSD.
 
-``build_dataset`` visits each label's member rows once: it gathers them, takes
-their compensated mean and adds their centred block into Sw. ``build_scatter``
-then checks every identity above by two independent routes and fails loudly
-on disagreement:
+``build_dataset`` centres the rows and checks the centring drift.
+``build_scatter`` then visits each label's member rows once: it gathers them,
+takes their compensated mean and adds their centred block into Sw. It checks
+every identity above by two independent routes and fails loudly on
+disagreement:
 
 * St_ml as Sb + Sw (Sb from the label means, Sw from the per-label centred
   blocks) against St + Xc_E^T diag(k_E - 1) Xc_E from the globally centred
@@ -27,21 +28,19 @@ on disagreement:
   ``build_scatter`` computes once and carries on the ScatterSet);
 * in ``build_dataset``, the feature magnitude stays below the level at which
   the scatters' squared Frobenius norms would overflow;
-* in ``build_dataset``, the column sums of the centred rows vanish up to
-  rounding (centring drift).
+* the column sums of the centred rows vanish up to rounding (centring drift).
 
 When n < d every scatter has rank at most n - 1 and lies in the span of the n
-centred rows, so the algebra above runs on an n-dimensional problem.
-``build_dataset`` only centres the rows in R^d (and checks the drift);
+centred rows, so the algebra above runs on an n-dimensional problem:
 ``build_scatter`` takes one thin QR factorization Xc^T = Q R_X and projects
 the rows to Z = Xc Q (n x n). A row-level certificate ("range compression")
 requires ||Xc - Z Q^T||_F to stay within CROSSCHECK_TOL ||Xc||_F, so no row
-has mass outside span(Q). The per-label centring, the centring drift, both
-St_ml routes, the Sb = M M^T check and the three PSD certificates then all
-run on the rows Z, whose checked scatter set rides on the ScatterSet as
-``on_range``. The d x d fields are lifts Q S_q Q^T of those n x n matrices,
-and the d x n factor Q rides along as ``range_basis`` (both None when
-n >= d, where the algebra runs on the rows as they are).
+has mass outside span(Q). The per-label pass and every check above then run
+on the rows Z (centred again, with their drift checked), whose checked
+scatter set rides on the ScatterSet as ``on_range``. The d x d fields are
+lifts Q S_q Q^T of those n x n matrices, and the d x n factor Q rides along
+as ``range_basis`` (both None when n >= d, where the algebra runs on the
+rows as they are).
 ``regularization_report`` solves its eigenproblems on ``on_range`` (see its
 docstring).
 """
@@ -158,25 +157,18 @@ def build_labels(bits):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix bound to a validated label matrix, with cached means.
+    """Feature matrix bound to a validated label matrix, with its rows centred.
 
-    ``Sw`` is the within-scatter, accumulated from each label's centred
-    member rows in the same pass that forms the label means ``mu_ell``.
-    ``peak`` is max|X|, read off the extremes that the overflow guard takes;
-    ``build_scatter`` scales the rounding floor of R by it.
-
-    When n < d, ``mu_ell`` and ``Sw`` are None: ``build_scatter`` forms the
-    label means and the within-scatter on the n-dimensional range of the
-    centred rows, where they cost n x n work (see the module docstring), and
-    reads only ``X_centered`` and ``labels``.
+    ``X_centered`` is X minus its compensated global mean ``mu``. ``peak`` is
+    max|X|, read off the extremes that the overflow guard takes;
+    ``build_scatter`` scales the rounding floor of R by it. The label means
+    and the within-scatter come from ``build_scatter``'s one per-label pass.
     """
 
     X: np.ndarray
     labels: LabelMatrix
     mu: np.ndarray
-    mu_ell: np.ndarray
     X_centered: np.ndarray
-    Sw: np.ndarray
     peak: float
 
     @property
@@ -213,28 +205,11 @@ def _centred(X, ones, peak):
     return mu, Xc
 
 
-def _bind(X, labels, peak):
-    """The Dataset of rows X: centred globally, then each label's member rows
-    gathered once for their mean and their centred block of Sw."""
-    ones = np.ones(X.shape[0])
-    mu, Xc = _centred(X, ones, peak)
-    mu_ell = np.empty((labels.L, X.shape[1]))
-    Sw = np.zeros((X.shape[1], X.shape[1]))
-    for ell, rows in enumerate(labels.members):
-        mu_ell[ell], D = _centre(X.take(rows, axis=0), ones[: rows.size])
-        Sw += D.T @ D
-    return Dataset(X=X, labels=labels, mu=mu, mu_ell=mu_ell, X_centered=Xc, Sw=Sw, peak=peak)
-
-
 def build_dataset(X, labels):
-    """Bind features to labels, computing global and per-label means.
+    """Bind features to labels and centre the rows on their global mean.
 
-    Means use a two-pass compensated summation so that centering is accurate
-    for feature dimensions into the hundreds. Each label's member rows are
-    gathered once: their mean and their centred block, summed into the
-    within-scatter ``Sw``, come from the same copy. When n < d only the
-    global centring runs here, and ``mu_ell`` and ``Sw`` are None (see the
-    Dataset docstring).
+    The mean uses a two-pass compensated summation so that centering is
+    accurate for feature dimensions into the hundreds.
 
     Parameters
     ----------
@@ -265,10 +240,8 @@ def build_dataset(X, labels):
         raise InvalidInput(
             f"feature magnitude {peak:.3e} exceeds {bound:.3e}; the scatters would overflow"
         )
-    if n >= d:
-        return _bind(X, labels, peak)
     mu, Xc = _centred(X, np.ones(n), peak)
-    return Dataset(X=X, labels=labels, mu=mu, mu_ell=None, X_centered=Xc, Sw=None, peak=peak)
+    return Dataset(X=X, labels=labels, mu=mu, X_centered=Xc, peak=peak)
 
 
 @dataclass(frozen=True)
@@ -363,19 +336,20 @@ def build_scatter(ds):
     Xc = ds.X_centered
     n, d = Xc.shape
     if n >= d:
-        return _scatters(ds)
+        return _scatters(ds.X, ds.mu, Xc, ds.labels, ds.peak)[0]
     Q = np.linalg.qr(Xc.T)[0]
     Z = Xc @ Q
     check(
         "range compression: row mass outside span(Q)",
         np.linalg.norm(Xc - Z @ Q.T), CROSSCHECK_TOL * np.linalg.norm(Xc),
     )
-    rows = _bind(Z, ds.labels, float(max(Z.max(), -Z.min())))
-    on_range = _scatters(rows)
+    peak = float(max(Z.max(), -Z.min()))
+    mu, Zc = _centred(Z, np.ones(n), peak)
+    on_range, dev = _scatters(Z, mu, Zc, ds.labels, peak)
     # Sb_q and St_q are Grams F^T F of n-dimensional rows, so their lifts
     # Q F^T F Q^T are the Grams of the lifted rows F Q^T
-    dev = (rows.mu_ell - rows.mu) * np.sqrt(rows.labels.n_ell)[:, None]
-    Sb, St = _lifted_gram(dev, Q), _lifted_gram(rows.X_centered, Q)
+    Sb = _lifted_gram(dev * np.sqrt(ds.labels.n_ell)[:, None], Q)
+    St = _lifted_gram(Zc, Q)
     Sw = symmetrize((Q @ on_range.Sw) @ Q.T)
     St_ml = Sb + Sw
     return ScatterSet(
@@ -384,14 +358,23 @@ def build_scatter(ds):
     )
 
 
-def _scatters(ds):
-    """The checked scatter set of the rows of ``ds`` as they are."""
-    labels = ds.labels
-    Xc = ds.X_centered
+def _scatters(X, mu, Xc, labels, peak):
+    """The checked scatter set of the rows X, with global mean mu and centred
+    rows Xc, and the label-mean deviations mu_ell - mu.
 
-    dev = ds.mu_ell - ds.mu
+    This is the one per-label pass: each label's member rows are gathered
+    once, for their compensated mean and their centred block of Sw.
+    """
+    n, d = X.shape
+    ones = np.ones(n)
+    mu_ell = np.empty((labels.L, d))
+    Sw = np.zeros((d, d))
+    for ell, rows in enumerate(labels.members):
+        mu_ell[ell], D = _centre(X.take(rows, axis=0), ones[: rows.size])
+        Sw += D.T @ D
+    dev = mu_ell - mu
     Sb = symmetrize((dev.T * labels.n_ell) @ dev)
-    Sw = symmetrize(ds.Sw)
+    Sw = symmetrize(Sw)
 
     St = symmetrize(Xc.T @ Xc)
     St_ml = symmetrize(Sb + Sw)
@@ -413,16 +396,16 @@ def _scatters(ds):
     dust = 128.0 * np.finfo(float).eps * max(st_ml_norm, 1e-300)
     for name, S in (("Sb", Sb), ("Sw", Sw)):
         _certify_psd(name, S, dust)
-    _certify_psd("R", R, dust + _mean_rounding(ds.peak, labels.K, ds.d, Sb))
+    _certify_psd("R", R, dust + _mean_rounding(peak, labels.K, d, Sb))
 
-    return ScatterSet(Sb=Sb, Sw=Sw, St_ml=St_ml, St=St, R=R, M=M, st_ml_norm=st_ml_norm)
+    return ScatterSet(Sb=Sb, Sw=Sw, St_ml=St_ml, St=St, R=R, M=M, st_ml_norm=st_ml_norm), dev
 
 
 def _mean_rounding(peak, K, d, Sb):
     """Bound on ||dR||_2 from the rounding of the means of rows far from 0.
 
-    Each mean that ``build_dataset`` forms (the global one and one per label)
-    ends in a rounded addition of a value of size at most max|X| = peak, so
+    Each mean behind the scatters (the global one and one per label) ends in
+    a rounded addition of a value of size at most max|X| = peak, so
     it is off by a vector e with |e_j| <= u peak (u the unit roundoff), on
     top of an error that scales with the rows' spread and that the dust
     floor covers. Centring rows on a mean that is off by e moves their Gram

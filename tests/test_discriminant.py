@@ -338,7 +338,11 @@ def test_whitened_frame_carries_the_total_scatter_spectrum(pencil):
     frame = opt_stml(Sb, St, r, gamma=gamma)
     want = sym_eigvals(St + gamma * np.eye(d))
     assert (np.diff(frame.st_values) <= 0).all()
-    assert np.abs(frame.st_values - want).max() <= d * np.finfo(float).eps * want[0]
+    # st_values come from the eigh solve inside opt_stml, want from an
+    # eigvalsh solve: two backward-stable solves, each of which may sit about
+    # d eps lambda_max from the exact spectrum, so their gap is bounded by
+    # twice that
+    assert np.abs(frame.st_values - want).max() <= 2 * d * np.finfo(float).eps * want[0]
 
 
 def test_opt_stml_singular_total():

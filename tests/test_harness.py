@@ -197,6 +197,10 @@ def test_dimension_validation(tmp_path):
         ("convergence", {"slope_range": [-0.15, -0.6]}, "low <= high"),
         ("regularization", {"kappa_ratio_range": [8.0, 10.0, 12.0]}, "pair"),
         ("regularization", {"gammas": [0.0, 1.0, 1.0]}, "strictly increasing"),
+        # the ranks the runners derive: r = L for the ridge report,
+        # r = min(6, L) for the projection frame
+        ("regularization", {"d": 10, "L": 10, "n": 50}, "need L < d"),
+        ("distance", {"d": 3, "L": 5}, r"need min\(6, L\) <= d"),
         ("interaction", {"singular_values": [8.0, 6.0]}, "one singular value per label"),
         ("interaction", {"alphas": [0.0, 1e308]}, "finite square"),
         ("interaction", {"alphas": [0.0, 1e100], "interaction_scale": 1e100}, "finite square"),
@@ -385,7 +389,7 @@ def test_cli_config_error_exit_two(tmp_path):
         ("distance", {"tolerance_se": float("nan")}),
         ("interaction", {"alphas": [float("nan")]}),
         ("factors", {"kmax_settings": [{"k_max": 1, "scheme": {"kind": "single"}}]}),
-        # valid to the schema; the library rejects r = L = d mid-run
+        # r = L = d: the ridge report takes r = L, which must stay below d
         ("regularization", {"d": 10, "L": 10, "trials": 1}),
         # extreme but finite values, rejected before numpy can overflow
         ("regularization", {"gammas": [0.0, 1e200]}),

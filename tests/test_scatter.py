@@ -1,7 +1,9 @@
 """Scatter algebra tests: independent direct-summation oracle, a fully
 hand-computed toy, then the algebraic identities as properties."""
 
+import ast
 import dataclasses
+import pathlib
 import warnings
 
 import numpy as np
@@ -318,9 +320,9 @@ def test_fault_total_scatter_routes(rng):
     ds = _random_dataset(rng, n=30, d=5, L=4)
     build_scatter(ds)
     with pytest.raises(ArithmeticError, match="total-scatter routes"):
-        build_scatter(dataclasses.replace(ds, Sw=1.01 * ds.Sw))
+        build_scatter(dataclasses.replace(ds, X=1.01 * ds.X))
     with pytest.raises(ArithmeticError, match="total-scatter routes"):
-        build_scatter(dataclasses.replace(ds, mu_ell=ds.mu_ell + 1e-3))
+        build_scatter(dataclasses.replace(ds, mu=ds.mu + 1e-3))
     # n < d runs the check on the rows' coordinates on the range
     for ds in (ds, _random_dataset(rng, n=20, d=60, L=4)):
         wrong_k = dataclasses.replace(ds.labels, k=ds.labels.k + 1)
@@ -696,7 +698,6 @@ def test_fault_row_mass_off_the_range(rng, monkeypatch):
     # is the direction the centred rows, of rank n - 1, do not reach)
     labels = gen_labels(LabelScheme.variable(((1, 0.6), (2, 0.4))), 20, 4, rng)
     ds = build_dataset(rng.standard_normal((20, 60)), labels)
-    assert ds.mu_ell is None and ds.Sw is None  # formed on the range
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda A: (qr(A)[0][:, 1:], None))
     with pytest.raises(InvariantViolation, match="range compression"):
@@ -733,6 +734,52 @@ def test_members_list_label_rows(rng):
     assert len(labels.members) == labels.L
     for ell, rows in enumerate(labels.members):
         assert np.array_equal(rows, np.flatnonzero(labels.bits[:, ell]))
+
+
+# ---------------------------------------------------------------------------
+# one per-label pass: only build_scatter's _scatters reads the label members
+# ---------------------------------------------------------------------------
+
+
+def _members_readers(source):
+    """Innermost enclosing function (None at module level) of every read of
+    a ``.members`` attribute in ``source``."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "members":
+                found.append(func)
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_members_scan_sees_every_read():
+    assert _members_readers("def f(ls):\n    for rows in ls.members:\n        pass") == ["f"]
+    assert _members_readers(
+        "class C:\n    def g(self):\n        def h():\n            return self.labels.members[0]\n"
+    ) == ["h"]
+    assert _members_readers("rows = labels.members") == [None]
+    # a field declaration or a keyword argument is no read
+    assert not _members_readers("class C:\n    members: tuple\nLabelMatrix(members=())")
+
+
+def test_one_per_label_pass_reads_the_members():
+    package = pathlib.Path(scatter.__file__).parent
+    found = sorted(
+        (path.relative_to(package).as_posix(), func)
+        for path in package.rglob("*.py")
+        for func in _members_readers(path.read_text(encoding="utf-8"))
+    )
+    assert found == [("scatter.py", "_scatters")]
+    # the label means and Sw are formed there, not kept on the Dataset
+    fields = {field.name for field in dataclasses.fields(scatter.Dataset)}
+    assert not fields & {"mu_ell", "Sw"}
 
 
 # ---------------------------------------------------------------------------
