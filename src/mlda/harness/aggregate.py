@@ -1,5 +1,7 @@
 """Order-independent summaries of per-trial results."""
 
+import math
+
 import numpy as np
 
 from ..errors import InvalidInput
@@ -32,6 +34,54 @@ def aggregate(values):
         "mean": float(arr.mean()),
         "se": se,
     }
+
+
+class UpperTail:
+    """The largest of ``total`` values fed in chunks, enough to read their
+    upper quantiles as ``np.quantile`` does.
+
+    The linear quantile q reads the sorted values at ``floor((total - 1) *
+    q)`` and the one after it, so quantiles from ``lowest`` up need only the
+    ``total - floor((total - 1) * lowest)`` largest values. Each chunk is
+    merged into those and the merge trimmed back with a partition, so at most
+    two tails and two chunks are held at once. The values kept do not depend
+    on the order of the chunks.
+    """
+
+    def __init__(self, total, lowest):
+        self.total = total
+        self.size = total - math.floor((total - 1) * lowest)
+        self._tail = np.empty(0)
+        self._seen = 0
+
+    def add(self, values):
+        """Merge a chunk of values into the tail."""
+        merged = np.concatenate((self._tail, values))
+        keep = min(self.size, merged.size)
+        if keep < merged.size:
+            merged.partition(merged.size - keep)
+        self._tail = merged[merged.size - keep :]
+        self._seen += len(values)
+
+    def quantiles(self, qs):
+        """``np.quantile(values, qs)`` over all ``total`` values, bit for bit,
+        for every q in ``[lowest, 1)``."""
+        if self._seen != self.total:
+            raise InvalidInput(f"the tail was fed {self._seen} of its {self.total} values")
+        tail = self._tail
+        tail.sort()
+        offset = self.total - self.size
+        out = []
+        for q in qs:
+            # numpy's virtual index and its _lerp: a + (b - a) t, or
+            # b - (b - a)(1 - t) once t >= 0.5
+            index = (self.total - 1) * q
+            k = math.floor(index)
+            t = index - k
+            a, b = tail[k - offset], tail[k + 1 - offset]
+            diff = b - a
+            out.append(float(a + diff * t if t < 0.5 else b - diff * (1 - t)))
+        return out
 
 
 def slope_fit(ns, errors):

@@ -1,6 +1,7 @@
 """Command-line front end: run experiments, write tables, gate on passes."""
 
 import argparse
+import os
 import sys
 
 from ..errors import ConfigError, InvariantViolation, MldaError, NotConverged
@@ -45,6 +46,14 @@ def _print_report(report, csv_path):
             print(f"   offending: {line}")
 
 
+def _cannot_write(out_dir, exc):
+    """Report an output directory that cannot be made or written: a usage
+    error, like a bad flag."""
+    reason = exc.strerror or str(exc)
+    print(f"mlda: cannot write reports to {out_dir!r}: {reason}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     all_ok = True
@@ -56,11 +65,19 @@ def main(argv=None):
             out_dir=args.out,
             trials=args.trials,
         )
-        # each report is written as soon as its experiment finishes, so a
-        # later failure cannot discard the reports of the ones before it
+        # the output directory is made before any experiment runs, and each
+        # report is written as soon as its experiment finishes, so a later
+        # failure cannot discard the reports of the ones before it
+        try:
+            os.makedirs(config.out_dir, exist_ok=True)
+        except OSError as exc:
+            return _cannot_write(config.out_dir, exc)
         for sub in all_configs(config) if args.experiment == "all" else [config]:
             report = run(sub)
-            csv_path, _ = write_report(report, sub.out_dir)
+            try:
+                csv_path, _ = write_report(report, sub.out_dir)
+            except OSError as exc:
+                return _cannot_write(sub.out_dir, exc)
             _print_report(report, csv_path)
             all_ok = all_ok and report.all_passed
     except (InvariantViolation, NotConverged) as exc:

@@ -36,7 +36,7 @@ from ..scatter import build_dataset, build_scatter, rank_analysis
 from ..spectral import orthonormalize, principal_angle_sin, sym_eig
 from ..synth import LabelScheme, Seed, gen_data, gen_labels, pair_products, scheme_distribution
 from ..synth import _draw_cardinalities
-from .aggregate import aggregate, slope_fit
+from .aggregate import UpperTail, aggregate, slope_fit
 from .config import DEFAULTS, EXPERIMENTS, PAIR_FRAME_RANK, ExperimentConfig, scheme_from_dict
 
 # ---------------------------------------------------------------------------
@@ -194,6 +194,11 @@ def _draw_pattern(scheme, L, rng):
     bits = np.zeros(L, dtype=np.int64)
     bits[rng.choice(L, size=card, replace=False)] = 1
     return bits
+
+
+def _pair_indices(rng, n, pairs):
+    """``pairs`` pairs of distinct row indices below ``n``, drawn from ``rng``."""
+    return [rng.choice(n, size=2, replace=False) for _ in range(pairs)]
 
 
 def _signal_dataset(labels, A):
@@ -363,8 +368,7 @@ def _run_distance(options, seed):
         labels, A, Sigma_w = ds.labels, params.A, params.Sigma_w
         W = top_eigenspace(build_scatter(ds).Sb, r).frame.columns
         frame = bound_frame(W, A, Sigma_w)
-        rng_pairs = seed.stream("distance", si, "pairs")
-        pair_idx = [rng_pairs.choice(n, size=2, replace=False) for _ in range(pairs)]
+        pair_idx = _pair_indices(seed.stream("distance", si, "pairs"), n, pairs)
 
         def one(p):
             i, j = pair_idx[p]
@@ -636,27 +640,18 @@ def _run_factors(options, seed):
 _DRAW_BLOCK = 1000
 
 
-def _pooled_mean_std(x):
-    """``(x.mean(), x.std(ddof=1))``, bit for bit, with ``x`` as the workspace.
-
-    numpy's ``std`` centres into a temporary the size of ``x``; this centres
-    and squares ``x`` in place instead, with the same operations in the same
-    order, and leaves ``x`` overwritten.
-    """
-    mean = x.mean()
-    x -= mean
-    np.square(x, out=x)
-    return float(mean), math.sqrt(float(x.sum()) / (x.size - 1))
-
-
 def _run_concentration(options, seed):
-    """Coverage of the concentration interval, with pooled diagnostics.
+    """Coverage of the concentration interval, with diagnostics over all draws.
 
-    Every pair's ``draws`` deviations are written into three pooled arrays of
-    ``pairs * draws`` doubles: the linear part over its predicted standard
-    deviation (pairs whose linear part is not identically zero), the
-    quadratic part, and |Z|. Those, one (draws, d) noise buffer and a block
-    of the second draw, both reused by every pair, are what a run holds.
+    Each pair's ``draws`` deviations are folded into running statistics as
+    the pair ends: the quadratic part's count, mean and sum of squared
+    deviations, merged by the pairwise update of Chan, Golub & LeVeque
+    (1983); the sum and the sum of squares of the linear part over its
+    predicted standard deviation (pairs whose linear part is not identically
+    zero); and the largest |Z|, as many as the 95th and 99th percentiles read
+    (about ``pairs * draws / 20`` doubles, see ``UpperTail``). Those, one
+    (draws, d) noise buffer and a block of the second draw, both reused by
+    every pair, are what a run holds.
     """
     d, L, r, pairs, draws = (options[k] for k in ("d", "L", "r", "pairs", "draws"))
     sigma_w, scale = options["sigma_w"], options["effect_scale"]
@@ -675,12 +670,14 @@ def _run_concentration(options, seed):
     psi_norm = float(np.linalg.norm(frame.Psi, 2))
 
     total = pairs * draws
-    lin_unit = np.empty(total)
-    quad = np.empty(total)
-    abs_Z = np.empty(total)
     E = np.empty((draws, d))
     E_block = np.empty((min(_DRAW_BLOCK, draws), d))
+    quad = np.empty(draws)
+    abs_Z = np.empty(draws)
+    tail = UpperTail(total, 0.95)
     covered = [0] * len(deltas)
+    quad_mean = quad_m2 = 0.0
+    lin_sum = lin_sq = 0.0
     used = 0
     for p in range(pairs):
         rng = seed.stream("concentration", p, "pair")
@@ -701,20 +698,27 @@ def _run_concentration(options, seed):
             E[a : a + block.shape[0]] -= block
         P = E @ W
         lin = 2.0 * (P @ s)
-        own = slice(p * draws, (p + 1) * draws)
-        quad_p = quad[own]
-        np.einsum("ij,ij->i", P, P, out=quad_p)
-        quad_p -= frame.C_w
-        abs_Z_p = abs_Z[own]
-        np.add(lin, quad_p, out=abs_Z_p)
-        np.abs(abs_Z_p, out=abs_Z_p)
+        np.einsum("ij,ij->i", P, P, out=quad)
+        quad -= frame.C_w
+        np.add(lin, quad, out=abs_Z)
+        np.abs(abs_Z, out=abs_Z)
         for k, t in enumerate(deltas):
-            covered[k] += int(np.count_nonzero(abs_Z_p <= concentration_interval(params_tail, t, c_scale)))
+            covered[k] += int(np.count_nonzero(abs_Z <= concentration_interval(params_tail, t, c_scale)))
+        tail.add(abs_Z)
         lin_var = 8.0 * float(s @ params_tail.Psi @ s)
         if lin_var > 0.0:
-            np.divide(lin, math.sqrt(lin_var), out=lin_unit[used : used + draws])
+            lin /= math.sqrt(lin_var)
+            lin_sum += float(lin.sum())
+            lin_sq += float(lin @ lin)
             used += draws
-    lin_unit = lin_unit[:used]
+        # merge this pair's (draws, mean, M2) into the running (seen, mean,
+        # M2) of the pairs before it
+        pair_mean = float(quad.mean())
+        quad -= pair_mean
+        seen = p * draws
+        delta = pair_mean - quad_mean
+        quad_mean += delta * (draws / (seen + draws))
+        quad_m2 += float(quad @ quad) + delta * delta * (seen * draws / (seen + draws))
 
     coverage = [c / total for c in covered]
     rows = [
@@ -722,18 +726,15 @@ def _run_concentration(options, seed):
         for k in range(len(deltas))
     ]
 
-    # pooled component diagnostics on the same draws, each pool overwritten
-    # once it has been read
     if used:
-        lin_t = abs(float(lin_unit.mean())) * math.sqrt(used)
-        np.square(lin_unit, out=lin_unit)
-        var_ratio = float(lin_unit.mean())
+        lin_t = abs(lin_sum / used) * math.sqrt(used)
+        var_ratio = lin_sq / used
     else:
         # every pair drew two equal patterns: no linear part to test
         lin_t = var_ratio = None
-    quad_mean, quad_std = _pooled_mean_std(quad)
+    quad_std = math.sqrt(quad_m2 / (total - 1))
     quad_t = abs(quad_mean) / (quad_std / math.sqrt(total))
-    q95, q99 = (float(q) for q in np.quantile(abs_Z, (0.95, 0.99), overwrite_input=True))
+    q95, q99 = tail.quantiles((0.95, 0.99))
     q_ratio = q99 / q95
 
     failures = []
@@ -797,8 +798,7 @@ def _run_interaction(options, seed):
     W = top_eigenspace(build_scatter(ds0).Sb, r).frame.columns
     frame = bound_frame(W, A, params.Sigma_w)
 
-    rng_pairs = seed.stream("interaction", 0, "pairs")
-    pair_idx = [rng_pairs.choice(n, size=2, replace=False) for _ in range(pairs)]
+    pair_idx = _pair_indices(seed.stream("interaction", 0, "pairs"), n, pairs)
     # what a pair contributes at every alpha: its patterns, its budget, and
     # the label and interaction effects A delta and B (z_i - z_j)
     per_pair = []

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mlda import ConfigError
-from mlda.harness.aggregate import aggregate, slope_fit
+from mlda.harness.aggregate import UpperTail, aggregate, slope_fit
 from mlda.harness.config import DEFAULT_SEED, DEFAULTS, EXPERIMENTS, build_config
 from mlda.harness.experiments import run, write_report
 from mlda.errors import InvalidInput
@@ -421,6 +421,28 @@ def test_cli_hostile_config_exit_two(tmp_path, experiment, options):
     assert not (tmp_path / f"{experiment}.csv").exists()
 
 
+@pytest.mark.parametrize("experiment", ["rank", "all"])
+def test_cli_unwritable_output_exit_two(tmp_path, experiment):
+    # the directory cannot be made: a path under a regular file
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / "file" / "sub")
+    proc = _cli([experiment, "--out", out])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"mlda: cannot write reports to {out!r}: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    # nothing ran before the directory was tried
+    assert proc.stdout == ""
+
+
+def test_cli_failed_report_write_exit_two(tmp_path):
+    # the directory exists, but a directory stands where the report goes
+    (tmp_path / "rank.csv").mkdir()
+    proc = _cli(["rank", "--out", str(tmp_path)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"mlda: cannot write reports to {str(tmp_path)!r}: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def test_cli_convergence_beyond_the_old_column_cap_runs(tmp_path):
     # d = 501 exited 2 with "pass max_cols=None", a keyword no CLI user can
     # reach; now the run reports, whether or not its criterion passes
@@ -739,7 +761,7 @@ def test_factors_rescale_rejects_a_gap_ratio_off_by_a_millionth():
 
 
 # ---------------------------------------------------------------------------
-# trial loops: pooled concentration diagnostics, bounded peak memory
+# trial loops: concentration diagnostics over all draws, bounded peak memory
 # ---------------------------------------------------------------------------
 
 
@@ -747,7 +769,9 @@ def _concentration_oracle(options, seed):
     """The concentration statistics as first written: every pair's linear
     part, quadratic part and Z kept in lists, the second noise draw made in
     one call, and the pools concatenated once the loop ends. Also returns how
-    many pairs had no linear part and so were left out of the linear pool."""
+    many pairs had no linear part and so were left out of the linear pool,
+    and for each moment statistic how far two evaluations of it can differ
+    when each takes its sums in its own order (``_sum_bound`` on both)."""
     import math
 
     from mlda import bounds
@@ -784,15 +808,38 @@ def _concentration_oracle(options, seed):
     quad_all = np.concatenate(quad)
     abs_Z = np.abs(np.concatenate(Z))
     q95, q99 = (float(np.quantile(abs_Z, q)) for q in (0.95, 0.99))
+    used, total = lin_unit.size, quad_all.size
+    quad_std = float(quad_all.std(ddof=1))
+    t_quad = abs(float(quad_all.mean())) / (quad_std / math.sqrt(total))
+    # a merge of per-pair moments makes a few roundings per pair after its sums
+    merges = 4 * pairs
     return {
         "coverage": [sum(c[k] for c in covered) / (pairs * draws) for k in range(len(deltas))],
         "variance_ratio": float(np.mean(lin_unit ** 2)),
-        "t_linear_mean": abs(float(lin_unit.mean())) * math.sqrt(lin_unit.size),
-        "t_quad_mean": abs(float(quad_all.mean()))
-        / (float(quad_all.std(ddof=1)) / math.sqrt(quad_all.size)),
+        "t_linear_mean": abs(float(lin_unit.mean())) * math.sqrt(used),
+        "t_quad_mean": t_quad,
         "quantile_ratio_99_95": q99 / q95,
         "excluded": sum(1 for v in lin_var if not v > 0.0),
+        "bounds": {
+            "variance_ratio": 2 * _sum_bound(lin_unit ** 2, 3) / used,
+            "t_linear_mean": 2 * _sum_bound(lin_unit, 3) / math.sqrt(used),
+            # t = |mean| sqrt(N) / std: the error of the mean's sum, and half
+            # the relative error of the sum of squared deviations
+            "t_quad_mean": 2 * _sum_bound(quad_all, merges) / math.sqrt(total) / quad_std
+            + t_quad * _sum_bound((quad_all - quad_all.mean()) ** 2, merges)
+            / (quad_std ** 2 * (total - 1)),
+        },
     }
+
+
+def _sum_bound(x, extra):
+    """Forward-error bound gamma_k sum |x_i| of a floating-point sum of the
+    values ``x`` taken in any order (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 4.2), with k = x.size + ``extra``
+    counting the roundings made after the sum."""
+    u = np.finfo(float).eps / 2
+    k = x.size + extra
+    return k * u / (1 - k * u) * float(np.abs(x).sum())
 
 
 def _with_options(name, tmp_path, seed=DEFAULT_SEED, **changes):
@@ -825,7 +872,10 @@ def test_pooled_concentration_statistics_equal_the_concatenated_ones(tmp_path, s
     oracle = _concentration_oracle(cfg.options, Seed(seed))
     assert oracle.pop("excluded") == excluded
     assert [row["coverage"] for row in report.rows] == oracle.pop("coverage")
-    assert {key: report.summary[key] for key in oracle} == oracle
+    assert report.summary["quantile_ratio_99_95"] == oracle.pop("quantile_ratio_99_95")
+    # running sums per pair add in another order than one sum over the pool
+    for key, bound in oracle.pop("bounds").items():
+        assert abs(report.summary[key] - oracle[key]) <= bound, key
 
 
 def test_concentration_without_a_linear_part_fails_its_criterion(tmp_path):
@@ -855,25 +905,57 @@ def test_block_normal_draws_continue_one_draw(blocks):
     assert np.concatenate(parts).tobytes() == one.tobytes()
 
 
-@pytest.mark.parametrize("size", [2, 3, 100, 8192, 8193, 100_003])
-def test_pooled_mean_std_equals_numpy(size):
-    from mlda.harness.experiments import _pooled_mean_std
+@pytest.mark.parametrize(
+    "chunks",
+    [
+        # one pair at the fewest draws a config allows
+        [np.random.default_rng(1).standard_normal(100)],
+        # N = 101: (N - 1) * 0.95 is exactly 95, so the 95th percentile is a value
+        np.array_split(np.random.default_rng(2).standard_normal(101), 3),
+        # heavy ties, across and inside chunks
+        np.array_split(np.round(np.random.default_rng(3).exponential(size=3000), 1), 7),
+        # every value equal
+        [np.full(400, 2.5), np.full(400, 2.5)],
+    ],
+)
+def test_upper_tail_quantiles_equal_numpy(chunks):
+    values = np.concatenate(chunks)
+    qs = (0.95, 0.97, 0.99, 0.999)
+    want = [float(v) for v in np.quantile(values, qs)]
+    # the chunks merged in several orders keep the same tail
+    for order in ([*range(len(chunks))], [*reversed(range(len(chunks)))],
+                  list(np.random.default_rng(0).permutation(len(chunks)))):
+        tail = UpperTail(values.size, 0.95)
+        for i in order:
+            tail.add(chunks[i])
+        assert tail.quantiles(qs) == want
 
-    x = np.random.default_rng(size).standard_normal(size) * 3.0 + 0.25
-    want = (float(x.mean()), float(x.std(ddof=1)))
-    assert _pooled_mean_std(x.copy()) == want
+
+def test_upper_tail_reads_only_a_full_stream():
+    tail = UpperTail(300, 0.95)
+    tail.add(np.arange(200.0))
+    with pytest.raises(InvalidInput, match="200 of its 300"):
+        tail.quantiles((0.95,))
 
 
-def test_concentration_peak_memory_is_its_three_pools(tmp_path):
+def test_concentration_peak_memory_is_its_noise_buffer_and_tail(tmp_path):
     from tests.conftest import peak_bytes
 
-    pairs, draws = 20, 5000
-    cfg = _with_options("concentration", tmp_path, pairs=pairs, draws=draws)
-    d = cfg.options["d"]
-    # three pools of pairs * draws doubles, one (draws, d) noise draw and as
-    # much again for its product and temporaries, plus 1 MB
-    bound = 3 * pairs * draws * 8 + 2 * draws * d * 8 + 2 ** 20
-    assert peak_bytes(lambda: run(cfg)) <= bound
+    draws = 5000
+
+    def peak(pairs):
+        cfg = _with_options("concentration", tmp_path, pairs=pairs, draws=draws)
+        return peak_bytes(lambda: run(cfg)), UpperTail(pairs * draws, 0.95).size
+
+    d = DEFAULTS["concentration"]["d"]
+    small, tail_small = peak(10)
+    large, tail_large = peak(40)
+    # one (draws, d) noise draw and as much again for its product and
+    # temporaries, two tails of |Z| (and two pairs' draws) while a pair is
+    # merged in, plus 1 MB
+    assert large <= 2 * draws * d * 8 + 2 * tail_large * 8 + 2 ** 20
+    # only the tail grows with the number of pairs
+    assert large - small <= 2 * (tail_large - tail_small) * 8
 
 
 def test_convergence_peak_memory_is_the_largest_signal_plus_one_trial(tmp_path):
