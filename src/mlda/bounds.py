@@ -24,7 +24,9 @@ depends on them: delta = y_i - y_j, d_H, d_J, s = (W^T A) delta, the
 support-restricted singular values when asked for, the tail parameters
 (V, B) from ||s||, ||z_i - z_j|| and the widenings. The module-level
 ``distance_budget``, ``tail_params`` and ``interaction_bound`` build a frame
-for a single pair.
+for a single pair. A property of the frame as a whole, such as the identity
+Psi = (I_r - W^T Sb_pop W) / K_pop of a total-scatter-orthogonal W, is
+checked by whoever built W, once, not by the pair bounds.
 """
 
 import math
@@ -33,7 +35,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .discriminant import _theta_checked
 from .errors import DegenerateNoise, InvalidInput, check
 from .synth import pair_products
 from .spectral import _all_binary, sym_eigvals, symmetrize
@@ -185,32 +186,24 @@ class TailParams:
     """Hanson-Wright tail parameters of the projected-distance deviation.
 
     B_tail = 4 ||Psi||_2 and V^2 = 16 ||s||^2 ||Psi||_2 + 32 ||Psi||_F^2 with
-    Psi = W^T Sigma_w W and s the projected signal difference. When the frame
-    is total-scatter-orthogonal for the population, Psi additionally equals
-    (I_r - W^T Sb_pop W) / K_pop; ``psi_identity_defect``/``theta`` report
-    that check when the population context is supplied.
+    Psi = W^T Sigma_w W and s the projected signal difference; Psi is the
+    frame's, shared by every pair.
     """
 
     Psi: np.ndarray
     B_tail: float
     V_ij: float
     signal: float
-    psi_identity_defect: float = None
-    theta: np.ndarray = None
 
 
-def tail_params(W, A, y_i, y_j, Sigma_w, pop=None):
-    """Tail parameters (V, B) for one pair, optionally checking the
-    total-scatter-orthogonality identity for Psi.
+def tail_params(W, A, y_i, y_j, Sigma_w):
+    """Tail parameters (V, B) for one pair.
 
-    Parameters
-    ----------
-    pop : PopulationScatters, optional
-        When given, W is taken to satisfy W^T St_ml_pop W = I_r; the identity
-        Psi = (I_r - W^T Sb_pop W) / K_pop is verified to 1e-8 and the
-        projected between-scatter spectrum theta (all in [0, 1)) is attached.
+    Only s depends on the pair; Psi, ||Psi||_2 and ||Psi||_F come from the
+    frame. Many pairs under one (W, A, Sigma_w) should share one
+    ``bound_frame``.
     """
-    return bound_frame(W, A, Sigma_w).tail_params(y_i, y_j, pop)
+    return bound_frame(W, A, Sigma_w).tail_params(y_i, y_j)
 
 
 def concentration_interval(params, delta_prob, c_scale=1.0):
@@ -271,7 +264,7 @@ class BoundFrame:
 
     Attributes
     ----------
-    W, A : validated float arrays; Sigma_w and B_inter likewise, or None.
+    W, A : validated float arrays; B_inter likewise, or None.
     T : W^T A (read-only), with sigma_min/sigma_max its extreme singular
         values as a map on its full domain.
     Psi : symmetrize(W^T Sigma_w W) (read-only); C_w = 2 tr(Psi), psi_2 its
@@ -285,7 +278,6 @@ class BoundFrame:
     T: np.ndarray
     sigma_min: float
     sigma_max: float
-    Sigma_w: np.ndarray = None
     Psi: np.ndarray = None
     C_w: float = None
     psi_2: float = None
@@ -348,33 +340,15 @@ class BoundFrame:
             sigma_max=smax,
         )
 
-    def tail_params(self, y_i, y_j, pop=None):
+    def tail_params(self, y_i, y_j):
         """``tail_params`` for one pair (see the module-level function)."""
         self._require_noise()
         y_i, y_j = self._patterns(y_i, y_j)
         s = self.T @ (y_i - y_j)
         signal = float(s @ s)
-        Psi, psi_2 = self.Psi, self.psi_2
-        B_tail = 4.0 * psi_2
+        psi_2 = self.psi_2
         V_ij = float(np.sqrt(16.0 * signal * psi_2 + 32.0 * self.psi_F ** 2))
-
-        defect = None
-        theta = None
-        if pop is not None:
-            W = self.W
-            r = W.shape[1]
-            # Sw_pop = K_pop * Sigma_w, so the expected cardinality is a trace ratio
-            K_pop = float(np.trace(pop.Sw_pop) / np.trace(self.Sigma_w))
-            Wb = symmetrize(W.T @ pop.Sb_pop @ W)
-            target = (np.eye(r) - Wb) / K_pop
-            defect = float(np.linalg.norm(Psi - target))
-            # a frame that is not total-scatter-orthogonal for pop fails here
-            check("Psi identity defect", defect, 1e-8 * max(1.0, np.linalg.norm(target)))
-            theta = _theta_checked(sym_eigvals(Wb))
-        return TailParams(
-            Psi=Psi, B_tail=B_tail, V_ij=V_ij, signal=signal,
-            psi_identity_defect=defect, theta=theta,
-        )
+        return TailParams(Psi=self.Psi, B_tail=4.0 * psi_2, V_ij=V_ij, signal=signal)
 
     def interaction_bound(self, y_i, y_j, constraint="none", st_min_eig=None):
         """``interaction_bound`` for one pair (see the module-level function)."""
@@ -436,7 +410,6 @@ def bound_frame(W, A, Sigma_w=None, B_inter=None):
         Psi = symmetrize(W.T @ Sigma_w @ W)
         Psi.flags.writeable = False
         noise = dict(
-            Sigma_w=Sigma_w,
             Psi=Psi,
             C_w=float(2.0 * np.trace(Psi)),
             psi_2=float(np.abs(sym_eigvals(Psi)).max()),

@@ -29,7 +29,6 @@ from .errors import (
 from .spectral import (
     RECON_TOL,
     Frame,
-    _as_float_matrix,
     numeric_rank,
     principal_angle_sin,
     sym_eig,
@@ -414,9 +413,8 @@ class RegularizationRow:
 def regularization_report(ss, gammas, r):
     """Ridge sweep: rank of Sb, condition of Sw + gamma I, TD gap at r.
 
-    The between-scatter rank never depends on gamma; it is counted from the
-    factor M of Sb = M M^T, whose squared singular values are those of Sb,
-    above ``ss.sb_rank_cutoff``, the cutoff ``rank_analysis`` applies to Sb. The
+    The between-scatter rank never depends on gamma; each row reports
+    ``ss.rank_sb``, the count ``rank_analysis`` reads too. The
     trace-difference matrix C = 2 Sb - St_ml merely shifts by -gamma I, so
     its gap at any cut is unchanged (each row recomputes it from a fresh
     eigenvalue solve as a check); the condition number strictly improves as
@@ -431,12 +429,11 @@ def regularization_report(ss, gammas, r):
     whose lifts Q S_q Q^T (Q = ``ss.range_basis``) are the d x d fields (see
     ``mlda.scatter``): C - gamma I has the eigenvalues of Cq - gamma I_n,
     with Cq = 2 Sb_q - St_ml_q, and d - n more equal to -gamma; Sw has those
-    of Sw_q and d - n zeros; M = Q M_q has the singular values of M_q. It
-    first checks that the d x d fields are still those lifts ("range
-    compression", InvariantViolation): Q must have n columns, and C, Sw and
-    M the Frobenius norm and (C and Sw) the trace of Cq, Sw_q and M_q, to
-    the tolerance of ``sym_eigvals``. Without ``range_basis`` or ``on_range``
-    every solve is d x d.
+    of Sw_q and d - n zeros. It first checks that the d x d fields are
+    still those lifts ("range compression", InvariantViolation): Q must
+    have n columns, and C and Sw the Frobenius norm and the trace of Cq and
+    Sw_q, to the tolerance of ``sym_eigvals``. Without ``range_basis`` or
+    ``on_range`` every solve is d x d.
 
     A gamma so large that ||C - gamma I||_F^2 could overflow is rejected as
     InvalidInput before the sweep starts.
@@ -470,10 +467,9 @@ def regularization_report(ss, gammas, r):
     if sq is not ss:
         check("range compression: basis shape mismatch", int(Q.shape != (d, m)), 0)
         Cq = 2.0 * sq.Sb - sq.St_ml
-        for name, S, S_q in (("C", C, Cq), ("Sw", ss.Sw, sq.Sw), ("M", ss.M, sq.M)):
-            _check_lift(name, S, S_q)
-    sv2 = np.linalg.svd(_as_float_matrix(sq.M, "M"), compute_uv=False) ** 2
-    rank_sb = int(np.count_nonzero(sv2 > ss.sb_rank_cutoff))
+        _check_lift("C", C, Cq)
+        _check_lift("Sw", ss.Sw, sq.Sw)
+    rank_sb = ss.rank_sb
     sw_vals = sym_eigvals(sq.Sw)
     lam_min, lam_max = float(sw_vals[-1]), float(sw_vals[0])
     if zeros:
@@ -507,8 +503,8 @@ def regularization_report(ss, gammas, r):
 
 def _check_lift(name, S, Sq):
     """Raise InvariantViolation ("range compression") unless the d-space
-    matrix S has the Frobenius norm and, when square, the trace of its
-    counterpart Sq on the range, within ``RECON_TOL * max(1, ||S||_F)``.
+    matrix S has the Frobenius norm and the trace of its counterpart Sq on
+    the range, within ``RECON_TOL * max(1, ||S||_F)``.
 
     A lift Q Sq Q^T with orthonormal Q keeps both: they are the invariants
     sum(lambda) and sqrt(sum(lambda^2)) that ``sym_eigvals`` checks, so the
@@ -516,7 +512,5 @@ def _check_lift(name, S, Sq):
     anywhere fails it.
     """
     norm = np.linalg.norm(S)
-    defect = abs(norm - np.linalg.norm(Sq))
-    if S.shape[0] == S.shape[1]:
-        defect = max(defect, abs(np.trace(S) - np.trace(Sq)))
+    defect = max(abs(norm - np.linalg.norm(Sq)), abs(np.trace(S) - np.trace(Sq)))
     check(f"range compression: {name} lift invariant defect", defect, RECON_TOL * max(1.0, norm))

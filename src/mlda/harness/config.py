@@ -8,6 +8,7 @@ trials run, and hashed so outputs can be traced to the exact settings.
 
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -291,8 +292,6 @@ _DOMAIN = {
     "deltas": ((lambda v: 0 < v < 1), "in (0, 1)"),
 }
 
-_OPTIONAL = {"expect_rank", "expect_excess"}  # a rank row may leave these out
-
 
 def _typed(value, default, where, key=None):
     """``value`` checked against the type of ``default``, its counterpart in
@@ -307,7 +306,7 @@ def _typed(value, default, where, key=None):
         if type(value) is not dict:
             raise ConfigError(f"{where} must be a JSON object, got {value!r}")
         unknown = sorted(value.keys() - default.keys())
-        missing = sorted(default.keys() - value.keys() - _OPTIONAL)
+        missing = sorted(default.keys() - value.keys())
         if unknown or missing:
             name = (unknown or missing)[0]
             raise ConfigError(f"{where}: {'unknown' if unknown else 'missing'} option {name!r}")
@@ -438,8 +437,8 @@ def load_config_file(path):
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config {path!r} is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path!r} must hold a JSON object")
     return data
@@ -485,6 +484,9 @@ def build_config(
     out_dir = out_dir if out_dir is not None else file_data.get("out_dir", "results")
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2 ** 64:
         raise ConfigError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    # a file's out_dir is a JSON value; a caller may also pass a path object
+    if not isinstance(out_dir, (str, os.PathLike)) or not os.fspath(out_dir):
+        raise ConfigError(f"out_dir must be a non-empty string, got {out_dir!r}")
 
     if trials is not None:
         if experiment == "all":
@@ -501,6 +503,6 @@ def build_config(
     return ExperimentConfig(
         experiment=experiment,
         seed=seed,
-        out_dir=str(out_dir),
+        out_dir=os.fspath(out_dir),
         options=options,
     )

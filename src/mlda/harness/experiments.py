@@ -22,6 +22,7 @@ import numpy as np
 
 from ..bounds import bound_frame, concentration_interval, jaccard_lower
 from ..discriminant import (
+    _theta_checked,
     commutativity_defect,
     davis_kahan_check,
     opt_stml,
@@ -30,10 +31,10 @@ from ..discriminant import (
     top_eigenspace,
     trace_ratio_stiefel,
 )
-from ..errors import ConfigError
+from ..errors import ConfigError, check
 from ..population import gamma_norm, gaps, isotropic_params, population_scatters
 from ..scatter import build_dataset, build_scatter, rank_analysis
-from ..spectral import orthonormalize, principal_angle_sin, sym_eig
+from ..spectral import orthonormalize, principal_angle_sin, sym_eig, sym_eigvals, symmetrize
 from ..synth import LabelScheme, Seed, gen_data, gen_labels, pair_products, scheme_distribution
 from ..synth import _draw_cardinalities
 from .aggregate import UpperTail, aggregate, slope_fit
@@ -240,13 +241,8 @@ def _run_rank(options, seed):
         n, d, L = row_cfg["n"], row_cfg["d"], row_cfg["L"]
         _, ds = _instance(seed, "rank", idx, scheme, n, d, L, options["effect_scale"], options["sigma_w"])
         report = rank_analysis(ds, build_scatter(ds))
-        expect_rank = row_cfg.get("expect_rank")
-        expect_excess = row_cfg.get("expect_excess")
-        ok = True
-        if expect_rank is not None:
-            ok = ok and report.rank_sb == expect_rank
-        if expect_excess is not None:
-            ok = ok and report.excess == expect_excess
+        expect_rank, expect_excess = row_cfg["expect_rank"], row_cfg["expect_excess"]
+        ok = report.rank_sb == expect_rank and report.excess == expect_excess
         if not ok:
             failures.append(
                 f"row {idx} ({row_cfg['setting']}): rank {report.rank_sb}, "
@@ -297,7 +293,7 @@ def _run_divergence(options, seed):
             # rounding dust) would compare one flavor of noise with another.
             # ||C0||_2 is read off the ends of the spectrum ``ref`` solved.
             norm_c0 = float(max(abs(ref.values[0]), abs(ref.values[-1])))
-            pert = float(np.linalg.norm(ss.R, 2)) + 32.0 * np.finfo(float).eps * norm_c0
+            pert = float(np.abs(sym_eigvals(ss.R)).max()) + 32.0 * np.finfo(float).eps * norm_c0
             dk = davis_kahan_check(td.frame, ref.frame, pert, ref.gap)
             tr = trace_ratio_stiefel(ss.Sb, ss.Sw, r)
             angle_tr = principal_angle_sin(td.frame, tr.frame)
@@ -643,6 +639,11 @@ _DRAW_BLOCK = 1000
 def _run_concentration(options, seed):
     """Coverage of the concentration interval, with diagnostics over all draws.
 
+    The population frame W is checked once, before any pair: W^T St_ml_pop W
+    = I must make Psi = W^T Sigma_w W equal (I - W^T Sb_pop W) / K_pop to
+    1e-8 (relative to the right side, "Psi identity defect"), and its theta
+    must lie in [0, 1); the pairs then do only pair work.
+
     Each pair's ``draws`` deviations are folded into running statistics as
     the pair ends: the quadratic part's count, mean and sum of squared
     deviations, merged by the pairwise update of Chan, Golub & LeVeque
@@ -665,9 +666,12 @@ def _run_concentration(options, seed):
     whitened = opt_stml(pop.Sb_pop, pop.St_ml_pop, r)
     W = whitened.columns
     frame = bound_frame(W, A, params.Sigma_w)
+    # the frame's identity and theta, checked once for every pair
+    target = (np.eye(r) - symmetrize(W.T @ pop.Sb_pop @ W)) / dist.K_pop
+    defect = float(np.linalg.norm(frame.Psi - target))
+    check("Psi identity defect", defect, 1e-8 * max(1.0, np.linalg.norm(target)))
+    _theta_checked(whitened.theta)
     lam_min_st = float(whitened.st_values[-1])
-    # Psi = W^T Sigma_w W is the same for every pair
-    psi_norm = float(np.linalg.norm(frame.Psi, 2))
 
     total = pairs * draws
     E = np.empty((draws, d))
@@ -683,7 +687,7 @@ def _run_concentration(options, seed):
         rng = seed.stream("concentration", p, "pair")
         y_i = _draw_pattern(scheme, L, rng)
         y_j = _draw_pattern(scheme, L, rng)
-        params_tail = frame.tail_params(y_i, y_j, pop=pop)
+        params_tail = frame.tail_params(y_i, y_j)
         s = W.T @ (A @ (y_i - y_j).astype(float))
         rng_draws = seed.stream("concentration", p, "draws")
         # sigma_w * e and e * sigma_w round alike, so scaling in place is
@@ -752,7 +756,7 @@ def _run_concentration(options, seed):
             failures.append(f"component means not centered: t_lin={lin_t:.2f}, t_quad={quad_t:.2f}")
     if not q_ratio <= options["quantile_ratio_max"]:
         failures.append(f"99th/95th deviation ratio {q_ratio:.3f} exceeds {options['quantile_ratio_max']}")
-    if not psi_norm <= (1.0 + 1e-10) / lam_min_st:
+    if not frame.psi_2 <= (1.0 + 1e-10) / lam_min_st:
         failures.append("||Psi||_2 exceeded 1/lambda_min of the population total scatter")
 
     summary = {
@@ -870,9 +874,6 @@ def _run_regularization(options, seed):
         reports.append(regularization_report(build_scatter(ds), gammas, r))
 
     ranks = {row.rank_sb for rep in reports for row in rep}
-    gap_devs = [
-        max(abs(row.gap_td - rep[0].gap_td) for row in rep) for rep in reports
-    ]
 
     rows = []
     medians = []
@@ -902,13 +903,14 @@ def _run_regularization(options, seed):
         failures.append("gamma=0 did not flag an infinite condition number")
     if not all(lo <= q <= hi for q in ratios):
         failures.append(f"consecutive kappa ratios {ratios} outside [{lo}, {hi}]")
-    if not max(gap_devs) <= gap_tol:
-        failures.append(f"trace-difference gap moved by {max(gap_devs):.3g} across ridges")
+    gap_dev = max(row["max_gap_dev"] for row in rows)
+    if not gap_dev <= gap_tol:
+        failures.append(f"trace-difference gap moved by {gap_dev:.3g} across ridges")
 
     summary = {
         "kappa_medians": medians,
         "kappa_ratios": ratios,
-        "max_gap_deviation": max(gap_devs),
+        "max_gap_deviation": gap_dev,
     }
     return rows, failures, summary
 

@@ -46,6 +46,7 @@ docstring).
 """
 
 import csv
+import io
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -278,6 +279,10 @@ class ScatterSet:
         Q S_q Q^T, St_ml = Sb + Sw, R = St_ml - St and M = Q M_q, so a
         d x d problem on these matrices reduces to an n x n one (see
         ``regularization_report``). None when n >= d.
+
+    ``rank_sb`` is the one count of rank(Sb), which ``rank_analysis`` and
+    ``regularization_report`` both read: the singular values of Sb (of
+    ``on_range.Sb`` when n < d) above ``sb_rank_cutoff``.
     """
 
     Sb: np.ndarray
@@ -298,6 +303,14 @@ class ScatterSet:
         carries every label, so all label means coincide with the global
         mean)."""
         return self.Sb.shape[0] * np.finfo(float).eps * max(self.st_ml_norm, 1e-300)
+
+    @property
+    def rank_sb(self):
+        """rank(Sb): its singular values above ``sb_rank_cutoff``, counted
+        on ``on_range.Sb`` when n < d (a lift Q S_q Q^T has the nonzero
+        singular values of S_q), else on Sb itself."""
+        Sb = self.Sb if self.on_range is None else self.on_range.Sb
+        return numeric_rank(Sb, tol=self.sb_rank_cutoff)
 
 
 def _rel_defect(lhs, rhs, scale=0.0):
@@ -511,7 +524,7 @@ def rank_analysis(ds, ss=None):
     eps = np.finfo(float).eps
     sigma_x = np.linalg.norm(_as_float_matrix(ds.X_centered, "X_centered"), 2)
     sigma_y = np.linalg.norm(Y, 2)
-    rank_sb = numeric_rank(ss.Sb, tol=ss.sb_rank_cutoff)
+    rank_sb = ss.rank_sb
     rank_XtY = numeric_rank(
         ds.X_centered.T @ Y, tol=max(ds.d, labels.L) * eps * sigma_x * sigma_y
     )
@@ -579,20 +592,24 @@ def save_dataset_csv(ds, features_path, labels_path):
 
 
 def _read_numeric_csv(path, name):
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInput(f"cannot read {name} CSV {path!r}: {exc}") from exc
     rows = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise InvalidInput(f"{name} CSV line {lineno}: {exc}") from exc
-            if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-                raise InvalidInput(
-                    f"{name} CSV line {lineno}: expected {len(rows[0])} columns, "
-                    f"got {len(rows[-1])}"
-                )
+    for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        if not row:
+            continue
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise InvalidInput(f"{name} CSV line {lineno}: {exc}") from exc
+        if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
+            raise InvalidInput(
+                f"{name} CSV line {lineno}: expected {len(rows[0])} columns, "
+                f"got {len(rows[-1])}"
+            )
     if not rows:
         raise InvalidInput(f"{name} CSV {path} is empty")
     return np.asarray(rows)

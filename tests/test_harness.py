@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import mlda
 from mlda import ConfigError
 from mlda.harness.aggregate import UpperTail, aggregate, slope_fit
 from mlda.harness.config import DEFAULT_SEED, DEFAULTS, EXPERIMENTS, build_config
@@ -146,6 +147,43 @@ def test_config_errors(tmp_path):
     for trials in (0, -1, True):  # the --trials override is validated like the file
         with pytest.raises(ConfigError, match="trials"):
             build_config("divergence", None, None, None, trials)
+
+
+def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError, match="not valid UTF-8 JSON"):
+        build_config("rank", str(path), None, None, None)
+    proc = _cli(["rank", "--config", str(path), "--out", str(tmp_path)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("mlda: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("out_dir", [None, ["a"], "", 5, True, {"dir": "a"}])
+def test_config_file_out_dir_must_be_a_non_empty_string(tmp_path, out_dir):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"experiment": "rank", "out_dir": out_dir}))
+    with pytest.raises(ConfigError, match="out_dir must be a non-empty string"):
+        build_config("rank", str(path), None, None, None)
+    # the command line neither writes reports nor makes a directory
+    package_root = os.path.dirname(os.path.dirname(mlda.__file__))
+    proc = _cli(["rank", "--config", str(path)], {"PYTHONPATH": package_root}, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert sorted(os.listdir(tmp_path)) == ["bad.json"]
+
+
+def test_config_out_dir_keeps_a_path_object(tmp_path):
+    assert build_config("rank", out_dir=tmp_path).out_dir == str(tmp_path)
+
+
+@pytest.mark.parametrize("key", ["expect_rank", "expect_excess"])
+def test_rank_row_needs_both_expectations(tmp_path, key):
+    row = dict(DEFAULTS["rank"]["rows"][0])
+    del row[key]
+    path = tmp_path / "rank.json"
+    path.write_text(json.dumps({"experiment": "rank", "rows": [row]}))
+    with pytest.raises(ConfigError, match=rf"rows\[0\]: missing option '{key}'"):
+        build_config("rank", str(path), None, None, None)
 
 
 def test_all_config_restricted(tmp_path):
@@ -793,7 +831,7 @@ def _concentration_oracle(options, seed):
     for p in range(pairs):
         rng = seed.stream("concentration", p, "pair")
         y_i, y_j = _draw_pattern(scheme, L, rng), _draw_pattern(scheme, L, rng)
-        tail = frame.tail_params(y_i, y_j, pop=pop)
+        tail = frame.tail_params(y_i, y_j)
         s = W.T @ (A @ (y_i - y_j).astype(float))
         rng_draws = seed.stream("concentration", p, "draws")
         E = sigma_w * rng_draws.standard_normal((draws, d)) - sigma_w * rng_draws.standard_normal((draws, d))

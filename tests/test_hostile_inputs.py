@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from mlda import (
+    InvalidInput,
     MldaError,
     build_dataset,
     build_labels,
@@ -19,6 +20,7 @@ from mlda import (
     gaps,
     isotropic_params,
     label_moments,
+    load_dataset_csv,
     opt_stml,
     opt_td,
     population_scatters,
@@ -133,12 +135,28 @@ def test_every_entry_point_returns_or_raises_an_mlda_error(hostile):
 
 @pytest.mark.parametrize("n, d", [(30, 4), (40, 8), (20, 60)])
 def test_every_label_has_rank_zero_at_both_entry_points(n, d):
-    # every label mean is the global mean, so Sb is exactly 0; the ridge
-    # report counts sigma(M)^2 with rank_analysis's cutoff, above the
-    # rounding dust of M's column sums
+    # every label mean is the global mean, so Sb is exactly 0; both entry
+    # points read the one count ``ScatterSet.rank_sb``
     rng = np.random.default_rng(20260816)
     ds = build_dataset(rng.standard_normal((n, d)), build_labels(np.ones((n, 3), dtype=np.int64)))
     ss = build_scatter(ds)
     assert not ss.Sb.any()
     assert rank_analysis(ds, ss).rank_sb == 0
     assert {row.rank_sb for row in regularization_report(ss, [0.0, 1.0], 1)} == {0}
+
+
+@pytest.mark.parametrize("broken", ["features", "labels"])
+@pytest.mark.parametrize("fault", ["not utf-8", "missing", "a directory"])
+def test_unreadable_csv_is_invalid_input(tmp_path, broken, fault):
+    paths = {name: tmp_path / f"{name}.csv" for name in ("features", "labels")}
+    paths["features"].write_text("1.0,2.0\n3.0,4.5\n-1.0,0.5\n")
+    paths["labels"].write_text("1,0\n0,1\n1,1\n")
+    load_dataset_csv(paths["features"], paths["labels"])
+    path = paths[broken]
+    path.unlink()
+    if fault == "not utf-8":
+        path.write_bytes(b"\xff\xfe1,0\n")
+    elif fault == "a directory":
+        path.mkdir()
+    with pytest.raises(InvalidInput, match=f"cannot read {broken} CSV"):
+        load_dataset_csv(paths["features"], paths["labels"])

@@ -687,7 +687,7 @@ def test_tall_build_and_ridge_report_issue_the_same_calls(rng, monkeypatch):
         vec, mat = ("norm", (d,), None), ("norm", (d, d), None)
         solve = [("eigvalsh", (d, d)), mat, vec]  # sym_eigvals and its two invariants
         want = [vec] + [mat] * 7 + solve + [mat, ("cholesky", (d, d))] * 3
-        want += [mat, ("svd", (d, L))] + solve * (1 + len(gammas))
+        want += [mat, ("svd", (d, d))] + solve * (1 + len(gammas))
         assert calls == want, (n, d)
         monkeypatch.undo()
 

@@ -417,6 +417,104 @@ def test_only_spectral_calls_a_numpy_eigensolver():
 
 
 # ---------------------------------------------------------------------------
+# one route per derived quantity: the harness reads spectra, norms and ranks
+# off the library, and the pair bounds take nothing from the solvers
+# ---------------------------------------------------------------------------
+
+_SPECTRAL_SOLVES = _EIGENSOLVERS | {"svd", "svdvals", "matrix_rank"}
+
+
+def _ord_value(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        value = _ord_value(node.operand)
+        return None if value is None else -value
+    return node.value if isinstance(node, ast.Constant) else None
+
+
+def _called_name(call):
+    return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+
+def _spectral_solve_uses(source):
+    """Line numbers where ``source`` names a numpy eigensolver, SVD or
+    matrix rank (as an attribute or an import), or calls ``norm`` with ord
+    2 or -2, the matrix 2-norms that an SVD computes."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _SPECTRAL_SOLVES:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(a.name in _SPECTRAL_SOLVES for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and _called_name(node) == "norm":
+            ords = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+            if any(_ord_value(o) in (2, -2) for o in ords):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_spectral_solve_scan_sees_every_spelling():
+    for source in (
+        "import numpy as np\nnp.linalg.svd(M, compute_uv=False)",
+        "from numpy.linalg import matrix_rank",
+        "import numpy as np\nnp.linalg.norm(R, 2)",
+        "import numpy.linalg as la\nla.norm(R, ord=2.0)",
+        "from numpy.linalg import norm\nnorm(R, -2)",
+        "import numpy as np\nnp.linalg.eigvalsh(S)",
+    ):
+        assert _spectral_solve_uses(source), source
+    for source in (
+        "import numpy as np\nnp.linalg.norm(R)",
+        "import numpy as np\nnp.linalg.norm(R, 'fro')",
+        "import numpy as np\nnp.linalg.norm(v, ord=1)",
+        "import numpy as np\nnp.linalg.qr(M)",
+        "from ..spectral import sym_eigvals\nabs(sym_eigvals(R)).max()",
+    ):
+        assert not _spectral_solve_uses(source), source
+
+
+def test_harness_calls_no_numpy_spectral_solve():
+    harness = pathlib.Path(mlda.__file__).parent / "harness"
+    modules = sorted(harness.glob("*.py"))
+    assert harness / "experiments.py" in modules
+    offenders = {
+        path.name: lines
+        for path in modules
+        for lines in [_spectral_solve_uses(path.read_text(encoding="utf-8"))]
+        if lines
+    }
+    assert offenders == {}
+
+
+def _discriminant_imports(source):
+    """Line numbers where ``source`` imports from ``discriminant`` (any
+    package spelling, relative or absolute) or imports the module itself."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            if module[-1] == "discriminant" or any(a.name == "discriminant" for a in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(
+            a.name.split(".")[-1] == "discriminant" for a in node.names
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_bounds_imports_nothing_from_discriminant():
+    for source in (
+        "from .discriminant import _theta_checked",
+        "from mlda.discriminant import opt_stml",
+        "from . import discriminant",
+        "import mlda.discriminant",
+    ):
+        assert _discriminant_imports(source), source
+    assert not _discriminant_imports("from .spectral import sym_eigvals\nfrom .errors import check")
+    source = (pathlib.Path(mlda.__file__).parent / "bounds.py").read_text(encoding="utf-8")
+    assert _discriminant_imports(source) == []
+
+
+# ---------------------------------------------------------------------------
 # one check route: numeric invariants raise only through errors.check
 # ---------------------------------------------------------------------------
 
