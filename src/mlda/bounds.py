@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateNoise, InvalidInput, check
+from .errors import DegenerateNoise, InvalidInput, check, count
 from .synth import pair_products
 from .spectral import _all_binary, sym_eigvals, symmetrize
 
@@ -147,8 +147,7 @@ def snr(budget, r, Sigma_w):
     """
     if budget.C_w <= 0:
         raise DegenerateNoise("C_w = 0: signal-to-noise ratio undefined")
-    if r < 1:
-        raise InvalidInput(f"r must be >= 1, got {r}")
+    r = count("r", r)
     lam = sym_eigvals(Sigma_w)
     lam_min, lam_max = float(lam[-1]), float(lam[0])
     lower = (budget.sigma_min ** 2) * budget.d_H / (2.0 * r * lam_max) if lam_max > 0 else np.inf

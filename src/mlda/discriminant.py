@@ -25,6 +25,7 @@ from .errors import (
     NotConverged,
     SingularTotalScatter,
     check,
+    count,
 )
 from .spectral import (
     RECON_TOL,
@@ -172,10 +173,10 @@ class EigenspaceResult:
 
 def top_eigenspace(C, r):
     """Deterministic top-r eigenspace of a symmetric matrix."""
+    C = symmetrize(C)
+    d = C.shape[0]
+    r = count("r", r, high=d)
     ep = sym_eig(C)
-    d = ep.values.size
-    if not 1 <= r <= d:
-        raise InvalidInput(f"need 1 <= r <= d={d}, got r={r}")
     gap = float(ep.values[r - 1] - ep.values[r]) if r < d else np.inf
     return EigenspaceResult(
         frame=ep.top(r),
@@ -233,8 +234,7 @@ def opt_stml(Sb, St_total, r, gamma=0.0):
     Sb = symmetrize(Sb)
     St = symmetrize(St_total)
     d = St.shape[0]
-    if not 1 <= r <= d:
-        raise InvalidInput(f"need 1 <= r <= d={d}, got r={r}")
+    r = count("r", r, high=d)
     St_g = St + gamma * np.eye(d)
     ep = sym_eig(St_g)
     if ep.values[0] <= 0 or ep.values[-1] <= SINGULAR_FLOOR * ep.values[0]:
@@ -286,10 +286,8 @@ def trace_ratio_stiefel(Sb, Sw, r, max_iter=500):
     d = Sb.shape[0]
     if Sw.shape != Sb.shape:
         raise InvalidInput(f"shape mismatch: Sb {Sb.shape} vs Sw {Sw.shape}")
-    if not 1 <= r <= d:
-        raise InvalidInput(f"need 1 <= r <= d={d}, got r={r}")
-    if max_iter < 1:
-        raise InvalidInput(f"max_iter must be >= 1, got {max_iter}")
+    r = count("r", r, high=d)
+    max_iter = count("max_iter", max_iter)
     scale = max(np.linalg.norm(Sb), np.linalg.norm(Sw))
     if scale <= 0:
         raise InvalidInput("both scatters vanish")
@@ -449,8 +447,7 @@ def regularization_report(ss, gammas, r):
     C = 2.0 * ss.Sb
     C -= ss.St_ml
     d = C.shape[0]
-    if not 1 <= r < d:
-        raise InvalidInput(f"need 1 <= r < d={d}, got r={r}")
+    r = count("r", r, high=d - 1)
     # ||C - gamma I||_F <= ||C||_F + sqrt(d) gamma; keep its square, which
     # every solve's norm check forms, 4 times below the largest double (the
     # comparison is arranged so that it cannot overflow itself)

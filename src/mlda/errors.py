@@ -1,8 +1,12 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the two routes that raise them.
 
 Every error raised on purpose by this package derives from ``MldaError``,
-so callers can catch the whole family with one clause.
+so callers can catch the whole family with one clause. ``count`` checks
+every count argument (r, n, L, max_iter, a seed); ``check`` every runtime
+comparison of two computed numbers.
 """
+
+from numbers import Integral
 
 
 class MldaError(Exception):
@@ -78,3 +82,14 @@ def check(name, value, limit):
     """
     if not value <= limit:
         raise InvariantViolation(f"{name}: {float(value)!r} is not <= {float(limit)!r}")
+
+
+def count(name, value, low=1, high=None, error=InvalidInput):
+    """``int(value)`` for a Python or numpy integer in [low, high] (``high``
+    None: no upper end). Anything else, a bool or a whole float included,
+    raises ``error``; the message holds ``name``, the range and the value."""
+    integer = isinstance(value, Integral) and not isinstance(value, bool)
+    if not (integer and low <= value and (high is None or value <= high)):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise error(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)

@@ -12,7 +12,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from ..errors import ConfigError, InvalidScheme
+from ..errors import ConfigError, InvalidScheme, count
 from ..synth import LabelScheme
 
 EXPERIMENTS = (
@@ -482,8 +482,7 @@ def build_config(
 
     seed = seed if seed is not None else file_data.get("seed", DEFAULT_SEED)
     out_dir = out_dir if out_dir is not None else file_data.get("out_dir", "results")
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2 ** 64:
-        raise ConfigError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    seed = count("seed", seed, low=0, high=2 ** 64 - 1, error=ConfigError)
     # a file's out_dir is a JSON value; a caller may also pass a path object
     if not isinstance(out_dir, (str, os.PathLike)) or not os.fspath(out_dir):
         raise ConfigError(f"out_dir must be a non-empty string, got {out_dir!r}")

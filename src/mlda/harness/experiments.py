@@ -155,19 +155,11 @@ def write_report(report, out_dir):
 # ---------------------------------------------------------------------------
 
 
-def _orthonormal_columns(rng, rows, cols):
-    """Deterministic orthonormal (rows, cols) factor from a seeded draw."""
-    M = rng.standard_normal((rows, max(rows, cols)))
-    Q, R = np.linalg.qr(M)
-    Q = Q * np.sign(np.where(np.diag(R) == 0, 1.0, np.diag(R)))
-    return Q[:, :cols]
-
-
 def _structured_effects(d, L, singular_values, rng):
     """Label-effect matrix with prescribed singular values."""
     sv = np.asarray(singular_values, dtype=float)
-    U = _orthonormal_columns(rng, d, L)
-    V = _orthonormal_columns(rng, L, L)
+    U = orthonormalize(rng.standard_normal((d, d))).columns[:, :L]
+    V = orthonormalize(rng.standard_normal((L, L))).columns
     return (U * sv) @ V.T
 
 
@@ -791,7 +783,7 @@ def _run_interaction(options, seed):
     # slack between every realizable label change and the band endpoints,
     # hiding the interaction inside the naive bound at every strength.
     sv = np.asarray(options["singular_values"], dtype=float)
-    U = _orthonormal_columns(seed.stream("interaction", 0, "effects"), d, L)
+    U = orthonormalize(seed.stream("interaction", 0, "effects").standard_normal((d, d))).columns[:, :L]
     A = U * sv
     n_prod = L * (L - 1) // 2
     B = iscale * seed.stream("interaction", 0, "inter").standard_normal((d, n_prod))

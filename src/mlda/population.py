@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discriminant import SINGULAR_FLOOR, THETA_DUST, _theta_checked, opt_stml
-from .errors import InvalidCovariance, InvalidInput, MissingLabel, check
+from .errors import InvalidCovariance, InvalidInput, MissingLabel, check, count
 from .spectral import _all_binary, sym_eig, sym_eigvals, symmetrize
 
 
@@ -304,9 +304,9 @@ def population_scatters(params, dist):
     B_pi = symmetrize(dist.Sigma_y @ np.diag(1.0 / pi) @ dist.Sigma_y)
     W_pi = symmetrize(np.einsum("l,lij->ij", pi, dist.cond_cov))
     Q_pi = B_pi - W_pi
-    M_star_c = symmetrize(A @ Q_pi @ A.T - K_pop * params.Sigma_w)
+    M_star_c = symmetrize(A @ Q_pi @ A.T - Sw_pop)
     Sb_inf = symmetrize(A @ B_pi @ A.T)
-    Swc_pop = symmetrize(A @ W_pi @ A.T + K_pop * params.Sigma_w)
+    Swc_pop = symmetrize(A @ W_pi @ A.T + Sw_pop)
     St_inf = symmetrize(Sb_inf + Swc_pop)
 
     if dist.is_single_label():
@@ -357,8 +357,7 @@ def gaps(pop, r):
     d eps kappa), 0) reads as 0; any other theta outside [0, 1) raises.
     """
     d = pop.St_inf.shape[0]
-    if not 1 <= r < d:
-        raise InvalidInput(f"need 1 <= r < d={d}, got r={r}")
+    r = count("r", r, high=d - 1)
     vals_c = sym_eigvals(pop.M_star_c)
     gap_r = float(vals_c[r - 1] - vals_c[r])
 

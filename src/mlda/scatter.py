@@ -122,6 +122,15 @@ def _read_only(a):
     return a
 
 
+def _array(value, name, dtype=None):
+    """``np.asarray(value, dtype)``, with a value that does not convert (a
+    ragged list, a string for a number) raised as InvalidInput."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{name} is not a rectangular numeric array: {exc}") from None
+
+
 def build_labels(bits):
     """Validate a 0/1 matrix and derive its label-count structure.
 
@@ -132,7 +141,7 @@ def build_labels(bits):
     UnlabeledSample
         If some sample row is all zero.
     """
-    bits = np.asarray(bits)
+    bits = _array(bits, "label matrix")
     if bits.ndim != 2 or bits.size == 0:
         raise InvalidInput(f"label matrix must be non-empty 2-D, got shape {bits.shape}")
     if not _all_binary(bits):
@@ -218,7 +227,9 @@ def build_dataset(X, labels):
         Of any size: the rows are already in memory, so no cap bounds them.
     labels : LabelMatrix
     """
-    X = np.asarray(X, dtype=float)
+    if not isinstance(labels, LabelMatrix):
+        raise InvalidInput(f"labels must be a LabelMatrix (from build_labels), got {type(labels).__name__}")
+    X = _array(X, "feature matrix", float)
     if X.ndim != 2 or X.size == 0:
         raise InvalidInput(f"feature matrix must be non-empty 2-D, got shape {X.shape}")
     if X.shape[0] != labels.n:
@@ -346,6 +357,8 @@ def build_scatter(ds):
     Z = Xc Q instead, certified first to lose no row mass (``range
     compression``), and the d x d fields are lifted from the result.
     """
+    if not isinstance(ds, Dataset):
+        raise InvalidInput(f"ds must be a Dataset (from build_dataset), got {type(ds).__name__}")
     Xc = ds.X_centered
     n, d = Xc.shape
     if n >= d:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, RankDeficient, check
+from .errors import InvalidInput, RankDeficient, check, count
 
 # Frobenius tolerance for "these columns are orthonormal" checks.
 ORTHO_TOL = 1e-10
@@ -74,8 +74,6 @@ class Frame:
     def __post_init__(self):
         cols = _as_float_matrix(self.columns, "frame columns")
         d, r = cols.shape
-        if r < 1:
-            raise InvalidInput("frame rank must be >= 1")
         if r > d:
             raise InvalidInput(f"frame rank {r} exceeds ambient dimension {d}")
         defect = np.linalg.norm(cols.T @ cols - np.eye(r))
@@ -103,9 +101,7 @@ class EigenPair:
 
     def top(self, r):
         """Frame spanned by the r leading eigenvectors."""
-        if not 1 <= r <= self.vectors.shape[1]:
-            raise InvalidInput(f"requested r={r} of a {self.vectors.shape[1]}-dim basis")
-        return Frame(self.vectors[:, :r])
+        return Frame(self.vectors[:, : count("r", r, high=self.vectors.shape[1])])
 
 
 def _fix_signs(V):
@@ -237,8 +233,6 @@ def orthonormalize(W):
     """
     W = _as_float_matrix(W, "W")
     d, r = W.shape
-    if r < 1:
-        raise InvalidInput("need at least one column")
     if r > d:
         raise InvalidInput(f"more columns ({r}) than rows ({d})")
     if numeric_rank(W) < r:

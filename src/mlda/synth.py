@@ -11,17 +11,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidScheme
+from .errors import InvalidInput, InvalidScheme, count
 from .scatter import build_dataset, build_labels
 
 # ---------------------------------------------------------------------------
 # label schemes
 # ---------------------------------------------------------------------------
-
-
-def _is_count(value):
-    """An integer (not a bool) of at least one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
 def _is_real(value):
@@ -46,9 +41,7 @@ class LabelScheme:
         if self.kind not in ("single", "uniform", "variable"):
             raise InvalidScheme(f"unknown scheme kind {self.kind!r}")
         if self.kind == "uniform":
-            if not _is_count(self.k):
-                raise InvalidScheme(f"uniform cardinality must be an integer >= 1, got {self.k!r}")
-            object.__setattr__(self, "k", int(self.k))
+            object.__setattr__(self, "k", count("uniform cardinality", self.k, error=InvalidScheme))
         if self.kind == "variable":
             try:
                 mix = tuple((c, f) for c, f in self.mix)
@@ -56,12 +49,10 @@ class LabelScheme:
                 raise InvalidScheme(f"mix must hold (cardinality, fraction) pairs, got {self.mix!r}") from None
             if not mix:
                 raise InvalidScheme("variable scheme needs a non-empty mix")
-            if not all(_is_count(c) for c, _ in mix):
-                raise InvalidScheme(f"cardinalities must be integers >= 1: {mix}")
             # 0 <= f <= 1 is false for NaN and infinities: it checks finiteness too
             if not all(_is_real(f) and 0 <= f <= 1 for _, f in mix):
                 raise InvalidScheme(f"fractions must be numbers in [0, 1]: {mix}")
-            mix = tuple((int(c), float(f)) for c, f in mix)
+            mix = tuple((count("mix cardinality", c, error=InvalidScheme), float(f)) for c, f in mix)
             total = sum(f for _, f in mix)
             if abs(total - 1.0) > 1e-12:
                 raise InvalidScheme(f"mix fractions sum to {total!r}, not 1")
@@ -95,9 +86,7 @@ class LabelScheme:
 def _stream_id(token):
     """Stable 32-bit id for a stream token (int passthrough, crc32 for str)."""
     if isinstance(token, (int, np.integer)):
-        if token < 0:
-            raise InvalidInput(f"stream token must be >= 0, got {token}")
-        return int(token)
+        return count("stream token", token, low=0)
     return zlib.crc32(str(token).encode("utf-8"))
 
 
@@ -113,9 +102,7 @@ class Seed:
     base: int
 
     def __post_init__(self):
-        if not 0 <= int(self.base) < 2 ** 64:
-            raise InvalidInput(f"base seed must fit in 64 bits, got {self.base}")
-        object.__setattr__(self, "base", int(self.base))
+        object.__setattr__(self, "base", count("base seed", self.base, low=0, high=2 ** 64 - 1))
 
     def stream(self, experiment, trial, purpose):
         key = (_stream_id(experiment), _stream_id(trial), _stream_id(purpose))
@@ -128,16 +115,14 @@ class Seed:
 
 
 def _draw_cardinalities(scheme, n, L, rng):
+    # a cardinality with fraction 0 is never drawn, so it may exceed L
+    count("scheme cardinality", scheme.max_cardinality(), high=L, error=InvalidScheme)
     if scheme.kind == "single":
         return np.ones(n, dtype=np.int64)
     if scheme.kind == "uniform":
-        if scheme.k > L:
-            raise InvalidScheme(f"uniform cardinality {scheme.k} exceeds L={L}")
         return np.full(n, scheme.k, dtype=np.int64)
     cards = np.array([c for c, _ in scheme.mix], dtype=np.int64)
     fracs = np.array([f for _, f in scheme.mix])
-    if cards.max() > L:
-        raise InvalidScheme(f"mix cardinality {cards.max()} exceeds L={L}")
     return cards[rng.choice(len(cards), size=n, p=fracs)]
 
 
@@ -185,10 +170,8 @@ def gen_labels(scheme, n, L, rng):
     -------
     LabelMatrix
     """
-    if L < 1:
-        raise InvalidInput(f"L must be >= 1, got {L}")
-    if n < L:
-        raise InvalidInput(f"need n >= L to cover all labels, got n={n} < L={L}")
+    L = count("L", L)
+    n = count("n", n, low=L)
     k = _draw_cardinalities(scheme, n, L, rng)
     # uniform random subset of size k[i] per row: each row keeps the k[i]
     # smallest of L iid uniform keys
@@ -286,6 +269,8 @@ def scheme_distribution(scheme, L):
 
     from .population import label_moments
 
+    L = count("L", L)
+    count("scheme cardinality", scheme.max_cardinality(), high=L, error=InvalidScheme)
     if scheme.kind == "single":
         mix = ((1, 1.0),)
     elif scheme.kind == "uniform":
@@ -296,8 +281,6 @@ def scheme_distribution(scheme, L):
     for card, frac in mix:
         if frac <= 0.0:
             continue
-        if card > L:
-            raise InvalidScheme(f"mix cardinality {card} exceeds L={L}")
         share = frac / comb(L, card)
         for subset in combinations(range(L), card):
             bits = np.zeros(L, dtype=np.int64)

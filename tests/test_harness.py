@@ -186,6 +186,17 @@ def test_rank_row_needs_both_expectations(tmp_path, key):
         build_config("rank", str(path), None, None, None)
 
 
+def test_rank_row_with_a_zero_fraction_cardinality_beyond_L_runs(tmp_path):
+    # config validation passes a cardinality that is never drawn, so the run
+    # must not reject it either: the row draws single-label sets
+    row = {**DEFAULTS["rank"]["rows"][1], "scheme": {"kind": "variable", "mix": [[1, 1.0], [9, 0.0]]}}
+    path = tmp_path / "rank.json"
+    path.write_text(json.dumps({"experiment": "rank", "rows": [row]}))
+    report = run(build_config("rank", str(path), None, None, None))
+    assert all(report.passes.values())
+    assert report.rows[0]["rank_Sb_ML"] == 5
+
+
 def test_all_config_restricted(tmp_path):
     path = tmp_path / "all.json"
     path.write_text(json.dumps({"experiment": "all", "seed": 5}))

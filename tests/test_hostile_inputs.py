@@ -4,20 +4,30 @@ Each hostile class is a dataset and its scatter set; ``gaps`` gets the
 sample pencil (Sb, St_ml) as a population. Every cell of the matrix below
 must return or raise an ``MldaError``, never a bare numpy error or a
 warning, and the table records which it does.
+
+Every count argument of the public API (``r``, ``n``, ``L``, ``max_iter``,
+the base seed) is found by its name in the signatures, and each must turn a
+non-integer or out-of-range value into ``InvalidInput``.
 """
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
+import mlda
 from mlda import (
     InvalidInput,
+    InvalidScheme,
+    LabelScheme,
     MldaError,
+    Seed,
     build_dataset,
     build_labels,
     build_scatter,
     gaps,
+    gen_labels,
     isotropic_params,
     label_moments,
     load_dataset_csv,
@@ -26,6 +36,10 @@ from mlda import (
     population_scatters,
     rank_analysis,
     regularization_report,
+    scheme_distribution,
+    snr,
+    sym_eig,
+    top_eigenspace,
     trace_ratio_stiefel,
 )
 
@@ -160,3 +174,159 @@ def test_unreadable_csv_is_invalid_input(tmp_path, broken, fault):
         path.mkdir()
     with pytest.raises(InvalidInput, match=f"cannot read {broken} CSV"):
         load_dataset_csv(paths["features"], paths["labels"])
+
+
+# ---------------------------------------------------------------------------
+# raw data where a validated object belongs
+# ---------------------------------------------------------------------------
+
+_X = np.random.default_rng(20260816).standard_normal((6, 3))
+_BITS = np.eye(6, 2, dtype=np.int64) + np.eye(6, 2, -2, dtype=np.int64) + np.eye(6, 2, -4, dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_labels([[1, 0], [1]]), "label matrix is not a rectangular numeric array"),
+        (lambda: build_dataset([[1.0, 2.0], [3.0]], build_labels(_BITS[:2])), "feature matrix is not"),
+        (lambda: build_dataset(_X, _BITS), "labels must be a LabelMatrix .* got ndarray"),
+        (lambda: build_scatter(_X), "ds must be a Dataset .* got ndarray"),
+        (lambda: build_scatter(build_labels(_BITS)), "ds must be a Dataset .* got LabelMatrix"),
+    ],
+)
+def test_raw_data_at_an_entry_point_is_invalid_input(call, message):
+    build_scatter(build_dataset(_X, build_labels(_BITS)))  # the valid chain
+    with pytest.raises(InvalidInput, match=message):
+        call()
+
+
+# ---------------------------------------------------------------------------
+# every count argument, found by signature
+# ---------------------------------------------------------------------------
+
+COUNT_PARAMS = ("r", "n", "L", "max_iter", "base")
+
+# Callables whose count-named parameter is not an argument to check: the
+# result dataclasses store the rank they were built at as an output field.
+# The exception classes take a message only; ``_count_callables`` passes
+# over them, as their builtin signature cannot be read.
+SKIPPED = {
+    "WhitenedFrame": "a result dataclass: r is an output field of opt_stml",
+    "GapReport": "a result dataclass: r is an output field of gaps",
+}
+
+_DS = build_dataset(np.random.default_rng(7).standard_normal((40, 5)), build_labels(_variable_bits(np.random.default_rng(8), 40, 3)))
+_SS = build_scatter(_DS)
+_D = 5
+_BUDGET = mlda.distance_budget(np.eye(4, 2), np.eye(4, 2), [1, 0], [0, 1], np.eye(4))
+
+# One valid call per callable: the call, taking the count arguments as
+# keywords; their valid values; and the range [low, high] of each (high None:
+# no upper end).
+VALID = {
+    "EigenPair.top": (lambda **kw: sym_eig(_SS.Sb).top(**kw), {"r": 2}, {"r": (1, _D)}),
+    "Seed": (lambda **kw: Seed(**kw), {"base": 7}, {"base": (0, 2 ** 64 - 1)}),
+    "gaps": (lambda **kw: gaps(_POP, **kw), {"r": 1}, {"r": (1, 1)}),
+    "gen_labels": (
+        lambda **kw: gen_labels(LabelScheme.uniform(2), rng=np.random.default_rng(3), **kw),
+        {"n": 20, "L": 3},
+        {"n": (3, None), "L": (1, None)},
+    ),
+    "opt_stml": (lambda **kw: opt_stml(_SS.Sb, _SS.St_ml, **kw), {"r": 2}, {"r": (1, _D)}),
+    "opt_td": (lambda **kw: opt_td(_SS, **kw), {"r": 2}, {"r": (1, _D)}),
+    "regularization_report": (
+        lambda **kw: regularization_report(_SS, [0.0, 1.0], **kw), {"r": 2}, {"r": (1, _D - 1)}
+    ),
+    "scheme_distribution": (
+        lambda **kw: scheme_distribution(LabelScheme.uniform(2), **kw), {"L": 3}, {"L": (1, None)}
+    ),
+    "snr": (lambda **kw: snr(_BUDGET, Sigma_w=np.eye(4), **kw), {"r": 2}, {"r": (1, None)}),
+    "top_eigenspace": (lambda **kw: top_eigenspace(_SS.Sb, **kw), {"r": 2}, {"r": (1, _D)}),
+    "trace_ratio_stiefel": (
+        lambda **kw: trace_ratio_stiefel(_SS.Sb, _SS.Sw, **kw),
+        {"r": 2, "max_iter": 500},
+        {"r": (1, _D), "max_iter": (1, None)},
+    ),
+}
+
+
+def _count_callables():
+    """{name: count parameters} of every callable in ``mlda.__all__`` and
+    every public method of an exported class that has a count parameter."""
+    found = {}
+    for name in mlda.__all__:
+        obj = getattr(mlda, name)
+        if inspect.ismodule(obj) or (inspect.isclass(obj) and issubclass(obj, MldaError)):
+            continue
+        members = [(name, obj)]
+        if inspect.isclass(obj):
+            members += [(f"{name}.{attr}", getattr(obj, attr)) for attr in vars(obj) if not attr.startswith("_")]
+        for qualname, member in members:
+            if not callable(member):
+                continue
+            params = [p for p in inspect.signature(member).parameters if p in COUNT_PARAMS]
+            if params:
+                found[qualname] = params
+    return found
+
+
+def test_every_count_parameter_has_a_valid_call_or_a_recorded_skip():
+    found = _count_callables()
+    assert sorted(found) == sorted([*VALID, *SKIPPED])
+    for name, (_, valid, ranges) in VALID.items():
+        assert sorted(found[name]) == sorted(valid) == sorted(ranges), name
+
+
+def _hostile_counts(low, high):
+    """Non-integers, and the integers just outside [low, high]."""
+    outside = [v for v in (0, -1, low - 1) if v < low]
+    if high is not None:
+        outside.append(high + 1)
+    return [2.5, np.float64(2.0), True, None, "2", *dict.fromkeys(outside)]
+
+
+def _same(a, b):
+    """Whether two results are equal field by field, arrays bit for bit."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize(
+    "name, param, value",
+    [
+        (name, param, value)
+        for name, (_, _, ranges) in VALID.items()
+        for param, (low, high) in ranges.items()
+        for value in _hostile_counts(low, high)
+    ],
+    ids=repr,
+)
+def test_a_hostile_count_is_invalid_input(name, param, value):
+    call, valid, _ = VALID[name]
+    with pytest.raises(InvalidInput, match=param):
+        call(**{**valid, param: value})
+
+
+@pytest.mark.parametrize("name", sorted(VALID))
+def test_a_numpy_integer_count_gives_the_result_of_the_int(name):
+    call, valid, _ = VALID[name]
+    assert _same(call(**valid), call(**{k: np.int64(v) for k, v in valid.items()}))
+
+
+@pytest.mark.parametrize("value", _hostile_counts(1, None))
+@pytest.mark.parametrize(
+    "make", [LabelScheme.uniform, lambda c: LabelScheme.variable([[c, 1.0]])], ids=["k", "mix"]
+)
+def test_a_hostile_scheme_cardinality_is_invalid_scheme(make, value):
+    with pytest.raises(InvalidScheme, match="cardinality"):
+        make(value)
+

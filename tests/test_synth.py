@@ -364,6 +364,23 @@ def test_scheme_distribution_card_exceeds_labels():
         scheme_distribution(LabelScheme.uniform(4), 3)
 
 
+def test_a_cardinality_with_fraction_zero_may_exceed_L():
+    # it is never drawn, so the draw and the exact distribution ignore it,
+    # as the config check does; the label stream is the one a mix without it
+    # would spend, since the zero fraction still takes part in the choice
+    scheme = LabelScheme.variable([[1, 1.0], [9, 0.0]])
+    assert scheme.max_cardinality() == 1
+    labels = gen_labels(scheme, 20, 6, Seed(5).stream("z", 0, "l"))
+    assert (labels.k == 1).all()
+    assert scheme_distribution(scheme, 6).patterns.shape == (6, 6)
+    for draw in (
+        lambda: gen_labels(LabelScheme.variable([[1, 0.5], [9, 0.5]]), 20, 6, Seed(5).stream("z", 0, "l")),
+        lambda: scheme_distribution(LabelScheme.variable([[1, 0.5], [9, 0.5]]), 6),
+    ):
+        with pytest.raises(InvalidScheme, match="scheme cardinality"):
+            draw()
+
+
 def test_generated_frequencies_match_distribution():
     scheme = LabelScheme.variable(((1, 0.5), (2, 0.5)))
     dist = scheme_distribution(scheme, 3)
