@@ -35,31 +35,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateNoise, InvalidInput, check, count
+from .errors import DegenerateNoise, InvalidInput, check, count, real
 from .synth import pair_products
-from .spectral import _all_binary, sym_eigvals, symmetrize
+from .spectral import _all_binary, _array, _finite, sym_eigvals, symmetrize
 
 
 def _pattern(y, L=None, name="pattern"):
-    y = np.asarray(y)
-    if y.ndim != 1:
-        raise InvalidInput(f"{name} must be 1-D, got shape {y.shape}")
+    y = _array(y, name, ndim=1)
     if not _all_binary(y):
         raise InvalidInput(f"{name} entries must be 0 or 1")
     if L is not None and y.shape[0] != L:
         raise InvalidInput(f"{name} has length {y.shape[0]}, expected {L}")
     return y.astype(float)
-
-
-def _finite(**arrays):
-    """Each keyword's value as a float array; a NaN or infinity is ``InvalidInput``."""
-    out = []
-    for name, value in arrays.items():
-        value = np.asarray(value, dtype=float)
-        if not np.isfinite(value).all():
-            raise InvalidInput(f"{name} contains non-finite entries")
-        out.append(value)
-    return out
 
 
 def hamming(y_i, y_j):
@@ -214,10 +201,8 @@ def concentration_interval(params, delta_prob, c_scale=1.0):
     round an overflow to inf without a warning; a log term or half-width
     that is not finite raises InvalidInput.
     """
-    if not 0 < delta_prob < 1:
-        raise InvalidInput(f"delta must be in (0, 1), got {delta_prob}")
-    if c_scale <= 0:
-        raise InvalidInput(f"c_scale must be > 0, got {c_scale}")
+    delta_prob = real("delta", delta_prob, 0, 1, strict=True)
+    c_scale = real("c_scale", c_scale, 0, strict=True)
     log_term = float(np.log(2.0 / delta_prob)) / c_scale
     if not math.isfinite(log_term):
         raise InvalidInput(f"log(2/delta) / c_scale overflows at c_scale={c_scale!r}")
@@ -377,8 +362,7 @@ class BoundFrame:
                 2.0 * sa_f * delta_norm * sb_f * dz + sb_f * sb_f * dz * dz
             )
         elif constraint == "stml":
-            if st_min_eig is None or st_min_eig <= 0:
-                raise InvalidInput("stml constraint needs st_min_eig > 0")
+            st_min_eig = real("st_min_eig", st_min_eig, 0, strict=True)
             sa_f, sb_f = self.sigma_max_A, self.sigma_max_B
             raw = 2.0 * sa_f * delta_norm * sb_f * dz + sb_f * sb_f * dz * dz
             out["stml_bound"] = float(raw / st_min_eig)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    FLOAT_MAX,
     InvalidGap,
     InvalidInput,
     InvariantViolation,
@@ -26,10 +27,12 @@ from .errors import (
     SingularTotalScatter,
     check,
     count,
+    real,
 )
 from .spectral import (
     RECON_TOL,
     Frame,
+    _array,
     numeric_rank,
     principal_angle_sin,
     sym_eig,
@@ -77,9 +80,8 @@ class ObjectiveValues:
     dr_flagged: bool
 
 
-def _projected(W, S):
-    W = np.asarray(W, dtype=float)
-    return symmetrize(W.T @ S @ W)
+def _projected(W, S, name):
+    return symmetrize(W.T @ _array(S, name, float, ndim=2) @ W)
 
 
 def eval_objectives(W, Sb, Sw):
@@ -89,11 +91,9 @@ def eval_objectives(W, Sb, Sw):
     Singularity of the projected within-scatter is reported through flags,
     never exceptions. The determinant ratio is computed in log space.
     """
-    W = np.asarray(W, dtype=float)
-    if W.ndim != 2:
-        raise InvalidInput(f"W must be 2-D, got shape {W.shape}")
-    Wb = _projected(W, Sb)
-    Ww = _projected(W, Sw)
+    W = _array(W, "W", float, ndim=2)
+    Wb = _projected(W, Sb, "Sb")
+    Ww = _projected(W, Sw, "Sw")
     r = W.shape[1]
     tb = float(np.trace(Wb))
     tw = float(np.trace(Ww))
@@ -125,7 +125,7 @@ def eval_objectives(W, Sb, Sw):
 def _theta_checked(theta, floor=THETA_DUST, error=InvariantViolation):
     """Generalized eigenvalues theta in [0, 1), with [-floor, 0) read as the
     rounding dust of 0; anything else, or no theta at all, raises ``error``."""
-    theta = np.asarray(theta, dtype=float)
+    theta = _array(theta, "theta", float)
     if theta.size == 0 or not np.isfinite(theta).all() or theta.min() < -floor or theta.max() >= 1:
         raise error(f"theta must lie in [0, 1) (dust floor {floor:.3e}), got {theta}")
     return np.where(theta < 0, 0.0, theta)
@@ -222,15 +222,14 @@ def opt_stml(Sb, St_total, r, gamma=0.0):
         Between-scatter and (cardinality-weighted) total scatter.
     r : int
     gamma : float
-        Optional ridge added to St_total before whitening.
+        Optional ridge, finite and >= 0, added to St_total before whitening.
 
     Raises
     ------
     SingularTotalScatter
         If St_total + gamma I is numerically singular.
     """
-    if gamma < 0:
-        raise InvalidInput(f"gamma must be >= 0, got {gamma}")
+    gamma = real("gamma", gamma, 0, FLOAT_MAX)
     Sb = symmetrize(Sb)
     St = symmetrize(St_total)
     d = St.shape[0]
@@ -248,7 +247,7 @@ def opt_stml(Sb, St_total, r, gamma=0.0):
     W = T_isqrt @ epP.vectors[:, :r]
     defect = np.linalg.norm(W.T @ St_g @ W - np.eye(r))
     check("whitened frame St-orthogonality defect", defect, 1e-8)
-    return WhitenedFrame(columns=W, gen_values=epP.values, st_values=ep.values, r=r, gamma=float(gamma))
+    return WhitenedFrame(columns=W, gen_values=epP.values, st_values=ep.values, r=r, gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -380,12 +379,10 @@ def davis_kahan_check(U_hat, U_ref, pert_norm, gap):
     angle is at most one). An infinite gap (a cut at r = d) is valid; a NaN
     gap, or a perturbation norm that is NaN, infinite or negative, is not.
     """
-    if np.isnan(gap):
-        raise InvalidInput(f"gap must be a number, got {gap}")
+    gap = real("gap", gap)
     if gap <= 0:
         raise InvalidGap(f"need a positive gap, got {gap}")
-    if not (np.isfinite(pert_norm) and pert_norm >= 0):
-        raise InvalidInput(f"perturbation norm must be finite and >= 0, got {pert_norm}")
+    pert_norm = real("pert_norm", pert_norm, 0, FLOAT_MAX)
     angle = principal_angle_sin(U_hat, U_ref)
     bound = pert_norm / gap
     holds = bool(angle <= bound * (1 + 1e-8) or bound >= 1.0)
@@ -436,12 +433,10 @@ def regularization_report(ss, gammas, r):
     A gamma so large that ||C - gamma I||_F^2 could overflow is rejected as
     InvalidInput before the sweep starts.
     """
-    gammas = [float(g) for g in gammas]
+    gammas = _array(gammas, "gammas", ndim=1)
+    gammas = [real(f"gammas[{i}]", g, 0, FLOAT_MAX) for i, g in enumerate(gammas)]
     if not gammas:
         raise InvalidInput("need at least one gamma")
-    # false for NaN and infinities as well as for negative gammas
-    if not all(0.0 <= g < np.inf for g in gammas):
-        raise InvalidInput(f"gammas must be finite and >= 0: {gammas}")
     if any(b <= a for a, b in zip(gammas, gammas[1:])):
         raise InvalidInput(f"gammas must be strictly increasing: {gammas}")
     C = 2.0 * ss.Sb

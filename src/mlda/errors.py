@@ -2,11 +2,18 @@
 
 Every error raised on purpose by this package derives from ``MldaError``,
 so callers can catch the whole family with one clause. ``count`` checks
-every count argument (r, n, L, max_iter, a seed); ``check`` every runtime
-comparison of two computed numbers.
+every count argument (r, n, L, max_iter, a seed) and ``real`` every real one
+(a ridge, a level, a gap, a scale, a probability); ``check`` every runtime
+comparison of two computed numbers. Array arguments take their one route,
+``spectral._array``.
 """
 
-from numbers import Integral
+import math
+import sys
+from numbers import Integral, Real
+
+# The largest double: ``real(..., high=FLOAT_MAX)`` asks for a finite number.
+FLOAT_MAX = sys.float_info.max
 
 
 class MldaError(Exception):
@@ -93,3 +100,22 @@ def count(name, value, low=1, high=None, error=InvalidInput):
         span = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise error(f"{name} must be an integer {span}, got {value!r}")
     return int(value)
+
+
+def real(name, value, low=-math.inf, high=math.inf, error=InvalidInput, strict=False):
+    """``float(value)`` for a Python or numpy real number in [low, high];
+    ``strict`` opens the finite ends. Anything else, a bool, None, a string,
+    an array, a NaN or an int beyond the double range included, raises
+    ``error``; the message holds ``name``, the range and the value."""
+    number = isinstance(value, Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if number else math.nan
+    except OverflowError:
+        x = math.nan
+    if low <= x <= high and not (strict and math.isfinite(x) and x in (low, high)):
+        return x
+    ops = (">", "<") if strict else (">=", "<=")
+    span = ["finite"] if FLOAT_MAX in (-low, high) else []
+    span += [f"{op} {end:g}" for op, end in zip(ops, (low, high)) if abs(end) < FLOAT_MAX]
+    got = f"non-finite {value!r}" if number and not math.isfinite(x) else repr(value)
+    raise error(f"{name} must be a real number ({' and '.join(span) or 'not NaN'}), got {got}")

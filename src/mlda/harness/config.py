@@ -9,10 +9,9 @@ trials run, and hashed so outputs can be traced to the exact settings.
 import hashlib
 import json
 import os
-import sys
 from dataclasses import dataclass, field
 
-from ..errors import ConfigError, InvalidScheme, count
+from ..errors import FLOAT_MAX, ConfigError, InvalidScheme, count, real
 from ..synth import LabelScheme
 
 EXPERIMENTS = (
@@ -258,7 +257,7 @@ def scheme_from_dict(spec, where="scheme"):
 
 
 def _finite_square(v):
-    return v * v <= sys.float_info.max
+    return v * v <= FLOAT_MAX
 
 
 def _at_least(bound):
@@ -279,7 +278,7 @@ _DOMAIN = {
     # finite double, and a positive scale must not square to zero
     **dict.fromkeys(
         ("sigma_w", "effect_scale", "singular_values", "scale_factor", "kappa_scales"),
-        ((lambda v: v > 0 and 0 < v * v <= sys.float_info.max), "> 0 with a finite non-zero square"),
+        ((lambda v: v > 0 and 0 < v * v <= FLOAT_MAX), "> 0 with a finite non-zero square"),
     ),
     "interaction_scale": ((lambda v: v >= 0 and _finite_square(v)), ">= 0 with a finite square"),
     **dict.fromkeys(("gap_threshold", "c_scale"), _above(0)),
@@ -316,10 +315,7 @@ def _typed(value, default, where, key=None):
             raise ConfigError(f"{where} must be a non-empty list, got {value!r}")
         return [_typed(v, default[0], f"{where}[{i}]", key) for i, v in enumerate(value)]
     if isinstance(default, float):
-        # false for NaN, infinities and integers beyond the float range
-        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"{where} must be a finite number, got {value!r}")
-        value = float(value)
+        value = real(where, value, -FLOAT_MAX, FLOAT_MAX, error=ConfigError)
     elif type(value) is not type(default):  # so a bool is no int, nor 20.7
         raise ConfigError(f"{where} must be of type {type(default).__name__}, got {value!r}")
     if key in _DOMAIN and not _DOMAIN[key][0](value):
@@ -416,11 +412,11 @@ def validate_options(experiment, options):
     as a normalized copy; any violation raises ConfigError before a trial runs.
 
     Each option's type is read off its value in ``DEFAULTS[experiment]``: an
-    int needs an int (not a bool), a float a finite int or float (stored as a
-    float), a str or bool exactly that type, a list a non-empty list of the
-    default's element type, a dict the default's keys, and a scheme its exact
-    form (``scheme_from_dict``). Domains come from ``_DOMAIN`` and
-    cross-field rules from ``_RULES``.
+    int needs an int (not a bool), a float a finite real (``errors.real``;
+    stored as a float), a str or bool exactly that type, a list a non-empty
+    list of the default's element type, a dict the default's keys, and a
+    scheme its exact form (``scheme_from_dict``). Domains come from
+    ``_DOMAIN`` and cross-field rules from ``_RULES``.
     """
     if experiment not in DEFAULTS:
         raise ConfigError(f"unknown experiment {experiment!r}")

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discriminant import SINGULAR_FLOOR, THETA_DUST, _theta_checked, opt_stml
-from .errors import InvalidCovariance, InvalidInput, MissingLabel, check, count
-from .spectral import _all_binary, sym_eig, sym_eigvals, symmetrize
+from .errors import FLOAT_MAX, InvalidCovariance, InvalidInput, MissingLabel, check, count, real
+from .spectral import _all_binary, _array, _finite, sym_eig, sym_eigvals, symmetrize
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def label_moments(patterns):
     merged = {}
     L = None
     for bits, prob in patterns:
-        bits = np.asarray(bits)
+        bits = _array(bits, "pattern", ndim=1)
         if L is None:
             L = bits.shape[0]
         if bits.shape != (L,):
@@ -88,9 +88,7 @@ def label_moments(patterns):
             raise InvalidInput("pattern entries must be 0 or 1")
         if bits.sum() == 0:
             raise InvalidInput("pattern with no labels is not allowed")
-        prob = float(prob)
-        if prob < 0:
-            raise InvalidInput(f"negative pattern probability {prob}")
+        prob = real("pattern probability", prob, low=0)
         key = tuple(int(b) for b in bits)
         merged[key] = merged.get(key, 0.0) + prob
     P = np.array(sorted(merged), dtype=float)
@@ -162,28 +160,22 @@ class ModelParams:
     noise_factor: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        A = np.asarray(self.A, dtype=float)
-        S = np.asarray(self.Sigma_w, dtype=float)
+        mu, A, S = _finite(mu=self.mu, A=self.A, Sigma_w=self.Sigma_w)
         if mu.ndim != 1 or A.ndim != 2 or A.shape[0] != mu.shape[0]:
             raise InvalidInput(
                 f"inconsistent shapes: mu {mu.shape}, A {A.shape}"
             )
         if S.shape != (mu.shape[0], mu.shape[0]):
             raise InvalidInput(f"Sigma_w shape {S.shape} != ({mu.shape[0]},)*2")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(A)) and np.all(np.isfinite(S))):
-            raise InvalidInput("model parameters contain non-finite entries")
         B = self.B_inter
         if B is not None:
-            B = np.asarray(B, dtype=float)
+            (B,) = _finite(B_inter=B)
             L = A.shape[1]
             want = L * (L - 1) // 2
             if B.shape != (A.shape[0], want):
                 raise InvalidInput(
                     f"B_inter shape {B.shape} != ({A.shape[0]}, {want})"
                 )
-            if not np.all(np.isfinite(B)):
-                raise InvalidInput("B_inter contains non-finite entries")
         _check_magnitude(A, S, B)
         diag = S.diagonal()
         if np.count_nonzero(S) == np.count_nonzero(diag):
@@ -247,11 +239,12 @@ def _check_magnitude(A, Sigma_w, B_inter):
 def isotropic_params(mu, A, sigma_w, B_inter=None):
     """Convenience constructor with Sigma_w = sigma_w^2 I.
 
-    A variance that overflows becomes an infinite diagonal, which
-    ``ModelParams`` rejects as non-finite (``InvalidInput``).
+    sigma_w must be a finite real. A variance that overflows becomes an
+    infinite diagonal, which ``ModelParams`` rejects as non-finite
+    (``InvalidInput``).
     """
-    A = np.asarray(A, dtype=float)
-    sigma_w = float(sigma_w)
+    A = _array(A, "A", float, ndim=2)
+    sigma_w = real("sigma_w", sigma_w, -FLOAT_MAX, FLOAT_MAX)
     # the product rounds to inf where ``**`` raises OverflowError; np.diag keeps
     # that inf off the zeros, where inf * 0 would be a NaN and a warning
     return ModelParams(

@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, InvariantViolation, MissingLabel, UnlabeledSample, check
-from .spectral import _all_binary, _as_float_matrix, numeric_rank, sym_eigvals, symmetrize
+from .spectral import _all_binary, _array, _as_float_matrix, numeric_rank, sym_eigvals, symmetrize
 
 # Relative tolerance for the internal two-route cross-checks.
 CROSSCHECK_TOL = 1e-8
@@ -120,15 +120,6 @@ class LabelMatrix:
 def _read_only(a):
     a.flags.writeable = False
     return a
-
-
-def _array(value, name, dtype=None):
-    """``np.asarray(value, dtype)``, with a value that does not convert (a
-    ragged list, a string for a number) raised as InvalidInput."""
-    try:
-        return np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"{name} is not a rectangular numeric array: {exc}") from None
 
 
 def build_labels(bits):

@@ -12,13 +12,17 @@ them and checks two O(d^2) spectral invariants instead, sum(lambda) = tr S
 and sqrt(sum(lambda^2)) = ||S||_F, against the same RECON_TOL.
 Every eigenvalue in mlda comes from these two routes, and no other module
 calls a numpy eigensolver; a caller that reads no eigenvectors uses sym_eigvals.
+
+Every array argument of the library goes through one coercion, ``_array``
+(``_finite`` when its entries must be finite); each caller then checks the
+shapes it needs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, RankDeficient, check, count
+from .errors import InvalidInput, RankDeficient, check, count, real
 
 # Frobenius tolerance for "these columns are orthonormal" checks.
 ORTHO_TOL = 1e-10
@@ -26,11 +30,34 @@ ORTHO_TOL = 1e-10
 RECON_TOL = 1e-8
 
 
+def _array(value, name, dtype=None, ndim=None):
+    """``np.asarray(value, dtype)``, with a value that does not convert (a
+    ragged list, a string for a number) or, when ``ndim`` is given, one of
+    another ndim raised as InvalidInput naming ``name``."""
+    try:
+        a = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"{name} is not a rectangular numeric array: {exc}") from None
+    if ndim is not None and a.ndim != ndim:
+        raise InvalidInput(f"{name} must be {ndim}-D, got shape {a.shape}")
+    return a
+
+
+def _finite(**arrays):
+    """Each keyword's value as a float array (``_array``); a NaN or infinity
+    is InvalidInput naming the keyword."""
+    out = []
+    for name, value in arrays.items():
+        value = _array(value, name, float)
+        if not np.isfinite(value).all():
+            raise InvalidInput(f"{name} contains non-finite entries")
+        out.append(value)
+    return out
+
+
 def _as_float_matrix(M, name="matrix"):
     """Validate and return a finite 2-D float array."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise InvalidInput(f"{name} must be 2-D, got ndim={M.ndim}")
+    M = _array(M, name, float, ndim=2)
     if M.size == 0:
         raise InvalidInput(f"{name} is empty (shape {M.shape})")
     if not np.all(np.isfinite(M)):
@@ -165,27 +192,19 @@ def numeric_rank(M, tol=None):
     tol : float, optional
         Cutoff for "numerically nonzero". Defaults to
         ``max(m, n) * machine_eps * sigma_max``, the usual LAPACK-style
-        policy; pass an explicit value to override. A NaN or negative value
-        raises InvalidInput.
+        policy; pass an explicit value to override, any real >= 0 (+inf
+        too). Anything else raises InvalidInput.
 
     Returns
     -------
     int
     """
     M = _as_float_matrix(M, "M")
-    if tol is not None and not tol >= 0:
-        raise InvalidInput(f"tol must be >= 0, got {tol}")
+    tol = None if tol is None else real("tol", tol, low=0)
     svals = np.linalg.svd(M, compute_uv=False)
     if tol is None:
         tol = max(M.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)
     return int(np.count_nonzero(svals > tol))
-
-
-def _frame_columns(u):
-    """Accept a Frame or an orthonormal ndarray; return validated columns."""
-    if isinstance(u, Frame):
-        return u.columns
-    return Frame(np.asarray(u, dtype=float)).columns
 
 
 def principal_angle_sin(U, V):
@@ -206,8 +225,7 @@ def principal_angle_sin(U, V):
     -------
     float
     """
-    Uc = _frame_columns(U)
-    Vc = _frame_columns(V)
+    Uc, Vc = (u.columns if isinstance(u, Frame) else Frame(u).columns for u in (U, V))
     if Uc.shape != Vc.shape:
         raise InvalidInput(
             f"subspaces must have equal shape, got {Uc.shape} vs {Vc.shape}"

@@ -11,16 +11,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidScheme, count
+from .errors import FLOAT_MAX, InvalidInput, InvalidScheme, count, real
 from .scatter import build_dataset, build_labels
+from .spectral import _array
 
 # ---------------------------------------------------------------------------
 # label schemes
 # ---------------------------------------------------------------------------
-
-
-def _is_real(value):
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -44,15 +41,15 @@ class LabelScheme:
             object.__setattr__(self, "k", count("uniform cardinality", self.k, error=InvalidScheme))
         if self.kind == "variable":
             try:
-                mix = tuple((c, f) for c, f in self.mix)
+                mix = tuple(
+                    (count("mix cardinality", c, error=InvalidScheme),
+                     real("mix fraction", f, 0, 1, error=InvalidScheme))
+                    for c, f in self.mix
+                )
             except (TypeError, ValueError):
                 raise InvalidScheme(f"mix must hold (cardinality, fraction) pairs, got {self.mix!r}") from None
             if not mix:
                 raise InvalidScheme("variable scheme needs a non-empty mix")
-            # 0 <= f <= 1 is false for NaN and infinities: it checks finiteness too
-            if not all(_is_real(f) and 0 <= f <= 1 for _, f in mix):
-                raise InvalidScheme(f"fractions must be numbers in [0, 1]: {mix}")
-            mix = tuple((count("mix cardinality", c, error=InvalidScheme), float(f)) for c, f in mix)
             total = sum(f for _, f in mix)
             if abs(total - 1.0) > 1e-12:
                 raise InvalidScheme(f"mix fractions sum to {total!r}, not 1")
@@ -191,15 +188,12 @@ def gen_labels(scheme, n, L, rng):
 
 def pair_products(y):
     """Pairwise label products of one pattern, lexicographic pair order."""
-    y = np.asarray(y)
-    if y.ndim != 1:
-        raise InvalidInput(f"pattern must be 1-D, got shape {y.shape}")
-    return pair_products_matrix(y[None])[0]
+    return pair_products_matrix(_array(y, "pattern", ndim=1)[None])[0]
 
 
 def pair_products_matrix(Y):
     """Row-wise pair products of a label matrix: (n, L(L-1)/2)."""
-    Y = np.asarray(Y)
+    Y = _array(Y, "Y", ndim=2)
     pairs = np.array(list(combinations(range(Y.shape[1]), 2)), dtype=np.intp).reshape(-1, 2)
     # the gathered columns come out column-major; the product is row-major
     return np.multiply(Y[:, pairs[:, 0]], Y[:, pairs[:, 1]], order="C")
@@ -230,6 +224,7 @@ def gen_data(labels, params, rng, alpha=0.0, noise="gaussian"):
         The rows are built in place, so a call holds the rows and one noise
         matrix of the same size.
     """
+    alpha = real("alpha", alpha, -FLOAT_MAX, FLOAT_MAX)
     if params.L != labels.L:
         raise InvalidInput(f"A has {params.L} label columns, labels have {labels.L}")
     if alpha != 0.0 and params.B_inter is None:

@@ -8,10 +8,19 @@ warning, and the table records which it does.
 Every count argument of the public API (``r``, ``n``, ``L``, ``max_iter``,
 the base seed) is found by its name in the signatures, and each must turn a
 non-integer or out-of-range value into ``InvalidInput``.
+
+Every real argument (``gamma``, ``delta_prob``, ``alpha``, ...) and every
+array argument is found the same way, and each must turn a zoo of hostile
+values into an ``MldaError`` subclass. An ``ast`` lock keeps every
+conversion of an argument inside ``errors.real``/``count`` and
+``spectral._array``.
 """
 
+import ast
 import dataclasses
 import inspect
+import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -42,6 +51,8 @@ from mlda import (
     top_eigenspace,
     trace_ratio_stiefel,
 )
+from mlda.errors import FLOAT_MAX
+from mlda.harness.aggregate import aggregate, slope_fit
 
 
 def _variable_bits(rng, n, L):
@@ -330,3 +341,373 @@ def test_a_hostile_scheme_cardinality_is_invalid_scheme(make, value):
     with pytest.raises(InvalidScheme, match="cardinality"):
         make(value)
 
+
+
+# ---------------------------------------------------------------------------
+# every real and array argument, found by signature
+# ---------------------------------------------------------------------------
+
+REAL_PARAMS = {
+    # name: (low, high, strict), the range ``errors.real`` checks; gammas per entry
+    "gamma": (0.0, FLOAT_MAX, False),
+    "gammas": (0.0, FLOAT_MAX, False),
+    "delta_prob": (0.0, 1.0, True),
+    "c_scale": (0.0, math.inf, True),
+    "gap": (0.0, math.inf, True),  # a gap <= 0 is InvalidGap, a NaN InvalidInput
+    "pert_norm": (0.0, FLOAT_MAX, False),
+    "tol": (0.0, math.inf, False),
+    "sigma_w": (-FLOAT_MAX, FLOAT_MAX, False),
+    "st_min_eig": (0.0, math.inf, True),
+    "alpha": (-FLOAT_MAX, FLOAT_MAX, False),
+}
+ARRAY_PARAMS = (
+    "A", "B_inter", "C", "M", "S", "Sb", "Sigma_w", "St", "St_total", "Sw", "U", "U_hat", "U_ref",
+    "V", "W", "X", "Y", "bits", "columns", "mu", "theta", "y", "y_i", "y_j",
+)
+
+# Callables whose real- or array-named parameters are not arguments to check:
+# result dataclasses store what the function that built them computed.
+RESULT_SKIPS = {
+    "BoundFrame": "a result dataclass: bound_frame validates W, A and B_inter",
+    "Dataset": "a result dataclass: build_dataset validates X",
+    "EigenspaceResult": "a result dataclass: gap is an output field of top_eigenspace",
+    "GapReport": "a result dataclass: theta is an output field of gaps",
+    "LabelDistribution": "a result dataclass: C is an output field of label_moments",
+    "LabelMatrix": "a result dataclass: build_labels validates bits",
+    "ScatterSet": "a result dataclass: its scatters are outputs of build_scatter",
+    "WhitenedFrame": "a result dataclass: columns and gamma are output fields of opt_stml",
+}
+
+_TWO = np.eye(4, 2)
+_YS = {"y_i": np.array([1, 0, 1]), "y_j": np.array([0, 1, 1])}
+_A3 = np.random.default_rng(11).standard_normal((4, 3))
+_B3 = 0.3 * np.random.default_rng(12).standard_normal((4, 3))
+_FRAME = mlda.bound_frame(_TWO, _A3, 0.5 * np.eye(4), _B3)
+_PARAMS = isotropic_params(np.zeros(4), _A3, 0.5, B_inter=_B3)
+_LABELS = build_labels(np.array([[1, 0, 1], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 1, 1]]))
+_MODEL = {"mu": np.zeros(4), "A": _A3, "Sigma_w": 0.25 * np.eye(4), "B_inter": _B3}
+_PAIR = {"W": _TWO, "A": _A3, **_YS}
+
+# One valid call per callable: the call, taking the walked arguments as
+# keywords, and their valid values.
+WALK = {
+    "BoundFrame.distance_budget": (lambda **kw: _FRAME.distance_budget(**kw), _YS),
+    "BoundFrame.interaction_bound": (
+        lambda **kw: _FRAME.interaction_bound(constraint="stml", **kw), {**_YS, "st_min_eig": 0.5}
+    ),
+    "BoundFrame.tail_params": (lambda **kw: _FRAME.tail_params(**kw), _YS),
+    "BoundFrame.with_interactions": (lambda **kw: _FRAME.with_interactions(**kw), {"B_inter": _B3}),
+    "Frame": (lambda **kw: mlda.Frame(**kw), {"columns": _TWO}),
+    "ModelParams": (lambda **kw: mlda.ModelParams(**kw), _MODEL),
+    "bound_frame": (
+        lambda **kw: mlda.bound_frame(**kw), {"W": _TWO, "A": _A3, "Sigma_w": np.eye(4), "B_inter": _B3}
+    ),
+    "build_dataset": (lambda **kw: build_dataset(labels=_LABELS, **kw), {"X": np.arange(20.0).reshape(5, 4) ** 1.5}),
+    "build_labels": (lambda **kw: build_labels(**kw), {"bits": _LABELS.bits}),
+    "commutativity_defect": (lambda **kw: mlda.commutativity_defect(**kw), {"Sb": _SS.Sb, "St": _SS.St}),
+    "concentration_interval": (
+        lambda **kw: mlda.concentration_interval(_FRAME.tail_params(**_YS), **kw),
+        {"delta_prob": 0.05, "c_scale": 2.0},
+    ),
+    "davis_kahan_check": (
+        lambda **kw: mlda.davis_kahan_check(**kw),
+        {"U_hat": _TWO, "U_ref": np.eye(4)[:, 1:3], "pert_norm": 0.3, "gap": 0.7},
+    ),
+    "distance_budget": (lambda **kw: mlda.distance_budget(**kw), {**_PAIR, "Sigma_w": np.eye(4)}),
+    "eval_objectives": (
+        lambda **kw: mlda.eval_objectives(**kw), {"W": np.eye(5, 2), "Sb": _SS.Sb, "Sw": _SS.Sw}
+    ),
+    "gen_data": (
+        lambda **kw: mlda.gen_data(_LABELS, _PARAMS, np.random.default_rng(5), **kw), {"alpha": 0.7}
+    ),
+    "hamming": (lambda **kw: mlda.hamming(**kw), _YS),
+    "interaction_bound": (
+        lambda **kw: mlda.interaction_bound(constraint="stml", **kw),
+        {**_PAIR, "B_inter": _B3, "st_min_eig": 0.5},
+    ),
+    "isotropic_params": (
+        lambda **kw: isotropic_params(**kw), {"mu": np.zeros(4), "A": _A3, "sigma_w": 0.5, "B_inter": _B3}
+    ),
+    "jaccard": (lambda **kw: mlda.jaccard(**kw), _YS),
+    "jaccard_lower": (lambda **kw: mlda.jaccard_lower(_BUDGET, **kw), {"y_i": [1, 0], "y_j": [1, 1]}),
+    "numeric_rank": (lambda **kw: mlda.numeric_rank(**kw), {"M": _SS.Sb, "tol": 1e-3}),
+    "opt_stml": (lambda **kw: opt_stml(r=2, **kw), {"Sb": _SS.Sb, "St_total": _SS.St_ml, "gamma": 0.5}),
+    "ordering_consistent": (lambda **kw: mlda.ordering_consistent(**kw), {"Sb": np.diag([3.0, 2.0]), "St": np.eye(2)}),
+    "orthonormalize": (lambda **kw: mlda.orthonormalize(**kw), {"W": _A3}),
+    "pair_products": (lambda **kw: mlda.pair_products(**kw), {"y": [1, 0, 1, 1]}),
+    "pair_products_matrix": (lambda **kw: mlda.pair_products_matrix(**kw), {"Y": _LABELS.bits}),
+    "principal_angle_sin": (lambda **kw: mlda.principal_angle_sin(**kw), {"U": _TWO, "V": np.eye(4)[:, 1:3]}),
+    "regularization_report": (lambda **kw: regularization_report(_SS, r=2, **kw), {"gammas": [0.0, 1.5]}),
+    "snr": (lambda **kw: snr(_BUDGET, 2, **kw), {"Sigma_w": 2.0 * np.eye(4)}),
+    "sym_eig": (lambda **kw: sym_eig(**kw), {"S": _SS.Sw}),
+    "sym_eigvals": (lambda **kw: mlda.sym_eigvals(**kw), {"S": _SS.Sw}),
+    "symmetrize": (lambda **kw: mlda.symmetrize(**kw), {"S": _SS.Sw}),
+    "tail_params": (lambda **kw: mlda.tail_params(**kw), {**_PAIR, "Sigma_w": np.eye(4)}),
+    "theta_form": (lambda **kw: mlda.theta_form(**kw), {"theta": [0.5, 0.25]}),
+    "top_eigenspace": (lambda **kw: top_eigenspace(r=2, **kw), {"C": _SS.Sb}),
+    "trace_ratio_stiefel": (lambda **kw: trace_ratio_stiefel(r=2, **kw), {"Sb": _SS.Sb, "Sw": _SS.Sw}),
+}
+
+# Hostile values that a call may accept with another result, and why.
+ACCEPTED = {
+    ("interaction_bound", "B_inter", "None"): "None is a model without interactions, bound_frame's default",
+    ("pair_products", "y", "empty array"): "the empty pattern, over no labels, has no pairs",
+}
+
+_ZOO = {
+    "None": None,
+    "'1'": "1",
+    "True": True,
+    "NaN": math.nan,
+    "ragged": [[1.0], [1.0, 2.0]],
+    "0-d array": np.array(1.0),
+    "empty array": np.array([]),
+}
+
+
+def _walked_callables():
+    """{name: walked parameters} of every callable in ``mlda.__all__`` and
+    every public method of an exported class with a parameter named in
+    REAL_PARAMS or ARRAY_PARAMS."""
+    walked = {*REAL_PARAMS, *ARRAY_PARAMS}
+    found = {}
+    for name in mlda.__all__:
+        obj = getattr(mlda, name)
+        if inspect.ismodule(obj) or (inspect.isclass(obj) and issubclass(obj, MldaError)):
+            continue
+        members = [(name, obj)]
+        if inspect.isclass(obj):
+            members += [(f"{name}.{attr}", getattr(obj, attr)) for attr in vars(obj) if not attr.startswith("_")]
+        for qualname, member in members:
+            if callable(member):
+                params = [p for p in inspect.signature(member).parameters if p in walked]
+                if params:
+                    found[qualname] = params
+    return found
+
+
+def test_every_real_and_array_parameter_has_a_valid_call_or_a_recorded_skip():
+    found = _walked_callables()
+    assert sorted(found) == sorted([*WALK, *RESULT_SKIPS])
+    for name, (_, valid) in WALK.items():
+        assert sorted(found[name]) == sorted(valid), name
+
+
+def _outside(low, high, strict):
+    """The reals just outside a range: an open end itself, the double next
+    beyond a closed finite end, and +-inf beyond +-FLOAT_MAX."""
+    values = []
+    for end, outward in ((low, -math.inf), (high, math.inf)):
+        if abs(end) == FLOAT_MAX:
+            values.append(outward)
+        elif math.isfinite(end):
+            values.append(end if strict else math.nextafter(end, outward))
+    return values
+
+
+def _hostile_values(param):
+    values = dict(_ZOO)
+    if param in REAL_PARAMS:
+        for x in _outside(*REAL_PARAMS[param]):
+            values[repr(x)] = [x] if param == "gammas" else x
+    return values
+
+
+def _walked_member(qualname):
+    obj = mlda
+    for part in qualname.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "name, param, label",
+    [
+        (name, param, label)
+        for name, (_, valid) in WALK.items()
+        for param in valid
+        for label in _hostile_values(param)
+    ],
+)
+def test_a_hostile_real_or_array_is_an_mlda_error(name, param, label):
+    call, valid = WALK[name]
+    value = _hostile_values(param)[label]
+    try:
+        got = call(**{**valid, param: value})
+    except MldaError:
+        return
+    assert label in _ZOO, f"{name}({param}={label}) is out of range but returned {got!r}"
+    default = inspect.signature(_walked_member(name)).parameters[param].default
+    assert (value is None and default is None) or (name, param, label) in ACCEPTED or _same(
+        got, call(**valid)
+    ), f"{name}({param}={label}) returned {got!r}"
+
+
+@pytest.mark.parametrize(
+    "name, param", [(name, param) for name, (_, valid) in WALK.items() for param in valid if param in REAL_PARAMS]
+)
+def test_a_numpy_float_real_gives_the_result_of_the_float(name, param):
+    call, valid = WALK[name]
+    value = valid[param]
+    as_numpy = [np.float64(v) for v in value] if param == "gammas" else np.float64(value)
+    assert _same(call(**valid), call(**{**valid, param: as_numpy}))
+
+
+# ---------------------------------------------------------------------------
+# the probes that ended in a bare Python or numpy error (or a warning)
+# ---------------------------------------------------------------------------
+
+_RAGGED = [[1.0, 2.0], [3.0]]
+_U, _V = np.eye(5, 2), np.eye(5)[:, 1:3]
+_PROBES = {
+    "symmetrize(ragged)": lambda: mlda.symmetrize(_RAGGED),
+    "symmetrize('x')": lambda: mlda.symmetrize("x"),
+    "numeric_rank(tol='a')": lambda: mlda.numeric_rank(_SS.Sb, tol="a"),
+    "opt_stml(gamma=None)": lambda: opt_stml(_SS.Sb, _SS.St_ml, 1, gamma=None),
+    "opt_stml(gamma='1')": lambda: opt_stml(_SS.Sb, _SS.St_ml, 1, gamma="1"),
+    "opt_stml(gamma=inf)": lambda: opt_stml(_SS.Sb, _SS.St_ml, 1, gamma=float("inf")),
+    "regularization_report(None)": lambda: regularization_report(_SS, None, 1),
+    "regularization_report(['a'])": lambda: regularization_report(_SS, ["a"], 1),
+    "davis_kahan_check(gap=None)": lambda: mlda.davis_kahan_check(_U, _V, 0.1, None),
+    "davis_kahan_check(pert_norm='a')": lambda: mlda.davis_kahan_check(_U, _V, "a", 0.5),
+    "concentration_interval(None)": lambda: mlda.concentration_interval(_FRAME.tail_params(**_YS), None),
+    "interaction_bound(st_min_eig='1')": lambda: _FRAME.interaction_bound(constraint="stml", st_min_eig="1", **_YS),
+    "isotropic_params(sigma_w=None)": lambda: isotropic_params(np.zeros(4), _A3, None),
+    "isotropic_params(sigma_w='a')": lambda: isotropic_params(np.zeros(4), _A3, "a"),
+    "label_moments(prob=None)": lambda: label_moments([([1, 0], None)]),
+    "label_moments(bits=1)": lambda: label_moments([(1, 1.0)]),
+    "gen_data(alpha=None)": lambda: mlda.gen_data(_LABELS, _PARAMS, np.random.default_rng(5), alpha=None),
+    "gen_data(alpha='1')": lambda: mlda.gen_data(_LABELS, _PARAMS, np.random.default_rng(5), alpha="1"),
+    "bound_frame(ragged)": lambda: mlda.bound_frame(_RAGGED, _A3),
+    "hamming(ragged)": lambda: mlda.hamming(_RAGGED, [0, 1]),
+    "ModelParams(ragged)": lambda: mlda.ModelParams(np.zeros(2), _RAGGED, np.eye(2)),
+    "eval_objectives(ragged W)": lambda: mlda.eval_objectives(_RAGGED, _SS.Sb, _SS.Sw),
+    "eval_objectives(ragged Sb)": lambda: mlda.eval_objectives(np.eye(5, 2), _RAGGED, _SS.Sw),
+    "orthonormalize(ragged)": lambda: mlda.orthonormalize(_RAGGED),
+    "commutativity_defect(ragged)": lambda: mlda.commutativity_defect(_RAGGED, _SS.St),
+    "pair_products(ragged)": lambda: mlda.pair_products(_RAGGED),
+    "pair_products_matrix(1-D)": lambda: mlda.pair_products_matrix([1, 0, 1]),
+    "theta_form('a')": lambda: mlda.theta_form("a"),
+    "mix fraction True": lambda: LabelScheme.variable([(1, True)]),
+    "mix fraction '1'": lambda: LabelScheme.variable([(1, "1")]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("probe", list(_PROBES))
+def test_a_probe_that_failed_bare_is_an_mlda_error(probe):
+    with pytest.raises(MldaError):
+        _PROBES[probe]()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: aggregate(None),
+        lambda: aggregate(5.0),
+        lambda: aggregate(["a"]),
+        lambda: aggregate([[1.0, 2.0], [3.0, 4.0]]),
+        lambda: slope_fit([1, 2, "a"], [1, 2, 3]),
+        lambda: slope_fit(None, [1, 2, 3]),
+    ],
+)
+def test_the_harness_summaries_check_their_batch_before_sorting(call):
+    with pytest.raises(InvalidInput):
+        call()
+
+
+def test_a_numpy_real_probability_or_fraction_gives_the_result_of_the_float():
+    assert _same(
+        label_moments([([1, 0], 0.25), ([0, 1], 0.75)]),
+        label_moments([([1, 0], np.float64(0.25)), ([0, 1], np.float32(0.75))]),
+    )
+    assert LabelScheme.variable([(1, np.float64(0.25)), (2, 0.75)]).mix == ((1, 0.25), (2, 0.75))
+
+
+# ---------------------------------------------------------------------------
+# one conversion route: an ast lock on the six library modules
+# ---------------------------------------------------------------------------
+
+_LIBRARY = ("spectral", "scatter", "bounds", "discriminant", "population", "synth")
+_CONVERSIONS = {"asarray", "array", "float", "int"}
+
+
+def _given(fn):
+    """A predicate on expressions of ``fn``: is it an argument as the caller
+    gave it? That is a parameter, a name bound to one (by assignment, or as
+    the target of a loop over it or its ``items()``) and, in
+    ``__post_init__``, a field of self."""
+    args = fn.args
+    params = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg] if a}
+
+    def parameter(node):
+        if isinstance(node, ast.Attribute) and fn.name == "__post_init__":
+            return getattr(node.value, "id", None) == "self"
+        return isinstance(node, ast.Name) and node.id in params
+
+    names = set(params)
+    for node in ast.walk(fn):
+        source, targets = None, ()
+        if isinstance(node, (ast.For, ast.comprehension)):
+            source, targets = node.iter, [node.target]
+            if isinstance(source, ast.Call) and getattr(source.func, "attr", None) == "items":
+                source = source.func.value
+        elif isinstance(node, ast.Assign):
+            source, targets = node.value, node.targets
+        if source is not None and parameter(source):
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return lambda node: parameter(node) or (isinstance(node, ast.Name) and node.id in names)
+
+
+def _raw_conversions(source):
+    """(function, conversion, line) of every ``np.asarray``/``np.array``,
+    ``float()`` or ``int()`` whose first argument is an argument as given."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        given = _given(fn)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and node.args and given(node.args[0]):
+                func = node.func
+                if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "np":
+                    name = func.attr
+                else:
+                    name = getattr(func, "id", None)
+                if name in _CONVERSIONS:
+                    found.append((fn.name, name, node.lineno))
+    return found
+
+
+def test_conversion_scan_sees_every_spelling():
+    for source in (
+        "def f(x):\n    return np.asarray(x, dtype=float)",
+        "def f(sigma_w):\n    return float(sigma_w)",
+        "def f(r):\n    return int(r)",
+        "def f(**arrays):\n    for name, value in arrays.items():\n        np.asarray(value)",
+        "def f(pairs):\n    for bits, prob in pairs:\n        float(prob)",
+        "def f(gammas):\n    return [float(g) for g in gammas]",
+        "class C:\n    def __post_init__(self):\n        B = self.B\n        np.array(B)",
+        "def f(y):\n    z = y\n    return np.array(z)",
+    ):
+        assert _raw_conversions(source), source
+    for source in (
+        "def f(x):\n    return float(np.trace(x))",
+        "def f(pairs):\n    for bits, prob in pairs:\n        return [int(b) for b in bits]",
+        "def f(x):\n    y = g(x)\n    return np.asarray(y)",
+        "def f(x):\n    return _array(x, 'x', float)",
+    ):
+        assert not _raw_conversions(source), source
+
+
+def test_only_the_two_routes_convert_an_argument():
+    package = pathlib.Path(mlda.__file__).parent
+    found = {
+        module: hits
+        for module in _LIBRARY
+        for hits in [_raw_conversions((package / f"{module}.py").read_text(encoding="utf-8"))]
+        if hits
+    }
+    assert [(name, conversion) for name, conversion, _ in found.pop("spectral")] == [("_array", "asarray")]
+    assert found == {}
