@@ -36,16 +36,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateNoise, InvalidInput, check, count, real
-from .synth import pair_products
-from .spectral import _all_binary, _array, _finite, sym_eigvals, symmetrize
+from .synth import _interaction_effects, pair_products
+from .spectral import _all_binary, _array, sym_eigvals, symmetrize
 
 
 def _pattern(y, L=None, name="pattern"):
-    y = _array(y, name, ndim=1)
+    y = _array(y, name, shape=(L,))
     if not _all_binary(y):
         raise InvalidInput(f"{name} entries must be 0 or 1")
-    if L is not None and y.shape[0] != L:
-        raise InvalidInput(f"{name} has length {y.shape[0]}, expected {L}")
     return y.astype(float)
 
 
@@ -282,10 +280,7 @@ class BoundFrame:
     def with_interactions(self, B_inter):
         """This frame with B_inter validated and sigma_max(W^T B_inter) added;
         every other factor is shared, so it costs one SVD."""
-        (B_inter,) = _finite(B_inter=B_inter)
-        want = self.A.shape[1] * (self.A.shape[1] - 1) // 2
-        if B_inter.shape != (self.A.shape[0], want):
-            raise InvalidInput(f"B_inter shape {B_inter.shape} != ({self.A.shape[0]}, {want})")
+        B_inter = _interaction_effects(B_inter, self.A)
         sb = _extreme_singular_values(self.W.T @ B_inter)[1]
         return replace(self, B_inter=B_inter, sigma_max_WB=sb)
 
@@ -348,27 +343,28 @@ class BoundFrame:
         z_bound = float(np.sqrt(d_H * min(max(k_max - 1, 0), L - 1)))
         check("||z_i - z_j|| exceeded its bound", dz, z_bound * (1 + 1e-12) + 1e-12)
 
-        sa, sb = self.sigma_max, self.sigma_max_WB
-        corrected = 2.0 * sa * delta_norm * sb * dz + sb * sb * dz * dz
         out = {
             "naive_gap_bound": 0.0,
-            "corrected_bound": float(corrected),
+            "corrected_bound": float(_widening(self.sigma_max, self.sigma_max_WB, delta_norm, dz)),
             "z_norm": dz,
             "z_norm_bound": z_bound,
         }
         if constraint == "stiefel":
-            sa_f, sb_f = self.sigma_max_A, self.sigma_max_B
-            out["stiefel_bound"] = float(
-                2.0 * sa_f * delta_norm * sb_f * dz + sb_f * sb_f * dz * dz
-            )
+            out["stiefel_bound"] = float(_widening(self.sigma_max_A, self.sigma_max_B, delta_norm, dz))
         elif constraint == "stml":
             st_min_eig = real("st_min_eig", st_min_eig, 0, strict=True)
-            sa_f, sb_f = self.sigma_max_A, self.sigma_max_B
-            raw = 2.0 * sa_f * delta_norm * sb_f * dz + sb_f * sb_f * dz * dz
+            raw = _widening(self.sigma_max_A, self.sigma_max_B, delta_norm, dz)
             out["stml_bound"] = float(raw / st_min_eig)
         elif constraint != "none":
             raise InvalidInput(f"unknown constraint kind {constraint!r}")
         return out
+
+
+def _widening(sa, sb, delta_norm, dz):
+    """2 sa ||delta|| sb dz + sb^2 dz^2: the mean shift that interaction
+    effects of size sb can add beside label effects of size sa, for a pair
+    with ||delta|| = delta_norm and ||z_i - z_j|| = dz."""
+    return 2.0 * sa * delta_norm * sb * dz + sb * sb * dz * dz
 
 
 def bound_frame(W, A, Sigma_w=None, B_inter=None):
@@ -380,16 +376,12 @@ def bound_frame(W, A, Sigma_w=None, B_inter=None):
     A non-finite entry or a misshapen matrix raises InvalidInput here, with
     the messages the module-level bound functions give.
     """
-    if Sigma_w is None:
-        W, A = _finite(W=W, A=A)
-    else:
-        W, A, Sigma_w = _finite(W=W, A=A, Sigma_w=Sigma_w)
-    if W.ndim != 2 or A.ndim != 2 or W.shape[0] != A.shape[0]:
-        raise InvalidInput(f"shape mismatch: W {W.shape} vs A {A.shape}")
+    W = _array(W, "W", float, (None, None), finite=True)
+    d = W.shape[0]
+    A = _array(A, "A", float, (d, None), finite=True)
     noise = {}
     if Sigma_w is not None:
-        if Sigma_w.shape != (W.shape[0], W.shape[0]):
-            raise InvalidInput(f"Sigma_w shape {Sigma_w.shape} != ({W.shape[0]},)*2")
+        Sigma_w = _array(Sigma_w, "Sigma_w", float, (d, d), finite=True)
         Psi = symmetrize(W.T @ Sigma_w @ W)
         Psi.flags.writeable = False
         noise = dict(

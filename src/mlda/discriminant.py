@@ -81,7 +81,8 @@ class ObjectiveValues:
 
 
 def _projected(W, S, name):
-    return symmetrize(W.T @ _array(S, name, float, ndim=2) @ W)
+    d = W.shape[0]
+    return symmetrize(W.T @ _array(S, name, float, (d, d)) @ W)
 
 
 def eval_objectives(W, Sb, Sw):
@@ -91,7 +92,7 @@ def eval_objectives(W, Sb, Sw):
     Singularity of the projected within-scatter is reported through flags,
     never exceptions. The determinant ratio is computed in log space.
     """
-    W = _array(W, "W", float, ndim=2)
+    W = _array(W, "W", float, (None, None))
     Wb = _projected(W, Sb, "Sb")
     Ww = _projected(W, Sw, "Sw")
     r = W.shape[1]
@@ -231,7 +232,7 @@ def opt_stml(Sb, St_total, r, gamma=0.0):
     """
     gamma = real("gamma", gamma, 0, FLOAT_MAX)
     Sb = symmetrize(Sb)
-    St = symmetrize(St_total)
+    St = symmetrize(_array(St_total, "St_total", float, Sb.shape))
     d = St.shape[0]
     r = count("r", r, high=d)
     St_g = St + gamma * np.eye(d)
@@ -281,10 +282,8 @@ def trace_ratio_stiefel(Sb, Sw, r, max_iter=500):
         If max_iter is exceeded; the last iterate rides along on the error.
     """
     Sb = symmetrize(Sb)
-    Sw = symmetrize(Sw)
+    Sw = symmetrize(_array(Sw, "Sw", float, Sb.shape))
     d = Sb.shape[0]
-    if Sw.shape != Sb.shape:
-        raise InvalidInput(f"shape mismatch: Sb {Sb.shape} vs Sw {Sw.shape}")
     r = count("r", r, high=d)
     max_iter = count("max_iter", max_iter)
     scale = max(np.linalg.norm(Sb), np.linalg.norm(Sw))
@@ -339,7 +338,7 @@ def commutativity_defect(Sb, St):
     the value is the same to the last bit.
     """
     Sb = symmetrize(Sb)
-    St = symmetrize(St)
+    St = symmetrize(_array(St, "St", float, Sb.shape))
     norm_b, norm_t = np.linalg.norm(Sb), np.linalg.norm(St)
     if norm_b == 0 or norm_t == 0:
         return 0.0
@@ -433,7 +432,7 @@ def regularization_report(ss, gammas, r):
     A gamma so large that ||C - gamma I||_F^2 could overflow is rejected as
     InvalidInput before the sweep starts.
     """
-    gammas = _array(gammas, "gammas", ndim=1)
+    gammas = _array(gammas, "gammas", shape=(None,))
     gammas = [real(f"gammas[{i}]", g, 0, FLOAT_MAX) for i, g in enumerate(gammas)]
     if not gammas:
         raise InvalidInput("need at least one gamma")

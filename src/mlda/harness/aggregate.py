@@ -21,12 +21,7 @@ def aggregate(values):
     dict with keys "median", "p95", "mean", "se" (SE of the mean; 0.0 for a
     single value).
     """
-    arr = _array(values, "values", float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidInput(f"need a non-empty 1-D batch, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInput("trial values must be finite")
-    arr = np.sort(arr)
+    arr = np.sort(_array(values, "values", float, (None,), finite=True, empty=False))
     n = arr.size
     rank = int(np.ceil(0.95 * n))
     se = float(arr.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
@@ -93,12 +88,8 @@ def slope_fit(ns, errors):
     point (c / sqrt(n) gives -0.5 to ~1e-15). Needs at least three points
     and strictly positive inputs.
     """
-    ns = _array(ns, "ns", float)
-    errors = _array(errors, "errors", float)
-    if ns.shape != errors.shape or ns.ndim != 1:
-        raise InvalidInput(
-            f"ns and errors must be matching 1-D arrays, got {ns.shape} vs {errors.shape}"
-        )
+    ns = _array(ns, "ns", float, (None,))
+    errors = _array(errors, "errors", float, ns.shape)
     if ns.size < 3:
         raise InvalidInput(f"need at least 3 points for a slope, got {ns.size}")
     if np.any(ns <= 0) or np.any(errors <= 0) or not np.all(np.isfinite(errors)):

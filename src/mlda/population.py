@@ -21,7 +21,8 @@ import numpy as np
 
 from .discriminant import SINGULAR_FLOOR, THETA_DUST, _theta_checked, opt_stml
 from .errors import FLOAT_MAX, InvalidCovariance, InvalidInput, MissingLabel, check, count, real
-from .spectral import _all_binary, _array, _finite, sym_eig, sym_eigvals, symmetrize
+from .spectral import _all_binary, _array, sym_eig, sym_eigvals, symmetrize
+from .synth import _interaction_effects
 
 
 @dataclass(frozen=True)
@@ -79,11 +80,8 @@ def label_moments(patterns):
     merged = {}
     L = None
     for bits, prob in patterns:
-        bits = _array(bits, "pattern", ndim=1)
-        if L is None:
-            L = bits.shape[0]
-        if bits.shape != (L,):
-            raise InvalidInput(f"pattern shape {bits.shape} != ({L},)")
+        bits = _array(bits, "pattern", shape=(L,))
+        L = bits.shape[0]
         if not _all_binary(bits):
             raise InvalidInput("pattern entries must be 0 or 1")
         if bits.sum() == 0:
@@ -160,22 +158,11 @@ class ModelParams:
     noise_factor: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        mu, A, S = _finite(mu=self.mu, A=self.A, Sigma_w=self.Sigma_w)
-        if mu.ndim != 1 or A.ndim != 2 or A.shape[0] != mu.shape[0]:
-            raise InvalidInput(
-                f"inconsistent shapes: mu {mu.shape}, A {A.shape}"
-            )
-        if S.shape != (mu.shape[0], mu.shape[0]):
-            raise InvalidInput(f"Sigma_w shape {S.shape} != ({mu.shape[0]},)*2")
-        B = self.B_inter
-        if B is not None:
-            (B,) = _finite(B_inter=B)
-            L = A.shape[1]
-            want = L * (L - 1) // 2
-            if B.shape != (A.shape[0], want):
-                raise InvalidInput(
-                    f"B_inter shape {B.shape} != ({A.shape[0]}, {want})"
-                )
+        mu = _array(self.mu, "mu", float, (None,), finite=True)
+        d = mu.shape[0]
+        A = _array(self.A, "A", float, (d, None), finite=True)
+        S = _array(self.Sigma_w, "Sigma_w", float, (d, d), finite=True)
+        B = None if self.B_inter is None else _interaction_effects(self.B_inter, A)
         _check_magnitude(A, S, B)
         diag = S.diagonal()
         if np.count_nonzero(S) == np.count_nonzero(diag):
@@ -243,7 +230,7 @@ def isotropic_params(mu, A, sigma_w, B_inter=None):
     infinite diagonal, which ``ModelParams`` rejects as non-finite
     (``InvalidInput``).
     """
-    A = _array(A, "A", float, ndim=2)
+    A = _array(A, "A", float, (None, None))
     sigma_w = real("sigma_w", sigma_w, -FLOAT_MAX, FLOAT_MAX)
     # the product rounds to inf where ``**`` raises OverflowError; np.diag keeps
     # that inf off the zeros, where inf * 0 would be a NaN and a warning

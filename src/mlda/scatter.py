@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, InvariantViolation, MissingLabel, UnlabeledSample, check
-from .spectral import _all_binary, _array, _as_float_matrix, numeric_rank, sym_eigvals, symmetrize
+from .spectral import _all_binary, _array, numeric_rank, sym_eigvals, symmetrize
 
 # Relative tolerance for the internal two-route cross-checks.
 CROSSCHECK_TOL = 1e-8
@@ -132,9 +132,7 @@ def build_labels(bits):
     UnlabeledSample
         If some sample row is all zero.
     """
-    bits = _array(bits, "label matrix")
-    if bits.ndim != 2 or bits.size == 0:
-        raise InvalidInput(f"label matrix must be non-empty 2-D, got shape {bits.shape}")
+    bits = _array(bits, "label matrix", shape=(None, None), empty=False)
     if not _all_binary(bits):
         raise InvalidInput("label matrix entries must be 0 or 1")
     bits = bits.astype(np.int64)
@@ -220,14 +218,7 @@ def build_dataset(X, labels):
     """
     if not isinstance(labels, LabelMatrix):
         raise InvalidInput(f"labels must be a LabelMatrix (from build_labels), got {type(labels).__name__}")
-    X = _array(X, "feature matrix", float)
-    if X.ndim != 2 or X.size == 0:
-        raise InvalidInput(f"feature matrix must be non-empty 2-D, got shape {X.shape}")
-    if X.shape[0] != labels.n:
-        raise InvalidInput(
-            f"feature rows ({X.shape[0]}) do not match label rows ({labels.n})"
-        )
-
+    X = _array(X, "feature matrix", float, (labels.n, None), empty=False)
     n, d = X.shape
     # centred entries are at most 2 max|X|, so a scatter entry is at most
     # 4 K max|X|^2 and a scatter's squared Frobenius norm at most
@@ -519,6 +510,7 @@ def rank_analysis(ds, ss=None):
     """
     if ss is None:
         ss = build_scatter(ds)
+    _array(ss.Sb, "ss.Sb", shape=(ds.d, ds.d))
     labels = ds.labels
     Y = labels.bits.astype(float)
     # Anchor the rank decisions to the scale of the accumulations the
@@ -526,11 +518,12 @@ def rank_analysis(ds, ss=None):
     # eps * ||St_ml|| (``sb_rank_cutoff``), and Xc^T Y of size
     # eps * ||Xc|| * ||Y||, even when the result itself is mathematically zero.
     eps = np.finfo(float).eps
-    sigma_x = np.linalg.norm(_as_float_matrix(ds.X_centered, "X_centered"), 2)
+    Xc = _array(ds.X_centered, "X_centered", float, (None, None), finite=True, empty=False)
+    sigma_x = np.linalg.norm(Xc, 2)
     sigma_y = np.linalg.norm(Y, 2)
     rank_sb = ss.rank_sb
     rank_XtY = numeric_rank(
-        ds.X_centered.T @ Y, tol=max(ds.d, labels.L) * eps * sigma_x * sigma_y
+        Xc.T @ Y, tol=max(ds.d, labels.L) * eps * sigma_x * sigma_y
     )
     check("|rank(Sb) - rank(Xc^T Y)|", abs(rank_sb - rank_XtY), 0)
     rank_Y = numeric_rank(Y)
@@ -555,6 +548,7 @@ def residual_bound(ds, ss):
     and ``holds``. Equality holds when all multi-label weights k_i - 1 agree
     (in particular for uniform cardinality).
     """
+    _array(ss.Sb, "ss.Sb", shape=(ds.d, ds.d))
     k = ds.labels.k
     lhs = float(np.abs(sym_eigvals(ss.R)).max())
     multi = k > 1
@@ -582,10 +576,6 @@ def load_dataset_csv(features_path, labels_path):
     if X.shape[1] > MAX_COLS:
         raise InvalidInput(f"features CSV has {X.shape[1]} columns, more than {MAX_COLS}")
     bits = _read_numeric_csv(labels_path, "labels")
-    if X.shape[0] != bits.shape[0]:
-        raise InvalidInput(
-            f"row mismatch: {X.shape[0]} feature rows vs {bits.shape[0]} label rows"
-        )
     return build_dataset(X, build_labels(bits))
 
 

@@ -13,9 +13,11 @@ and sqrt(sum(lambda^2)) = ||S||_F, against the same RECON_TOL.
 Every eigenvalue in mlda comes from these two routes, and no other module
 calls a numpy eigensolver; a caller that reads no eigenvectors uses sym_eigvals.
 
-Every array argument of the library goes through one coercion, ``_array``
-(``_finite`` when its entries must be finite); each caller then checks the
-shapes it needs.
+Every array argument of the library goes through one route, ``_array``: it
+converts the value and checks its kind (no strings or bytes), its shape
+against the caller's spec (one length or "any" per axis, a length taken from
+another argument where the two must conform) and, on request, that it is
+non-empty and finite.
 """
 
 from dataclasses import dataclass
@@ -30,39 +32,37 @@ ORTHO_TOL = 1e-10
 RECON_TOL = 1e-8
 
 
-def _array(value, name, dtype=None, ndim=None):
-    """``np.asarray(value, dtype)``, with a value that does not convert (a
-    ragged list, a string for a number) or, when ``ndim`` is given, one of
-    another ndim raised as InvalidInput naming ``name``."""
+def _array(value, name, dtype=None, shape=None, finite=False, empty=True):
+    """The one route for an array argument: ``np.asarray(value, dtype)``.
+
+    A value raises InvalidInput naming ``name`` when numpy cannot convert it
+    (a ragged list), when an entry is a string or bytes (numpy would parse
+    ``"0.5"`` as a number), when its shape does not fit ``shape`` (one entry
+    per axis: a length, or None for any length), when it has no entries and
+    ``empty`` is false, and, with ``finite`` set, when an entry is a NaN or an
+    infinity.
+    """
     try:
-        a = np.asarray(value, dtype=dtype)
+        a = np.asarray(value)
+        kind = a.dtype.kind
+        if kind in "SU" or (kind == "O" and any(isinstance(v, (str, bytes)) for v in a.flat)):
+            raise InvalidInput(f"{name} holds strings or bytes, not numbers")
+        if dtype is not None:
+            # numpy refuses a complex number where dtype is real, but casts
+            # (with a warning) a complex array
+            a = np.asarray(value if kind == "c" else a, dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"{name} is not a rectangular numeric array: {exc}") from None
-    if ndim is not None and a.ndim != ndim:
-        raise InvalidInput(f"{name} must be {ndim}-D, got shape {a.shape}")
-    return a
-
-
-def _finite(**arrays):
-    """Each keyword's value as a float array (``_array``); a NaN or infinity
-    is InvalidInput naming the keyword."""
-    out = []
-    for name, value in arrays.items():
-        value = _array(value, name, float)
-        if not np.isfinite(value).all():
-            raise InvalidInput(f"{name} contains non-finite entries")
-        out.append(value)
-    return out
-
-
-def _as_float_matrix(M, name="matrix"):
-    """Validate and return a finite 2-D float array."""
-    M = _array(M, name, float, ndim=2)
-    if M.size == 0:
-        raise InvalidInput(f"{name} is empty (shape {M.shape})")
-    if not np.all(np.isfinite(M)):
+    if shape is not None and not (
+        a.ndim == len(shape) and all(want in (None, n) for n, want in zip(a.shape, shape))
+    ):
+        want = ", ".join("any" if n is None else str(n) for n in shape)
+        raise InvalidInput(f"{name} must have shape ({want}{',' * (len(shape) == 1)}), got {a.shape}")
+    if not empty and a.size == 0:
+        raise InvalidInput(f"{name} is empty (shape {a.shape})")
+    if finite and not np.isfinite(a).all():
         raise InvalidInput(f"{name} contains non-finite entries")
-    return M
+    return a
 
 
 def _all_binary(a):
@@ -80,7 +80,7 @@ def symmetrize(S):
     Floating-point addition is commutative, so the result is bitwise
     symmetric, not just symmetric up to rounding.
     """
-    S = _as_float_matrix(S, "S")
+    S = _array(S, "S", float, (None, None), finite=True, empty=False)
     if S.shape[0] != S.shape[1]:
         raise InvalidInput(f"S must be square, got shape {S.shape}")
     return 0.5 * (S + S.T)
@@ -99,7 +99,7 @@ class Frame:
     columns: np.ndarray
 
     def __post_init__(self):
-        cols = _as_float_matrix(self.columns, "frame columns")
+        cols = _array(self.columns, "frame columns", float, (None, None), finite=True, empty=False)
         d, r = cols.shape
         if r > d:
             raise InvalidInput(f"frame rank {r} exceeds ambient dimension {d}")
@@ -199,7 +199,7 @@ def numeric_rank(M, tol=None):
     -------
     int
     """
-    M = _as_float_matrix(M, "M")
+    M = _array(M, "M", float, (None, None), finite=True, empty=False)
     tol = None if tol is None else real("tol", tol, low=0)
     svals = np.linalg.svd(M, compute_uv=False)
     if tol is None:
@@ -226,10 +226,7 @@ def principal_angle_sin(U, V):
     float
     """
     Uc, Vc = (u.columns if isinstance(u, Frame) else Frame(u).columns for u in (U, V))
-    if Uc.shape != Vc.shape:
-        raise InvalidInput(
-            f"subspaces must have equal shape, got {Uc.shape} vs {Vc.shape}"
-        )
+    _array(Vc, "V", shape=Uc.shape)
     res_u = np.linalg.norm(Uc - Vc @ (Vc.T @ Uc), 2)
     res_v = np.linalg.norm(Vc - Uc @ (Uc.T @ Vc), 2)
     return float(np.clip(max(res_u, res_v), 0.0, 1.0))
@@ -249,7 +246,7 @@ def orthonormalize(W):
         QR-based basis with the sign convention diag(R) > 0, so an input
         that is already orthonormal comes back unchanged.
     """
-    W = _as_float_matrix(W, "W")
+    W = _array(W, "W", float, (None, None), finite=True, empty=False)
     d, r = W.shape
     if r > d:
         raise InvalidInput(f"more columns ({r}) than rows ({d})")

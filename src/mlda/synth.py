@@ -188,15 +188,23 @@ def gen_labels(scheme, n, L, rng):
 
 def pair_products(y):
     """Pairwise label products of one pattern, lexicographic pair order."""
-    return pair_products_matrix(_array(y, "pattern", ndim=1)[None])[0]
+    return pair_products_matrix(_array(y, "pattern", shape=(None,))[None])[0]
 
 
 def pair_products_matrix(Y):
     """Row-wise pair products of a label matrix: (n, L(L-1)/2)."""
-    Y = _array(Y, "Y", ndim=2)
+    Y = _array(Y, "Y", shape=(None, None))
     pairs = np.array(list(combinations(range(Y.shape[1]), 2)), dtype=np.intp).reshape(-1, 2)
     # the gathered columns come out column-major; the product is row-major
     return np.multiply(Y[:, pairs[:, 0]], Y[:, pairs[:, 1]], order="C")
+
+
+def _interaction_effects(B_inter, A):
+    """B_inter through the array route: finite, with one row per feature of
+    the (d, L) label effects A and one column per label pair, as
+    ``pair_products_matrix`` orders them."""
+    d, L = A.shape
+    return _array(B_inter, "B_inter", float, (d, L * (L - 1) // 2), finite=True)
 
 
 def gen_data(labels, params, rng, alpha=0.0, noise="gaussian"):

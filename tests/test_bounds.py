@@ -34,8 +34,8 @@ from mlda import (
     snr,
     tail_params,
 )
-from mlda.bounds import DistanceBudget, TailParams, _extreme_singular_values, _finite, _jaccard, _pattern
-from mlda.spectral import symmetrize
+from mlda.bounds import DistanceBudget, TailParams, _extreme_singular_values, _jaccard, _pattern
+from mlda.spectral import _array, symmetrize
 from tests.conftest import random_psd, random_stiefel
 
 # hand-built: W = first two axes, W^T A = diag(2, 1) -> singular values (2, 1)
@@ -408,11 +408,9 @@ def test_interaction_constraint_variants(rng):
 
 
 def _distance_budget_oracle(W, A, y_i, y_j, Sigma_w, support_restricted=False):
-    W, A, Sigma_w = _finite(W=W, A=A, Sigma_w=Sigma_w)
-    if W.ndim != 2 or A.ndim != 2 or W.shape[0] != A.shape[0]:
-        raise InvalidInput(f"shape mismatch: W {W.shape} vs A {A.shape}")
-    if Sigma_w.shape != (W.shape[0], W.shape[0]):
-        raise InvalidInput(f"Sigma_w shape {Sigma_w.shape} != ({W.shape[0]},)*2")
+    W = _array(W, "W", float, (None, None), finite=True)
+    A = _array(A, "A", float, (W.shape[0], None), finite=True)
+    Sigma_w = _array(Sigma_w, "Sigma_w", float, (W.shape[0], W.shape[0]), finite=True)
     y_i = _pattern(y_i, L=A.shape[1], name="y_i")
     y_j = _pattern(y_j, L=A.shape[1], name="y_j")
     delta = y_i - y_j
@@ -436,7 +434,9 @@ def _distance_budget_oracle(W, A, y_i, y_j, Sigma_w, support_restricted=False):
 
 
 def _tail_params_oracle(W, A, y_i, y_j, Sigma_w):
-    W, A, Sigma_w = _finite(W=W, A=A, Sigma_w=Sigma_w)
+    W = _array(W, "W", float, finite=True)
+    A = _array(A, "A", float, finite=True)
+    Sigma_w = _array(Sigma_w, "Sigma_w", float, finite=True)
     y_i = _pattern(y_i, L=A.shape[1], name="y_i")
     y_j = _pattern(y_j, L=A.shape[1], name="y_j")
     s = W.T @ A @ (y_i - y_j)
@@ -451,7 +451,8 @@ def _tail_params_oracle(W, A, y_i, y_j, Sigma_w):
 
 
 def _interaction_bound_oracle(W, A, B_inter, y_i, y_j, constraint="none", st_min_eig=None):
-    W, A = _finite(W=W, A=A)
+    W = _array(W, "W", float, finite=True)
+    A = _array(A, "A", float, finite=True)
     y_i = _pattern(y_i, L=A.shape[1], name="y_i")
     y_j = _pattern(y_j, L=A.shape[1], name="y_j")
     L = A.shape[1]
@@ -464,10 +465,7 @@ def _interaction_bound_oracle(W, A, B_inter, y_i, y_j, constraint="none", st_min
     if B_inter is None:
         sb = 0.0
     else:
-        (B_inter,) = _finite(B_inter=B_inter)
-        want = L * (L - 1) // 2
-        if B_inter.shape != (A.shape[0], want):
-            raise InvalidInput(f"B_inter shape {B_inter.shape} != ({A.shape[0]}, {want})")
+        B_inter = _array(B_inter, "B_inter", float, (A.shape[0], L * (L - 1) // 2), finite=True)
         sb = _extreme_singular_values(W.T @ B_inter)[1]
     sa = _extreme_singular_values(W.T @ A)[1]
     out = {

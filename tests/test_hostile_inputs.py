@@ -462,7 +462,48 @@ _ZOO = {
     "ragged": [[1.0], [1.0, 2.0]],
     "0-d array": np.array(1.0),
     "empty array": np.array([]),
+    "numeric strings": np.array(["0.5", "0.25"]),
 }
+
+# The array parameters whose shape is tied to another argument's: matrices
+# that must conform, patterns over a frame's or each other's labels, and
+# feature rows that must match the label rows. Each must reject its valid
+# value with one extra row, and one extra column too where it is square (an
+# extra row alone would only fail the squareness check).
+TIED = {
+    "BoundFrame.distance_budget": ("y_i", "y_j"),
+    "BoundFrame.interaction_bound": ("y_i", "y_j"),
+    "BoundFrame.tail_params": ("y_i", "y_j"),
+    "BoundFrame.with_interactions": ("B_inter",),
+    "ModelParams": ("mu", "A", "Sigma_w", "B_inter"),
+    "bound_frame": ("W", "A", "Sigma_w", "B_inter"),
+    "build_dataset": ("X",),
+    "commutativity_defect": ("Sb", "St"),
+    "davis_kahan_check": ("U_hat", "U_ref"),
+    "distance_budget": ("W", "A", "y_i", "y_j", "Sigma_w"),
+    "eval_objectives": ("W", "Sb", "Sw"),
+    "hamming": ("y_i", "y_j"),
+    "interaction_bound": ("W", "A", "B_inter", "y_i", "y_j"),
+    "isotropic_params": ("mu", "A", "B_inter"),
+    "jaccard": ("y_i", "y_j"),
+    "jaccard_lower": ("y_i", "y_j"),
+    "opt_stml": ("Sb", "St_total"),
+    "ordering_consistent": ("Sb", "St"),
+    "principal_angle_sin": ("U", "V"),
+    "tail_params": ("W", "A", "y_i", "y_j", "Sigma_w"),
+    "trace_ratio_stiefel": ("Sb", "Sw"),
+}
+_GROWN = "grown by one"
+
+
+def _grown(value):
+    """The array ``value`` with its last row repeated, and its last column
+    too when it is square."""
+    value = np.asarray(value)
+    value = np.concatenate((value, value[-1:]))
+    if value.ndim == 2 and value.shape[0] == value.shape[1] + 1:
+        value = np.concatenate((value, value[:, -1:]), axis=1)
+    return value
 
 
 def _walked_callables():
@@ -491,6 +532,7 @@ def test_every_real_and_array_parameter_has_a_valid_call_or_a_recorded_skip():
     assert sorted(found) == sorted([*WALK, *RESULT_SKIPS])
     for name, (_, valid) in WALK.items():
         assert sorted(found[name]) == sorted(valid), name
+    assert all(set(params) <= set(WALK[name][1]) for name, params in TIED.items())
 
 
 def _outside(low, high, strict):
@@ -505,11 +547,13 @@ def _outside(low, high, strict):
     return values
 
 
-def _hostile_values(param):
+def _hostile_values(name, param):
     values = dict(_ZOO)
     if param in REAL_PARAMS:
         for x in _outside(*REAL_PARAMS[param]):
             values[repr(x)] = [x] if param == "gammas" else x
+    if param in TIED.get(name, ()):
+        values[_GROWN] = _grown(WALK[name][1][param])
     return values
 
 
@@ -527,17 +571,17 @@ def _walked_member(qualname):
         (name, param, label)
         for name, (_, valid) in WALK.items()
         for param in valid
-        for label in _hostile_values(param)
+        for label in _hostile_values(name, param)
     ],
 )
 def test_a_hostile_real_or_array_is_an_mlda_error(name, param, label):
     call, valid = WALK[name]
-    value = _hostile_values(param)[label]
+    value = _hostile_values(name, param)[label]
     try:
         got = call(**{**valid, param: value})
     except MldaError:
         return
-    assert label in _ZOO, f"{name}({param}={label}) is out of range but returned {got!r}"
+    assert label in _ZOO, f"{name}({param}={label}) does not fit but returned {got!r}"
     default = inspect.signature(_walked_member(name)).parameters[param].default
     assert (value is None and default is None) or (name, param, label) in ACCEPTED or _same(
         got, call(**valid)
@@ -559,6 +603,7 @@ def test_a_numpy_float_real_gives_the_result_of_the_float(name, param):
 # ---------------------------------------------------------------------------
 
 _RAGGED = [[1.0, 2.0], [3.0]]
+_SS4 = build_scatter(build_dataset(_DS.X[:, :4], _DS.labels))  # d = 4 against _DS's d = 5
 _U, _V = np.eye(5, 2), np.eye(5)[:, 1:3]
 _PROBES = {
     "symmetrize(ragged)": lambda: mlda.symmetrize(_RAGGED),
@@ -589,6 +634,14 @@ _PROBES = {
     "pair_products(ragged)": lambda: mlda.pair_products(_RAGGED),
     "pair_products_matrix(1-D)": lambda: mlda.pair_products_matrix([1, 0, 1]),
     "theta_form('a')": lambda: mlda.theta_form("a"),
+    "theta_form('0.5')": lambda: mlda.theta_form("0.5"),
+    "build_dataset(X as strings)": lambda: build_dataset(_DS.X.astype(str), _DS.labels),
+    "opt_stml(3 x 3, 4 x 4)": lambda: opt_stml(np.eye(3), np.eye(4), 1),
+    "commutativity_defect(3 x 3, 4 x 4)": lambda: mlda.commutativity_defect(np.eye(3), np.eye(4)),
+    "ordering_consistent(3 x 3, 4 x 4)": lambda: mlda.ordering_consistent(np.eye(3), np.eye(4)),
+    "eval_objectives(4 x 2, 3 x 3, 4 x 4)": lambda: mlda.eval_objectives(np.eye(4, 2), np.eye(3), np.eye(4)),
+    "rank_analysis(another dataset's scatters)": lambda: rank_analysis(_DS, _SS4),
+    "residual_bound(another dataset's scatters)": lambda: mlda.residual_bound(_DS, _SS4),
     "mix fraction True": lambda: LabelScheme.variable([(1, True)]),
     "mix fraction '1'": lambda: LabelScheme.variable([(1, "1")]),
 }

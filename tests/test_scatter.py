@@ -944,3 +944,6 @@ def test_csv_malformed(tmp_path):
     fx.write_text("")
     with pytest.raises(InvalidInput):
         load_dataset_csv(fx, fy)
+    fx.write_text("1.0,2.0\n3.0,4.0\n5.0,6.0\n")  # three feature rows, two label rows
+    with pytest.raises(InvalidInput, match="feature matrix must have shape"):
+        load_dataset_csv(fx, fy)

@@ -350,10 +350,12 @@ def entry_vectors(draw):
 
 
 def _rejected_as_non_binary(call):
+    # a string or bytes entry, which np.isin never reads as 0 or 1, is
+    # rejected by kind before the 0/1 check
     try:
         call()
     except MldaError as exc:
-        return "must be 0 or 1" in str(exc)
+        return "must be 0 or 1" in str(exc) or "strings or bytes" in str(exc)
     return False
 
 
