@@ -88,11 +88,11 @@ def slope_fit(ns, errors):
     point (c / sqrt(n) gives -0.5 to ~1e-15). Needs at least three points
     and strictly positive inputs.
     """
-    ns = _array(ns, "ns", float, (None,))
-    errors = _array(errors, "errors", float, ns.shape)
+    ns = _array(ns, "ns", float, (None,), finite=True)
+    errors = _array(errors, "errors", float, ns.shape, finite=True)
     if ns.size < 3:
         raise InvalidInput(f"need at least 3 points for a slope, got {ns.size}")
-    if np.any(ns <= 0) or np.any(errors <= 0) or not np.all(np.isfinite(errors)):
-        raise InvalidInput("slope fit needs positive finite sample sizes and errors")
+    if np.any(ns <= 0) or np.any(errors <= 0):
+        raise InvalidInput("slope fit needs positive sample sizes and errors")
     slope, _ = np.polyfit(np.log(ns), np.log(errors), 1)
     return float(slope)

@@ -1,15 +1,16 @@
 """The eight synthetic experiments behind the ``mlda`` command.
 
-Each experiment generates data from the linear label-effect model, measures
-one family of claims (rank structure, objective divergence, distance bounds,
-subspace convergence, difficulty factors, tail concentration, interaction
-robustness, ridge regularization), and returns a table of rows plus the
-failures of that experiment's acceptance criterion, which passes when there
-are none. Everything is
-deterministic given (config, seed): every random draw comes from a stream
-keyed by (experiment, trial, purpose), never from a shared generator, so the
-order in which trials or experiments run cannot change any number. Trials
-run one after another in index order.
+Each experiment generates data from the linear label-effect model and
+measures one family of claims (rank structure, objective divergence, distance
+bounds, subspace convergence, difficulty factors, tail concentration,
+interaction robustness, ridge regularization). ``run`` hands its runner one
+``_Run`` record, and the runner writes everything onto it: the table rows,
+the failures of the experiment's acceptance criterion (which passes when
+there are none) and the summary. Everything is deterministic given (config,
+seed): every random draw comes from a stream keyed by (experiment, trial,
+purpose), which ``_Run.stream`` opens in the runner's own experiment, never
+from a shared generator, so the order in which trials or experiments run
+cannot change any number. Trials run one after another in index order.
 """
 
 import math
@@ -38,7 +39,7 @@ from ..spectral import orthonormalize, principal_angle_sin, sym_eig, sym_eigvals
 from ..synth import LabelScheme, Seed, gen_data, gen_labels, pair_products, scheme_distribution
 from ..synth import _draw_cardinalities
 from .aggregate import UpperTail, aggregate, slope_fit
-from .config import DEFAULTS, EXPERIMENTS, PAIR_FRAME_RANK, ExperimentConfig, scheme_from_dict
+from .config import EXPERIMENTS, PAIR_FRAME_RANK, build_config, scheme_from_dict
 
 # ---------------------------------------------------------------------------
 # report plumbing
@@ -61,6 +62,24 @@ class ExperimentReport:
     @property
     def all_passed(self):
         return all(self.passes.values())
+
+
+class _Run:
+    """What one experiment's runner reads and writes: its options and seed,
+    and the rows, failures and summary that ``run`` turns into its report."""
+
+    def __init__(self, experiment, options, seed):
+        self.experiment, self.options, self.seed = experiment, options, seed
+        self.rows, self.failures, self.summary = [], [], {}
+
+    def stream(self, trial, purpose):
+        """The generator keyed by (this experiment, ``trial``, ``purpose``)."""
+        return self.seed.stream(self.experiment, trial, purpose)
+
+    def require(self, ok, message):
+        """Record ``message`` as a failure of the criterion unless ``ok``."""
+        if not ok:
+            self.failures.append(message)
 
 
 def _plain(obj):
@@ -167,17 +186,17 @@ def _gaussian_effects(d, L, scale, rng):
     return scale * rng.standard_normal((d, L))
 
 
-def _instance(seed, experiment, trial, scheme, n, d, L, scale, sigma_w, suffix="", noise="noise"):
+def _instance(ex, trial, scheme, n, d, L, scale, sigma_w, suffix="", noise="noise"):
     """One draw of the model with Gaussian effects and isotropic noise.
 
-    Labels, effects and noise come from the streams ``(experiment, trial,
-    purpose + suffix)`` with purposes "labels", "effects" and ``noise``.
+    Labels, effects and noise come from the run's streams ``(trial, purpose +
+    suffix)`` with purposes "labels", "effects" and ``noise``.
     Returns the model parameters and the noisy dataset (which holds the labels).
     """
-    labels = gen_labels(scheme, n, L, seed.stream(experiment, trial, "labels" + suffix))
-    A = _gaussian_effects(d, L, scale, seed.stream(experiment, trial, "effects" + suffix))
+    labels = gen_labels(scheme, n, L, ex.stream(trial, "labels" + suffix))
+    A = _gaussian_effects(d, L, scale, ex.stream(trial, "effects" + suffix))
     params = isotropic_params(np.zeros(d), A, sigma_w)
-    return params, gen_data(labels, params, seed.stream(experiment, trial, noise + suffix))
+    return params, gen_data(labels, params, ex.stream(trial, noise + suffix))
 
 
 def _draw_pattern(scheme, L, rng):
@@ -189,9 +208,26 @@ def _draw_pattern(scheme, L, rng):
     return bits
 
 
-def _pair_indices(rng, n, pairs):
-    """``pairs`` pairs of distinct row indices below ``n``, drawn from ``rng``."""
-    return [rng.choice(n, size=2, replace=False) for _ in range(pairs)]
+def _pair_frame(ex, trial, ds, params, r):
+    """The pair experiments' frame: the top-r eigenspace W of the fitted
+    between-class scatter of ``ds``, its ``bound_frame`` under ``params``, and
+    the option ``pairs`` pairs of distinct row indices of ``ds``, drawn from
+    the stream ``(trial, "pairs")``."""
+    W = top_eigenspace(build_scatter(ds).Sb, r).frame.columns
+    rng = ex.stream(trial, "pairs")
+    pair_idx = [rng.choice(ds.n, size=2, replace=False) for _ in range(ex.options["pairs"])]
+    return W, bound_frame(W, params.A, params.Sigma_w), pair_idx
+
+
+def _within(budget, value, tol, widen=0.0):
+    """Whether ``value`` lies in the two-sided band of ``budget``, widened by
+    ``widen`` and then by ``tol`` on each side."""
+    return budget.lower - widen - tol <= value <= budget.upper + widen + tol
+
+
+def _rate(flags):
+    """The share of true flags."""
+    return sum(1 for f in flags if f) / len(flags)
 
 
 def _signal_dataset(labels, A):
@@ -226,21 +262,21 @@ def _degrees(sin_value):
 # ---------------------------------------------------------------------------
 
 
-def _run_rank(options, seed):
-    rows, failures = [], []
+def _run_rank(ex):
+    options = ex.options
     for idx, row_cfg in enumerate(options["rows"]):
         scheme = scheme_from_dict(row_cfg["scheme"])
         n, d, L = row_cfg["n"], row_cfg["d"], row_cfg["L"]
-        _, ds = _instance(seed, "rank", idx, scheme, n, d, L, options["effect_scale"], options["sigma_w"])
+        _, ds = _instance(ex, idx, scheme, n, d, L, options["effect_scale"], options["sigma_w"])
         report = rank_analysis(ds, build_scatter(ds))
         expect_rank, expect_excess = row_cfg["expect_rank"], row_cfg["expect_excess"]
         ok = report.rank_sb == expect_rank and report.excess == expect_excess
-        if not ok:
-            failures.append(
-                f"row {idx} ({row_cfg['setting']}): rank {report.rank_sb}, "
-                f"excess {report.excess}; expected ({expect_rank}, {expect_excess})"
-            )
-        rows.append(
+        ex.require(
+            ok,
+            f"row {idx} ({row_cfg['setting']}): rank {report.rank_sb}, "
+            f"excess {report.excess}; expected ({expect_rank}, {expect_excess})",
+        )
+        ex.rows.append(
             {
                 "Setting": row_cfg["setting"],
                 "n": n,
@@ -253,7 +289,6 @@ def _run_rank(options, seed):
                 "pass": ok,
             }
         )
-    return rows, failures, {}
 
 
 # ---------------------------------------------------------------------------
@@ -261,17 +296,16 @@ def _run_rank(options, seed):
 # ---------------------------------------------------------------------------
 
 
-def _run_divergence(options, seed):
-    n, d, L, r, trials = (options[k] for k in ("n", "d", "L", "r", "trials"))
-    sigma_w, scale = options["sigma_w"], options["effect_scale"]
+def _run_divergence(ex):
+    n, d, L, r, trials = (ex.options[k] for k in ("n", "d", "L", "r", "trials"))
+    sigma_w, scale = ex.options["sigma_w"], ex.options["effect_scale"]
 
-    rows, failures = [], []
     qualitative = {}
-    for si, entry in enumerate(options["settings"]):
+    for si, entry in enumerate(ex.options["settings"]):
         scheme = scheme_from_dict(entry["scheme"])
 
         def one(t):
-            _, ds = _instance(seed, "divergence", t, scheme, n, d, L, scale, sigma_w, suffix=f":{si}")
+            _, ds = _instance(ex, t, scheme, n, d, L, scale, sigma_w, suffix=f":{si}")
             ss = build_scatter(ds)
             defect = commutativity_defect(ss.Sb, ss.St)
             td = opt_td(ss, r)
@@ -296,18 +330,18 @@ def _run_divergence(options, seed):
         med_defect = aggregate(defects)["median"]
         med_ref = aggregate([_degrees(s) for s in ref_sin])["median"]
         med_tr = aggregate([_degrees(s) for s in tr_sin])["median"]
-        passed = sum(1 for h in holds if h)
-        if passed < trials:
-            failures.append(
-                f"{entry['setting']}: sin-theta bound violated on {trials - passed}/{trials} instances"
-            )
-        rows.append(
+        dk_rate = _rate(holds)
+        ex.require(
+            dk_rate == 1.0,
+            f"{entry['setting']}: sin-theta bound violated on {holds.count(False)}/{trials} instances",
+        )
+        ex.rows.append(
             {
                 "Setting": entry["setting"],
                 "Comm_defect": med_defect,
                 "angle_TD_TD0_deg": med_ref,
                 "angle_TD_TR_deg": med_tr,
-                "dk_pass_rate": passed / trials,
+                "dk_pass_rate": dk_rate,
             }
         )
         qualitative[entry["setting"]] = {
@@ -335,7 +369,7 @@ def _run_divergence(options, seed):
             s["median_defect"] < m["median_defect"] for s in singles for m in multis
         ),
     }
-    return rows, failures, {"qualitative": observed, "per_setting": qualitative}
+    ex.summary = {"qualitative": observed, "per_setting": qualitative}
 
 
 # ---------------------------------------------------------------------------
@@ -343,40 +377,31 @@ def _run_divergence(options, seed):
 # ---------------------------------------------------------------------------
 
 
-def _run_distance(options, seed):
-    n, d, L, pairs, draws = (options[k] for k in ("n", "d", "L", "pairs", "draws"))
-    sigma_w, scale = options["sigma_w"], options["effect_scale"]
-    tol_se, min_rate = options["tolerance_se"], options["min_pass_rate"]
+def _run_distance(ex):
+    n, d, L, pairs, draws = (ex.options[k] for k in ("n", "d", "L", "pairs", "draws"))
+    sigma_w, scale = ex.options["sigma_w"], ex.options["effect_scale"]
+    tol_se, min_rate = ex.options["tolerance_se"], ex.options["min_pass_rate"]
     r = min(PAIR_FRAME_RANK, L)
 
-    rows, failures = [], []
-    for si, entry in enumerate(options["settings"]):
+    for si, entry in enumerate(ex.options["settings"]):
         scheme = scheme_from_dict(entry["scheme"])
-        params, ds = _instance(seed, "distance", si, scheme, n, d, L, scale, sigma_w, noise="fit-noise")
-        labels, A, Sigma_w = ds.labels, params.A, params.Sigma_w
-        W = top_eigenspace(build_scatter(ds).Sb, r).frame.columns
-        frame = bound_frame(W, A, Sigma_w)
-        pair_idx = _pair_indices(seed.stream("distance", si, "pairs"), n, pairs)
-
-        def one(p):
-            i, j = pair_idx[p]
-            y_i, y_j = labels.bits[i], labels.bits[j]
+        params, ds = _instance(ex, si, scheme, n, d, L, scale, sigma_w, noise="fit-noise")
+        W, frame, pair_idx = _pair_frame(ex, si, ds, params, r)
+        hamming, jaccard = [], []
+        for p, (i, j) in enumerate(pair_idx):
+            y_i, y_j = ds.labels.bits[i], ds.labels.bits[j]
             budget = frame.distance_budget(y_i, y_j)
-            jac = jaccard_lower(budget, y_i, y_j)
-            rng = seed.stream("distance", p, f"draws:{si}")
-            mean, tol = _mc_distance(rng, A @ (y_i - y_j).astype(float), W, sigma_w, draws, tol_se)
-            hamming_ok = budget.lower - tol <= mean <= budget.upper + tol
-            jaccard_ok = mean >= budget.C_w + jac["weakened"] - tol
-            return hamming_ok, jaccard_ok
+            rng = ex.stream(p, f"draws:{si}")
+            mean, tol = _mc_distance(rng, params.A @ (y_i - y_j).astype(float), W, sigma_w, draws, tol_se)
+            hamming.append(_within(budget, mean, tol))
+            jaccard.append(mean >= budget.C_w + jaccard_lower(budget, y_i, y_j)["weakened"] - tol)
 
-        out = [one(p) for p in range(pairs)]
-        ham_rate = sum(1 for o in out if o[0]) / pairs
-        jac_rate = sum(1 for o in out if o[1]) / pairs
-        if not (ham_rate >= min_rate and jac_rate >= min_rate):
-            failures.append(
-                f"{entry['setting']}: Hamming {100 * ham_rate:.1f}%, Jaccard {100 * jac_rate:.1f}%"
-            )
-        rows.append(
+        ham_rate, jac_rate = _rate(hamming), _rate(jaccard)
+        ex.require(
+            ham_rate >= min_rate and jac_rate >= min_rate,
+            f"{entry['setting']}: Hamming {100 * ham_rate:.1f}%, Jaccard {100 * jac_rate:.1f}%",
+        )
+        ex.rows.append(
             {
                 "Setting": entry["setting"],
                 "Hamming_pass_pct": 100.0 * ham_rate,
@@ -385,7 +410,7 @@ def _run_distance(options, seed):
                 "draws": draws,
             }
         )
-    return rows, failures, {"r": r}
+    ex.summary = {"r": r}
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +418,7 @@ def _run_distance(options, seed):
 # ---------------------------------------------------------------------------
 
 
-def _run_convergence(options, seed):
+def _run_convergence(ex):
     """Median subspace error of the noisy trace-difference frame against n.
 
     Only the signal scatters are kept across sample sizes. Each n's labels
@@ -401,15 +426,16 @@ def _run_convergence(options, seed):
     draws its rows through ``gen_data``, so a run holds one n's labels plus
     one trial's rows and scatters.
     """
+    options = ex.options
     d, L, sigma_w, trials, ns = (options[k] for k in ("d", "L", "sigma_w", "trials", "ns"))
     threshold = options["gap_threshold"]
     scheme = scheme_from_dict(options["scheme"])
 
-    A = _structured_effects(d, L, options["singular_values"], seed.stream("convergence", 0, "effects"))
+    A = _structured_effects(d, L, options["singular_values"], ex.stream(0, "effects"))
     params = isotropic_params(np.zeros(d), A, sigma_w)
 
     def labels_at(n):
-        return gen_labels(scheme, n, L, seed.stream("convergence", n, "labels"))
+        return gen_labels(scheme, n, L, ex.stream(n, "labels"))
 
     signal_ss = {n: build_scatter(_signal_dataset(labels_at(n), A)) for n in ns}
 
@@ -423,11 +449,10 @@ def _run_convergence(options, seed):
         # the drawn instance has no separated target subspace: a property of
         # the data, so the criterion fails rather than the configuration
         largest = float(per_sample_gaps.max())
-        failures = [
-            f"no spectral gap exceeds threshold {threshold} "
-            f"(largest per-sample gap {largest:.3g})"
-        ]
-        return [], failures, {"largest_per_sample_gap": largest}
+        ex.require(False, f"no spectral gap exceeds threshold {threshold} "
+                          f"(largest per-sample gap {largest:.3g})")
+        ex.summary = {"largest_per_sample_gap": largest}
+        return
     r = int(above.max()) + 1
 
     # at n_ref, opt_td would solve ref's matrix again: its top r is the target
@@ -435,15 +460,14 @@ def _run_convergence(options, seed):
 
     def errors_at(n):
         labels = labels_at(n)
-        noise = (seed.stream("convergence", t, f"noise:{n}") for t in range(trials))
+        noise = (ex.stream(t, f"noise:{n}") for t in range(trials))
         return aggregate([_noisy_td_error(labels, params, rng, r, targets[n]) for rng in noise])
 
-    rows = []
     medians = []
     for n in ns:
         agg = errors_at(n)
         medians.append(agg["median"])
-        rows.append(
+        ex.rows.append(
             {
                 "n": n,
                 "median_sin": agg["median"],
@@ -456,21 +480,18 @@ def _run_convergence(options, seed):
     slope = slope_fit(ns, medians)
     inversions = sum(1 for a, b in zip(medians, medians[1:]) if b > a)
     lo, hi = options["slope_range"]
-    failures = []
-    if not medians[-1] <= options["max_median"]:
-        failures.append(f"median at n={ns[-1]} is {medians[-1]:.4g} > {options['max_median']}")
-    if not inversions <= options["max_inversions"]:
-        failures.append(f"{inversions} median inversions (allowed {options['max_inversions']})")
-    if not lo <= slope <= hi:
-        failures.append(f"log-log slope {slope:.3f} outside [{lo}, {hi}]")
+    ex.require(medians[-1] <= options["max_median"],
+               f"median at n={ns[-1]} is {medians[-1]:.4g} > {options['max_median']}")
+    ex.require(inversions <= options["max_inversions"],
+               f"{inversions} median inversions (allowed {options['max_inversions']})")
+    ex.require(lo <= slope <= hi, f"log-log slope {slope:.3f} outside [{lo}, {hi}]")
 
-    summary = {
+    ex.summary = {
         "r": r,
         "per_sample_gap_at_r": float(per_sample_gaps[r - 1]),
         "slope": slope,
         "inversions": inversions,
     }
-    return rows, failures, summary
 
 
 # ---------------------------------------------------------------------------
@@ -488,17 +509,17 @@ def _rescale_ok(delta_dev, gap_ratio, c):
     return delta_dev <= 1e-10 and abs(gap_ratio - c * c) <= 1e-9 * c * c
 
 
-def _run_factors(options, seed):
+def _run_factors(ex):
+    options = ex.options
     d, L, n, r, trials = (options[k] for k in ("d", "L", "n", "r", "trials"))
     sigma_w = options["sigma_w"]
 
-    A = _structured_effects(d, L, options["singular_values"], seed.stream("factors", 0, "effects"))
+    A = _structured_effects(d, L, options["singular_values"], ex.stream(0, "effects"))
     params = isotropic_params(np.zeros(d), A, sigma_w)
     norm_A = max(options["singular_values"])
     rate = math.sqrt(d * math.log(d) / n)
 
     # (a) sweep the maximum label cardinality
-    rows = []
     med_errs, med_ratios = [], []
     for si, entry in enumerate(options["kmax_settings"]):
         scheme = scheme_from_dict(entry["scheme"])
@@ -506,9 +527,9 @@ def _run_factors(options, seed):
         denom = (sigma_w * norm_A + sigma_w ** 2 * k_max) * rate
 
         def one(t):
-            labels = gen_labels(scheme, n, L, seed.stream("factors", t, f"labels:{si}"))
+            labels = gen_labels(scheme, n, L, ex.stream(t, f"labels:{si}"))
             target = opt_td(build_scatter(_signal_dataset(labels, A)), r)
-            rng = seed.stream("factors", t, f"noise:{si}")
+            rng = ex.stream(t, f"noise:{si}")
             err = _noisy_td_error(labels, params, rng, r, target.frame)
             return err, target.gap, err * target.gap / denom
 
@@ -518,7 +539,7 @@ def _run_factors(options, seed):
         med_ratio = aggregate(ratios)["median"]
         med_errs.append(med_err)
         med_ratios.append(med_ratio)
-        rows.append(
+        ex.rows.append(
             {
                 "k_max": k_max,
                 "median_sin": med_err,
@@ -543,10 +564,8 @@ def _run_factors(options, seed):
 
     # (c) co-occurrence norm: diagonal-exact for single-label, strictly
     # larger once labels overlap
-    labels_single = gen_labels(LabelScheme.single(), n, L, seed.stream("factors", 1, "gamma-single"))
-    labels_multi = gen_labels(
-        scheme_from_dict(options["gamma_scheme"]), n, L, seed.stream("factors", 2, "gamma-multi")
-    )
+    labels_single = gen_labels(LabelScheme.single(), n, L, ex.stream(1, "gamma-single"))
+    labels_multi = gen_labels(scheme_from_dict(options["gamma_scheme"]), n, L, ex.stream(2, "gamma-multi"))
     gn_single = gamma_norm(labels_single)
     gn_multi = gamma_norm(labels_multi)
     share_single = float(labels_single.n_ell.max()) / n
@@ -565,8 +584,8 @@ def _run_factors(options, seed):
         W_pop = orthonormalize(whitened.columns)
 
         def one(t):
-            labels = gen_labels(scheme_multi, n, L, seed.stream("factors", t, f"kappa-labels:{ci}"))
-            ds = gen_data(labels, params_c, seed.stream("factors", t, f"kappa-noise:{ci}"))
+            labels = gen_labels(scheme_multi, n, L, ex.stream(t, f"kappa-labels:{ci}"))
+            ds = gen_data(labels, params_c, ex.stream(t, f"kappa-noise:{ci}"))
             ss = build_scatter(ds)
             est = orthonormalize(opt_stml(ss.Sb, ss.St_ml, r).columns)
             return principal_angle_sin(est, W_pop)
@@ -580,26 +599,21 @@ def _run_factors(options, seed):
         )
     )
 
-    failures = []
-    if not all(b >= a for a, b in zip(med_errs, med_errs[1:])):
-        failures.append(f"median errors not monotone in k_max: {med_errs}")
-    if not ratio_spread <= options["ratio_factor"]:
-        failures.append(f"bound-ratio spread {ratio_spread:.3g} exceeds {options['ratio_factor']}")
-    if not _rescale_ok(delta_dev, gap_ratio, c):
-        failures.append(
-            f"rescale test: Delta_r moved by {delta_dev:.3g}, gap ratio {gap_ratio!r}"
-        )
-    if not (
+    ex.require(all(b >= a for a, b in zip(med_errs, med_errs[1:])),
+               f"median errors not monotone in k_max: {med_errs}")
+    ex.require(ratio_spread <= options["ratio_factor"],
+               f"bound-ratio spread {ratio_spread:.3g} exceeds {options['ratio_factor']}")
+    ex.require(_rescale_ok(delta_dev, gap_ratio, c),
+               f"rescale test: Delta_r moved by {delta_dev:.3g}, gap ratio {gap_ratio!r}")
+    ex.require(
         abs(gn_single - share_single) <= 8 * np.finfo(float).eps * share_single
         and gn_multi > share_multi
-        and gn_multi > gn_single
-    ):
-        failures.append(
-            f"co-occurrence norms: single {gn_single!r} vs share {share_single!r}, "
-            f"multi {gn_multi!r} vs share {share_multi!r}"
-        )
+        and gn_multi > gn_single,
+        f"co-occurrence norms: single {gn_single!r} vs share {share_single!r}, "
+        f"multi {gn_multi!r} vs share {share_multi!r}",
+    )
 
-    summary = {
+    ex.summary = {
         "kmax_medians": med_errs,
         "bound_ratio_spread": ratio_spread,
         "scale_check": {"Delta_r_deviation": delta_dev, "gap_ratio": gap_ratio, "factor": c},
@@ -615,7 +629,6 @@ def _run_factors(options, seed):
             "co_moves": kappa_co_moves,
         },
     }
-    return rows, failures, summary
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +641,7 @@ def _run_factors(options, seed):
 _DRAW_BLOCK = 1000
 
 
-def _run_concentration(options, seed):
+def _run_concentration(ex):
     """Coverage of the concentration interval, with diagnostics over all draws.
 
     The population frame W is checked once, before any pair: W^T St_ml_pop W
@@ -646,12 +659,13 @@ def _run_concentration(options, seed):
     (draws, d) noise buffer and a block of the second draw, both reused by
     every pair, are what a run holds.
     """
+    options = ex.options
     d, L, r, pairs, draws = (options[k] for k in ("d", "L", "r", "pairs", "draws"))
     sigma_w, scale = options["sigma_w"], options["effect_scale"]
     deltas, c_scale = options["deltas"], options["c_scale"]
     scheme = scheme_from_dict(options["scheme"])
 
-    A = _gaussian_effects(d, L, scale, seed.stream("concentration", 0, "effects"))
+    A = _gaussian_effects(d, L, scale, ex.stream(0, "effects"))
     params = isotropic_params(np.zeros(d), A, sigma_w)
     dist = scheme_distribution(scheme, L)
     pop = population_scatters(params, dist)
@@ -676,12 +690,12 @@ def _run_concentration(options, seed):
     lin_sum = lin_sq = 0.0
     used = 0
     for p in range(pairs):
-        rng = seed.stream("concentration", p, "pair")
+        rng = ex.stream(p, "pair")
         y_i = _draw_pattern(scheme, L, rng)
         y_j = _draw_pattern(scheme, L, rng)
         params_tail = frame.tail_params(y_i, y_j)
         s = W.T @ (A @ (y_i - y_j).astype(float))
-        rng_draws = seed.stream("concentration", p, "draws")
+        rng_draws = ex.stream(p, "draws")
         # sigma_w * e and e * sigma_w round alike, so scaling in place is
         # exact; block draws from one generator continue one another, so the
         # blocks of the second draw equal a single (draws, d) draw
@@ -717,7 +731,7 @@ def _run_concentration(options, seed):
         quad_m2 += float(quad @ quad) + delta * delta * (seen * draws / (seen + draws))
 
     coverage = [c / total for c in covered]
-    rows = [
+    ex.rows = [
         {"delta": deltas[k], "nominal": 1.0 - deltas[k], "coverage": coverage[k]}
         for k in range(len(deltas))
     ]
@@ -733,25 +747,22 @@ def _run_concentration(options, seed):
     q95, q99 = tail.quantiles((0.95, 0.99))
     q_ratio = q99 / q95
 
-    failures = []
-    for k, cov in enumerate(coverage):
-        if cov < 1.0 - deltas[k]:
-            failures.append(f"delta={deltas[k]}: coverage {cov:.4f} < nominal {1 - deltas[k]:.4f}")
-    if var_ratio is None:
-        failures.append("every pair drew two equal patterns, so no linear part was sampled")
-    else:
-        if not abs(var_ratio - 1.0) <= options["variance_rel_tol"]:
-            failures.append(f"linear-part variance ratio {var_ratio:.4f} off unity by more than "
-                            f"{options['variance_rel_tol']}")
+    for delta, cov in zip(deltas, coverage):
+        ex.require(not cov < 1.0 - delta, f"delta={delta}: coverage {cov:.4f} < nominal {1 - delta:.4f}")
+    ex.require(var_ratio is not None, "every pair drew two equal patterns, so no linear part was sampled")
+    if var_ratio is not None:
+        ex.require(abs(var_ratio - 1.0) <= options["variance_rel_tol"],
+                   f"linear-part variance ratio {var_ratio:.4f} off unity by more than "
+                   f"{options['variance_rel_tol']}")
         mean_tol = options["mean_se_tol"]
-        if not (lin_t <= mean_tol and quad_t <= mean_tol):
-            failures.append(f"component means not centered: t_lin={lin_t:.2f}, t_quad={quad_t:.2f}")
-    if not q_ratio <= options["quantile_ratio_max"]:
-        failures.append(f"99th/95th deviation ratio {q_ratio:.3f} exceeds {options['quantile_ratio_max']}")
-    if not frame.psi_2 <= (1.0 + 1e-10) / lam_min_st:
-        failures.append("||Psi||_2 exceeded 1/lambda_min of the population total scatter")
+        ex.require(lin_t <= mean_tol and quad_t <= mean_tol,
+                   f"component means not centered: t_lin={lin_t:.2f}, t_quad={quad_t:.2f}")
+    ex.require(q_ratio <= options["quantile_ratio_max"],
+               f"99th/95th deviation ratio {q_ratio:.3f} exceeds {options['quantile_ratio_max']}")
+    ex.require(frame.psi_2 <= (1.0 + 1e-10) / lam_min_st,
+               "||Psi||_2 exceeded 1/lambda_min of the population total scatter")
 
-    summary = {
+    ex.summary = {
         "variance_ratio": var_ratio,
         "t_linear_mean": lin_t,
         "t_quad_mean": quad_t,
@@ -759,7 +770,6 @@ def _run_concentration(options, seed):
         "pooled_draws": int(total),
         "theta": _plain(whitened.theta),
     }
-    return rows, failures, summary
 
 
 # ---------------------------------------------------------------------------
@@ -767,14 +777,14 @@ def _run_concentration(options, seed):
 # ---------------------------------------------------------------------------
 
 
-def _run_interaction(options, seed):
-    n, d, L, pairs, draws = (options[k] for k in ("n", "d", "L", "pairs", "draws"))
-    sigma_w, iscale = options["sigma_w"], options["interaction_scale"]
-    alphas, tol_se = options["alphas"], options["tolerance_se"]
-    scheme = scheme_from_dict(options["scheme"])
+def _run_interaction(ex):
+    n, d, L, pairs, draws = (ex.options[k] for k in ("n", "d", "L", "pairs", "draws"))
+    sigma_w, iscale = ex.options["sigma_w"], ex.options["interaction_scale"]
+    alphas, tol_se = ex.options["alphas"], ex.options["tolerance_se"]
+    scheme = scheme_from_dict(ex.options["scheme"])
     r = min(PAIR_FRAME_RANK, L)
 
-    labels = gen_labels(scheme, n, L, seed.stream("interaction", 0, "labels"))
+    labels = gen_labels(scheme, n, L, ex.stream(0, "labels"))
     # Orthogonal label effects whose column norms are the prescribed singular
     # values.  A pair differing in one extreme-norm label then has its expected
     # projected distance sitting essentially on an endpoint of the two-sided
@@ -782,19 +792,17 @@ def _run_interaction(options, seed):
     # while the corrected bound absorbs it.  A rotated spectrum would leave
     # slack between every realizable label change and the band endpoints,
     # hiding the interaction inside the naive bound at every strength.
-    sv = np.asarray(options["singular_values"], dtype=float)
-    U = orthonormalize(seed.stream("interaction", 0, "effects").standard_normal((d, d))).columns[:, :L]
+    sv = np.asarray(ex.options["singular_values"], dtype=float)
+    U = orthonormalize(ex.stream(0, "effects").standard_normal((d, d))).columns[:, :L]
     A = U * sv
     n_prod = L * (L - 1) // 2
-    B = iscale * seed.stream("interaction", 0, "inter").standard_normal((d, n_prod))
+    B = iscale * ex.stream(0, "inter").standard_normal((d, n_prod))
     params = isotropic_params(np.zeros(d), A, sigma_w, B_inter=B)
     # the strongest interaction alpha * B must make a valid model as well
     isotropic_params(np.zeros(d), A, sigma_w, B_inter=max(alphas) * B)
-    ds0 = gen_data(labels, params, seed.stream("interaction", 0, "fit-noise"))
-    W = top_eigenspace(build_scatter(ds0).Sb, r).frame.columns
-    frame = bound_frame(W, A, params.Sigma_w)
+    ds0 = gen_data(labels, params, ex.stream(0, "fit-noise"))
+    W, frame, pair_idx = _pair_frame(ex, 0, ds0, params, r)
 
-    pair_idx = _pair_indices(seed.stream("interaction", 0, "pairs"), n, pairs)
     # what a pair contributes at every alpha: its patterns, its budget, and
     # the label and interaction effects A delta and B (z_i - z_j)
     per_pair = []
@@ -805,47 +813,37 @@ def _run_interaction(options, seed):
             (y_i, y_j, frame.distance_budget(y_i, y_j), A @ (y_i - y_j).astype(float), B @ z_diff)
         )
 
-    rows = []
     rates = {}
     for ai, alpha in enumerate(alphas):
         frame_alpha = frame.with_interactions(alpha * B)
-
-        def one(p):
-            y_i, y_j, budget, effect, inter = per_pair[p]
-            rng = seed.stream("interaction", p, f"draws:{ai}")
+        naive, corrected = [], []
+        for p, (y_i, y_j, budget, effect, inter) in enumerate(per_pair):
+            rng = ex.stream(p, f"draws:{ai}")
             mean, tol = _mc_distance(rng, effect + alpha * inter, W, sigma_w, draws, tol_se)
             widen = frame_alpha.interaction_bound(y_i, y_j)["corrected_bound"]
-            naive_ok = budget.lower - tol <= mean <= budget.upper + tol
-            corrected_ok = budget.lower - widen - tol <= mean <= budget.upper + widen + tol
-            return naive_ok, corrected_ok
+            naive.append(_within(budget, mean, tol))
+            corrected.append(_within(budget, mean, tol, widen))
 
-        out = [one(p) for p in range(pairs)]
-        naive_rate = sum(1 for o in out if o[0]) / pairs
-        corrected_rate = sum(1 for o in out if o[1]) / pairs
-        rates[alpha] = (naive_rate, corrected_rate)
-        rows.append(
+        rates[alpha] = (_rate(naive), _rate(corrected))
+        ex.rows.append(
             {
                 "alpha": alpha,
-                "naive_pass_pct": 100.0 * naive_rate,
-                "corrected_pass_pct": 100.0 * corrected_rate,
+                "naive_pass_pct": 100.0 * rates[alpha][0],
+                "corrected_pass_pct": 100.0 * rates[alpha][1],
                 "pairs": pairs,
                 "draws": draws,
             }
         )
 
-    min_corrected = options["min_corrected"]
+    min_corrected = ex.options["min_corrected"]
     a_top = max(alphas)
-    failures = []
     bad = [a for a in alphas if rates[a][1] < min_corrected]
-    if bad:
-        failures.append(f"corrected rate below {min_corrected} at alpha in {bad}")
-    if not rates[a_top][0] < rates[a_top][1]:
-        failures.append(
-            f"naive rate {rates[a_top][0]:.3f} not below corrected {rates[a_top][1]:.3f} "
-            f"at alpha={a_top}"
-        )
-
-    return rows, failures, {"r": r}
+    ex.require(not bad, f"corrected rate below {min_corrected} at alpha in {bad}")
+    ex.require(
+        rates[a_top][0] < rates[a_top][1],
+        f"naive rate {rates[a_top][0]:.3f} not below corrected {rates[a_top][1]:.3f} at alpha={a_top}",
+    )
+    ex.summary = {"r": r}
 
 
 # ---------------------------------------------------------------------------
@@ -853,7 +851,8 @@ def _run_interaction(options, seed):
 # ---------------------------------------------------------------------------
 
 
-def _run_regularization(options, seed):
+def _run_regularization(ex):
+    options = ex.options
     n, d, L, trials, gammas = (options[k] for k in ("n", "d", "L", "trials", "gammas"))
     sigma_w, scale = options["sigma_w"], options["effect_scale"]
     scheme = scheme_from_dict(options["scheme"])
@@ -862,19 +861,18 @@ def _run_regularization(options, seed):
 
     reports = []
     for t in range(trials):
-        _, ds = _instance(seed, "regularization", t, scheme, n, d, L, scale, sigma_w)
+        _, ds = _instance(ex, t, scheme, n, d, L, scale, sigma_w)
         reports.append(regularization_report(build_scatter(ds), gammas, r))
 
     ranks = {row.rank_sb for rep in reports for row in rep}
 
-    rows = []
     medians = []
     for gi, gamma in enumerate(gammas):
         kappas = [rep[gi].kappa_sw_gamma for rep in reports]
         infinite = any(rep[gi].kappa_infinite for rep in reports)
         med = float("inf") if infinite else aggregate(kappas)["median"]
         medians.append(med)
-        rows.append(
+        ex.rows.append(
             {
                 "gamma": gamma,
                 "rank_Sb_ML": int(min(rep[gi].rank_sb for rep in reports)),
@@ -888,33 +886,29 @@ def _run_regularization(options, seed):
     lo, hi = options["kappa_ratio_range"]
     ratios = [a / b for a, b in zip(finite, finite[1:])]
 
-    failures = []
-    if ranks != {L}:
-        failures.append(f"rank varied across trials/ridges: {sorted(ranks)}")
-    if gammas[0] == 0.0 and not all(rep[0].kappa_infinite for rep in reports):
-        failures.append("gamma=0 did not flag an infinite condition number")
-    if not all(lo <= q <= hi for q in ratios):
-        failures.append(f"consecutive kappa ratios {ratios} outside [{lo}, {hi}]")
-    gap_dev = max(row["max_gap_dev"] for row in rows)
-    if not gap_dev <= gap_tol:
-        failures.append(f"trace-difference gap moved by {gap_dev:.3g} across ridges")
+    ex.require(ranks == {L}, f"rank varied across trials/ridges: {sorted(ranks)}")
+    ex.require(gammas[0] != 0.0 or all(rep[0].kappa_infinite for rep in reports),
+               "gamma=0 did not flag an infinite condition number")
+    ex.require(all(lo <= q <= hi for q in ratios), f"consecutive kappa ratios {ratios} outside [{lo}, {hi}]")
+    gap_dev = max(row["max_gap_dev"] for row in ex.rows)
+    ex.require(gap_dev <= gap_tol, f"trace-difference gap moved by {gap_dev:.3g} across ridges")
 
-    summary = {
+    ex.summary = {
         "kappa_medians": medians,
         "kappa_ratios": ratios,
         "max_gap_deviation": gap_dev,
     }
-    return rows, failures, summary
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
-# Each runner returns (rows, failures, summary); its criterion, named here,
-# passes exactly when the failure list is empty. A CSV header is the keys of
-# the first row, except where a runner can return no rows: convergence does
-# when its instance has no spectral gap, so its header is named here.
+# Each runner writes its rows, failures and summary onto the ``_Run`` that
+# ``run`` hands it; its criterion, named here, passes exactly when the run
+# records no failure. A CSV header is the keys of the first row, except where
+# a runner can write no rows: convergence does when its instance has no
+# spectral gap, so its header is named here.
 _RUNNERS = {
     "rank": (_run_rank, "criterion_rank_table"),
     "divergence": (_run_divergence, "criterion_davis_kahan"),
@@ -933,15 +927,16 @@ def run(config):
     if config.experiment not in _RUNNERS:
         raise ConfigError(f"unknown experiment {config.experiment!r}")
     runner, criterion = _RUNNERS[config.experiment]
+    ex = _Run(config.experiment, config.options, Seed(config.seed))
     start = time.perf_counter()
-    rows, failures, summary = runner(config.options, Seed(config.seed))
+    runner(ex)
     wall = time.perf_counter() - start
     return ExperimentReport(
         experiment=config.experiment,
-        columns=list(rows[0]) if rows else _HEADERS.get(config.experiment, []),
-        rows=rows,
-        passes={criterion: not failures},
-        summary={**summary, "failures": failures},
+        columns=list(ex.rows[0]) if ex.rows else _HEADERS.get(config.experiment, []),
+        rows=ex.rows,
+        passes={criterion: not ex.failures},
+        summary={**ex.summary, "failures": ex.failures},
         seed=config.seed,
         config_digest=config.digest(),
         wall_time_s=wall,
@@ -951,16 +946,6 @@ def run(config):
 def all_configs(config):
     """The configs ``mlda all`` runs, in ``EXPERIMENTS`` order: every
     experiment at its defaults, with the seed and output directory of
-    ``config``. Each experiment draws only from its own streams, so the
-    order changes no number."""
-    import copy
-
-    return [
-        ExperimentConfig(
-            experiment=name,
-            seed=config.seed,
-            out_dir=config.out_dir,
-            options=copy.deepcopy(DEFAULTS[name]),
-        )
-        for name in EXPERIMENTS
-    ]
+    ``config``, resolved and validated by ``build_config``. Each experiment
+    draws only from its own streams, so the order changes no number."""
+    return [build_config(name, seed=config.seed, out_dir=config.out_dir) for name in EXPERIMENTS]

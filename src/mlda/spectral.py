@@ -14,10 +14,10 @@ Every eigenvalue in mlda comes from these two routes, and no other module
 calls a numpy eigensolver; a caller that reads no eigenvectors uses sym_eigvals.
 
 Every array argument of the library goes through one route, ``_array``: it
-converts the value and checks its kind (no strings or bytes), its shape
-against the caller's spec (one length or "any" per axis, a length taken from
-another argument where the two must conform) and, on request, that it is
-non-empty and finite.
+converts the value and checks its kind (no strings, bytes or complex
+numbers), its shape against the caller's spec (one length or "any" per axis,
+a length taken from another argument where the two must conform) and, on
+request, that it is non-empty and finite.
 """
 
 from dataclasses import dataclass
@@ -37,7 +37,8 @@ def _array(value, name, dtype=None, shape=None, finite=False, empty=True):
 
     A value raises InvalidInput naming ``name`` when numpy cannot convert it
     (a ragged list), when an entry is a string or bytes (numpy would parse
-    ``"0.5"`` as a number), when its shape does not fit ``shape`` (one entry
+    ``"0.5"`` as a number) or a complex array (numpy would drop the imaginary
+    parts), when its shape does not fit ``shape`` (one entry
     per axis: a length, or None for any length), when it has no entries and
     ``empty`` is false, and, with ``finite`` set, when an entry is a NaN or an
     infinity.
@@ -47,10 +48,10 @@ def _array(value, name, dtype=None, shape=None, finite=False, empty=True):
         kind = a.dtype.kind
         if kind in "SU" or (kind == "O" and any(isinstance(v, (str, bytes)) for v in a.flat)):
             raise InvalidInput(f"{name} holds strings or bytes, not numbers")
+        if kind == "c":
+            raise InvalidInput(f"{name} holds complex numbers, not reals")
         if dtype is not None:
-            # numpy refuses a complex number where dtype is real, but casts
-            # (with a warning) a complex array
-            a = np.asarray(value if kind == "c" else a, dtype)
+            a = np.asarray(a, dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"{name} is not a rectangular numeric array: {exc}") from None
     if shape is not None and not (

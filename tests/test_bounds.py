@@ -18,7 +18,6 @@ from mlda import (
     DegenerateNoise,
     InvalidInput,
     InvariantViolation,
-    Seed,
     bound_frame,
     concentration_interval,
     distance_budget,
@@ -305,7 +304,7 @@ def test_tail_params_rejects_wrong_frame(rng, monkeypatch):
     # the concentration runner checks its frame's Psi identity once; a frame
     # that is orthonormal but not St_ml-orthogonal fails it before any pair
     from mlda.harness import experiments
-    from mlda.harness.config import DEFAULTS
+    from mlda.harness.config import DEFAULTS, ExperimentConfig
 
     def stiefel_frame(Sb, St, r):
         good = opt_stml(Sb, St, r)
@@ -313,8 +312,9 @@ def test_tail_params_rejects_wrong_frame(rng, monkeypatch):
 
     monkeypatch.setattr(experiments, "opt_stml", stiefel_frame)
     options = {**DEFAULTS["concentration"], "pairs": 2, "draws": 100}
+    config = ExperimentConfig(experiment="concentration", seed=3, out_dir="results", options=options)
     with pytest.raises(InvariantViolation, match="Psi identity"):
-        experiments._run_concentration(options, Seed(3))
+        experiments.run(config)
 
 
 def test_concentration_interval_properties(rng):

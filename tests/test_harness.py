@@ -1,6 +1,7 @@
 """Harness tests: aggregation rules, config resolution, determinism of the
 experiment tables and of their random streams, and CLI exit codes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -68,6 +69,7 @@ def test_slope_fit_reference_table():
     assert -0.35 <= slope <= -0.20
 
 
+@pytest.mark.filterwarnings("error")
 def test_slope_fit_validation():
     with pytest.raises(InvalidInput):
         slope_fit([10, 100], [1.0, 0.5])  # need >= 3 points
@@ -75,6 +77,9 @@ def test_slope_fit_validation():
         slope_fit([10, 100, 1000], [1.0, 0.0, 0.1])  # non-positive error
     with pytest.raises(InvalidInput):
         slope_fit([10, 100], [1.0, 0.5, 0.1])
+    for ns in ([1, 2, np.nan], [1, 2, np.inf]):  # non-finite sample sizes
+        with pytest.raises(InvalidInput):
+            slope_fit(ns, [1, 2, 3])
 
 
 def test_package_exports_load_on_access():
@@ -1069,6 +1074,40 @@ def test_failure_path_fails_its_criterion(tmp_path, name, changes, message):
     report = run(_with_options(name, tmp_path, **changes))
     assert report.passes == {_RUNNERS[name][1]: False}
     assert [f for f in report.summary["failures"] if message in f], report.summary["failures"]
+
+
+def _own_nodes(fn):
+    """The nodes of ``fn``'s body, not descending into the functions it defines."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, ast.FunctionDef):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_runners_record_through_their_run():
+    # every runner writes onto the _Run that run() hands it: none returns a
+    # value, and outside _Run nothing opens a stream but the run's own and
+    # nothing appends a failure
+    from mlda.harness import experiments
+
+    with open(experiments.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    outside = [node for node in tree.body if not (isinstance(node, ast.ClassDef) and node.name == "_Run")]
+    runners = [node for node in outside if isinstance(node, ast.FunctionDef) and node.name.startswith("_run_")]
+    assert {fn.name for fn in runners} == {runner.__name__ for runner, _ in experiments._RUNNERS.values()}
+    for fn in runners:
+        returns = [node.lineno for node in _own_nodes(fn) if isinstance(node, ast.Return) and node.value]
+        assert not returns, f"{fn.name} returns a value at lines {returns}"
+    for node in (n for top in outside for n in ast.walk(top)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            receiver = node.func.value
+            if node.func.attr == "stream":
+                assert isinstance(receiver, ast.Name) and receiver.id == "ex", f"line {node.lineno}"
+            if node.func.attr == "append":
+                name = receiver.attr if isinstance(receiver, ast.Attribute) else getattr(receiver, "id", None)
+                assert name != "failures", f"line {node.lineno}"
 
 
 def _reject_constant(token):

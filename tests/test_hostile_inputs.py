@@ -463,6 +463,7 @@ _ZOO = {
     "0-d array": np.array(1.0),
     "empty array": np.array([]),
     "numeric strings": np.array(["0.5", "0.25"]),
+    "complex": np.array([1 + 2j, 0.5]),
 }
 
 # The array parameters whose shape is tied to another argument's: matrices
