@@ -30,7 +30,6 @@ from .errors import (
     real,
 )
 from .spectral import (
-    RECON_TOL,
     Frame,
     _array,
     numeric_rank,
@@ -188,7 +187,13 @@ def top_eigenspace(C, r):
 
 
 def opt_td(ss, r):
-    """Stiefel maximizer of the trace difference: top-r of 2 Sb - St_ml."""
+    """Stiefel maximizer of the trace difference: top-r of 2 Sb - St_ml.
+
+    The solve is d x d at every shape: on a factored set (n < d) it reads
+    the lifts Sb and St_ml, computed on that first read. On the range the
+    cut could fall among the d - n zero eigenvalues of the lift, where the
+    frame is not unique, so the reduction waits on that choice.
+    """
     return top_eigenspace(2.0 * ss.Sb - ss.St_ml, r)
 
 
@@ -419,15 +424,13 @@ def regularization_report(ss, gammas, r):
     The check therefore raises only when it grows by more than a factor
     1 + 8u.
 
-    When d > n the report solves on ``ss.on_range``, the n x n scatters S_q
-    whose lifts Q S_q Q^T (Q = ``ss.range_basis``) are the d x d fields (see
-    ``mlda.scatter``): C - gamma I has the eigenvalues of Cq - gamma I_n,
-    with Cq = 2 Sb_q - St_ml_q, and d - n more equal to -gamma; Sw has those
-    of Sw_q and d - n zeros. It first checks that the d x d fields are
-    still those lifts ("range compression", InvariantViolation): Q must
-    have n columns, and C and Sw the Frobenius norm and the trace of Cq and
-    Sw_q, to the tolerance of ``sym_eigvals``. Without ``range_basis`` or
-    ``on_range`` every solve is d x d.
+    The report solves on ``ss.reduced``. When d > n that is ``ss.on_range``,
+    the n x n scatters S_q whose lifts Q S_q Q^T are the d x d fields of
+    the factored set (see ``mlda.scatter``), and it reads none of those:
+    C - gamma I has the eigenvalues of Cq - gamma I_n, with
+    Cq = 2 Sb_q - St_ml_q, and d - n more equal to -gamma; Sw has those of
+    Sw_q and d - n zeros; and ||C||_F = ||Cq||_F. A dense set (no
+    ``on_range``) solves d x d.
 
     A gamma so large that ||C - gamma I||_F^2 could overflow is rejected as
     InvalidInput before the sweep starts.
@@ -438,9 +441,12 @@ def regularization_report(ss, gammas, r):
         raise InvalidInput("need at least one gamma")
     if any(b <= a for a, b in zip(gammas, gammas[1:])):
         raise InvalidInput(f"gammas must be strictly increasing: {gammas}")
-    C = 2.0 * ss.Sb
-    C -= ss.St_ml
-    d = C.shape[0]
+    sq = ss.reduced
+    d = ss.M.shape[0]
+    C = 2.0 * sq.Sb
+    C -= sq.St_ml
+    m = C.shape[0]
+    zeros = d - m  # eigenvalues -gamma of C - gamma I, and 0 of Sw, off the range
     r = count("r", r, high=d - 1)
     # ||C - gamma I||_F <= ||C||_F + sqrt(d) gamma; keep its square, which
     # every solve's norm check forms, 4 times below the largest double (the
@@ -450,16 +456,6 @@ def regularization_report(ss, gammas, r):
         raise InvalidInput(
             f"gamma {gammas[-1]!r} is too large: ||C - gamma I||_F^2 would overflow"
         )
-    Q = ss.range_basis
-    sq = ss if Q is None or ss.on_range is None else ss.on_range
-    m = sq.Sw.shape[0]
-    zeros = d - m  # eigenvalues -gamma of C - gamma I, and 0 of Sw, off the range
-    Cq = C
-    if sq is not ss:
-        check("range compression: basis shape mismatch", int(Q.shape != (d, m)), 0)
-        Cq = 2.0 * sq.Sb - sq.St_ml
-        _check_lift("C", C, Cq)
-        _check_lift("Sw", ss.Sw, sq.Sw)
     rank_sb = ss.rank_sb
     sw_vals = sym_eigvals(sq.Sw)
     lam_min, lam_max = float(sw_vals[-1]), float(sw_vals[0])
@@ -473,7 +469,7 @@ def regularization_report(ss, gammas, r):
         kappa = np.inf if infinite else top / bot
         if not infinite:
             finite.append(kappa)
-        vals = sym_eigvals(Cq - gamma * np.eye(m))
+        vals = sym_eigvals(C - gamma * np.eye(m))
         vals = np.sort(np.concatenate((vals, np.full(zeros, -gamma))))[::-1]
         rows.append(
             RegularizationRow(
@@ -490,18 +486,3 @@ def regularization_report(ss, gammas, r):
         for a, b in zip(finite, finite[1:]):
             check("condition number failed to decrease (next kappa vs kappa * slack)", b, a * slack)
     return rows
-
-
-def _check_lift(name, S, Sq):
-    """Raise InvariantViolation ("range compression") unless the d-space
-    matrix S has the Frobenius norm and the trace of its counterpart Sq on
-    the range, within ``RECON_TOL * max(1, ||S||_F)``.
-
-    A lift Q Sq Q^T with orthonormal Q keeps both: they are the invariants
-    sum(lambda) and sqrt(sum(lambda^2)) that ``sym_eigvals`` checks, so the
-    eigenvalues solved on Sq pass the check a solve of S would apply. A NaN
-    anywhere fails it.
-    """
-    norm = np.linalg.norm(S)
-    defect = max(abs(norm - np.linalg.norm(Sq)), abs(np.trace(S) - np.trace(Sq)))
-    check(f"range compression: {name} lift invariant defect", defect, RECON_TOL * max(1.0, norm))

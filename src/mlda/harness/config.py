@@ -344,6 +344,8 @@ _SV_PER_LABEL = (lambda o: len(o["singular_values"]) == o["L"]), "need one singu
 # the effects get L orthonormal directions in d dimensions, one per singular value
 _L_WITHIN_D = (lambda o: o["L"] <= o["d"]), "need L <= d for L orthogonal label effects, got L={L}, d={d}"
 _SCHEMES_FIT = _schemes_fit, "a scheme's cardinality exceeds L={L}"
+# the pair experiments draw pairs of distinct rows
+_PAIRS_OF_ROWS = (lambda o: o["n"] >= 2), "need n >= 2 to draw a pair of distinct rows, got n={n}"
 _FRAME_WITHIN_D = (lambda o: min(PAIR_FRAME_RANK, o["L"]) <= o["d"]), (
     f"need min({PAIR_FRAME_RANK}, L) <= d for the projection frame, got L={{L}}, d={{d}}"
 )
@@ -359,7 +361,7 @@ _RULES = {
         ),
     ),
     "divergence": (_N_COVERS_L, _R_BELOW_D, _SCHEMES_FIT),
-    "distance": (_N_COVERS_L, _FRAME_WITHIN_D, _SCHEMES_FIT),
+    "distance": (_N_COVERS_L, _PAIRS_OF_ROWS, _FRAME_WITHIN_D, _SCHEMES_FIT),
     "convergence": (
         (
             (lambda o: len(o["ns"]) >= 3 and o["ns"] == sorted(o["ns"]) and o["ns"][0] >= o["L"]),
@@ -367,6 +369,8 @@ _RULES = {
         ),
         _SV_PER_LABEL,
         _L_WITHIN_D,
+        # the target subspace is cut at a gap between two of d eigenvalues
+        ((lambda o: o["d"] >= 2), "need d >= 2 for a spectral gap, got d={d}"),
         _SCHEMES_FIT,
         _ordered("slope_range"),
     ),
@@ -383,6 +387,7 @@ _RULES = {
     "concentration": (_R_BELOW_D, ((lambda o: o["draws"] >= 100), "draws must be >= 100"), _SCHEMES_FIT),
     "interaction": (
         _N_COVERS_L,
+        _PAIRS_OF_ROWS,
         _SV_PER_LABEL,
         _L_WITHIN_D,
         _SCHEMES_FIT,

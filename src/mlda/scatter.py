@@ -37,17 +37,18 @@ the rows to Z = Xc Q (n x n). A row-level certificate ("range compression")
 requires ||Xc - Z Q^T||_F to stay within CROSSCHECK_TOL ||Xc||_F, so no row
 has mass outside span(Q). The per-label pass and every check above then run
 on the rows Z (centred again, with their drift checked), whose checked
-scatter set rides on the ScatterSet as ``on_range``. The d x d fields are
-lifts Q S_q Q^T of those n x n matrices, and the d x n factor Q rides along
-as ``range_basis`` (both None when n >= d, where the algebra runs on the
-rows as they are).
-``regularization_report`` solves its eigenproblems on ``on_range`` (see its
-docstring).
+scatter set rides on the ScatterSet as ``on_range``, with the d x n factor Q
+as ``range_basis`` and M = Q M_q (both None when n >= d, where the algebra
+runs on the rows as they are). Such a factored set stores no d x d matrix:
+its d x d fields are lifts Q S_q Q^T of the n x n matrices, formed only when
+a caller reads one. ``regularization_report``, ``rank_analysis`` and
+``residual_bound`` read none of them; they solve on ``on_range`` (see
+their docstrings).
 """
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -238,9 +239,34 @@ def build_dataset(X, labels):
     return Dataset(X=X, labels=labels, mu=mu, X_centered=Xc, peak=peak)
 
 
+def _lift(name):
+    """A d x d field of ScatterSet, read from the instance when stored and,
+    when not (a factored set), computed on first read as the lift
+    Q S_q Q^T of ``on_range``'s field of the same name, then cached."""
+
+    def lift(ss):
+        Q = ss.range_basis
+        return symmetrize((Q @ getattr(ss.on_range, name)) @ Q.T)
+
+    # kept out of repr, which would otherwise form every lift
+    return field(default=cached_property(lift), kw_only=True, repr=False)
+
+
+_LIFTS = ("Sb", "Sw", "St_ml", "St", "R")
+
+
 @dataclass(frozen=True)
 class ScatterSet:
     """The five scatter matrices of a dataset plus the between-scatter factor.
+
+    A set is dense (n >= d), storing the five d x d matrices, or factored
+    (n < d), storing none of them but ``range_basis`` and ``on_range``: its
+    d x d fields are then lifts, formed on first read and cached. The
+    d x d fields are keyword-only; any other mix is InvalidInput, so a
+    factored set's d x d fields are always the lifts of ``on_range``
+    (``dataclasses.replace`` reads every field, so on a factored set it
+    must also clear ``on_range`` and ``range_basis``, which gives the dense
+    set of the lifts).
 
     Attributes
     ----------
@@ -268,25 +294,43 @@ class ScatterSet:
     on_range : ScatterSet or None
         When n < d, the scatter set of the rows Z = Xc Q: the same matrices
         in the coordinates of Q (n x n, and M n x L), computed and certified
-        by ``build_scatter``. Sb, Sw and St above are their lifts
-        Q S_q Q^T, St_ml = Sb + Sw, R = St_ml - St and M = Q M_q, so a
-        d x d problem on these matrices reduces to an n x n one (see
-        ``regularization_report``). None when n >= d.
+        by ``build_scatter``. Each d x d field above is the lift Q S_q Q^T of
+        its counterpart S_q here, and M = Q M_q, so a d x d problem on these
+        matrices reduces to an n x n one (see ``regularization_report``).
+        None when n >= d.
 
     ``rank_sb`` is the one count of rank(Sb), which ``rank_analysis`` and
-    ``regularization_report`` both read: the singular values of Sb (of
-    ``on_range.Sb`` when n < d) above ``sb_rank_cutoff``.
+    ``regularization_report`` both read: the singular values of
+    ``reduced.Sb`` above ``sb_rank_cutoff``.
     """
 
-    Sb: np.ndarray
-    Sw: np.ndarray
-    St_ml: np.ndarray
-    St: np.ndarray
-    R: np.ndarray
+    Sb: np.ndarray = _lift("Sb")
+    Sw: np.ndarray = _lift("Sw")
+    St_ml: np.ndarray = _lift("St_ml")
+    St: np.ndarray = _lift("St")
+    R: np.ndarray = _lift("R")
     M: np.ndarray
     st_ml_norm: float
     range_basis: np.ndarray = None
     on_range: "ScatterSet" = None
+
+    def __post_init__(self):
+        # a d x d field left at its default holds the cached_property itself;
+        # dropping it from the instance lets the first read compute the lift
+        fields = vars(self)
+        unset = [name for name in _LIFTS if isinstance(fields[name], cached_property)]
+        for name in unset:
+            del fields[name]
+        if self.on_range is None:
+            if unset:
+                raise InvalidInput(f"a dense ScatterSet (no on_range) needs {', '.join(unset)}")
+        elif len(unset) < len(_LIFTS) or np.shape(self.range_basis) != (
+            np.shape(self.M)[0], np.shape(self.on_range.M)[0]
+        ):
+            raise InvalidInput(
+                "a factored ScatterSet (with on_range) stores no d x d field and needs "
+                "a d x n range_basis, n the size of on_range"
+            )
 
     @property
     def sb_rank_cutoff(self):
@@ -295,15 +339,20 @@ class ScatterSet:
         computed from, even when it is mathematically zero (every sample
         carries every label, so all label means coincide with the global
         mean)."""
-        return self.Sb.shape[0] * np.finfo(float).eps * max(self.st_ml_norm, 1e-300)
+        return self.M.shape[0] * np.finfo(float).eps * max(self.st_ml_norm, 1e-300)
+
+    @property
+    def reduced(self):
+        """The set to solve on: ``on_range`` when n < d, else the set itself.
+        A lift Q S_q Q^T has the nonzero eigenvalues and singular values of
+        S_q, and d - n more zeros."""
+        return self if self.on_range is None else self.on_range
 
     @property
     def rank_sb(self):
-        """rank(Sb): its singular values above ``sb_rank_cutoff``, counted
-        on ``on_range.Sb`` when n < d (a lift Q S_q Q^T has the nonzero
-        singular values of S_q), else on Sb itself."""
-        Sb = self.Sb if self.on_range is None else self.on_range.Sb
-        return numeric_rank(Sb, tol=self.sb_rank_cutoff)
+        """rank(Sb): the singular values of ``reduced.Sb`` above
+        ``sb_rank_cutoff``."""
+        return numeric_rank(self.reduced.Sb, tol=self.sb_rank_cutoff)
 
 
 def _rel_defect(lhs, rhs, scale=0.0):
@@ -313,13 +362,6 @@ def _rel_defect(lhs, rhs, scale=0.0):
     # global mean) would divide rounding dust by itself.
     denom = max(np.linalg.norm(lhs), np.linalg.norm(rhs), scale, 1e-300)
     return np.linalg.norm(lhs - rhs) / denom
-
-
-def _lifted_gram(F, Q):
-    """Q F^T F Q^T as the Gram of the rows F Q^T: one d x d product, which
-    numpy forms as a symmetric rank-k update, so it is exactly symmetric."""
-    G = F @ Q.T
-    return G.T @ G
 
 
 def build_scatter(ds):
@@ -337,14 +379,15 @@ def build_scatter(ds):
 
     When n < d, every computation and check above runs on the n x n rows
     Z = Xc Q instead, certified first to lose no row mass (``range
-    compression``), and the d x d fields are lifted from the result.
+    compression``), and the result is a factored ScatterSet: it forms no
+    d x d matrix, and its d x d fields are lifted only when read.
     """
     if not isinstance(ds, Dataset):
         raise InvalidInput(f"ds must be a Dataset (from build_dataset), got {type(ds).__name__}")
     Xc = ds.X_centered
     n, d = Xc.shape
     if n >= d:
-        return _scatters(ds.X, ds.mu, Xc, ds.labels, ds.peak)[0]
+        return _scatters(ds.X, ds.mu, Xc, ds.labels, ds.peak)
     Q = np.linalg.qr(Xc.T)[0]
     Z = Xc @ Q
     check(
@@ -353,22 +396,13 @@ def build_scatter(ds):
     )
     peak = float(max(Z.max(), -Z.min()))
     mu, Zc = _centred(Z, np.ones(n), peak)
-    on_range, dev = _scatters(Z, mu, Zc, ds.labels, peak)
-    # Sb_q and St_q are Grams F^T F of n-dimensional rows, so their lifts
-    # Q F^T F Q^T are the Grams of the lifted rows F Q^T
-    Sb = _lifted_gram(dev * np.sqrt(ds.labels.n_ell)[:, None], Q)
-    St = _lifted_gram(Zc, Q)
-    Sw = symmetrize((Q @ on_range.Sw) @ Q.T)
-    St_ml = Sb + Sw
-    return ScatterSet(
-        Sb=Sb, Sw=Sw, St_ml=St_ml, St=St, R=St_ml - St, M=Q @ on_range.M,
-        st_ml_norm=on_range.st_ml_norm, range_basis=Q, on_range=on_range,
-    )
+    on_range = _scatters(Z, mu, Zc, ds.labels, peak)
+    return ScatterSet(M=Q @ on_range.M, st_ml_norm=on_range.st_ml_norm, range_basis=Q, on_range=on_range)
 
 
 def _scatters(X, mu, Xc, labels, peak):
-    """The checked scatter set of the rows X, with global mean mu and centred
-    rows Xc, and the label-mean deviations mu_ell - mu.
+    """The checked dense scatter set of the rows X, with global mean mu and
+    centred rows Xc.
 
     This is the one per-label pass: each label's member rows are gathered
     once, for their compensated mean and their centred block of Sw.
@@ -406,7 +440,7 @@ def _scatters(X, mu, Xc, labels, peak):
         _certify_psd(name, S, dust)
     _certify_psd("R", R, dust + _mean_rounding(peak, labels.K, d, Sb))
 
-    return ScatterSet(Sb=Sb, Sw=Sw, St_ml=St_ml, St=St, R=R, M=M, st_ml_norm=st_ml_norm), dev
+    return ScatterSet(Sb=Sb, Sw=Sw, St_ml=St_ml, St=St, R=R, M=M, st_ml_norm=st_ml_norm)
 
 
 def _mean_rounding(peak, K, d, Sb):
@@ -506,24 +540,30 @@ def rank_analysis(ds, ss=None):
     The bound is min(d, n-1, rank(HY)), where rank(HY) = rank(Y) - [all-ones
     in col(Y)]; ``excess`` flags rank(Sb) > L - 1, which can only happen when
     the all-ones vector is NOT in the label column space (variable
-    cardinality).
+    cardinality). It reads no d x d field of ``ss``: rank(Sb) is
+    ``ss.rank_sb``.
     """
     if ss is None:
         ss = build_scatter(ds)
-    _array(ss.Sb, "ss.Sb", shape=(ds.d, ds.d))
     labels = ds.labels
+    _array(ss.M, "ss.M", shape=(ds.d, labels.L))
     Y = labels.bits.astype(float)
     # Anchor the rank decisions to the scale of the accumulations the
     # matrices were computed from: Sb inherits rounding noise of size
     # eps * ||St_ml|| (``sb_rank_cutoff``), and Xc^T Y of size
-    # eps * ||Xc|| * ||Y||, even when the result itself is mathematically zero.
+    # eps * ||Xc|| * ||Y||, even when the result itself is mathematically
+    # zero. Xc^T Y also carries the rounding of the global mean, which
+    # scales with max|X|, not with the centred rows: a mean off by e, with
+    # |e_j| <= u max|X| (see ``_mean_rounding``), moves column ell by
+    # n_ell e, so Xc^T Y by at most u max|X| sqrt(d) ||n_ell|| in 2-norm.
     eps = np.finfo(float).eps
     Xc = _array(ds.X_centered, "X_centered", float, (None, None), finite=True, empty=False)
     sigma_x = np.linalg.norm(Xc, 2)
     sigma_y = np.linalg.norm(Y, 2)
+    mean_rounding = eps / 2 * ds.peak * np.sqrt(ds.d) * np.linalg.norm(labels.n_ell)
     rank_sb = ss.rank_sb
     rank_XtY = numeric_rank(
-        Xc.T @ Y, tol=max(ds.d, labels.L) * eps * sigma_x * sigma_y
+        Xc.T @ Y, tol=max(ds.d, labels.L) * eps * sigma_x * sigma_y + mean_rounding
     )
     check("|rank(Sb) - rank(Xc^T Y)|", abs(rank_sb - rank_XtY), 0)
     rank_Y = numeric_rank(Y)
@@ -546,16 +586,19 @@ def residual_bound(ds, ss):
     Returns a dict with ``lhs`` = ||R||_2, ``rhs`` = max_i (k_i - 1) times the
     top eigenvalue of the total scatter restricted to multi-label samples,
     and ``holds``. Equality holds when all multi-label weights k_i - 1 agree
-    (in particular for uniform cardinality).
+    (in particular for uniform cardinality). Neither side forms a d x d
+    matrix it does not need: ||R||_2 is solved on ``ss.reduced.R``, and the
+    top eigenvalue on the m x m Gram of the m multi-label rows when m < d.
     """
-    _array(ss.Sb, "ss.Sb", shape=(ds.d, ds.d))
+    _array(ss.M, "ss.M", shape=(ds.d, ds.labels.L))
     k = ds.labels.k
-    lhs = float(np.abs(sym_eigvals(ss.R)).max())
+    lhs = float(np.abs(sym_eigvals(ss.reduced.R)).max())
     multi = k > 1
     if not multi.any():
         return {"lhs": lhs, "rhs": 0.0, "holds": bool(lhs <= 1e-8)}
     Xm = ds.X_centered[multi]
-    St_K = symmetrize(Xm.T @ Xm)
+    # Xm^T Xm and the Gram Xm Xm^T share their nonzero eigenvalues: solve the smaller
+    St_K = symmetrize(Xm @ Xm.T if Xm.shape[0] < ds.d else Xm.T @ Xm)
     lam = float(sym_eigvals(St_K)[0])
     rhs = float((k.max() - 1) * lam)
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs * (1 + 1e-8) + 1e-12)}

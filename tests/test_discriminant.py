@@ -22,6 +22,7 @@ from mlda import (
     LabelScheme,
     NotConverged,
     Seed,
+    ScatterSet,
     SingularTotalScatter,
     build_dataset,
     build_labels,
@@ -647,14 +648,14 @@ def test_ridge_sweep_on_the_range_where_sb_equals_sw(seed):
 
 
 def test_ridge_sweep_without_range_basis_is_the_full_sweep(rng):
-    # range_basis = None, built so for n >= d or cleared by hand, runs the
-    # d x d sweep to the last bit
+    # a dense set, built so for n >= d or made of a factored set's lifts by
+    # clearing range_basis and on_range, runs the d x d sweep to the last bit
     scheme = LabelScheme.variable(((1, 0.6), (2, 0.4)))
     for n, d in ((8, 12), (50, 200), (30, 20), (20, 20)):
         labels = gen_labels(scheme, n, 4, rng)
         ss = build_scatter(build_dataset(rng.standard_normal((n, d)), labels))
         assert (ss.range_basis is None) == (n >= d)
-        full = dataclasses.replace(ss, range_basis=None)
+        full = dataclasses.replace(ss, range_basis=None, on_range=None)
         gammas = [0.0, 1e-3, 1e-1, 10.0]
         assert _bits(regularization_report(full, gammas, r=2)) == _bits(_full_sweep(ss, gammas, 2))
 
@@ -665,34 +666,38 @@ def _wide_scatter(rng, n=20, d=60):
 
 
 def test_range_compression_rejects_a_truncated_basis(rng):
+    # a factored set's lifts are Q S_q Q^T, so it needs a d x n basis;
+    # build_scatter's row-level certificate rejects a basis that misses the
+    # rows (test_fault_row_mass_off_the_range)
     ss = _wide_scatter(rng)
-    truncated = dataclasses.replace(ss, range_basis=ss.range_basis[:, :-3])
-    with pytest.raises(InvariantViolation, match="range compression"):
-        regularization_report(truncated, [0.0, 1.0], r=2)
+    with pytest.raises(InvalidInput, match="d x n range_basis"):
+        ScatterSet(
+            M=ss.M, st_ml_norm=ss.st_ml_norm, range_basis=ss.range_basis[:, :-3], on_range=ss.on_range
+        )
 
 
 def test_range_compression_rejects_within_scatter_mass_off_the_range(rng):
+    # a factored set stores no Sw, so one with mass off the range cannot be
+    # put into it; the same matrices as a dense set take the full route
     ss = _wide_scatter(rng)
     Q = ss.range_basis
     v = rng.standard_normal(Q.shape[0])
     v -= Q @ (Q.T @ v)
     v /= np.linalg.norm(v)
-    off = dataclasses.replace(ss, Sw=ss.Sw + 1e-3 * np.linalg.norm(ss.Sw) * np.outer(v, v))
-    with pytest.raises(InvariantViolation, match="range compression"):
-        regularization_report(off, [0.0, 1.0], r=2)
-    # the same matrices without a basis take the full route and pass
-    regularization_report(dataclasses.replace(off, range_basis=None), [0.0, 1.0], r=2)
+    Sw = ss.Sw + 1e-3 * np.linalg.norm(ss.Sw) * np.outer(v, v)
+    with pytest.raises(InvalidInput, match="factored ScatterSet"):
+        dataclasses.replace(ss, Sw=Sw)
+    regularization_report(dataclasses.replace(ss, Sw=Sw, range_basis=None, on_range=None), [0.0, 1.0], r=2)
 
 
 def test_range_compression_rejects_any_field_replaced_after_the_build(rng):
     # the report solves on ``on_range``; a d x d field that is no longer the
-    # lift of its counterpart there reaches it as a failed check
+    # lift of its counterpart there cannot be stored on a factored set
     ss = _wide_scatter(rng)
     regularization_report(ss, [0.0, 1.0], r=2)
-    for field in ("Sb", "Sw", "St_ml"):
-        changed = dataclasses.replace(ss, **{field: 1.01 * getattr(ss, field)})
-        with pytest.raises(InvariantViolation, match="range compression"):
-            regularization_report(changed, [0.0, 1.0], r=2)
+    for field in ("Sb", "Sw", "St_ml", "St", "R"):
+        with pytest.raises(InvalidInput, match="factored ScatterSet"):
+            dataclasses.replace(ss, **{field: 1.01 * getattr(ss, field)})
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,21 @@ def test_rank_row_with_a_zero_fraction_cardinality_beyond_L_runs(tmp_path):
     assert report.rows[0]["rank_Sb_ML"] == 5
 
 
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 1), (5, 2)])
+def test_rank_row_at_one_label_passes_at_every_seed(tmp_path, n, d):
+    # L = 1: Sb is exactly 0, while Xc^T Y, the centred column sum, carries
+    # n times the global mean's rounding (-8.9e-16 at (2, 1) and seed 9,
+    # against a cutoff of 1.4e-16 from the centred rows alone); over seeds
+    # 0-199 the rank cross-check failed on 44, 27 and 2 of these shapes
+    row = {"setting": "one", "n": n, "d": d, "L": 1, "scheme": {"kind": "single"},
+           "expect_rank": 0, "expect_excess": False}
+    path = tmp_path / "rank.json"
+    path.write_text(json.dumps({"experiment": "rank", "rows": [row]}))
+    for seed in range(200):
+        report = run(build_config("rank", str(path), seed, None, None))
+        assert all(report.passes.values()), (seed, report.summary)
+
+
 def test_all_config_restricted(tmp_path):
     path = tmp_path / "all.json"
     path.write_text(json.dumps({"experiment": "all", "seed": 5}))
@@ -458,6 +473,13 @@ def test_cli_config_error_exit_two(tmp_path):
         ("convergence", {"d": 3, "L": 5}),
         ("factors", {"d": 3, "L": 5}),
         ("interaction", {"d": 3, "L": 5}),
+        # a pair needs two distinct rows, and a spectral gap two eigenvalues
+        ("distance", {"n": 1, "L": 1, "settings": [{"setting": "s", "scheme": {"kind": "single"}}]}),
+        ("interaction", {"n": 1, "L": 1, "scheme": {"kind": "single"}, "singular_values": [1.0]}),
+        (
+            "convergence",
+            {"d": 1, "L": 1, "singular_values": [1.0], "ns": [5, 10, 20], "scheme": {"kind": "single"}},
+        ),
     ],
 )
 def test_cli_hostile_config_exit_two(tmp_path, experiment, options):

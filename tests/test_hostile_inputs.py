@@ -643,6 +643,7 @@ _PROBES = {
     "eval_objectives(4 x 2, 3 x 3, 4 x 4)": lambda: mlda.eval_objectives(np.eye(4, 2), np.eye(3), np.eye(4)),
     "rank_analysis(another dataset's scatters)": lambda: rank_analysis(_DS, _SS4),
     "residual_bound(another dataset's scatters)": lambda: mlda.residual_bound(_DS, _SS4),
+    "ScatterSet(neither its matrices nor on_range)": lambda: mlda.ScatterSet(M=np.eye(2), st_ml_norm=1.0),
     "mix fraction True": lambda: LabelScheme.variable([(1, True)]),
     "mix fraction '1'": lambda: LabelScheme.variable([(1, "1")]),
 }

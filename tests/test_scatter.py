@@ -29,6 +29,7 @@ from mlda import (
 from mlda import scatter
 from mlda.population import gamma_norm
 from mlda.synth import LabelScheme, Seed, gen_labels
+from tests.conftest import peak_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +626,54 @@ def test_lifted_scatters_match_the_direct_formulas(data):
         assert np.linalg.norm(S - oracle) <= 1e-12 * scale, name
     # M is a square root of the scatters' scale: tr(M^T M) = tr(Sb) <= tr(St_ml)
     assert np.linalg.norm(ss.M - want[5]) <= 1e-12 * np.sqrt(np.trace(want[3]))
+
+
+def test_factored_set_forms_no_d_by_d_array(rng):
+    # (n, d, L) = (50, 2000, 10): one d x d array is 32 MB, and the build
+    # once peaked near 184 MB; the build and the three reports at n < d
+    # stay below 16 n x d doubles (12.8 MB), and no lift is formed unasked
+    n, d, L = 50, 2000, 10
+    labels = gen_labels(LabelScheme.variable(((1, 0.6), (2, 0.3), (3, 0.1))), n, L, rng)
+    ds = build_dataset(10.0 + rng.standard_normal((n, d)), labels)
+    limit = 16 * n * d * 8
+    built = []
+    assert peak_bytes(lambda: built.append(build_scatter(ds))) < limit
+    ss = built[0]
+    for report in (
+        lambda: regularization_report(ss, [0.0, 1e-2, 1.0, 100.0], r=L),
+        lambda: rank_analysis(ds, ss),
+        lambda: residual_bound(ds, ss),
+    ):
+        assert peak_bytes(report) < limit
+    assert not {"Sb", "Sw", "St_ml", "St", "R"} & vars(ss).keys()
+    assert ss.Sb.shape == (d, d) and "Sb" in vars(ss)  # lifted on request, then cached
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(wide_rows(), st.integers(1, 39))
+def test_reports_on_the_range_match_the_dense_lifts(data, r):
+    # the d x d route stays as the oracle: the same calls on a dense set of
+    # the factored set's lifts, whose solves are all d x d
+    X, bits = data
+    ds = build_dataset(X, build_labels(bits))
+    ss = build_scatter(ds)
+    dense = dataclasses.replace(ss, range_basis=None, on_range=None)
+    assert dense.on_range is None
+    scale = max(ss.st_ml_norm, 1e-300)
+
+    assert rank_analysis(ds, ss) == rank_analysis(ds, dense)
+
+    got, want = residual_bound(ds, ss), residual_bound(ds, dense)
+    assert got["rhs"] == want["rhs"]
+    assert abs(got["lhs"] - want["lhs"]) <= 1e-12 * scale
+
+    r = min(r, X.shape[1] - 1)
+    gammas = [0.0, 1e-4 * scale, 1e-2 * scale, scale]
+    size = np.linalg.norm(ss.Sb) + np.linalg.norm(ss.Sw)
+    for row, oracle in zip(regularization_report(ss, gammas, r), regularization_report(dense, gammas, r), strict=True):
+        assert (row.rank_sb, row.kappa_infinite) == (oracle.rank_sb, oracle.kappa_infinite)
+        assert row.kappa_sw_gamma == pytest.approx(oracle.kappa_sw_gamma, rel=1e-8)
+        assert abs(row.gap_td - oracle.gap_td) <= 1e-10 * (size + row.gamma) + 1e-300
 
 
 SOLVES = {"cholesky", "eigh", "eigvalsh", "eig", "eigvals", "svd", "svdvals", "solve",
