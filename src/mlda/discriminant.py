@@ -41,7 +41,8 @@ from .spectral import (
 
 # Log-space floor under which a determinant counts as vanished.
 DET_FLOOR_LOG = np.log(1e-300)
-# Absolute eigenvalue-tie threshold for flagging a degenerate cut.
+# Eigenvalue-tie threshold for flagging a degenerate cut, relative to the
+# largest |eigenvalue| of the matrix cut.
 GAP_TIE_TOL = 1e-12
 # Normalized commutator size under which two scatters count as commuting.
 COMMUTE_TOL = 1e-12
@@ -131,6 +132,15 @@ def _theta_checked(theta, floor=THETA_DUST, error=InvariantViolation):
     return np.where(theta < 0, 0.0, theta)
 
 
+def _theta_floor(frame):
+    """The dust floor of a WhitenedFrame's theta: whitening errs by about
+    u kappa (Golub & Van Loan, Matrix Computations, sec. 8.7), kappa the
+    condition number of the total scatter it whitened, so theta in
+    [-max(THETA_DUST, d eps kappa), 0) is a rounded 0."""
+    kappa = frame.st_values[0] / frame.st_values[-1]
+    return max(THETA_DUST, frame.st_values.size * np.finfo(float).eps * kappa)
+
+
 def theta_form(theta):
     """Closed-form objective values from generalized eigenvalues theta.
 
@@ -161,14 +171,22 @@ class EigenspaceResult:
     """Top-r eigenspace of a symmetric objective matrix.
 
     ``gap`` is the eigenvalue gap at the cut; ``degenerate_gap`` flags a tie
-    within GAP_TIE_TOL (the frame is still returned, chosen deterministically
-    by the eigendecomposition's sign and ordering conventions).
+    (``_tied``: within GAP_TIE_TOL times the largest |eigenvalue|, so the flag
+    does not move when C is scaled); the frame is still returned, chosen
+    deterministically by the eigendecomposition's sign and ordering
+    conventions.
     """
 
     frame: Frame
     values: np.ndarray
     gap: float
     degenerate_gap: bool
+
+
+def _tied(gap, values):
+    """Whether ``gap`` between two of the eigenvalues ``values`` is a tie:
+    at most GAP_TIE_TOL times the largest |eigenvalue|."""
+    return bool(gap <= GAP_TIE_TOL * np.abs(values).max())
 
 
 def top_eigenspace(C, r):
@@ -182,7 +200,7 @@ def top_eigenspace(C, r):
         frame=ep.top(r),
         values=ep.values,
         gap=gap,
-        degenerate_gap=bool(gap <= GAP_TIE_TOL),
+        degenerate_gap=_tied(gap, ep.values),
     )
 
 

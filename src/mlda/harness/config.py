@@ -4,6 +4,11 @@ A config is resolved in three layers: built-in defaults for the experiment,
 then a JSON file (``--config``), then explicit CLI overrides. Everything
 that affects results is validated up front so a bad config fails before any
 trials run, and hashed so outputs can be traced to the exact settings.
+
+Options hold the inputs of a run, never a value the runner can derive from
+them: a ``rank`` row's expected rank follows from its shape and label
+scheme, and a ``factors`` setting's k_max is its scheme's largest
+cardinality, so neither can be set (nor contradict the scheme).
 """
 
 import hashlib
@@ -27,6 +32,7 @@ EXPERIMENTS = (
 
 _VARIABLE_MIX = {"kind": "variable", "mix": [[1, 0.8], [2, 0.2]]}
 _HEAVY_MIX = {"kind": "variable", "mix": [[1, 0.1], [2, 0.25], [3, 0.3], [4, 0.35]]}
+_SINGULAR_VALUES = [8.0, 6.0, 4.0, 1.5, 1.0]
 
 DEFAULT_SEED = 20260816
 # The distance and interaction experiments project onto the top
@@ -38,60 +44,12 @@ DEFAULTS = {
         "sigma_w": 1.0,
         "effect_scale": 2.0,
         "rows": [
-            {
-                "setting": "variable card",
-                "n": 100,
-                "d": 20,
-                "L": 6,
-                "scheme": _VARIABLE_MIX,
-                "expect_rank": 6,
-                "expect_excess": True,
-            },
-            {
-                "setting": "single-label",
-                "n": 100,
-                "d": 20,
-                "L": 6,
-                "scheme": {"kind": "single"},
-                "expect_rank": 5,
-                "expect_excess": False,
-            },
-            {
-                "setting": "uniform k=3",
-                "n": 100,
-                "d": 20,
-                "L": 6,
-                "scheme": {"kind": "uniform", "k": 3},
-                "expect_rank": 5,
-                "expect_excess": False,
-            },
-            {
-                "setting": "variable card",
-                "n": 200,
-                "d": 50,
-                "L": 14,
-                "scheme": _VARIABLE_MIX,
-                "expect_rank": 14,
-                "expect_excess": True,
-            },
-            {
-                "setting": "single-label",
-                "n": 200,
-                "d": 50,
-                "L": 14,
-                "scheme": {"kind": "single"},
-                "expect_rank": 13,
-                "expect_excess": False,
-            },
-            {
-                "setting": "high-dim",
-                "n": 50,
-                "d": 100,
-                "L": 10,
-                "scheme": _VARIABLE_MIX,
-                "expect_rank": 10,
-                "expect_excess": True,
-            },
+            {"setting": "variable card", "n": 100, "d": 20, "L": 6, "scheme": _VARIABLE_MIX},
+            {"setting": "single-label", "n": 100, "d": 20, "L": 6, "scheme": {"kind": "single"}},
+            {"setting": "uniform k=3", "n": 100, "d": 20, "L": 6, "scheme": {"kind": "uniform", "k": 3}},
+            {"setting": "variable card", "n": 200, "d": 50, "L": 14, "scheme": _VARIABLE_MIX},
+            {"setting": "single-label", "n": 200, "d": 50, "L": 14, "scheme": {"kind": "single"}},
+            {"setting": "high-dim", "n": 50, "d": 100, "L": 10, "scheme": _VARIABLE_MIX},
         ],
     },
     "divergence": {
@@ -113,13 +71,7 @@ DEFAULTS = {
                     "mix": [[1, 0.4], [2, 0.35], [3, 0.15], [4, 0.1]],
                 },
             },
-            {
-                "setting": "variable mean~3",
-                "scheme": {
-                    "kind": "variable",
-                    "mix": [[1, 0.1], [2, 0.25], [3, 0.3], [4, 0.35]],
-                },
-            },
+            {"setting": "variable mean~3", "scheme": _HEAVY_MIX},
         ],
     },
     "distance": {
@@ -142,7 +94,7 @@ DEFAULTS = {
         "d": 15,
         "L": 5,
         "sigma_w": 0.5,
-        "singular_values": [8.0, 6.0, 4.0, 1.5, 1.0],
+        "singular_values": _SINGULAR_VALUES,
         "scheme": _VARIABLE_MIX,
         "ns": [50, 100, 200, 500, 1000, 2000, 5000, 10000, 20000],
         "trials": 100,
@@ -156,13 +108,13 @@ DEFAULTS = {
         "L": 5,
         "n": 2000,
         "sigma_w": 0.5,
-        "singular_values": [8.0, 6.0, 4.0, 1.5, 1.0],
+        "singular_values": _SINGULAR_VALUES,
         "trials": 80,
         "r": 1,
         "kmax_settings": [
-            {"k_max": 1, "scheme": {"kind": "single"}},
-            {"k_max": 2, "scheme": _VARIABLE_MIX},
-            {"k_max": 3, "scheme": {"kind": "variable", "mix": [[1, 0.9], [3, 0.1]]}},
+            {"scheme": {"kind": "single"}},
+            {"scheme": _VARIABLE_MIX},
+            {"scheme": {"kind": "variable", "mix": [[1, 0.9], [3, 0.1]]}},
         ],
         "ratio_factor": 2.0,
         "scale_factor": 3.0,
@@ -192,7 +144,7 @@ DEFAULTS = {
         "pairs": 200,
         "draws": 50,
         "sigma_w": 0.5,
-        "singular_values": [8.0, 6.0, 4.0, 1.5, 1.0],
+        "singular_values": _SINGULAR_VALUES,
         "interaction_scale": 1.0,
         "scheme": {"kind": "variable", "mix": [[1, 0.5], [2, 0.35], [3, 0.15]]},
         "alphas": [0.0, 0.1, 0.5, 1.0, 2.0],
@@ -272,7 +224,7 @@ def _above(bound):
 # checked as the top-level n is); a list option's domain holds for each
 # element. Options without an entry take any value of their type.
 _DOMAIN = {
-    **dict.fromkeys(("n", "d", "L", "r", "trials", "pairs", "kappa_trials", "k_max"), _at_least(1)),
+    **dict.fromkeys(("n", "d", "L", "r", "trials", "pairs", "kappa_trials"), _at_least(1)),
     "draws": _at_least(2),
     # model scales enter the scatters squared, so each square must be a
     # finite double, and a positive scale must not square to zero
@@ -375,10 +327,19 @@ _RULES = {
         _ordered("slope_range"),
     ),
     "factors": (
-        _N_COVERS_L,
-        _R_BELOW_D,
         _SV_PER_LABEL,
         _L_WITHIN_D,
+        # Q_pi has at most L - 1 positive eigenvalues, so (A having full column
+        # rank, by Sylvester's law of inertia) M*_c = A Q_pi A^T - K sigma_w^2 I
+        # has at most L - 1 above its -K sigma_w^2 cluster: a cut at r >= L
+        # falls inside that tie. With L <= d this also gives r < d.
+        (
+            (lambda o: o["r"] < o["L"]),
+            "need r < L, as at most L - 1 eigenvalues of M*_c stand above its noise cluster, got r={r}, L={L}",
+        ),
+        # the condition probe whitens the sample St_ml, whose rank is at most
+        # n - 1; with L <= d this also gives n >= L
+        ((lambda o: o["n"] > o["d"]), "need n > d for a nonsingular sample St_ml, got n={n}, d={d}"),
         # the rescaling and condition probes take kmax_settings[1] as their
         # multilabel scheme
         ((lambda o: len(o["kmax_settings"]) >= 2), "kmax_settings needs >= 2 entries"),

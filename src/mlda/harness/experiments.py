@@ -24,6 +24,8 @@ import numpy as np
 from ..bounds import bound_frame, concentration_interval, jaccard_lower
 from ..discriminant import (
     _theta_checked,
+    _theta_floor,
+    _tied,
     commutativity_defect,
     davis_kahan_check,
     opt_stml,
@@ -35,7 +37,7 @@ from ..discriminant import (
 from ..errors import ConfigError, check
 from ..population import gamma_norm, gaps, isotropic_params, population_scatters
 from ..scatter import build_dataset, build_scatter, rank_analysis
-from ..spectral import orthonormalize, principal_angle_sin, sym_eig, sym_eigvals, symmetrize
+from ..spectral import orthonormalize, principal_angle_sin, sym_eigvals, symmetrize
 from ..synth import LabelScheme, Seed, gen_data, gen_labels, pair_products, scheme_distribution
 from ..synth import _draw_cardinalities
 from .aggregate import UpperTail, aggregate, slope_fit
@@ -208,12 +210,12 @@ def _draw_pattern(scheme, L, rng):
     return bits
 
 
-def _pair_frame(ex, trial, ds, params, r):
+def _pair_frame(ex, trial, ds, params):
     """The pair experiments' frame: the top-r eigenspace W of the fitted
-    between-class scatter of ``ds``, its ``bound_frame`` under ``params``, and
-    the option ``pairs`` pairs of distinct row indices of ``ds``, drawn from
-    the stream ``(trial, "pairs")``."""
-    W = top_eigenspace(build_scatter(ds).Sb, r).frame.columns
+    between-class scatter of ``ds``, r = min(PAIR_FRAME_RANK, L), its
+    ``bound_frame`` under ``params``, and the option ``pairs`` pairs of
+    distinct row indices of ``ds``, drawn from the stream ``(trial, "pairs")``."""
+    W = top_eigenspace(build_scatter(ds).Sb, min(PAIR_FRAME_RANK, params.L)).frame.columns
     rng = ex.stream(trial, "pairs")
     pair_idx = [rng.choice(ds.n, size=2, replace=False) for _ in range(ex.options["pairs"])]
     return W, bound_frame(W, params.A, params.Sigma_w), pair_idx
@@ -262,6 +264,19 @@ def _degrees(sin_value):
 # ---------------------------------------------------------------------------
 
 
+def _centred_label_rank(scheme, L):
+    """rank(Y) - [1 in col Y] for rows Y that realize every pattern of
+    ``scheme`` over L labels, from the set S of cardinalities it draws: L - 1
+    when S = {c} with c < L (the columns of Y sum to c times the ones
+    vector), 0 when S = {L} (every row is all ones), and L when S holds two
+    or more. A closed form, since the patterns number C(L, c) per
+    cardinality."""
+    cards = {c for c, f in scheme.mix if f > 0} if scheme.kind == "variable" else {scheme.max_cardinality()}
+    if len(cards) > 1:
+        return L
+    return 0 if cards == {L} else L - 1
+
+
 def _run_rank(ex):
     options = ex.options
     for idx, row_cfg in enumerate(options["rows"]):
@@ -269,12 +284,14 @@ def _run_rank(ex):
         n, d, L = row_cfg["n"], row_cfg["d"], row_cfg["L"]
         _, ds = _instance(ex, idx, scheme, n, d, L, options["effect_scale"], options["sigma_w"])
         report = rank_analysis(ds, build_scatter(ds))
-        expect_rank, expect_excess = row_cfg["expect_rank"], row_cfg["expect_excess"]
-        ok = report.rank_sb == expect_rank and report.excess == expect_excess
+        # the rank theorem: rank(Sb) = min(d, n - 1, rank(Y) - [1 in col Y]);
+        # the excess rank(Sb) > L - 1 follows from the rank
+        predicted = min(d, n - 1, _centred_label_rank(scheme, L))
+        ok = report.rank_sb == predicted
         ex.require(
             ok,
             f"row {idx} ({row_cfg['setting']}): rank {report.rank_sb}, "
-            f"excess {report.excess}; expected ({expect_rank}, {expect_excess})",
+            f"excess {report.excess}; expected ({predicted}, {predicted > L - 1})",
         )
         ex.rows.append(
             {
@@ -285,7 +302,7 @@ def _run_rank(ex):
                 "rank_Sb_ML": report.rank_sb,
                 "Excess": report.excess,
                 "bound": report.bound,
-                "expected_rank": expect_rank,
+                "expected_rank": predicted,
                 "pass": ok,
             }
         )
@@ -381,12 +398,11 @@ def _run_distance(ex):
     n, d, L, pairs, draws = (ex.options[k] for k in ("n", "d", "L", "pairs", "draws"))
     sigma_w, scale = ex.options["sigma_w"], ex.options["effect_scale"]
     tol_se, min_rate = ex.options["tolerance_se"], ex.options["min_pass_rate"]
-    r = min(PAIR_FRAME_RANK, L)
 
     for si, entry in enumerate(ex.options["settings"]):
         scheme = scheme_from_dict(entry["scheme"])
         params, ds = _instance(ex, si, scheme, n, d, L, scale, sigma_w, noise="fit-noise")
-        W, frame, pair_idx = _pair_frame(ex, si, ds, params, r)
+        W, frame, pair_idx = _pair_frame(ex, si, ds, params)
         hamming, jaccard = [], []
         for p, (i, j) in enumerate(pair_idx):
             y_i, y_j = ds.labels.bits[i], ds.labels.bits[j]
@@ -410,7 +426,7 @@ def _run_distance(ex):
                 "draws": draws,
             }
         )
-    ex.summary = {"r": r}
+    ex.summary = {"r": W.shape[1]}
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +457,8 @@ def _run_convergence(ex):
 
     # adaptive target rank from the per-sample spectral gaps at the largest n
     n_ref = ns[-1]
-    ss_ref = signal_ss[n_ref]
-    ref = sym_eig(2.0 * ss_ref.Sb - ss_ref.St_ml)
-    per_sample_gaps = (ref.values[:-1] - ref.values[1:]) / n_ref
+    ref_values = opt_td(signal_ss[n_ref], 1).values
+    per_sample_gaps = (ref_values[:-1] - ref_values[1:]) / n_ref
     above = np.nonzero(per_sample_gaps > threshold)[0]
     if above.size == 0:
         # the drawn instance has no separated target subspace: a property of
@@ -455,8 +470,7 @@ def _run_convergence(ex):
         return
     r = int(above.max()) + 1
 
-    # at n_ref, opt_td would solve ref's matrix again: its top r is the target
-    targets = {n: ref.top(r) if n == n_ref else opt_td(ss, r).frame for n, ss in signal_ss.items()}
+    targets = {n: opt_td(ss, r).frame for n, ss in signal_ss.items()}
 
     def errors_at(n):
         labels = labels_at(n)
@@ -523,7 +537,7 @@ def _run_factors(ex):
     med_errs, med_ratios = [], []
     for si, entry in enumerate(options["kmax_settings"]):
         scheme = scheme_from_dict(entry["scheme"])
-        k_max = entry["k_max"]
+        k_max = scheme.max_cardinality()
         denom = (sigma_w * norm_A + sigma_w ** 2 * k_max) * rate
 
         def one(t):
@@ -560,7 +574,10 @@ def _run_factors(ex):
     pop_c = population_scatters(isotropic_params(np.zeros(d), c * A, c * sigma_w), dist)
     g_1, g_c = gaps(pop_1, r), gaps(pop_c, r)
     delta_dev = abs(g_c.Delta_r - g_1.Delta_r)
-    gap_ratio = g_c.gap_r / g_1.gap_r
+    # a population gap tied at r has no ratio to test: a property of the
+    # drawn effects (equal singular values), so the criterion fails
+    tied = _tied(g_1.gap_r, g_1.eigvals_M_star_c)
+    gap_ratio = None if tied else g_c.gap_r / g_1.gap_r
 
     # (c) co-occurrence norm: diagonal-exact for single-label, strictly
     # larger once labels overlap
@@ -603,8 +620,10 @@ def _run_factors(ex):
                f"median errors not monotone in k_max: {med_errs}")
     ex.require(ratio_spread <= options["ratio_factor"],
                f"bound-ratio spread {ratio_spread:.3g} exceeds {options['ratio_factor']}")
-    ex.require(_rescale_ok(delta_dev, gap_ratio, c),
-               f"rescale test: Delta_r moved by {delta_dev:.3g}, gap ratio {gap_ratio!r}")
+    ex.require(not tied, f"rescale test: the population gap at r={r} is tied ({g_1.gap_r!r})")
+    if not tied:
+        ex.require(_rescale_ok(delta_dev, gap_ratio, c),
+                   f"rescale test: Delta_r moved by {delta_dev:.3g}, gap ratio {gap_ratio!r}")
     ex.require(
         abs(gn_single - share_single) <= 8 * np.finfo(float).eps * share_single
         and gn_multi > share_multi
@@ -676,7 +695,7 @@ def _run_concentration(ex):
     target = (np.eye(r) - symmetrize(W.T @ pop.Sb_pop @ W)) / dist.K_pop
     defect = float(np.linalg.norm(frame.Psi - target))
     check("Psi identity defect", defect, 1e-8 * max(1.0, np.linalg.norm(target)))
-    _theta_checked(whitened.theta)
+    _theta_checked(whitened.theta, _theta_floor(whitened))
     lam_min_st = float(whitened.st_values[-1])
 
     total = pairs * draws
@@ -782,7 +801,6 @@ def _run_interaction(ex):
     sigma_w, iscale = ex.options["sigma_w"], ex.options["interaction_scale"]
     alphas, tol_se = ex.options["alphas"], ex.options["tolerance_se"]
     scheme = scheme_from_dict(ex.options["scheme"])
-    r = min(PAIR_FRAME_RANK, L)
 
     labels = gen_labels(scheme, n, L, ex.stream(0, "labels"))
     # Orthogonal label effects whose column norms are the prescribed singular
@@ -801,7 +819,7 @@ def _run_interaction(ex):
     # the strongest interaction alpha * B must make a valid model as well
     isotropic_params(np.zeros(d), A, sigma_w, B_inter=max(alphas) * B)
     ds0 = gen_data(labels, params, ex.stream(0, "fit-noise"))
-    W, frame, pair_idx = _pair_frame(ex, 0, ds0, params, r)
+    W, frame, pair_idx = _pair_frame(ex, 0, ds0, params)
 
     # what a pair contributes at every alpha: its patterns, its budget, and
     # the label and interaction effects A delta and B (z_i - z_j)
@@ -843,7 +861,7 @@ def _run_interaction(ex):
         rates[a_top][0] < rates[a_top][1],
         f"naive rate {rates[a_top][0]:.3f} not below corrected {rates[a_top][1]:.3f} at alpha={a_top}",
     )
-    ex.summary = {"r": r}
+    ex.summary = {"r": W.shape[1]}
 
 
 # ---------------------------------------------------------------------------

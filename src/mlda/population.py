@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discriminant import SINGULAR_FLOOR, THETA_DUST, _theta_checked, opt_stml
+from .discriminant import SINGULAR_FLOOR, _theta_checked, _theta_floor, opt_stml
 from .errors import FLOAT_MAX, InvalidCovariance, InvalidInput, MissingLabel, check, count, real
 from .spectral import _all_binary, _array, sym_eig, sym_eigvals, symmetrize
 from .synth import _interaction_effects
@@ -332,9 +332,9 @@ def gaps(pop, r):
 
     One solve, ``opt_stml(Sb_inf, St_inf, r)``, gives theta (``gen_values``)
     and the spectrum of St_inf (``st_values``); a singular St_inf raises
-    SingularTotalScatter. Whitening errs by about u kappa(St_inf) (Golub & Van
-    Loan, Matrix Computations, sec. 8.7), so theta in [-max(THETA_DUST,
-    d eps kappa), 0) reads as 0; any other theta outside [0, 1) raises.
+    SingularTotalScatter. theta down to minus its dust floor (``_theta_floor``,
+    max(THETA_DUST, d eps kappa(St_inf))) reads as 0; any other theta outside
+    [0, 1) raises.
     """
     d = pop.St_inf.shape[0]
     r = count("r", r, high=d - 1)
@@ -344,7 +344,7 @@ def gaps(pop, r):
     frame = opt_stml(pop.Sb_inf, pop.St_inf, r)
     lam_max, lam_min = float(frame.st_values[0]), float(frame.st_values[-1])
     kappa = lam_max / lam_min
-    theta = _theta_checked(frame.gen_values, max(THETA_DUST, d * np.finfo(float).eps * kappa))
+    theta = _theta_checked(frame.gen_values, _theta_floor(frame))
     Delta_r = float(theta[r - 1] - theta[r])
     return GapReport(
         r=r,

@@ -430,17 +430,26 @@ def _scatters(X, mu, Xc, labels, peak):
     check("between-scatter factorization defect", factor_defect, CROSSCHECK_TOL)
 
     st_ml_norm = float(np.abs(sym_eigvals(St_ml)).max())
-    R = St_ml - St
-    # R is a difference of two same-scale accumulations, so when it is
-    # mathematically zero (all cardinalities 1) its computed eigenvalues are
-    # rounding dust proportional to the scatter magnitude, not to ||R||,
-    # plus the rounding of the means, which grows with max|X|.
-    dust = 128.0 * np.finfo(float).eps * max(st_ml_norm, 1e-300)
+    ss = ScatterSet(Sb=Sb, Sw=Sw, St_ml=St_ml, St=St, R=St_ml - St, M=M, st_ml_norm=st_ml_norm)
     for name, S in (("Sb", Sb), ("Sw", Sw)):
-        _certify_psd(name, S, dust)
-    _certify_psd("R", R, dust + _mean_rounding(peak, labels.K, d, Sb))
+        _certify_psd(name, S, _dust(ss))
+    _certify_psd("R", ss.R, _r_floor(ss, peak, labels.K))
+    return ss
 
-    return ScatterSet(Sb=Sb, Sw=Sw, St_ml=St_ml, St=St, R=R, M=M, st_ml_norm=st_ml_norm)
+
+def _dust(ss):
+    """The rounding-dust floor of the scatters of ``ss``: 128 eps ||St_ml||_2."""
+    return 128.0 * np.finfo(float).eps * max(ss.st_ml_norm, 1e-300)
+
+
+def _r_floor(ss, peak, K):
+    """The floor R of a dense ``ss`` is certified against, its rows' entries
+    at most ``peak`` in size (on a factored set, the floor of the dense set
+    of its lifts). R is a difference of two same-scale accumulations, so
+    when it is mathematically zero (all cardinalities 1) its computed
+    eigenvalues are rounding dust proportional to the scatter magnitude, not
+    to ||R||, plus the rounding of the means, which grows with max|X|."""
+    return _dust(ss) + _mean_rounding(peak, K, ss.M.shape[0], ss.reduced.Sb)
 
 
 def _mean_rounding(peak, K, d, Sb):
@@ -585,23 +594,28 @@ def residual_bound(ds, ss):
 
     Returns a dict with ``lhs`` = ||R||_2, ``rhs`` = max_i (k_i - 1) times the
     top eigenvalue of the total scatter restricted to multi-label samples,
-    and ``holds``. Equality holds when all multi-label weights k_i - 1 agree
-    (in particular for uniform cardinality). Neither side forms a d x d
-    matrix it does not need: ||R||_2 is solved on ``ss.reduced.R``, and the
-    top eigenvalue on the m x m Gram of the m multi-label rows when m < d.
+    and ``holds``: whether lhs <= rhs up to the floor ``build_scatter``
+    certifies R against (``_r_floor``), which scales with the data (for
+    single-label data R is that rounding dust, and rhs is 0). Equality holds
+    when all multi-label weights k_i - 1 agree (in particular for uniform
+    cardinality). Neither side forms a d x d matrix it does not need:
+    ||R||_2 is solved on ``ss.reduced.R``, and the top eigenvalue on the
+    m x m Gram of the m multi-label rows when m < d.
     """
     _array(ss.M, "ss.M", shape=(ds.d, ds.labels.L))
     k = ds.labels.k
     lhs = float(np.abs(sym_eigvals(ss.reduced.R)).max())
+    # both sides carry the rounding of the rows of ds and of their mean
+    floor = _r_floor(ss, ds.peak, ds.labels.K)
     multi = k > 1
     if not multi.any():
-        return {"lhs": lhs, "rhs": 0.0, "holds": bool(lhs <= 1e-8)}
+        return {"lhs": lhs, "rhs": 0.0, "holds": bool(lhs <= floor)}
     Xm = ds.X_centered[multi]
     # Xm^T Xm and the Gram Xm Xm^T share their nonzero eigenvalues: solve the smaller
     St_K = symmetrize(Xm @ Xm.T if Xm.shape[0] < ds.d else Xm.T @ Xm)
     lam = float(sym_eigvals(St_K)[0])
     rhs = float((k.max() - 1) * lam)
-    return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs * (1 + 1e-8) + 1e-12)}
+    return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs + floor)}
 
 
 # ---------------------------------------------------------------------------

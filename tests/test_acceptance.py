@@ -100,6 +100,9 @@ def test_criterion_01_rank_table(rank_run):
         row["rank_Sb_ML"] == row["expected_rank"] and bool(row["pass"])
         for row in report.rows
     )
+    # the runner derives its expected ranks from the rows' schemes; the
+    # ranks the paper's table states stay pinned here as the oracle
+    exact = exact and [row["rank_Sb_ML"] for row in report.rows] == [6, 5, 5, 14, 13, 10]
     timely = elapsed < 5.0
     _criterion(
         1,
@@ -323,6 +326,8 @@ def test_criterion_08a_cardinality_sweep(factors_run):
     spread = report.summary["bound_ratio_spread"]
     ok = (
         report.passes["criterion_factors"]
+        # k_max is each setting's largest cardinality, derived by the runner
+        and [row["k_max"] for row in report.rows] == [1, 2, 3]
         and all(a <= b * (1 + 1e-12) for a, b in zip(med, med[1:]))
         and spread <= 2.0
     )

@@ -369,6 +369,18 @@ def test_top_eigenspace_basic():
     assert tied.degenerate_gap
 
 
+def test_top_eigenspace_tie_flag_does_not_move_with_scale(rng):
+    # a tie is read relative to the largest |eigenvalue|: a well-separated
+    # spectrum scaled down to 1e-20 is no tie, and a true double eigenvalue
+    # scaled up to 1e8, whose computed gap is rounding of order 1e-8, is one
+    for scale in (1e-20, 1.0, 1e20):
+        assert not top_eigenspace(scale * np.diag([3.0, 2.0, 1.0]), 1).degenerate_gap
+    Q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    double = (Q * [5.0, 3.0, 3.0, 2.0, 1.0, 0.5]) @ Q.T
+    for scale in (1e-20, 1.0, 1e8):
+        assert top_eigenspace(scale * double, 2).degenerate_gap
+
+
 def test_davis_kahan_cases(rng):
     U = random_stiefel(rng, 5, 2)
     same = davis_kahan_check(U, U, pert_norm=0.3, gap=1.0)

@@ -181,14 +181,44 @@ def test_config_out_dir_keeps_a_path_object(tmp_path):
     assert build_config("rank", out_dir=tmp_path).out_dir == str(tmp_path)
 
 
-@pytest.mark.parametrize("key", ["expect_rank", "expect_excess"])
-def test_rank_row_needs_both_expectations(tmp_path, key):
-    row = dict(DEFAULTS["rank"]["rows"][0])
-    del row[key]
-    path = tmp_path / "rank.json"
-    path.write_text(json.dumps({"experiment": "rank", "rows": [row]}))
-    with pytest.raises(ConfigError, match=rf"rows\[0\]: missing option '{key}'"):
-        build_config("rank", str(path), None, None, None)
+@pytest.mark.parametrize(
+    "experiment, option, key",
+    [("rank", "rows", "expect_rank"), ("rank", "rows", "expect_excess"), ("factors", "kmax_settings", "k_max")],
+)
+def test_derived_values_are_no_options(tmp_path, experiment, option, key):
+    # a rank row's expected rank and excess, and a factors setting's k_max,
+    # follow from the row's shape and scheme: a config may not state them
+    entries = [{**DEFAULTS[experiment][option][0], key: 1}]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"experiment": experiment, option: entries}))
+    with pytest.raises(ConfigError, match=rf"{option}\[0\]: unknown option '{key}'"):
+        build_config(experiment, str(path), None, None, None)
+
+
+def test_centred_label_rank_matches_the_enumerated_patterns():
+    # the closed form the rank runner predicts from, against the rank of every
+    # pattern of the scheme, centred: rank(HY) = rank(Y) - [1 in col Y]
+    from itertools import combinations
+
+    from mlda.harness.experiments import _centred_label_rank
+    from mlda.spectral import numeric_rank
+    from mlda.synth import LabelScheme, scheme_distribution
+
+    checked = 0
+    for L in range(1, 8):
+        for size in (1, 2, 3):
+            for cards in combinations(range(1, L + 1), size):
+                schemes = [LabelScheme.variable([[c, 1.0 / size] for c in cards])]
+                if size == 1:
+                    # a zero fraction draws nothing, so it moves no rank
+                    spare = [[c, 0.0] for c in range(1, L + 1) if c != cards[0]][:1]
+                    schemes += [LabelScheme.uniform(cards[0]), LabelScheme.variable([[cards[0], 1.0], *spare])]
+                for scheme in schemes:
+                    Y = scheme_distribution(scheme, L).patterns.astype(float)
+                    assert _centred_label_rank(scheme, L) == numeric_rank(Y - Y.mean(axis=0)), (L, scheme)
+                checked += 1
+    assert checked == 154
+    assert _centred_label_rank(LabelScheme.single(), 6) == 5
 
 
 def test_rank_row_with_a_zero_fraction_cardinality_beyond_L_runs(tmp_path):
@@ -208,8 +238,7 @@ def test_rank_row_at_one_label_passes_at_every_seed(tmp_path, n, d):
     # n times the global mean's rounding (-8.9e-16 at (2, 1) and seed 9,
     # against a cutoff of 1.4e-16 from the centred rows alone); over seeds
     # 0-199 the rank cross-check failed on 44, 27 and 2 of these shapes
-    row = {"setting": "one", "n": n, "d": d, "L": 1, "scheme": {"kind": "single"},
-           "expect_rank": 0, "expect_excess": False}
+    row = {"setting": "one", "n": n, "d": d, "L": 1, "scheme": {"kind": "single"}}
     path = tmp_path / "rank.json"
     path.write_text(json.dumps({"experiment": "rank", "rows": [row]}))
     for seed in range(200):
@@ -275,6 +304,8 @@ def test_dimension_validation(tmp_path):
         ("interaction", {"alphas": [0.0, 1e100], "interaction_scale": 1e100}, "finite square"),
         ("factors", {"kmax_settings": DEFAULTS["factors"]["kmax_settings"][:1]}, ">= 2 entries"),
         ("factors", {"gamma_scheme": {"kind": "uniform", "k": 6}}, "exceeds L"),
+        ("factors", {"r": 5}, "need r < L"),
+        ("factors", {"n": 10}, "need n > d"),
         ("rank", {"rows": [{**DEFAULTS["rank"]["rows"][0], "L": 200}]}, "n >= L"),
     ]
     for experiment, options, message in cases:
@@ -457,7 +488,13 @@ def test_cli_config_error_exit_two(tmp_path):
         ("divergence", {"settings": [{"setting": "k", "scheme": {"kind": "uniform", "k": 1.5}}]}),
         ("distance", {"tolerance_se": float("nan")}),
         ("interaction", {"alphas": [float("nan")]}),
-        ("factors", {"kmax_settings": [{"k_max": 1, "scheme": {"kind": "single"}}]}),
+        ("factors", {"kmax_settings": [{"scheme": {"kind": "single"}}]}),
+        # a cut at r >= L falls inside a tied cluster of M*_c, and the
+        # condition probe needs a nonsingular sample St_ml
+        ("factors", {"r": 5, "trials": 3, "kappa_trials": 2}),
+        ("factors", {"d": 21, "L": 6, "r": 16, "singular_values": [8, 6, 4, 1.5, 1, 0.5], "trials": 3,
+                     "kappa_trials": 2}),
+        ("factors", {"n": 10, "trials": 3, "kappa_trials": 2}),
         # r = L = d: the ridge report takes r = L, which must stay below d
         ("regularization", {"d": 10, "L": 10, "trials": 1}),
         # extreme but finite values, rejected before numpy can overflow
@@ -495,6 +532,36 @@ def test_cli_hostile_config_exit_two(tmp_path, experiment, options):
     assert proc.stderr.startswith("mlda: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / f"{experiment}.csv").exists()
+
+
+def test_cli_factors_names_a_tied_population_gap(tmp_path):
+    # equal singular values tie the population gap at r = 1 (exactly, at
+    # seed 2), so the rescale test has no gap ratio to read: the criterion
+    # fails and names the tie, where it once divided by zero
+    cfgfile = tmp_path / "tied.json"
+    cfgfile.write_text(json.dumps({"experiment": "factors", "singular_values": [1, 1, 1, 1, 1],
+                                   "trials": 2, "kappa_trials": 2}))
+    proc = _cli(["factors", "--seed", "2", "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    with open(tmp_path / "factors.summary.json", encoding="utf-8") as fh:
+        details = json.load(fh)["details"]
+    assert details["failures"] == ["rescale test: the population gap at r=1 is tied (0.0)"]
+    assert details["scale_check"]["gap_ratio"] is None
+
+
+def test_cli_concentration_reads_theta_against_its_conditioned_floor(tmp_path):
+    # sigma_w = 0.001 makes kappa(St_ml_pop) about 3e7, so the whitened theta
+    # carries rounding dust down to about -1e-9: below THETA_DUST, but within
+    # the floor d eps kappa that whitening at that condition number allows
+    cfgfile = tmp_path / "ill.json"
+    cfgfile.write_text(json.dumps({"experiment": "concentration", "sigma_w": 0.001, "r": 19,
+                                   "pairs": 3, "draws": 200}))
+    proc = _cli(["concentration", "--config", str(cfgfile), "--out", str(tmp_path)])
+    # 600 draws are too few for the variance ratio: a criterion failure, not
+    # an invariant violation (exit 3)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("experiment", ["rank", "all"])
@@ -1052,15 +1119,19 @@ def test_convergence_peak_memory_is_the_largest_signal_plus_one_trial(tmp_path):
 # ---------------------------------------------------------------------------
 
 # One small config per failure branch that options can reach, with a piece of
-# that branch's message; each runs at the default seed. The branch for a
-# concentration run whose pairs all draw equal patterns has its own test
-# above. Not reachable from options: divergence's sin-theta bound (a theorem,
-# with an eps * ||C|| floor on the perturbation), concentration's ||Psi||_2 <=
-# 1/lambda_min bound (a theorem for an St-orthogonal W) and factors' rescale
-# test (exact to rounding at every scale_factor the schema admits).
+# that branch's message; each runs at the default seed. The branches for a
+# concentration run whose pairs all draw equal patterns and for a factors run
+# whose population gap is tied have their own tests above. Not reachable from
+# options: divergence's sin-theta bound (a theorem, with an eps * ||C|| floor
+# on the perturbation), concentration's ||Psi||_2 <= 1/lambda_min bound (a
+# theorem for an St-orthogonal W) and factors' rescale test on an untied gap
+# (exact to rounding at every scale_factor the schema admits).
 _FAILURE_PATHS = [
-    ("rank", {"rows": [{"setting": "wrong rank", "n": 40, "d": 10, "L": 4, "scheme": {"kind": "single"},
-                        "expect_rank": 4, "expect_excess": False}]}, "row 0 (wrong rank): rank 3"),
+    # four rows cannot realize the pair patterns, so rank(Sb) falls short of
+    # the prediction min(d, n - 1, L) = 3
+    ("rank", {"rows": [{"setting": "misses pairs", "n": 4, "d": 10, "L": 3,
+                        "scheme": {"kind": "variable", "mix": [[1, 0.99], [2, 0.01]]}}]},
+     "row 0 (misses pairs): rank 2, excess False; expected (3, True)"),
     ("distance", {"pairs": 20, "draws": 10, "tolerance_se": 0.0, "min_pass_rate": 1.0}, "Hamming"),
     ("convergence", {"ns": [50, 100, 200], "trials": 3, "gap_threshold": 1e9},
      "no spectral gap exceeds threshold"),
@@ -1070,9 +1141,9 @@ _FAILURE_PATHS = [
     ("convergence", {"ns": [50, 100, 200], "trials": 3, "max_median": 1.0, "slope_range": [5.0, 6.0]},
      "log-log slope"),
     ("factors", {"trials": 3, "kappa_trials": 2, "kmax_settings": [
-        {"k_max": 3, "scheme": {"kind": "variable", "mix": [[1, 0.9], [3, 0.1]]}},
-        {"k_max": 2, "scheme": {"kind": "variable", "mix": [[1, 0.8], [2, 0.2]]}},
-        {"k_max": 1, "scheme": {"kind": "single"}}]}, "median errors not monotone in k_max"),
+        {"scheme": {"kind": "variable", "mix": [[1, 0.9], [3, 0.1]]}},
+        {"scheme": {"kind": "variable", "mix": [[1, 0.8], [2, 0.2]]}},
+        {"scheme": {"kind": "single"}}]}, "median errors not monotone in k_max"),
     ("factors", {"trials": 3, "kappa_trials": 2, "ratio_factor": 0.0}, "bound-ratio spread"),
     ("factors", {"trials": 3, "kappa_trials": 2, "gamma_scheme": {"kind": "single"}}, "co-occurrence norms"),
     ("concentration", {"pairs": 3, "draws": 200, "c_scale": 1e6}, "coverage"),

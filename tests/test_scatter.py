@@ -245,6 +245,21 @@ def test_residual_bound_holds_and_uniform_equality(rng):
     assert out["rhs"] == 0.0 and out["holds"]
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e3, 1e5, 1e6])
+@pytest.mark.parametrize("n, d", [(60, 10), (12, 30)])
+def test_residual_bound_holds_at_every_scale(rng, scale, n, d):
+    # ||R||_2 is rounding dust for single-label data, and rounding moves both
+    # sides at uniform cardinality, each in proportion to the data: the
+    # comparison reads them against the floor build_scatter certifies R
+    # against, not against absolute constants (at scale 1e3, 60 rows and
+    # two labels gave ||R||_2 = 4.7e-8 against a fixed 1e-8)
+    X = scale * (rng.standard_normal((n, d)) + 3.0)
+    schemes = ((LabelScheme.single(), 2), (LabelScheme.uniform(2), 4), (LabelScheme.variable(((1, 0.7), (3, 0.3))), 5))
+    for scheme, L in schemes:
+        ds = build_dataset(X, gen_labels(scheme, n, L, rng))
+        assert residual_bound(ds, build_scatter(ds))["holds"], (scheme, scale)
+
+
 # ---------------------------------------------------------------------------
 # differential test on hostile shapes, and precision when Sb dominates
 # ---------------------------------------------------------------------------
@@ -664,7 +679,7 @@ def test_reports_on_the_range_match_the_dense_lifts(data, r):
     assert rank_analysis(ds, ss) == rank_analysis(ds, dense)
 
     got, want = residual_bound(ds, ss), residual_bound(ds, dense)
-    assert got["rhs"] == want["rhs"]
+    assert got["rhs"] == want["rhs"] and got["holds"] and want["holds"]
     assert abs(got["lhs"] - want["lhs"]) <= 1e-12 * scale
 
     r = min(r, X.shape[1] - 1)
