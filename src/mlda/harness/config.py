@@ -8,7 +8,11 @@ trials run, and hashed so outputs can be traced to the exact settings.
 Options hold the inputs of a run, never a value the runner can derive from
 them: a ``rank`` row's expected rank follows from its shape and label
 scheme, and a ``factors`` setting's k_max is its scheme's largest
-cardinality, so neither can be set (nor contradict the scheme).
+cardinality, so neither can be set (nor contradict the scheme). Nor do they
+hold the bound a criterion is judged by: every such bound is a constant of
+``experiments._BOUNDS``, so a config chooses what is measured (sizes,
+scales, schemes, grids and trial counts) and never turns a failing run into
+a pass. A config file that names a bound fails as an unknown option.
 """
 
 import hashlib
@@ -82,8 +86,6 @@ DEFAULTS = {
         "draws": 50,
         "sigma_w": 1.0,
         "effect_scale": 2.0,
-        "tolerance_se": 3.0,
-        "min_pass_rate": 0.95,
         "settings": [
             {"setting": "variable card", "scheme": _VARIABLE_MIX},
             {"setting": "uniform k=2", "scheme": {"kind": "uniform", "k": 2}},
@@ -98,10 +100,6 @@ DEFAULTS = {
         "scheme": _VARIABLE_MIX,
         "ns": [50, 100, 200, 500, 1000, 2000, 5000, 10000, 20000],
         "trials": 100,
-        "gap_threshold": 3.0,
-        "max_median": 0.05,
-        "max_inversions": 1,
-        "slope_range": [-0.6, -0.15],
     },
     "factors": {
         "d": 12,
@@ -116,8 +114,6 @@ DEFAULTS = {
             {"scheme": _VARIABLE_MIX},
             {"scheme": {"kind": "variable", "mix": [[1, 0.9], [3, 0.1]]}},
         ],
-        "ratio_factor": 2.0,
-        "scale_factor": 3.0,
         "kappa_scales": [1.0, 5.0],
         "kappa_trials": 40,
         "gamma_scheme": _HEAVY_MIX,
@@ -132,10 +128,6 @@ DEFAULTS = {
         "effect_scale": 2.0,
         "scheme": _VARIABLE_MIX,
         "deltas": [0.01, 0.05, 0.1, 0.2],
-        "c_scale": 1.0,
-        "variance_rel_tol": 0.01,
-        "mean_se_tol": 4.0,
-        "quantile_ratio_max": 2.5,
     },
     "interaction": {
         "n": 400,
@@ -148,8 +140,6 @@ DEFAULTS = {
         "interaction_scale": 1.0,
         "scheme": {"kind": "variable", "mix": [[1, 0.5], [2, 0.35], [3, 0.15]]},
         "alphas": [0.0, 0.1, 0.5, 1.0, 2.0],
-        "tolerance_se": 3.0,
-        "min_corrected": 0.99,
     },
     "regularization": {
         "n": 50,
@@ -160,12 +150,10 @@ DEFAULTS = {
         "effect_scale": 2.0,
         "scheme": _VARIABLE_MIX,
         "gammas": [0.0, 0.01, 0.1, 1.0, 10.0],
-        "kappa_ratio_range": [8.0, 12.0],
-        "gap_match_tol": 1e-10,
     },
 }
 
-_RESERVED_KEYS = {"experiment", "seed", "out_dir", "options"}
+_RESERVED_KEYS = {"experiment", "seed", "out_dir"}
 
 
 @dataclass(frozen=True)
@@ -216,10 +204,6 @@ def _at_least(bound):
     return (lambda v: v >= bound), f">= {bound}"
 
 
-def _above(bound):
-    return (lambda v: v > bound), f"> {bound}"
-
-
 # The domain of an option, by name wherever it appears (a rank row's n is
 # checked as the top-level n is); a list option's domain holds for each
 # element. Options without an entry take any value of their type.
@@ -229,17 +213,11 @@ _DOMAIN = {
     # model scales enter the scatters squared, so each square must be a
     # finite double, and a positive scale must not square to zero
     **dict.fromkeys(
-        ("sigma_w", "effect_scale", "singular_values", "scale_factor", "kappa_scales"),
+        ("sigma_w", "effect_scale", "singular_values", "kappa_scales"),
         ((lambda v: v > 0 and 0 < v * v <= FLOAT_MAX), "> 0 with a finite non-zero square"),
     ),
     "interaction_scale": ((lambda v: v >= 0 and _finite_square(v)), ">= 0 with a finite square"),
-    **dict.fromkeys(("gap_threshold", "c_scale"), _above(0)),
-    **dict.fromkeys(
-        ("max_inversions", "max_median", "ratio_factor", "tolerance_se", "variance_rel_tol",
-         "mean_se_tol", "quantile_ratio_max", "alphas", "gammas", "gap_match_tol"),
-        _at_least(0),
-    ),
-    **dict.fromkeys(("min_pass_rate", "min_corrected"), ((lambda v: 0 <= v <= 1), "in [0, 1]")),
+    **dict.fromkeys(("alphas", "gammas"), _at_least(0)),
     "deltas": ((lambda v: 0 < v < 1), "in (0, 1)"),
 }
 
@@ -279,15 +257,27 @@ def _fits(spec, L):
     return scheme_from_dict(spec).max_cardinality() <= L
 
 
+def _drawn(scheme):
+    """The cardinalities a LabelScheme draws, those with positive fraction."""
+    return {c for c, f in scheme.mix if f > 0} if scheme.kind == "variable" else {scheme.max_cardinality()}
+
+
+def _fewest(spec):
+    return min(_drawn(scheme_from_dict(spec)))
+
+
+def _sw_sees_every_frame(o):
+    # every scatter lies on the span of the centred rows, of dimension
+    # m = min(d, n - 1), and rank(Sw) <= K - L, where the K >= c n label
+    # assignments (c the setting's fewest drawn labels) fall into L classes:
+    # unless K - L > m - r, some r-frame on that span has tr(W^T Sw W) = 0
+    m = min(o["d"], o["n"] - 1)
+    return all(_fewest(e["scheme"]) * o["n"] - o["L"] > m - o["r"] for e in o["settings"])
+
+
 def _schemes_fit(o):
     entries = [o, *o.get("settings", ()), *o.get("kmax_settings", ())]
     return all(_fits(e[k], o["L"]) for e in entries for k in ("scheme", "gamma_scheme") if k in e)
-
-
-def _ordered(key):
-    return (lambda o: len(o[key]) == 2 and o[key][0] <= o[key][1]), (
-        f"{key} must be a pair [low, high] with low <= high, got {{{key}}}"
-    )
 
 
 _N_COVERS_L = (lambda o: o["n"] >= o["L"]), "need n >= L to realize every label, got n={n}, L={L}"
@@ -312,7 +302,16 @@ _RULES = {
             "every row needs n >= L and a scheme that fits in its L labels",
         ),
     ),
-    "divergence": (_N_COVERS_L, _R_BELOW_D, _SCHEMES_FIT),
+    "divergence": (
+        _N_COVERS_L,
+        _R_BELOW_D,
+        _SCHEMES_FIT,
+        (
+            _sw_sees_every_frame,
+            "every setting needs c n - L > min(d, n - 1) - r, c its fewest drawn labels, or some "
+            "r-frame sees no within-class scatter; got n={n}, d={d}, L={L}, r={r}",
+        ),
+    ),
     "distance": (_N_COVERS_L, _PAIRS_OF_ROWS, _FRAME_WITHIN_D, _SCHEMES_FIT),
     "convergence": (
         (
@@ -324,7 +323,6 @@ _RULES = {
         # the target subspace is cut at a gap between two of d eigenvalues
         ((lambda o: o["d"] >= 2), "need d >= 2 for a spectral gap, got d={d}"),
         _SCHEMES_FIT,
-        _ordered("slope_range"),
     ),
     "factors": (
         _SV_PER_LABEL,
@@ -344,6 +342,12 @@ _RULES = {
         # multilabel scheme
         ((lambda o: len(o["kmax_settings"]) >= 2), "kmax_settings needs >= 2 entries"),
         _SCHEMES_FIT,
+        # a scheme that draws all L labels on every row gives the signal rows
+        # one pattern, so their scatters vanish and the gap at r is 0
+        (
+            (lambda o: all(_fewest(e["scheme"]) < o["L"] for e in o["kmax_settings"])),
+            "every kmax_settings scheme must draw fewer than L={L} labels on some rows",
+        ),
     ),
     "concentration": (_R_BELOW_D, ((lambda o: o["draws"] >= 100), "draws must be >= 100"), _SCHEMES_FIT),
     "interaction": (
@@ -368,7 +372,6 @@ _RULES = {
             "gammas needs >= 2 strictly increasing entries, got {gammas}",
         ),
         _SCHEMES_FIT,
-        _ordered("kappa_ratio_range"),
     ),
 }
 
@@ -431,16 +434,13 @@ def build_config(
         )
 
     if experiment == "all":
-        extra = sorted(k for k in file_data if k not in ("experiment", "seed", "out_dir"))
+        extra = sorted(file_data.keys() - _RESERVED_KEYS)
         if extra:
             raise ConfigError(f"a config file for 'all' may only set seed/out_dir, not {extra}")
         options = {}
     else:
-        nested = file_data.get("options", {})
-        if type(nested) is not dict:
-            raise ConfigError(f"'options' must be a JSON object, got {nested!r}")
-        top = {k: v for k, v in file_data.items() if k not in _RESERVED_KEYS}
-        options = {**DEFAULTS[experiment], **nested, **top}
+        given = {k: v for k, v in file_data.items() if k not in _RESERVED_KEYS}
+        options = {**DEFAULTS[experiment], **given}
 
     seed = seed if seed is not None else file_data.get("seed", DEFAULT_SEED)
     out_dir = out_dir if out_dir is not None else file_data.get("out_dir", "results")

@@ -41,7 +41,7 @@ from ..spectral import orthonormalize, principal_angle_sin, sym_eigvals, symmetr
 from ..synth import LabelScheme, Seed, gen_data, gen_labels, pair_products, scheme_distribution
 from ..synth import _draw_cardinalities
 from .aggregate import UpperTail, aggregate, slope_fit
-from .config import EXPERIMENTS, PAIR_FRAME_RANK, build_config, scheme_from_dict
+from .config import EXPERIMENTS, PAIR_FRAME_RANK, _drawn, build_config, scheme_from_dict
 
 # ---------------------------------------------------------------------------
 # report plumbing
@@ -66,12 +66,30 @@ class ExperimentReport:
         return all(self.passes.values())
 
 
+# The bounds each experiment's criterion is judged by. They are constants,
+# not options: a config sets what is measured, and these fix the verdict.
+_BOUNDS = {
+    # a pair holds within tolerance_se Monte Carlo standard errors of its band
+    "distance": {"tolerance_se": 3.0, "min_pass_rate": 0.95},
+    # the target rank is cut at the last per-sample gap above gap_threshold
+    "convergence": {"gap_threshold": 3.0, "max_median": 0.05, "max_inversions": 1, "slope_range": (-0.6, -0.15)},
+    # scale_factor is the joint rescale c, whose gap ratio must read c^2
+    "factors": {"ratio_factor": 2.0, "scale_factor": 3.0},
+    # c_scale is the constant of the Bernstein interval
+    "concentration": {"c_scale": 1.0, "variance_rel_tol": 0.01, "mean_se_tol": 4.0, "quantile_ratio_max": 2.5},
+    "interaction": {"tolerance_se": 3.0, "min_corrected": 0.99},
+    "regularization": {"kappa_ratio_range": (8.0, 12.0), "gap_match_tol": 1e-10},
+}
+
+
 class _Run:
-    """What one experiment's runner reads and writes: its options and seed,
-    and the rows, failures and summary that ``run`` turns into its report."""
+    """What one experiment's runner reads and writes: its options, seed and
+    criterion bounds, and the rows, failures and summary that ``run`` turns
+    into its report."""
 
     def __init__(self, experiment, options, seed):
         self.experiment, self.options, self.seed = experiment, options, seed
+        self.bounds = _BOUNDS.get(experiment, {})
         self.rows, self.failures, self.summary = [], [], {}
 
     def stream(self, trial, purpose):
@@ -271,7 +289,7 @@ def _centred_label_rank(scheme, L):
     vector), 0 when S = {L} (every row is all ones), and L when S holds two
     or more. A closed form, since the patterns number C(L, c) per
     cardinality."""
-    cards = {c for c, f in scheme.mix if f > 0} if scheme.kind == "variable" else {scheme.max_cardinality()}
+    cards = _drawn(scheme)
     if len(cards) > 1:
         return L
     return 0 if cards == {L} else L - 1
@@ -397,7 +415,7 @@ def _run_divergence(ex):
 def _run_distance(ex):
     n, d, L, pairs, draws = (ex.options[k] for k in ("n", "d", "L", "pairs", "draws"))
     sigma_w, scale = ex.options["sigma_w"], ex.options["effect_scale"]
-    tol_se, min_rate = ex.options["tolerance_se"], ex.options["min_pass_rate"]
+    tol_se, min_rate = ex.bounds["tolerance_se"], ex.bounds["min_pass_rate"]
 
     for si, entry in enumerate(ex.options["settings"]):
         scheme = scheme_from_dict(entry["scheme"])
@@ -442,9 +460,9 @@ def _run_convergence(ex):
     draws its rows through ``gen_data``, so a run holds one n's labels plus
     one trial's rows and scatters.
     """
-    options = ex.options
+    options, bounds = ex.options, ex.bounds
     d, L, sigma_w, trials, ns = (options[k] for k in ("d", "L", "sigma_w", "trials", "ns"))
-    threshold = options["gap_threshold"]
+    threshold = bounds["gap_threshold"]
     scheme = scheme_from_dict(options["scheme"])
 
     A = _structured_effects(d, L, options["singular_values"], ex.stream(0, "effects"))
@@ -493,11 +511,11 @@ def _run_convergence(ex):
 
     slope = slope_fit(ns, medians)
     inversions = sum(1 for a, b in zip(medians, medians[1:]) if b > a)
-    lo, hi = options["slope_range"]
-    ex.require(medians[-1] <= options["max_median"],
-               f"median at n={ns[-1]} is {medians[-1]:.4g} > {options['max_median']}")
-    ex.require(inversions <= options["max_inversions"],
-               f"{inversions} median inversions (allowed {options['max_inversions']})")
+    lo, hi = bounds["slope_range"]
+    ex.require(medians[-1] <= bounds["max_median"],
+               f"median at n={ns[-1]} is {medians[-1]:.4g} > {bounds['max_median']}")
+    ex.require(inversions <= bounds["max_inversions"],
+               f"{inversions} median inversions (allowed {bounds['max_inversions']})")
     ex.require(lo <= slope <= hi, f"log-log slope {slope:.3f} outside [{lo}, {hi}]")
 
     ex.summary = {
@@ -567,7 +585,7 @@ def _run_factors(ex):
     # (b) joint model rescaling: effects and noise scaled together multiply
     # both population scatter matrices by the square of the factor, so the
     # generalized gap is untouched while the absolute gap picks the factor up
-    c = options["scale_factor"]
+    c = ex.bounds["scale_factor"]
     scheme_multi = scheme_from_dict(options["kmax_settings"][1]["scheme"])
     dist = scheme_distribution(scheme_multi, L)
     pop_1 = population_scatters(params, dist)
@@ -618,8 +636,8 @@ def _run_factors(ex):
 
     ex.require(all(b >= a for a, b in zip(med_errs, med_errs[1:])),
                f"median errors not monotone in k_max: {med_errs}")
-    ex.require(ratio_spread <= options["ratio_factor"],
-               f"bound-ratio spread {ratio_spread:.3g} exceeds {options['ratio_factor']}")
+    ex.require(ratio_spread <= ex.bounds["ratio_factor"],
+               f"bound-ratio spread {ratio_spread:.3g} exceeds {ex.bounds['ratio_factor']}")
     ex.require(not tied, f"rescale test: the population gap at r={r} is tied ({g_1.gap_r!r})")
     if not tied:
         ex.require(_rescale_ok(delta_dev, gap_ratio, c),
@@ -678,10 +696,10 @@ def _run_concentration(ex):
     (draws, d) noise buffer and a block of the second draw, both reused by
     every pair, are what a run holds.
     """
-    options = ex.options
+    options, bounds = ex.options, ex.bounds
     d, L, r, pairs, draws = (options[k] for k in ("d", "L", "r", "pairs", "draws"))
     sigma_w, scale = options["sigma_w"], options["effect_scale"]
-    deltas, c_scale = options["deltas"], options["c_scale"]
+    deltas, c_scale = options["deltas"], bounds["c_scale"]
     scheme = scheme_from_dict(options["scheme"])
 
     A = _gaussian_effects(d, L, scale, ex.stream(0, "effects"))
@@ -770,14 +788,14 @@ def _run_concentration(ex):
         ex.require(not cov < 1.0 - delta, f"delta={delta}: coverage {cov:.4f} < nominal {1 - delta:.4f}")
     ex.require(var_ratio is not None, "every pair drew two equal patterns, so no linear part was sampled")
     if var_ratio is not None:
-        ex.require(abs(var_ratio - 1.0) <= options["variance_rel_tol"],
+        ex.require(abs(var_ratio - 1.0) <= bounds["variance_rel_tol"],
                    f"linear-part variance ratio {var_ratio:.4f} off unity by more than "
-                   f"{options['variance_rel_tol']}")
-        mean_tol = options["mean_se_tol"]
+                   f"{bounds['variance_rel_tol']}")
+        mean_tol = bounds["mean_se_tol"]
         ex.require(lin_t <= mean_tol and quad_t <= mean_tol,
                    f"component means not centered: t_lin={lin_t:.2f}, t_quad={quad_t:.2f}")
-    ex.require(q_ratio <= options["quantile_ratio_max"],
-               f"99th/95th deviation ratio {q_ratio:.3f} exceeds {options['quantile_ratio_max']}")
+    ex.require(q_ratio <= bounds["quantile_ratio_max"],
+               f"99th/95th deviation ratio {q_ratio:.3f} exceeds {bounds['quantile_ratio_max']}")
     ex.require(frame.psi_2 <= (1.0 + 1e-10) / lam_min_st,
                "||Psi||_2 exceeded 1/lambda_min of the population total scatter")
 
@@ -799,7 +817,7 @@ def _run_concentration(ex):
 def _run_interaction(ex):
     n, d, L, pairs, draws = (ex.options[k] for k in ("n", "d", "L", "pairs", "draws"))
     sigma_w, iscale = ex.options["sigma_w"], ex.options["interaction_scale"]
-    alphas, tol_se = ex.options["alphas"], ex.options["tolerance_se"]
+    alphas, tol_se = ex.options["alphas"], ex.bounds["tolerance_se"]
     scheme = scheme_from_dict(ex.options["scheme"])
 
     labels = gen_labels(scheme, n, L, ex.stream(0, "labels"))
@@ -853,7 +871,7 @@ def _run_interaction(ex):
             }
         )
 
-    min_corrected = ex.options["min_corrected"]
+    min_corrected = ex.bounds["min_corrected"]
     a_top = max(alphas)
     bad = [a for a in alphas if rates[a][1] < min_corrected]
     ex.require(not bad, f"corrected rate below {min_corrected} at alpha in {bad}")
@@ -874,7 +892,7 @@ def _run_regularization(ex):
     n, d, L, trials, gammas = (options[k] for k in ("n", "d", "L", "trials", "gammas"))
     sigma_w, scale = options["sigma_w"], options["effect_scale"]
     scheme = scheme_from_dict(options["scheme"])
-    gap_tol = options["gap_match_tol"]
+    gap_tol = ex.bounds["gap_match_tol"]
     r = L
 
     reports = []
@@ -901,7 +919,7 @@ def _run_regularization(ex):
         )
 
     finite = [m for m in medians if math.isfinite(m)]
-    lo, hi = options["kappa_ratio_range"]
+    lo, hi = ex.bounds["kappa_ratio_range"]
     ratios = [a / b for a, b in zip(finite, finite[1:])]
 
     ex.require(ranks == {L}, f"rank varied across trials/ridges: {sorted(ranks)}")

@@ -13,8 +13,8 @@ import pytest
 import mlda
 from mlda import ConfigError
 from mlda.harness.aggregate import UpperTail, aggregate, slope_fit
-from mlda.harness.config import DEFAULT_SEED, DEFAULTS, EXPERIMENTS, build_config
-from mlda.harness.experiments import run, write_report
+from mlda.harness.config import DEFAULT_SEED, DEFAULTS, EXPERIMENTS, build_config, validate_options
+from mlda.harness.experiments import _BOUNDS, run, write_report
 from mlda.errors import InvalidInput
 
 
@@ -113,9 +113,10 @@ def test_file_and_cli_precedence(tmp_path):
     # CLI seed beats the file's
     cfg2 = build_config("distance", str(path), 99, None, None)
     assert cfg2.seed == 99
-    # nested options form works too
+    # options sit at the top level only: a nested "options" object is no option
     path.write_text(json.dumps({"experiment": "distance", "options": {"pairs": 13}}))
-    assert build_config("distance", str(path), None, None, None).options["pairs"] == 13
+    with pytest.raises(ConfigError, match="distance: unknown option 'options'"):
+        build_config("distance", str(path), None, None, None)
 
 
 def test_trials_flag_mapping(tmp_path):
@@ -143,7 +144,7 @@ def test_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         build_config("nonesuch", None, None, None, None)
     path.write_text(json.dumps({"experiment": "rank", "options": 5}))
-    with pytest.raises(ConfigError, match="'options' must be a JSON object"):
+    with pytest.raises(ConfigError, match="unknown option 'options'"):
         build_config("rank", str(path), None, None, None)
     row = {**DEFAULTS["rank"]["rows"][0], "bogus": 1}
     path.write_text(json.dumps({"experiment": "rank", "rows": [row]}))
@@ -292,8 +293,6 @@ def test_dimension_validation(tmp_path):
         ("concentration", {"draws": 50}, "draws must be >= 100"),
         ("convergence", {"ns": [50, 20, 100]}, "increasing"),
         ("convergence", {"ns": [3, 50, 100]}, "each >= L"),
-        ("convergence", {"slope_range": [-0.15, -0.6]}, "low <= high"),
-        ("regularization", {"kappa_ratio_range": [8.0, 10.0, 12.0]}, "pair"),
         ("regularization", {"gammas": [0.0, 1.0, 1.0]}, "strictly increasing"),
         # the ranks the runners derive: r = L for the ridge report,
         # r = min(6, L) for the projection frame
@@ -306,6 +305,13 @@ def test_dimension_validation(tmp_path):
         ("factors", {"gamma_scheme": {"kind": "uniform", "k": 6}}, "exceeds L"),
         ("factors", {"r": 5}, "need r < L"),
         ("factors", {"n": 10}, "need n > d"),
+        ("factors", {"kmax_settings": [{"scheme": {"kind": "single"}}, {"scheme": {"kind": "uniform", "k": 5}}]},
+         "fewer than L=5 labels"),
+        ("factors", {"L": 2, "singular_values": [8.0, 6.0], "gamma_scheme": {"kind": "uniform", "k": 2},
+                     "kmax_settings": [{"scheme": {"kind": "single"}}, {"scheme": {"kind": "uniform", "k": 2}}]},
+         "fewer than L=2 labels"),
+        ("divergence", {"n": 10}, r"c n - L > min\(d, n - 1\) - r"),
+        ("divergence", {"n": 23}, "got n=23, d=20, L=6, r=3"),
         ("rank", {"rows": [{**DEFAULTS["rank"]["rows"][0], "L": 200}]}, "n >= L"),
     ]
     for experiment, options, message in cases:
@@ -315,11 +321,7 @@ def test_dimension_validation(tmp_path):
 
 
 # Options whose domain includes 0; every other option rejects it.
-_ZERO_ALLOWED = {
-    "max_inversions", "max_median", "ratio_factor", "tolerance_se", "min_pass_rate",
-    "variance_rel_tol", "mean_se_tol", "quantile_ratio_max", "interaction_scale",
-    "min_corrected", "gap_match_tol",
-}
+_ZERO_ALLOWED = {"interaction_scale"}
 _BAD_SCHEMES = [
     {"kind": "variable", "mix": [[1, float("nan")]]},
     {"kind": "uniform", "k": 1.5},
@@ -375,14 +377,14 @@ def test_defaults_and_shipped_configs_normalize_to_themselves(tmp_path):
         assert json.dumps(options, sort_keys=True) == json.dumps(DEFAULTS[experiment], sort_keys=True)
         # the defaults written out as a config file read back as themselves
         path = tmp_path / f"{experiment}.json"
-        path.write_text(json.dumps({"experiment": experiment, "seed": DEFAULT_SEED, "options": DEFAULTS[experiment]}))
+        path.write_text(json.dumps({"experiment": experiment, "seed": DEFAULT_SEED, **DEFAULTS[experiment]}))
         cfg = build_config(experiment, str(path))
         unvalidated = ExperimentConfig(experiment, DEFAULT_SEED, "results", DEFAULTS[experiment])
         assert cfg.options == DEFAULTS[experiment]
         assert cfg.digest() == unvalidated.digest()
     # an int given for a float option is stored as a float
-    options = validate_options("distance", {**DEFAULTS["distance"], "sigma_w": 2, "tolerance_se": 3})
-    assert type(options["sigma_w"]) is float and type(options["tolerance_se"]) is float
+    options = validate_options("distance", {**DEFAULTS["distance"], "sigma_w": 2, "effect_scale": 3})
+    assert type(options["sigma_w"]) is float and type(options["effect_scale"]) is float
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +451,14 @@ def test_cli_pass_exit_zero(tmp_path):
 
 
 def test_cli_criterion_failure_exit_one(tmp_path):
-    cfgfile = tmp_path / "strict.json"
-    cfgfile.write_text(
-        json.dumps(
-            {"experiment": "regularization", "kappa_ratio_range": [11.5, 12.0]}
-        )
-    )
-    proc = _cli(
-        ["regularization", "--config", str(cfgfile), "--out", str(tmp_path)]
-    )
-    assert proc.returncode == 1
+    # four rows cannot realize the pair patterns, so rank(Sb) falls short of
+    # the rank theorem's prediction: the inputs, not a bound, fail the run
+    row = {"setting": "misses pairs", "n": 4, "d": 10, "L": 3,
+           "scheme": {"kind": "variable", "mix": [[1, 0.99], [2, 0.01]]}}
+    cfgfile = tmp_path / "short.json"
+    cfgfile.write_text(json.dumps({"experiment": "rank", "rows": [row]}))
+    proc = _cli(["rank", "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert proc.returncode == 1, proc.stderr
     assert "FAIL" in proc.stdout
 
 
@@ -486,7 +486,6 @@ def test_cli_config_error_exit_two(tmp_path):
         ("regularization", {"trials": True}),
         ("divergence", {"settings": [{"setting": "no scheme"}]}),
         ("divergence", {"settings": [{"setting": "k", "scheme": {"kind": "uniform", "k": 1.5}}]}),
-        ("distance", {"tolerance_se": float("nan")}),
         ("interaction", {"alphas": [float("nan")]}),
         ("factors", {"kmax_settings": [{"scheme": {"kind": "single"}}]}),
         # a cut at r >= L falls inside a tied cluster of M*_c, and the
@@ -495,15 +494,26 @@ def test_cli_config_error_exit_two(tmp_path):
         ("factors", {"d": 21, "L": 6, "r": 16, "singular_values": [8, 6, 4, 1.5, 1, 0.5], "trials": 3,
                      "kappa_trials": 2}),
         ("factors", {"n": 10, "trials": 3, "kappa_trials": 2}),
+        # a kmax_settings scheme that draws all L labels gives its signal rows
+        # one pattern, so the gap at r is 0 (the bound ratio divided by it)
+        ("factors", {"trials": 3, "kappa_trials": 2,
+                     "kmax_settings": [{"scheme": {"kind": "single"}}, {"scheme": {"kind": "uniform", "k": 5}}]}),
+        ("factors", {"L": 2, "singular_values": [8.0, 6.0], "trials": 3, "kappa_trials": 2,
+                     "kmax_settings": [{"scheme": {"kind": "single"}}, {"scheme": {"kind": "uniform", "k": 2}}],
+                     "gamma_scheme": {"kind": "uniform", "k": 2}}),
+        # too few rows for Sw to see every 3-frame on their span: exit 2
+        # after the trials (n = 10), or exit 3 as the trace ratio decreased
+        # at lambda ~ 3e17 (n = 21)
+        ("divergence", {"n": 10, "trials": 5}),
+        ("divergence", {"n": 21, "trials": 5}),
+        ("divergence", {"n": 23, "trials": 5}),
         # r = L = d: the ridge report takes r = L, which must stay below d
         ("regularization", {"d": 10, "L": 10, "trials": 1}),
         # extreme but finite values, rejected before numpy can overflow
         ("regularization", {"gammas": [0.0, 1e200]}),
         ("regularization", {"gammas": [0.0, 1e308]}),
-        ("factors", {"scale_factor": 1e150}),
         ("concentration", {"effect_scale": 1e100}),
         ("interaction", {"alphas": [0.0, 1e308]}),
-        ("concentration", {"c_scale": 1e-308}),
         # alpha * B has a finite square but overflows the model's scatters
         ("interaction", {"alphas": [0.0, 1e150]}),
         # one orthogonal effect direction per label needs L <= d
@@ -532,6 +542,50 @@ def test_cli_hostile_config_exit_two(tmp_path, experiment, options):
     assert proc.stderr.startswith("mlda: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / f"{experiment}.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, key", [(e, k) for e, bounds in _BOUNDS.items() for k in bounds])
+def test_criterion_bounds_are_no_options(tmp_path, experiment, key):
+    # the bound a criterion is judged by is a constant of _BOUNDS: a config
+    # file that names one, even at its fixed value, fails as an unknown option
+    assert key not in DEFAULTS[experiment]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"experiment": experiment, key: _BOUNDS[experiment][key]}))
+    with pytest.raises(ConfigError, match=rf"^{experiment}: unknown option '{key}'$"):
+        build_config(experiment, str(path))
+
+
+@pytest.mark.parametrize(
+    "experiment, options, key",
+    [
+        # exited 0 on Hamming rates of 95, 90 and 90 %, and exited 1 on the
+        # same rates once min_pass_rate read 1.0
+        ("distance", {"pairs": 20, "draws": 10, "tolerance_se": 0.0, "min_pass_rate": 0.0}, "min_pass_rate"),
+        # exited 0 on medians of 0.835, 0.782 and 0.842 that do not fall with n
+        ("convergence", {"ns": [50, 100, 200], "trials": 3, "max_median": 1e9, "slope_range": [-100, 100],
+                         "max_inversions": 9, "gap_threshold": 1e-9}, "gap_threshold"),
+        ("distance", {"tolerance_se": float("nan")}, "tolerance_se"),
+        ("factors", {"scale_factor": 1e150}, "scale_factor"),
+        ("concentration", {"c_scale": 1e-308}, "c_scale"),
+    ],
+)
+def test_cli_config_naming_a_bound_exit_two(tmp_path, experiment, options, key):
+    cfgfile = tmp_path / "bound.json"
+    cfgfile.write_text(json.dumps({"experiment": experiment, **options}))
+    proc = _cli([experiment, "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"mlda: {experiment}: unknown option '{key}'\n"
+    assert proc.stdout == "" and not (tmp_path / f"{experiment}.csv").exists()
+
+
+def test_divergence_rule_keeps_the_shapes_that_run():
+    # multi-label rows fill Sw faster: these shapes exit 0 on seeds 0-3
+    shapes = [
+        {"n": n, "settings": [{"setting": f"uniform k={k}", "scheme": {"kind": "uniform", "k": k}}]}
+        for n, k in ((10, 2), (11, 2), (12, 2), (15, 3))
+    ]
+    for options in [*shapes, {"n": 24}]:
+        validate_options("divergence", {**DEFAULTS["divergence"], **options})
 
 
 def test_cli_factors_names_a_tied_population_gap(tmp_path):
@@ -877,15 +931,9 @@ def test_pair_loops_compute_bound_factors_once_per_frame(tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize("factor", [1e4, 1e5, 1e70])
-def test_factors_rescale_passes_at_large_factors(tmp_path, factor):
-    import dataclasses
-
-    from mlda.harness.config import validate_options
-
-    cfg = build_config("factors", None, DEFAULT_SEED, str(tmp_path), None)
-    options = {**cfg.options, "trials": 3, "kappa_trials": 2, "scale_factor": factor}
-    validate_options("factors", options)
-    report = run(dataclasses.replace(cfg, options=options))
+def test_factors_rescale_passes_at_large_factors(tmp_path, monkeypatch, factor):
+    monkeypatch.setitem(_BOUNDS["factors"], "scale_factor", factor)
+    report = run(_with_options("factors", tmp_path, trials=3, kappa_trials=2))
     assert report.summary["scale_check"]["factor"] == factor
     assert not [f for f in report.summary["failures"] if f.startswith("rescale test")]
 
@@ -944,7 +992,7 @@ def _concentration_oracle(options, seed):
         lin.append(2.0 * (P @ s))
         quad.append(np.einsum("ij,ij->i", P, P) - frame.C_w)
         Z.append(lin[-1] + quad[-1])
-        interval = [bounds.concentration_interval(tail, t, options["c_scale"]) for t in deltas]
+        interval = [bounds.concentration_interval(tail, t, _BOUNDS["concentration"]["c_scale"]) for t in deltas]
         covered.append([int(np.count_nonzero(np.abs(Z[-1]) <= c)) for c in interval])
         lin_var.append(8.0 * float(s @ tail.Psi @ s))
     lin_unit = np.concatenate([x / math.sqrt(v) for x, v in zip(lin, lin_var) if v > 0.0])
@@ -1118,52 +1166,57 @@ def test_convergence_peak_memory_is_the_largest_signal_plus_one_trial(tmp_path):
 # criterion failures: every reachable branch, strict JSON summaries
 # ---------------------------------------------------------------------------
 
-# One small config per failure branch that options can reach, with a piece of
-# that branch's message; each runs at the default seed. The branches for a
-# concentration run whose pairs all draw equal patterns and for a factors run
-# whose population gap is tied have their own tests above. Not reachable from
-# options: divergence's sin-theta bound (a theorem, with an eps * ||C|| floor
-# on the perturbation), concentration's ||Psi||_2 <= 1/lambda_min bound (a
-# theorem for an St-orthogonal W) and factors' rescale test on an untied gap
-# (exact to rounding at every scale_factor the schema admits).
+# One small config per failure branch that options or a bound reach, with
+# the bounds it swaps in the ``_BOUNDS`` table and a piece of that branch's
+# message; each runs at the default seed. The branches for a concentration
+# run whose pairs all draw equal patterns and for a factors run whose
+# population gap is tied have their own tests above. Not reachable: the
+# divergence sin-theta bound (a theorem, with an eps * ||C|| floor on the
+# perturbation), concentration's ||Psi||_2 <= 1/lambda_min bound (a theorem
+# for an St-orthogonal W) and factors' rescale test on an untied gap (exact
+# to rounding at the fixed scale factor, and at the large factors above).
 _FAILURE_PATHS = [
     # four rows cannot realize the pair patterns, so rank(Sb) falls short of
     # the prediction min(d, n - 1, L) = 3
     ("rank", {"rows": [{"setting": "misses pairs", "n": 4, "d": 10, "L": 3,
-                        "scheme": {"kind": "variable", "mix": [[1, 0.99], [2, 0.01]]}}]},
+                        "scheme": {"kind": "variable", "mix": [[1, 0.99], [2, 0.01]]}}]}, {},
      "row 0 (misses pairs): rank 2, excess False; expected (3, True)"),
-    ("distance", {"pairs": 20, "draws": 10, "tolerance_se": 0.0, "min_pass_rate": 1.0}, "Hamming"),
-    ("convergence", {"ns": [50, 100, 200], "trials": 3, "gap_threshold": 1e9},
+    ("distance", {"pairs": 20, "draws": 10}, {"tolerance_se": 0.0, "min_pass_rate": 1.0}, "Hamming"),
+    ("convergence", {"ns": [50, 100, 200], "trials": 3}, {"gap_threshold": 1e9},
      "no spectral gap exceeds threshold"),
-    ("convergence", {"ns": [50, 100, 200], "trials": 3, "max_median": 0.0}, "median at n=200"),
-    ("convergence", {"ns": [50, 51, 52, 53, 54, 55], "trials": 1, "gap_threshold": 0.5, "max_inversions": 0,
-                     "max_median": 1.0, "slope_range": [-100.0, 100.0]}, "median inversions"),
-    ("convergence", {"ns": [50, 100, 200], "trials": 3, "max_median": 1.0, "slope_range": [5.0, 6.0]},
+    ("convergence", {"ns": [50, 100, 200], "trials": 3}, {"max_median": 0.0}, "median at n=200"),
+    ("convergence", {"ns": [50, 51, 52, 53, 54, 55], "trials": 1},
+     {"gap_threshold": 0.5, "max_inversions": 0, "max_median": 1.0, "slope_range": (-100.0, 100.0)},
+     "median inversions"),
+    ("convergence", {"ns": [50, 100, 200], "trials": 3}, {"max_median": 1.0, "slope_range": (5.0, 6.0)},
      "log-log slope"),
     ("factors", {"trials": 3, "kappa_trials": 2, "kmax_settings": [
         {"scheme": {"kind": "variable", "mix": [[1, 0.9], [3, 0.1]]}},
         {"scheme": {"kind": "variable", "mix": [[1, 0.8], [2, 0.2]]}},
-        {"scheme": {"kind": "single"}}]}, "median errors not monotone in k_max"),
-    ("factors", {"trials": 3, "kappa_trials": 2, "ratio_factor": 0.0}, "bound-ratio spread"),
-    ("factors", {"trials": 3, "kappa_trials": 2, "gamma_scheme": {"kind": "single"}}, "co-occurrence norms"),
-    ("concentration", {"pairs": 3, "draws": 200, "c_scale": 1e6}, "coverage"),
-    ("concentration", {"pairs": 3, "draws": 200, "variance_rel_tol": 0.0}, "linear-part variance ratio"),
-    ("concentration", {"pairs": 3, "draws": 200, "mean_se_tol": 0.0}, "component means not centered"),
-    ("concentration", {"pairs": 3, "draws": 200, "quantile_ratio_max": 0.0}, "99th/95th deviation ratio"),
-    ("interaction", {"pairs": 20, "draws": 10, "tolerance_se": 0.0, "min_corrected": 1.0},
+        {"scheme": {"kind": "single"}}]}, {}, "median errors not monotone in k_max"),
+    ("factors", {"trials": 3, "kappa_trials": 2}, {"ratio_factor": 0.0}, "bound-ratio spread"),
+    ("factors", {"trials": 3, "kappa_trials": 2, "gamma_scheme": {"kind": "single"}}, {}, "co-occurrence norms"),
+    ("concentration", {"pairs": 3, "draws": 200}, {"c_scale": 1e6}, "coverage"),
+    ("concentration", {"pairs": 3, "draws": 200}, {"variance_rel_tol": 0.0}, "linear-part variance ratio"),
+    ("concentration", {"pairs": 3, "draws": 200}, {"mean_se_tol": 0.0}, "component means not centered"),
+    ("concentration", {"pairs": 3, "draws": 200}, {"quantile_ratio_max": 0.0}, "99th/95th deviation ratio"),
+    ("interaction", {"pairs": 20, "draws": 10}, {"tolerance_se": 0.0, "min_corrected": 1.0},
      "corrected rate below"),
-    ("interaction", {"pairs": 20, "draws": 10, "alphas": [0.0]}, "naive rate"),
-    ("regularization", {"n": 10, "trials": 2, "scheme": {"kind": "single"}}, "rank varied"),
-    ("regularization", {"n": 60, "d": 20, "trials": 2}, "gamma=0 did not flag"),
-    ("regularization", {"trials": 2, "kappa_ratio_range": [11.5, 12.0]}, "consecutive kappa ratios"),
-    ("regularization", {"n": 60, "d": 20, "trials": 2, "gap_match_tol": 0.0}, "trace-difference gap moved"),
+    ("interaction", {"pairs": 20, "draws": 10, "alphas": [0.0]}, {}, "naive rate"),
+    ("regularization", {"n": 10, "trials": 2, "scheme": {"kind": "single"}}, {}, "rank varied"),
+    ("regularization", {"n": 60, "d": 20, "trials": 2}, {}, "gamma=0 did not flag"),
+    ("regularization", {"trials": 2}, {"kappa_ratio_range": (11.5, 12.0)}, "consecutive kappa ratios"),
+    ("regularization", {"n": 60, "d": 20, "trials": 2}, {"gap_match_tol": 0.0}, "trace-difference gap moved"),
 ]
 
 
-@pytest.mark.parametrize("name, changes, message", _FAILURE_PATHS)
-def test_failure_path_fails_its_criterion(tmp_path, name, changes, message):
+@pytest.mark.parametrize("name, changes, bounds, message", _FAILURE_PATHS)
+def test_failure_path_fails_its_criterion(tmp_path, monkeypatch, name, changes, bounds, message):
     from mlda.harness.experiments import _RUNNERS
 
+    for key, value in bounds.items():
+        assert key in _BOUNDS[name], key
+        monkeypatch.setitem(_BOUNDS[name], key, value)
     report = run(_with_options(name, tmp_path, **changes))
     assert report.passes == {_RUNNERS[name][1]: False}
     assert [f for f in report.summary["failures"] if message in f], report.summary["failures"]
@@ -1201,6 +1254,37 @@ def test_runners_record_through_their_run():
             if node.func.attr == "append":
                 name = receiver.attr if isinstance(receiver, ast.Attribute) else getattr(receiver, "id", None)
                 assert name != "failures", f"line {node.lineno}"
+
+
+def test_runners_read_bounds_from_the_table_only():
+    # a bound key appears in a runner only as a subscript of ex.bounds (or of
+    # a name assigned from it), never of the options, and each runner reads
+    # every bound of its experiment
+    from mlda.harness import experiments
+
+    with open(experiments.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    keys = {k for bounds in experiments._BOUNDS.values() for k in bounds}
+    for name, (runner, _) in experiments._RUNNERS.items():
+        fn = functions[runner.__name__]
+        receivers = {"ex.bounds"}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple) \
+                    and isinstance(node.value, ast.Tuple):
+                pairs = zip(node.targets[0].elts, node.value.elts)
+                receivers |= {ast.unparse(t) for t, v in pairs if ast.unparse(v) == "ex.bounds"}
+            elif isinstance(node, ast.Assign) and ast.unparse(node.value) == "ex.bounds":
+                receivers |= {ast.unparse(t) for t in node.targets}
+        parents = {child: node for node in ast.walk(fn) for child in ast.iter_child_nodes(node)}
+        read = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Constant) and node.value in keys:
+                parent = parents[node]
+                receiver = ast.unparse(parent.value) if isinstance(parent, ast.Subscript) else None
+                assert receiver in receivers, f"{fn.name} reads {node.value!r} from {receiver} (line {node.lineno})"
+                read.add(node.value)
+        assert read == set(experiments._BOUNDS.get(name, {})), fn.name
 
 
 def _reject_constant(token):
