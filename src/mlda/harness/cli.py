@@ -26,11 +26,6 @@ def _build_parser():
     parser.add_argument("--config", help="JSON config file overriding the defaults")
     parser.add_argument("--seed", type=int, help="base seed for all random streams")
     parser.add_argument("--out", help="output directory (default: results)")
-    parser.add_argument(
-        "--trials",
-        type=int,
-        help="override the experiment's trial/draw count (smoke runs)",
-    )
     return parser
 
 
@@ -63,7 +58,6 @@ def main(argv=None):
             config_path=args.config,
             seed=args.seed,
             out_dir=args.out,
-            trials=args.trials,
         )
         # the output directory is made before any experiment runs, and each
         # report is written as soon as its experiment finishes, so a later

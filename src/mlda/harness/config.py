@@ -1,7 +1,8 @@
 """Experiment configuration: defaults, JSON overrides, validation, hashing.
 
 A config is resolved in three layers: built-in defaults for the experiment,
-then a JSON file (``--config``), then explicit CLI overrides. Everything
+then a JSON file (``--config``), then the CLI's seed and output directory
+(``--seed``, ``--out``); options are set by name in the file. Everything
 that affects results is validated up front so a bad config fails before any
 trials run, and hashed so outputs can be traced to the exact settings.
 
@@ -257,22 +258,19 @@ def _fits(spec, L):
     return scheme_from_dict(spec).max_cardinality() <= L
 
 
-def _drawn(scheme):
-    """The cardinalities a LabelScheme draws, those with positive fraction."""
-    return {c for c, f in scheme.mix if f > 0} if scheme.kind == "variable" else {scheme.max_cardinality()}
-
-
 def _fewest(spec):
-    return min(_drawn(scheme_from_dict(spec)))
+    return min(c for c, _ in scheme_from_dict(spec).drawn)
 
 
 def _sw_sees_every_frame(o):
-    # every scatter lies on the span of the centred rows, of dimension
-    # m = min(d, n - 1), and rank(Sw) <= K - L, where the K >= c n label
-    # assignments (c the setting's fewest drawn labels) fall into L classes:
-    # unless K - L > m - r, some r-frame on that span has tr(W^T Sw W) = 0
-    m = min(o["d"], o["n"] - 1)
-    return all(_fewest(e["scheme"]) * o["n"] - o["L"] > m - o["r"] for e in o["settings"])
+    # rank(Sw) <= min(n - 1, K - L): its columns lie on the span of the
+    # centred rows, and the K >= c n label assignments (c the setting's fewest
+    # drawn labels) fall into L classes. So the null space of Sw in R^d, the
+    # directions off that span (where Sb = Sw = 0) included, has dimension
+    # at least d - min(n - 1, c n - L). Once that reaches r, some r-frame has
+    # tr(W^T Sw W) = 0, and the trace ratio is unbounded or has no unique
+    # maximizer
+    return all(min(o["n"] - 1, _fewest(e["scheme"]) * o["n"] - o["L"]) > o["d"] - o["r"] for e in o["settings"])
 
 
 def _schemes_fit(o):
@@ -308,8 +306,8 @@ _RULES = {
         _SCHEMES_FIT,
         (
             _sw_sees_every_frame,
-            "every setting needs c n - L > min(d, n - 1) - r, c its fewest drawn labels, or some "
-            "r-frame sees no within-class scatter; got n={n}, d={d}, L={L}, r={r}",
+            "every setting needs min(n - 1, c n - L) > d - r, c its fewest drawn labels, so that the "
+            "null space of Sw has dimension below r; got n={n}, d={d}, L={L}, r={r}",
         ),
     ),
     "distance": (_N_COVERS_L, _PAIRS_OF_ROWS, _FRAME_WITHIN_D, _SCHEMES_FIT),
@@ -414,7 +412,6 @@ def build_config(
     config_path=None,
     seed=None,
     out_dir=None,
-    trials=None,
     threads=None,
 ):
     """Resolve defaults <- config file <- CLI overrides into one config."""
@@ -448,16 +445,6 @@ def build_config(
     # a file's out_dir is a JSON value; a caller may also pass a path object
     if not isinstance(out_dir, (str, os.PathLike)) or not os.fspath(out_dir):
         raise ConfigError(f"out_dir must be a non-empty string, got {out_dir!r}")
-
-    if trials is not None:
-        if experiment == "all":
-            raise ConfigError("--trials cannot be applied to 'all'")
-        if "trials" in options:
-            options["trials"] = trials
-        elif "draws" in options:
-            options["draws"] = trials
-        else:
-            raise ConfigError(f"{experiment}: has no trial-count knob to override")
 
     if experiment != "all":
         options = validate_options(experiment, options)

@@ -41,7 +41,7 @@ from ..spectral import orthonormalize, principal_angle_sin, sym_eigvals, symmetr
 from ..synth import LabelScheme, Seed, gen_data, gen_labels, pair_products, scheme_distribution
 from ..synth import _draw_cardinalities
 from .aggregate import UpperTail, aggregate, slope_fit
-from .config import EXPERIMENTS, PAIR_FRAME_RANK, _drawn, build_config, scheme_from_dict
+from .config import EXPERIMENTS, PAIR_FRAME_RANK, build_config, scheme_from_dict
 
 # ---------------------------------------------------------------------------
 # report plumbing
@@ -289,7 +289,7 @@ def _centred_label_rank(scheme, L):
     vector), 0 when S = {L} (every row is all ones), and L when S holds two
     or more. A closed form, since the patterns number C(L, c) per
     cardinality."""
-    cards = _drawn(scheme)
+    cards = {c for c, _ in scheme.drawn}
     if len(cards) > 1:
         return L
     return 0 if cards == {L} else L - 1
@@ -384,7 +384,7 @@ def _run_divergence(ex):
             "median_angle_TD_TD0_deg": med_ref,
             "median_angle_TD_TR_deg": med_tr,
             "max_dk_margin": max(margins),
-            "single_label": scheme.kind == "single",
+            "single_label": scheme.max_cardinality() == 1,
         }
 
     # qualitative observations (informational; the pass flag is the bound check)
@@ -563,9 +563,14 @@ def _run_factors(ex):
             target = opt_td(build_scatter(_signal_dataset(labels, A)), r)
             rng = ex.stream(t, f"noise:{si}")
             err = _noisy_td_error(labels, params, rng, r, target.frame)
-            return err, target.gap, err * target.gap / denom
+            return err, target.gap, err * target.gap / denom, target.degenerate_gap
 
-        errs, gap_vals, ratios = zip(*[one(t) for t in range(trials)])
+        errs, gap_vals, ratios, tied = zip(*[one(t) for t in range(trials)])
+        # rows that realize too few label patterns (one, when the scheme's
+        # rows below L are too rare to be drawn) tie the signal gap at r: a
+        # property of the drawn labels, so the criterion fails
+        ex.require(not any(tied), f"k_max={k_max}: the signal gap at r={r} is tied on "
+                                  f"{sum(tied)}/{trials} trials, as too few label patterns were drawn")
         med_err = aggregate(errs)["median"]
         med_gap = aggregate(gap_vals)["median"]
         med_ratio = aggregate(ratios)["median"]
@@ -580,7 +585,7 @@ def _run_factors(ex):
                 "trials": trials,
             }
         )
-    ratio_spread = max(med_ratios) / min(med_ratios)
+    ratio_spread = max(med_ratios) / min(med_ratios) if min(med_ratios) > 0 else math.inf
 
     # (b) joint model rescaling: effects and noise scaled together multiply
     # both population scatter matrices by the square of the factor, so the

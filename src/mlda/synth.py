@@ -37,6 +37,8 @@ class LabelScheme:
     def __post_init__(self):
         if self.kind not in ("single", "uniform", "variable"):
             raise InvalidScheme(f"unknown scheme kind {self.kind!r}")
+        if self.kind == "single":
+            object.__setattr__(self, "k", 1)  # its cardinality; a given k is ignored
         if self.kind == "uniform":
             object.__setattr__(self, "k", count("uniform cardinality", self.k, error=InvalidScheme))
         if self.kind == "variable":
@@ -67,12 +69,17 @@ class LabelScheme:
     def variable(mix):
         return LabelScheme(kind="variable", mix=mix)
 
+    @property
+    def drawn(self):
+        """The scheme's law, read by every reader of it: the (cardinality,
+        fraction) pairs it draws with a positive fraction, ``((k, 1.0),)``
+        for "single" and "uniform", the positive part of ``mix`` otherwise."""
+        if self.kind == "variable":
+            return tuple((c, f) for c, f in self.mix if f > 0)
+        return ((self.k, 1.0),)
+
     def max_cardinality(self):
-        if self.kind == "single":
-            return 1
-        if self.kind == "uniform":
-            return self.k
-        return max(c for c, f in self.mix if f > 0)
+        return max(c for c, _ in self.drawn)
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +121,9 @@ class Seed:
 def _draw_cardinalities(scheme, n, L, rng):
     # a cardinality with fraction 0 is never drawn, so it may exceed L
     count("scheme cardinality", scheme.max_cardinality(), high=L, error=InvalidScheme)
-    if scheme.kind == "single":
-        return np.ones(n, dtype=np.int64)
-    if scheme.kind == "uniform":
-        return np.full(n, scheme.k, dtype=np.int64)
+    if scheme.kind != "variable":
+        return np.full(n, scheme.max_cardinality(), dtype=np.int64)
+    # zero fractions take part in the choice, so the stream is the mix's own
     cards = np.array([c for c, _ in scheme.mix], dtype=np.int64)
     fracs = np.array([f for _, f in scheme.mix])
     return cards[rng.choice(len(cards), size=n, p=fracs)]
@@ -274,16 +280,8 @@ def scheme_distribution(scheme, L):
 
     L = count("L", L)
     count("scheme cardinality", scheme.max_cardinality(), high=L, error=InvalidScheme)
-    if scheme.kind == "single":
-        mix = ((1, 1.0),)
-    elif scheme.kind == "uniform":
-        mix = ((scheme.k, 1.0),)
-    else:
-        mix = scheme.mix
     pairs = []
-    for card, frac in mix:
-        if frac <= 0.0:
-            continue
+    for card, frac in scheme.drawn:
         share = frac / comb(L, card)
         for subset in combinations(range(L), card):
             bits = np.zeros(L, dtype=np.int64)

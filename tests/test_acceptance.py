@@ -42,7 +42,7 @@ def _criterion(num, name, ok, detail=""):
 
 
 def _run_experiment(name):
-    cfg = build_config(name, None, DEFAULT_SEED, None, None, None)
+    cfg = build_config(name, None, DEFAULT_SEED)
     t0 = time.monotonic()
     report = run(cfg)
     return report, time.monotonic() - t0

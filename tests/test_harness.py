@@ -119,15 +119,6 @@ def test_file_and_cli_precedence(tmp_path):
         build_config("distance", str(path), None, None, None)
 
 
-def test_trials_flag_mapping(tmp_path):
-    cfg = build_config("divergence", None, None, None, 17)
-    assert cfg.options["trials"] == 17
-    cfg = build_config("concentration", None, None, None, 150)
-    assert cfg.options["draws"] == 150
-    with pytest.raises(ConfigError):
-        build_config("rank", None, None, None, 5)  # rank has no trial count
-
-
 def test_config_errors(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"experiment": "rank", "bogus_key": 1}))
@@ -150,9 +141,6 @@ def test_config_errors(tmp_path):
     path.write_text(json.dumps({"experiment": "rank", "rows": [row]}))
     with pytest.raises(ConfigError, match=r"rows\[0\]: unknown option 'bogus'"):
         build_config("rank", str(path), None, None, None)
-    for trials in (0, -1, True):  # the --trials override is validated like the file
-        with pytest.raises(ConfigError, match="trials"):
-            build_config("divergence", None, None, None, trials)
 
 
 def test_config_file_that_is_not_utf8_is_a_config_error(tmp_path):
@@ -310,7 +298,7 @@ def test_dimension_validation(tmp_path):
         ("factors", {"L": 2, "singular_values": [8.0, 6.0], "gamma_scheme": {"kind": "uniform", "k": 2},
                      "kmax_settings": [{"scheme": {"kind": "single"}}, {"scheme": {"kind": "uniform", "k": 2}}]},
          "fewer than L=2 labels"),
-        ("divergence", {"n": 10}, r"c n - L > min\(d, n - 1\) - r"),
+        ("divergence", {"n": 10}, r"min\(n - 1, c n - L\) > d - r"),
         ("divergence", {"n": 23}, "got n=23, d=20, L=6, r=3"),
         ("rank", {"rows": [{**DEFAULTS["rank"]["rows"][0], "L": 200}]}, "n >= L"),
     ]
@@ -472,6 +460,21 @@ def test_cli_config_error_exit_two(tmp_path):
     assert not (tmp_path / "rank.csv").exists()
 
 
+# divergence shapes where the null space of Sw has dimension r or more, so
+# some r-frame sees no within-class scatter: they exited 2 after their trials
+# (n = 10), or 3 as the trace ratio decreased at lambda ~ 3e17 (n = 21); the
+# last three passed a rule that counted only the null directions on the row
+# span, and exited 2 or 3 after their trials
+_SW_NULL_SHAPES = [
+    {"n": 10, "trials": 5},
+    {"n": 21, "trials": 5},
+    {"n": 23, "trials": 5},
+    {"n": 15, "r": 8, "trials": 5, "settings": [{"setting": "single", "scheme": {"kind": "single"}}]},
+    {"n": 18, "r": 8, "trials": 5},
+    {"n": 12, "d": 15, "L": 3, "r": 6, "settings": [{"setting": "single", "scheme": {"kind": "single"}}]},
+]
+
+
 @pytest.mark.parametrize(
     "experiment,options",
     [
@@ -501,12 +504,7 @@ def test_cli_config_error_exit_two(tmp_path):
         ("factors", {"L": 2, "singular_values": [8.0, 6.0], "trials": 3, "kappa_trials": 2,
                      "kmax_settings": [{"scheme": {"kind": "single"}}, {"scheme": {"kind": "uniform", "k": 2}}],
                      "gamma_scheme": {"kind": "uniform", "k": 2}}),
-        # too few rows for Sw to see every 3-frame on their span: exit 2
-        # after the trials (n = 10), or exit 3 as the trace ratio decreased
-        # at lambda ~ 3e17 (n = 21)
-        ("divergence", {"n": 10, "trials": 5}),
-        ("divergence", {"n": 21, "trials": 5}),
-        ("divergence", {"n": 23, "trials": 5}),
+        *(("divergence", options) for options in _SW_NULL_SHAPES),
         # r = L = d: the ridge report takes r = L, which must stay below d
         ("regularization", {"d": 10, "L": 10, "trials": 1}),
         # extreme but finite values, rejected before numpy can overflow
@@ -542,6 +540,11 @@ def test_cli_hostile_config_exit_two(tmp_path, experiment, options):
     assert proc.stderr.startswith("mlda: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / f"{experiment}.csv").exists()
+    if experiment == "divergence" and options in _SW_NULL_SHAPES:
+        # the null-space rule's own line, before any trial
+        got = "got n={n}, d={d}, L={L}, r={r}\n".format(**{**DEFAULTS["divergence"], **options})
+        assert proc.stderr.startswith("mlda: divergence: every setting needs min(n - 1, c n - L) > d - r, ")
+        assert proc.stderr.endswith(got), proc.stderr
 
 
 @pytest.mark.parametrize("experiment, key", [(e, k) for e, bounds in _BOUNDS.items() for k in bounds])
@@ -579,13 +582,36 @@ def test_cli_config_naming_a_bound_exit_two(tmp_path, experiment, options, key):
 
 
 def test_divergence_rule_keeps_the_shapes_that_run():
-    # multi-label rows fill Sw faster: these shapes exit 0 on seeds 0-3
+    # at the defaults (d = 20, L = 6, r = 3) the single-label setting needs
+    # n - 6 > 17; n = 25 exits 0 on seeds 0-7
+    for n in (24, 25):
+        validate_options("divergence", {**DEFAULTS["divergence"], "n": n})
+    # these exit 0, but Sw vanishes on the d - (n - 1) >= 6 directions off
+    # the row span, so the trace ratio's optimal 3-frame is not unique: a
+    # multi-label setting fills Sw no faster than n - 1 allows
     shapes = [
         {"n": n, "settings": [{"setting": f"uniform k={k}", "scheme": {"kind": "uniform", "k": k}}]}
         for n, k in ((10, 2), (11, 2), (12, 2), (15, 3))
     ]
-    for options in [*shapes, {"n": 24}]:
-        validate_options("divergence", {**DEFAULTS["divergence"], **options})
+    for options in shapes:
+        with pytest.raises(ConfigError, match="the null space of Sw has dimension below r"):
+            validate_options("divergence", {**DEFAULTS["divergence"], **options})
+
+
+def test_divergence_groups_settings_by_their_drawn_cardinalities(tmp_path):
+    # uniform k = 1 draws one label per row, as single does, so it joins the
+    # single-label group: counted as multi-label, its 0-degree angle read
+    # multilabel_divergence_visible as false
+    settings = [{"setting": name, "scheme": spec} for name, spec in (
+        ("single", {"kind": "single"}),
+        ("uniform k=1", {"kind": "uniform", "k": 1}),
+        ("uniform k=2", {"kind": "uniform", "k": 2}),
+    )]
+    report = run(_with_options("divergence", tmp_path, trials=5, settings=settings))
+    per_setting = report.summary["per_setting"]
+    assert {name: q["single_label"] for name, q in per_setting.items()} == {
+        "single": True, "uniform k=1": True, "uniform k=2": False}
+    assert all(report.summary["qualitative"].values()), report.summary["qualitative"]
 
 
 def test_cli_factors_names_a_tied_population_gap(tmp_path):
@@ -602,6 +628,27 @@ def test_cli_factors_names_a_tied_population_gap(tmp_path):
         details = json.load(fh)["details"]
     assert details["failures"] == ["rescale test: the population gap at r=1 is tied (0.0)"]
     assert details["scale_check"]["gap_ratio"] is None
+
+
+def test_cli_factors_names_a_scheme_whose_rows_realize_one_pattern(tmp_path):
+    # at n = 2000 a fraction of 1e-4 draws 0.2 four-label rows on average, so
+    # at seed 0 every trial's signal rows carry all 5 labels: the signal
+    # scatters vanish and the gap at r is tied, where the bound-ratio spread
+    # once divided by zero
+    cfgfile = tmp_path / "rare.json"
+    cfgfile.write_text(json.dumps({
+        "experiment": "factors", "trials": 3, "kappa_trials": 2,
+        "kmax_settings": [{"scheme": {"kind": "single"}},
+                          {"scheme": {"kind": "variable", "mix": [[4, 0.0001], [5, 0.9999]]}}],
+    }))
+    proc = _cli(["factors", "--seed", "0", "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    with open(tmp_path / "factors.summary.json", encoding="utf-8") as fh:
+        details = json.load(fh)["details"]
+    assert "k_max=5: the signal gap at r=1 is tied on 3/3 trials, as too few label patterns were drawn" \
+        in details["failures"]
+    assert details["bound_ratio_spread"] == "inf"
 
 
 def test_cli_concentration_reads_theta_against_its_conditioned_floor(tmp_path):
@@ -655,6 +702,15 @@ def test_cli_has_no_threads_flag(tmp_path):
     assert proc.returncode == 2
     assert "--threads" in proc.stderr
     assert not (tmp_path / "rank.csv").exists()
+
+
+def test_cli_has_no_trials_flag(tmp_path):
+    # a config file sets each experiment's counts by their own names
+    # (trials, draws, kappa_trials), so no flag maps onto one of them
+    proc = _cli(["divergence", "--trials", "3", "--out", str(tmp_path)])
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --trials 3" in proc.stderr
+    assert not (tmp_path / "divergence.csv").exists()
 
 
 def test_cli_gap_below_threshold_is_criterion_failure(tmp_path):
@@ -1254,6 +1310,29 @@ def test_runners_record_through_their_run():
             if node.func.attr == "append":
                 name = receiver.attr if isinstance(receiver, ast.Attribute) else getattr(receiver, "id", None)
                 assert name != "failures", f"line {node.lineno}"
+
+
+def test_a_scheme_kind_is_compared_only_where_it_is_decided():
+    # LabelScheme.drawn states a scheme's law; kind decides only the JSON
+    # form (config.scheme_from_dict and _typed) and, in synth, whether a draw
+    # spends the generator. No module re-derives the drawn cardinalities.
+    import pathlib
+
+    own = {"config.py": {"scheme_from_dict", "_typed"}}
+    for path in sorted(pathlib.Path(mlda.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert "_drawn" not in defined, path.name
+        if path.name == "synth.py":
+            continue
+        for top in tree.body:
+            if getattr(top, "name", None) in own.get(path.name, ()):
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Compare):
+                    operands = [node.left, *node.comparators]
+                    assert not any(isinstance(o, ast.Attribute) and o.attr == "kind" for o in operands), \
+                        f"{path.name}:{node.lineno} compares a kind"
 
 
 def test_runners_read_bounds_from_the_table_only():

@@ -381,6 +381,40 @@ def test_a_cardinality_with_fraction_zero_may_exceed_L():
             draw()
 
 
+_CARD = st.integers(1, 6)
+# variable mixes from integer weights, zero weights included: a zero-fraction
+# cardinality may exceed the largest drawn one, and so L
+_SCHEMES = st.one_of(
+    st.just(LabelScheme.single()),
+    st.just(LabelScheme(kind="single", k=5)),  # a single scheme's k is ignored
+    _CARD.map(LabelScheme.uniform),
+    st.lists(st.tuples(_CARD, st.integers(0, 3)), min_size=1, max_size=4)
+    .filter(lambda pairs: any(w for _, w in pairs))
+    .map(lambda pairs: LabelScheme.variable([(c, w / sum(w for _, w in pairs)) for c, w in pairs])),
+)
+
+
+@given(scheme=_SCHEMES, extra=st.integers(0, 2), base=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_drawn_is_the_law_of_the_draw_and_the_exact_distribution(scheme, extra, base):
+    drawn = scheme.drawn
+    assert drawn and all(f > 0 for _, f in drawn)
+    assert abs(sum(f for _, f in drawn) - 1.0) <= 1e-12
+    assert scheme.max_cardinality() == max(c for c, _ in drawn)
+    want = {}
+    for c, f in drawn:
+        want[c] = want.get(c, 0.0) + f
+    L = scheme.max_cardinality() + extra
+    dist = scheme_distribution(scheme, L)
+    cards = dist.patterns.sum(axis=1)
+    got = {int(c): float(dist.probs[cards == c].sum()) for c in np.unique(cards)}
+    assert got.keys() == want.keys()
+    for c, f in want.items():
+        assert got[c] == pytest.approx(f, rel=1e-12, abs=1e-15)
+    labels = gen_labels(scheme, 3 * L, L, Seed(base).stream("drawn", 0, "labels"))
+    assert set(labels.k.tolist()) <= want.keys()
+
+
 def test_generated_frequencies_match_distribution():
     scheme = LabelScheme.variable(((1, 0.5), (2, 0.5)))
     dist = scheme_distribution(scheme, 3)
