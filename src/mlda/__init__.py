@@ -64,6 +64,7 @@ _EXPORTS = {
         "isotropic_params",
         "label_moments",
         "population_scatters",
+        "scheme_distribution",
     ),
     "synth": (
         "LabelScheme",
@@ -72,7 +73,6 @@ _EXPORTS = {
         "gen_labels",
         "pair_products",
         "pair_products_matrix",
-        "scheme_distribution",
     ),
     "discriminant": (
         "DavisKahanReport",

@@ -46,7 +46,9 @@ DET_FLOOR_LOG = np.log(1e-300)
 GAP_TIE_TOL = 1e-12
 # Normalized commutator size under which two scatters count as commuting.
 COMMUTE_TOL = 1e-12
-# Step in lambda under which the trace-ratio iteration counts as converged.
+# Step in lambda, relative to max(1, |lambda|), under which the trace-ratio
+# iteration counts as converged: lambda is a ratio, which normalizing the
+# scatters does not rescale, and at |lambda| ~ 1e7 one ulp already exceeds 1e-10.
 TRACE_RATIO_TOL = 1e-10
 # Negative theta down to -THETA_DUST is rounding dust of a zero eigenvalue.
 THETA_DUST = 1e-12
@@ -132,15 +134,6 @@ def _theta_checked(theta, floor=THETA_DUST, error=InvariantViolation):
     return np.where(theta < 0, 0.0, theta)
 
 
-def _theta_floor(frame):
-    """The dust floor of a WhitenedFrame's theta: whitening errs by about
-    u kappa (Golub & Van Loan, Matrix Computations, sec. 8.7), kappa the
-    condition number of the total scatter it whitened, so theta in
-    [-max(THETA_DUST, d eps kappa), 0) is a rounded 0."""
-    kappa = frame.st_values[0] / frame.st_values[-1]
-    return max(THETA_DUST, frame.st_values.size * np.finfo(float).eps * kappa)
-
-
 def theta_form(theta):
     """Closed-form objective values from generalized eigenvalues theta.
 
@@ -223,7 +216,7 @@ class WhitenedFrame:
     generalized eigenvalues of (Sb, St + gamma I) in descending order; the
     leading r of them are the projected between-scatter spectrum theta.
     ``st_values`` is the spectrum of St + gamma I, descending, from the solve
-    that whitens it, so kappa(St + gamma I) is its first over its last entry.
+    that whitens it; ``kappa``, the condition number, is its first over last.
     """
 
     columns: np.ndarray
@@ -235,6 +228,17 @@ class WhitenedFrame:
     @property
     def theta(self):
         return self.gen_values[: self.r]
+
+    @property
+    def kappa(self):
+        return float(self.st_values[0]) / float(self.st_values[-1])
+
+    def unit_values(self):
+        """``gen_values`` as theta in [0, 1): whitening errs by about u kappa
+        (Golub & Van Loan, Matrix Computations, sec. 8.7), so theta in
+        [-max(THETA_DUST, d eps kappa), 0) is a rounded 0; else it raises."""
+        floor = max(THETA_DUST, self.st_values.size * np.finfo(float).eps * self.kappa)
+        return _theta_checked(self.gen_values, floor)
 
 
 def opt_stml(Sb, St_total, r, gamma=0.0):
@@ -297,7 +301,7 @@ def trace_ratio_stiefel(Sb, Sw, r, max_iter=500):
     objective value. The lambda sequence is non-decreasing and converges to
     the unique root of f(lambda) = sum of top-r eigenvalues of
     (Sb - lambda Sw). It stops once lambda moves by at most TRACE_RATIO_TOL
-    and the stationarity residual is at most 1e-10.
+    times max(1, |lambda|) and the stationarity residual is at most 1e-10.
 
     Raises
     ------
@@ -331,7 +335,8 @@ def trace_ratio_stiefel(Sb, Sw, r, max_iter=500):
         ep = sym_eig(Sb_n - lam_new * Sw_n)
         W = ep.vectors[:, :r]
         residual = abs(float(ep.values[:r].sum()))
-        converged = lam > -np.inf and abs(lam_new - lam) <= TRACE_RATIO_TOL and residual <= 1e-10
+        tol = TRACE_RATIO_TOL * max(1.0, abs(lam_new))
+        converged = lam > -np.inf and abs(lam_new - lam) <= tol and residual <= 1e-10
         lam = lam_new
         if converged:
             return TraceRatioResult(

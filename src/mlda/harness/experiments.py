@@ -23,9 +23,6 @@ import numpy as np
 
 from ..bounds import bound_frame, concentration_interval, jaccard_lower
 from ..discriminant import (
-    _theta_checked,
-    _theta_floor,
-    _tied,
     commutativity_defect,
     davis_kahan_check,
     opt_stml,
@@ -35,10 +32,10 @@ from ..discriminant import (
     trace_ratio_stiefel,
 )
 from ..errors import ConfigError, check
-from ..population import gamma_norm, gaps, isotropic_params, population_scatters
+from ..population import gamma_norm, gaps, isotropic_params, population_scatters, scheme_distribution
 from ..scatter import build_dataset, build_scatter, rank_analysis
-from ..spectral import orthonormalize, principal_angle_sin, sym_eigvals, symmetrize
-from ..synth import LabelScheme, Seed, gen_data, gen_labels, pair_products, scheme_distribution
+from ..spectral import numeric_rank, orthonormalize, principal_angle_sin, sym_eigvals, symmetrize
+from ..synth import LabelScheme, Seed, gen_data, gen_labels, pair_products
 from ..synth import _draw_cardinalities
 from .aggregate import UpperTail, aggregate, slope_fit
 from .config import EXPERIMENTS, PAIR_FRAME_RANK, build_config, scheme_from_dict
@@ -356,15 +353,23 @@ def _run_divergence(ex):
             norm_c0 = float(max(abs(ref.values[0]), abs(ref.values[-1])))
             pert = float(np.abs(sym_eigvals(ss.R)).max()) + 32.0 * np.finfo(float).eps * norm_c0
             dk = davis_kahan_check(td.frame, ref.frame, pert, ref.gap)
-            tr = trace_ratio_stiefel(ss.Sb, ss.Sw, r)
-            angle_tr = principal_angle_sin(td.frame, tr.frame)
             margin = dk.angle / dk.bound if 0.0 < dk.bound < 1.0 else 0.0
-            return defect, angle_ref, angle_tr, dk.holds, margin
+            # a one-member label adds nothing to Sw; once the drawn labels
+            # leave an r-frame in its null space, the trace ratio is unbounded
+            # or has no unique maximizer, so that trial solves none
+            if numeric_rank(ss.reduced.Sw) <= d - r:
+                return defect, angle_ref, None, dk.holds, margin
+            tr = trace_ratio_stiefel(ss.Sb, ss.Sw, r)
+            return defect, angle_ref, principal_angle_sin(td.frame, tr.frame), dk.holds, margin
 
         defects, ref_sin, tr_sin, holds, margins = zip(*[one(t) for t in range(trials)])
+        tr_deg = [_degrees(s) for s in tr_sin if s is not None]
+        ex.require(len(tr_deg) == trials,
+                   f"{entry['setting']}: the drawn Sw has rank <= d - r = {d - r} on "
+                   f"{trials - len(tr_deg)}/{trials} trials, where no trace ratio is solved")
         med_defect = aggregate(defects)["median"]
         med_ref = aggregate([_degrees(s) for s in ref_sin])["median"]
-        med_tr = aggregate([_degrees(s) for s in tr_sin])["median"]
+        med_tr = aggregate(tr_deg)["median"] if tr_deg else math.nan
         dk_rate = _rate(holds)
         ex.require(
             dk_rate == 1.0,
@@ -599,7 +604,7 @@ def _run_factors(ex):
     delta_dev = abs(g_c.Delta_r - g_1.Delta_r)
     # a population gap tied at r has no ratio to test: a property of the
     # drawn effects (equal singular values), so the criterion fails
-    tied = _tied(g_1.gap_r, g_1.eigvals_M_star_c)
+    tied = g_1.gap_tied
     gap_ratio = None if tied else g_c.gap_r / g_1.gap_r
 
     # (c) co-occurrence norm: diagonal-exact for single-label, strictly
@@ -618,10 +623,9 @@ def _run_factors(ex):
         A_c = A.copy()
         A_c[:r, :] *= cval
         params_c = isotropic_params(np.zeros(d), A_c, sigma_w)
-        pop = population_scatters(params_c, dist)
-        whitened = opt_stml(pop.Sb_inf, pop.St_inf, r)
-        kappa_values.append(float(whitened.st_values[0]) / float(whitened.st_values[-1]))
-        W_pop = orthonormalize(whitened.columns)
+        g = gaps(population_scatters(params_c, dist), r)
+        kappa_values.append(g.kappa_St_inf)
+        W_pop = orthonormalize(g.frame.columns)
 
         def one(t):
             labels = gen_labels(scheme_multi, n, L, ex.stream(t, f"kappa-labels:{ci}"))
@@ -718,8 +722,7 @@ def _run_concentration(ex):
     target = (np.eye(r) - symmetrize(W.T @ pop.Sb_pop @ W)) / dist.K_pop
     defect = float(np.linalg.norm(frame.Psi - target))
     check("Psi identity defect", defect, 1e-8 * max(1.0, np.linalg.norm(target)))
-    _theta_checked(whitened.theta, _theta_floor(whitened))
-    lam_min_st = float(whitened.st_values[-1])
+    whitened.unit_values()
 
     total = pairs * draws
     E = np.empty((draws, d))
@@ -801,7 +804,7 @@ def _run_concentration(ex):
                    f"component means not centered: t_lin={lin_t:.2f}, t_quad={quad_t:.2f}")
     ex.require(q_ratio <= bounds["quantile_ratio_max"],
                f"99th/95th deviation ratio {q_ratio:.3f} exceeds {bounds['quantile_ratio_max']}")
-    ex.require(frame.psi_2 <= (1.0 + 1e-10) / lam_min_st,
+    ex.require(frame.psi_2 <= (1.0 + 1e-10) / float(whitened.st_values[-1]),
                "||Psi||_2 exceeded 1/lambda_min of the population total scatter")
 
     ex.summary = {

@@ -16,11 +16,13 @@ Two families of population scatters appear:
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
-from .discriminant import SINGULAR_FLOOR, _theta_checked, _theta_floor, opt_stml
-from .errors import FLOAT_MAX, InvalidCovariance, InvalidInput, MissingLabel, check, count, real
+from .discriminant import SINGULAR_FLOOR, WhitenedFrame, _tied, opt_stml
+from .errors import FLOAT_MAX, InvalidCovariance, InvalidInput, InvalidScheme, MissingLabel, check, count, real
 from .spectral import _all_binary, _array, sym_eig, sym_eigvals, symmetrize
 from .synth import _interaction_effects
 
@@ -120,6 +122,26 @@ def label_moments(patterns):
         cond_cov=cond_cov,
         K_pop=float(pi.sum()),
     )
+
+
+def scheme_distribution(scheme, L):
+    """Exact pattern distribution induced by a scheme over ``L`` labels.
+
+    A scheme draws a cardinality c and then a uniform random size-c subset,
+    so every size-c pattern has probability frac(c) / C(L, c). Enumerates
+    all patterns with positive probability; feasible for the small L used
+    in population-level checks.
+    """
+    L = count("L", L)
+    count("scheme cardinality", scheme.max_cardinality(), high=L, error=InvalidScheme)
+    pairs = []
+    for card, frac in scheme.drawn:
+        share = frac / comb(L, card)
+        for subset in combinations(range(L), card):
+            bits = np.zeros(L, dtype=np.int64)
+            bits[list(subset)] = 1
+            pairs.append((bits, share))
+    return label_moments(pairs)
 
 
 @dataclass(frozen=True)
@@ -313,8 +335,8 @@ class GapReport:
     rank r (scale-dependent: quadratic in the size of A). ``Delta_r`` is the
     generalized eigenvalue gap of (Sb_inf, St_inf), which is scale-invariant;
     its eigenvalues theta lie in [0, 1). ``kappa_St_inf`` and ``lam_min_St_inf``
-    come from the same solve. ``degenerate`` flags a tied gap (Delta_r == 0
-    within floor); no interpretation is attached to ties.
+    come from ``frame``, that pencil's one solve. ``degenerate`` flags a tied
+    Delta_r (within floor), ``gap_tied`` a tied gap_r; no interpretation is attached.
     """
 
     r: int
@@ -325,16 +347,19 @@ class GapReport:
     kappa_St_inf: float
     lam_min_St_inf: float
     degenerate: bool
+    frame: WhitenedFrame
+
+    @property
+    def gap_tied(self):
+        return _tied(self.gap_r, self.eigvals_M_star_c)
 
 
 def gaps(pop, r):
     """Gap report of a population at rank r (1-based, r < d).
 
-    One solve, ``opt_stml(Sb_inf, St_inf, r)``, gives theta (``gen_values``)
-    and the spectrum of St_inf (``st_values``); a singular St_inf raises
-    SingularTotalScatter. theta down to minus its dust floor (``_theta_floor``,
-    max(THETA_DUST, d eps kappa(St_inf))) reads as 0; any other theta outside
-    [0, 1) raises.
+    One solve, ``opt_stml(Sb_inf, St_inf, r)``, gives theta (the frame's
+    ``unit_values``) and kappa(St_inf); a singular St_inf raises
+    SingularTotalScatter, and a theta outside [0, 1) beyond its dust raises.
     """
     d = pop.St_inf.shape[0]
     r = count("r", r, high=d - 1)
@@ -342,9 +367,7 @@ def gaps(pop, r):
     gap_r = float(vals_c[r - 1] - vals_c[r])
 
     frame = opt_stml(pop.Sb_inf, pop.St_inf, r)
-    lam_max, lam_min = float(frame.st_values[0]), float(frame.st_values[-1])
-    kappa = lam_max / lam_min
-    theta = _theta_checked(frame.gen_values, _theta_floor(frame))
+    theta = frame.unit_values()
     Delta_r = float(theta[r - 1] - theta[r])
     return GapReport(
         r=r,
@@ -352,9 +375,10 @@ def gaps(pop, r):
         gap_r=gap_r,
         theta=theta,
         Delta_r=Delta_r,
-        kappa_St_inf=kappa,
-        lam_min_St_inf=lam_min,
+        kappa_St_inf=frame.kappa,
+        lam_min_St_inf=float(frame.st_values[-1]),
         degenerate=bool(Delta_r <= 1e-12),
+        frame=frame,
     )
 
 

@@ -265,26 +265,3 @@ def gen_data(labels, params, rng, alpha=0.0, noise="gaussian"):
     del G
     return build_dataset(X, labels)
 
-
-def scheme_distribution(scheme, L):
-    """Exact pattern distribution induced by a scheme over ``L`` labels.
-
-    A scheme draws a cardinality c and then a uniform random size-c subset,
-    so every size-c pattern has probability frac(c) / C(L, c). Enumerates
-    all patterns with positive probability; feasible for the small L used
-    in population-level checks.
-    """
-    from math import comb
-
-    from .population import label_moments
-
-    L = count("L", L)
-    count("scheme cardinality", scheme.max_cardinality(), high=L, error=InvalidScheme)
-    pairs = []
-    for card, frac in scheme.drawn:
-        share = frac / comb(L, card)
-        for subset in combinations(range(L), card):
-            bits = np.zeros(L, dtype=np.int64)
-            bits[list(subset)] = 1
-            pairs.append((bits, share))
-    return label_moments(pairs)

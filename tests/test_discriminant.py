@@ -24,6 +24,7 @@ from mlda import (
     Seed,
     ScatterSet,
     SingularTotalScatter,
+    WhitenedFrame,
     build_dataset,
     build_labels,
     build_scatter,
@@ -94,6 +95,19 @@ def test_theta_form_reads_rounding_dust_as_zero():
     assert theta_form(np.array([-1e-12]))["j_td"] == -1.0
     with pytest.raises(InvalidInput):
         theta_form(np.array([0.5, -2e-12]))
+
+
+def test_whitened_frame_reads_every_theta_against_its_conditioned_floor():
+    # kappa = 4 keeps the floor at THETA_DUST; unit_values checks the trailing
+    # theta beyond r too, which the leading ``theta`` does not hold
+    def frame(gen_values):
+        return WhitenedFrame(columns=np.eye(3, 1), gen_values=np.array(gen_values),
+                             st_values=np.array([4.0, 2.0, 1.0]), r=1, gamma=0.0)
+
+    assert frame([0.5, 0.1, 0.0]).kappa == 4.0
+    assert frame([0.5, 0.1, -1e-13]).unit_values().tolist() == [0.5, 0.1, 0.0]
+    with pytest.raises(InvariantViolation, match="dust floor 1.000e-12"):
+        frame([0.5, 0.1, -1e-6]).unit_values()
 
 
 def test_theta_beyond_rank_sb_is_dust_theta_form_accepts():

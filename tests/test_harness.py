@@ -190,8 +190,9 @@ def test_centred_label_rank_matches_the_enumerated_patterns():
     from itertools import combinations
 
     from mlda.harness.experiments import _centred_label_rank
+    from mlda.population import scheme_distribution
     from mlda.spectral import numeric_rank
-    from mlda.synth import LabelScheme, scheme_distribution
+    from mlda.synth import LabelScheme
 
     checked = 0
     for L in range(1, 8):
@@ -614,6 +615,52 @@ def test_divergence_groups_settings_by_their_drawn_cardinalities(tmp_path):
     assert all(report.summary["qualitative"].values()), report.summary["qualitative"]
 
 
+def _settings(*schemes):
+    return [{"setting": f"s{i}", "scheme": scheme} for i, scheme in enumerate(schemes)]
+
+
+@pytest.mark.parametrize(
+    "seed, options",
+    [
+        # lambda* is about 2.9e7, so one ulp of lambda exceeds an absolute
+        # 1e-10 step and the iterate alternated until NotConverged
+        (None, {"sigma_w": 0.001, "trials": 2}),
+        # Sw has a near-null direction; lambda wandered by 1e-13 relative
+        (5, {"n": 24, "trials": 5}),
+        (3687970487, {"n": 9, "d": 7, "L": 2, "r": 1, "sigma_w": 0.1, "trials": 2,
+                      "settings": _settings({"kind": "single"}, {"kind": "uniform", "k": 2},
+                                            {"kind": "uniform", "k": 2})}),
+        # lambda ~ 2.8e7 iterated past its stop until it fell below the
+        # monotonicity slack: "iteration decreased"
+        (778642305, {"n": 31, "d": 25, "L": 6, "r": 1, "sigma_w": 0.5, "trials": 2,
+                     "settings": _settings({"kind": "uniform", "k": 1})}),
+    ],
+)
+def test_cli_divergence_trace_ratio_stops_on_a_relative_step(tmp_path, seed, options):
+    cfgfile = tmp_path / "divergence.json"
+    cfgfile.write_text(json.dumps(options))
+    seed_args = [] if seed is None else ["--seed", str(seed)]
+    proc = _cli(["divergence", *seed_args, "--config", str(cfgfile), "--out", str(tmp_path)],
+                python_flags=("-W", "error"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_cli_divergence_names_a_drawn_sw_whose_null_space_holds_an_r_frame(tmp_path):
+    # n = 7 passes the rule min(n - 1, c n - L) = 6 > d - r = 5, but a label
+    # drawn on one row adds nothing to Sw: on 7 of 50 trials rank(Sw) = 5,
+    # where the trace ratio once raised InvalidInput (exit 2) or failed its
+    # monotonicity check (exit 3)
+    cfgfile = tmp_path / "small.json"
+    cfgfile.write_text(json.dumps({"n": 7, "d": 10, "L": 6, "r": 5,
+                                   "settings": _settings({"kind": "uniform", "k": 2})}))
+    proc = _cli(["divergence", "--seed", "2446665202", "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert (proc.returncode, proc.stderr) == (1, "")
+    with open(tmp_path / "divergence.summary.json", encoding="utf-8") as fh:
+        details = json.load(fh)["details"]
+    assert details["failures"] == ["s0: the drawn Sw has rank <= d - r = 5 on 7/50 trials, "
+                                   "where no trace ratio is solved"]
+
+
 def test_cli_factors_names_a_tied_population_gap(tmp_path):
     # equal singular values tie the population gap at r = 1 (exactly, at
     # seed 2), so the rescale test has no gap ratio to read: the criterion
@@ -1025,8 +1072,7 @@ def _concentration_oracle(options, seed):
     from mlda.discriminant import opt_stml
     from mlda.harness.config import scheme_from_dict
     from mlda.harness.experiments import _draw_pattern, _gaussian_effects
-    from mlda.population import isotropic_params, population_scatters
-    from mlda.synth import scheme_distribution
+    from mlda.population import isotropic_params, population_scatters, scheme_distribution
 
     d, L, r, pairs, draws = (options[k] for k in ("d", "L", "r", "pairs", "draws"))
     sigma_w, deltas = options["sigma_w"], options["deltas"]
@@ -1333,6 +1379,39 @@ def test_a_scheme_kind_is_compared_only_where_it_is_decided():
                     operands = [node.left, *node.comparators]
                     assert not any(isinstance(o, ast.Attribute) and o.attr == "kind" for o in operands), \
                         f"{path.name}:{node.lineno} compares a kind"
+
+
+def _package_trees():
+    import pathlib
+
+    root = pathlib.Path(mlda.__file__).parent
+    return {path.relative_to(root).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(root.rglob("*.py"))}
+
+
+def test_no_function_defers_a_package_import():
+    # a relative import inside a function hides an import cycle
+    for name, tree in _package_trees().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                deferred = [node.lineno for node in ast.walk(fn) if isinstance(node, ast.ImportFrom) and node.level]
+                assert not deferred, f"{name}:{fn.name} imports at lines {deferred}"
+
+
+def test_harness_reads_population_quantities_through_public_names():
+    # the population pencil (Sb_inf, St_inf) has one solve, in gaps; the
+    # harness neither solves it again nor reaches for a private helper of
+    # discriminant or population
+    for name, tree in _package_trees().items():
+        if not name.startswith("harness/"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in ("discriminant", "population"):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, f"{name}:{node.lineno} imports {private}"
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "opt_stml":
+                names = {getattr(n, "attr", getattr(n, "id", None)) for arg in node.args for n in ast.walk(arg)}
+                assert not names & {"Sb_inf", "St_inf"}, f"{name}:{node.lineno} solves the population pencil"
 
 
 def test_runners_read_bounds_from_the_table_only():

@@ -428,6 +428,26 @@ def test_gaps_rejects_a_singular_total_scatter():
     assert report.kappa_St_inf == 9.0
 
 
+def test_gaps_flags_a_tied_gap_r():
+    pop = population_scatters(isotropic_params(np.zeros(3), np.eye(3, 2), 0.5), label_moments(TOY))
+    # M_star_c = 2 Sb_inf - St_inf is diag(0, 0, -1): tied at r = 1
+    assert gaps(_with_pencil(pop, np.diag([1.0, 1.0, 0.0]), np.diag([2.0, 2.0, 1.0])), 1).gap_tied
+    assert not gaps(_with_pencil(pop, np.diag([2.0, 2.25, 0.0]), np.diag([4.0, 9.0, 1.0])), 1).gap_tied
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_gaps_keeps_the_one_solve_of_its_pencil(seed):
+    # the report's frame is opt_stml's on (Sb_inf, St_inf), bit for bit, and
+    # its kappa is that solve's first over last st_values
+    pop, r = _random_population(seed, L=3, extra=2, scale=2.0, sigma=0.5)
+    report = gaps(pop, r)
+    frame = opt_stml(pop.Sb_inf, pop.St_inf, r)
+    assert report.frame.gen_values.tobytes() == frame.gen_values.tobytes()
+    assert report.frame.columns.tobytes() == frame.columns.tobytes()
+    kappa = float(frame.st_values[0]) / float(frame.st_values[-1])
+    assert report.frame.kappa == report.kappa_St_inf == kappa
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2 ** 32 - 1),
