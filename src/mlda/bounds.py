@@ -19,12 +19,15 @@ values (one SVD), Psi = W^T Sigma_w W with C_w = 2 tr(Psi), ||Psi||_2 and
 ||Psi||_F, and sigma_max(W^T B_inter) (one more SVD; ``with_interactions``
 swaps B_inter at that cost alone). sigma_max(A) and sigma_max(B_inter),
 which only the a-priori interaction variants read, are computed on first
-use. Each pair then validates its two patterns and computes only what
-depends on them: delta = y_i - y_j, d_H, d_J, s = (W^T A) delta, the
+use. Each pair method takes one pair of (L,) patterns or a stack of P
+pairs as two (P, L) arrays, validates them once and computes only what
+depends on the pair: delta = y_i - y_j, d_H, d_J, s = (W^T A) delta, the
 support-restricted singular values when asked for, the tail parameters
-(V, B) from ||s||, ||z_i - z_j|| and the widenings. The module-level
+(V, B) from ||s||, ||z_i - z_j|| and the widenings. A stack gives each
+pair-dependent result as a (P,) array whose entries carry the bits of the
+single-pair call, which returns Python scalars. The module-level
 ``distance_budget``, ``tail_params`` and ``interaction_bound`` build a frame
-for a single pair. A property of the frame as a whole, such as the identity
+for a single call. A property of the frame as a whole, such as the identity
 Psi = (I_r - W^T Sb_pop W) / K_pop of a total-scatter-orthogonal W, is
 checked by whoever built W, once, not by the pair bounds.
 """
@@ -36,15 +39,38 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateNoise, InvalidInput, check, count, real
-from .synth import _interaction_effects, pair_products
+from .synth import _interaction_effects, pair_products_matrix
 from .spectral import _all_binary, _array, sym_eigvals, symmetrize
 
 
-def _pattern(y, L=None, name="pattern"):
-    y = _array(y, name, shape=(L,))
+def _pattern(y, L=None, name="pattern", shape=None):
+    y = _array(y, name, shape=shape or (L,))
     if not _all_binary(y):
         raise InvalidInput(f"{name} entries must be 0 or 1")
     return y.astype(float)
+
+
+def _pattern_pairs(y_i, y_j, L=None):
+    """One pair of (L,) label patterns, or a stack of P pairs as two (P, L)
+    arrays, validated together; returned as float (P, L) stacks, with
+    whether one pair came in."""
+    stacked = _array(y_i, "y_i").ndim == 2
+    y_i = _pattern(y_i, name="y_i", shape=(None, L) if stacked else (L,))
+    y_j = _pattern(y_j, name="y_j", shape=y_i.shape)
+    return (y_i, y_j, False) if stacked else (y_i[None], y_j[None], True)
+
+
+def _one(fields):
+    """The fields of a one-pair stack as that pair's Python scalars."""
+    return {k: v[0].item() if isinstance(v, np.ndarray) else v for k, v in fields.items()}
+
+
+def _check_pairs(name, value, limit):
+    """``check`` for a stack of pairs, run once on its worst pair: the one
+    whose value - limit is largest, a NaN counting as worst."""
+    if value.size:
+        worst = np.argmax(value - limit)
+        check(name, value[worst], limit[worst])
 
 
 def hamming(y_i, y_j):
@@ -62,11 +88,11 @@ def jaccard(y_i, y_j):
 
 
 def _jaccard(y_i, y_j):
-    # the arithmetic of ``jaccard`` on two already-validated float patterns
-    union = float(y_i.sum() + y_j.sum() - y_i @ y_j)
-    if union == 0:
-        return 0.0
-    return float(np.abs(y_i - y_j).sum() / union)
+    # the arithmetic of ``jaccard`` on already-validated float patterns, one
+    # pair (a float) or a stack (one entry per row); every count is exact
+    union = y_i.sum(-1) + y_j.sum(-1) - (y_i * y_j).sum(-1)
+    d_J = np.divide(np.abs(y_i - y_j).sum(-1), union, out=np.zeros_like(union), where=union != 0)
+    return d_J.item() if d_J.ndim == 0 else d_J
 
 
 def _extreme_singular_values(T):
@@ -88,7 +114,9 @@ class DistanceBudget:
 
     total_expected = signal + C_w always; lower/upper pinch total_expected
     via the extreme singular values of W^T A (restricted to the differing
-    labels when support_restricted was requested).
+    labels when support_restricted was requested). For a stack of pairs,
+    every field but C_w (and the unrestricted sigma_min/sigma_max) is a (P,)
+    array.
     """
 
     signal: float
@@ -149,20 +177,22 @@ def jaccard_lower(budget, y_i, y_j):
 
     The exact form sigma_min^2 * |union| * d_J equals the Hamming lower
     bound; the weakened form replaces |union| by max(k_i, k_j) and is never
-    larger.
+    larger. Takes the budget of one pair or of a stack, with its patterns.
     """
-    y_i = _pattern(y_i)
-    y_j = _pattern(y_j, L=y_i.shape[0])
-    k_i, k_j = float(y_i.sum()), float(y_j.sum())
-    union = k_i + k_j - float(y_i @ y_j)
+    y_i, y_j, single = _pattern_pairs(y_i, y_j)
+    if np.shape(budget.d_J) != (() if single else y_i.shape[:1]):
+        raise InvalidInput("budget and patterns must hold the same number of pairs")
+    k_i, k_j = y_i.sum(1), y_j.sum(1)
+    union = k_i + k_j - (y_i * y_j).sum(1)
     d_J = budget.d_J
     exact = (budget.sigma_min ** 2) * union * d_J
-    weakened = (budget.sigma_min ** 2) * max(k_i, k_j) * d_J
-    check(
+    weakened = (budget.sigma_min ** 2) * np.maximum(k_i, k_j) * d_J
+    _check_pairs(
         "exact Jaccard bound fell below weakened form (weakened - slack vs exact)",
-        weakened - 1e-12 * max(1.0, abs(weakened)), exact,
+        weakened - 1e-12 * np.maximum(1.0, np.abs(weakened)), exact,
     )
-    return {"d_J": d_J, "exact": float(exact), "weakened": float(weakened)}
+    out = {"d_J": d_J, "exact": exact, "weakened": weakened}
+    return _one(out) if single else out
 
 
 @dataclass(frozen=True)
@@ -285,79 +315,81 @@ class BoundFrame:
         return replace(self, B_inter=B_inter, sigma_max_WB=sb)
 
     def _patterns(self, y_i, y_j):
-        L = self.A.shape[1]
-        return _pattern(y_i, L=L, name="y_i"), _pattern(y_j, L=L, name="y_j")
+        return _pattern_pairs(y_i, y_j, self.A.shape[1])
 
     def _require_noise(self):
         if self.Psi is None:
             raise InvalidInput("this bound needs Sigma_w; pass it to bound_frame")
 
+    def _signals(self, delta):
+        # ||s||^2 with s = T delta, one row at a time: a stacked product
+        # rounds differently from T @ delta
+        return np.array([s @ s for s in (self.T @ row for row in delta)])
+
     def distance_budget(self, y_i, y_j, support_restricted=False):
-        """``distance_budget`` for one pair (see the module-level function)."""
+        """``distance_budget`` for one pair or a stack (see the module-level
+        function)."""
         self._require_noise()
-        y_i, y_j = self._patterns(y_i, y_j)
+        y_i, y_j, single = self._patterns(y_i, y_j)
         delta = y_i - y_j
-        d_H = int(np.abs(delta).sum())
-        d_J = _jaccard(y_i, y_j)
-        s = self.T @ delta
-        signal = float(s @ s)
+        d_H = np.abs(delta).sum(1).astype(int)
+        signal = self._signals(delta)
         C_w = self.C_w
         if support_restricted:
-            support = np.flatnonzero(delta != 0)
-            smin, smax = _extreme_singular_values(self.T[:, support]) if support.size else (0.0, 0.0)
+            svals = [_extreme_singular_values(self.T[:, row != 0]) for row in delta]
+            smin, smax = np.array(svals).reshape(-1, 2).T
         else:
             smin, smax = self.sigma_min, self.sigma_max
-        return DistanceBudget(
+        out = dict(
             signal=signal,
             C_w=C_w,
             total_expected=signal + C_w,
             d_H=d_H,
-            d_J=d_J,
+            d_J=_jaccard(y_i, y_j),
             lower=smin * smin * d_H + C_w,
             upper=smax * smax * d_H + C_w,
             sigma_min=smin,
             sigma_max=smax,
         )
+        return DistanceBudget(**(_one(out) if single else out))
 
     def tail_params(self, y_i, y_j):
-        """``tail_params`` for one pair (see the module-level function)."""
+        """``tail_params`` for one pair or a stack (see the module-level
+        function)."""
         self._require_noise()
-        y_i, y_j = self._patterns(y_i, y_j)
-        s = self.T @ (y_i - y_j)
-        signal = float(s @ s)
+        y_i, y_j, single = self._patterns(y_i, y_j)
+        signal = self._signals(y_i - y_j)
         psi_2 = self.psi_2
-        V_ij = float(np.sqrt(16.0 * signal * psi_2 + 32.0 * self.psi_F ** 2))
-        return TailParams(Psi=self.Psi, B_tail=4.0 * psi_2, V_ij=V_ij, signal=signal)
+        pair = dict(V_ij=np.sqrt(16.0 * signal * psi_2 + 32.0 * self.psi_F ** 2), signal=signal)
+        return TailParams(Psi=self.Psi, B_tail=4.0 * psi_2, **(_one(pair) if single else pair))
 
     def interaction_bound(self, y_i, y_j, constraint="none", st_min_eig=None):
-        """``interaction_bound`` for one pair (see the module-level function)."""
-        y_i, y_j = self._patterns(y_i, y_j)
+        """``interaction_bound`` for one pair or a stack (see the
+        module-level function)."""
+        y_i, y_j, single = self._patterns(y_i, y_j)
         L = self.A.shape[1]
-        delta = y_i - y_j
-        d_H = float(np.abs(delta).sum())
-        delta_norm = float(np.sqrt(d_H))
-        k_max = int(max(y_i.sum(), y_j.sum()))
-        z_i = pair_products(y_i)
-        z_j = pair_products(y_j)
-        dz = float(np.linalg.norm(z_i - z_j))
-        z_bound = float(np.sqrt(d_H * min(max(k_max - 1, 0), L - 1)))
-        check("||z_i - z_j|| exceeded its bound", dz, z_bound * (1 + 1e-12) + 1e-12)
+        d_H = np.abs(y_i - y_j).sum(1)
+        delta_norm = np.sqrt(d_H)
+        k_max = np.maximum(y_i.sum(1), y_j.sum(1)).astype(int)
+        dz = np.linalg.norm(pair_products_matrix(y_i) - pair_products_matrix(y_j), axis=1)
+        z_bound = np.sqrt(d_H * np.minimum(np.maximum(k_max - 1, 0), L - 1))
+        _check_pairs("||z_i - z_j|| exceeded its bound", dz, z_bound * (1 + 1e-12) + 1e-12)
 
         out = {
-            "naive_gap_bound": 0.0,
-            "corrected_bound": float(_widening(self.sigma_max, self.sigma_max_WB, delta_norm, dz)),
+            "naive_gap_bound": np.zeros_like(dz),
+            "corrected_bound": _widening(self.sigma_max, self.sigma_max_WB, delta_norm, dz),
             "z_norm": dz,
             "z_norm_bound": z_bound,
         }
         if constraint == "stiefel":
-            out["stiefel_bound"] = float(_widening(self.sigma_max_A, self.sigma_max_B, delta_norm, dz))
+            out["stiefel_bound"] = _widening(self.sigma_max_A, self.sigma_max_B, delta_norm, dz)
         elif constraint == "stml":
             st_min_eig = real("st_min_eig", st_min_eig, 0, strict=True)
             raw = _widening(self.sigma_max_A, self.sigma_max_B, delta_norm, dz)
-            out["stml_bound"] = float(raw / st_min_eig)
+            out["stml_bound"] = raw / st_min_eig
         elif constraint != "none":
             raise InvalidInput(f"unknown constraint kind {constraint!r}")
-        return out
+        return _one(out) if single else out
 
 
 def _widening(sa, sb, delta_norm, dz):

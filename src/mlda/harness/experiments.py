@@ -35,7 +35,7 @@ from ..errors import ConfigError, check
 from ..population import gamma_norm, gaps, isotropic_params, population_scatters, scheme_distribution
 from ..scatter import build_dataset, build_scatter, rank_analysis
 from ..spectral import numeric_rank, orthonormalize, principal_angle_sin, sym_eigvals, symmetrize
-from ..synth import LabelScheme, Seed, gen_data, gen_labels, pair_products
+from ..synth import LabelScheme, Seed, gen_data, gen_labels, pair_products_matrix
 from ..synth import _draw_cardinalities
 from .aggregate import UpperTail, aggregate, slope_fit
 from .config import EXPERIMENTS, PAIR_FRAME_RANK, build_config, scheme_from_dict
@@ -228,23 +228,24 @@ def _draw_pattern(scheme, L, rng):
 def _pair_frame(ex, trial, ds, params):
     """The pair experiments' frame: the top-r eigenspace W of the fitted
     between-class scatter of ``ds``, r = min(PAIR_FRAME_RANK, L), its
-    ``bound_frame`` under ``params``, and the option ``pairs`` pairs of
-    distinct row indices of ``ds``, drawn from the stream ``(trial, "pairs")``."""
+    ``bound_frame`` under ``params``, and the label patterns of the option
+    ``pairs`` pairs of distinct rows of ``ds``, drawn from the stream
+    ``(trial, "pairs")``, as two (pairs, L) stacks Y_i and Y_j."""
     W = top_eigenspace(build_scatter(ds).Sb, min(PAIR_FRAME_RANK, params.L)).frame.columns
     rng = ex.stream(trial, "pairs")
-    pair_idx = [rng.choice(ds.n, size=2, replace=False) for _ in range(ex.options["pairs"])]
-    return W, bound_frame(W, params.A, params.Sigma_w), pair_idx
+    i, j = np.array([rng.choice(ds.n, size=2, replace=False) for _ in range(ex.options["pairs"])]).T
+    return W, bound_frame(W, params.A, params.Sigma_w), ds.labels.bits[i], ds.labels.bits[j]
 
 
-def _within(budget, value, tol, widen=0.0):
-    """Whether ``value`` lies in the two-sided band of ``budget``, widened by
-    ``widen`` and then by ``tol`` on each side."""
-    return budget.lower - widen - tol <= value <= budget.upper + widen + tol
+def _each_row(M, V):
+    """M @ v for every row v of V, one product per row: a single matrix
+    product over the stack would round differently."""
+    return np.array([M @ v for v in V.astype(float)])
 
 
 def _rate(flags):
     """The share of true flags."""
-    return sum(1 for f in flags if f) / len(flags)
+    return np.count_nonzero(flags) / len(flags)
 
 
 def _signal_dataset(labels, A):
@@ -259,15 +260,34 @@ def _noisy_td_error(labels, params, rng, r, target):
     return principal_angle_sin(opt_td(ss, r).frame, target)
 
 
-def _mc_distance(rng, shift, W, sigma_w, draws, tol_se):
-    """Monte Carlo mean of the projected squared distance ||W^T (shift + e_i
-    - e_j)||^2 over ``draws`` isotropic noise pairs from ``rng``, and the
-    tolerance of ``tol_se`` standard errors around it."""
-    Ei = sigma_w * rng.standard_normal((draws, W.shape[0]))
-    Ej = sigma_w * rng.standard_normal((draws, W.shape[0]))
-    proj = (shift + (Ei - Ej)) @ W
-    dist2 = np.einsum("ij,ij->i", proj, proj)
-    return float(dist2.mean()), tol_se * float(dist2.std(ddof=1) / np.sqrt(draws))
+# pairs whose Monte Carlo noise is drawn into one reused buffer at a time, so
+# the buffer holds 16 x 2 x draws x d floats whatever the number of pairs
+_MC_BLOCK = 16
+
+
+def _mc_distance(ex, purpose, shifts, W, sigma_w, draws, tol_se):
+    """Monte Carlo means of the projected squared distances ||W^T (shift_p +
+    e_i - e_j)||^2 for the rows shift_p of ``shifts``, and the tolerance of
+    ``tol_se`` standard errors around each.
+
+    Pair p draws its ``draws`` isotropic noise pairs (every e_i, then every
+    e_j) from the run's stream ``(p, purpose)``; blocks of ``_MC_BLOCK``
+    pairs are drawn into one buffer and reduced together.
+    """
+    P, d = shifts.shape
+    noise = np.empty((min(P, _MC_BLOCK), 2, draws, d))
+    means, tols = np.empty(P), np.empty(P)
+    for start in range(0, P, _MC_BLOCK):
+        block = slice(start, min(start + _MC_BLOCK, P))
+        E = noise[: block.stop - start]
+        for b, e in enumerate(E):
+            ex.stream(start + b, purpose).standard_normal(out=e)
+        E *= sigma_w
+        proj = (shifts[block, None] + (E[:, 0] - E[:, 1])) @ W
+        dist2 = np.einsum("bij,bij->bi", proj, proj)
+        means[block] = dist2.mean(axis=1)
+        tols[block] = tol_se * (dist2.std(ddof=1, axis=1) / np.sqrt(draws))
+    return means, tols
 
 
 def _degrees(sin_value):
@@ -343,7 +363,6 @@ def _run_divergence(ex):
             td = opt_td(ss, r)
             C0 = 2.0 * ss.Sb - ss.St
             ref = top_eigenspace(C0, r)
-            angle_ref = principal_angle_sin(td.frame, ref.frame)
             # The computed frames are exact eigenframes of matrices within
             # eigensolver backward error of the intended ones, so the honest
             # perturbation between them carries an eps * ||C|| floor on top
@@ -358,9 +377,9 @@ def _run_divergence(ex):
             # leave an r-frame in its null space, the trace ratio is unbounded
             # or has no unique maximizer, so that trial solves none
             if numeric_rank(ss.reduced.Sw) <= d - r:
-                return defect, angle_ref, None, dk.holds, margin
+                return defect, dk.angle, None, dk.holds, margin
             tr = trace_ratio_stiefel(ss.Sb, ss.Sw, r)
-            return defect, angle_ref, principal_angle_sin(td.frame, tr.frame), dk.holds, margin
+            return defect, dk.angle, principal_angle_sin(td.frame, tr.frame), dk.holds, margin
 
         defects, ref_sin, tr_sin, holds, margins = zip(*[one(t) for t in range(trials)])
         tr_deg = [_degrees(s) for s in tr_sin if s is not None]
@@ -425,15 +444,11 @@ def _run_distance(ex):
     for si, entry in enumerate(ex.options["settings"]):
         scheme = scheme_from_dict(entry["scheme"])
         params, ds = _instance(ex, si, scheme, n, d, L, scale, sigma_w, noise="fit-noise")
-        W, frame, pair_idx = _pair_frame(ex, si, ds, params)
-        hamming, jaccard = [], []
-        for p, (i, j) in enumerate(pair_idx):
-            y_i, y_j = ds.labels.bits[i], ds.labels.bits[j]
-            budget = frame.distance_budget(y_i, y_j)
-            rng = ex.stream(p, f"draws:{si}")
-            mean, tol = _mc_distance(rng, params.A @ (y_i - y_j).astype(float), W, sigma_w, draws, tol_se)
-            hamming.append(_within(budget, mean, tol))
-            jaccard.append(mean >= budget.C_w + jaccard_lower(budget, y_i, y_j)["weakened"] - tol)
+        W, frame, Y_i, Y_j = _pair_frame(ex, si, ds, params)
+        budget = frame.distance_budget(Y_i, Y_j)
+        mean, tol = _mc_distance(ex, f"draws:{si}", _each_row(params.A, Y_i - Y_j), W, sigma_w, draws, tol_se)
+        hamming = (budget.lower - tol <= mean) & (mean <= budget.upper + tol)
+        jaccard = mean >= budget.C_w + jaccard_lower(budget, Y_i, Y_j)["weakened"] - tol
 
         ham_rate, jac_rate = _rate(hamming), _rate(jaccard)
         ex.require(
@@ -845,28 +860,20 @@ def _run_interaction(ex):
     # the strongest interaction alpha * B must make a valid model as well
     isotropic_params(np.zeros(d), A, sigma_w, B_inter=max(alphas) * B)
     ds0 = gen_data(labels, params, ex.stream(0, "fit-noise"))
-    W, frame, pair_idx = _pair_frame(ex, 0, ds0, params)
+    W, frame, Y_i, Y_j = _pair_frame(ex, 0, ds0, params)
 
-    # what a pair contributes at every alpha: its patterns, its budget, and
-    # the label and interaction effects A delta and B (z_i - z_j)
-    per_pair = []
-    for i, j in pair_idx:
-        y_i, y_j = labels.bits[i], labels.bits[j]
-        z_diff = (pair_products(y_i) - pair_products(y_j)).astype(float)
-        per_pair.append(
-            (y_i, y_j, frame.distance_budget(y_i, y_j), A @ (y_i - y_j).astype(float), B @ z_diff)
-        )
+    # what the pairs contribute at every alpha: their budgets, and the label
+    # and interaction effects A delta and B (z_i - z_j)
+    budget = frame.distance_budget(Y_i, Y_j)
+    effects = _each_row(A, Y_i - Y_j)
+    inters = _each_row(B, pair_products_matrix(Y_i) - pair_products_matrix(Y_j))
 
     rates = {}
     for ai, alpha in enumerate(alphas):
-        frame_alpha = frame.with_interactions(alpha * B)
-        naive, corrected = [], []
-        for p, (y_i, y_j, budget, effect, inter) in enumerate(per_pair):
-            rng = ex.stream(p, f"draws:{ai}")
-            mean, tol = _mc_distance(rng, effect + alpha * inter, W, sigma_w, draws, tol_se)
-            widen = frame_alpha.interaction_bound(y_i, y_j)["corrected_bound"]
-            naive.append(_within(budget, mean, tol))
-            corrected.append(_within(budget, mean, tol, widen))
+        widen = frame.with_interactions(alpha * B).interaction_bound(Y_i, Y_j)["corrected_bound"]
+        mean, tol = _mc_distance(ex, f"draws:{ai}", effects + alpha * inters, W, sigma_w, draws, tol_se)
+        naive = (budget.lower - tol <= mean) & (mean <= budget.upper + tol)
+        corrected = (budget.lower - widen - tol <= mean) & (mean <= budget.upper + widen + tol)
 
         rates[alpha] = (_rate(naive), _rate(corrected))
         ex.rows.append(

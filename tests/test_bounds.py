@@ -610,3 +610,109 @@ def test_pair_checks_stay_per_pair():
         frame.interaction_bound(YI, YJ, constraint="stml")
     with pytest.raises(InvalidInput, match="unknown constraint"):
         frame.interaction_bound(YI, YJ, constraint="fro")
+
+
+# ---------------------------------------------------------------------------
+# stacks of pairs against the single-pair oracles
+# ---------------------------------------------------------------------------
+
+
+def _jaccard_lower_oracle(budget, y_i, y_j):
+    # the per-pair jaccard_lower that stacks replaced
+    y_i = _pattern(y_i)
+    y_j = _pattern(y_j, L=y_i.shape[0])
+    k_i, k_j = float(y_i.sum()), float(y_j.sum())
+    union = k_i + k_j - float(y_i @ y_j)
+    exact = (budget.sigma_min ** 2) * union * budget.d_J
+    weakened = (budget.sigma_min ** 2) * max(k_i, k_j) * budget.d_J
+    return {"d_J": budget.d_J, "exact": float(exact), "weakened": float(weakened)}
+
+
+def _same_row(got, p, want):
+    """Entry p of a stacked result (or the result itself, where the field is
+    shared by every pair) has the bits and the kind of the oracle's scalar."""
+    value = got[p] if np.ndim(got) else got
+    assert np.asarray(value).dtype.kind == np.asarray(want).dtype.kind
+    assert np.float64(value).tobytes() == np.float64(want).tobytes()
+
+
+def _assert_stack_matches_the_oracles(W, A, Sigma_w, B, pairs):
+    frame = bound_frame(W, A, Sigma_w, B)
+    Y_i = np.array([y_i for y_i, _ in pairs]).reshape(len(pairs), A.shape[1])
+    Y_j = np.array([y_j for _, y_j in pairs]).reshape(len(pairs), A.shape[1])
+    budgets = {r: frame.distance_budget(Y_i, Y_j, support_restricted=r) for r in (False, True)}
+    tails = frame.tail_params(Y_i, Y_j)
+    assert tails.Psi is frame.Psi
+    bounds = {c: frame.interaction_bound(Y_i, Y_j, c, st_min_eig=0.3) for c in ("none", "stiefel", "stml")}
+    lower = jaccard_lower(budgets[False], Y_i, Y_j)
+    for p, (y_i, y_j) in enumerate(pairs):
+        for restricted, budget in budgets.items():
+            want = _distance_budget_oracle(W, A, y_i, y_j, Sigma_w, support_restricted=restricted)
+            for got, one in zip(dataclasses.astuple(budget), dataclasses.astuple(want)):
+                _same_row(got, p, one)
+        want = _tail_params_oracle(W, A, y_i, y_j, Sigma_w)
+        _same_row(tails.B_tail, p, want.B_tail)
+        _same_row(tails.V_ij, p, want.V_ij)
+        _same_row(tails.signal, p, want.signal)
+        for constraint, got in bounds.items():
+            want = _interaction_bound_oracle(W, A, B, y_i, y_j, constraint, st_min_eig=0.3)
+            assert got.keys() == want.keys()
+            for key in want:
+                _same_row(got[key], p, want[key])
+        want = _jaccard_lower_oracle(_distance_budget_oracle(W, A, y_i, y_j, Sigma_w), y_i, y_j)
+        for key in want:
+            _same_row(lower[key], p, want[key])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(frame_cases())
+def test_bound_frame_stacks_match_the_single_pair_oracles(case):
+    _assert_stack_matches_the_oracles(*case)
+
+
+@pytest.mark.parametrize("L, with_b", [(1, True), (1, False), (4, True), (4, False)])
+def test_stacks_of_equal_patterns_and_of_one_label_match_the_oracles(rng, L, with_b):
+    # d_H = 0 rows sit on both ends of the band; at L = 1, B_inter has no
+    # columns and every pair product vanishes
+    d, r = 5, 3
+    W, A, Sigma_w = rng.standard_normal((d, r)), rng.standard_normal((d, L)), random_psd(rng, d)
+    B = rng.standard_normal((d, L * (L - 1) // 2)) if with_b else None
+    patterns = [np.array(y) for y in product((0, 1), repeat=L)]
+    pairs = [(y, y) for y in patterns] + [(y_i, y_j) for y_i in patterns for y_j in patterns[::3]]
+    _assert_stack_matches_the_oracles(W, A, Sigma_w, B, pairs)
+    budget = bound_frame(W, A, Sigma_w).distance_budget(*map(np.array, zip(*pairs)))
+    assert (budget.d_H[: len(patterns)] == 0).all()
+    assert (budget.lower[: len(patterns)] == budget.C_w).all()
+
+
+_Y3 = np.array([[1, 0], [0, 1], [1, 1]])
+_HOSTILE_STACKS = {
+    "different P": (_Y3, _Y3[:2], "y_j must have shape"),
+    "y_j over other labels": (_Y3, np.ones((3, 3), int), "y_j must have shape"),
+    "non-binary entry": (_Y3, np.where(_Y3 == 1, 2, 0), "y_j entries must be 0 or 1"),
+    "a stack against one pattern": (_Y3, _Y3[0], "y_j must have shape"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HOSTILE_STACKS))
+def test_hostile_stacks_raise_invalid_input(case):
+    Y_i, Y_j, message = _HOSTILE_STACKS[case]
+    frame = bound_frame(W2, A2, SIG_ISO, np.ones((4, 1)))
+    budget = frame.distance_budget(_Y3, _Y3)
+    for call in (frame.distance_budget, frame.tail_params, frame.interaction_bound,
+                 lambda y_i, y_j: jaccard_lower(budget, y_i, y_j)):
+        with pytest.raises(InvalidInput, match=message):
+            call(Y_i, Y_j)
+
+
+def test_hostile_stacks_of_the_wrong_size_raise_invalid_input():
+    frame = bound_frame(W2, A2, SIG_ISO, np.ones((4, 1)))
+    # a stack over other labels than the frame's
+    for call in (frame.distance_budget, frame.tail_params, frame.interaction_bound):
+        with pytest.raises(InvalidInput, match="y_i must have shape"):
+            call(np.ones((3, 3), int), np.ones((3, 3), int))
+    # a budget of other pairs than the patterns given with it
+    for budget, y_i in ((frame.distance_budget(YI, YJ), _Y3), (frame.distance_budget(_Y3, _Y3), _Y3[:2]),
+                        (frame.distance_budget(_Y3, _Y3), YI)):
+        with pytest.raises(InvalidInput, match="same number of pairs"):
+            jaccard_lower(budget, y_i, y_i)

@@ -1264,6 +1264,42 @@ def test_convergence_peak_memory_is_the_largest_signal_plus_one_trial(tmp_path):
     assert peak_bytes(lambda: run(cfg)) <= signal + trial + 2 ** 20
 
 
+def _mc_distance_oracle(rng, shift, W, sigma_w, draws, tol_se):
+    # the per-pair Monte Carlo mean that the blocked one replaced
+    Ei = sigma_w * rng.standard_normal((draws, W.shape[0]))
+    Ej = sigma_w * rng.standard_normal((draws, W.shape[0]))
+    proj = (shift + (Ei - Ej)) @ W
+    dist2 = np.einsum("ij,ij->i", proj, proj)
+    return float(dist2.mean()), tol_se * float(dist2.std(ddof=1) / np.sqrt(draws))
+
+
+def test_blocked_monte_carlo_means_match_the_per_pair_oracle(rng):
+    from mlda.harness.experiments import _MC_BLOCK, _Run, _mc_distance
+    from mlda.synth import Seed
+
+    ex = _Run("distance", {}, Seed(7))
+    d, r, draws, sigma_w, tol_se = 9, 3, 6, 0.7, 3.0
+    W = rng.standard_normal((d, r))
+    for P in sorted({1, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 200}):
+        shifts = 2.0 * rng.standard_normal((P, d))
+        means, tols = _mc_distance(ex, f"draws:{P}", shifts, W, sigma_w, draws, tol_se)
+        assert means.shape == tols.shape == (P,)
+        for p in range(P):
+            want = _mc_distance_oracle(ex.stream(p, f"draws:{P}"), shifts[p], W, sigma_w, draws, tol_se)
+            assert np.array([means[p], tols[p]]).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("experiment", ["distance", "interaction"])
+def test_pair_experiments_peak_memory_stays_bounded(tmp_path, experiment):
+    # the Monte Carlo noise is drawn in blocks of pairs into one buffer, so
+    # a run's traced peak is about 0.9 MB at the defaults (0.5 MB when the
+    # draws were made one pair at a time), not a stack of every pair's draws
+    from tests.conftest import peak_bytes
+
+    cfg = build_config(experiment, out_dir=str(tmp_path))
+    assert peak_bytes(lambda: run(cfg)) < 1.5e6
+
+
 # ---------------------------------------------------------------------------
 # criterion failures: every reachable branch, strict JSON summaries
 # ---------------------------------------------------------------------------
