@@ -43,6 +43,14 @@ DEFAULT_SEED = 20260816
 # The distance and interaction experiments project onto the top
 # r = min(PAIR_FRAME_RANK, L) eigenvectors of Sb.
 PAIR_FRAME_RANK = 6
+# The largest d at which a runner forms d x d arrays (one float64 array is
+# 32 MB there; each such runner, run once at that d with small trial
+# counts, peaked at 0.3 to 1.2 GB RSS). regularization and each rank row
+# solve on the range when n < d, so for them the bound is on min(n, d), and
+# their n x d data is bounded by DATA_CELL_LIMIT cells (one float64 array is
+# 80 MB there).
+DENSE_D_LIMIT = 2048
+DATA_CELL_LIMIT = 10**7
 
 DEFAULTS = {
     "rank": {
@@ -278,6 +286,10 @@ def _schemes_fit(o):
     return all(_fits(e[k], o["L"]) for e in entries for k in ("scheme", "gamma_scheme") if k in e)
 
 
+def _range_fits(o):
+    return min(o["n"], o["d"]) <= DENSE_D_LIMIT and o["n"] * o["d"] <= DATA_CELL_LIMIT
+
+
 _N_COVERS_L = (lambda o: o["n"] >= o["L"]), "need n >= L to realize every label, got n={n}, L={L}"
 _R_BELOW_D = (lambda o: o["r"] < o["d"]), "need r < d, got r={r}, d={d}"
 _SV_PER_LABEL = (lambda o: len(o["singular_values"]) == o["L"]), "need one singular value per label"
@@ -289,18 +301,26 @@ _PAIRS_OF_ROWS = (lambda o: o["n"] >= 2), "need n >= 2 to draw a pair of distinc
 _FRAME_WITHIN_D = (lambda o: min(PAIR_FRAME_RANK, o["L"]) <= o["d"]), (
     f"need min({PAIR_FRAME_RANK}, L) <= d for the projection frame, got L={{L}}, d={{d}}"
 )
+_DENSE_D = (lambda o: o["d"] <= DENSE_D_LIMIT), (
+    f"need d <= {DENSE_D_LIMIT}, the largest d at which a runner forms d x d arrays, got d={{d}}"
+)
+# at n >= d the scatters are d x d arrays, and the data is n x d at any shape
+_RANGE_LAW = f"min(n, d) <= {DENSE_D_LIMIT} and n * d <= {DATA_CELL_LIMIT}"
+_RANGE_FITS = _range_fits, f"need {_RANGE_LAW}, got n={{n}}, d={{d}}"
 
 # Cross-field rules of each experiment, as (test, message) pairs; the
 # message is formatted with the options. They run in order once every option
 # has passed its type and domain check, so a rule may rely on the ones before.
 _RULES = {
     "rank": (
+        ((lambda o: all(map(_range_fits, o["rows"]))), f"every row needs {_RANGE_LAW}"),
         (
             (lambda o: all(row["n"] >= row["L"] and _fits(row["scheme"], row["L"]) for row in o["rows"])),
             "every row needs n >= L and a scheme that fits in its L labels",
         ),
     ),
     "divergence": (
+        _DENSE_D,
         _N_COVERS_L,
         _R_BELOW_D,
         _SCHEMES_FIT,
@@ -310,8 +330,9 @@ _RULES = {
             "null space of Sw has dimension below r; got n={n}, d={d}, L={L}, r={r}",
         ),
     ),
-    "distance": (_N_COVERS_L, _PAIRS_OF_ROWS, _FRAME_WITHIN_D, _SCHEMES_FIT),
+    "distance": (_DENSE_D, _N_COVERS_L, _PAIRS_OF_ROWS, _FRAME_WITHIN_D, _SCHEMES_FIT),
     "convergence": (
+        _DENSE_D,
         (
             (lambda o: len(o["ns"]) >= 3 and o["ns"] == sorted(o["ns"]) and o["ns"][0] >= o["L"]),
             "ns needs >= 3 increasing entries, each >= L={L}, got {ns}",
@@ -323,6 +344,7 @@ _RULES = {
         _SCHEMES_FIT,
     ),
     "factors": (
+        _DENSE_D,
         _SV_PER_LABEL,
         _L_WITHIN_D,
         # Q_pi has at most L - 1 positive eigenvalues, so (A having full column
@@ -347,8 +369,11 @@ _RULES = {
             "every kmax_settings scheme must draw fewer than L={L} labels on some rows",
         ),
     ),
-    "concentration": (_R_BELOW_D, ((lambda o: o["draws"] >= 100), "draws must be >= 100"), _SCHEMES_FIT),
+    "concentration": (
+        _DENSE_D, _R_BELOW_D, ((lambda o: o["draws"] >= 100), "draws must be >= 100"), _SCHEMES_FIT
+    ),
     "interaction": (
+        _DENSE_D,
         _N_COVERS_L,
         _PAIRS_OF_ROWS,
         _SV_PER_LABEL,
@@ -363,6 +388,7 @@ _RULES = {
         ),
     ),
     "regularization": (
+        _RANGE_FITS,
         _N_COVERS_L,
         ((lambda o: o["L"] < o["d"]), "need L < d, as the ridge report takes r = L, got L={L}, d={d}"),
         (

@@ -16,6 +16,7 @@ Two families of population scatters appear:
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -155,7 +156,9 @@ class ModelParams:
         Per-label mean offsets (columns).
     Sigma_w : (d, d) ndarray
         Noise covariance; symmetric PSD here, strictly PD where population
-        theory requires it.
+        theory requires it. A diagonal covariance may be given as its (d,)
+        diagonal: the model then holds that vector, and forms the matrix
+        on the first read of ``Sigma_w`` (cached, and kept out of repr).
     B_inter : (d, L*(L-1)/2) ndarray or None
         Optional pairwise-interaction effects, columns in lexicographic pair
         order (1,2), (1,3), ..., (2,3), ...
@@ -174,7 +177,11 @@ class ModelParams:
 
     mu: np.ndarray
     A: np.ndarray
-    Sigma_w: np.ndarray
+    # a Sigma_w given as its diagonal is formed on first read and cached, the
+    # way ScatterSet forms its lifts; kept out of repr, which would form it
+    Sigma_w: np.ndarray = field(
+        default=cached_property(lambda params: np.diag(params._noise_diagonal)), repr=False
+    )
     B_inter: np.ndarray = None
     noise_values: np.ndarray = field(init=False)
     noise_factor: np.ndarray = field(init=False)
@@ -183,13 +190,17 @@ class ModelParams:
         mu = _array(self.mu, "mu", float, (None,), finite=True)
         d = mu.shape[0]
         A = _array(self.A, "A", float, (d, None), finite=True)
-        S = _array(self.Sigma_w, "Sigma_w", float, (d, d), finite=True)
+        if isinstance(self.Sigma_w, cached_property):
+            raise InvalidInput("ModelParams needs Sigma_w, a (d, d) matrix or a (d,) diagonal")
+        S = _array(self.Sigma_w, "Sigma_w", float)
+        S = _array(S, "Sigma_w", shape=(d,) if S.ndim == 1 else (d, d), finite=True)
         B = None if self.B_inter is None else _interaction_effects(self.B_inter, A)
         _check_magnitude(A, S, B)
-        diag = S.diagonal()
-        if np.count_nonzero(S) == np.count_nonzero(diag):
-            # every off-diagonal entry is zero, so S is exactly symmetric and
-            # needs no symmetrized copy; the spectrum of a diagonal matrix is
+        diag = S if S.ndim == 1 else S.diagonal()
+        if S.ndim == 1 or np.count_nonzero(S) == np.count_nonzero(diag):
+            # a diagonal, given as a vector or as a matrix whose every
+            # off-diagonal entry is zero, is exactly symmetric and needs no
+            # symmetrized copy; the spectrum of a diagonal matrix is
             # its diagonal and a permutation basis diagonalizes it, so the
             # factor is elementwise: a GEMM against the full factor adds only
             # exact zeros, and no O(d^3) solve runs
@@ -206,8 +217,14 @@ class ModelParams:
             raise InvalidCovariance(f"Sigma_w has negative eigenvalue {evals[-1]:.3e}")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "Sigma_w", S)
         object.__setattr__(self, "B_inter", B)
+        if S.ndim == 1:
+            # the instance holds the given vector under the field's name;
+            # dropping it lets the first read form the matrix
+            object.__setattr__(self, "_noise_diagonal", S)
+            del vars(self)["Sigma_w"]
+        else:
+            object.__setattr__(self, "Sigma_w", S)
         object.__setattr__(self, "noise_values", evals)
         object.__setattr__(self, "noise_factor", factor)
 
@@ -248,17 +265,15 @@ def _check_magnitude(A, Sigma_w, B_inter):
 def isotropic_params(mu, A, sigma_w, B_inter=None):
     """Convenience constructor with Sigma_w = sigma_w^2 I.
 
-    sigma_w must be a finite real. A variance that overflows becomes an
-    infinite diagonal, which ``ModelParams`` rejects as non-finite
-    (``InvalidInput``).
+    The model holds Sigma_w as its diagonal, so no d x d array is formed
+    until a caller reads ``Sigma_w``. sigma_w must be a finite real. A
+    variance that overflows becomes an infinite diagonal, which
+    ``ModelParams`` rejects as non-finite (``InvalidInput``).
     """
     A = _array(A, "A", float, (None, None))
     sigma_w = real("sigma_w", sigma_w, -FLOAT_MAX, FLOAT_MAX)
-    # the product rounds to inf where ``**`` raises OverflowError; np.diag keeps
-    # that inf off the zeros, where inf * 0 would be a NaN and a warning
-    return ModelParams(
-        mu=mu, A=A, Sigma_w=np.diag(np.full(A.shape[0], sigma_w * sigma_w)), B_inter=B_inter,
-    )
+    # the product rounds to inf where ``**`` raises OverflowError
+    return ModelParams(mu=mu, A=A, Sigma_w=np.full(A.shape[0], sigma_w * sigma_w), B_inter=B_inter)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ import pytest
 import mlda
 from mlda import ConfigError
 from mlda.harness.aggregate import UpperTail, aggregate, slope_fit
-from mlda.harness.config import DEFAULT_SEED, DEFAULTS, EXPERIMENTS, build_config, validate_options
+from mlda.harness.config import (
+    DATA_CELL_LIMIT, DEFAULT_SEED, DEFAULTS, DENSE_D_LIMIT, EXPERIMENTS, build_config, validate_options,
+)
 from mlda.harness.experiments import _BOUNDS, run, write_report
 from mlda.errors import InvalidInput
 
@@ -742,6 +744,68 @@ def test_cli_convergence_beyond_the_old_column_cap_runs(tmp_path):
     proc = _cli(["convergence", "--config", str(cfgfile), "--out", str(tmp_path)])
     assert proc.returncode in (0, 1), proc.stderr
     assert (tmp_path / "convergence.csv").read_text().startswith("n,median_sin,")
+
+
+def test_cli_d_beyond_the_dense_limit_exit_two(tmp_path):
+    # ended at once in numpy's "Unable to allocate 298. GiB" traceback, exit 1
+    cfgfile = tmp_path / "huge.json"
+    cfgfile.write_text(json.dumps({"d": 200000, "r": 4}))
+    proc = _cli(["concentration", "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        f"mlda: concentration: need d <= {DENSE_D_LIMIT}, the largest d at which a runner "
+        "forms d x d arrays, got d=200000\n"
+    )
+    assert proc.stdout == "" and os.listdir(tmp_path) == ["huge.json"]
+
+
+def test_cli_ridge_data_beyond_the_cell_limit_exit_two(tmp_path):
+    # at n < d the ridge sweep holds no d x d array, but its n x d data at
+    # d = 10^8 would be 40 GB, and a bound on min(n, d) alone let it through
+    cfgfile = tmp_path / "huge.json"
+    cfgfile.write_text(json.dumps({"d": 10**8}))
+    proc = _cli(["regularization", "--config", str(cfgfile), "--out", str(tmp_path)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (
+        f"mlda: regularization: need min(n, d) <= {DENSE_D_LIMIT} and n * d <= {DATA_CELL_LIMIT}, "
+        "got n=50, d=100000000\n"
+    )
+    assert proc.stdout == "" and os.listdir(tmp_path) == ["huge.json"]
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_every_runner_bounds_its_dense_d(experiment):
+    # d is bounded where a runner forms d x d arrays; regularization and a
+    # rank row solve on the range at n < d, so min(n, d) is bounded there,
+    # and n * d, the cells of the data
+    options = DEFAULTS[experiment]
+
+    def grow(**shape):
+        if experiment == "rank":
+            return {**options, "rows": [{**options["rows"][0], **shape}]}
+        return {**options, **shape}
+
+    big = DENSE_D_LIMIT + 1
+    if experiment in ("rank", "regularization"):
+        validate_options(experiment, grow(n=50, d=DATA_CELL_LIMIT // 50))
+        law = f"min\\(n, d\\) <= {DENSE_D_LIMIT} and n \\* d <= {DATA_CELL_LIMIT}"
+        for shape in ({"n": big, "d": big}, {"n": 50, "d": DATA_CELL_LIMIT // 50 + 1}):
+            with pytest.raises(ConfigError, match=law):
+                validate_options(experiment, grow(**shape))
+    else:
+        with pytest.raises(ConfigError, match=f"need d <= {DENSE_D_LIMIT}, .* got d={big}$"):
+            validate_options(experiment, grow(d=big))
+
+
+def test_regularization_trial_at_d_over_n_400_holds_order_n_d(tmp_path):
+    # the noise covariance is held as its diagonal, so one full trial at
+    # (n, d, L) = (50, 20000, 10) forms no d x d array (one would be 3.2 GB):
+    # it peaked at 5.4 n x d doubles when the lock was set
+    from tests.conftest import peak_bytes
+
+    cfg = _with_options("regularization", tmp_path, d=20000, trials=1)
+    n, d = cfg.options["n"], cfg.options["d"]
+    assert peak_bytes(lambda: run(cfg)) < 8 * n * d * 8
 
 
 def test_cli_has_no_threads_flag(tmp_path):

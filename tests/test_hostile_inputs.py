@@ -386,10 +386,12 @@ _FRAME = mlda.bound_frame(_TWO, _A3, 0.5 * np.eye(4), _B3)
 _PARAMS = isotropic_params(np.zeros(4), _A3, 0.5, B_inter=_B3)
 _LABELS = build_labels(np.array([[1, 0, 1], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 1, 1]]))
 _MODEL = {"mu": np.zeros(4), "A": _A3, "Sigma_w": 0.25 * np.eye(4), "B_inter": _B3}
+_DIAGONAL_MODEL = {**_MODEL, "Sigma_w": np.full(4, 0.25)}
 _PAIR = {"W": _TWO, "A": _A3, **_YS}
 
 # One valid call per callable: the call, taking the walked arguments as
-# keywords, and their valid values.
+# keywords, and their valid values. A callable that takes an argument in two
+# forms has one entry per form, named "<callable> (<form>)".
 WALK = {
     "BoundFrame.distance_budget": (lambda **kw: _FRAME.distance_budget(**kw), _YS),
     "BoundFrame.interaction_bound": (
@@ -399,6 +401,7 @@ WALK = {
     "BoundFrame.with_interactions": (lambda **kw: _FRAME.with_interactions(**kw), {"B_inter": _B3}),
     "Frame": (lambda **kw: mlda.Frame(**kw), {"columns": _TWO}),
     "ModelParams": (lambda **kw: mlda.ModelParams(**kw), _MODEL),
+    "ModelParams (diagonal Sigma_w)": (lambda **kw: mlda.ModelParams(**kw), _DIAGONAL_MODEL),
     "bound_frame": (
         lambda **kw: mlda.bound_frame(**kw), {"W": _TWO, "A": _A3, "Sigma_w": np.eye(4), "B_inter": _B3}
     ),
@@ -477,6 +480,7 @@ TIED = {
     "BoundFrame.tail_params": ("y_i", "y_j"),
     "BoundFrame.with_interactions": ("B_inter",),
     "ModelParams": ("mu", "A", "Sigma_w", "B_inter"),
+    "ModelParams (diagonal Sigma_w)": ("mu", "A", "Sigma_w", "B_inter"),
     "bound_frame": ("W", "A", "Sigma_w", "B_inter"),
     "build_dataset": ("X",),
     "commutativity_defect": ("Sb", "St"),
@@ -528,11 +532,16 @@ def _walked_callables():
     return found
 
 
+def _callable_of(name):
+    """The callable a WALK entry calls: its name without the form."""
+    return name.split(" (")[0]
+
+
 def test_every_real_and_array_parameter_has_a_valid_call_or_a_recorded_skip():
     found = _walked_callables()
-    assert sorted(found) == sorted([*WALK, *RESULT_SKIPS])
+    assert sorted(found) == sorted([*dict.fromkeys(map(_callable_of, WALK)), *RESULT_SKIPS])
     for name, (_, valid) in WALK.items():
-        assert sorted(found[name]) == sorted(valid), name
+        assert sorted(found[_callable_of(name)]) == sorted(valid), name
     assert all(set(params) <= set(WALK[name][1]) for name, params in TIED.items())
 
 
@@ -583,7 +592,7 @@ def test_a_hostile_real_or_array_is_an_mlda_error(name, param, label):
     except MldaError:
         return
     assert label in _ZOO, f"{name}({param}={label}) does not fit but returned {got!r}"
-    default = inspect.signature(_walked_member(name)).parameters[param].default
+    default = inspect.signature(_walked_member(_callable_of(name))).parameters[param].default
     assert (value is None and default is None) or (name, param, label) in ACCEPTED or _same(
         got, call(**valid)
     ), f"{name}({param}={label}) returned {got!r}"

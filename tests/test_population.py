@@ -393,6 +393,72 @@ def test_noise_factor_squares_back_to_the_covariance(S):
     assert np.abs(params.noise_values - oracle).max() <= 16 * d * eps * scale
 
 
+@st.composite
+def noise_diagonals(draw):
+    """(variances, rng): d from 1 to 40 variances of mixed scales, 1e-6 to
+    1e6, with none, some or all of them exact zeros."""
+    d = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.uniform(0.0, 1.0, d) * 10.0 ** rng.integers(-6, 7, d)
+    v[rng.random(d) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    return v, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(noise_diagonals())
+def test_a_diagonal_given_as_its_vector_is_the_dense_diagonal(case):
+    # the (d,) route is the dense exactly-diagonal route, bit for bit, and
+    # forms the d x d matrix only when Sigma_w is read
+    from mlda import Seed, bound_frame, gen_data, gen_labels
+    from mlda.synth import LabelScheme
+
+    v, rng = case
+    d, L = v.shape[0], 2
+    mu, A = rng.standard_normal(d), rng.standard_normal((d, L))
+    held, dense = ModelParams(mu, A, v), ModelParams(mu, A, np.diag(v))
+    for name in ("noise_values", "noise_factor"):
+        assert getattr(held, name).tobytes() == getattr(dense, name).tobytes()
+    labels = gen_labels(LabelScheme.variable(((1, 0.6), (2, 0.4))), 30, L, Seed(1).stream("e", 0, "l"))
+    rows = [gen_data(labels, p, Seed(1).stream("e", 0, "n")).X for p in (held, dense)]
+    assert rows[0].tobytes() == rows[1].tobytes()
+    assert "Sigma_w" not in vars(held) and "Sigma_w" not in repr(held)
+
+    assert held.Sigma_w.tobytes() == dense.Sigma_w.tobytes()
+    assert held.Sigma_w is held.Sigma_w
+    W = rng.standard_normal((d, 1))
+    frames = [bound_frame(W, A, p.Sigma_w) for p in (held, dense)]
+    assert all(np.array_equal(getattr(frames[0], f.name), getattr(frames[1], f.name))
+               for f in dataclasses.fields(frames[0]))
+    dist = label_moments(TOY)
+    try:
+        want = population_scatters(dense, dist)
+    except InvalidCovariance:
+        with pytest.raises(InvalidCovariance):
+            population_scatters(held, dist)
+    else:
+        got = population_scatters(held, dist)
+        assert all(np.array_equal(getattr(got, f.name), getattr(want, f.name)) for f in dataclasses.fields(want))
+
+
+def test_a_hostile_diagonal_is_rejected_as_the_dense_one_is():
+    mu, A = np.zeros(3), np.ones((3, 2))
+    for v in ([1.0, np.nan, 0.5], [1.0, np.inf, 0.5], [-np.inf, 1.0, 0.5]):
+        for S in (v, np.diag(v)):
+            with pytest.raises(InvalidInput, match="non-finite"):
+                ModelParams(mu, A, S)
+    for S in ([1.0, -1e-3, 0.5], np.diag([1.0, -1e-3, 0.5])):
+        with pytest.raises(InvalidCovariance, match="negative eigenvalue"):
+            ModelParams(mu, A, S)
+    # rounding dust within the -1e-10 slack passes in both forms
+    dust = [1.0, -1e-11, 0.5]
+    assert ModelParams(mu, A, dust).noise_values.tobytes() == ModelParams(mu, A, np.diag(dust)).noise_values.tobytes()
+    for S in (np.ones(4), np.ones(2), np.ones((3, 4)), np.ones((3, 3, 3))):
+        with pytest.raises(InvalidInput, match="Sigma_w must have shape"):
+            ModelParams(mu, A, S)
+    with pytest.raises(InvalidInput, match="needs Sigma_w"):
+        ModelParams(mu, A)
+
+
 def test_population_and_draws_solve_no_eigenproblem(monkeypatch):
     # the spectrum and the factor of Sigma_w are solved once, in ModelParams
     from mlda import Seed, gen_data, gen_labels
