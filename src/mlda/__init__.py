@@ -71,8 +71,11 @@ _EXPORTS = {
         "Seed",
         "gen_data",
         "gen_labels",
+        "gen_pattern",
+        "noise_differences",
         "pair_products",
         "pair_products_matrix",
+        "signal_rows",
     ),
     "discriminant": (
         "DavisKahanReport",

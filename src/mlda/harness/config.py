@@ -46,9 +46,10 @@ PAIR_FRAME_RANK = 6
 # The largest d at which a runner forms d x d arrays (one float64 array is
 # 32 MB there; each such runner, run once at that d with small trial
 # counts, peaked at 0.3 to 1.2 GB RSS). regularization and each rank row
-# solve on the range when n < d, so for them the bound is on min(n, d), and
-# their n x d data is bounded by DATA_CELL_LIMIT cells (one float64 array is
-# 80 MB there).
+# solve on the range when n < d, so for them the bound is on min(n, d).
+# DATA_CELL_LIMIT bounds the cells of every runner's (rows x d) arrays: a
+# dataset's n x d rows (max(ns) x d in convergence) and concentration's
+# draws x d noise differences (one float64 array is 80 MB there).
 DENSE_D_LIMIT = 2048
 DATA_CELL_LIMIT = 10**7
 
@@ -304,6 +305,11 @@ _FRAME_WITHIN_D = (lambda o: min(PAIR_FRAME_RANK, o["L"]) <= o["d"]), (
 _DENSE_D = (lambda o: o["d"] <= DENSE_D_LIMIT), (
     f"need d <= {DENSE_D_LIMIT}, the largest d at which a runner forms d x d arrays, got d={{d}}"
 )
+# the rows of a dataset, and concentration's buffer of noise differences,
+# are (rows x d) float64 arrays
+_N_D_CELLS = (lambda o: o["n"] * o["d"] <= DATA_CELL_LIMIT), (
+    f"need n * d <= {DATA_CELL_LIMIT}, the cells of the n x d data, got n={{n}}, d={{d}}"
+)
 # at n >= d the scatters are d x d arrays, and the data is n x d at any shape
 _RANGE_LAW = f"min(n, d) <= {DENSE_D_LIMIT} and n * d <= {DATA_CELL_LIMIT}"
 _RANGE_FITS = _range_fits, f"need {_RANGE_LAW}, got n={{n}}, d={{d}}"
@@ -321,6 +327,7 @@ _RULES = {
     ),
     "divergence": (
         _DENSE_D,
+        _N_D_CELLS,
         _N_COVERS_L,
         _R_BELOW_D,
         _SCHEMES_FIT,
@@ -330,12 +337,16 @@ _RULES = {
             "null space of Sw has dimension below r; got n={n}, d={d}, L={L}, r={r}",
         ),
     ),
-    "distance": (_DENSE_D, _N_COVERS_L, _PAIRS_OF_ROWS, _FRAME_WITHIN_D, _SCHEMES_FIT),
+    "distance": (_DENSE_D, _N_D_CELLS, _N_COVERS_L, _PAIRS_OF_ROWS, _FRAME_WITHIN_D, _SCHEMES_FIT),
     "convergence": (
         _DENSE_D,
         (
             (lambda o: len(o["ns"]) >= 3 and o["ns"] == sorted(o["ns"]) and o["ns"][0] >= o["L"]),
             "ns needs >= 3 increasing entries, each >= L={L}, got {ns}",
+        ),
+        (
+            (lambda o: max(o["ns"]) * o["d"] <= DATA_CELL_LIMIT),
+            f"need max(ns) * d <= {DATA_CELL_LIMIT}, the cells of the largest n x d data, got ns={{ns}}, d={{d}}",
         ),
         _SV_PER_LABEL,
         _L_WITHIN_D,
@@ -345,6 +356,7 @@ _RULES = {
     ),
     "factors": (
         _DENSE_D,
+        _N_D_CELLS,
         _SV_PER_LABEL,
         _L_WITHIN_D,
         # Q_pi has at most L - 1 positive eigenvalues, so (A having full column
@@ -370,10 +382,19 @@ _RULES = {
         ),
     ),
     "concentration": (
-        _DENSE_D, _R_BELOW_D, ((lambda o: o["draws"] >= 100), "draws must be >= 100"), _SCHEMES_FIT
+        _DENSE_D,
+        (
+            (lambda o: o["draws"] * o["d"] <= DATA_CELL_LIMIT),
+            f"need draws * d <= {DATA_CELL_LIMIT}, the cells of the draws x d noise differences, "
+            "got draws={draws}, d={d}",
+        ),
+        _R_BELOW_D,
+        ((lambda o: o["draws"] >= 100), "draws must be >= 100"),
+        _SCHEMES_FIT,
     ),
     "interaction": (
         _DENSE_D,
+        _N_D_CELLS,
         _N_COVERS_L,
         _PAIRS_OF_ROWS,
         _SV_PER_LABEL,

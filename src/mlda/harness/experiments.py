@@ -35,8 +35,16 @@ from ..errors import ConfigError, check
 from ..population import gamma_norm, gaps, isotropic_params, population_scatters, scheme_distribution
 from ..scatter import build_dataset, build_scatter, rank_analysis
 from ..spectral import numeric_rank, orthonormalize, principal_angle_sin, sym_eigvals, symmetrize
-from ..synth import LabelScheme, Seed, gen_data, gen_labels, pair_products_matrix
-from ..synth import _draw_cardinalities
+from ..synth import (
+    LabelScheme,
+    Seed,
+    gen_data,
+    gen_labels,
+    gen_pattern,
+    noise_differences,
+    pair_products_matrix,
+    signal_rows,
+)
 from .aggregate import UpperTail, aggregate, slope_fit
 from .config import EXPERIMENTS, PAIR_FRAME_RANK, build_config, scheme_from_dict
 
@@ -216,15 +224,6 @@ def _instance(ex, trial, scheme, n, d, L, scale, sigma_w, suffix="", noise="nois
     return params, gen_data(labels, params, ex.stream(trial, noise + suffix))
 
 
-def _draw_pattern(scheme, L, rng):
-    """One label pattern from a scheme: cardinality drawn as ``gen_labels``
-    draws it, labels a uniform random subset of that size."""
-    card = int(_draw_cardinalities(scheme, 1, L, rng)[0])
-    bits = np.zeros(L, dtype=np.int64)
-    bits[rng.choice(L, size=card, replace=False)] = 1
-    return bits
-
-
 def _pair_frame(ex, trial, ds, params):
     """The pair experiments' frame: the top-r eigenspace W of the fitted
     between-class scatter of ``ds``, r = min(PAIR_FRAME_RANK, L), its
@@ -248,9 +247,9 @@ def _rate(flags):
     return np.count_nonzero(flags) / len(flags)
 
 
-def _signal_dataset(labels, A):
-    """Noise-free dataset x = A y for a fixed label matrix."""
-    return build_dataset(labels.bits.astype(float) @ A.T, labels)
+def _signal_scatter(labels, params):
+    """The scatter set of the noise-free rows of ``params`` for ``labels``."""
+    return build_scatter(build_dataset(signal_rows(labels, params), labels))
 
 
 def _noisy_td_error(labels, params, rng, r, target):
@@ -261,29 +260,29 @@ def _noisy_td_error(labels, params, rng, r, target):
 
 
 # pairs whose Monte Carlo noise is drawn into one reused buffer at a time, so
-# the buffer holds 16 x 2 x draws x d floats whatever the number of pairs
+# the buffer holds 16 x draws x d floats whatever the number of pairs
 _MC_BLOCK = 16
 
 
-def _mc_distance(ex, purpose, shifts, W, sigma_w, draws, tol_se):
+def _mc_distance(ex, purpose, shifts, W, params, draws, tol_se):
     """Monte Carlo means of the projected squared distances ||W^T (shift_p +
     e_i - e_j)||^2 for the rows shift_p of ``shifts``, and the tolerance of
     ``tol_se`` standard errors around each.
 
-    Pair p draws its ``draws`` isotropic noise pairs (every e_i, then every
-    e_j) from the run's stream ``(p, purpose)``; blocks of ``_MC_BLOCK``
-    pairs are drawn into one buffer and reduced together.
+    Pair p draws its ``draws`` noise differences e_i - e_j of the model
+    ``params`` through ``noise_differences``, from the run's stream ``(p,
+    purpose)``; blocks of ``_MC_BLOCK`` pairs are drawn into one buffer and
+    reduced together.
     """
     P, d = shifts.shape
-    noise = np.empty((min(P, _MC_BLOCK), 2, draws, d))
+    noise = np.empty((min(P, _MC_BLOCK), draws, d))
     means, tols = np.empty(P), np.empty(P)
     for start in range(0, P, _MC_BLOCK):
         block = slice(start, min(start + _MC_BLOCK, P))
         E = noise[: block.stop - start]
         for b, e in enumerate(E):
-            ex.stream(start + b, purpose).standard_normal(out=e)
-        E *= sigma_w
-        proj = (shifts[block, None] + (E[:, 0] - E[:, 1])) @ W
+            noise_differences(params, ex.stream(start + b, purpose), e)
+        proj = (shifts[block, None] + E) @ W
         dist2 = np.einsum("bij,bij->bi", proj, proj)
         means[block] = dist2.mean(axis=1)
         tols[block] = tol_se * (dist2.std(ddof=1, axis=1) / np.sqrt(draws))
@@ -446,7 +445,7 @@ def _run_distance(ex):
         params, ds = _instance(ex, si, scheme, n, d, L, scale, sigma_w, noise="fit-noise")
         W, frame, Y_i, Y_j = _pair_frame(ex, si, ds, params)
         budget = frame.distance_budget(Y_i, Y_j)
-        mean, tol = _mc_distance(ex, f"draws:{si}", _each_row(params.A, Y_i - Y_j), W, sigma_w, draws, tol_se)
+        mean, tol = _mc_distance(ex, f"draws:{si}", _each_row(params.A, Y_i - Y_j), W, params, draws, tol_se)
         hamming = (budget.lower - tol <= mean) & (mean <= budget.upper + tol)
         jaccard = mean >= budget.C_w + jaccard_lower(budget, Y_i, Y_j)["weakened"] - tol
 
@@ -491,7 +490,7 @@ def _run_convergence(ex):
     def labels_at(n):
         return gen_labels(scheme, n, L, ex.stream(n, "labels"))
 
-    signal_ss = {n: build_scatter(_signal_dataset(labels_at(n), A)) for n in ns}
+    signal_ss = {n: _signal_scatter(labels_at(n), params) for n in ns}
 
     # adaptive target rank from the per-sample spectral gaps at the largest n
     n_ref = ns[-1]
@@ -529,14 +528,19 @@ def _run_convergence(ex):
             }
         )
 
-    slope = slope_fit(ns, medians)
     inversions = sum(1 for a, b in zip(medians, medians[1:]) if b > a)
     lo, hi = bounds["slope_range"]
     ex.require(medians[-1] <= bounds["max_median"],
                f"median at n={ns[-1]} is {medians[-1]:.4g} > {bounds['max_median']}")
     ex.require(inversions <= bounds["max_inversions"],
                f"{inversions} median inversions (allowed {bounds['max_inversions']})")
-    ex.require(lo <= slope <= hi, f"log-log slope {slope:.3f} outside [{lo}, {hi}]")
+    # noise too weak to move the frame leaves a median at 0, whose log has no
+    # slope: a property of the drawn data, so the criterion fails
+    unmoved = [n for n, m in zip(ns, medians) if m <= 0.0]
+    ex.require(not unmoved, f"median error is 0 at n in {unmoved}, so no log-log slope is fitted")
+    slope = None if unmoved else slope_fit(ns, medians)
+    if slope is not None:
+        ex.require(lo <= slope <= hi, f"log-log slope {slope:.3f} outside [{lo}, {hi}]")
 
     ex.summary = {
         "r": r,
@@ -580,7 +584,7 @@ def _run_factors(ex):
 
         def one(t):
             labels = gen_labels(scheme, n, L, ex.stream(t, f"labels:{si}"))
-            target = opt_td(build_scatter(_signal_dataset(labels, A)), r)
+            target = opt_td(_signal_scatter(labels, params), r)
             rng = ex.stream(t, f"noise:{si}")
             err = _noisy_td_error(labels, params, rng, r, target.frame)
             return err, target.gap, err * target.gap / denom, target.degenerate_gap
@@ -697,11 +701,6 @@ def _run_factors(ex):
 # ---------------------------------------------------------------------------
 
 
-# rows of the second noise draw generated at a time; each block is scaled and
-# subtracted into the first draw, so one (draws, d) buffer holds the deviations
-_DRAW_BLOCK = 1000
-
-
 def _run_concentration(ex):
     """Coverage of the concentration interval, with diagnostics over all draws.
 
@@ -716,9 +715,10 @@ def _run_concentration(ex):
     (1983); the sum and the sum of squares of the linear part over its
     predicted standard deviation (pairs whose linear part is not identically
     zero); and the largest |Z|, as many as the 95th and 99th percentiles read
-    (about ``pairs * draws / 20`` doubles, see ``UpperTail``). Those, one
-    (draws, d) noise buffer and a block of the second draw, both reused by
-    every pair, are what a run holds.
+    (about ``pairs * draws / 20`` doubles, see ``UpperTail``). Those, and
+    one (draws, d) buffer of noise differences that every pair's
+    ``noise_differences`` call fills (it adds one block of 1000 rows), are
+    what a run holds.
     """
     options, bounds = ex.options, ex.bounds
     d, L, r, pairs, draws = (options[k] for k in ("d", "L", "r", "pairs", "draws"))
@@ -741,7 +741,6 @@ def _run_concentration(ex):
 
     total = pairs * draws
     E = np.empty((draws, d))
-    E_block = np.empty((min(_DRAW_BLOCK, draws), d))
     quad = np.empty(draws)
     abs_Z = np.empty(draws)
     tail = UpperTail(total, 0.95)
@@ -751,22 +750,11 @@ def _run_concentration(ex):
     used = 0
     for p in range(pairs):
         rng = ex.stream(p, "pair")
-        y_i = _draw_pattern(scheme, L, rng)
-        y_j = _draw_pattern(scheme, L, rng)
+        y_i = gen_pattern(scheme, L, rng)
+        y_j = gen_pattern(scheme, L, rng)
         params_tail = frame.tail_params(y_i, y_j)
         s = W.T @ (A @ (y_i - y_j).astype(float))
-        rng_draws = ex.stream(p, "draws")
-        # sigma_w * e and e * sigma_w round alike, so scaling in place is
-        # exact; block draws from one generator continue one another, so the
-        # blocks of the second draw equal a single (draws, d) draw
-        rng_draws.standard_normal(out=E)
-        E *= sigma_w
-        for a in range(0, draws, _DRAW_BLOCK):
-            block = E_block[: min(_DRAW_BLOCK, draws - a)]
-            rng_draws.standard_normal(out=block)
-            block *= sigma_w
-            E[a : a + block.shape[0]] -= block
-        P = E @ W
+        P = noise_differences(params, ex.stream(p, "draws"), E) @ W
         lin = 2.0 * (P @ s)
         np.einsum("ij,ij->i", P, P, out=quad)
         quad -= frame.C_w
@@ -871,7 +859,7 @@ def _run_interaction(ex):
     rates = {}
     for ai, alpha in enumerate(alphas):
         widen = frame.with_interactions(alpha * B).interaction_bound(Y_i, Y_j)["corrected_bound"]
-        mean, tol = _mc_distance(ex, f"draws:{ai}", effects + alpha * inters, W, sigma_w, draws, tol_se)
+        mean, tol = _mc_distance(ex, f"draws:{ai}", effects + alpha * inters, W, params, draws, tol_se)
         naive = (budget.lower - tol <= mean) & (mean <= budget.upper + tol)
         corrected = (budget.lower - widen - tol <= mean) & (mean <= budget.upper + widen + tol)
 

@@ -129,6 +129,22 @@ def _draw_cardinalities(scheme, n, L, rng):
     return cards[rng.choice(len(cards), size=n, p=fracs)]
 
 
+def gen_pattern(scheme, L, rng):
+    """One label pattern over L labels: its cardinality drawn as
+    ``gen_labels`` draws a row's, its labels a uniform random subset of that
+    size. No label is forced to appear.
+
+    Returns
+    -------
+    (L,) int64 ndarray of 0/1 entries
+    """
+    L = count("L", L)
+    card = int(_draw_cardinalities(scheme, 1, L, rng)[0])
+    bits = np.zeros(L, dtype=np.int64)
+    bits[rng.choice(L, size=card, replace=False)] = 1
+    return bits
+
+
 def _force_all_labels(bits):
     """Deterministically reassign lowest-index rows until no label is empty.
 
@@ -213,6 +229,54 @@ def _interaction_effects(B_inter, A):
     return _array(B_inter, "B_inter", float, (d, L * (L - 1) // 2), finite=True)
 
 
+def signal_rows(labels, params, alpha=0.0):
+    """The noise-free rows x = mu + A y + alpha * B z of the model for given labels.
+
+    Parameters
+    ----------
+    labels : LabelMatrix
+    params : ModelParams
+        ``params.B_inter`` supplies the interaction effects when alpha != 0.
+    alpha : float
+        Interaction strength; with alpha == 0 the interaction branch is
+        skipped entirely, so the rows are those of the plain linear model.
+
+    Returns
+    -------
+    (n, d) ndarray
+        One row per sample, in the order of ``labels``.
+    """
+    alpha = real("alpha", alpha, -FLOAT_MAX, FLOAT_MAX)
+    if params.L != labels.L:
+        raise InvalidInput(f"A has {params.L} label columns, labels have {labels.L}")
+    if alpha != 0.0 and params.B_inter is None:
+        raise InvalidInput("alpha != 0 requires B_inter in the model parameters")
+    Y = labels.bits.astype(float)
+    X = Y @ params.A.T
+    X += params.mu
+    if alpha != 0.0:
+        X += alpha * (pair_products_matrix(Y) @ params.B_inter.T)
+    return X
+
+
+def _noise_rows(params, rng, out, noise="gaussian"):
+    """Fill ``out``, an (m, d) float array, with m noise rows drawn from
+    ``rng`` under the law ``noise`` and coloured by ``params.noise_factor``,
+    and return it."""
+    if noise == "gaussian":
+        rng.standard_normal(out=out)
+    elif noise == "rademacher":
+        out[...] = 2.0 * rng.integers(0, 2, size=out.shape) - 1.0
+    else:
+        raise InvalidInput(f"unknown noise kind {noise!r}")
+    F = params.noise_factor
+    if F.ndim == 1:
+        out *= F
+    else:
+        out[...] = out @ F.T
+    return out
+
+
 def gen_data(labels, params, rng, alpha=0.0, noise="gaussian"):
     """Sample features x = mu + A y + alpha * B z + eps for given labels.
 
@@ -224,9 +288,9 @@ def gen_data(labels, params, rng, alpha=0.0, noise="gaussian"):
         ``params.noise_factor``, the square root of Sigma_w, colours the noise.
     rng : numpy.random.Generator
     alpha : float
-        Interaction strength; with alpha == 0 the interaction branch is
-        skipped entirely, so the output is bit-identical to the plain linear
-        model under the same rng state.
+        Interaction strength, as ``signal_rows`` takes it; with alpha == 0
+        the output is bit-identical to the plain linear model under the same
+        rng state.
     noise : {"gaussian", "rademacher"}
         Noise law: exact N(0, Sigma_w), or a bounded sub-Gaussian alternative
         (iid sign flips pushed through the covariance square root - same
@@ -235,33 +299,47 @@ def gen_data(labels, params, rng, alpha=0.0, noise="gaussian"):
     Returns
     -------
     Dataset
-        The rows are built in place, so a call holds the rows and one noise
-        matrix of the same size.
+        The rows of ``signal_rows`` plus one noise row each, so a call holds
+        the rows and one noise matrix of the same size.
     """
-    alpha = real("alpha", alpha, -FLOAT_MAX, FLOAT_MAX)
-    if params.L != labels.L:
-        raise InvalidInput(f"A has {params.L} label columns, labels have {labels.L}")
-    if alpha != 0.0 and params.B_inter is None:
-        raise InvalidInput("alpha != 0 requires B_inter in the model parameters")
-    n, d = labels.n, params.d
-    Y = labels.bits.astype(float)
-    X = Y @ params.A.T
-    X += params.mu
-    if alpha != 0.0:
-        X += alpha * (pair_products_matrix(Y) @ params.B_inter.T)
-    del Y
-    if noise == "gaussian":
-        G = rng.standard_normal((n, d))
-    elif noise == "rademacher":
-        G = rng.integers(0, 2, size=(n, d)).astype(float) * 2.0 - 1.0
-    else:
-        raise InvalidInput(f"unknown noise kind {noise!r}")
-    F = params.noise_factor
-    if F.ndim == 1:
-        G *= F
-    else:
-        G = G @ F.T
-    X += G
-    del G
+    X = signal_rows(labels, params, alpha)
+    X += _noise_rows(params, rng, np.empty_like(X), noise)
     return build_dataset(X, labels)
 
+
+# rows of the second draw of ``noise_differences`` made at a time: each block
+# is subtracted from the first draw, so a call holds ``out`` and one block
+_DIFFERENCE_BLOCK = 1000
+
+
+def noise_differences(params, rng, out):
+    """Write e_i - e_j for m independent pairs of noise vectors into ``out``.
+
+    Parameters
+    ----------
+    params : ModelParams
+        ``params.noise_factor`` colours each draw, so e ~ N(0, Sigma_w).
+    rng : numpy.random.Generator
+        Every e_i is drawn first, in one (m, d) draw; then the e_j, in blocks
+        of 1000 rows. The blocks continue one draw, so the e_j are those of
+        a single (m, d) draw.
+    out : (m, d) ndarray
+        The caller's writeable, C-contiguous float64 buffer; d must be the
+        model's. It is filled in place, so a call allocates one block.
+
+    Returns
+    -------
+    out
+    """
+    d = params.d
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.ndim == 2 and out.shape[1] == d):
+        got = f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray) else type(out).__name__
+        raise InvalidInput(f"out must be a float64 (m, {d}) array, got {got}")
+    if not (out.flags.writeable and out.flags.c_contiguous):
+        raise InvalidInput("out must be a writeable C-contiguous array")
+    m = out.shape[0]
+    _noise_rows(params, rng, out)
+    block = np.empty((min(_DIFFERENCE_BLOCK, m), d))
+    for a in range(0, m, _DIFFERENCE_BLOCK):
+        out[a : a + _DIFFERENCE_BLOCK] -= _noise_rows(params, rng, block[: m - a])
+    return out

@@ -478,6 +478,18 @@ _SW_NULL_SHAPES = [
 ]
 
 
+# one config per runner whose (rows x d) buffer the cell rule bounds, just
+# past DATA_CELL_LIMIT
+_CELL_BOUNDED = [
+    ("divergence", {"n": 500_001}),
+    ("distance", {"n": 500_001}),
+    ("interaction", {"n": 666_667}),
+    ("factors", {"n": 833_334}),
+    ("convergence", {"ns": [50, 100, 666_667]}),
+    ("concentration", {"draws": 500_001}),
+]
+
+
 @pytest.mark.parametrize(
     "experiment,options",
     [
@@ -528,6 +540,9 @@ _SW_NULL_SHAPES = [
             "convergence",
             {"d": 1, "L": 1, "singular_values": [1.0], "ns": [5, 10, 20], "scheme": {"kind": "single"}},
         ),
+        # each runner's rows, or concentration's noise differences, would
+        # exceed DATA_CELL_LIMIT float64 cells
+        *_CELL_BOUNDED,
     ],
 )
 def test_cli_hostile_config_exit_two(tmp_path, experiment, options):
@@ -797,6 +812,17 @@ def test_every_runner_bounds_its_dense_d(experiment):
             validate_options(experiment, grow(d=big))
 
 
+@pytest.mark.parametrize("experiment,options", _CELL_BOUNDED)
+def test_every_runner_bounds_the_cells_of_its_rows(experiment, options):
+    # one row past DATA_CELL_LIMIT cells fails on the cell rule, and one row
+    # fewer validates
+    with pytest.raises(ConfigError, match=rf"^{experiment}: need [a-z()]+ \* d <= {DATA_CELL_LIMIT}, "):
+        validate_options(experiment, {**DEFAULTS[experiment], **options})
+    (key, value), = options.items()
+    fewer = [*value[:-1], value[-1] - 1] if isinstance(value, list) else value - 1
+    validate_options(experiment, {**DEFAULTS[experiment], key: fewer})
+
+
 def test_regularization_trial_at_d_over_n_400_holds_order_n_d(tmp_path):
     # the noise covariance is held as its diagonal, so one full trial at
     # (n, d, L) = (50, 20000, 10) forms no d x d array (one would be 3.2 GB):
@@ -1030,8 +1056,7 @@ def _draw_pattern_oracle(scheme, L, rng):
 )
 def test_draw_pattern_matches_inline_draw(spec):
     from mlda.harness.config import scheme_from_dict
-    from mlda.harness.experiments import _draw_pattern
-    from mlda.synth import Seed
+    from mlda.synth import Seed, gen_pattern
 
     scheme, L, seed = scheme_from_dict(spec), 6, Seed(11)
     for p in range(500):
@@ -1039,7 +1064,7 @@ def test_draw_pattern_matches_inline_draw(spec):
         # two patterns per stream, as the concentration experiment draws them
         for _ in range(2):
             expected = _draw_pattern_oracle(scheme, L, old)
-            np.testing.assert_array_equal(_draw_pattern(scheme, L, new), expected)
+            np.testing.assert_array_equal(gen_pattern(scheme, L, new), expected)
         assert new.random() == old.random()  # both left the stream at the same state
 
 
@@ -1135,8 +1160,9 @@ def _concentration_oracle(options, seed):
     from mlda import bounds
     from mlda.discriminant import opt_stml
     from mlda.harness.config import scheme_from_dict
-    from mlda.harness.experiments import _draw_pattern, _gaussian_effects
+    from mlda.harness.experiments import _gaussian_effects
     from mlda.population import isotropic_params, population_scatters, scheme_distribution
+    from mlda.synth import gen_pattern
 
     d, L, r, pairs, draws = (options[k] for k in ("d", "L", "r", "pairs", "draws"))
     sigma_w, deltas = options["sigma_w"], options["deltas"]
@@ -1149,7 +1175,7 @@ def _concentration_oracle(options, seed):
     covered, lin, quad, Z, lin_var = [], [], [], [], []
     for p in range(pairs):
         rng = seed.stream("concentration", p, "pair")
-        y_i, y_j = _draw_pattern(scheme, L, rng), _draw_pattern(scheme, L, rng)
+        y_i, y_j = gen_pattern(scheme, L, rng), gen_pattern(scheme, L, rng)
         tail = frame.tail_params(y_i, y_j)
         s = W.T @ (A @ (y_i - y_j).astype(float))
         rng_draws = seed.stream("concentration", p, "draws")
@@ -1339,14 +1365,16 @@ def _mc_distance_oracle(rng, shift, W, sigma_w, draws, tol_se):
 
 def test_blocked_monte_carlo_means_match_the_per_pair_oracle(rng):
     from mlda.harness.experiments import _MC_BLOCK, _Run, _mc_distance
+    from mlda.population import isotropic_params
     from mlda.synth import Seed
 
     ex = _Run("distance", {}, Seed(7))
     d, r, draws, sigma_w, tol_se = 9, 3, 6, 0.7, 3.0
     W = rng.standard_normal((d, r))
+    params = isotropic_params(np.zeros(d), np.zeros((d, 2)), sigma_w)
     for P in sorted({1, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 200}):
         shifts = 2.0 * rng.standard_normal((P, d))
-        means, tols = _mc_distance(ex, f"draws:{P}", shifts, W, sigma_w, draws, tol_se)
+        means, tols = _mc_distance(ex, f"draws:{P}", shifts, W, params, draws, tol_se)
         assert means.shape == tols.shape == (P,)
         for p in range(P):
             want = _mc_distance_oracle(ex.stream(p, f"draws:{P}"), shifts[p], W, sigma_w, draws, tol_se)
@@ -1355,9 +1383,9 @@ def test_blocked_monte_carlo_means_match_the_per_pair_oracle(rng):
 
 @pytest.mark.parametrize("experiment", ["distance", "interaction"])
 def test_pair_experiments_peak_memory_stays_bounded(tmp_path, experiment):
-    # the Monte Carlo noise is drawn in blocks of pairs into one buffer, so
-    # a run's traced peak is about 0.9 MB at the defaults (0.5 MB when the
-    # draws were made one pair at a time), not a stack of every pair's draws
+    # the Monte Carlo noise differences are drawn in blocks of pairs into one
+    # buffer, so a run's traced peak is about 0.65 MB at the defaults (0.56 MB
+    # for interaction), not a stack of every pair's draws
     from tests.conftest import peak_bytes
 
     cfg = build_config(experiment, out_dir=str(tmp_path))
@@ -1392,6 +1420,9 @@ _FAILURE_PATHS = [
      "median inversions"),
     ("convergence", {"ns": [50, 100, 200], "trials": 3}, {"max_median": 1.0, "slope_range": (5.0, 6.0)},
      "log-log slope"),
+    # noise this weak leaves the noisy frame on its target, so a median is 0
+    # and has no logarithm to fit a slope to
+    ("convergence", {"sigma_w": 1e-30, "trials": 3}, {}, "so no log-log slope is fitted"),
     ("factors", {"trials": 3, "kappa_trials": 2, "kmax_settings": [
         {"scheme": {"kind": "variable", "mix": [[1, 0.9], [3, 0.1]]}},
         {"scheme": {"kind": "variable", "mix": [[1, 0.8], [2, 0.2]]}},
@@ -1501,12 +1532,13 @@ def test_no_function_defers_a_package_import():
 def test_harness_reads_population_quantities_through_public_names():
     # the population pencil (Sb_inf, St_inf) has one solve, in gaps; the
     # harness neither solves it again nor reaches for a private helper of
-    # discriminant or population
+    # discriminant, population or synth, the one route to every draw
+    modules = ("discriminant", "population", "synth")
     for name, tree in _package_trees().items():
         if not name.startswith("harness/"):
             continue
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in ("discriminant", "population"):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in modules:
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 assert not private, f"{name}:{node.lineno} imports {private}"
             if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "opt_stml":

@@ -243,6 +243,11 @@ VALID = {
         {"n": 20, "L": 3},
         {"n": (3, None), "L": (1, None)},
     ),
+    "gen_pattern": (
+        lambda **kw: mlda.gen_pattern(LabelScheme.uniform(2), rng=np.random.default_rng(3), **kw),
+        {"L": 3},
+        {"L": (1, None)},
+    ),
     "opt_stml": (lambda **kw: opt_stml(_SS.Sb, _SS.St_ml, **kw), {"r": 2}, {"r": (1, _D)}),
     "opt_td": (lambda **kw: opt_td(_SS, **kw), {"r": 2}, {"r": (1, _D)}),
     "regularization_report": (
@@ -362,7 +367,7 @@ REAL_PARAMS = {
 }
 ARRAY_PARAMS = (
     "A", "B_inter", "C", "M", "S", "Sb", "Sigma_w", "St", "St_total", "Sw", "U", "U_hat", "U_ref",
-    "V", "W", "X", "Y", "bits", "columns", "mu", "theta", "y", "y_i", "y_j",
+    "V", "W", "X", "Y", "bits", "columns", "mu", "out", "theta", "y", "y_i", "y_j",
 )
 
 # Callables whose real- or array-named parameters are not arguments to check:
@@ -433,6 +438,9 @@ WALK = {
     ),
     "jaccard": (lambda **kw: mlda.jaccard(**kw), _YS),
     "jaccard_lower": (lambda **kw: mlda.jaccard_lower(_BUDGET, **kw), {"y_i": [1, 0], "y_j": [1, 1]}),
+    "noise_differences": (
+        lambda **kw: mlda.noise_differences(_PARAMS, np.random.default_rng(5), **kw), {"out": np.empty((3, 4))}
+    ),
     "numeric_rank": (lambda **kw: mlda.numeric_rank(**kw), {"M": _SS.Sb, "tol": 1e-3}),
     "opt_stml": (lambda **kw: opt_stml(r=2, **kw), {"Sb": _SS.Sb, "St_total": _SS.St_ml, "gamma": 0.5}),
     "ordering_consistent": (lambda **kw: mlda.ordering_consistent(**kw), {"Sb": np.diag([3.0, 2.0]), "St": np.eye(2)}),
@@ -441,6 +449,7 @@ WALK = {
     "pair_products_matrix": (lambda **kw: mlda.pair_products_matrix(**kw), {"Y": _LABELS.bits}),
     "principal_angle_sin": (lambda **kw: mlda.principal_angle_sin(**kw), {"U": _TWO, "V": np.eye(4)[:, 1:3]}),
     "regularization_report": (lambda **kw: regularization_report(_SS, r=2, **kw), {"gammas": [0.0, 1.5]}),
+    "signal_rows": (lambda **kw: mlda.signal_rows(_LABELS, _PARAMS, **kw), {"alpha": 0.7}),
     "snr": (lambda **kw: snr(_BUDGET, 2, **kw), {"Sigma_w": 2.0 * np.eye(4)}),
     "sym_eig": (lambda **kw: sym_eig(**kw), {"S": _SS.Sw}),
     "sym_eigvals": (lambda **kw: mlda.sym_eigvals(**kw), {"S": _SS.Sw}),

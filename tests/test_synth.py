@@ -17,9 +17,11 @@ from mlda import (
     gen_data,
     gen_labels,
     isotropic_params,
+    noise_differences,
     pair_products,
     pair_products_matrix,
     scheme_distribution,
+    signal_rows,
 )
 from mlda.spectral import sym_eig
 
@@ -273,6 +275,131 @@ def test_rademacher_noise_is_bounded():
     assert mean < 5 * 0.7 / np.sqrt(500)
     with pytest.raises(InvalidInput):
         gen_data(labels, params, Seed(12).stream("r", 0, "n"), noise="uniform")
+
+
+# ---------------------------------------------------------------------------
+# signal rows and noise differences: the one route from a model to its draws
+# ---------------------------------------------------------------------------
+
+
+def _old_gen_data_signal(labels, params, alpha):
+    """The signal that ``gen_data`` formed inline before ``signal_rows``."""
+    Y = labels.bits.astype(float)
+    X = Y @ params.A.T
+    X += params.mu
+    if alpha != 0.0:
+        X += alpha * (pair_products_matrix(Y) @ params.B_inter.T)
+    return X
+
+
+@pytest.mark.parametrize("noise", ["gaussian", "rademacher"])
+@pytest.mark.parametrize("alpha", [0.0, 0.8])
+def test_signal_rows_plus_noise_rows_reproduce_gen_data(noise, alpha):
+    labels = gen_labels(VAR, 70, 4, Seed(16).stream("sr", 0, "l"))
+    A = Seed(16).stream("sr", 0, "a").standard_normal((5, 4))
+    B = Seed(16).stream("sr", 0, "b").standard_normal((5, 6))
+    mu = np.linspace(-1.0, 1.0, 5)
+    dense = np.array(
+        [[1.0, 0.3, 0.0, 0.0, 0.1], [0.3, 2.0, 0.0, 0.2, 0.0], [0.0, 0.0, 0.5, 0.0, 0.0],
+         [0.0, 0.2, 0.0, 1.5, 0.0], [0.1, 0.0, 0.0, 0.0, 0.8]]
+    )
+    for Sigma_w in (np.full(5, 0.49), dense):
+        params = ModelParams(mu, A, Sigma_w, B_inter=B)
+        rows = signal_rows(labels, params, alpha)
+        assert rows.tobytes() == _old_gen_data_signal(labels, params, alpha).tobytes()
+        rng = Seed(16).stream("sr", 0, "n")
+        if noise == "gaussian":
+            G = rng.standard_normal((70, 5))
+        else:
+            G = rng.integers(0, 2, size=(70, 5)).astype(float) * 2.0 - 1.0
+        F = params.noise_factor
+        rows += G * F if F.ndim == 1 else G @ F.T
+        ds = gen_data(labels, params, Seed(16).stream("sr", 0, "n"), alpha=alpha, noise=noise)
+        assert ds.X.tobytes() == rows.tobytes()
+
+
+def test_signal_rows_checks_the_model_against_the_labels():
+    labels = gen_labels(VAR, 20, 4, Seed(17).stream("sr", 0, "l"))
+    with pytest.raises(InvalidInput, match="label columns"):
+        signal_rows(labels, isotropic_params(np.zeros(3), np.ones((3, 5)), 1.0))
+    with pytest.raises(InvalidInput, match="B_inter"):
+        signal_rows(labels, isotropic_params(np.zeros(3), np.ones((3, 4)), 1.0), alpha=0.5)
+
+
+def _concentration_draws(rng, sigma_w, m, d):
+    """The concentration experiment's former inline draws: every e_i scaled
+    in place, then the e_j in scaled blocks of 1000 rows subtracted from them."""
+    E = rng.standard_normal((m, d))
+    E *= sigma_w
+    for a in range(0, m, 1000):
+        block = rng.standard_normal((min(1000, m - a), d))
+        block *= sigma_w
+        E[a : a + block.shape[0]] -= block
+    return E
+
+
+def _distance_draws(rng, sigma_w, m, d):
+    """The distance experiments' former inline draws: both draws in one
+    (2, m, d) call, scaled together, then differenced."""
+    E = rng.standard_normal((2, m, d))
+    E *= sigma_w
+    return E[0] - E[1]
+
+
+@pytest.mark.parametrize("m", [1, 999, 1000, 1001, 2500])
+@pytest.mark.parametrize("sigma_w", [1.0, 0.5, 0.7, 1 / 3, 1e-3, 3.0, 1e-30])
+def test_noise_differences_match_the_former_inline_draws(m, sigma_w):
+    d = 3
+    params = isotropic_params(np.zeros(d), np.ones((d, 2)), sigma_w)
+    out = np.empty((m, d))
+    assert noise_differences(params, Seed(18).stream("nd", m, "draws"), out) is out
+    for oracle in (_concentration_draws, _distance_draws):
+        assert out.tobytes() == oracle(Seed(18).stream("nd", m, "draws"), sigma_w, m, d).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 1001, 2500])
+def test_noise_differences_colour_a_dense_covariance(m):
+    Sigma_w = np.array([[1.0, 0.4, 0.1], [0.4, 2.0, -0.3], [0.1, -0.3, 0.7]])
+    params = ModelParams(np.zeros(3), np.ones((3, 2)), Sigma_w)
+    out = noise_differences(params, Seed(19).stream("nd", m, "draws"), np.empty((m, 3)))
+    rng = Seed(19).stream("nd", m, "draws")
+    e_i, e_j = rng.standard_normal((m, 3)), rng.standard_normal((m, 3))
+    F = _covariance_factor(Sigma_w)
+    np.testing.assert_allclose(out, (e_i - e_j) @ F.T, rtol=1e-12, atol=1e-12)
+
+
+def test_noise_differences_fill_the_buffer_they_are_given():
+    # a call allocates one block of the second draw, not a second (m, d)
+    # array; colouring by the (d,) factor in place adds numpy's fixed 64 KiB
+    # iteration buffer
+    from tests.conftest import peak_bytes
+
+    m, d = 20000, 8
+    params = isotropic_params(np.zeros(d), np.ones((d, 2)), 0.5)
+    out, rng = np.empty((m, d)), Seed(20).stream("nd", 0, "draws")
+    assert peak_bytes(lambda: noise_differences(params, rng, out)) < 8 * 1000 * d + 2 ** 17 < out.nbytes
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        None,
+        [[0.0, 0.0, 0.0]],
+        np.empty((4, 2)),
+        np.empty(3),
+        np.empty((2, 4, 3)),
+        np.empty((4, 3), dtype=np.float32),
+        np.empty((4, 3), dtype=complex),
+        np.empty((4, 3), order="F"),
+        np.empty((8, 3))[::2],
+        np.broadcast_to(np.zeros(3), (4, 3)),
+    ],
+    ids=["None", "list", "wrong d", "1-d", "3-d", "float32", "complex", "F-order", "strided", "read-only"],
+)
+def test_noise_differences_reject_a_bad_buffer(out):
+    params = isotropic_params(np.zeros(3), np.ones((3, 2)), 0.5)
+    with pytest.raises(InvalidInput, match="out must be"):
+        noise_differences(params, Seed(21).stream("nd", 0, "draws"), out)
 
 
 # ---------------------------------------------------------------------------
