@@ -18,6 +18,7 @@ a pass. A config file that names a bound fails as an unknown option.
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -43,13 +44,14 @@ DEFAULT_SEED = 20260816
 # The distance and interaction experiments project onto the top
 # r = min(PAIR_FRAME_RANK, L) eigenvectors of Sb.
 PAIR_FRAME_RANK = 6
-# The largest d at which a runner forms d x d arrays (one float64 array is
-# 32 MB there; each such runner, run once at that d with small trial
-# counts, peaked at 0.3 to 1.2 GB RSS). regularization and each rank row
-# solve on the range when n < d, so for them the bound is on min(n, d).
-# DATA_CELL_LIMIT bounds the cells of every runner's (rows x d) arrays: a
-# dataset's n x d rows (max(ns) x d in convergence) and concentration's
-# draws x d noise differences (one float64 array is 80 MB there).
+# The pair experiments draw the Monte Carlo noise of MC_BLOCK pairs at a
+# time into one reused (MC_BLOCK, draws, d) buffer.
+MC_BLOCK = 16
+# The limits of the arrays a config sizes (see _SIZES): DENSE_D_LIMIT is
+# the largest side of a runner's d x d work (one float64 array is 32 MB
+# there; each such runner, run once at that d with small trial counts,
+# peaked at 0.3 to 1.2 GB RSS), and DATA_CELL_LIMIT the most cells of any
+# other array (one float64 array is 80 MB there).
 DENSE_D_LIMIT = 2048
 DATA_CELL_LIMIT = 10**7
 
@@ -282,13 +284,13 @@ def _sw_sees_every_frame(o):
     return all(min(o["n"] - 1, _fewest(e["scheme"]) * o["n"] - o["L"]) > o["d"] - o["r"] for e in o["settings"])
 
 
+def _increasing(values):
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
 def _schemes_fit(o):
     entries = [o, *o.get("settings", ()), *o.get("kmax_settings", ())]
     return all(_fits(e[k], o["L"]) for e in entries for k in ("scheme", "gamma_scheme") if k in e)
-
-
-def _range_fits(o):
-    return min(o["n"], o["d"]) <= DENSE_D_LIMIT and o["n"] * o["d"] <= DATA_CELL_LIMIT
 
 
 _N_COVERS_L = (lambda o: o["n"] >= o["L"]), "need n >= L to realize every label, got n={n}, L={L}"
@@ -302,51 +304,37 @@ _PAIRS_OF_ROWS = (lambda o: o["n"] >= 2), "need n >= 2 to draw a pair of distinc
 _FRAME_WITHIN_D = (lambda o: min(PAIR_FRAME_RANK, o["L"]) <= o["d"]), (
     f"need min({PAIR_FRAME_RANK}, L) <= d for the projection frame, got L={{L}}, d={{d}}"
 )
-_DENSE_D = (lambda o: o["d"] <= DENSE_D_LIMIT), (
-    f"need d <= {DENSE_D_LIMIT}, the largest d at which a runner forms d x d arrays, got d={{d}}"
-)
-# the rows of a dataset, and concentration's buffer of noise differences,
-# are (rows x d) float64 arrays
-_N_D_CELLS = (lambda o: o["n"] * o["d"] <= DATA_CELL_LIMIT), (
-    f"need n * d <= {DATA_CELL_LIMIT}, the cells of the n x d data, got n={{n}}, d={{d}}"
-)
-# at n >= d the scatters are d x d arrays, and the data is n x d at any shape
-_RANGE_LAW = f"min(n, d) <= {DENSE_D_LIMIT} and n * d <= {DATA_CELL_LIMIT}"
-_RANGE_FITS = _range_fits, f"need {_RANGE_LAW}, got n={{n}}, d={{d}}"
-
 # Cross-field rules of each experiment, as (test, message) pairs; the
 # message is formatted with the options. They run in order once every option
 # has passed its type and domain check, so a rule may rely on the ones before.
 _RULES = {
     "rank": (
-        ((lambda o: all(map(_range_fits, o["rows"]))), f"every row needs {_RANGE_LAW}"),
         (
             (lambda o: all(row["n"] >= row["L"] and _fits(row["scheme"], row["L"]) for row in o["rows"])),
             "every row needs n >= L and a scheme that fits in its L labels",
         ),
     ),
     "divergence": (
-        _DENSE_D,
-        _N_D_CELLS,
         _N_COVERS_L,
         _R_BELOW_D,
         _SCHEMES_FIT,
+        # the summary keys its settings by name
+        (
+            (lambda o: len({e["setting"] for e in o["settings"]}) == len(o["settings"])),
+            "every setting needs a name of its own",
+        ),
         (
             _sw_sees_every_frame,
             "every setting needs min(n - 1, c n - L) > d - r, c its fewest drawn labels, so that the "
             "null space of Sw has dimension below r; got n={n}, d={d}, L={L}, r={r}",
         ),
     ),
-    "distance": (_DENSE_D, _N_D_CELLS, _N_COVERS_L, _PAIRS_OF_ROWS, _FRAME_WITHIN_D, _SCHEMES_FIT),
+    "distance": (_N_COVERS_L, _PAIRS_OF_ROWS, _FRAME_WITHIN_D, _SCHEMES_FIT),
     "convergence": (
-        _DENSE_D,
+        # the slope is fitted over distinct sample sizes
         (
-            (lambda o: len(o["ns"]) >= 3 and o["ns"] == sorted(o["ns"]) and o["ns"][0] >= o["L"]),
-            "ns needs >= 3 increasing entries, each >= L={L}, got {ns}",
-        ),
-        (
-            (lambda o: max(o["ns"]) * o["d"] <= DATA_CELL_LIMIT),
-            f"need max(ns) * d <= {DATA_CELL_LIMIT}, the cells of the largest n x d data, got ns={{ns}}, d={{d}}",
+            (lambda o: len(o["ns"]) >= 3 and _increasing(o["ns"]) and o["ns"][0] >= o["L"]),
+            "ns needs >= 3 strictly increasing entries, each >= L={L}, got {ns}",
         ),
         _SV_PER_LABEL,
         _L_WITHIN_D,
@@ -355,8 +343,6 @@ _RULES = {
         _SCHEMES_FIT,
     ),
     "factors": (
-        _DENSE_D,
-        _N_D_CELLS,
         _SV_PER_LABEL,
         _L_WITHIN_D,
         # Q_pi has at most L - 1 positive eigenvalues, so (A having full column
@@ -382,19 +368,11 @@ _RULES = {
         ),
     ),
     "concentration": (
-        _DENSE_D,
-        (
-            (lambda o: o["draws"] * o["d"] <= DATA_CELL_LIMIT),
-            f"need draws * d <= {DATA_CELL_LIMIT}, the cells of the draws x d noise differences, "
-            "got draws={draws}, d={d}",
-        ),
         _R_BELOW_D,
         ((lambda o: o["draws"] >= 100), "draws must be >= 100"),
         _SCHEMES_FIT,
     ),
     "interaction": (
-        _DENSE_D,
-        _N_D_CELLS,
         _N_COVERS_L,
         _PAIRS_OF_ROWS,
         _SV_PER_LABEL,
@@ -409,16 +387,111 @@ _RULES = {
         ),
     ),
     "regularization": (
-        _RANGE_FITS,
         _N_COVERS_L,
         ((lambda o: o["L"] < o["d"]), "need L < d, as the ridge report takes r = L, got L={L}, d={d}"),
         (
-            (lambda o: len(o["gammas"]) >= 2 and all(a < b for a, b in zip(o["gammas"], o["gammas"][1:]))),
+            (lambda o: len(o["gammas"]) >= 2 and _increasing(o["gammas"])),
             "gammas needs >= 2 strictly increasing entries, got {gammas}",
         ),
         _SCHEMES_FIT,
     ),
 }
+
+
+def _pattern_count(spec, L):
+    """How many label patterns ``scheme_distribution`` lists for the scheme
+    ``spec`` over L labels: C(L, c) for each cardinality c it draws. Counting
+    stops once the count passes DATA_CELL_LIMIT, which settles the verdict
+    at any L, so a larger count comes back as that partial count: the
+    binomial of a large L would take seconds to form."""
+    total = 0
+    for c, _ in scheme_from_dict(spec).drawn:
+        term = 1
+        # C(L, c) = C(L, L - c), and C(L, j + 1) = C(L, j) (L - j) / (j + 1)
+        # grows with j up to L / 2
+        for j in range(min(c, L - c)):
+            term = term * (L - j) // (j + 1)
+            if total + term > DATA_CELL_LIMIT:
+                return total + term
+        total += term
+    return total
+
+
+_SCATTERS = "scatters", lambda o: (o["d"],)
+# rank rows and regularization solve on the range when n < d
+_RANGE_SCATTERS = "scatters", lambda o: (min(o["n"], o["d"]),)
+_DATA = "data", lambda o: (o["n"], o["d"])
+_LABELS = "labels", lambda o: (o["n"], o["L"])
+_PAIR_SHIFTS = "pair shifts", lambda o: (o["pairs"], o["d"])
+_MONTE_CARLO = "Monte Carlo noise", lambda o: (min(o["pairs"], MC_BLOCK), o["draws"], o["d"])
+_LABEL_MOMENTS = "label moments", lambda o: (o["L"], o["L"], o["L"])
+
+
+def _patterns(scheme):
+    """The entry of the label patterns that ``scheme_distribution`` lists
+    for the scheme ``scheme(options)``."""
+    return "label patterns", lambda o: (_pattern_count(scheme(o), o["L"]), o["L"])
+
+
+# Every array whose size a config sets, per experiment, as its runner
+# allocates it: (name, shape), where shape(options) is (side,), the side of
+# the runner's d x d work, judged against DENSE_D_LIMIT, or the array's
+# shape, whose cells are judged against DATA_CELL_LIMIT. A rank row is
+# judged as an experiment of its own. The shapes are judged after _RULES,
+# so an array that a listed one bounds under those rules is left out: the
+# labels, n x L, where L <= d, and the effects, d x L, where L <= n, L <= d,
+# or (in concentration) L x L x L label moments and a side d bound L and d.
+_SIZES = {
+    "rank": (_RANGE_SCATTERS, _DATA, _LABELS),
+    "divergence": (_SCATTERS, _DATA, _LABELS),
+    "distance": (
+        _SCATTERS,
+        _DATA,
+        _LABELS,
+        ("pair labels", lambda o: (o["pairs"], o["L"])),
+        _PAIR_SHIFTS,
+        _MONTE_CARLO,
+    ),
+    "convergence": (_SCATTERS, ("data", lambda o: (max(o["ns"]), o["d"]))),
+    # the rescaling and condition probes enumerate kmax_settings[1]'s patterns
+    "factors": (_SCATTERS, _DATA, _LABEL_MOMENTS, _patterns(lambda o: o["kmax_settings"][1]["scheme"])),
+    "concentration": (
+        _SCATTERS,
+        _LABEL_MOMENTS,
+        _patterns(lambda o: o["scheme"]),
+        ("noise differences", lambda o: (o["draws"], o["d"])),
+        # UpperTail keeps total - floor(0.95 (total - 1)) of the total =
+        # pairs * draws deviations: at most total // 20 + 2
+        ("upper tail", lambda o: (o["pairs"] * o["draws"] // 20 + 2, 1)),
+    ),
+    "interaction": (
+        _SCATTERS,
+        _DATA,
+        ("interaction effects", lambda o: (o["d"], o["L"] * (o["L"] - 1) // 2)),
+        _PAIR_SHIFTS,
+        ("pair products", lambda o: (o["pairs"], o["L"] * (o["L"] - 1) // 2)),
+        _MONTE_CARLO,
+    ),
+    "regularization": (_RANGE_SCATTERS, _DATA),
+}
+
+
+def _check_sizes(experiment, options):
+    """Judge every array of ``_SIZES[experiment]``; the first past its limit
+    raises ConfigError naming the experiment, the array, its size and the limit."""
+    rows = options["rows"] if experiment == "rank" else [options]
+    for i, o in enumerate(rows):
+        where = f"rows[{i}] " if experiment == "rank" else ""
+        for name, shape in _SIZES[experiment]:
+            dims = shape(o)
+            if len(dims) == 1:
+                size, limit = dims[0], DENSE_D_LIMIT
+                over = f"{size} x {size}, over the limit of {limit} x {limit}"
+            else:
+                size, limit = math.prod(dims), DATA_CELL_LIMIT
+                over = f"{' x '.join(map(str, dims))} = {size} cells, over the limit of {limit} cells"
+            if size > limit:
+                raise ConfigError(f"{experiment}: {where}{name} would be {over}")
 
 
 def validate_options(experiment, options):
@@ -430,7 +503,8 @@ def validate_options(experiment, options):
     stored as a float), a str or bool exactly that type, a list a non-empty
     list of the default's element type, a dict the default's keys, and a
     scheme its exact form (``scheme_from_dict``). Domains come from
-    ``_DOMAIN`` and cross-field rules from ``_RULES``.
+    ``_DOMAIN``, cross-field rules from ``_RULES``, and the sizes of the
+    arrays the runner allocates from ``_SIZES``.
     """
     if experiment not in DEFAULTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
@@ -438,6 +512,7 @@ def validate_options(experiment, options):
     for test, message in _RULES[experiment]:
         if not test(options):
             raise ConfigError(f"{experiment}: " + message.format(**options))
+    _check_sizes(experiment, options)
     return options
 
 

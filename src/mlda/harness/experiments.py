@@ -46,7 +46,7 @@ from ..synth import (
     signal_rows,
 )
 from .aggregate import UpperTail, aggregate, slope_fit
-from .config import EXPERIMENTS, PAIR_FRAME_RANK, build_config, scheme_from_dict
+from .config import EXPERIMENTS, MC_BLOCK, PAIR_FRAME_RANK, build_config, scheme_from_dict
 
 # ---------------------------------------------------------------------------
 # report plumbing
@@ -259,11 +259,6 @@ def _noisy_td_error(labels, params, rng, r, target):
     return principal_angle_sin(opt_td(ss, r).frame, target)
 
 
-# pairs whose Monte Carlo noise is drawn into one reused buffer at a time, so
-# the buffer holds 16 x draws x d floats whatever the number of pairs
-_MC_BLOCK = 16
-
-
 def _mc_distance(ex, purpose, shifts, W, params, draws, tol_se):
     """Monte Carlo means of the projected squared distances ||W^T (shift_p +
     e_i - e_j)||^2 for the rows shift_p of ``shifts``, and the tolerance of
@@ -271,14 +266,15 @@ def _mc_distance(ex, purpose, shifts, W, params, draws, tol_se):
 
     Pair p draws its ``draws`` noise differences e_i - e_j of the model
     ``params`` through ``noise_differences``, from the run's stream ``(p,
-    purpose)``; blocks of ``_MC_BLOCK`` pairs are drawn into one buffer and
-    reduced together.
+    purpose)``; blocks of ``MC_BLOCK`` pairs are drawn into one buffer and
+    reduced together, so the buffer holds MC_BLOCK x draws x d floats
+    whatever the number of pairs.
     """
     P, d = shifts.shape
-    noise = np.empty((min(P, _MC_BLOCK), draws, d))
+    noise = np.empty((min(P, MC_BLOCK), draws, d))
     means, tols = np.empty(P), np.empty(P)
-    for start in range(0, P, _MC_BLOCK):
-        block = slice(start, min(start + _MC_BLOCK, P))
+    for start in range(0, P, MC_BLOCK):
+        block = slice(start, min(start + MC_BLOCK, P))
         E = noise[: block.stop - start]
         for b, e in enumerate(E):
             noise_differences(params, ex.stream(start + b, purpose), e)
@@ -474,10 +470,11 @@ def _run_distance(ex):
 def _run_convergence(ex):
     """Median subspace error of the noisy trace-difference frame against n.
 
-    Only the signal scatters are kept across sample sizes. Each n's labels
-    are drawn again from their stream when its trials start, and every trial
-    draws its rows through ``gen_data``, so a run holds one n's labels plus
-    one trial's rows and scatters.
+    Only each n's d x r target frame is kept across sample sizes: its signal
+    scatters are built, cut and dropped in turn. Each n's labels are drawn
+    again from their stream when its trials start, and every trial draws its
+    rows through ``gen_data``, so a run holds one n's labels plus one
+    trial's rows and scatters.
     """
     options, bounds = ex.options, ex.bounds
     d, L, sigma_w, trials, ns = (options[k] for k in ("d", "L", "sigma_w", "trials", "ns"))
@@ -490,11 +487,13 @@ def _run_convergence(ex):
     def labels_at(n):
         return gen_labels(scheme, n, L, ex.stream(n, "labels"))
 
-    signal_ss = {n: _signal_scatter(labels_at(n), params) for n in ns}
+    def signal_at(n):
+        return _signal_scatter(labels_at(n), params)
 
     # adaptive target rank from the per-sample spectral gaps at the largest n
     n_ref = ns[-1]
-    ref_values = opt_td(signal_ss[n_ref], 1).values
+    ref_ss = signal_at(n_ref)
+    ref_values = opt_td(ref_ss, 1).values
     per_sample_gaps = (ref_values[:-1] - ref_values[1:]) / n_ref
     above = np.nonzero(per_sample_gaps > threshold)[0]
     if above.size == 0:
@@ -507,7 +506,7 @@ def _run_convergence(ex):
         return
     r = int(above.max()) + 1
 
-    targets = {n: opt_td(ss, r).frame for n, ss in signal_ss.items()}
+    targets = {n: opt_td(ref_ss if n == n_ref else signal_at(n), r).frame for n in ns}
 
     def errors_at(n):
         labels = labels_at(n)

@@ -2,7 +2,9 @@
 experiment tables and of their random streams, and CLI exit codes."""
 
 import ast
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +16,8 @@ import mlda
 from mlda import ConfigError
 from mlda.harness.aggregate import UpperTail, aggregate, slope_fit
 from mlda.harness.config import (
-    DATA_CELL_LIMIT, DEFAULT_SEED, DEFAULTS, DENSE_D_LIMIT, EXPERIMENTS, build_config, validate_options,
+    _SIZES, DATA_CELL_LIMIT, DEFAULT_SEED, DEFAULTS, DENSE_D_LIMIT, EXPERIMENTS, _pattern_count, build_config,
+    scheme_from_dict, validate_options,
 )
 from mlda.harness.experiments import _BOUNDS, run, write_report
 from mlda.errors import InvalidInput
@@ -478,18 +481,6 @@ _SW_NULL_SHAPES = [
 ]
 
 
-# one config per runner whose (rows x d) buffer the cell rule bounds, just
-# past DATA_CELL_LIMIT
-_CELL_BOUNDED = [
-    ("divergence", {"n": 500_001}),
-    ("distance", {"n": 500_001}),
-    ("interaction", {"n": 666_667}),
-    ("factors", {"n": 833_334}),
-    ("convergence", {"ns": [50, 100, 666_667]}),
-    ("concentration", {"draws": 500_001}),
-]
-
-
 @pytest.mark.parametrize(
     "experiment,options",
     [
@@ -542,7 +533,37 @@ _CELL_BOUNDED = [
         ),
         # each runner's rows, or concentration's noise differences, would
         # exceed DATA_CELL_LIMIT float64 cells
-        *_CELL_BOUNDED,
+        ("divergence", {"n": 500_001}),
+        ("distance", {"n": 500_001}),
+        ("interaction", {"n": 666_667}),
+        ("factors", {"n": 833_334}),
+        ("convergence", {"ns": [50, 100, 666_667]}),
+        ("concentration", {"draws": 500_001}),
+        # each passed validation and ended in numpy's allocation error (exit
+        # 1): the Monte Carlo buffer, 238 GiB and 179 GiB
+        ("distance", {"draws": 100_000_000}),
+        ("interaction", {"draws": 100_000_000}),
+        # the labels, 37.3 GiB
+        ("divergence", {"n": 100_000, "d": 20, "L": 50_000, "trials": 1,
+                        "settings": [{"setting": "s", "scheme": {"kind": "single"}}]}),
+        # the interaction effects B, 32.0 GiB
+        ("interaction", {"n": 4096, "d": 2048, "L": 2048, "singular_values": [1.0] * 2048}),
+        # the L x L x L label moments, and the label patterns that
+        # scheme_distribution enumerates
+        ("concentration", {"L": 10**9}),
+        ("concentration", {"L": 300, "scheme": {"kind": "single"}}),
+        ("concentration", {"L": 30, "scheme": {"kind": "uniform", "k": 15}}),
+        ("factors", {"n": 31, "d": 30, "L": 30, "singular_values": [1.0] * 30,
+                     "kmax_settings": [{"scheme": {"kind": "single"}}, {"scheme": {"kind": "uniform", "k": 15}}]}),
+        # UpperTail's largest pairs * draws / 20 deviations
+        ("concentration", {"pairs": 10**6}),
+        # a slope fitted over one repeated sample size exited 0 with PASS
+        ("convergence", {"ns": [20000, 20000, 20000], "trials": 3}),
+        ("convergence", {"ns": [50, 50, 20000], "trials": 3}),
+        # the summary keeps one setting per name, so the single-label
+        # observations held vacuously
+        ("divergence", {"trials": 3, "settings": [{"setting": "s", "scheme": {"kind": "single"}},
+                                                  {"setting": "s", "scheme": {"kind": "uniform", "k": 3}}]}),
     ],
 )
 def test_cli_hostile_config_exit_two(tmp_path, experiment, options):
@@ -768,8 +789,8 @@ def test_cli_d_beyond_the_dense_limit_exit_two(tmp_path):
     proc = _cli(["concentration", "--config", str(cfgfile), "--out", str(tmp_path)])
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == (
-        f"mlda: concentration: need d <= {DENSE_D_LIMIT}, the largest d at which a runner "
-        "forms d x d arrays, got d=200000\n"
+        f"mlda: concentration: scatters would be 200000 x 200000, over the limit of "
+        f"{DENSE_D_LIMIT} x {DENSE_D_LIMIT}\n"
     )
     assert proc.stdout == "" and os.listdir(tmp_path) == ["huge.json"]
 
@@ -782,45 +803,128 @@ def test_cli_ridge_data_beyond_the_cell_limit_exit_two(tmp_path):
     proc = _cli(["regularization", "--config", str(cfgfile), "--out", str(tmp_path)])
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == (
-        f"mlda: regularization: need min(n, d) <= {DENSE_D_LIMIT} and n * d <= {DATA_CELL_LIMIT}, "
-        "got n=50, d=100000000\n"
+        f"mlda: regularization: data would be 50 x 100000000 = 5000000000 cells, over the limit of "
+        f"{DATA_CELL_LIMIT} cells\n"
     )
     assert proc.stdout == "" and os.listdir(tmp_path) == ["huge.json"]
 
 
-@pytest.mark.parametrize("experiment", EXPERIMENTS)
-def test_every_runner_bounds_its_dense_d(experiment):
-    # d is bounded where a runner forms d x d arrays; regularization and a
-    # rank row solve on the range at n < d, so min(n, d) is bounded there,
-    # and n * d, the cells of the data
-    options = DEFAULTS[experiment]
+def _ones(L):
+    return [1.0] * L
 
-    def grow(**shape):
+
+# For every array of _SIZES: the options that grow it from the defaults (a
+# rank row's, for rank) to v, and the largest v at which it fits its limit.
+# The other arrays stay within theirs, so v + 1 fails on this one alone.
+_SIZE_LIMITS = [
+    ("rank", "scatters", lambda v: {"n": v, "d": v}, DENSE_D_LIMIT),
+    ("rank", "data", lambda v: {"n": 50, "d": v}, 200_000),
+    ("rank", "labels", lambda v: {"n": v, "L": 1000}, 10_000),
+    ("divergence", "scatters", lambda v: {"n": 4000, "d": v}, DENSE_D_LIMIT),
+    ("divergence", "data", lambda v: {"n": v}, 500_000),
+    ("divergence", "labels", lambda v: {"n": v, "L": 100}, 100_000),
+    ("distance", "scatters", lambda v: {"d": v}, DENSE_D_LIMIT),
+    ("distance", "data", lambda v: {"n": v}, 500_000),
+    ("distance", "labels", lambda v: {"n": v, "L": 100}, 100_000),
+    ("distance", "pair labels", lambda v: {"pairs": v, "L": 100}, 100_000),
+    ("distance", "pair shifts", lambda v: {"pairs": v}, 500_000),
+    # 16 x 31250 x 20: at this bound, {"draws": 31250, "pairs": 32} exits 0
+    ("distance", "Monte Carlo noise", lambda v: {"draws": v}, 31_250),
+    ("convergence", "scatters", lambda v: {"d": v, "ns": [50, 100, 200]}, DENSE_D_LIMIT),
+    ("convergence", "data", lambda v: {"ns": [50, 100, v]}, 666_666),
+    ("factors", "scatters", lambda v: {"n": 4000, "d": v}, DENSE_D_LIMIT),
+    ("factors", "data", lambda v: {"n": v}, 833_333),
+    ("factors", "label moments", lambda v: {"n": 217, "d": 216, "L": v, "singular_values": _ones(v)}, 215),
+    # C(88, 3) x 88 = 9656768 cells
+    ("factors", "label patterns",
+     lambda v: {"n": 90, "d": 89, "L": v, "singular_values": _ones(v),
+                "kmax_settings": [{"scheme": {"kind": "single"}}, {"scheme": {"kind": "uniform", "k": 3}}]}, 88),
+    ("concentration", "scatters", lambda v: {"d": v, "draws": 1000}, DENSE_D_LIMIT),
+    ("concentration", "label moments", lambda v: {"L": v}, 215),
+    ("concentration", "label patterns", lambda v: {"L": v, "scheme": {"kind": "uniform", "k": 3}}, 88),
+    ("concentration", "noise differences", lambda v: {"draws": v}, 500_000),
+    # 19999 x 10000 // 20 + 2 = 9999502 deviations
+    ("concentration", "upper tail", lambda v: {"pairs": v}, 19_999),
+    ("interaction", "scatters", lambda v: {"d": v}, DENSE_D_LIMIT),
+    ("interaction", "data", lambda v: {"n": v}, 666_666),
+    ("interaction", "interaction effects", lambda v: {"d": v, "L": v, "singular_values": _ones(v)}, 271),
+    ("interaction", "pair shifts", lambda v: {"pairs": v}, 666_666),
+    ("interaction", "pair products", lambda v: {"pairs": v, "L": 15, "singular_values": _ones(15)}, 95_238),
+    ("interaction", "Monte Carlo noise", lambda v: {"draws": v}, 41_666),
+    ("regularization", "scatters", lambda v: {"n": v, "d": v}, DENSE_D_LIMIT),
+    ("regularization", "data", lambda v: {"n": 50, "d": v}, 200_000),
+]
+
+
+def test_every_sized_array_has_a_limit_case():
+    assert sorted((e, name) for e, name, *_ in _SIZE_LIMITS) == sorted(
+        (e, name) for e, entries in _SIZES.items() for name, _ in entries)
+
+
+@pytest.mark.parametrize("experiment, array, grow, last", _SIZE_LIMITS,
+                         ids=[f"{e}-{name}" for e, name, *_ in _SIZE_LIMITS])
+def test_every_sized_array_fits_up_to_its_limit(experiment, array, grow, last):
+    # grown until the one array is at its limit, the config validates; one
+    # step more fails on that array, before any trial
+    def grown(v):
         if experiment == "rank":
-            return {**options, "rows": [{**options["rows"][0], **shape}]}
-        return {**options, **shape}
+            return {**DEFAULTS["rank"], "rows": [{**DEFAULTS["rank"]["rows"][0], **grow(v)}]}
+        return {**DEFAULTS[experiment], **grow(v)}
 
-    big = DENSE_D_LIMIT + 1
-    if experiment in ("rank", "regularization"):
-        validate_options(experiment, grow(n=50, d=DATA_CELL_LIMIT // 50))
-        law = f"min\\(n, d\\) <= {DENSE_D_LIMIT} and n \\* d <= {DATA_CELL_LIMIT}"
-        for shape in ({"n": big, "d": big}, {"n": 50, "d": DATA_CELL_LIMIT // 50 + 1}):
-            with pytest.raises(ConfigError, match=law):
-                validate_options(experiment, grow(**shape))
+    validate_options(experiment, grown(last))
+    where = r"rows\[0\] " if experiment == "rank" else ""
+    with pytest.raises(ConfigError, match=rf"^{experiment}: {where}{array} would be .*, over the limit of "):
+        validate_options(experiment, grown(last + 1))
+
+
+@pytest.mark.parametrize("spec, Ls", [
+    ({"kind": "single"}, range(6, 13)),
+    ({"kind": "uniform", "k": 3}, range(6, 13)),
+    ({"kind": "variable", "mix": [[1, 0.5], [2, 0.3], [6, 0.2]]}, range(6, 13)),
+    ({"kind": "variable", "mix": [[2, 0.0], [4, 1.0]]}, range(6, 13)),
+    # C(30, 28) = 435, though C(30, 15) would pass the limit on the way
+    ({"kind": "uniform", "k": 28}, (28, 30)),
+])
+def test_the_pattern_count_is_what_scheme_distribution_enumerates(spec, Ls):
+    from mlda.population import scheme_distribution
+
+    for L in Ls:
+        assert _pattern_count(spec, L) == len(scheme_distribution(scheme_from_dict(spec), L).patterns)
+    # past the limit the count stops early, at a partial count past it
+    assert DATA_CELL_LIMIT < _pattern_count(spec, 10**9) <= math.comb(10**9, 28)
+
+
+def _int_paths(value, path=()):
+    # the path of every int in a DEFAULTS value, nested ones included
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _int_paths(item, (*path, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _int_paths(item, (*path, i))
+    elif type(value) is int:
+        yield path
+
+
+# the trial counts scale only the run time, so they alone have no bound
+_TRIAL_COUNTS = {("divergence", ("trials",)), ("convergence", ("trials",)), ("factors", ("trials",)),
+                 ("factors", ("kappa_trials",)), ("regularization", ("trials",))}
+
+
+@pytest.mark.parametrize("experiment, path", [(e, p) for e in EXPERIMENTS for p in _int_paths(DEFAULTS[e])])
+def test_a_billion_validates_only_as_a_trial_count(experiment, path):
+    # each int of the defaults, alone set to 10^9: every one but a trial
+    # count sizes an array, a scheme or a rule, and fails validation
+    options = copy.deepcopy(DEFAULTS[experiment])
+    parent = options
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = 10**9
+    if (experiment, path) in _TRIAL_COUNTS:
+        validate_options(experiment, options)
     else:
-        with pytest.raises(ConfigError, match=f"need d <= {DENSE_D_LIMIT}, .* got d={big}$"):
-            validate_options(experiment, grow(d=big))
-
-
-@pytest.mark.parametrize("experiment,options", _CELL_BOUNDED)
-def test_every_runner_bounds_the_cells_of_its_rows(experiment, options):
-    # one row past DATA_CELL_LIMIT cells fails on the cell rule, and one row
-    # fewer validates
-    with pytest.raises(ConfigError, match=rf"^{experiment}: need [a-z()]+ \* d <= {DATA_CELL_LIMIT}, "):
-        validate_options(experiment, {**DEFAULTS[experiment], **options})
-    (key, value), = options.items()
-    fewer = [*value[:-1], value[-1] - 1] if isinstance(value, list) else value - 1
-    validate_options(experiment, {**DEFAULTS[experiment], key: fewer})
+        with pytest.raises(ConfigError):
+            validate_options(experiment, options)
 
 
 def test_regularization_trial_at_d_over_n_400_holds_order_n_d(tmp_path):
@@ -1364,7 +1468,8 @@ def _mc_distance_oracle(rng, shift, W, sigma_w, draws, tol_se):
 
 
 def test_blocked_monte_carlo_means_match_the_per_pair_oracle(rng):
-    from mlda.harness.experiments import _MC_BLOCK, _Run, _mc_distance
+    from mlda.harness.config import MC_BLOCK
+    from mlda.harness.experiments import _Run, _mc_distance
     from mlda.population import isotropic_params
     from mlda.synth import Seed
 
@@ -1372,7 +1477,7 @@ def test_blocked_monte_carlo_means_match_the_per_pair_oracle(rng):
     d, r, draws, sigma_w, tol_se = 9, 3, 6, 0.7, 3.0
     W = rng.standard_normal((d, r))
     params = isotropic_params(np.zeros(d), np.zeros((d, 2)), sigma_w)
-    for P in sorted({1, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 200}):
+    for P in sorted({1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 200}):
         shifts = 2.0 * rng.standard_normal((P, d))
         means, tols = _mc_distance(ex, f"draws:{P}", shifts, W, params, draws, tol_se)
         assert means.shape == tols.shape == (P,)
