@@ -18,11 +18,11 @@ the matrices and computes, once per frame: W^T A and its extreme singular
 values (one SVD), Psi = W^T Sigma_w W with C_w = 2 tr(Psi), ||Psi||_2 and
 ||Psi||_F, and sigma_max(W^T B_inter) (one more SVD; ``with_interactions``
 swaps B_inter at that cost alone). sigma_max(A) and sigma_max(B_inter),
-which only the a-priori interaction variants read, are computed on first
-use. Each pair method takes one pair of (L,) patterns or a stack of P
-pairs as two (P, L) arrays, validates them once and computes only what
-depends on the pair: delta = y_i - y_j, d_H, d_J, s = (W^T A) delta, the
-support-restricted singular values when asked for, the tail parameters
+which only the a-priori interaction variants read, are computed by each call
+that asks for them. Each pair method takes one pair of (L,) patterns or a
+stack of P pairs as two (P, L) arrays, validates them once and computes only
+what depends on the pair: delta = y_i - y_j, d_H, d_J, s = (W^T A) delta,
+the support-restricted singular values when asked for, the tail parameters
 (V, B) from ||s||, ||z_i - z_j|| and the widenings. A stack gives each
 pair-dependent result as a (P,) array whose entries carry the bits of the
 single-pair call, which returns Python scalars. The module-level
@@ -34,7 +34,6 @@ checked by whoever built W, once, not by the pair bounds.
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -297,16 +296,6 @@ class BoundFrame:
     B_inter: np.ndarray = None
     sigma_max_WB: float = 0.0
 
-    @cached_property
-    def sigma_max_A(self):
-        """sigma_max(A), for the a-priori interaction variants (on first use)."""
-        return _extreme_singular_values(self.A)[1]
-
-    @cached_property
-    def sigma_max_B(self):
-        """sigma_max(B_inter), 0.0 without it (on first use)."""
-        return 0.0 if self.B_inter is None else _extreme_singular_values(self.B_inter)[1]
-
     def with_interactions(self, B_inter):
         """This frame with B_inter validated and sigma_max(W^T B_inter) added;
         every other factor is shared, so it costs one SVD."""
@@ -381,12 +370,14 @@ class BoundFrame:
             "z_norm": dz,
             "z_norm_bound": z_bound,
         }
-        if constraint == "stiefel":
-            out["stiefel_bound"] = _widening(self.sigma_max_A, self.sigma_max_B, delta_norm, dz)
-        elif constraint == "stml":
-            st_min_eig = real("st_min_eig", st_min_eig, 0, strict=True)
-            raw = _widening(self.sigma_max_A, self.sigma_max_B, delta_norm, dz)
-            out["stml_bound"] = raw / st_min_eig
+        if constraint in ("stiefel", "stml"):
+            # the a-priori variant, from sigma_max(A) and sigma_max(B_inter)
+            sb = 0.0 if self.B_inter is None else _extreme_singular_values(self.B_inter)[1]
+            raw = _widening(_extreme_singular_values(self.A)[1], sb, delta_norm, dz)
+            if constraint == "stiefel":
+                out["stiefel_bound"] = raw
+            else:
+                out["stml_bound"] = raw / real("st_min_eig", st_min_eig, 0, strict=True)
         elif constraint != "none":
             raise InvalidInput(f"unknown constraint kind {constraint!r}")
         return _one(out) if single else out

@@ -149,7 +149,6 @@ DEFAULTS = {
         "draws": 50,
         "sigma_w": 0.5,
         "singular_values": _SINGULAR_VALUES,
-        "interaction_scale": 1.0,
         "scheme": {"kind": "variable", "mix": [[1, 0.5], [2, 0.35], [3, 0.15]]},
         "alphas": [0.0, 0.1, 0.5, 1.0, 2.0],
     },
@@ -208,10 +207,6 @@ def scheme_from_dict(spec, where="scheme"):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _finite_square(v):
-    return v * v <= FLOAT_MAX
-
-
 def _at_least(bound):
     return (lambda v: v >= bound), f">= {bound}"
 
@@ -228,8 +223,9 @@ _DOMAIN = {
         ("sigma_w", "effect_scale", "singular_values", "kappa_scales"),
         ((lambda v: v > 0 and 0 < v * v <= FLOAT_MAX), "> 0 with a finite non-zero square"),
     ),
-    "interaction_scale": ((lambda v: v >= 0 and _finite_square(v)), ">= 0 with a finite square"),
-    **dict.fromkeys(("alphas", "gammas"), _at_least(0)),
+    # alpha scales the interaction effects B, so it is a model scale too
+    "alphas": ((lambda v: v >= 0 and v * v <= FLOAT_MAX), ">= 0 with a finite square"),
+    "gammas": _at_least(0),
     "deltas": ((lambda v: 0 < v < 1), "in (0, 1)"),
 }
 
@@ -378,13 +374,6 @@ _RULES = {
         _SV_PER_LABEL,
         _L_WITHIN_D,
         _SCHEMES_FIT,
-        # alpha scales the interaction effects, so alpha * interaction_scale
-        # is a model scale and needs a finite square like the scales above
-        (
-            (lambda o: all(_finite_square(a * o["interaction_scale"]) for a in o["alphas"])),
-            "every alpha * interaction_scale needs a finite square, got alphas={alphas}, "
-            "interaction_scale={interaction_scale}",
-        ),
     ),
     "regularization": (
         _N_COVERS_L,

@@ -31,7 +31,7 @@ from ..discriminant import (
     top_eigenspace,
     trace_ratio_stiefel,
 )
-from ..errors import ConfigError, check
+from ..errors import ConfigError, SingularTotalScatter, check
 from ..population import gamma_norm, gaps, isotropic_params, population_scatters, scheme_distribution
 from ..scatter import build_dataset, build_scatter, rank_analysis
 from ..spectral import numeric_rank, orthonormalize, principal_angle_sin, sym_eigvals, symmetrize
@@ -105,6 +105,17 @@ class _Run:
         """Record ``message`` as a failure of the criterion unless ``ok``."""
         if not ok:
             self.failures.append(message)
+
+
+@contextmanager
+def _unless_singular(ex, what):
+    """Run the block, or end it as a failure named ``what`` at a total
+    scatter too ill-conditioned to whiten: at d > L the population's least
+    eigenvalue is K_pop sigma_w^2 and its largest is set by the drawn effects."""
+    try:
+        yield
+    except SingularTotalScatter as exc:
+        ex.require(False, f"{what}: {exc}")
 
 
 def _plain(obj):
@@ -199,12 +210,16 @@ def write_report(report, out_dir):
 # ---------------------------------------------------------------------------
 
 
+def _orthogonal_effects(d, singular_values, rng):
+    """Label effects on orthonormal directions, whose norms are ``singular_values``."""
+    sv = np.asarray(singular_values, dtype=float)
+    return orthonormalize(rng.standard_normal((d, d))).columns[:, : sv.size] * sv
+
+
 def _structured_effects(d, L, singular_values, rng):
     """Label-effect matrix with prescribed singular values."""
-    sv = np.asarray(singular_values, dtype=float)
-    U = orthonormalize(rng.standard_normal((d, d))).columns[:, :L]
-    V = orthonormalize(rng.standard_normal((L, L))).columns
-    return (U * sv) @ V.T
+    U = _orthogonal_effects(d, singular_values, rng)
+    return U @ orthonormalize(rng.standard_normal((L, L))).columns.T
 
 
 def _gaussian_effects(d, L, scale, rng):
@@ -470,10 +485,10 @@ def _run_distance(ex):
 def _run_convergence(ex):
     """Median subspace error of the noisy trace-difference frame against n.
 
-    Only each n's d x r target frame is kept across sample sizes: its signal
-    scatters are built, cut and dropped in turn. Each n's labels are drawn
-    again from their stream when its trials start, and every trial draws its
-    rows through ``gen_data``, so a run holds one n's labels plus one
+    The target rank r is cut at a gap of the largest n's signal scatters;
+    then one pass per n draws its labels once, cuts its d x r target frame
+    from its signal scatters and runs its trials through ``gen_data``. A run
+    holds the largest n's labels and target, one n's labels, and one
     trial's rows and scatters.
     """
     options, bounds = ex.options, ex.bounds
@@ -487,12 +502,10 @@ def _run_convergence(ex):
     def labels_at(n):
         return gen_labels(scheme, n, L, ex.stream(n, "labels"))
 
-    def signal_at(n):
-        return _signal_scatter(labels_at(n), params)
-
     # adaptive target rank from the per-sample spectral gaps at the largest n
     n_ref = ns[-1]
-    ref_ss = signal_at(n_ref)
+    ref_labels = labels_at(n_ref)
+    ref_ss = _signal_scatter(ref_labels, params)
     ref_values = opt_td(ref_ss, 1).values
     per_sample_gaps = (ref_values[:-1] - ref_values[1:]) / n_ref
     above = np.nonzero(per_sample_gaps > threshold)[0]
@@ -505,24 +518,21 @@ def _run_convergence(ex):
         ex.summary = {"largest_per_sample_gap": largest}
         return
     r = int(above.max()) + 1
-
-    targets = {n: opt_td(ref_ss if n == n_ref else signal_at(n), r).frame for n in ns}
-
-    def errors_at(n):
-        labels = labels_at(n)
-        noise = (ex.stream(t, f"noise:{n}") for t in range(trials))
-        return aggregate([_noisy_td_error(labels, params, rng, r, targets[n]) for rng in noise])
+    ref_target = opt_td(ref_ss, r).frame
 
     medians = []
     for n in ns:
-        agg = errors_at(n)
+        labels = ref_labels if n == n_ref else labels_at(n)
+        target = ref_target if n == n_ref else opt_td(_signal_scatter(labels, params), r).frame
+        noise = (ex.stream(t, f"noise:{n}") for t in range(trials))
+        agg = aggregate([_noisy_td_error(labels, params, rng, r, target) for rng in noise])
         medians.append(agg["median"])
         ex.rows.append(
             {
                 "n": n,
                 "median_sin": agg["median"],
                 "p95_sin": agg["p95"],
-                "drift": principal_angle_sin(targets[n], targets[n_ref]),
+                "drift": principal_angle_sin(target, ref_target),
                 "trials": trials,
             }
         )
@@ -618,12 +628,17 @@ def _run_factors(ex):
     dist = scheme_distribution(scheme_multi, L)
     pop_1 = population_scatters(params, dist)
     pop_c = population_scatters(isotropic_params(np.zeros(d), c * A, c * sigma_w), dist)
-    g_1, g_c = gaps(pop_1, r), gaps(pop_c, r)
-    delta_dev = abs(g_c.Delta_r - g_1.Delta_r)
-    # a population gap tied at r has no ratio to test: a property of the
-    # drawn effects (equal singular values), so the criterion fails
-    tied = g_1.gap_tied
-    gap_ratio = None if tied else g_c.gap_r / g_1.gap_r
+    delta_dev = gap_ratio = None
+    with _unless_singular(ex, "rescale test"):
+        g_1, g_c = gaps(pop_1, r), gaps(pop_c, r)
+        delta_dev = abs(g_c.Delta_r - g_1.Delta_r)
+        # a population gap tied at r has no ratio to test: a property of the
+        # drawn effects (equal singular values), so the criterion fails
+        ex.require(not g_1.gap_tied, f"rescale test: the population gap at r={r} is tied ({g_1.gap_r!r})")
+        if not g_1.gap_tied:
+            gap_ratio = g_c.gap_r / g_1.gap_r
+            ex.require(_rescale_ok(delta_dev, gap_ratio, c),
+                       f"rescale test: Delta_r moved by {delta_dev:.3g}, gap ratio {gap_ratio!r}")
 
     # (c) co-occurrence norm: diagonal-exact for single-label, strictly
     # larger once labels overlap
@@ -637,23 +652,24 @@ def _run_factors(ex):
     # condition-number probe (informational): scaling the leading rows of A
     # moves kappa(St_inf); record whether the median error moves with it
     kappa_values, kappa_medians = [], []
-    for ci, cval in enumerate(options["kappa_scales"]):
-        A_c = A.copy()
-        A_c[:r, :] *= cval
-        params_c = isotropic_params(np.zeros(d), A_c, sigma_w)
-        g = gaps(population_scatters(params_c, dist), r)
-        kappa_values.append(g.kappa_St_inf)
-        W_pop = orthonormalize(g.frame.columns)
+    with _unless_singular(ex, "condition probe"):
+        for ci, cval in enumerate(options["kappa_scales"]):
+            A_c = A.copy()
+            A_c[:r, :] *= cval
+            params_c = isotropic_params(np.zeros(d), A_c, sigma_w)
+            g = gaps(population_scatters(params_c, dist), r)
+            W_pop = orthonormalize(g.frame.columns)
 
-        def one(t):
-            labels = gen_labels(scheme_multi, n, L, ex.stream(t, f"kappa-labels:{ci}"))
-            ds = gen_data(labels, params_c, ex.stream(t, f"kappa-noise:{ci}"))
-            ss = build_scatter(ds)
-            est = orthonormalize(opt_stml(ss.Sb, ss.St_ml, r).columns)
-            return principal_angle_sin(est, W_pop)
+            def one(t):
+                labels = gen_labels(scheme_multi, n, L, ex.stream(t, f"kappa-labels:{ci}"))
+                ds = gen_data(labels, params_c, ex.stream(t, f"kappa-noise:{ci}"))
+                ss = build_scatter(ds)
+                est = orthonormalize(opt_stml(ss.Sb, ss.St_ml, r).columns)
+                return principal_angle_sin(est, W_pop)
 
-        out = [one(t) for t in range(options["kappa_trials"])]
-        kappa_medians.append(aggregate(out)["median"])
+            out = [one(t) for t in range(options["kappa_trials"])]
+            kappa_values.append(g.kappa_St_inf)
+            kappa_medians.append(aggregate(out)["median"])
     kappa_co_moves = all(
         (k2 >= k1) == (m2 >= m1)
         for (k1, k2), (m1, m2) in zip(
@@ -665,10 +681,6 @@ def _run_factors(ex):
                f"median errors not monotone in k_max: {med_errs}")
     ex.require(ratio_spread <= ex.bounds["ratio_factor"],
                f"bound-ratio spread {ratio_spread:.3g} exceeds {ex.bounds['ratio_factor']}")
-    ex.require(not tied, f"rescale test: the population gap at r={r} is tied ({g_1.gap_r!r})")
-    if not tied:
-        ex.require(_rescale_ok(delta_dev, gap_ratio, c),
-                   f"rescale test: Delta_r moved by {delta_dev:.3g}, gap ratio {gap_ratio!r}")
     ex.require(
         abs(gn_single - share_single) <= 8 * np.finfo(float).eps * share_single
         and gn_multi > share_multi
@@ -729,7 +741,11 @@ def _run_concentration(ex):
     params = isotropic_params(np.zeros(d), A, sigma_w)
     dist = scheme_distribution(scheme, L)
     pop = population_scatters(params, dist)
-    whitened = opt_stml(pop.Sb_pop, pop.St_ml_pop, r)
+    whitened = None
+    with _unless_singular(ex, "population frame"):
+        whitened = opt_stml(pop.Sb_pop, pop.St_ml_pop, r)
+    if whitened is None:
+        return
     W = whitened.columns
     frame = bound_frame(W, A, params.Sigma_w)
     # the frame's identity and theta, checked once for every pair
@@ -826,8 +842,7 @@ def _run_concentration(ex):
 
 def _run_interaction(ex):
     n, d, L, pairs, draws = (ex.options[k] for k in ("n", "d", "L", "pairs", "draws"))
-    sigma_w, iscale = ex.options["sigma_w"], ex.options["interaction_scale"]
-    alphas, tol_se = ex.options["alphas"], ex.bounds["tolerance_se"]
+    sigma_w, alphas, tol_se = ex.options["sigma_w"], ex.options["alphas"], ex.bounds["tolerance_se"]
     scheme = scheme_from_dict(ex.options["scheme"])
 
     labels = gen_labels(scheme, n, L, ex.stream(0, "labels"))
@@ -838,11 +853,8 @@ def _run_interaction(ex):
     # while the corrected bound absorbs it.  A rotated spectrum would leave
     # slack between every realizable label change and the band endpoints,
     # hiding the interaction inside the naive bound at every strength.
-    sv = np.asarray(ex.options["singular_values"], dtype=float)
-    U = orthonormalize(ex.stream(0, "effects").standard_normal((d, d))).columns[:, :L]
-    A = U * sv
-    n_prod = L * (L - 1) // 2
-    B = iscale * ex.stream(0, "inter").standard_normal((d, n_prod))
+    A = _orthogonal_effects(d, ex.options["singular_values"], ex.stream(0, "effects"))
+    B = ex.stream(0, "inter").standard_normal((d, L * (L - 1) // 2))
     params = isotropic_params(np.zeros(d), A, sigma_w, B_inter=B)
     # the strongest interaction alpha * B must make a valid model as well
     isotropic_params(np.zeros(d), A, sigma_w, B_inter=max(alphas) * B)
@@ -945,8 +957,8 @@ def _run_regularization(ex):
 # Each runner writes its rows, failures and summary onto the ``_Run`` that
 # ``run`` hands it; its criterion, named here, passes exactly when the run
 # records no failure. A CSV header is the keys of the first row, except where
-# a runner can write no rows: convergence does when its instance has no
-# spectral gap, so its header is named here.
+# a runner can write no rows (convergence without a spectral gap,
+# concentration without a population frame), so its header is named here.
 _RUNNERS = {
     "rank": (_run_rank, "criterion_rank_table"),
     "divergence": (_run_divergence, "criterion_davis_kahan"),
@@ -957,7 +969,8 @@ _RUNNERS = {
     "interaction": (_run_interaction, "criterion_interaction"),
     "regularization": (_run_regularization, "criterion_regularization"),
 }
-_HEADERS = {"convergence": ["n", "median_sin", "p95_sin", "drift", "trials"]}
+_HEADERS = {"convergence": ["n", "median_sin", "p95_sin", "drift", "trials"],
+            "concentration": ["delta", "nominal", "coverage"]}
 
 
 def run(config):

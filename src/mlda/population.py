@@ -17,7 +17,7 @@ Two families of population scatters appear:
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -78,26 +78,33 @@ def label_moments(patterns):
     MissingLabel
         If some label has zero marginal probability.
     """
-    if not patterns:
-        raise InvalidInput("pattern list is empty")
-    merged = {}
-    L = None
-    for bits, prob in patterns:
-        bits = _array(bits, "pattern", shape=(L,))
-        L = bits.shape[0]
-        if not _all_binary(bits):
-            raise InvalidInput("pattern entries must be 0 or 1")
-        if bits.sum() == 0:
-            raise InvalidInput("pattern with no labels is not allowed")
-        prob = real("pattern probability", prob, low=0)
-        key = tuple(int(b) for b in bits)
-        merged[key] = merged.get(key, 0.0) + prob
-    P = np.array(sorted(merged), dtype=float)
-    probs = np.array([merged[tuple(int(b) for b in row)] for row in P])
+    try:
+        bits, probs = zip(*[(b, p) for b, p in patterns])
+    except (TypeError, ValueError):
+        raise InvalidInput("patterns must be a non-empty sequence of (bits, prob) pairs") from None
+    bits = _array(bits, "pattern", shape=(None, None))
+    if not _all_binary(bits):
+        raise InvalidInput("pattern entries must be 0 or 1")
+    if (bits.sum(axis=1) == 0).any():
+        raise InvalidInput("pattern with no labels is not allowed")
+    probs = np.array([real("pattern probability", prob, low=0) for prob in probs])
+    return _pattern_law(bits.astype(np.int8), probs)
+
+
+def _pattern_law(patterns, probs):
+    """The LabelDistribution of valid (m, L) 0/1 integer ``patterns`` with ``probs``:
+    a stable column sort merges equal rows, summing their probs in input order."""
+    order = np.lexsort(patterns.T[::-1])
+    P = patterns[order]
+    first = np.r_[True, (P[1:] != P[:-1]).any(axis=1)]
+    probs = np.bincount(np.cumsum(first) - 1, weights=probs[order])
+    P = P[first]
     total = probs.sum()
     if abs(total - 1.0) > 1e-12:
         raise InvalidInput(f"pattern probabilities sum to {total!r}, not 1")
 
+    L = P.shape[1]
+    P = P.astype(float)
     pi = probs @ P
     if (pi <= 0).any():
         dead = np.flatnonzero(pi <= 0)
@@ -130,19 +137,19 @@ def scheme_distribution(scheme, L):
 
     A scheme draws a cardinality c and then a uniform random size-c subset,
     so every size-c pattern has probability frac(c) / C(L, c). Enumerates
-    all patterns with positive probability; feasible for the small L used
-    in population-level checks.
+    all patterns with positive probability into one array.
     """
     L = count("L", L)
     count("scheme cardinality", scheme.max_cardinality(), high=L, error=InvalidScheme)
-    pairs = []
+    blocks, probs = [], []
     for card, frac in scheme.drawn:
-        share = frac / comb(L, card)
-        for subset in combinations(range(L), card):
-            bits = np.zeros(L, dtype=np.int64)
-            bits[list(subset)] = 1
-            pairs.append((bits, share))
-    return label_moments(pairs)
+        size = comb(L, card)
+        members = np.fromiter(chain.from_iterable(combinations(range(L), card)), np.intp, size * card)
+        block = np.zeros((size, L), dtype=np.int8)
+        block[np.arange(size)[:, None], members.reshape(size, card)] = 1
+        blocks.append(block)
+        probs.append(np.full(size, frac / size))
+    return _pattern_law(np.concatenate(blocks), np.concatenate(probs))
 
 
 @dataclass(frozen=True)

@@ -294,7 +294,9 @@ def test_dimension_validation(tmp_path):
         ("distance", {"d": 3, "L": 5}, r"need min\(6, L\) <= d"),
         ("interaction", {"singular_values": [8.0, 6.0]}, "one singular value per label"),
         ("interaction", {"alphas": [0.0, 1e308]}, "finite square"),
-        ("interaction", {"alphas": [0.0, 1e100], "interaction_scale": 1e100}, "finite square"),
+        # alpha alone scales B: the least alpha whose square overflows
+        ("interaction", {"alphas": [0.0, 1.35e154]}, "finite square"),
+        ("interaction", {"interaction_scale": 1.0}, "unknown option 'interaction_scale'"),
         ("factors", {"kmax_settings": DEFAULTS["factors"]["kmax_settings"][:1]}, ">= 2 entries"),
         ("factors", {"gamma_scheme": {"kind": "uniform", "k": 6}}, "exceeds L"),
         ("factors", {"r": 5}, "need r < L"),
@@ -314,8 +316,6 @@ def test_dimension_validation(tmp_path):
             build_config(experiment, str(path), None, None, None)
 
 
-# Options whose domain includes 0; every other option rejects it.
-_ZERO_ALLOWED = {"interaction_scale"}
 _BAD_SCHEMES = [
     {"kind": "variable", "mix": [[1, float("nan")]]},
     {"kind": "uniform", "k": 1.5},
@@ -325,9 +325,9 @@ _BAD_SCHEMES = [
 
 
 def _hostile_values(default):
-    """Values of the wrong type, non-finite, negative or empty for an option
-    whose default is ``default``."""
-    values = [float("nan"), float("inf"), float("-inf"), -1, "abc", None, True, [], {}]
+    """Values of the wrong type, non-finite, zero, negative or empty for an
+    option whose default is ``default``: no option's domain holds 0."""
+    values = [float("nan"), float("inf"), float("-inf"), 0, -1, "abc", None, True, [], {}]
     if isinstance(default, int):
         values.append(20.7)
     if isinstance(default, dict):
@@ -349,17 +349,11 @@ def _hostile_values(default):
 def test_every_option_rejects_hostile_values(tmp_path, experiment, option):
     path = tmp_path / "c.json"
     default = DEFAULTS[experiment][option]
-    hostile = _hostile_values(default)
-    if option not in _ZERO_ALLOWED:
-        hostile.append(0)
-    for value in hostile:
+    for value in _hostile_values(default):
         path.write_text(json.dumps({"experiment": experiment, option: value}))
         with pytest.raises(ConfigError, match=option):
             build_config(experiment, str(path))
             pytest.fail(f"{experiment}.{option} = {value!r} was accepted")
-    if option in _ZERO_ALLOWED:
-        path.write_text(json.dumps({"experiment": experiment, option: 0}))
-        assert build_config(experiment, str(path)).options[option] == 0
 
 
 def test_defaults_and_shipped_configs_normalize_to_themselves(tmp_path):
@@ -564,6 +558,8 @@ _SW_NULL_SHAPES = [
         # observations held vacuously
         ("divergence", {"trials": 3, "settings": [{"setting": "s", "scheme": {"kind": "single"}},
                                                   {"setting": "s", "scheme": {"kind": "uniform", "k": 3}}]}),
+        # alpha alone scales the interaction effects
+        ("interaction", {"interaction_scale": 1.0}),
     ],
 )
 def test_cli_hostile_config_exit_two(tmp_path, experiment, options):
@@ -964,6 +960,33 @@ def test_cli_gap_below_threshold_is_criterion_failure(tmp_path):
     assert payload["passes"] == {"criterion_convergence": False}
     assert "no spectral gap exceeds threshold" in payload["details"]["failures"][0]
     assert (tmp_path / "convergence.csv").read_text().startswith("n,median_sin,")
+
+
+# Valid configs whose population total scatter, least eigenvalue K_pop
+# sigma_w^2, is past the whitening gate for the drawn effects; each exited 2
+# mid-run with SingularTotalScatter. The named failures of what whitens it.
+_UNWHITENABLE = [
+    ("concentration", {"sigma_w": sigma_w, "pairs": 5}, ["population frame: total scatter is numerically singular"])
+    for sigma_w in (1e-8, 1e-6)
+] + [
+    ("factors", {"sigma_w": sigma_w, "trials": 3, "kappa_trials": 2},
+     ["rescale test: total scatter is numerically singular", "condition probe: total scatter is numerically singular"])
+    for sigma_w in (1e-8, 1e-6)
+]
+
+
+@pytest.mark.parametrize("experiment, options, failures", _UNWHITENABLE)
+def test_cli_unwhitenable_population_is_criterion_failure(tmp_path, experiment, options, failures):
+    cfgfile = tmp_path / "tiny-noise.json"
+    cfgfile.write_text(json.dumps({"experiment": experiment, **options}))
+    proc = _cli([experiment, "--config", str(cfgfile), "--out", str(tmp_path)], python_flags=("-W", "error"))
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert f"FAIL criterion_{experiment}" in proc.stdout
+    payload = json.loads((tmp_path / f"{experiment}.summary.json").read_text())
+    assert [f.split(" at gamma")[0] for f in payload["details"]["failures"]] == failures
+    if experiment == "concentration":
+        # no pair ran, so the table is its header alone
+        assert (tmp_path / "concentration.csv").read_text() == "delta,nominal,coverage\n"
 
 
 def test_cli_all_writes_every_report(tmp_path):

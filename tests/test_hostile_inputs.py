@@ -641,6 +641,7 @@ _PROBES = {
     "isotropic_params(sigma_w='a')": lambda: isotropic_params(np.zeros(4), _A3, "a"),
     "label_moments(prob=None)": lambda: label_moments([([1, 0], None)]),
     "label_moments(bits=1)": lambda: label_moments([(1, 1.0)]),
+    "label_moments((bits, prob, extra))": lambda: label_moments([([1, 0], 0.5, 1), ([0, 1], 0.5)]),
     "gen_data(alpha=None)": lambda: mlda.gen_data(_LABELS, _PARAMS, np.random.default_rng(5), alpha=None),
     "gen_data(alpha='1')": lambda: mlda.gen_data(_LABELS, _PARAMS, np.random.default_rng(5), alpha="1"),
     "bound_frame(ragged)": lambda: mlda.bound_frame(_RAGGED, _A3),

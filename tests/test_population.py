@@ -268,6 +268,138 @@ def test_distribution_validation():
         label_moments([([1, 2], 1.0)])  # non-binary pattern
     with pytest.raises(InvalidInput):
         label_moments([([0, 0], 0.5), ([1, 1], 0.5)])  # empty pattern
+    with pytest.raises(InvalidInput):
+        label_moments([])
+
+
+def _label_moments_oracle(patterns):
+    # the per-pattern route that the array route replaced: each pattern
+    # validated and keyed in turn, duplicates merged in a dict
+    from mlda.errors import real
+    from mlda.population import LabelDistribution
+    from mlda.spectral import _all_binary, _array
+
+    if not patterns:
+        raise InvalidInput("pattern list is empty")
+    merged = {}
+    L = None
+    for bits, prob in patterns:
+        bits = _array(bits, "pattern", shape=(L,))
+        L = bits.shape[0]
+        if not _all_binary(bits):
+            raise InvalidInput("pattern entries must be 0 or 1")
+        if bits.sum() == 0:
+            raise InvalidInput("pattern with no labels is not allowed")
+        prob = real("pattern probability", prob, low=0)
+        key = tuple(int(b) for b in bits)
+        merged[key] = merged.get(key, 0.0) + prob
+    P = np.array(sorted(merged), dtype=float)
+    probs = np.array([merged[tuple(int(b) for b in row)] for row in P])
+    total = probs.sum()
+    if abs(total - 1.0) > 1e-12:
+        raise InvalidInput(f"pattern probabilities sum to {total!r}, not 1")
+    pi = probs @ P
+    if (pi <= 0).any():
+        raise MissingLabel(f"labels with zero probability: {np.flatnonzero(pi <= 0).tolist()}")
+    C = symmetrize((P.T * probs) @ P)
+    Sigma_y = symmetrize(C - np.outer(pi, pi))
+    cond_cov = np.zeros((L, L, L))
+    for ell in range(L):
+        mask = P[:, ell] == 1
+        w = probs[mask] / pi[ell]
+        Pl = P[mask]
+        m = w @ Pl
+        cond_cov[ell] = symmetrize((Pl.T * w) @ Pl - np.outer(m, m))
+    return LabelDistribution(patterns=P.astype(np.int64), probs=probs, pi=pi, C=C, Sigma_y=Sigma_y,
+                             cond_cov=cond_cov, K_pop=float(pi.sum()))
+
+
+def _scheme_distribution_oracle(scheme, L):
+    # every pattern of each drawn cardinality as its own (bits, share) pair
+    from itertools import combinations
+    from math import comb
+
+    pairs = []
+    for card, frac in scheme.drawn:
+        for subset in combinations(range(L), card):
+            bits = np.zeros(L, dtype=np.int64)
+            bits[list(subset)] = 1
+            pairs.append((bits, frac / comb(L, card)))
+    return _label_moments_oracle(pairs)
+
+
+def _assert_same_law(got, want):
+    for f in dataclasses.fields(got):
+        a, b = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
+        assert type(getattr(got, f.name)) is type(getattr(want, f.name)), f.name
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+
+
+def _counts(draw, parts, total):
+    """``parts`` non-negative ints summing to ``total``, zeros allowed."""
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=parts - 1, max_size=parts - 1)))
+    return np.diff([0, *cuts, total])
+
+
+@st.composite
+def label_schemes(draw):
+    """(scheme, L) at L <= 12; a variable mix may hold zero fractions, each
+    fraction k / 2^j so the mix sums to 1 exactly."""
+    from mlda.synth import LabelScheme
+
+    L = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["single", "uniform", "variable"]))
+    if kind == "single":
+        return LabelScheme.single(), L
+    if kind == "uniform":
+        return LabelScheme.uniform(draw(st.integers(1, L))), L
+    cards = draw(st.lists(st.integers(1, L), min_size=1, max_size=5, unique=True))
+    N = 2 ** draw(st.integers(0, 10))
+    return LabelScheme.variable([(c, k / N) for c, k in zip(cards, _counts(draw, len(cards), N))]), L
+
+
+@settings(max_examples=150, deadline=None)
+@given(label_schemes())
+def test_scheme_distribution_is_the_per_pattern_law_bit_for_bit(case):
+    from mlda import scheme_distribution
+
+    scheme, L = case
+    _assert_same_law(scheme_distribution(scheme, L), _scheme_distribution_oracle(scheme, L))
+
+
+_BITS_FORMS = (list, tuple, np.array, lambda b: np.array(b, dtype=bool), lambda b: [np.int64(v) for v in b])
+
+
+@st.composite
+def pattern_lists(draw):
+    """(bits, prob) pairs at L <= 12: unsorted rows, some repeated, in
+    mixed list, tuple, array and numpy-scalar forms, with
+    probabilities k / N that may be zero and may leave a label unused. A
+    sum of three or more repeats rounds by the order it is taken in; a
+    float32 is drawn only where it holds the probability exactly."""
+    L = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=L, max_size=L).filter(any), min_size=1, max_size=6))
+    rows += [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=8))]
+    rows = draw(st.permutations(rows))
+    N = draw(st.integers(len(rows), 5000))
+    probs = _counts(draw, len(rows), N) / N
+    forms = [float, np.float64] + [np.float32] * draw(st.booleans())
+    return [
+        (draw(st.sampled_from(_BITS_FORMS))(bits), draw(st.sampled_from(forms if np.float32(p) == p else forms[:2]))(p))
+        for bits, p in zip(rows, probs)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pattern_lists())
+def test_label_moments_is_the_per_pattern_law_bit_for_bit(patterns):
+    try:
+        want = _label_moments_oracle(patterns)
+    except (InvalidInput, MissingLabel) as exc:
+        with pytest.raises(type(exc)):
+            label_moments(patterns)
+        return
+    _assert_same_law(label_moments(patterns), want)
 
 
 def test_model_validation():
